@@ -10,6 +10,15 @@ by the splitting ratio and thinned by the efficiency budget.  With this
 construction the coincidence estimator converges to the quadrature value
 (double integral of G2 over the product of windowed intensities) for any
 photon statistics, sub-Poissonian included.
+
+Pair times are drawn against the global maximum of the gridded pair density.
+Most candidates fall where the density is far below that maximum, so each
+one is first compared with a precomputed upper bound of the bilinear
+interpolant on its block of a coarse uniform partition; only candidates
+under the bound get the exact interpolated test.  The bound is never below
+the interpolant, so the pre-filter rejects only candidates the exact test
+would reject: the accepted set, the random draws and hence the stream are
+exactly those of testing every candidate.
 """
 
 from __future__ import annotations
@@ -149,6 +158,66 @@ def _grid_interp2(times: np.ndarray, values: np.ndarray, t1: np.ndarray, t2: np.
             + v01 * (1 - fx) * fy + v11 * fx * fy)
 
 
+#: blocks per axis of the pair-density bound table
+_BOUND_BLOCKS = 64
+
+
+def _block_bounds(times: np.ndarray, values: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Upper bounds of the bilinear interpolant of ``values`` on ``n_blocks``
+    uniform blocks per axis of [times[0], times[-1]]^2.
+
+    Block (a, b) holds the maximum over every grid corner that a point in
+    blocks a-1..a+1 x b-1..b+1 interpolates from, so a point whose floored
+    block index is off by one through rounding is still covered.  The bilinear
+    value is a convex combination of its four corners; the relative pad
+    absorbs the few ulps its floating-point evaluation can overshoot by.
+    """
+    t_lo, t_hi = float(times[0]), float(times[-1])
+    edges = t_lo + (t_hi - t_lo) * np.arange(-1, n_blocks + 2) / n_blocks
+    cell = np.clip(np.searchsorted(times, np.clip(edges, t_lo, t_hi)) - 1,
+                   0, len(times) - 2)
+    slices = list(zip(cell[:-3], cell[3:] + 2))   # corner range of each block
+
+    def block_max(v: np.ndarray) -> np.ndarray:
+        rows = np.stack([v[a:b].max(axis=0) for a, b in slices])
+        return np.stack([rows[:, a:b].max(axis=1) for a, b in slices], axis=1)
+
+    return block_max(values) + 1e-12 * block_max(np.abs(values))
+
+
+def _sample_pair_times(rng: np.random.Generator, times: np.ndarray,
+                       density: np.ndarray, k: int):
+    """``k`` time pairs drawn from the gridded pair density by
+    acceptance-rejection against its global maximum.
+
+    Candidates at or above the block bound of their block are rejected
+    before the exact bilinear test; the bound is never below the
+    interpolant, so the accepted set, and every RNG draw, is exactly that of
+    testing all candidates.
+    """
+    g2max = float(np.max(density)) if density.size else 0.0
+    if k == 0 or not g2max > 0:
+        return np.empty(0), np.empty(0)
+    t_lo, t_hi = float(times[0]), float(times[-1])
+    bound = _block_bounds(times, density, _BOUND_BLOCKS)
+    scale = _BOUND_BLOCKS / (t_hi - t_lo)
+    acc1, acc2 = [], []
+    n_acc = 0
+    while n_acc < k:
+        batch = max(256, 4 * (k - n_acc))
+        c1 = rng.uniform(t_lo, t_hi, batch)
+        c2 = rng.uniform(t_lo, t_hi, batch)
+        lim = rng.random(batch) * g2max
+        b1 = np.minimum(((c1 - t_lo) * scale).astype(np.intp), _BOUND_BLOCKS - 1)
+        b2 = np.minimum(((c2 - t_lo) * scale).astype(np.intp), _BOUND_BLOCKS - 1)
+        live = np.nonzero(lim < bound[b1, b2])[0]
+        keep = live[lim[live] < _grid_interp2(times, density, c1[live], c2[live])]
+        acc1.append(c1[keep])
+        acc2.append(c2[keep])
+        n_acc += len(keep)
+    return np.concatenate(acc1)[:k], np.concatenate(acc2)[:k]
+
+
 def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
                    budget: EfficiencyBudget, n_trials: int, seed: int,
                    trial_period_ns: float = 16000.0, gamma_mhz: float = 6.0) -> DetectionStream:
@@ -188,20 +257,7 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
     pair_trials = np.nonzero(u < p_pair)[0]
     single_trials = np.nonzero((u >= p_pair) & (u < p_pair + p_single))[0]
 
-    # pair times by acceptance-rejection against the grid maximum
-    k2 = len(pair_trials)
-    g2max = float(np.max(pair_density)) if pair_density.size else 0.0
-    t_lo, t_hi = float(grid.times[0]), float(grid.times[-1])
-    acc1 = np.empty(0)
-    acc2 = np.empty(0)
-    while len(acc1) < k2 and g2max > 0:
-        batch = max(256, 4 * (k2 - len(acc1)))
-        c1 = rng.uniform(t_lo, t_hi, batch)
-        c2 = rng.uniform(t_lo, t_hi, batch)
-        keep = rng.random(batch) * g2max < _grid_interp2(grid.times, pair_density, c1, c2)
-        acc1 = np.concatenate([acc1, c1[keep]])
-        acc2 = np.concatenate([acc2, c2[keep]])
-    acc1, acc2 = acc1[:k2], acc2[:k2]
+    acc1, acc2 = _sample_pair_times(rng, grid.times, pair_density, len(pair_trials))
 
     # single times by inverse CDF of the subtracted density
     k1 = len(single_trials)

@@ -427,8 +427,14 @@ class ControlSchedule:
         return va == mid == vb
 
     def breakpoints(self) -> tuple:
-        pts = [s.t_start for s in self.segments] + [self.segments[-1].t_end]
-        return tuple(pts)
+        """Times where Omega_c or its slope may jump: every inner segment
+        boundary, and an outer end only when its segment is a ramp (the
+        schedule is clamped flat outside its segments)."""
+        segs = self.segments
+        inner = [s.t_start for s in segs[1:]]
+        first = [] if segs[0].is_constant else [segs[0].t_start]
+        last = [] if segs[-1].is_constant else [segs[-1].t_end]
+        return tuple(first + inner + last)
 
 
 def eval_control(schedule: ControlSchedule, t: float) -> float:

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 import time as _time
+import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -226,10 +229,10 @@ def run_turnon_scan(cfg: ScenarioConfig) -> ResultBundle:
     g = cfg.params.gamma_mhz
     rows = []
     for r in results:
-        rows.append((r["d_target"], r["d"], r["n_atoms"], r["omega_c"],
-                     r.get("tau_0", math.nan),
+        rows.append((r["d_target"], r.get("d", math.nan), r.get("n_atoms", math.nan),
+                     r["omega_c"], r.get("tau_0", math.nan),
                      ns_from_time(r.get("tau_0", math.nan), g),
-                     r["tau_eit"], r.get("ratio_tau0", math.nan),
+                     r.get("tau_eit", math.nan), r.get("ratio_tau0", math.nan),
                      r.get("g2_ss", math.nan), r["status"]))
     ratios = [r["ratio_tau0"] for r in results if r["status"] == "ok"]
     scalars = {"n_points": len(results),
@@ -368,10 +371,11 @@ def run_turnoff_scan(cfg: ScenarioConfig) -> ResultBundle:
               for d in cfg.d_list for om in cfg.omega_c_list]
     results = _map_points(_turnoff_point, points, cfg.threads)
     g = cfg.params.gamma_mhz
-    rows = [(r["d_target"], r["d"], r["n_atoms"], r["omega_c"], r["i_ss"],
-             r["i_jump"], r.get("peak_intensity", math.nan),
+    rows = [(r["d_target"], r.get("d", math.nan), r.get("n_atoms", math.nan),
+             r["omega_c"], r.get("i_ss", math.nan), r.get("i_jump", math.nan),
+             r.get("peak_intensity", math.nan),
              r.get("tau_i", math.nan), ns_from_time(r.get("tau_i", math.nan), g),
-             r["tau_eit"], r.get("ratio_tau_i", math.nan),
+             r.get("tau_eit", math.nan), r.get("ratio_tau_i", math.nan),
              r.get("g2tilde_jump", math.nan), r.get("tau_ii", math.nan),
              r.get("tail_rate", math.nan), r["status"]) for r in results]
     # power-law fit of tau_II against D across the whole grid
@@ -387,11 +391,25 @@ def run_turnoff_scan(cfg: ScenarioConfig) -> ResultBundle:
         "turn-off transients from the exact driven steady state; " + _csv_time_cols(g))])
 
 
+def _guarded_point(fn, point) -> dict:
+    """Run one scan point; any failure becomes a flagged row so the rest of
+    the scan survives.  Rows carry ``d_target`` and ``omega_c`` from the point
+    (every scan point starts with them) and NaN for everything else."""
+    try:
+        return fn(point)
+    except Exception as exc:  # per-point boundary: one point must not end the scan
+        warnings.warn(f"scan point {point!r} failed:\n{traceback.format_exc()}",
+                      RuntimeWarning)
+        return {"d_target": point[0], "omega_c": point[1],
+                "status": f"failed:{type(exc).__name__}"}
+
+
 def _map_points(fn, points, threads: int):
+    run = partial(_guarded_point, fn)
     if threads > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
+            return list(pool.map(run, points))
+    return [run(p) for p in points]
 
 
 # ---------------------------------------------------------------------------

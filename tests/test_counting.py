@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydeit import counting
 from rydeit.counting import (DetectionStream, EfficiencyBudget, EstimateError,
                              dlcz_compare, emulate_trials, estimate_g2,
                              generation_probability_from_stream,
                              generation_probability_from_trace, load_stream,
                              save_stream)
-from rydeit.model import ConfigurationError, ns_from_time
-from rydeit.observables import CorrelationGrid, ObservableTrace
+from rydeit.dynamics import evolve
+from rydeit.model import ConfigurationError, PulseShape, ns_from_time
+from rydeit.observables import (CorrelationGrid, ObservableTrace, correlation_grid,
+                                trace_from_trajectory)
+
+from conftest import make_generator
 
 
 def _flat_scene(t_max=8.0, n=161, intensity=1.0, g2=1.0):
@@ -161,6 +166,76 @@ def test_validity_warning_fires_for_bright_input():
     trace, grid = _flat_scene()
     with pytest.warns(RuntimeWarning):
         emulate_trials(trace, grid, 3.0, IDEAL, 100, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# pair sampler: the block-bounded pre-filter against the plain rejection loop
+
+def _reference_pair_times(rng, times, density, k):
+    """Plain acceptance-rejection: every candidate gets the exact bilinear test."""
+    g2max = float(np.max(density)) if density.size else 0.0
+    t_lo, t_hi = float(times[0]), float(times[-1])
+    acc1 = np.empty(0)
+    acc2 = np.empty(0)
+    while len(acc1) < k and g2max > 0:
+        batch = max(256, 4 * (k - len(acc1)))
+        c1 = rng.uniform(t_lo, t_hi, batch)
+        c2 = rng.uniform(t_lo, t_hi, batch)
+        keep = rng.random(batch) * g2max < counting._grid_interp2(times, density, c1, c2)
+        acc1 = np.concatenate([acc1, c1[keep]])
+        acc2 = np.concatenate([acc2, c2[keep]])
+    return acc1[:k], acc2[:k]
+
+
+def _simulated_scene(**kw):
+    gen = make_generator(n_atoms=4, **kw)
+    traj = evolve(gen, (0.0, 12.0), dt_out=0.3, method="rk4")
+    return trace_from_trajectory(traj, gen), correlation_grid(traj, gen)
+
+
+def _gaussian_scene():
+    return _simulated_scene(shape=PulseShape.GAUSSIAN, duration=12.0)
+
+
+def _square_edges_scene():
+    # rise edges put breakpoints at 1, 9 and 10: the grid steps change there
+    return _simulated_scene(shape=PulseShape.SQUARE, duration=10.0, rise_time=1.0)
+
+
+def _blockwise_zero_scene():
+    # pairs only inside a small off-diagonal patch; most bound blocks are 0
+    trace, grid = _flat_scene(n=301)
+    patch = np.zeros_like(grid.g2_matrix)
+    patch[40:70, 200:260] = 1.0
+    grid.g2_matrix[:] = patch
+    return trace, grid
+
+
+@pytest.mark.parametrize("scene", [_gaussian_scene, _square_edges_scene,
+                                   _blockwise_zero_scene])
+def test_pair_sampler_matches_plain_rejection(scene, monkeypatch):
+    trace, grid = scene()
+    if scene is _square_edges_scene:
+        assert np.ptp(np.diff(grid.times)) > 1e-3
+    density = grid.g2_matrix
+    for seed in (1, 7, 21, 123456):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        a = counting._sample_pair_times(rng_a, grid.times, density, 3000)
+        b = _reference_pair_times(rng_b, grid.times, density, 3000)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        assert len(a[0]) == 3000
+        assert rng_a.random() == rng_b.random()   # same number of draws
+
+    fast = [emulate_trials(trace, grid, 0.4, IDEAL, 20000, seed=s) for s in (3, 99)]
+    monkeypatch.setattr(counting, "_sample_pair_times", _reference_pair_times)
+    slow = [emulate_trials(trace, grid, 0.4, IDEAL, 20000, seed=s) for s in (3, 99)]
+    for x, y in zip(fast, slow):
+        np.testing.assert_array_equal(x.trials, y.trials)
+        np.testing.assert_array_equal(x.detectors, y.detectors)
+        np.testing.assert_array_equal(x.times_ns, y.times_ns)
+        assert np.any(np.bincount(x.trials, minlength=x.n_trials) == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,15 @@ def test_storage_schedule_off_interval():
     assert eval_control(s, t_off + t_store + 1.0) == 0.5
 
 
+def test_schedule_breakpoints_only_where_control_changes():
+    from rydeit.model import ControlSegment
+    assert ControlSchedule.constant(0.4).breakpoints() == ()
+    assert ControlSchedule.storage(0.5, 10.0, 5.0).breakpoints() == (10.0, 15.0)
+    ramp_off = ControlSchedule(segments=(ControlSegment(0.0, 2.0, 0.5, 0.5),
+                                         ControlSegment(2.0, 4.0, 0.5, 0.0)))
+    assert ramp_off.breakpoints() == (2.0, 4.0)
+
+
 def test_ramp_linear_midpoint():
     from rydeit.model import ControlSegment
     s = ControlSchedule(segments=(ControlSegment(0.0, 4.0, 0.0, 0.8),))

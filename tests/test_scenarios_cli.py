@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rydeit.cli import main
@@ -146,6 +148,46 @@ def test_turnoff_scan_flags_failed_points():
     statuses = [r[-1] for r in rows]
     assert statuses[0] != "ok"      # D ~ 1.8 cannot cross half
     assert statuses[1] == "ok"      # D ~ 9.1 can
+
+
+_GOOD_POINT = (1.8, 0.5, 0.2, False, 5.0, 20.0)
+_BAD_POINT = (1.8, 0.25, -1.0, False, 5.0, 20.0)   # negative ratio is invalid
+
+
+@pytest.mark.filterwarnings("ignore:scan point")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_points_flags_a_raising_point(threads):
+    from rydeit.scenarios import _map_points, _turnoff_point
+    good, bad = _map_points(_turnoff_point, [_GOOD_POINT, _BAD_POINT], threads)
+    assert good["status"] == "no_half_crossing"
+    assert bad == {"d_target": 1.8, "omega_c": 0.25,
+                   "status": "failed:ConfigurationError"}
+
+
+def test_turnoff_scan_survives_a_raising_point(monkeypatch, tmp_path):
+    import rydeit.scenarios as scenarios
+    from dataclasses import replace
+    from rydeit.dynamics import DynamicsError
+    real = scenarios.steady_state
+
+    def steady_state(gen, omega_c=None, **kw):
+        if omega_c == 0.25:
+            raise DynamicsError("forced failure")
+        return real(gen, omega_c=omega_c, **kw)
+
+    monkeypatch.setattr(scenarios, "steady_state", steady_state)
+    cfg = default_config("turnoff_scan", {"turnoff_doubles": False})
+    cfg = replace(cfg, d_list=(1.8,), omega_c_list=(0.25, 0.5), turnoff_doubles=False)
+    with pytest.warns(RuntimeWarning, match="forced failure"):
+        bundle = scenarios.run_turnoff_scan(cfg)
+    bundle.write(tmp_path)
+    failed, kept = bundle.tables[0][2]
+    assert failed[0] == 1.8 and failed[3] == 0.25
+    assert failed[-1] == "failed:DynamicsError"
+    assert all(math.isnan(v) for v in failed[1:3] + failed[4:-1])
+    assert math.isfinite(kept[4])       # i_ss of the surviving point
+    assert kept[-1] == "no_half_crossing"
+    assert bundle.scalars["n_failed"] == 2
 
 
 # ---------------------------------------------------------------------------
