@@ -91,12 +91,21 @@ class DetectionStream:
 # ---------------------------------------------------------------------------
 # timestamp file format
 
+#: events formatted per write; one list of every line would add a second copy
+#: of the text to the peak memory
+_WRITE_CHUNK = 4096
+
+
 def _write_stream(stream: DetectionStream, fh) -> None:
     fh.write(f"# rydeit timestamps n_trials={stream.n_trials} "
              f"trial_period_ns={stream.trial_period_ns!r} seed={stream.seed}\n")
     fh.write("# columns: trial_index detector_id time_ns\n")
-    for tr, det, t in zip(stream.trials, stream.detectors, stream.times_ns):
-        fh.write(f"{int(tr)} {int(det)} {float(t)!r}\n")
+    for i in range(0, stream.n_events, _WRITE_CHUNK):
+        part = slice(i, i + _WRITE_CHUNK)
+        fh.write("".join(f"{tr} {det} {t!r}\n" for tr, det, t in zip(
+            np.asarray(stream.trials[part], dtype=np.int64).tolist(),
+            np.asarray(stream.detectors[part], dtype=np.int64).tolist(),
+            np.asarray(stream.times_ns[part], dtype=float).tolist())))
 
 
 def save_stream(stream: DetectionStream, path_or_file) -> None:

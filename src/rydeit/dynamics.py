@@ -23,10 +23,14 @@ Single-excitation amplitudes (per unit peak drive, Gamma = 1 units):
 and the one-photon output amplitude is
 f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
 
-Two integrators are provided: fixed-step RK4 (deterministic, 4th order,
-steps aligned to envelope/schedule breakpoints) and an exact dense
-matrix-exponential propagator for piecewise-constant stretches, which removes
-the step-count penalty of long horizons and stiff capped interactions.
+Every evolution goes through ``propagate_segment``, which advances a stacked
+[ground; singles(; doubles)] vector, or a stack of such columns, across one
+segment in equal output steps.  Constant stretches take one dense exponential
+of ``Generator.augmented`` and then matvecs; varying ones take fixed-step RK4
+(deterministic, 4th order, steps aligned to breakpoints).  ``evolve`` and
+``conditional_evolve`` take the exponential only on a constant stretch under
+``EXPM_MAX_DIM`` longer than 8 RK4 steps; the cached correlation-grid steps
+take it on every constant interval.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
 
 SQRT2 = math.sqrt(2.0)
 
-#: Largest augmented dimension for which the dense matrix-exponential path is
+#: Largest stacked dimension for which the dense matrix-exponential path is
 #: allowed (memory bound; above it the RK4 path is used).
 EXPM_MAX_DIM = 2600
 
@@ -92,14 +96,21 @@ class Generator:
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.envelope.breakpoints()) | set(self.schedule.breakpoints())))
 
-    def max_rate(self) -> float:
+    def is_constant(self, a: float, b: float) -> bool:
+        """True when both the envelope and the control are constant on [a, b)."""
+        eps = 1e-12 * max(1.0, abs(b))
+        return (self.envelope_at(a) == self.envelope_at(0.5 * (a + b))
+                == self.envelope_at(b - eps)
+                and self.schedule.is_constant_between(a, b))
+
+    def nonstiff_rate(self) -> float:
+        """Fastest physical rate, leaving out the capped rr pair shifts."""
         p = self.params
-        collective = 0.5 * p.gamma_1d * self.index.n_atoms
         return max(p.gamma_total, p.gamma_r, abs(p.delta_e), abs(p.delta_2),
-                   self.schedule.max_omega, self.v_max, collective, 1.0)
+                   self.schedule.max_omega, 0.5 * p.gamma_1d * self.index.n_atoms, 1.0)
 
     def suggest_dt(self) -> float:
-        return 0.05 / self.max_rate()
+        return 0.05 / max(self.nonstiff_rate(), self.v_max)
 
     # --- matrix actions -----------------------------------------------------
     def m1(self, omega: float) -> np.ndarray:
@@ -108,34 +119,31 @@ class Generator:
     def m2(self, omega: float) -> sp.csr_matrix:
         return (self.m2_static + omega * self.m2_omega).tocsr()
 
-    def rhs(self, env: float, omega: float, y1: np.ndarray, y2: np.ndarray,
-            drive_scale: float = 1.0):
-        """Time derivative of (singles, doubles) at envelope value ``env``."""
-        d1 = self.m1_static @ y1 + omega * (self.m1_omega @ y1) + (drive_scale * env) * self.s1
-        d2 = self.m2_static @ y2 + omega * (self.m2_omega @ y2) \
-            + (drive_scale * env) * (self.s21 @ y1)
-        return d1, d2
-
-    def augmented_dense(self, env: float, omega: float, drive_scale: float = 1.0) -> np.ndarray:
-        """Dense constant-coefficient generator on [ground; singles; doubles]."""
+    def augmented(self, env: float, omega: float, drive_scale: float = 1.0,
+                  doubles: bool = True) -> np.ndarray:
+        """Dense constant-coefficient generator on [ground; singles(; doubles)]."""
         n1 = self.index.dim_singles
-        d = 1 + self.index.dim
-        if d > EXPM_MAX_DIM:
-            raise DynamicsError(f"augmented dimension {d} exceeds the dense expm limit")
+        d = 1 + (self.index.dim if doubles else n1)
         a = np.zeros((d, d), dtype=complex)
         a[1:1 + n1, 0] = (drive_scale * env) * self.s1
         a[1:1 + n1, 1:1 + n1] = self.m1(omega)
-        a[1 + n1:, 1:1 + n1] = (drive_scale * env) * self.s21.toarray()
-        a[1 + n1:, 1 + n1:] = self.m2(omega).toarray()
+        if doubles:
+            a[1 + n1:, 1:1 + n1] = (drive_scale * env) * self.s21.toarray()
+            a[1 + n1:, 1 + n1:] = self.m2(omega).toarray()
         return a
 
-    def singles_augmented(self, env: float, omega: float, drive_scale: float = 1.0) -> np.ndarray:
-        """Dense generator on [ground; singles] for conditioned states."""
-        n1 = self.index.dim_singles
-        a = np.zeros((1 + n1, 1 + n1), dtype=complex)
-        a[1:, 0] = (drive_scale * env) * self.s1
-        a[1:, 1:] = self.m1(omega)
-        return a
+
+def _atom_coefficients(params: PhysicalParams, chain: AtomChain):
+    """Per-atom drive coefficients w, output phases u, the output constant and
+    the e and r diagonal rates, shared by the singles and doubles blocks."""
+    g1d = params.gamma_1d
+    phase = np.exp(1j * chain.k_p * chain.z())
+    w = math.sqrt(0.5 * g1d) * phase          # drive coefficient per atom
+    u = np.conj(phase)                        # output phase per atom
+    c_out = 1j * math.sqrt(0.5 * g1d)
+    diag_e = 1j * params.delta_e - 0.5 * params.gamma_total
+    diag_r = 1j * params.delta_2 - params.gamma_r
+    return w, u, c_out, diag_e, diag_r
 
 
 def singles_blocks(params: PhysicalParams, chain: AtomChain):
@@ -148,12 +156,7 @@ def singles_blocks(params: PhysicalParams, chain: AtomChain):
     n = chain.n_atoms
     z = chain.z()
     g1d = params.gamma_1d
-    phase = np.exp(1j * chain.k_p * z)
-    w = math.sqrt(0.5 * g1d) * phase          # drive coefficient per atom
-    u = np.conj(phase)                        # output phase per atom
-    c_out = 1j * math.sqrt(0.5 * g1d)
-    diag_e = 1j * params.delta_e - 0.5 * params.gamma_total
-    diag_r = 1j * params.delta_2 - params.gamma_r
+    w, u, c_out, diag_e, diag_r = _atom_coefficients(params, chain)
 
     m1s = np.zeros((2 * n, 2 * n), dtype=complex)
     m1o = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -203,14 +206,7 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     z = chain.z()
     g1d = params.gamma_1d
     gtot = params.gamma_total
-
-    phase = np.exp(1j * chain.k_p * z)
-    w = math.sqrt(0.5 * g1d) * phase          # drive coefficient per atom
-    u = np.conj(phase)                        # output phase per atom
-    c_out = 1j * math.sqrt(0.5 * g1d)
-
-    diag_e = 1j * params.delta_e - 0.5 * gtot
-    diag_r = 1j * params.delta_2 - params.gamma_r
+    w, u, c_out, diag_e, diag_r = _atom_coefficients(params, chain)
 
     # exchange coefficient for a hop from atom m onto atom h (m < h)
     def hop(h: int, m: int) -> complex:
@@ -218,7 +214,7 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
 
     # --- singles ------------------------------------------------------------
     n1 = idx.dim_singles
-    m1s, m1o, s1, _out = singles_blocks(params, chain)
+    m1s, m1o, s1, out_e = singles_blocks(params, chain)
 
     # --- doubles (built in local coordinates, shifted to slot - off) --------
     d2 = idx.dim_doubles
@@ -280,10 +276,9 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
                 dd(s_er, idx.er_slot(m, j), hop(h, m), rs, cs, vs)
 
     # rr block
-    zarr = chain.z()
     for (h, j) in idx.rr_pairs:
         s_rr = idx.rr_slot(h, j)
-        v_hj = 0.0 if h == j else interaction(blockade, abs(zarr[j] - zarr[h]))
+        v_hj = 0.0 if h == j else interaction(blockade, abs(z[j] - z[h]))
         dd(s_rr, s_rr, 2j * params.delta_2 - 2.0 * params.gamma_r - 1j * v_hj, rs, cs, vs)
         root = SQRT2 if h == j else 1.0
         dd(s_rr, idx.er_slot(h, j), -1j * root, ro, co, vo)
@@ -295,15 +290,12 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     s21 = sp.csr_matrix((sv, (sr, sc)), shape=(d2, n1), dtype=complex)
     ann = sp.csr_matrix((av, (ar, ac)), shape=(n1, d2), dtype=complex)
 
-    out_e = np.zeros(n1, dtype=complex)
-    for h in range(n):
-        out_e[idx.e_slot(h)] = c_out * u[h]
     a2vec = np.asarray(ann.T @ out_e).ravel()
 
     v_max = 0.0
     for (h, j) in idx.rr_pairs:
         if h != j:
-            v_max = max(v_max, abs(interaction(blockade, abs(zarr[j] - zarr[h]))))
+            v_max = max(v_max, abs(interaction(blockade, abs(z[j] - z[h]))))
 
     return Generator(index=idx, params=params, chain=chain, blockade=blockade,
                      schedule=schedule, envelope=envelope,
@@ -351,11 +343,9 @@ class StateTrajectory:
         return i
 
 
-def _check_finite(y1: np.ndarray, y2: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(y1.view(float))):
-        raise DynamicsError(f"non-finite singles block at t={t:.6g}")
-    if y2.size and not np.all(np.isfinite(y2.view(float))):
-        raise DynamicsError(f"non-finite doubles block at t={t:.6g}")
+def _check_finite(y: np.ndarray, t: float) -> None:
+    if not np.all(np.isfinite(y.view(float))):
+        raise DynamicsError(f"non-finite state at t={t:.6g}")
 
 
 def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
@@ -367,6 +357,115 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
         n_out = max(1, math.ceil((b - a) / dt_out - 1e-9))
         segments.append((a, b, n_out))
     return segments
+
+
+def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
+                      dt: float, method: str = "auto", drive_scale: float = 1.0,
+                      out: np.ndarray | None = None, cache: dict | None = None) -> np.ndarray:
+    """Advance the stacked vector, or columns, ``y`` from ``a`` to ``b`` in
+    ``n_out`` equal output steps and return the state at ``b``.
+
+    Row k of ``out``, when given, receives the state after step k + 1.
+    ``method`` is "rk4", "expm" or "auto" (selection rules in the module
+    docstring); with a ``cache``, a dict the caller keeps, the dense
+    propagators are reused across calls.
+    """
+    h_out = (b - a) / n_out
+    const = gen.is_constant(a, b)
+    if method == "expm" and not const:
+        raise DynamicsError("expm method requires piecewise-constant coefficients")
+    fits = y.shape[0] <= EXPM_MAX_DIM
+    use_expm = method == "expm" or (method == "auto" and const and (
+        cache is not None or (fits and h_out > 8.0 * dt)))
+    if use_expm:
+        if not fits:
+            raise DynamicsError("state too large for the dense expm propagator")
+        env, om = gen.envelope_at(a), gen.omega_at(a)
+        key = (round(env, 15), round(om, 15), round(h_out, 15))
+        prop = None if cache is None else cache.get(key)
+        if prop is None:
+            doubles = y.shape[0] > 1 + gen.index.dim_singles
+            prop = expm(gen.augmented(env, om, drive_scale, doubles) * h_out)
+            if cache is not None:
+                cache[key] = prop
+        return _dense_steps(prop, y, n_out, out)
+    # coefficient lookups clamped below b, so the value exactly at a segment
+    # edge is the inside (left) limit
+    t_hi = b - 1e-12 * max(1.0, abs(b - a))
+
+    def coeffs(t: float):
+        t = min(t, t_hi)
+        return drive_scale * gen.envelope_at(t), gen.omega_at(t)
+
+    return _rk4(gen, y, a, h_out, n_out, dt, coeffs, out)
+
+
+def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_out: int,
+               project: np.ndarray, doubles: bool = False) -> np.ndarray:
+    """``project @ y`` after each of ``n_out`` equal steps over ``horizon`` for
+    the singles block, or with ``doubles`` the doubles block, evolving alone:
+    the probe is off, so no block is sourced, and the control stays at
+    ``omega``.  Under ``EXPM_MAX_DIM`` this is the dense step loop on the
+    block's own generator; above it the RK4 on the stacked layout with the
+    blocks below ``y`` held at zero."""
+    h = horizon / n_out
+    out = np.empty(n_out, dtype=complex)
+    if len(y) <= EXPM_MAX_DIM:
+        # the unscaled dense block stays a temporary: a name holding it through
+        # expm would add one more block-sized array to the peak memory
+        prop = expm((gen.m2(omega).toarray() if doubles else gen.m1(omega)) * h)
+        _dense_steps(prop, y, n_out, out, project)
+        return out
+    lead = np.zeros(1 + (gen.index.dim_singles if doubles else 0), dtype=complex)
+    _rk4(gen, np.concatenate([lead, y]), 0.0, h, n_out, gen.suggest_dt(),
+         lambda t: (0.0, omega), out, np.concatenate([lead, project]))
+    return out
+
+
+def _dense_steps(prop: np.ndarray, y: np.ndarray, n_out: int, out=None, project=None):
+    """The dense step loop: ``n_out`` products y <- prop @ y, each step's state
+    (or its projection) recorded in ``out``."""
+    for k in range(n_out):
+        y = prop @ y
+        if out is not None:
+            out[k] = y if project is None else project @ y
+    return y
+
+
+def _rk4(gen: Generator, y: np.ndarray, a: float, h_out: float, n_out: int, dt: float,
+         coeffs, out=None, project=None):
+    """Fixed-step RK4 over ``n_out`` output steps of ``h_out`` from ``a``, each
+    split into equal substeps no longer than ``dt``; ``coeffs(t)`` gives the
+    (drive, Omega_c) pair.  Records like ``_dense_steps``."""
+    n1 = gen.index.dim_singles
+    s1 = gen.s1 if y.ndim == 1 else gen.s1[:, None]
+    doubles = y.shape[0] > 1 + n1
+
+    def deriv(t: float, yy: np.ndarray) -> np.ndarray:
+        drive, om = coeffs(t)
+        y1 = yy[1:1 + n1]
+        d = np.empty_like(yy)
+        d[0] = 0.0
+        d[1:1 + n1] = gen.m1_static @ y1 + om * (gen.m1_omega @ y1) + drive * (s1 * yy[0:1])
+        if doubles:
+            y2 = yy[1 + n1:]
+            d[1 + n1:] = gen.m2_static @ y2 + om * (gen.m2_omega @ y2) + drive * (gen.s21 @ y1)
+        return d
+
+    n_sub = max(1, math.ceil(h_out / dt - 1e-9))
+    h = h_out / n_sub
+    for k in range(n_out):
+        base = a + k * h_out
+        for s in range(n_sub):
+            t = base + s * h
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = deriv(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if out is not None:
+            out[k] = y if project is None else project @ y
+    return y
 
 
 def evolve(generator: Generator, t_span, dt: float | None = None,
@@ -393,85 +492,26 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
         dt = generator.suggest_dt()
     if dt_out is None:
         dt_out = max(dt, (t1 - t0) / 2000.0)
-
     if initial is None:
         initial = zero_state(idx)
-    y1 = initial.singles.astype(complex).copy()
-    y2 = initial.doubles.astype(complex).copy()
-
+    segments = _segment_grid(t0, t1, generator.breakpoints(), dt_out)
+    y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
+    stacked = np.empty((1 + sum(n for _, _, n in segments), len(y)), dtype=complex)
+    stacked[0] = y
     times = [t0]
-    snaps = [np.concatenate([y1, y2])]
-
-    for (a, b, n_out) in _segment_grid(t0, t1, generator.breakpoints(), dt_out):
+    for (a, b, n_out) in segments:
+        i = len(times)
+        y = propagate_segment(generator, y, a, b, n_out, dt=dt, method=method,
+                              drive_scale=drive_scale, out=stacked[i:i + n_out])
         h_out = (b - a) / n_out
-        env_a = generator.envelope_at(a)
-        om_a = generator.omega_at(a)
-        const = (_envelope_constant(generator, a, b)
-                 and generator.schedule.is_constant_between(a, b))
-        dim_ok = (1 + idx.dim) <= EXPM_MAX_DIM
-        use_expm = (method == "expm") or (
-            method == "auto" and const and dim_ok and h_out > 8.0 * dt)
-        if method == "expm" and not const:
-            raise DynamicsError("expm method requires piecewise-constant coefficients")
-        if use_expm and not dim_ok:
-            raise DynamicsError("state too large for the dense expm propagator")
-
-        if use_expm:
-            prop = expm(generator.augmented_dense(env_a, om_a, drive_scale) * h_out)
-            y = np.concatenate([[1.0 + 0j], y1, y2])
-            for k in range(1, n_out + 1):
-                y = prop @ y
-                times.append(a + k * h_out)
-                snaps.append(y[1:].copy())
-            y1 = y[1:1 + idx.dim_singles].copy()
-            y2 = y[1 + idx.dim_singles:].copy()
-        else:
-            n_sub = max(1, math.ceil(h_out / dt - 1e-9))
-            h = h_out / n_sub
-            eps = 1e-12 * max(1.0, abs(b - a))
-            for k in range(1, n_out + 1):
-                base = a + (k - 1) * h_out
-                for s in range(n_sub):
-                    ts = base + s * h
-                    y1, y2 = _rk4_step(generator, ts, h, y1, y2, drive_scale,
-                                       t_hi=b - eps)
-                times.append(a + k * h_out)
-                snaps.append(np.concatenate([y1, y2]))
-        _check_finite(y1, y2, b)
+        times.extend(a + k * h_out for k in range(1, n_out + 1))
+        _check_finite(y, b)
 
     return StateTrajectory(index=idx, times=np.array(times),
-                           states=np.array(snaps),
+                           states=stacked[:, 1:].copy(),
                            envelope_unit=np.array([generator.envelope_at(t) for t in times]),
                            omega_c=np.array([generator.omega_at(t) for t in times]),
                            drive_scale=drive_scale)
-
-
-def _envelope_constant(gen: Generator, a: float, b: float) -> bool:
-    eps = 1e-12 * max(1.0, abs(b))
-    va = gen.envelope_at(a)
-    vm = gen.envelope_at(0.5 * (a + b))
-    vb = gen.envelope_at(b - eps)
-    return va == vm == vb
-
-
-def _rk4_step(gen: Generator, t: float, h: float, y1, y2, drive_scale: float,
-              t_hi: float):
-    """One RK4 step; coefficient lookups clamped below ``t_hi`` so the value
-    exactly at a segment edge is the inside (left) limit."""
-    def coeffs(tt: float):
-        tt = min(tt, t_hi)
-        return gen.envelope_at(tt), gen.omega_at(tt)
-
-    e0, o0 = coeffs(t)
-    em, om = coeffs(t + 0.5 * h)
-    e1, o1 = coeffs(t + h)
-    k1a, k1b = gen.rhs(e0, o0, y1, y2, drive_scale)
-    k2a, k2b = gen.rhs(em, om, y1 + 0.5 * h * k1a, y2 + 0.5 * h * k1b, drive_scale)
-    k3a, k3b = gen.rhs(em, om, y1 + 0.5 * h * k2a, y2 + 0.5 * h * k2b, drive_scale)
-    k4a, k4b = gen.rhs(e1, o1, y1 + h * k3a, y2 + h * k3b, drive_scale)
-    y1n = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    y2n = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return y1n, y2n
 
 
 # ---------------------------------------------------------------------------
@@ -560,64 +600,22 @@ def conditional_evolve(cstate: ConditionedState, generator: Generator,
     if dt is None:
         # conditioned dynamics lives in the singles block; the capped rr
         # interaction no longer limits the step
-        p = generator.params
-        rate = max(p.gamma_total, p.gamma_r, abs(p.delta_e), abs(p.delta_2),
-                   generator.schedule.max_omega,
-                   0.5 * p.gamma_1d * generator.index.n_atoms, 1.0)
-        dt = 0.05 / rate
+        dt = 0.05 / generator.nonstiff_rate()
     y = np.concatenate([[cstate.ground], cstate.singles])
     for (a, b, _n) in _segment_grid(t1, t2, generator.breakpoints(), t2 - t1):
-        const = _envelope_constant(generator, a, b) and generator.schedule.is_constant_between(a, b)
-        n_sub = max(1, math.ceil((b - a) / dt - 1e-9))
-        use_expm = (method == "expm") or (method == "auto" and const and n_sub > 8)
-        if use_expm and not const:
-            raise DynamicsError("expm method requires piecewise-constant coefficients")
-        if use_expm:
-            prop = expm(generator.singles_augmented(
-                generator.envelope_at(a), generator.omega_at(a), drive_scale) * (b - a))
-            y = prop @ y
-        else:
-            h = (b - a) / n_sub
-            eps = 1e-12 * max(1.0, abs(b - a))
-            for s in range(n_sub):
-                y = _rk4_singles_step(generator, a + s * h, h, y, drive_scale, b - eps)
-    if not np.all(np.isfinite(y.view(float))):
-        raise DynamicsError(f"non-finite conditioned state at t={t2:.6g}")
+        y = propagate_segment(generator, y, a, b, dt=dt, method=method,
+                              drive_scale=drive_scale)
+    _check_finite(y, t2)
     return ConditionedState(cstate.index, complex(y[0]), y[1:])
-
-
-def _rk4_singles_step(gen: Generator, t: float, h: float, y: np.ndarray,
-                      drive_scale: float, t_hi: float) -> np.ndarray:
-    """One RK4 step on [ground; singles]; works on a vector or on stacked
-    columns (shape (1 + dim_singles, m))."""
-    vec = y.ndim == 1
-    if vec:
-        y = y[:, None]
-
-    def deriv(tt: float, yy: np.ndarray) -> np.ndarray:
-        tt = min(tt, t_hi)
-        env = gen.envelope_at(tt)
-        om = gen.omega_at(tt)
-        d = np.empty_like(yy)
-        d[0, :] = 0.0
-        d[1:, :] = gen.m1_static @ yy[1:, :] + om * (gen.m1_omega @ yy[1:, :]) \
-            + (drive_scale * env) * (gen.s1[:, None] * yy[0:1, :])
-        return d
-
-    k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = deriv(t + h, y + h * k3)
-    out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out[:, 0] if vec else out
 
 
 class SinglesPropagator:
     """Advances stacked [ground; singles] columns across a trajectory grid.
 
     Used to sweep conditioned states over every later output time in one pass
-    when filling two-time correlation grids; one step object per grid interval,
-    shared by all active columns.
+    when filling two-time correlation grids; one step per grid interval,
+    shared by all active columns, with the dense propagators of constant
+    intervals cached.
     """
 
     def __init__(self, generator: Generator, times: np.ndarray,
@@ -625,37 +623,12 @@ class SinglesPropagator:
         self.gen = generator
         self.times = np.asarray(times, dtype=float)
         self.drive_scale = drive_scale
-        if dt is None:
-            p = generator.params
-            rate = max(p.gamma_total, p.gamma_r, abs(p.delta_e), abs(p.delta_2),
-                       generator.schedule.max_omega,
-                       0.5 * p.gamma_1d * generator.index.n_atoms, 1.0)
-            dt = 0.05 / rate
-        self.dt = dt
+        # the columns live in the singles block (see conditional_evolve)
+        self.dt = dt if dt is not None else 0.05 / generator.nonstiff_rate()
         self._cache: dict = {}
-
-    def _key(self, a: float, b: float):
-        gen = self.gen
-        if _envelope_constant(gen, a, b) and gen.schedule.is_constant_between(a, b):
-            return (round(gen.envelope_at(a), 15), round(gen.omega_at(a), 15),
-                    round(b - a, 15))
-        return None
 
     def step(self, k: int, y_matrix: np.ndarray) -> np.ndarray:
         """Propagate the columns of ``y_matrix`` from times[k] to times[k+1]."""
-        a, b = float(self.times[k]), float(self.times[k + 1])
-        key = self._key(a, b)
-        if key is not None:
-            prop = self._cache.get(key)
-            if prop is None:
-                prop = expm(self.gen.singles_augmented(
-                    self.gen.envelope_at(a), self.gen.omega_at(a), self.drive_scale) * (b - a))
-                self._cache[key] = prop
-            return prop @ y_matrix
-        n_sub = max(1, math.ceil((b - a) / self.dt - 1e-9))
-        h = (b - a) / n_sub
-        eps = 1e-12 * max(1.0, abs(b - a))
-        y = y_matrix
-        for s in range(n_sub):
-            y = _rk4_singles_step(self.gen, a + s * h, h, y, self.drive_scale, b - eps)
-        return y
+        return propagate_segment(self.gen, y_matrix, float(self.times[k]),
+                                 float(self.times[k + 1]), dt=self.dt,
+                                 drive_scale=self.drive_scale, cache=self._cache)

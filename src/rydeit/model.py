@@ -11,7 +11,7 @@ All objects here are frozen dataclasses and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,10 +35,6 @@ class ConfigurationError(ValueError):
 def rate_from_mhz(freq_mhz: float, gamma_mhz: float = 6.0) -> float:
     """Convert a frequency given in MHz (as f, meaning 2*pi*f rad/s) to Gamma units."""
     return freq_mhz / gamma_mhz
-
-
-def mhz_from_rate(rate: float, gamma_mhz: float = 6.0) -> float:
-    return rate * gamma_mhz
 
 
 def time_from_ns(t_ns: float, gamma_mhz: float = 6.0) -> float:
@@ -95,9 +91,6 @@ class PhysicalParams:
             raise ConfigurationError("need ratio >= 0 and gamma_total > 0")
         gamma_prime = gamma_total / (1.0 + ratio)
         return cls(gamma_1d=gamma_total - gamma_prime, gamma_prime=gamma_prime, **kwargs)
-
-    def with_omega_c(self, omega_c: float) -> "PhysicalParams":
-        return replace(self, omega_c_peak=omega_c)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from .model import (AtomChain, ConfigurationError, PhysicalParams, ns_from_time)
+from .model import AtomChain, ConfigurationError, PhysicalParams
 from .dynamics import (Generator, SinglesPropagator, StateTrajectory, apply_field,
-                       singles_blocks, _solve_singles_steady)
+                       conditional_evolve, conditioned_output, steady_transmission_amplitude)
 
 
 class ExtractionError(RuntimeError):
@@ -77,21 +77,6 @@ def two_photon_amplitudes(traj: StateTrajectory, generator: Generator) -> np.nda
             + traj.states[:, n1:] @ generator.a2vec)
 
 
-def output_amplitude_at(traj: StateTrajectory, generator: Generator, t: float) -> complex:
-    """f1 at one grid time (input plus collective forward emission)."""
-    i = traj.locate(t)
-    from .dynamics import one_photon_amplitude
-    return one_photon_amplitude(traj.state_at(i), float(traj.envelope_unit[i]), generator)
-
-
-def equal_time_g2tilde_at(traj: StateTrajectory, generator: Generator, t: float) -> float:
-    """Normalized two-photon intensity |A2|^2 at one grid time."""
-    i = traj.locate(t)
-    from .dynamics import two_photon_amplitude
-    return float(abs(two_photon_amplitude(traj.state_at(i),
-                                          float(traj.envelope_unit[i]), generator)) ** 2)
-
-
 def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
                           floor: float = DEFAULT_INTENSITY_FLOOR) -> ObservableTrace:
     f1 = one_photon_amplitudes(traj, generator)
@@ -134,7 +119,6 @@ def two_time_g2(traj: StateTrajectory, generator: Generator, t1: float, t2: floa
     """G2(t1, t2) for a single pair of grid times: annihilate one photon at t1,
     evolve the conditioned state to t2 under the same generator, annihilate
     again and take the squared modulus of the ground component."""
-    from .dynamics import conditional_evolve, conditioned_output
     if t2 < t1:
         t1, t2 = t2, t1
     i1 = traj.locate(t1)
@@ -223,10 +207,7 @@ def transmission_spectrum(params: PhysicalParams, chain: AtomChain, omega_c: flo
     out = []
     for d in np.asarray(deltas, dtype=float):
         p = dc_replace(params, delta_e=float(d), delta_2=float(d))
-        m1s, m1o, s1, out_e = singles_blocks(p, chain)
-        psi1 = _solve_singles_steady(p, m1s + omega_c * m1o, s1, omega_c, chain.n_atoms)
-        t_amp = 1.0 + out_e @ psi1
-        out.append((float(d), float(abs(t_amp) ** 2)))
+        out.append((float(d), abs(steady_transmission_amplitude(p, chain, omega_c)) ** 2))
     return out
 
 
@@ -397,8 +378,12 @@ def fit_exponential_envelope(trace: ObservableTrace, t_start: float, t_end: floa
     fewer than 3 envelope points is a fit error.
     """
     mask = (trace.times >= t_start - 1e-12) & (trace.times <= t_end + 1e-12)
-    t = trace.times[mask]
-    y = trace.g2tilde[mask]
+    return _envelope_decay_rate(trace.times[mask], trace.g2tilde[mask])
+
+
+def _envelope_decay_rate(t: np.ndarray, y: np.ndarray) -> float:
+    """Decay rate of the upper envelope of the samples ``y`` at times ``t``
+    (see ``fit_exponential_envelope``)."""
     if len(t) < 3:
         raise ExtractionError("fit range holds fewer than 3 samples")
     if np.any(y <= 0):
@@ -430,28 +415,3 @@ def write_csv(path, columns: list, rows, units_note: str = "") -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_trace_csv(trace: ObservableTrace, path, gamma_mhz: float = 6.0) -> None:
-    cols = ["t_gamma", "t_ns", "envelope_unit", "omega_c_gamma",
-            "intensity_norm", "g2tilde", "g2"]
-    rows = [(float(t), ns_from_time(float(t), gamma_mhz), float(e), float(o),
-             float(i), float(g), float(g2))
-            for t, e, o, i, g, g2 in zip(trace.times, trace.envelope_unit, trace.omega_c,
-                                         trace.intensity, trace.g2tilde, trace.g2)]
-    write_csv(path, cols, rows,
-              units_note="times in 1/Gamma and ns; Gamma = 2*pi*%s MHz; intensities "
-                         "normalized per unit peak drive" % repr(float(gamma_mhz)))
-
-
-def write_grid_csv(grid: CorrelationGrid, path, gamma_mhz: float = 6.0) -> None:
-    cols = ["t1_gamma", "t1_ns", "t2_gamma", "t2_ns", "g2_two_time"]
-    rows = []
-    for i, t1 in enumerate(grid.times):
-        for j, t2 in enumerate(grid.times):
-            rows.append((float(t1), ns_from_time(float(t1), gamma_mhz),
-                         float(t2), ns_from_time(float(t2), gamma_mhz),
-                         float(grid.g2_matrix[i, j])))
-    write_csv(path, cols, rows,
-              units_note="two-time correlation G2(t1,t2) per unit peak drive^4; "
-                         "Gamma = 2*pi*%s MHz" % repr(float(gamma_mhz)))

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__ as _version
 from .model import (BlockadeConfig, ConfigurationError, ControlSchedule,
@@ -29,16 +28,13 @@ from .configio import ScenarioConfig, manifest_text
 from .counting import (EfficiencyBudget, emulate_trials, estimate_g2,
                        generation_probability_from_stream,
                        generation_probability_from_trace, dlcz_compare, save_stream)
-from .dynamics import (DynamicsError, assemble_generator, evolve, one_photon_amplitude,
-                       steady_state, two_photon_amplitude)
-from .observables import (ExtractionError, UndefinedResultError, correlation_grid,
-                          eit_peak, extract_tau0, measure_steady_state, spectrum_fwhm,
-                          tau_eit, trace_from_trajectory, transmission_spectrum,
+from .dynamics import (DynamicsError, assemble_generator, evolve, free_decay,
+                       one_photon_amplitude, steady_state, two_photon_amplitude)
+from .observables import (ExtractionError, UndefinedResultError, _envelope_decay_rate,
+                          _first_half_crossing, correlation_grid, eit_peak, extract_tau0,
+                          measure_steady_state, spectrum_fwhm, tau_eit,
+                          trace_from_trajectory, transmission_spectrum, windowed_g2,
                           write_csv)
-
-#: doubles blocks larger than this propagate with sparse RK4 instead of the
-#: dense matrix exponential during turn-off evolutions
-_DENSE_DOUBLES_LIMIT = 2500
 
 
 @dataclass
@@ -120,10 +116,7 @@ def relaxed_dt(gen) -> float | None:
     the nearly removed stiff rr phases, whose observable weight is ~Omega/V."""
     if gen.v_max <= 20.0:
         return None
-    p = gen.params
-    nonstiff = max(p.gamma_total, p.gamma_r, abs(p.delta_e), abs(p.delta_2),
-                   gen.schedule.max_omega, 0.5 * p.gamma_1d * gen.index.n_atoms, 1.0)
-    return min(0.05 / nonstiff, 0.7 / gen.v_max)
+    return min(0.05 / gen.nonstiff_rate(), 0.7 / gen.v_max)
 
 
 def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False):
@@ -268,31 +261,21 @@ def _turnoff_point(args) -> dict:
     out["i_jump"] = abs(complex(gen.out_e @ ss.singles)) ** 2
 
     # singles retrieval on a horizon extended until the half crossing appears
-    m1 = gen.m1(om)
     horizon = max(0.4 * teit, 40.0)
+    n_steps = 6000
     for _attempt in range(8):
-        n_steps = 6000
-        h = horizon / n_steps
-        prop = expm(m1 * h)
-        y = ss.singles.copy()
         intens = np.empty(n_steps + 1)
         intens[0] = out["i_jump"]
-        for k in range(1, n_steps + 1):
-            y = prop @ y
-            intens[k] = abs(complex(gen.out_e @ y)) ** 2
+        intens[1:] = np.abs(free_decay(gen, ss.singles, om, horizon, n_steps, gen.out_e)) ** 2
         ts = np.linspace(0.0, horizon, n_steps + 1)
-        half = 0.5 * i_ss
-        below = intens <= half
-        seen = np.concatenate([[False], np.maximum.accumulate(~below)[:-1]])
-        hit = below & seen
-        if np.any(hit):
-            i = int(np.argmax(hit))
-            frac = (intens[i - 1] - half) / (intens[i - 1] - intens[i])
-            out["tau_i"] = float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
-            out["ratio_tau_i"] = out["tau_i"] / teit
-            out["peak_intensity"] = float(np.max(intens))
-            break
-        horizon *= 2.0
+        try:
+            out["tau_i"] = _first_half_crossing(ts, intens, 0.5 * i_ss, 0.0, falling_only=True)
+        except ExtractionError:
+            horizon *= 2.0
+            continue
+        out["ratio_tau_i"] = out["tau_i"] / teit
+        out["peak_intensity"] = float(np.max(intens))
+        break
     else:
         out.update(tau_i=math.nan, ratio_tau_i=math.nan,
                    peak_intensity=float(np.max(intens)), status="no_half_crossing")
@@ -311,51 +294,16 @@ def _turnoff_point(args) -> dict:
 
 def _turnoff_doubles(gen, ss, om: float, fit_lo: float, fit_hi: float) -> dict:
     horizon = max(40.0, fit_hi + 5.0)
-    d2 = gen.index.dim_doubles
     n_steps = 5000
     ts = np.linspace(0.0, horizon, n_steps + 1)
     g2t = np.empty(n_steps + 1)
-    y = ss.doubles.copy()
-    g2t[0] = abs(complex(gen.a2vec @ y)) ** 2
-    if d2 <= _DENSE_DOUBLES_LIMIT:
-        prop = expm(gen.m2(om).toarray() * (horizon / n_steps))
-        for k in range(1, n_steps + 1):
-            y = prop @ y
-            g2t[k] = abs(complex(gen.a2vec @ y)) ** 2
-    else:
-        m2 = gen.m2(om)
-        h_out = horizon / n_steps
-        n_sub = max(1, math.ceil(h_out / gen.suggest_dt()))
-        h = h_out / n_sub
-        for k in range(1, n_steps + 1):
-            for _ in range(n_sub):
-                k1 = m2 @ y
-                k2 = m2 @ (y + 0.5 * h * k1)
-                k3 = m2 @ (y + 0.5 * h * k2)
-                k4 = m2 @ (y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            g2t[k] = abs(complex(gen.a2vec @ y)) ** 2
-    half = 0.5 * g2t[0]
-    below = g2t <= half
-    if not np.any(below):
-        raise ExtractionError("two-photon intensity never drops to half")
-    i = int(np.argmax(below))
-    frac = 1.0 if i == 0 else (g2t[i - 1] - half) / (g2t[i - 1] - g2t[i])
-    tau_ii = float(ts[max(i - 1, 0)] + (frac * (ts[i] - ts[i - 1]) if i > 0 else 0.0))
-
+    g2t[0] = abs(complex(gen.a2vec @ ss.doubles)) ** 2
+    g2t[1:] = np.abs(free_decay(gen, ss.doubles, om, horizon, n_steps, gen.a2vec,
+                                doubles=True)) ** 2
     mask = (ts >= fit_lo) & (ts <= fit_hi)
-    tt, yy = ts[mask], g2t[mask]
-    if len(tt) < 3 or np.any(yy <= 0):
-        raise ExtractionError("tail fit range unusable")
-    run_max = np.maximum.accumulate(yy[::-1])[::-1]
-    on_env = np.zeros(len(yy), dtype=bool)
-    on_env[:-1] = yy[:-1] >= run_max[1:]
-    on_env[-1] = True
-    if int(np.sum(on_env)) < 3:
-        raise ExtractionError("fewer than 3 envelope points in the tail fit")
-    slope, _ = np.polyfit(tt[on_env], np.log(yy[on_env]), 1)
-    return {"g2tilde_jump": float(g2t[0]), "tau_ii": tau_ii,
-            "tail_rate": float(-slope)}
+    return {"g2tilde_jump": float(g2t[0]),
+            "tau_ii": _first_half_crossing(ts, g2t, 0.5 * g2t[0], 0.0),
+            "tail_rate": _envelope_decay_rate(ts[mask], g2t[mask])}
 
 
 _TURNOFF_COLS = ["d_target", "d", "n_atoms", "omega_c", "i_ss", "i_jump",
@@ -491,7 +439,7 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
         w = (end - width, width)
         pg = generation_probability_from_trace(trace, w, shape_cfg.n_in)
         try:
-            val = windowed_g2_from(grid, w)
+            val = windowed_g2(grid, w, w)
             status = "ok"
         except (UndefinedResultError, ExtractionError) as exc:
             val = math.nan
@@ -499,11 +447,6 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
         rows.append((shape, dt_ns, cfg.end_time_ns - dt_ns, 1e3 / dt_ns,
                      val, pg, status))
     return rows
-
-
-def windowed_g2_from(grid, w):
-    from .observables import windowed_g2
-    return windowed_g2(grid, w, w)
 
 
 @_timed
@@ -532,7 +475,7 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     t_end = trace.times[-1]
     w = (t_release, t_end - t_release)
     try:
-        g2_ret = windowed_g2_from(grid, w)
+        g2_ret = windowed_g2(grid, w, w)
     except (UndefinedResultError, ExtractionError):
         g2_ret = math.nan
     pg = generation_probability_from_trace(trace, w, cfg.n_in)
@@ -583,7 +526,7 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
     rows = []
     try:
         est, se = estimate_g2(stream, w_ns, w_ns)
-        quad = windowed_g2_from(grid, w)
+        quad = windowed_g2(grid, w, w)
         rows.append(("full_output", w_ns[0], w_ns[1], est, se, quad,
                      (est - quad) / se if se > 0 else math.nan, "ok"))
     except Exception as exc:  # per-window failures are data, not crashes

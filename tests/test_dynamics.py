@@ -125,6 +125,19 @@ def test_expm_matches_rk4_on_square_pulse():
     np.testing.assert_allclose(a, b, atol=5e-9)
 
 
+def test_evolve_above_expm_cap_is_rk4(monkeypatch):
+    import rydeit.dynamics as dynamics
+    gen = make_generator(n_atoms=4, duration=15.0)
+    dense = evolve(gen, (0.0, 20.0), dt_out=1.0, method="auto").states
+    rk4 = evolve(gen, (0.0, 20.0), dt_out=1.0, method="rk4").states
+    assert not np.array_equal(dense, rk4)   # auto takes expm under the cap
+    monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", gen.index.dim)
+    auto = evolve(gen, (0.0, 20.0), dt_out=1.0, method="auto").states
+    assert np.array_equal(auto, rk4)
+    with pytest.raises(DynamicsError):
+        evolve(gen, (0.0, 20.0), dt_out=1.0, method="expm")
+
+
 def test_evolve_deterministic_bit_for_bit():
     gen = make_generator(n_atoms=3)
     a = evolve(gen, (0.0, 10.0), dt_out=0.5, method="rk4").states

@@ -135,6 +135,42 @@ def test_turnon_point_auto_extends_and_caps():
     assert capped["status"] == "no_settling_before_cap"
 
 
+def test_scan_point_fingerprints():
+    # criteria 4, 5 and 6 fail on their bounds, so their printed values cannot
+    # catch a refactor that moves the numbers; pin one point of each scan
+    from rydeit.scenarios import _turnoff_point, _turnon_point
+    on = _turnon_point((3.6, 0.25, 0.2, 0.005, 100.0))
+    assert on["status"] == "ok"
+    assert on["tau_0"] == pytest.approx(64.59725685832528, rel=1e-12)
+    assert on["g2_ss"] == pytest.approx(0.1043612635729166, rel=1e-12)
+    off = _turnoff_point((3.6, 0.25, 0.2, True, 8.0, 25.0))
+    assert off["status"] == "ok"
+    expected = {"tau_i": 4.874427894176789, "peak_intensity": 0.5931312619453503,
+                "g2tilde_jump": 0.45826138407156086, "tau_ii": 0.7273525589201222,
+                "tail_rate": 1.0804656981356617}
+    for key, value in expected.items():
+        assert off[key] == pytest.approx(value, rel=1e-12), key
+
+
+def test_turnoff_doubles_above_expm_cap(monkeypatch):
+    # above the dense cap the turn-off blocks decay under RK4; it must
+    # reproduce the dense path's two-photon numbers
+    import rydeit.dynamics as dynamics
+    from rydeit.scenarios import _turnoff_point
+    point = (3.6, 0.25, 0.2, True, 8.0, 25.0)
+    dense = _turnoff_point(point)
+
+    def no_expm(_a):
+        raise AssertionError("dense propagator used above the cap")
+
+    monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
+    monkeypatch.setattr(dynamics, "expm", no_expm)
+    rk4 = _turnoff_point(point)
+    assert rk4["status"] == "ok"
+    for key in ("tau_ii", "tail_rate"):
+        assert rk4[key] == pytest.approx(dense[key], rel=1e-6), key
+
+
 def test_turnoff_scan_flags_failed_points():
     # tau_I is undefined at shallow depth (the retrieved flash never reaches
     # half of the steady intensity); the row must survive with a status flag
