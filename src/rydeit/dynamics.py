@@ -31,6 +31,16 @@ of ``Generator.augmented`` and then matvecs; varying ones take fixed-step RK4
 ``conditional_evolve`` take the exponential only on a constant stretch under
 ``EXPM_MAX_DIM`` longer than 8 RK4 steps; the cached correlation-grid steps
 take it on every constant interval.
+
+After the probe shuts off, the turn-off scans need only the scalars
+c P^k y (k = 1..n) of one block evolving alone, with P = exp(M h).
+``free_decay`` gets them by baby and giant steps (after Paterson and
+Stockmeyer, SIAM J. Comput. 2:60, 1973): with m the power of two nearest
+sqrt(n) and k = j m + i, the rows c P^i (i = 1..m) and the columns
+P^(j m) y (j < ceil(n/m), P^m from log2 m squarings of P) meet in one
+(ceil(n/m) x d)(d x m) product.  That is m + ceil(n/m) - 1 matvecs, log2 m
+squarings and one GEMM instead of n matvecs: 142 instead of 5,000 for the
+doubles decay.  Above ``EXPM_MAX_DIM`` it steps RK4 on the stacked layout.
 """
 
 from __future__ import annotations
@@ -405,30 +415,51 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
     """``project @ y`` after each of ``n_out`` equal steps over ``horizon`` for
     the singles block, or with ``doubles`` the doubles block, evolving alone:
     the probe is off, so no block is sourced, and the control stays at
-    ``omega``.  Under ``EXPM_MAX_DIM`` this is the dense step loop on the
-    block's own generator; above it the RK4 on the stacked layout with the
-    blocks below ``y`` held at zero."""
+    ``omega``.  Under ``EXPM_MAX_DIM`` these are the projected powers of the
+    block's own dense propagator (``_projected_powers``); above it the RK4 on
+    the stacked layout with the blocks below ``y`` held at zero."""
     h = horizon / n_out
-    out = np.empty(n_out, dtype=complex)
     if len(y) <= EXPM_MAX_DIM:
         # the unscaled dense block stays a temporary: a name holding it through
         # expm would add one more block-sized array to the peak memory
         prop = expm((gen.m2(omega).toarray() if doubles else gen.m1(omega)) * h)
-        _dense_steps(prop, y, n_out, out, project)
-        return out
+        return _projected_powers(prop, y, n_out, project)
+    out = np.empty(n_out, dtype=complex)
     lead = np.zeros(1 + (gen.index.dim_singles if doubles else 0), dtype=complex)
     _rk4(gen, np.concatenate([lead, y]), 0.0, h, n_out, gen.suggest_dt(),
          lambda t: (0.0, omega), out, np.concatenate([lead, project]))
     return out
 
 
-def _dense_steps(prop: np.ndarray, y: np.ndarray, n_out: int, out=None, project=None):
+def _projected_powers(prop: np.ndarray, y: np.ndarray, n_out: int,
+                      project: np.ndarray) -> np.ndarray:
+    """``project @ prop^k @ y`` for k = 1..n_out by baby and giant steps: with
+    k = j m + i, the rows ``project @ prop^i`` (i = 1..m) and the columns
+    ``prop^(j m) @ y`` (j = 0..J-1, J = ceil(n_out / m)) meet in one
+    (J x d)(d x m) product."""
+    m = 1 << (n_out.bit_length() // 2)       # power of two nearest sqrt(n_out)
+    n_giant = -(-n_out // m)
+    baby = np.empty((m, len(y)), dtype=complex)
+    row = project
+    for i in range(m):
+        row = baby[i] = row @ prop
+    giant = prop
+    for _ in range(m.bit_length() - 1):
+        giant = giant @ giant
+    cols = np.empty((n_giant, len(y)), dtype=complex)
+    cols[0] = y
+    for j in range(1, n_giant):
+        cols[j] = giant @ cols[j - 1]
+    return (cols @ baby.T).ravel()[:n_out]
+
+
+def _dense_steps(prop: np.ndarray, y: np.ndarray, n_out: int, out=None):
     """The dense step loop: ``n_out`` products y <- prop @ y, each step's state
-    (or its projection) recorded in ``out``."""
+    recorded in ``out``."""
     for k in range(n_out):
         y = prop @ y
         if out is not None:
-            out[k] = y if project is None else project @ y
+            out[k] = y
     return y
 
 

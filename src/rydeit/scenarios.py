@@ -260,10 +260,11 @@ def _turnoff_point(args) -> dict:
     out["i_ss"] = i_ss
     out["i_jump"] = abs(complex(gen.out_e @ ss.singles)) ** 2
 
-    # singles retrieval on a horizon extended until the half crossing appears
-    horizon = max(0.4 * teit, 40.0)
-    n_steps = 6000
-    for _attempt in range(8):
+    # singles retrieval on a horizon doubled until the half crossing appears,
+    # at the first attempt's output step
+    for attempt in range(8):
+        horizon = max(0.4 * teit, 40.0) * 2 ** attempt
+        n_steps = 6000 << attempt
         intens = np.empty(n_steps + 1)
         intens[0] = out["i_jump"]
         intens[1:] = np.abs(free_decay(gen, ss.singles, om, horizon, n_steps, gen.out_e)) ** 2
@@ -271,7 +272,6 @@ def _turnoff_point(args) -> dict:
         try:
             out["tau_i"] = _first_half_crossing(ts, intens, 0.5 * i_ss, 0.0, falling_only=True)
         except ExtractionError:
-            horizon *= 2.0
             continue
         out["ratio_tau_i"] = out["tau_i"] / teit
         out["peak_intensity"] = float(np.max(intens))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rydeit.model import (ControlSchedule, PhysicalParams, PulseShape,
                           build_chain, optical_depth)
 from rydeit.dynamics import (DynamicsError, apply_field, conditional_evolve,
-                             evolve, one_photon_amplitude, steady_state,
+                             evolve, free_decay, one_photon_amplitude, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
 from rydeit.statespace import TruncatedState, zero_state
 
@@ -136,6 +136,27 @@ def test_evolve_above_expm_cap_is_rk4(monkeypatch):
     assert np.array_equal(auto, rk4)
     with pytest.raises(DynamicsError):
         evolve(gen, (0.0, 20.0), dt_out=1.0, method="expm")
+
+
+@pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])
+@pytest.mark.parametrize("n_out", [1, 2, 63, 64, 65, 5000, 6001])
+def test_free_decay_matches_step_loop(doubles, horizon, n_out):
+    # free_decay splits the powers into baby and giant steps (64 of each
+    # near 5000 steps); the reference is the plain loop y <- P y
+    from scipy.linalg import expm as _expm
+    gen = make_generator(n_atoms=10, omega_c=0.5)
+    ss = steady_state(gen, omega_c=0.5)
+    y0, m, project = ((ss.doubles, gen.m2(0.5).toarray(), gen.a2vec) if doubles
+                      else (ss.singles, gen.m1(0.5), gen.out_e))
+    prop = _expm(m * (horizon / n_out))
+    ref = np.empty(n_out, dtype=complex)
+    y = y0
+    for k in range(n_out):
+        y = prop @ y
+        ref[k] = project @ y
+    got = free_decay(gen, y0, 0.5, horizon, n_out, project, doubles=doubles)
+    assert got.shape == (n_out,)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_evolve_deterministic_bit_for_bit():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rydeit.cli import main
@@ -184,6 +185,28 @@ def test_turnoff_scan_flags_failed_points():
     statuses = [r[-1] for r in rows]
     assert statuses[0] != "ok"      # D ~ 1.8 cannot cross half
     assert statuses[1] == "ok"      # D ~ 9.1 can
+
+
+def test_turnoff_retries_keep_the_output_step():
+    # a point without a half crossing ends on the eighth horizon, 128 times
+    # the first, which the retries must cover at the first attempt's step;
+    # the reference steps y <- P y over that whole horizon
+    from scipy.linalg import expm
+    from rydeit.dynamics import steady_state
+    from rydeit.scenarios import _turnoff_point
+    from conftest import make_generator
+    out = _turnoff_point((1.8, 0.5, 0.2, False, 5.0, 20.0))
+    assert out["status"] == "no_half_crossing"
+    gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0, n_in=1.0)
+    y = steady_state(gen, omega_c=0.5).singles
+    n_steps = 6000 * 128
+    prop = expm(gen.m1(0.5) * (max(0.4 * out["tau_eit"], 40.0) * 128 / n_steps))
+    amps = np.empty(n_steps + 1, dtype=complex)
+    amps[0] = gen.out_e @ y
+    for k in range(1, n_steps + 1):
+        y = prop @ y
+        amps[k] = gen.out_e @ y
+    assert out["peak_intensity"] == pytest.approx(np.max(np.abs(amps) ** 2), rel=1e-12)
 
 
 _GOOD_POINT = (1.8, 0.5, 0.2, False, 5.0, 20.0)
