@@ -3,8 +3,7 @@
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, BLOCKED,
                     ConfigurationError, ControlSchedule, ControlSegment,
                     PhysicalParams, PulseEnvelope, PulseShape, atoms_for_depth,
-                    build_chain, eval_control, eval_envelope, interaction,
-                    optical_depth, single_atom_bandwidth)
+                    build_chain, interaction, optical_depth, single_atom_bandwidth)
 from .statespace import (ExcitationIndex, TruncatedState, build_index, dump_state,
                          load_state, zero_state)
 from .dynamics import (ConditionedState, DynamicsError, Generator, StateTrajectory,

@@ -168,7 +168,9 @@ def _build(cp: configparser.ConfigParser, kind: str | None, ov: dict) -> Scenari
         raise ConfigurationError(f"unknown or missing scenario kind {kind!r}")
 
     gamma_mhz = get("params", "gamma_mhz", float, 6.0)
-    ratio = get("params", "ratio", float, 0.2)
+    ratio = get("params", "ratio", float, None)
+    gamma_1d = get("params", "gamma_1d", float, None)
+    gamma_prime = get("params", "gamma_prime", float, None)
     omega_c = get("params", "omega_c", float, None)
     omega_c_mhz = get("params", "omega_c_mhz", float, None)
     if omega_c is None:
@@ -177,11 +179,21 @@ def _build(cp: configparser.ConfigParser, kind: str | None, ov: dict) -> Scenari
     gamma_r_mhz = get("params", "gamma_r_mhz", float, None)
     if gamma_r is None:
         gamma_r = rate_from_mhz(gamma_r_mhz, gamma_mhz) if gamma_r_mhz is not None else 0.0
-    params = PhysicalParams.from_ratio(
-        ratio=ratio, gamma_total=1.0, omega_c_peak=omega_c, gamma_r=gamma_r,
-        delta_e=get("params", "delta_e", float, 0.0),
-        delta_2=get("params", "delta_2", float, 0.0),
-        gamma_mhz=gamma_mhz)
+    rates = dict(omega_c_peak=omega_c, gamma_r=gamma_r,
+                 delta_e=get("params", "delta_e", float, 0.0),
+                 delta_2=get("params", "delta_2", float, 0.0),
+                 gamma_mhz=gamma_mhz)
+    # a manifest stores the two decay rates exactly; the ratio they imply
+    # need not rebuild them bit for bit
+    if gamma_1d is None and gamma_prime is None:
+        params = PhysicalParams.from_ratio(ratio=0.2 if ratio is None else ratio,
+                                           gamma_total=1.0, **rates)
+    elif gamma_1d is None or gamma_prime is None or ratio is not None:
+        raise ConfigurationError("[params] takes ratio, or gamma_1d with gamma_prime")
+    elif abs(gamma_1d + gamma_prime - 1.0) > 1e-12:
+        raise ConfigurationError("gamma_1d + gamma_prime must be 1 (the unit of rate)")
+    else:
+        params = PhysicalParams(gamma_1d=gamma_1d, gamma_prime=gamma_prime, **rates)
 
     n_atoms = get("chain", "n_atoms", int, None)
     d_target = get("chain", "d_target", float, None)
@@ -260,7 +272,8 @@ def manifest_text(cfg: ScenarioConfig, results: dict, run_info: dict) -> str:
 
     lines = ["[scenario]", f"kind = {cfg.kind}", ""]
     lines += ["[params]",
-              f"ratio = {fmt(p.coupling_ratio)}",
+              f"gamma_1d = {fmt(p.gamma_1d)}",
+              f"gamma_prime = {fmt(p.gamma_prime)}",
               f"omega_c = {fmt(p.omega_c_peak)}",
               f"gamma_r = {fmt(p.gamma_r)}",
               f"delta_e = {fmt(p.delta_e)}",

@@ -25,12 +25,21 @@ f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
 
 Every evolution goes through ``propagate_segment``, which advances a stacked
 [ground; singles(; doubles)] vector, or a stack of such columns, across one
-segment in equal output steps.  Constant stretches take one dense exponential
-of ``Generator.augmented`` and then matvecs; varying ones take fixed-step RK4
-(deterministic, 4th order, steps aligned to breakpoints).  ``evolve`` and
-``conditional_evolve`` take the exponential only on a constant stretch under
-``EXPM_MAX_DIM`` longer than 8 RK4 steps; the cached correlation-grid steps
-take it on every constant interval.
+segment in equal output steps.  Constant stretches take a dense exponential
+and then matvecs; varying ones take fixed-step RK4 (deterministic, 4th order,
+steps aligned to breakpoints).
+
+The exponential is taken at unit drive, E = exp(A(1) h), once per (Omega_c,
+output step h, layout), where A(e) is ``Generator.augmented`` at drive level
+e = drive_scale * ep.  With D = diag(1, e, e^2) over the ground, singles and
+doubles blocks, A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground
+column's singles rows scale by e, its doubles rows by e^2 and the
+doubles <- singles block by e.  At e = 0, after the probe shuts off, that is
+the block diagonal of E, so a square pulse's plateau and its tail share one
+exponential.  ``evolve`` keeps these propagators for one call and takes the
+exponential only on a constant stretch under ``EXPM_MAX_DIM`` longer than 8
+RK4 steps; ``SinglesPropagator`` keeps them for one correlation grid and
+takes it on every constant interval.
 
 After the probe shuts off, the turn-off scans need only the scalars
 c P^k y (k = 1..n) of one block evolving alone, with P = exp(M h).
@@ -371,33 +380,34 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
 
 def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
                       dt: float, method: str = "auto", drive_scale: float = 1.0,
-                      out: np.ndarray | None = None, cache: dict | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None, cache: dict | None = None,
+                      expm_after: float = 8.0) -> np.ndarray:
     """Advance the stacked vector, or columns, ``y`` from ``a`` to ``b`` in
     ``n_out`` equal output steps and return the state at ``b``.
 
     Row k of ``out``, when given, receives the state after step k + 1.
-    ``method`` is "rk4", "expm" or "auto" (selection rules in the module
-    docstring); with a ``cache``, a dict the caller keeps, the dense
-    propagators are reused across calls.
+    ``method`` is "rk4", "expm" or "auto"; "auto" takes the dense exponential
+    on a constant stretch under ``EXPM_MAX_DIM`` whose output step is longer
+    than ``expm_after`` RK4 steps.  With a ``cache``, a dict the caller keeps
+    for one generator, the unit-drive propagators are reused across calls.
     """
     h_out = (b - a) / n_out
     const = gen.is_constant(a, b)
     if method == "expm" and not const:
         raise DynamicsError("expm method requires piecewise-constant coefficients")
     fits = y.shape[0] <= EXPM_MAX_DIM
-    use_expm = method == "expm" or (method == "auto" and const and (
-        cache is not None or (fits and h_out > 8.0 * dt)))
-    if use_expm:
+    if method == "expm" or (method == "auto" and const and fits and h_out > expm_after * dt):
         if not fits:
             raise DynamicsError("state too large for the dense expm propagator")
-        env, om = gen.envelope_at(a), gen.omega_at(a)
-        key = (round(env, 15), round(om, 15), round(h_out, 15))
-        prop = None if cache is None else cache.get(key)
-        if prop is None:
+        om = gen.omega_at(a)
+        key = (round(om, 15), round(h_out, 15), y.shape[0])
+        unit = None if cache is None else cache.get(key)
+        if unit is None:
             doubles = y.shape[0] > 1 + gen.index.dim_singles
-            prop = expm(gen.augmented(env, om, drive_scale, doubles) * h_out)
+            unit = expm(gen.augmented(1.0, om, 1.0, doubles) * h_out)
             if cache is not None:
-                cache[key] = prop
+                cache[key] = unit
+        prop = _at_drive(unit, drive_scale * gen.envelope_at(a), gen.index.dim_singles)
         return _dense_steps(prop, y, n_out, out)
     # coefficient lookups clamped below b, so the value exactly at a segment
     # edge is the inside (left) limit
@@ -408,6 +418,19 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         return drive_scale * gen.envelope_at(t), gen.omega_at(t)
 
     return _rk4(gen, y, a, h_out, n_out, dt, coeffs, out)
+
+
+def _at_drive(unit: np.ndarray, e: float, n1: int) -> np.ndarray:
+    """The dense propagator at drive level ``e`` from the unit-drive one:
+    D ``unit`` D^-1 with D = diag(1, e, e^2) over [ground; singles; doubles]
+    (the block diagonal of ``unit`` at e = 0)."""
+    if e == 1.0:
+        return unit
+    prop = unit.copy()
+    prop[1:1 + n1, 0] *= e
+    prop[1 + n1:, 0] *= e * e
+    prop[1 + n1:, 1:1 + n1] *= e
+    return prop
 
 
 def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_out: int,
@@ -530,10 +553,12 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
     stacked = np.empty((1 + sum(n for _, _, n in segments), len(y)), dtype=complex)
     stacked[0] = y
     times = [t0]
+    cache: dict = {}
     for (a, b, n_out) in segments:
         i = len(times)
         y = propagate_segment(generator, y, a, b, n_out, dt=dt, method=method,
-                              drive_scale=drive_scale, out=stacked[i:i + n_out])
+                              drive_scale=drive_scale, out=stacked[i:i + n_out],
+                              cache=cache)
         h_out = (b - a) / n_out
         times.extend(a + k * h_out for k in range(1, n_out + 1))
         _check_finite(y, b)
@@ -645,8 +670,8 @@ class SinglesPropagator:
 
     Used to sweep conditioned states over every later output time in one pass
     when filling two-time correlation grids; one step per grid interval,
-    shared by all active columns, with the dense propagators of constant
-    intervals cached.
+    shared by all active columns.  Every constant interval takes the dense
+    exponential, one per (Omega_c, step) for all drive levels.
     """
 
     def __init__(self, generator: Generator, times: np.ndarray,
@@ -662,4 +687,5 @@ class SinglesPropagator:
         """Propagate the columns of ``y_matrix`` from times[k] to times[k+1]."""
         return propagate_segment(self.gen, y_matrix, float(self.times[k]),
                                  float(self.times[k + 1]), dt=self.dt,
-                                 drive_scale=self.drive_scale, cache=self._cache)
+                                 drive_scale=self.drive_scale, cache=self._cache,
+                                 expm_after=0.0)

@@ -329,12 +329,6 @@ class PulseEnvelope:
         return (self.t_on, self.t_end)
 
 
-def eval_envelope(pulse: PulseEnvelope, t: float) -> complex:
-    """Physical probe amplitude at time t (real and non-negative for all
-    built-in shapes, returned as complex for interface uniformity)."""
-    return complex(pulse.peak_amplitude * pulse.unit_shape(t))
-
-
 # ---------------------------------------------------------------------------
 # control field schedule
 
@@ -428,8 +422,3 @@ class ControlSchedule:
         first = [] if segs[0].is_constant else [segs[0].t_start]
         last = [] if segs[-1].is_constant else [segs[-1].t_end]
         return tuple(first + inner + last)
-
-
-def eval_control(schedule: ControlSchedule, t: float) -> float:
-    """Control Rabi amplitude at time t (clamped outside the schedule)."""
-    return schedule.value(t)

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydeit.model import (ControlSchedule, PhysicalParams, PulseShape,
+from scipy.linalg import expm as _scipy_expm
+
+from rydeit.model import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseShape,
                           build_chain, optical_depth)
-from rydeit.dynamics import (DynamicsError, apply_field, conditional_evolve,
-                             evolve, free_decay, one_photon_amplitude, steady_state,
+from rydeit.dynamics import (DynamicsError, SinglesPropagator, apply_field,
+                             conditional_evolve, evolve, free_decay, one_photon_amplitude,
+                             propagate_segment, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
 from rydeit.statespace import TruncatedState, zero_state
 
@@ -136,6 +139,87 @@ def test_evolve_above_expm_cap_is_rk4(monkeypatch):
     assert np.array_equal(auto, rk4)
     with pytest.raises(DynamicsError):
         evolve(gen, (0.0, 20.0), dt_out=1.0, method="expm")
+
+
+def _power_law_generator(n_atoms=6, **kwargs):
+    p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
+    blk = BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms, 1.0), p)
+    return make_generator(n_atoms=n_atoms, blockade=blk, **kwargs)
+
+
+@pytest.mark.parametrize("doubles", [False, True])
+@pytest.mark.parametrize("a, b, drive_scale", [
+    (2.0, 6.0, 0.0), (2.0, 6.0, 0.37), (2.0, 6.0, 1.0), (2.0, 6.0, 1.7),
+    (12.0, 16.0, 1.7)])                      # after the pulse: drive level 0
+def test_drive_level_identity(doubles, a, b, drive_scale):
+    # the propagator derived from the unit-drive exponential equals the
+    # exponential of the generator at the actual drive level
+    gen = _power_law_generator(duration=10.0)
+    assert gen.v_max > 0.0
+    n_out = 7
+    dim = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
+    rng = np.random.default_rng(5)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    env, om = gen.envelope_at(a), gen.omega_at(a)
+    prop = _scipy_expm(gen.augmented(env, om, drive_scale, doubles) * ((b - a) / n_out))
+    ref = np.empty((n_out, dim), dtype=complex)
+    y = y0
+    for k in range(n_out):
+        y = ref[k] = prop @ y
+    got = np.empty_like(ref)
+    end = propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt(), method="expm",
+                            drive_scale=drive_scale, out=got)
+    assert np.array_equal(end, got[-1])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _count_expm(monkeypatch):
+    import rydeit.dynamics as dynamics
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return _scipy_expm(m)
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    return calls
+
+
+def test_evolve_takes_one_exponential(monkeypatch):
+    # square pulse with rise edges and a tail: the plateau (drive 1) and the
+    # tail (drive 0) share one unit-drive exponential; the edges are RK4
+    gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
+    calls = _count_expm(monkeypatch)
+    traj = evolve(gen, (0.0, 30.0), dt_out=0.5, method="auto")
+    assert calls == [(1 + gen.index.dim,) * 2]
+    rk4 = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.5, method="rk4")
+    np.testing.assert_allclose(traj.states, rk4.states, atol=5e-9)
+
+
+def test_singles_propagator_one_exponential_per_step(monkeypatch):
+    # a grid with step 0.5 before the pulse (drive 0) and on the plateau
+    # (drive 1), and step 0.25 in the tail: two exponentials, not three
+    gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
+    times = np.concatenate([np.arange(-5.0, 20.0, 0.5), np.arange(20.0, 30.1, 0.25)])
+    calls = _count_expm(monkeypatch)
+    prop = SinglesPropagator(gen, times)
+    y = np.ones((1 + gen.index.dim_singles, 3), dtype=complex)
+    for k in range(len(times) - 1):
+        y = prop.step(k, y)
+    assert len(calls) == 2
+
+
+def test_short_constant_stretch_stays_rk4():
+    # auto takes the exponential only when the output step is longer than 8
+    # RK4 steps; at most 8 it must still be the RK4 path, bit for bit
+    gen = make_generator(n_atoms=3, duration=15.0)
+    dt = 0.05
+    rk4 = evolve(gen, (0.0, 20.0), dt=dt, dt_out=8 * dt, method="rk4").states
+    auto = evolve(gen, (0.0, 20.0), dt=dt, dt_out=8 * dt, method="auto").states
+    assert np.array_equal(auto, rk4)
+    longer = evolve(gen, (0.0, 20.0), dt=dt, dt_out=9 * dt, method="auto").states
+    assert not np.array_equal(
+        longer, evolve(gen, (0.0, 20.0), dt=dt, dt_out=9 * dt, method="rk4").states)
 
 
 @pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])

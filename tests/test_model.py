@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from rydeit.model import (BLOCKED, AtomChain, BlockadeConfig, BlockadeMode,
                           ConfigurationError, ControlSchedule, PhysicalParams,
                           PulseEnvelope, PulseShape, atoms_for_depth, build_chain,
-                          eval_control, eval_envelope, interaction, optical_depth,
-                          rate_from_mhz, single_atom_bandwidth, time_from_ns,
-                          ns_from_time)
+                          interaction, optical_depth, rate_from_mhz,
+                          single_atom_bandwidth, time_from_ns, ns_from_time)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +149,13 @@ def test_interaction_monotone_decreasing(r1, r2):
 def test_square_zero_before_turn_on():
     env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.5)
     assert env.unit_shape(-0.1) == 0.0
-    assert eval_envelope(env, -0.1) == 0
+    assert env.peak_amplitude * env.unit_shape(-0.1) == 0
 
 
 def test_square_mid_pulse_physical_amplitude():
     one_us = time_from_ns(1000.0)
     env = PulseEnvelope(shape=PulseShape.SQUARE, duration=one_us, n_in=1.5)
-    assert eval_envelope(env, 0.5 * one_us) == pytest.approx(
+    assert env.peak_amplitude * env.unit_shape(0.5 * one_us) == pytest.approx(
         math.sqrt(1.5 / one_us), rel=1e-12)
 
 
@@ -219,16 +218,16 @@ def test_envelope_breakpoints():
 def test_constant_schedule_everywhere():
     s = ControlSchedule.constant(0.4)
     for t in (-5.0, 0.0, 0.5, 100.0):
-        assert eval_control(s, t) == 0.4
+        assert s.value(t) == 0.4
 
 
 def test_storage_schedule_off_interval():
     t_off = time_from_ns(900.0)
     t_store = time_from_ns(500.0)
     s = ControlSchedule.storage(0.5, t_off, t_store)
-    assert eval_control(s, t_off + 0.5 * t_store) == 0.0
-    assert eval_control(s, 0.5 * t_off) == 0.5
-    assert eval_control(s, t_off + t_store + 1.0) == 0.5
+    assert s.value(t_off + 0.5 * t_store) == 0.0
+    assert s.value(0.5 * t_off) == 0.5
+    assert s.value(t_off + t_store + 1.0) == 0.5
 
 
 def test_schedule_breakpoints_only_where_control_changes():
@@ -243,14 +242,14 @@ def test_schedule_breakpoints_only_where_control_changes():
 def test_ramp_linear_midpoint():
     from rydeit.model import ControlSegment
     s = ControlSchedule(segments=(ControlSegment(0.0, 4.0, 0.0, 0.8),))
-    assert eval_control(s, 2.0) == pytest.approx(0.4, rel=1e-12)
+    assert s.value(2.0) == pytest.approx(0.4, rel=1e-12)
 
 
 def test_schedule_clamps_outside():
     from rydeit.model import ControlSegment
     s = ControlSchedule(segments=(ControlSegment(1.0, 2.0, 0.3, 0.7),))
-    assert eval_control(s, 0.0) == 0.3
-    assert eval_control(s, 5.0) == 0.7
+    assert s.value(0.0) == 0.3
+    assert s.value(5.0) == 0.7
 
 
 def test_non_contiguous_segments_rejected():

@@ -46,6 +46,30 @@ def test_manifest_round_trip(tmp_path):
     assert back.params.omega_c_peak == cfg.params.omega_c_peak
 
 
+@pytest.mark.parametrize("ratio", [0.405, 1 / 3, 0.1 + 0.2, 0.7, 0.2])
+def test_manifest_keeps_decay_rates_exactly(tmp_path, ratio):
+    # Gamma_1D / Gamma' does not rebuild the two rates bit for bit (0.405
+    # reads back as 0.4049999999999999), so a re-run would not be identical
+    cfg = default_config("propagate", {"ratio": ratio, "d_target": 1.8})
+    text = manifest_text(cfg, {}, {})
+    path = tmp_path / "manifest.ini"
+    path.write_text(text)
+    back = load_config(path, kind="propagate")
+    assert back.params.gamma_1d == cfg.params.gamma_1d
+    assert back.params.gamma_prime == cfg.params.gamma_prime
+    assert manifest_text(back, {}, {}) == text
+
+
+@pytest.mark.parametrize("params", ["ratio = 0.2\ngamma_1d = 0.2\ngamma_prime = 0.8",
+                                    "gamma_1d = 0.2",
+                                    "gamma_1d = 0.2\ngamma_prime = 0.9"])
+def test_inconsistent_decay_rates_raise(tmp_path, params):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[params]\n{params}\n")
+    with pytest.raises(ConfigurationError):
+        load_config(path, kind="propagate")
+
+
 def test_malformed_config_raises():
     import tempfile
     with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
