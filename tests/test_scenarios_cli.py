@@ -162,12 +162,18 @@ def test_turnon_point_auto_extends_and_caps():
 
 def test_scan_point_fingerprints():
     # criteria 4, 5 and 6 fail on their bounds, so their printed values cannot
-    # catch a refactor that moves the numbers; pin one point of each scan
+    # catch a refactor that moves the numbers; pin points of each scan, the
+    # turn-on scan on both its RK4 and its exponential branch
     from rydeit.scenarios import _turnoff_point, _turnon_point
     on = _turnon_point((3.6, 0.25, 0.2, 0.005, 100.0))
     assert on["status"] == "ok"
     assert on["tau_0"] == pytest.approx(64.59725685832528, rel=1e-12)
     assert on["g2_ss"] == pytest.approx(0.1043612635729166, rel=1e-12)
+    # Omega_c = 0.05: the output step is long enough for the exponential
+    on = _turnon_point((3.6, 0.05, 0.2, 0.005, 100.0))
+    assert on["status"] == "ok"
+    assert on["tau_0"] == pytest.approx(1864.639025643132, rel=1e-12)
+    assert on["g2_ss"] == pytest.approx(0.0887863478133944, rel=1e-12)
     off = _turnoff_point((3.6, 0.25, 0.2, True, 8.0, 25.0))
     assert off["status"] == "ok"
     expected = {"tau_i": 4.874427894176789, "peak_intensity": 0.5931312619453503,
