@@ -25,13 +25,16 @@ f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
 
 Every evolution goes through ``propagate_segment``, which advances a stacked
 [ground; singles(; doubles)] vector, or a stack of such columns, across one
-segment in equal output steps.  Constant stretches take a dense exponential
-and then matvecs; varying ones take fixed-step RK4 (deterministic, 4th order,
-steps aligned to breakpoints).
+segment in equal output steps.  ``Generator.stacked`` holds the generator on
+that layout as three CSR parts, built once per layout: A(t) = S + Omega_c(t) W
++ e(t) F at drive level e = drive_scale * ep(t).  ``Generator.augmented`` is
+their dense sum, and fixed-step RK4 (deterministic, 4th order, steps aligned
+to breakpoints) takes S y + Omega_c(t) W y + e(t) F y on a varying stretch and
+one folded CSR on a constant one.  Constant stretches take a dense
+exponential instead when it pays.
 
 The exponential is taken at unit drive, E = exp(A(1) h), once per (Omega_c,
-output step h, layout), where A(e) is ``Generator.augmented`` at drive level
-e = drive_scale * ep.  With D = diag(1, e, e^2) over the ground, singles and
+output step h, layout).  With D = diag(1, e, e^2) over the ground, singles and
 doubles blocks, A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground
 column's singles rows scale by e, its doubles rows by e^2 and the
 doubles <- singles block by e.  At e = 0, after the probe shuts off, that is
@@ -41,21 +44,31 @@ exponential only on a constant stretch under ``EXPM_MAX_DIM`` longer than 8
 RK4 steps; ``SinglesPropagator`` keeps them for one correlation grid and
 takes it on every constant interval.
 
-After the probe shuts off, the turn-off scans need only the scalars
-c P^k y (k = 1..n) of one block evolving alone, with P = exp(M h).
-``free_decay`` gets them by baby and giant steps (after Paterson and
-Stockmeyer, SIAM J. Comput. 2:60, 1973): with m the power of two nearest
-sqrt(n) and k = j m + i, the rows c P^i (i = 1..m) and the columns
-P^(j m) y (j < ceil(n/m), P^m from log2 m squarings of P) meet in one
-(ceil(n/m) x d)(d x m) product.  That is m + ceil(n/m) - 1 matvecs, log2 m
-squarings and one GEMM instead of n matvecs: 142 instead of 5,000 for the
-doubles decay.  Above ``EXPM_MAX_DIM`` it steps RK4 on the stacked layout.
+``evolve`` records full states by default.  Given a covector stack C (c rows
+over the stacked layout; the trace runners pass ``output_covectors``, the
+rows out_e and a2vec), it records only the c projections C y per sample,
+which is all a time trace reads.  Such projections of an exponential stretch,
+and the turn-off scans' c P^k y (k = 1..n) of one block evolving alone with
+P = exp(M h), come from ``_projected_powers`` by baby and giant steps (after
+Paterson and Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1,
+the rows C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m), P^m
+from log2 m squarings of P) meet in one (ceil(n/m) x d)(d x m c) product,
+and the end state is the last column advanced by at most m - 1 matvecs.
+m is the power of two that minimizes the cost in matvecs,
+log2(m) d / GEMM_KAPPA + c m + ceil(n/m), where one d x d GEMM costs
+d / GEMM_KAPPA matvecs; GEMM_KAPPA = 4.8 (measured 4.4-5.2 for
+d = 975-1,625 at one BLAS thread).  That picks m = 8 for a turn-on point
+(d ~ 1,001, n = 2,500, c = 2), m = 16 for the doubles decay (d = 975,
+n = 5,000, c = 1) and m = 1, the plain step loop, for the replica
+(d = 1,625, n = 490 and 600), where a squaring costs more than the matvecs
+it saves.  Above ``EXPM_MAX_DIM`` ``free_decay`` steps RK4 on the stacked
+layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,6 +117,7 @@ class Generator:
     out_e: np.ndarray           # singles -> ground annihilation covector
     a2vec: np.ndarray           # doubles -> ground double-annihilation covector
     v_max: float
+    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # --- time-dependent coefficient lookups --------------------------------
     def omega_at(self, t: float) -> float:
@@ -138,18 +152,50 @@ class Generator:
     def m2(self, omega: float) -> sp.csr_matrix:
         return (self.m2_static + omega * self.m2_omega).tocsr()
 
+    def stacked(self, doubles: bool) -> tuple:
+        """Static, Omega_c and drive parts (S, W, F) of the generator on the
+        stacked [ground; singles(; doubles)] layout, as CSR matrices built
+        once per layout: A(t) = S + Omega_c(t) W + e(t) F at drive level e."""
+        parts = self._parts.get(doubles)
+        if parts is None:
+            def zero(rows, cols):
+                return sp.csr_matrix((rows, cols), dtype=complex)
+            n1, d2 = self.index.dim_singles, self.index.dim_doubles
+            src = _csr(self.s1[:, None])
+            m1s, m1o = _csr(self.m1_static), _csr(self.m1_omega)
+            if doubles:
+                s = sp.block_diag([zero(1, 1), m1s, self.m2_static])
+                w = sp.block_diag([zero(1, 1), m1o, self.m2_omega])
+                f = sp.bmat([[zero(1, 1), None, None], [src, None, None],
+                             [None, self.s21, zero(d2, d2)]])
+            else:
+                s = sp.block_diag([zero(1, 1), m1s])
+                w = sp.block_diag([zero(1, 1), m1o])
+                f = sp.bmat([[zero(1, 1), None], [src, zero(n1, n1)]])
+            parts = self._parts[doubles] = tuple(_csr(m) for m in (s, w, f))
+        return parts
+
     def augmented(self, env: float, omega: float, drive_scale: float = 1.0,
                   doubles: bool = True) -> np.ndarray:
         """Dense constant-coefficient generator on [ground; singles(; doubles)]."""
+        s, w, f = self.stacked(doubles)
+        return (s + omega * w + (drive_scale * env) * f).toarray()
+
+    def output_covectors(self) -> np.ndarray:
+        """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
+        the one- and two-photon output projections a time trace reads."""
         n1 = self.index.dim_singles
-        d = 1 + (self.index.dim if doubles else n1)
-        a = np.zeros((d, d), dtype=complex)
-        a[1:1 + n1, 0] = (drive_scale * env) * self.s1
-        a[1:1 + n1, 1:1 + n1] = self.m1(omega)
-        if doubles:
-            a[1 + n1:, 1:1 + n1] = (drive_scale * env) * self.s21.toarray()
-            a[1 + n1:, 1 + n1:] = self.m2(omega).toarray()
-        return a
+        c = np.zeros((2, 1 + self.index.dim), dtype=complex)
+        c[0, 1:1 + n1] = self.out_e
+        c[1, 1 + n1:] = self.a2vec
+        return c
+
+
+def _csr(m) -> sp.csr_matrix:
+    """Complex CSR copy of a dense or sparse matrix, without stored zeros."""
+    m = sp.csr_matrix(m, dtype=complex)
+    m.eliminate_zeros()
+    return m
 
 
 def _atom_coefficients(params: PhysicalParams, chain: AtomChain):
@@ -328,31 +374,41 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
 
 @dataclass
 class StateTrajectory:
-    """States sampled on a near-uniform output grid (breakpoints injected so
-    that discontinuities land exactly on samples).
+    """States, or only their projections onto a covector stack, sampled on a
+    near-uniform output grid (breakpoints injected so that discontinuities
+    land exactly on samples).
 
+    ``states`` is (n_samples, dim), or None when ``evolve`` recorded only the
+    projections ``project @ [1; singles; doubles]``, (n_samples, c).
     ``envelope_unit`` and ``omega_c`` hold the right-continuous values at the
     sample times, i.e. the post-jump values exactly at a discontinuity.
     """
 
     index: ExcitationIndex
     times: np.ndarray
-    states: np.ndarray          # (n_samples, dim)
+    states: np.ndarray | None
     envelope_unit: np.ndarray
     omega_c: np.ndarray
     drive_scale: float = 1.0
+    projections: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("trajectory time grid must be strictly increasing")
-        if self.states.shape != (len(self.times), self.index.dim):
+        if (self.states is None) == (self.projections is None):
+            raise ConfigurationError("a trajectory holds either states or projections")
+        if self.states is not None and self.states.shape != (len(self.times), self.index.dim):
             raise ConfigurationError("snapshot count must match the time grid")
+        if self.projections is not None and len(self.projections) != len(self.times):
+            raise ConfigurationError("projection count must match the time grid")
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
     def state_at(self, i: int) -> TruncatedState:
+        if self.states is None:
+            raise ConfigurationError("the trajectory holds projections only, not states")
         return TruncatedState(self.index, self.states[i].copy())
 
     def locate(self, t: float) -> int:
@@ -381,11 +437,12 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
 def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
                       dt: float, method: str = "auto", drive_scale: float = 1.0,
                       out: np.ndarray | None = None, cache: dict | None = None,
-                      expm_after: float = 8.0) -> np.ndarray:
+                      expm_after: float = 8.0, project: np.ndarray | None = None) -> np.ndarray:
     """Advance the stacked vector, or columns, ``y`` from ``a`` to ``b`` in
     ``n_out`` equal output steps and return the state at ``b``.
 
-    Row k of ``out``, when given, receives the state after step k + 1.
+    Row k of ``out``, when given, receives the state after step k + 1, or with
+    a covector stack ``project`` (c x d) only its projections ``project @ y``.
     ``method`` is "rk4", "expm" or "auto"; "auto" takes the dense exponential
     on a constant stretch under ``EXPM_MAX_DIM`` whose output step is longer
     than ``expm_after`` RK4 steps.  With a ``cache``, a dict the caller keeps
@@ -396,6 +453,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     if method == "expm" and not const:
         raise DynamicsError("expm method requires piecewise-constant coefficients")
     fits = y.shape[0] <= EXPM_MAX_DIM
+    doubles = y.shape[0] > 1 + gen.index.dim_singles
     if method == "expm" or (method == "auto" and const and fits and h_out > expm_after * dt):
         if not fits:
             raise DynamicsError("state too large for the dense expm propagator")
@@ -403,12 +461,20 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         key = (round(om, 15), round(h_out, 15), y.shape[0])
         unit = None if cache is None else cache.get(key)
         if unit is None:
-            doubles = y.shape[0] > 1 + gen.index.dim_singles
             unit = expm(gen.augmented(1.0, om, 1.0, doubles) * h_out)
             if cache is not None:
                 cache[key] = unit
         prop = _at_drive(unit, drive_scale * gen.envelope_at(a), gen.index.dim_singles)
-        return _dense_steps(prop, y, n_out, out)
+        if project is not None:
+            proj, y = _projected_powers(prop, y, n_out, project, end_state=True)
+            if out is not None:
+                out[:] = proj
+            return y
+        for k in range(n_out):
+            y = prop @ y
+            if out is not None:
+                out[k] = y
+        return y
     # coefficient lookups clamped below b, so the value exactly at a segment
     # edge is the inside (left) limit
     t_hi = b - 1e-12 * max(1.0, abs(b - a))
@@ -417,7 +483,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         t = min(t, t_hi)
         return drive_scale * gen.envelope_at(t), gen.omega_at(t)
 
-    return _rk4(gen, y, a, h_out, n_out, dt, coeffs, out)
+    return _rk4(gen.stacked(doubles), y, a, h_out, n_out, dt, coeffs, const, out, project)
 
 
 def _at_drive(unit: np.ndarray, e: float, n1: int) -> np.ndarray:
@@ -449,69 +515,85 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
         return _projected_powers(prop, y, n_out, project)
     out = np.empty(n_out, dtype=complex)
     lead = np.zeros(1 + (gen.index.dim_singles if doubles else 0), dtype=complex)
-    _rk4(gen, np.concatenate([lead, y]), 0.0, h, n_out, gen.suggest_dt(),
-         lambda t: (0.0, omega), out, np.concatenate([lead, project]))
+    _rk4(gen.stacked(doubles), np.concatenate([lead, y]), 0.0, h, n_out, gen.suggest_dt(),
+         lambda t: (0.0, omega), True, out, np.concatenate([lead, project]))
     return out
 
 
-def _projected_powers(prop: np.ndarray, y: np.ndarray, n_out: int,
-                      project: np.ndarray) -> np.ndarray:
+#: GEMM-to-matvec cost ratio over the dimension d: one d x d product costs
+#: d / GEMM_KAPPA matvecs (measured 4.4-5.2 at d = 975-1,625, one BLAS thread)
+GEMM_KAPPA = 4.8
+
+
+def _giant_step(d: int, n: int, c: int) -> int:
+    """The power of two m that minimizes the cost, in matvecs, of ``n``
+    projected powers of a d x d propagator onto ``c`` covectors:
+    log2(m) squarings at d / GEMM_KAPPA each, c m baby rows and ceil(n / m)
+    giant columns (m = 1 is the plain step loop)."""
+    return min((k * d / GEMM_KAPPA + c * (1 << k) + -(-n // (1 << k)), 1 << k)
+               for k in range(n.bit_length()))[1]
+
+
+def _projected_powers(prop: np.ndarray, y: np.ndarray, n_out: int, project: np.ndarray,
+                      end_state: bool = False):
     """``project @ prop^k @ y`` for k = 1..n_out by baby and giant steps: with
-    k = j m + i, the rows ``project @ prop^i`` (i = 1..m) and the columns
-    ``prop^(j m) @ y`` (j = 0..J-1, J = ceil(n_out / m)) meet in one
-    (J x d)(d x m) product."""
-    m = 1 << (n_out.bit_length() // 2)       # power of two nearest sqrt(n_out)
+    k = j m + i + 1, the rows ``project @ prop^i`` (i = 0..m-1) and the columns
+    ``prop^(j m + 1) @ y`` (j = 0..J-1, J = ceil(n_out / m)) meet in one
+    (J x d)(d x m c) product, m from ``_giant_step`` (at m = 1, the step loop
+    y <- prop @ y projected).  Shape (n_out,) for one covector, (n_out, c) for
+    a stack; with ``end_state`` also ``prop^n_out @ y``, the last column
+    advanced by at most m - 1 matvecs."""
+    rows = np.atleast_2d(project)
+    c, d = rows.shape
+    m = _giant_step(d, n_out, c)
     n_giant = -(-n_out // m)
-    baby = np.empty((m, len(y)), dtype=complex)
-    row = project
-    for i in range(m):
-        row = baby[i] = row @ prop
+    baby = np.empty((m, c, d), dtype=complex)
+    baby[0] = rows
+    for i in range(1, m):
+        baby[i] = baby[i - 1] @ prop
     giant = prop
     for _ in range(m.bit_length() - 1):
         giant = giant @ giant
-    cols = np.empty((n_giant, len(y)), dtype=complex)
-    cols[0] = y
+    cols = np.empty((n_giant, d), dtype=complex)
+    cols[0] = prop @ y
     for j in range(1, n_giant):
         cols[j] = giant @ cols[j - 1]
-    return (cols @ baby.T).ravel()[:n_out]
-
-
-def _dense_steps(prop: np.ndarray, y: np.ndarray, n_out: int, out=None):
-    """The dense step loop: ``n_out`` products y <- prop @ y, each step's state
-    recorded in ``out``."""
-    for k in range(n_out):
+    proj = (cols @ baby.reshape(m * c, d).T).reshape(n_giant * m, c)[:n_out]
+    if project.ndim == 1:
+        proj = proj.ravel()
+    if not end_state:
+        return proj
+    y = cols[-1]
+    for _ in range(n_out - (n_giant - 1) * m - 1):
         y = prop @ y
-        if out is not None:
-            out[k] = y
-    return y
+    return proj, y
 
 
-def _rk4(gen: Generator, y: np.ndarray, a: float, h_out: float, n_out: int, dt: float,
-         coeffs, out=None, project=None):
+def _rk4(parts: tuple, y: np.ndarray, a: float, h_out: float, n_out: int, dt: float,
+         coeffs, const: bool, out=None, project=None):
     """Fixed-step RK4 over ``n_out`` output steps of ``h_out`` from ``a``, each
-    split into equal substeps no longer than ``dt``; ``coeffs(t)`` gives the
-    (drive, Omega_c) pair.  Records like ``_dense_steps``."""
-    n1 = gen.index.dim_singles
-    s1 = gen.s1 if y.ndim == 1 else gen.s1[:, None]
-    doubles = y.shape[0] > 1 + n1
+    split into equal substeps no longer than ``dt``, with the derivative
+    S y + Omega_c(t) W y + e(t) F y of the stacked ``parts`` (S, W, F);
+    ``coeffs(t)`` gives the (e, Omega_c) pair, and on a ``const`` stretch the
+    three fold into one CSR.  Records like ``propagate_segment``."""
+    s, w, f = parts
+    if const:
+        drive, om = coeffs(a)
+        op = (s + om * w + drive * f).tocsr()
 
-    def deriv(t: float, yy: np.ndarray) -> np.ndarray:
-        drive, om = coeffs(t)
-        y1 = yy[1:1 + n1]
-        d = np.empty_like(yy)
-        d[0] = 0.0
-        d[1:1 + n1] = gen.m1_static @ y1 + om * (gen.m1_omega @ y1) + drive * (s1 * yy[0:1])
-        if doubles:
-            y2 = yy[1 + n1:]
-            d[1 + n1:] = gen.m2_static @ y2 + om * (gen.m2_omega @ y2) + drive * (gen.s21 @ y1)
-        return d
+        def deriv(t: float, yy: np.ndarray) -> np.ndarray:
+            return op @ yy
+    else:
+        def deriv(t: float, yy: np.ndarray) -> np.ndarray:
+            drive, om = coeffs(t)
+            return s @ yy + om * (w @ yy) + drive * (f @ yy)
 
     n_sub = max(1, math.ceil(h_out / dt - 1e-9))
     h = h_out / n_sub
     for k in range(n_out):
         base = a + k * h_out
-        for s in range(n_sub):
-            t = base + s * h
+        for i in range(n_sub):
+            t = base + i * h
             k1 = deriv(t, y)
             k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
             k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
@@ -524,7 +606,8 @@ def _rk4(gen: Generator, y: np.ndarray, a: float, h_out: float, n_out: int, dt: 
 
 def evolve(generator: Generator, t_span, dt: float | None = None,
            dt_out: float | None = None, method: str = "auto",
-           drive_scale: float = 1.0, initial: TruncatedState | None = None) -> StateTrajectory:
+           drive_scale: float = 1.0, initial: TruncatedState | None = None,
+           project: np.ndarray | None = None) -> StateTrajectory:
     """Integrate the truncated state over ``t_span`` and sample it.
 
     method:
@@ -535,6 +618,10 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
                  (raises if coefficients vary inside a segment);
         "auto" - expm on constant stretches when the dimension permits and the
                  stretch is long enough to pay for it, RK4 otherwise.
+
+    The trajectory holds the full states, or, with a covector stack
+    ``project`` (c x (1 + dim) over [ground; singles; doubles], e.g.
+    ``Generator.output_covectors``), only the projections ``project @ y``.
     """
     if method not in ("rk4", "expm", "auto"):
         raise ConfigurationError(f"unknown method {method!r}")
@@ -550,21 +637,23 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
         initial = zero_state(idx)
     segments = _segment_grid(t0, t1, generator.breakpoints(), dt_out)
     y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
-    stacked = np.empty((1 + sum(n for _, _, n in segments), len(y)), dtype=complex)
-    stacked[0] = y
+    n_samples = 1 + sum(n for _, _, n in segments)
+    record = np.empty((n_samples, len(y) if project is None else len(project)), dtype=complex)
+    record[0] = y if project is None else project @ y
     times = [t0]
     cache: dict = {}
     for (a, b, n_out) in segments:
         i = len(times)
         y = propagate_segment(generator, y, a, b, n_out, dt=dt, method=method,
-                              drive_scale=drive_scale, out=stacked[i:i + n_out],
-                              cache=cache)
+                              drive_scale=drive_scale, out=record[i:i + n_out],
+                              cache=cache, project=project)
         h_out = (b - a) / n_out
         times.extend(a + k * h_out for k in range(1, n_out + 1))
         _check_finite(y, b)
 
     return StateTrajectory(index=idx, times=np.array(times),
-                           states=stacked[:, 1:].copy(),
+                           states=record[:, 1:] if project is None else None,
+                           projections=record if project is not None else None,
                            envelope_unit=np.array([generator.envelope_at(t) for t in times]),
                            omega_c=np.array([generator.omega_at(t) for t in times]),
                            drive_scale=drive_scale)

@@ -63,26 +63,23 @@ class ObservableTrace:
         return i
 
 
-def one_photon_amplitudes(traj: StateTrajectory, generator: Generator) -> np.ndarray:
-    """f1(t) on the whole grid: input plus collective forward emission."""
-    n1 = traj.index.dim_singles
-    return traj.envelope_unit + traj.states[:, :n1] @ generator.out_e
-
-
-def two_photon_amplitudes(traj: StateTrajectory, generator: Generator) -> np.ndarray:
-    """A2(t): fully de-excited component of the doubly applied field operator."""
-    n1 = traj.index.dim_singles
-    f_single = traj.states[:, :n1] @ generator.out_e
-    return (traj.envelope_unit ** 2 + 2.0 * traj.envelope_unit * f_single
-            + traj.states[:, n1:] @ generator.a2vec)
-
-
 def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
                           floor: float = DEFAULT_INTENSITY_FLOOR) -> ObservableTrace:
-    f1 = one_photon_amplitudes(traj, generator)
-    a2 = two_photon_amplitudes(traj, generator)
-    intensity = np.abs(f1) ** 2
-    g2tilde = np.abs(a2) ** 2
+    """Intensity |f1|^2 with f1 = ep + out_e . psi1, and two-photon intensity
+    |A2|^2 with A2 = ep^2 + 2 ep (out_e . psi1) + a2vec . psi2, on the
+    trajectory grid; a projections-only trajectory must hold the
+    ``Generator.output_covectors`` projections."""
+    if traj.states is None:
+        if traj.projections.shape[1] != 2:
+            raise ConfigurationError("trajectory projections are not the output covectors")
+        f_single, f_double = traj.projections.T
+    else:
+        n1 = traj.index.dim_singles
+        f_single = traj.states[:, :n1] @ generator.out_e
+        f_double = traj.states[:, n1:] @ generator.a2vec
+    env = traj.envelope_unit
+    intensity = np.abs(env + f_single) ** 2
+    g2tilde = np.abs(env ** 2 + 2.0 * env * f_single + f_double) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         g2 = np.where(intensity > floor, g2tilde / intensity ** 2, np.nan)
     return ObservableTrace(times=traj.times.copy(), envelope_unit=traj.envelope_unit.copy(),

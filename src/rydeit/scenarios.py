@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .model import (BlockadeConfig, ConfigurationError, ControlSchedule,
-                    PhysicalParams, PulseEnvelope, PulseShape, atoms_for_depth,
+                    PulseEnvelope, PulseShape, atoms_for_depth,
                     build_chain, ns_from_time, optical_depth, time_from_ns)
 from .configio import ScenarioConfig, manifest_text
 from .counting import (EfficiencyBudget, emulate_trials, estimate_g2,
@@ -119,7 +119,10 @@ def relaxed_dt(gen) -> float | None:
     return min(0.05 / gen.nonstiff_rate(), 0.7 / gen.v_max)
 
 
-def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False):
+def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False, states: bool = False):
+    """Generator, trajectory and trace of the configured run; the trajectory
+    keeps the full states only with ``states`` (for a correlation grid),
+    otherwise just the output projections the trace reads."""
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),
                              cfg.schedule(), cfg.envelope())
     g = cfg.params.gamma_mhz
@@ -127,7 +130,8 @@ def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False):
     if dt is None and relax_stiff:
         dt = relaxed_dt(gen)
     traj = evolve(gen, cfg.horizon(), dt=dt,
-                  dt_out=time_from_ns(cfg.dt_out_ns, g), method=cfg.method)
+                  dt_out=time_from_ns(cfg.dt_out_ns, g), method=cfg.method,
+                  project=None if states else gen.output_covectors())
     return gen, traj, trace_from_trajectory(traj, gen)
 
 
@@ -174,9 +178,10 @@ def run_propagate(cfg: ScenarioConfig) -> ResultBundle:
 
 def _turnon_point(args) -> dict:
     """One (D, Omega_c) turn-on point: evolve from vacuum under a long square
-    drive, auto-extended until g2 settles, and extract tau_0."""
-    (d_target, om, ratio, rel_tol, cap_mult) = args
-    params = PhysicalParams.from_ratio(ratio=ratio, omega_c_peak=om)
+    drive, auto-extended until g2 settles, and extract tau_0.  The point's
+    ``params`` are the configured ones, with the control set to Omega_c."""
+    (d_target, om, params, rel_tol, cap_mult) = args
+    params = dc_replace(params, omega_c_peak=om)
     n = atoms_for_depth(d_target, params)
     chain = build_chain(n, 1.0)
     d = optical_depth(chain, params)
@@ -193,7 +198,8 @@ def _turnon_point(args) -> dict:
         ss = steady_state(gen, omega_c=om)
         i_ss = abs(one_photon_amplitude(ss, 1.0, gen)) ** 2
         g2_ss = abs(two_photon_amplitude(ss, 1.0, gen)) ** 2 / i_ss ** 2
-        traj = evolve(gen, (0.0, horizon), dt_out=horizon / 2500.0, method="auto")
+        traj = evolve(gen, (0.0, horizon), dt_out=horizon / 2500.0, method="auto",
+                      project=gen.output_covectors())
         trace = trace_from_trajectory(traj, gen)
         try:
             tau0 = extract_tau0(trace, 0.0, horizon, g2_ss, rel_tol)
@@ -216,7 +222,7 @@ _TURNON_COLS = ["d_target", "d", "n_atoms", "omega_c", "tau0_gamma", "tau0_ns",
 
 @_timed
 def run_turnon_scan(cfg: ScenarioConfig) -> ResultBundle:
-    points = [(d, om, cfg.params.coupling_ratio, cfg.rel_tol, 100.0)
+    points = [(d, om, cfg.params, cfg.rel_tol, 100.0)
               for d in cfg.d_list for om in cfg.omega_c_list]
     results = _map_points(_turnon_point, points, cfg.threads)
     g = cfg.params.gamma_mhz
@@ -243,9 +249,11 @@ def run_turnon_scan(cfg: ScenarioConfig) -> ResultBundle:
 def _turnoff_point(args) -> dict:
     """One (D, Omega_c) turn-off point, starting from the exact driven steady
     state (the long-pulse limit): singles give tau_I and the retrieval peak,
-    doubles give the shutoff jump, tau_II and the late decay rate."""
-    (d_target, om, ratio, want_doubles, fit_lo, fit_hi) = args
-    params = PhysicalParams.from_ratio(ratio=ratio, omega_c_peak=om)
+    doubles give the shutoff jump, tau_II and the late decay rate.  The
+    point's ``params`` are the configured ones, with the control set to
+    Omega_c."""
+    (d_target, om, params, want_doubles, fit_lo, fit_hi) = args
+    params = dc_replace(params, omega_c_peak=om)
     n = atoms_for_depth(d_target, params)
     chain = build_chain(n, 1.0)
     d = optical_depth(chain, params)
@@ -314,7 +322,7 @@ _TURNOFF_COLS = ["d_target", "d", "n_atoms", "omega_c", "i_ss", "i_jump",
 
 @_timed
 def run_turnoff_scan(cfg: ScenarioConfig) -> ResultBundle:
-    points = [(d, om, cfg.params.coupling_ratio, cfg.turnoff_doubles,
+    points = [(d, om, cfg.params, cfg.turnoff_doubles,
                cfg.tail_fit_start, cfg.tail_fit_end)
               for d in cfg.d_list for om in cfg.omega_c_list]
     results = _map_points(_turnoff_point, points, cfg.threads)
@@ -430,7 +438,7 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
         shape_cfg = dc_replace(shape_cfg, duration_ns=1500.0,
                                fwhm_ns=cfg.fwhm_ns or 600.0,
                                rise_time_ns=0.0)
-    gen, traj, trace = _propagate(shape_cfg, relax_stiff=(shape == "gaussian"))
+    gen, traj, trace = _propagate(shape_cfg, relax_stiff=(shape == "gaussian"), states=True)
     grid = correlation_grid(traj, gen)
     rows = []
     end = time_from_ns(cfg.end_time_ns, g)
@@ -469,7 +477,7 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     if cfg.schedule_kind != "storage":
         raise ConfigurationError("storage scenario needs a storage schedule (t_off_ns)")
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg, relax_stiff=True)
+    gen, traj, trace = _propagate(cfg, relax_stiff=True, states=True)
     grid = correlation_grid(traj, gen)
     t_release = time_from_ns(cfg.t_off_ns + cfg.t_store_ns, g)
     t_end = trace.times[-1]
@@ -512,7 +520,7 @@ def run_dlcz(cfg: ScenarioConfig) -> ResultBundle:
 @_timed
 def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg)
+    gen, traj, trace = _propagate(cfg, states=True)
     grid = correlation_grid(traj, gen)
     budget = EfficiencyBudget(eta_path=cfg.eta_path, eta1=cfg.eta1, eta2=cfg.eta2,
                               split=cfg.split)

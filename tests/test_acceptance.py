@@ -191,7 +191,7 @@ def test_criterion_06_two_photon_decay_scaling():
     bundle = run_turnoff_scan(cfg)
     exponent = bundle.scalars.get("tau_ii_vs_d_exponent", math.nan)
     # canonical deep-medium reference point for the late-time decay rate
-    point = _turnoff_point((7.3, 0.5, 0.2, True, 8.0, 25.0))
+    point = _turnoff_point((7.3, 0.5, PhysicalParams.from_ratio(0.2), True, 8.0, 25.0))
     rate = point["tail_rate"]
     ok_exp = -1.25 <= exponent <= -0.75
     ok_rate = abs(rate - 1.0) <= 0.30

@@ -10,10 +10,12 @@ from scipy.linalg import expm as _scipy_expm
 
 from rydeit.model import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseShape,
                           build_chain, optical_depth)
-from rydeit.dynamics import (DynamicsError, SinglesPropagator, apply_field,
+from rydeit.dynamics import (DynamicsError, SinglesPropagator, _giant_step, apply_field,
                              conditional_evolve, evolve, free_decay, one_photon_amplitude,
                              propagate_segment, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
+from rydeit.model import ConfigurationError
+from rydeit.observables import trace_from_trajectory
 from rydeit.statespace import TruncatedState, zero_state
 
 from conftest import make_generator
@@ -222,25 +224,182 @@ def test_short_constant_stretch_stays_rk4():
         longer, evolve(gen, (0.0, 20.0), dt=dt, dt_out=9 * dt, method="rk4").states)
 
 
+@pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])
 @pytest.mark.parametrize("n_out", [1, 2, 63, 64, 65, 5000, 6001])
-def test_free_decay_matches_step_loop(doubles, horizon, n_out):
-    # free_decay splits the powers into baby and giant steps (64 of each
-    # near 5000 steps); the reference is the plain loop y <- P y
+def test_free_decay_matches_step_loop(doubles, horizon, n_out, rows):
+    # free_decay splits the powers into baby and giant steps; the reference
+    # is the plain loop y <- P y, projected on one covector or a 2-row stack
     from scipy.linalg import expm as _expm
     gen = make_generator(n_atoms=10, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
     y0, m, project = ((ss.doubles, gen.m2(0.5).toarray(), gen.a2vec) if doubles
                       else (ss.singles, gen.m1(0.5), gen.out_e))
+    if rows == 2:
+        rng = np.random.default_rng(11)
+        project = np.stack([project, rng.normal(size=len(y0)) + 1j * rng.normal(size=len(y0))])
     prop = _expm(m * (horizon / n_out))
-    ref = np.empty(n_out, dtype=complex)
+    ref = np.empty((n_out,) + project.shape[:-1], dtype=complex)
     y = y0
     for k in range(n_out):
         y = prop @ y
         ref[k] = project @ y
     got = free_decay(gen, y0, 0.5, horizon, n_out, project, doubles=doubles)
-    assert got.shape == (n_out,)
+    assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_giant_step_cost_rule():
+    # the measured shapes: turn-on points (d ~ 1,001, 2,500 steps, two
+    # covectors), the turn-off doubles decay (d = 975, 5,000 steps, one) and
+    # the replica's plateau and tail (d = 1,625, ~500 steps, two), where a
+    # squaring costs more than the matvecs it saves
+    assert _giant_step(1001, 2500, 2) == 8
+    assert _giant_step(975, 5000, 1) == 16
+    for n in (450, 500, 523, 550):
+        assert _giant_step(1625, n, 2) == 1
+    assert _giant_step(56, 6000, 1) == 64
+    assert _giant_step(1625, 1, 2) == 1
+
+
+def _stacked_y(gen, doubles, rng, cols=None):
+    d = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
+    shape = (d,) if cols is None else (d, cols)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("doubles", [False, True])
+def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
+    gen = _power_law_generator(omega_c=0.5, gamma_r=0.02, delta_e=0.1)
+    s, w, f = gen.stacked(doubles)
+    n1 = gen.index.dim_singles
+    assert s.format == w.format == f.format == "csr"
+    assert gen.stacked(doubles)[0] is s                  # built once per layout
+    for env, om, scale in ((1.0, 0.5, 1.0), (0.3, 0.05, 1.7), (0.0, 0.25, 1.0)):
+        dense = s.toarray() + om * w.toarray() + (scale * env) * f.toarray()
+        assert np.array_equal(gen.augmented(env, om, scale, doubles), dense)
+    # the blocks land where the [ground; singles(; doubles)] layout puts them
+    a = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
+    assert np.all(a[0] == 0)
+    np.testing.assert_array_equal(a[1:1 + n1, 0], 0.3 * gen.s1)
+    np.testing.assert_array_equal(a[1:1 + n1, 1:1 + n1], gen.m1(0.5))
+    if doubles:
+        np.testing.assert_array_equal(a[1 + n1:, 0], 0)
+        np.testing.assert_array_equal(a[1 + n1:, 1:1 + n1], 0.3 * gen.s21.toarray())
+        np.testing.assert_array_equal(a[1 + n1:, 1 + n1:], gen.m2(0.5).toarray())
+        np.testing.assert_array_equal(a[1:1 + n1, 1 + n1:], 0)
+
+
+def _block_deriv(gen, yy, drive, om):
+    """The block derivative the stacked operator replaced: singles and
+    doubles products sliced out of the stacked vector or columns."""
+    n1 = gen.index.dim_singles
+    s1 = gen.s1 if yy.ndim == 1 else gen.s1[:, None]
+    y1 = yy[1:1 + n1]
+    d = np.empty_like(yy)
+    d[0] = 0.0
+    d[1:1 + n1] = gen.m1_static @ y1 + om * (gen.m1_omega @ y1) + drive * (s1 * yy[0:1])
+    if yy.shape[0] > 1 + n1:
+        y2 = yy[1 + n1:]
+        d[1 + n1:] = gen.m2_static @ y2 + om * (gen.m2_omega @ y2) + drive * (gen.s21 @ y1)
+    return d
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("doubles", [False, True])
+def test_stacked_derivative_matches_block_derivative(doubles, cols):
+    gen = _power_law_generator(omega_c=0.5, gamma_r=0.02)
+    s, w, f = gen.stacked(doubles)
+    rng = np.random.default_rng(3)
+    for drive, om in ((0.0, 0.5), (0.37, 0.5), (1.7, 0.05)):
+        y = _stacked_y(gen, doubles, rng, cols)
+        ref = _block_deriv(gen, y, drive, om)
+        scale = np.max(np.abs(ref))
+        got = s @ y + om * (w @ y) + drive * (f @ y)
+        folded = (s + om * w + drive * f).tocsr() @ y
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(folded - ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 19.0)])   # rise edge, plateau
+def test_rk4_matches_block_derivative_loop(a, b):
+    # propagate_segment's RK4 (three stacked parts on the varying edge, one
+    # folded CSR on the plateau) against the RK4 loop on the block derivative
+    gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
+    rng = np.random.default_rng(4)
+    y0 = _stacked_y(gen, True, rng)
+    dt, n_out = 0.01, 5
+    got = np.empty((n_out, len(y0)), dtype=complex)
+    end = propagate_segment(gen, y0, a, b, n_out, dt=dt, method="rk4", out=got)
+    h_out = (b - a) / n_out
+    n_sub = math.ceil(h_out / dt - 1e-9)
+    h = h_out / n_sub
+    t_hi = b - 1e-12 * max(1.0, b - a)
+
+    def deriv(t, yy):
+        t = min(t, t_hi)
+        return _block_deriv(gen, yy, gen.envelope_at(t), gen.omega_at(t))
+
+    ref = np.empty_like(got)
+    y = y0
+    for k in range(n_out):
+        for i in range(n_sub):
+            t = a + k * h_out + i * h
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = deriv(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ref[k] = y
+    assert np.array_equal(end, got[-1])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("method", ["auto", "rk4"])
+def test_projections_only_evolve_matches_states(method):
+    # square pulse with rise edges and a tail, doubles on: exponential
+    # plateau and tail (auto), RK4 edges; the projections-only run records
+    # C y where the full run records y
+    gen = _power_law_generator(duration=20.0, rise_time=1.0)
+    c = gen.output_covectors()
+    full = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.25, method=method)
+    proj = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.25, method=method, project=c)
+    assert proj.states is None and full.projections is None
+    np.testing.assert_array_equal(proj.times, full.times)
+    ones = np.ones((full.n_samples, 1))
+    ref = np.hstack([ones, full.states]) @ c.T
+    assert np.max(np.abs(proj.projections - ref)) <= 1e-13 * np.max(np.abs(ref))
+    t_full = trace_from_trajectory(full, gen)
+    t_proj = trace_from_trajectory(proj, gen)
+    np.testing.assert_allclose(t_proj.intensity, t_full.intensity, rtol=0,
+                               atol=1e-13 * np.max(t_full.intensity))
+    with pytest.raises(ConfigurationError):
+        proj.state_at(0)
+
+
+@pytest.mark.parametrize("n_out, m", [(1, 1), (2, 1), (33, 1), (64, 2), (65, 2),
+                                      (255, 4), (256, 4), (511, 8), (512, 8),
+                                      (513, 8), (2500, 32)])
+def test_projected_segment_matches_state_loop(n_out, m):
+    # one exponential stretch: the projections and the end state from baby
+    # and giant steps against the step loop; n_out on both sides of
+    # multiples of the chosen giant step m, so the end state takes 0 to
+    # m - 1 plain matvecs after the last column
+    gen = _power_law_generator(n_atoms=8, duration=100.0)
+    assert _giant_step(1 + gen.index.dim, n_out, 3) == m
+    rng = np.random.default_rng(6)
+    y0 = _stacked_y(gen, True, rng)
+    c = np.vstack([gen.output_covectors(), rng.normal(size=len(y0))])
+    states = np.empty((n_out, len(y0)), dtype=complex)
+    kw = dict(dt=gen.suggest_dt(), method="expm", drive_scale=0.8)
+    end_ref = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=states, **kw)
+    got = np.empty((n_out, 3), dtype=complex)
+    end = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=got, project=c, **kw)
+    ref = states @ c.T
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the undamped r amplitudes carry the rounding of up to 2,500 steps,
+    # taken in a different order by the two paths
+    assert np.max(np.abs(end - end_ref)) <= 1e-12 * np.max(np.abs(end_ref))
 
 
 def test_evolve_deterministic_bit_for_bit():

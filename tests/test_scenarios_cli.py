@@ -5,7 +5,7 @@ import pytest
 
 from rydeit.cli import main
 from rydeit.configio import default_config, load_config, manifest_text
-from rydeit.model import ConfigurationError
+from rydeit.model import ConfigurationError, PhysicalParams
 from rydeit.scenarios import (replica_config, run_dlcz, run_propagate, run_spectrum,
                               run_window_scan)
 
@@ -153,10 +153,10 @@ def test_turnon_point_auto_extends_and_caps():
     from rydeit.scenarios import _turnon_point
     # a very tight settling tolerance outruns the initial horizon and forces
     # the doubling path; an absurd tolerance with a tiny cap must flag the row
-    out = _turnon_point((1.8, 0.5, 0.2, 1e-9, 100.0))
+    out = _turnon_point((1.8, 0.5, PhysicalParams.from_ratio(0.2), 1e-9, 100.0))
     assert out["status"] == "ok"
     assert out["tau_0"] > 50.0  # beyond the first horizon
-    capped = _turnon_point((1.8, 0.5, 0.2, 1e-13, 4.0))
+    capped = _turnon_point((1.8, 0.5, PhysicalParams.from_ratio(0.2), 1e-13, 4.0))
     assert capped["status"] == "no_settling_before_cap"
 
 
@@ -165,16 +165,16 @@ def test_scan_point_fingerprints():
     # catch a refactor that moves the numbers; pin points of each scan, the
     # turn-on scan on both its RK4 and its exponential branch
     from rydeit.scenarios import _turnoff_point, _turnon_point
-    on = _turnon_point((3.6, 0.25, 0.2, 0.005, 100.0))
+    on = _turnon_point((3.6, 0.25, PhysicalParams.from_ratio(0.2), 0.005, 100.0))
     assert on["status"] == "ok"
     assert on["tau_0"] == pytest.approx(64.59725685832528, rel=1e-12)
     assert on["g2_ss"] == pytest.approx(0.1043612635729166, rel=1e-12)
     # Omega_c = 0.05: the output step is long enough for the exponential
-    on = _turnon_point((3.6, 0.05, 0.2, 0.005, 100.0))
+    on = _turnon_point((3.6, 0.05, PhysicalParams.from_ratio(0.2), 0.005, 100.0))
     assert on["status"] == "ok"
     assert on["tau_0"] == pytest.approx(1864.639025643132, rel=1e-12)
     assert on["g2_ss"] == pytest.approx(0.0887863478133944, rel=1e-12)
-    off = _turnoff_point((3.6, 0.25, 0.2, True, 8.0, 25.0))
+    off = _turnoff_point((3.6, 0.25, PhysicalParams.from_ratio(0.2), True, 8.0, 25.0))
     assert off["status"] == "ok"
     expected = {"tau_i": 4.874427894176789, "peak_intensity": 0.5931312619453503,
                 "g2tilde_jump": 0.45826138407156086, "tau_ii": 0.7273525589201222,
@@ -183,12 +183,36 @@ def test_scan_point_fingerprints():
         assert off[key] == pytest.approx(value, rel=1e-12), key
 
 
+def test_scan_points_keep_the_configured_params(monkeypatch):
+    # a scan point runs with the configured parameters, the control set to
+    # its Omega_c: gamma_r survives, and the rates of ratio 0.405, which do
+    # not survive a round trip through the ratio, are used as given
+    import rydeit.scenarios as scenarios
+    from dataclasses import replace
+    params = PhysicalParams.from_ratio(0.405, gamma_r=0.05)
+    assert PhysicalParams.from_ratio(params.coupling_ratio).gamma_1d != params.gamma_1d
+    seen = []
+    real = scenarios.assemble_generator
+
+    def spy(p, *args, **kwargs):
+        seen.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "assemble_generator", spy)
+    cfg = replace(default_config("turnon_scan", {}), params=params, d_list=(1.8,),
+                  omega_c_list=(0.5,), threads=1)
+    assert scenarios.run_turnon_scan(cfg).tables[0][2][0][-1] == "ok"
+    scenarios._turnoff_point((1.8, 0.25, params, False, 5.0, 20.0))
+    assert seen[0] == replace(params, omega_c_peak=0.5)
+    assert seen[-1] == replace(params, omega_c_peak=0.25)
+
+
 def test_turnoff_doubles_above_expm_cap(monkeypatch):
     # above the dense cap the turn-off blocks decay under RK4; it must
     # reproduce the dense path's two-photon numbers
     import rydeit.dynamics as dynamics
     from rydeit.scenarios import _turnoff_point
-    point = (3.6, 0.25, 0.2, True, 8.0, 25.0)
+    point = (3.6, 0.25, PhysicalParams.from_ratio(0.2), True, 8.0, 25.0)
     dense = _turnoff_point(point)
 
     def no_expm(_a):
@@ -225,7 +249,7 @@ def test_turnoff_retries_keep_the_output_step():
     from rydeit.dynamics import steady_state
     from rydeit.scenarios import _turnoff_point
     from conftest import make_generator
-    out = _turnoff_point((1.8, 0.5, 0.2, False, 5.0, 20.0))
+    out = _turnoff_point((1.8, 0.5, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0))
     assert out["status"] == "no_half_crossing"
     gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0, n_in=1.0)
     y = steady_state(gen, omega_c=0.5).singles
@@ -239,8 +263,8 @@ def test_turnoff_retries_keep_the_output_step():
     assert out["peak_intensity"] == pytest.approx(np.max(np.abs(amps) ** 2), rel=1e-12)
 
 
-_GOOD_POINT = (1.8, 0.5, 0.2, False, 5.0, 20.0)
-_BAD_POINT = (1.8, 0.25, -1.0, False, 5.0, 20.0)   # negative ratio is invalid
+_GOOD_POINT = (1.8, 0.5, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)
+_BAD_POINT = (1.8, -0.25, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)  # negative control
 
 
 @pytest.mark.filterwarnings("ignore:scan point")
@@ -249,7 +273,7 @@ def test_map_points_flags_a_raising_point(threads):
     from rydeit.scenarios import _map_points, _turnoff_point
     good, bad = _map_points(_turnoff_point, [_GOOD_POINT, _BAD_POINT], threads)
     assert good["status"] == "no_half_crossing"
-    assert bad == {"d_target": 1.8, "omega_c": 0.25,
+    assert bad == {"d_target": 1.8, "omega_c": -0.25,
                    "status": "failed:ConfigurationError"}
 
 
