@@ -504,20 +504,23 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
     """``project @ y`` after each of ``n_out`` equal steps over ``horizon`` for
     the singles block, or with ``doubles`` the doubles block, evolving alone:
     the probe is off, so no block is sourced, and the control stays at
-    ``omega``.  Under ``EXPM_MAX_DIM`` these are the projected powers of the
-    block's own dense propagator (``_projected_powers``); above it the RK4 on
-    the stacked layout with the blocks below ``y`` held at zero."""
+    ``omega``.  ``project`` is one covector, shape (n_out,) out, or a stack,
+    (n_out, c) out.  Under ``EXPM_MAX_DIM`` these are the projected powers of
+    the block's own dense propagator (``_projected_powers``); above it the RK4
+    on the stacked layout with the blocks below ``y`` held at zero."""
     h = horizon / n_out
     if len(y) <= EXPM_MAX_DIM:
         # the unscaled dense block stays a temporary: a name holding it through
         # expm would add one more block-sized array to the peak memory
         prop = expm((gen.m2(omega).toarray() if doubles else gen.m1(omega)) * h)
         return _projected_powers(prop, y, n_out, project)
-    out = np.empty(n_out, dtype=complex)
     lead = np.zeros(1 + (gen.index.dim_singles if doubles else 0), dtype=complex)
+    rows = np.atleast_2d(project)
+    out = np.empty((n_out, len(rows)), dtype=complex)
     _rk4(gen.stacked(doubles), np.concatenate([lead, y]), 0.0, h, n_out, gen.suggest_dt(),
-         lambda t: (0.0, omega), True, out, np.concatenate([lead, project]))
-    return out
+         lambda t: (0.0, omega), True, out,
+         np.hstack([np.zeros((len(rows), len(lead))), rows]))
+    return out if project.ndim > 1 else out[:, 0]
 
 
 #: GEMM-to-matvec cost ratio over the dimension d: one d x d product costs

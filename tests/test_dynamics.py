@@ -224,29 +224,49 @@ def test_short_constant_stretch_stays_rk4():
         longer, evolve(gen, (0.0, 20.0), dt=dt, dt_out=9 * dt, method="rk4").states)
 
 
-@pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])
 @pytest.mark.parametrize("n_out", [1, 2, 63, 64, 65, 5000, 6001])
-def test_free_decay_matches_step_loop(doubles, horizon, n_out, rows):
+def test_free_decay_matches_step_loop(doubles, horizon, n_out):
     # free_decay splits the powers into baby and giant steps; the reference
-    # is the plain loop y <- P y, projected on one covector or a 2-row stack
+    # is the plain loop y <- P y, projected on one covector and on a 2-row
+    # stack of it and a random covector
     from scipy.linalg import expm as _expm
     gen = make_generator(n_atoms=10, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
     y0, m, project = ((ss.doubles, gen.m2(0.5).toarray(), gen.a2vec) if doubles
                       else (ss.singles, gen.m1(0.5), gen.out_e))
-    if rows == 2:
-        rng = np.random.default_rng(11)
-        project = np.stack([project, rng.normal(size=len(y0)) + 1j * rng.normal(size=len(y0))])
+    rng = np.random.default_rng(11)
+    stack = np.stack([project, rng.normal(size=len(y0)) + 1j * rng.normal(size=len(y0))])
     prop = _expm(m * (horizon / n_out))
-    ref = np.empty((n_out,) + project.shape[:-1], dtype=complex)
+    ref = np.empty((n_out, 2), dtype=complex)
     y = y0
     for k in range(n_out):
         y = prop @ y
-        ref[k] = project @ y
+        ref[k] = stack @ y
     got = free_decay(gen, y0, 0.5, horizon, n_out, project, doubles=doubles)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert got.shape == (n_out,)
+    assert np.max(np.abs(got - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref[:, 0]))
+    got = free_decay(gen, y0, 0.5, horizon, n_out, stack, doubles=doubles)
+    assert got.shape == (n_out, 2)
+    for r in range(2):
+        assert np.max(np.abs(got[:, r] - ref[:, r])) <= 1e-12 * np.max(np.abs(ref[:, r]))
+
+
+@pytest.mark.parametrize("doubles", [False, True])
+def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
+    # above the dense cap the RK4 branch projects a covector stack row by row
+    # like single covectors
+    import rydeit.dynamics as dynamics
+    gen = make_generator(n_atoms=4, omega_c=0.5)
+    ss = steady_state(gen, omega_c=0.5)
+    y0, project = (ss.doubles, gen.a2vec) if doubles else (ss.singles, gen.out_e)
+    stack = np.stack([project, np.conj(project)])
+    monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
+    got = free_decay(gen, y0, 0.5, 2.0, 20, stack, doubles=doubles)
+    assert got.shape == (20, 2)
+    for r in range(2):
+        one = free_decay(gen, y0, 0.5, 2.0, 20, stack[r], doubles=doubles)
+        assert np.max(np.abs(got[:, r] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_giant_step_cost_rule():
