@@ -49,20 +49,23 @@ over the stacked layout; the trace runners pass ``output_covectors``, the
 rows out_e and a2vec), it records only the c projections C y per sample,
 which is all a time trace reads.  Such projections of an exponential stretch,
 and the turn-off scans' c P^k y (k = 1..n) of one block evolving alone with
-P = exp(M h), come from ``_projected_powers`` by baby and giant steps (after
-Paterson and Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1,
-the rows C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m), P^m
-from log2 m squarings of P) meet in one (ceil(n/m) x d)(d x m c) product,
-and the end state is the last column advanced by at most m - 1 matvecs.
-m is the power of two that minimizes the cost in matvecs,
-log2(m) d / GEMM_KAPPA + c m + ceil(n/m), where one d x d GEMM costs
-d / GEMM_KAPPA matvecs; GEMM_KAPPA = 4.8 (measured 4.4-5.2 for
-d = 975-1,625 at one BLAS thread).  That picks m = 8 for a turn-on point
-(d ~ 1,001, n = 2,500, c = 2), m = 16 for the doubles decay (d = 975,
-n = 5,000, c = 1) and m = 1, the plain step loop, for the replica
-(d = 1,625, n = 490 and 600), where a squaring costs more than the matvecs
-it saves.  Above ``EXPM_MAX_DIM`` ``free_decay`` steps RK4 on the stacked
-layout.
+P = exp(M h) (``free_decay``), come from ``_projected_powers`` by baby and
+giant steps (after Paterson and Stockmeyer, SIAM J. Comput. 2:60, 1973): with
+k = j m + i + 1, the rows C P^i (i < m) and the columns P^(j m + 1) y
+(j < ceil(n/m)) meet in one (ceil(n/m) x d)(d x m c) product, and the end
+state is the last column advanced by at most m - 1 steps.
+
+A dense P gives P^m by log2 m squarings, and m is the power of two that
+minimizes the cost in matvecs, log2(m) d / GEMM_KAPPA + c m + ceil(n/m),
+where one d x d GEMM costs d / GEMM_KAPPA matvecs; GEMM_KAPPA = 4.8 (measured
+4.4-5.2 for d = 975-1,625 at one BLAS thread).  That picks m = 8 for a
+turn-on point (d ~ 1,001, n = 2,500, c = 2), and m = 1, the plain step loop,
+for the replica (d = 1,625, n = 490 and 600), where a squaring costs more
+than the matvecs it saves.  The turn-off doubles block, and any block above
+``EXPM_MAX_DIM``, never becomes dense: its baby rows and giant columns
+advance by the action of the exponential on vectors (``_TaylorAction``, a
+truncated Taylor series after Al-Mohy and Higham, SIAM J. Sci. Comput.
+33:488, 2011), with m chosen from the planned matvecs of those actions.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
 SQRT2 = math.sqrt(2.0)
 
 #: Largest stacked dimension for which the dense matrix-exponential path is
-#: allowed (memory bound; above it the RK4 path is used).
+#: allowed (memory bound; above it ``propagate_segment`` steps RK4 and
+#: ``free_decay`` takes the Taylor action).
 EXPM_MAX_DIM = 2600
 
 
@@ -466,7 +470,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
                 cache[key] = unit
         prop = _at_drive(unit, drive_scale * gen.envelope_at(a), gen.index.dim_singles)
         if project is not None:
-            proj, y = _projected_powers(prop, y, n_out, project, end_state=True)
+            proj, y = _dense_powers(prop, y, n_out, project, end_state=True)
             if out is not None:
                 out[:] = proj
             return y
@@ -505,22 +509,85 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
     the singles block, or with ``doubles`` the doubles block, evolving alone:
     the probe is off, so no block is sourced, and the control stays at
     ``omega``.  ``project`` is one covector, shape (n_out,) out, or a stack,
-    (n_out, c) out.  Under ``EXPM_MAX_DIM`` these are the projected powers of
-    the block's own dense propagator (``_projected_powers``); above it the RK4
-    on the stacked layout with the blocks below ``y`` held at zero."""
+    (n_out, c) out.  These are projected powers of P = exp(M h) by baby and
+    giant steps (``_projected_powers``).  The singles block under
+    ``EXPM_MAX_DIM`` takes the dense P; its retry horizons reach ~1e5/Gamma,
+    where the action would need about horizon ||M||_1 matvecs.  The doubles
+    block, and any block above the cap, stays CSR and takes the actions of P
+    and P^m (``_TaylorAction``): the baby rows C P^i advance by the action
+    of M^T over h, the giant columns by that of M over m h, with m the power
+    of two that minimizes the planned matvecs ceil(n/m) mv(m h) + c m mv(h)."""
     h = horizon / n_out
-    if len(y) <= EXPM_MAX_DIM:
-        # the unscaled dense block stays a temporary: a name holding it through
-        # expm would add one more block-sized array to the peak memory
-        prop = expm((gen.m2(omega).toarray() if doubles else gen.m1(omega)) * h)
-        return _projected_powers(prop, y, n_out, project)
-    lead = np.zeros(1 + (gen.index.dim_singles if doubles else 0), dtype=complex)
-    rows = np.atleast_2d(project)
-    out = np.empty((n_out, len(rows)), dtype=complex)
-    _rk4(gen.stacked(doubles), np.concatenate([lead, y]), 0.0, h, n_out, gen.suggest_dt(),
-         lambda t: (0.0, omega), True, out,
-         np.hstack([np.zeros((len(rows), len(lead))), rows]))
-    return out if project.ndim > 1 else out[:, 0]
+    if not doubles and len(y) <= EXPM_MAX_DIM:
+        return _dense_powers(expm(gen.m1(omega) * h), y, n_out, project)
+    a = gen.m2(omega) if doubles else _csr(gen.m1(omega))
+    right, left = _TaylorAction(a), _TaylorAction(a.T.tocsr())
+    c = len(np.atleast_2d(project))
+    m = _cheapest_power(n_out, lambda k: (-(-n_out // (1 << k)) * right.matvecs((1 << k) * h)
+                                          + c * (1 << k) * left.matvecs(h)))
+    return _projected_powers(lambda v: right(h, v), lambda r: left(h, r.T).T,
+                             lambda v: right(m * h, v), m, y, n_out, project)
+
+
+#: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
+#: its backward error stays below 2^-53 (Higham, Functions of Matrices, 2008,
+#: table A.3; Al-Mohy and Higham 2011, table 3.1).  The table stops at m = 30:
+#: the terms of one substep grow to about exp(theta_m) times its result, and
+#: at theta_55 = 9.9 their rounding reached 8e-13 relative on a power-law
+#: doubles block, against 4e-15 with m <= 30
+TAYLOR_THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+                6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+                11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+                16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62,
+                22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86,
+                28: 3.08, 29: 3.31, 30: 3.54}
+
+
+class _TaylorAction:
+    """exp(tau A) X for a CSR matrix A and a vector or column stack X, by the
+    truncated Taylor series of Al-Mohy and Higham (2011, algorithm 3.2) with
+    the trace shift mu = tr(A)/d: s substeps of degree m, both chosen from
+    the exact 1-norm of tau (A - mu I) and ``TAYLOR_THETA`` to minimize the
+    matvecs m s.  A substep stops early once two consecutive terms fall
+    below 2^-53 of the sum.  No norm is estimated and nothing is random, so
+    a repeated call is bit-identical (scipy's ``expm_multiply`` draws its
+    norm estimates from numpy's global generator)."""
+
+    def __init__(self, a: sp.csr_matrix):
+        d = a.shape[0]
+        self.mu = a.diagonal().sum() / d
+        self.shifted = _csr(a - self.mu * sp.identity(d, dtype=complex, format="csr"))
+        self.norm = float(abs(self.shifted).sum(axis=0).max())
+
+    def plan(self, tau: float) -> tuple:
+        """(m, s), degree and substeps, for exp(tau A)."""
+        x = tau * self.norm
+        if x == 0.0:
+            return 0, 1
+        return min((m * max(1, math.ceil(x / th)), m, max(1, math.ceil(x / th)))
+                   for m, th in TAYLOR_THETA.items())[1:]
+
+    def matvecs(self, tau: float) -> int:
+        """The planned matvecs of one action over tau."""
+        m, s = self.plan(tau)
+        return m * s
+
+    def __call__(self, tau: float, x: np.ndarray) -> np.ndarray:
+        m, s = self.plan(tau)
+        eta = np.exp(tau * self.mu / s)
+        f = x
+        for _ in range(s):
+            c1 = np.max(np.abs(x))
+            for j in range(1, m + 1):
+                x = (tau / (s * j)) * (self.shifted @ x)
+                c2 = np.max(np.abs(x))
+                f = f + x
+                if c1 + c2 <= 2.0 ** -53 * np.max(np.abs(f)):
+                    break
+                c1 = c2
+            f = eta * f
+            x = f
+        return f
 
 
 #: GEMM-to-matvec cost ratio over the dimension d: one d x d product costs
@@ -528,39 +595,53 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
 GEMM_KAPPA = 4.8
 
 
+def _cheapest_power(n: int, cost) -> int:
+    """The power of two m = 2^k <= n whose ``cost(k)`` is least (the smaller
+    m on a tie)."""
+    return 1 << min(range(n.bit_length()), key=cost)
+
+
 def _giant_step(d: int, n: int, c: int) -> int:
     """The power of two m that minimizes the cost, in matvecs, of ``n``
-    projected powers of a d x d propagator onto ``c`` covectors:
+    projected powers of a dense d x d propagator onto ``c`` covectors:
     log2(m) squarings at d / GEMM_KAPPA each, c m baby rows and ceil(n / m)
     giant columns (m = 1 is the plain step loop)."""
-    return min((k * d / GEMM_KAPPA + c * (1 << k) + -(-n // (1 << k)), 1 << k)
-               for k in range(n.bit_length()))[1]
+    return _cheapest_power(n, lambda k: k * d / GEMM_KAPPA + c * (1 << k) + -(-n // (1 << k)))
 
 
-def _projected_powers(prop: np.ndarray, y: np.ndarray, n_out: int, project: np.ndarray,
-                      end_state: bool = False):
-    """``project @ prop^k @ y`` for k = 1..n_out by baby and giant steps: with
-    k = j m + i + 1, the rows ``project @ prop^i`` (i = 0..m-1) and the columns
-    ``prop^(j m + 1) @ y`` (j = 0..J-1, J = ceil(n_out / m)) meet in one
-    (J x d)(d x m c) product, m from ``_giant_step`` (at m = 1, the step loop
-    y <- prop @ y projected).  Shape (n_out,) for one covector, (n_out, c) for
-    a stack; with ``end_state`` also ``prop^n_out @ y``, the last column
-    advanced by at most m - 1 matvecs."""
+def _dense_powers(prop: np.ndarray, y: np.ndarray, n_out: int, project: np.ndarray,
+                  end_state: bool = False):
+    """``_projected_powers`` of a dense propagator, with m from ``_giant_step``
+    and P^m from log2 m squarings."""
+    m = _giant_step(len(y), n_out, len(np.atleast_2d(project)))
+    giant = prop
+    for _ in range(m.bit_length() - 1):
+        giant = giant @ giant
+    return _projected_powers(lambda v: prop @ v, lambda r: r @ prop, lambda v: giant @ v,
+                             m, y, n_out, project, end_state)
+
+
+def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
+                      project: np.ndarray, end_state: bool = False):
+    """``project @ P^k @ y`` for k = 1..n_out by baby and giant steps, P given
+    by its actions ``step(v)`` = P v, ``step_rows(r)`` = r P on a row stack
+    and ``giant(v)`` = P^m v: with k = j m + i + 1, the rows ``project @ P^i``
+    (i = 0..m-1) and the columns P^(j m + 1) y (j = 0..J-1, J = ceil(n_out /
+    m)) meet in one (J x d)(d x m c) product (at m = 1, the step loop
+    y <- P y projected).  Shape (n_out,) for one covector, (n_out, c) for a
+    stack; with ``end_state`` also P^n_out y, the last column advanced by at
+    most m - 1 steps."""
     rows = np.atleast_2d(project)
     c, d = rows.shape
-    m = _giant_step(d, n_out, c)
     n_giant = -(-n_out // m)
     baby = np.empty((m, c, d), dtype=complex)
     baby[0] = rows
     for i in range(1, m):
-        baby[i] = baby[i - 1] @ prop
-    giant = prop
-    for _ in range(m.bit_length() - 1):
-        giant = giant @ giant
+        baby[i] = step_rows(baby[i - 1])
     cols = np.empty((n_giant, d), dtype=complex)
-    cols[0] = prop @ y
+    cols[0] = step(y)
     for j in range(1, n_giant):
-        cols[j] = giant @ cols[j - 1]
+        cols[j] = giant(cols[j - 1])
     proj = (cols @ baby.reshape(m * c, d).T).reshape(n_giant * m, c)[:n_out]
     if project.ndim == 1:
         proj = proj.ravel()
@@ -568,7 +649,7 @@ def _projected_powers(prop: np.ndarray, y: np.ndarray, n_out: int, project: np.n
         return proj
     y = cols[-1]
     for _ in range(n_out - (n_giant - 1) * m - 1):
-        y = prop @ y
+        y = step(y)
     return proj, y
 
 

@@ -68,7 +68,12 @@ def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
     """Intensity |f1|^2 with f1 = ep + out_e . psi1, and two-photon intensity
     |A2|^2 with A2 = ep^2 + 2 ep (out_e . psi1) + a2vec . psi2, on the
     trajectory grid; a projections-only trajectory must hold the
-    ``Generator.output_covectors`` projections."""
+    ``Generator.output_covectors`` projections.
+
+    A2 is ill-conditioned at low intensity: its terms cancel by about four
+    orders of magnitude there, so ``g2tilde`` and ``g2`` below ~1e-2 of the
+    peak intensity hold only to ~1e-11 relative (reordering one dot product
+    moves them that much).  Compare them scaled by each column's maximum."""
     if traj.states is None:
         if traj.projections.shape[1] != 2:
             raise ConfigurationError("trajectory projections are not the output covectors")

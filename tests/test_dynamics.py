@@ -10,9 +10,9 @@ from scipy.linalg import expm as _scipy_expm
 
 from rydeit.model import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseShape,
                           build_chain, optical_depth)
-from rydeit.dynamics import (DynamicsError, SinglesPropagator, _giant_step, apply_field,
-                             conditional_evolve, evolve, free_decay, one_photon_amplitude,
-                             propagate_segment, steady_state,
+from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _giant_step,
+                             apply_field, conditional_evolve, evolve, free_decay,
+                             one_photon_amplitude, propagate_segment, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
 from rydeit.model import ConfigurationError
 from rydeit.observables import trace_from_trajectory
@@ -230,8 +230,21 @@ def test_free_decay_matches_step_loop(doubles, horizon, n_out):
     # free_decay splits the powers into baby and giant steps; the reference
     # is the plain loop y <- P y, projected on one covector and on a 2-row
     # stack of it and a random covector
+    _check_free_decay_against_loop(make_generator(n_atoms=10, omega_c=0.5), doubles,
+                                   horizon, n_out)
+
+
+@pytest.mark.parametrize("n_out", [1, 64, 5000])
+def test_free_decay_power_law_matches_step_loop(n_out):
+    # the doubles decay with pair shifts up to v_max ~ 68 Gamma: the stiff
+    # rr diagonal sets the Taylor plan of every action
+    gen = _power_law_generator(n_atoms=10)
+    assert gen.v_max > 50.0
+    _check_free_decay_against_loop(gen, True, 10.0, n_out)
+
+
+def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
     from scipy.linalg import expm as _expm
-    gen = make_generator(n_atoms=10, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
     y0, m, project = ((ss.doubles, gen.m2(0.5).toarray(), gen.a2vec) if doubles
                       else (ss.singles, gen.m1(0.5), gen.out_e))
@@ -254,8 +267,8 @@ def test_free_decay_matches_step_loop(doubles, horizon, n_out):
 
 @pytest.mark.parametrize("doubles", [False, True])
 def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
-    # above the dense cap the RK4 branch projects a covector stack row by row
-    # like single covectors
+    # above the dense cap the Taylor action projects a covector stack row by
+    # row like single covectors
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=4, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
@@ -271,7 +284,7 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
 
 def test_giant_step_cost_rule():
     # the measured shapes: turn-on points (d ~ 1,001, 2,500 steps, two
-    # covectors), the turn-off doubles decay (d = 975, 5,000 steps, one) and
+    # covectors), a d = 975 block over 5,000 steps onto one covector and
     # the replica's plateau and tail (d = 1,625, ~500 steps, two), where a
     # squaring costs more than the matvecs it saves
     assert _giant_step(1001, 2500, 2) == 8
@@ -280,6 +293,27 @@ def test_giant_step_cost_rule():
         assert _giant_step(1625, n, 2) == 1
     assert _giant_step(56, 6000, 1) == 64
     assert _giant_step(1625, 1, 2) == 1
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("tau_norm", [0.0, 1e-3, 0.04, 2.6, 50.0])
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("power_law", [False, True])
+def test_taylor_action_matches_expm(power_law, omega, tau_norm, cols):
+    # exp(tau A) X for a doubles block against the dense exponential, with
+    # tau ||A||_1 from no step at all to many Taylor substeps
+    gen = (_power_law_generator(n_atoms=8, omega_c=omega) if power_law
+           else make_generator(n_atoms=8, omega_c=omega))
+    a = gen.m2(omega)
+    tau = tau_norm / np.max(np.abs(a).sum(axis=0))
+    rng = np.random.default_rng(12)
+    shape = (a.shape[0],) if cols is None else (a.shape[0], cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ref = _scipy_expm(a.toarray() * tau) @ x
+    got = _TaylorAction(a)(tau, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(_TaylorAction(a)(tau, x), got)
 
 
 def _stacked_y(gen, doubles, rng, cols=None):

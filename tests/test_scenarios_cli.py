@@ -208,8 +208,8 @@ def test_scan_points_keep_the_configured_params(monkeypatch):
 
 
 def test_turnoff_doubles_above_expm_cap(monkeypatch):
-    # above the dense cap the turn-off blocks decay under RK4; it must
-    # reproduce the dense path's two-photon numbers
+    # above the dense cap both turn-off blocks decay by the Taylor action,
+    # with no dense exponential; it must reproduce the dense path's numbers
     import rydeit.dynamics as dynamics
     from rydeit.scenarios import _turnoff_point
     point = (3.6, 0.25, PhysicalParams.from_ratio(0.2), True, 8.0, 25.0)
@@ -220,10 +220,51 @@ def test_turnoff_doubles_above_expm_cap(monkeypatch):
 
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
     monkeypatch.setattr(dynamics, "expm", no_expm)
-    rk4 = _turnoff_point(point)
-    assert rk4["status"] == "ok"
-    for key in ("tau_ii", "tail_rate"):
-        assert rk4[key] == pytest.approx(dense[key], rel=1e-6), key
+    action = _turnoff_point(point)
+    assert action["status"] == "ok"
+    for key in ("tau_i", "peak_intensity", "tau_ii", "tail_rate"):
+        assert action[key] == pytest.approx(dense[key], rel=1e-12), key
+
+
+def test_turnoff_doubles_decay_takes_no_dense_exponential(monkeypatch):
+    # the doubles block stays sparse at any size: the deepest default point
+    # (D ~ 9.1, 950 doubles dims) decays with the dense exponential disabled
+    import rydeit.dynamics as dynamics
+    from dataclasses import replace
+    from rydeit.model import (BlockadeConfig, ControlSchedule, PulseEnvelope, PulseShape,
+                              build_chain)
+    from rydeit.scenarios import _turnoff_doubles, atoms_for_depth
+    params = replace(PhysicalParams.from_ratio(0.2), omega_c_peak=0.5)
+    chain = build_chain(atoms_for_depth(9.1, params), 1.0)
+    gen = dynamics.assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
+                                      ControlSchedule.constant(0.5),
+                                      PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0))
+    ss = dynamics.steady_state(gen, omega_c=0.5)
+
+    def no_expm(_a):
+        raise AssertionError("dense exponential of the doubles block")
+
+    monkeypatch.setattr(dynamics, "expm", no_expm)
+    got = _turnoff_doubles(gen, ss, 0.5, 8.0, 25.0)
+    assert gen.index.dim_doubles == 950
+    assert got["tau_ii"] == pytest.approx(0.3288512313452058, rel=1e-12)
+    assert got["tail_rate"] == pytest.approx(1.428061768360669, rel=1e-12)
+
+
+def test_turnoff_scan_ignores_numpy_global_seed(tmp_path):
+    # nothing in a turn-off point may draw from numpy's global generator
+    # (scipy's expm_multiply estimates norms from it): two runs after
+    # different global seeds write byte-identical tables
+    from dataclasses import replace
+    from rydeit.scenarios import run_turnoff_scan
+    cfg = replace(default_config("turnoff_scan", {}), d_list=(1.8, 3.6), omega_c_list=(0.25,),
+                  turnoff_doubles=True, threads=1)
+    tables = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        run_turnoff_scan(cfg).write(tmp_path / str(seed))
+        tables.append((tmp_path / str(seed) / "turnoff.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_turnoff_scan_flags_failed_points():
