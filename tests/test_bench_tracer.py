@@ -30,3 +30,28 @@ def test_traced_run_records_the_benchmark_layers(tmp_path, monkeypatch):
     metrics = importlib.import_module("layers").per_layer(spans)
     assert metrics["dynamics.expm.calls"] > 0
     assert metrics["dynamics.SinglesPropagator.step.calls"] > 0
+
+
+def test_traced_propagate_times_the_cascade_exponential(tmp_path, monkeypatch):
+    # a small doubles run forced onto the exponential: the expm layer must be
+    # the module's own routine, called once per propagator with n3 = (1 + dim)^3
+    (tmp_path / "expm.ini").write_text("[integration]\nmethod = expm\n")
+    timing = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "trace", str(timing), "--",
+         "propagate", "--config", "expm.ini", "--n-atoms", "4", "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(timing.read_text())["spans"]
+    sizes = [s[4] for s in spans if s[0] == "dynamics.assemble_generator"]
+    assert len(sizes) == 1 and sizes[0]["dim_doubles"] > 0
+    dim = 1 + sizes[0]["dim_singles"] + sizes[0]["dim_doubles"]
+    monkeypatch.syspath_prepend(str(BENCH))
+    metrics = importlib.import_module("layers").per_layer(spans)
+    calls = metrics["dynamics.expm.calls"]
+    assert calls >= 1
+    assert metrics["dynamics.expm.n3"] == calls * dim ** 3
+    import rydeit.dynamics
+    assert rydeit.dynamics.expm.__module__ == "rydeit.dynamics"

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from scipy.linalg import expm as _scipy_expm
 
-from rydeit.model import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseShape,
-                          build_chain, optical_depth)
-from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _giant_step,
-                             apply_field, conditional_evolve, evolve, free_decay,
+from rydeit.model import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseEnvelope,
+                          PulseShape, build_chain, optical_depth)
+from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
+                             _giant_step, apply_field, assemble_generator,
+                             conditional_evolve, evolve, expm, free_decay,
                              one_photon_amplitude, propagate_segment, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
 from rydeit.model import ConfigurationError
@@ -314,6 +315,88 @@ def test_taylor_action_matches_expm(power_law, omega, tau_norm, cols):
     assert got.shape == x.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(_TaylorAction(a)(tau, x), got)
+
+
+def _random_chain_generator(mode, omega, n_atoms=6, seed=3):
+    """Jittered chain in one of the three blockade modes; the power-law pair
+    shifts are fixed by Omega_c = 0.5, so they stay on at omega = 0."""
+    p = PhysicalParams.from_ratio(0.2, omega_c_peak=omega)
+    chain = build_chain(n_atoms, 1.0, placement="jittered", seed=seed)
+    blk = {"power_law": BlockadeConfig.power_law_from_db(1.5, chain, p, omega_c=0.5),
+           "full": BlockadeConfig.fully_blockaded(),
+           "none": BlockadeConfig.none()}[mode]
+    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.0)
+    return assemble_generator(p, chain, blk, ControlSchedule.constant(omega), env)
+
+
+BLOCKADE_MODES = ["power_law", "full", "none"]
+
+
+@pytest.mark.parametrize("leaf", [None, 7])
+@pytest.mark.parametrize("tau_norm", [0.0, 1e-3, 1.0, 20.0, 50.0])
+@pytest.mark.parametrize("mode, doubles, omega", [
+    (mode, doubles, omega) for mode in BLOCKADE_MODES for doubles in (False, True)
+    for omega in (0.0, 0.25, 0.5)] + [("dense", None, None)])
+def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
+    # the cascade-triangular exponential against scipy's dense one on the
+    # stacked generators (omega = 0.25 makes each singles 2 x 2 block
+    # defective) and on a dense random matrix, one strongly connected block;
+    # leaf = 7 takes these small matrices through the recursive tiles
+    import rydeit.dynamics as dynamics
+    if leaf is not None:
+        monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+    if mode == "dense":
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        assert len(_cascade_order(a)[1]) == 2
+    else:
+        a = _random_chain_generator(mode, omega).augmented(1.0, omega, 1.0, doubles)
+    a = a * (tau_norm / np.max(np.abs(a).sum(axis=0)))
+    ref = _scipy_expm(a)
+    got = expm(a)
+    assert got.shape == a.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if omega == 0.0:
+        # every block is one slot, so the diagonal is exp(a_ii) to the bit
+        assert len(_cascade_order(a)[1]) == a.shape[0] + 1
+        assert np.array_equal(np.diag(got), np.exp(np.diag(a)))
+
+
+@pytest.mark.parametrize("mode", BLOCKADE_MODES)
+def test_cascade_order_is_block_lower_triangular(mode):
+    # in cascade order every generator block is block lower triangular, with
+    # (e_h, r_h) blocks for the singles and at most ee, er, re and rr of one
+    # pair for the doubles; the order is a pure function of the pattern
+    gen = _random_chain_generator(mode, 0.5, n_atoms=8)
+    for a, largest in ((gen.m1(0.5), 2), (gen.m2(0.5), 4),
+                       (gen.augmented(1.0, 0.5, 1.0, True), 4)):
+        perm, bounds = _cascade_order(a)
+        assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
+        assert bounds[0] == 0 and bounds[-1] == a.shape[0]
+        assert np.max(np.diff(bounds)) <= largest
+        block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        rows, cols = a[perm][:, perm].nonzero()
+        assert np.all(block[cols] <= block[rows])
+        again = _cascade_order(a)
+        assert np.array_equal(again[0], perm) and np.array_equal(again[1], bounds)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("mode", BLOCKADE_MODES)
+def test_steady_state_natural_order_matches_colamd(mode, omega):
+    # the doubles steady state solved in cascade order against the COLAMD
+    # solve of the unpermuted system; omega = 0 (no rr damping or detuning)
+    # solves only the ee/er sector and pins rr to zero
+    import scipy.sparse.linalg as spla
+    gen = _random_chain_generator(mode, omega, n_atoms=10)
+    idx = gen.index
+    ss = steady_state(gen, omega_c=omega)
+    rhs = -(gen.s21 @ ss.singles)
+    n_keep = idx.n_ee + idx.n_er if omega == 0.0 else idx.dim_doubles
+    ref = np.zeros(idx.dim_doubles, dtype=complex)
+    ref[:n_keep] = spla.spsolve(gen.m2(omega)[:n_keep, :n_keep].tocsc(), rhs[:n_keep],
+                                permc_spec="COLAMD")
+    assert np.max(np.abs(ss.doubles - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _stacked_y(gen, doubles, rng, cols=None):
