@@ -6,6 +6,12 @@
 Subcommands: spectrum, propagate, scan-turnon, scan-turnoff, replica,
 window-scan, storage, dlcz, emulate-hbt.
 
+Each override flag stores under its configio override key, and the flags
+win over the config file, which wins over the scenario's preset (``replica``
+presets the measured device), which wins over the defaults. A flag in one
+spelling of an input (``--omega-c-mhz``) displaces the file's other spelling
+(``omega_c``). An unknown section or key in the file exits 3.
+
 Exit codes: 0 success; 2 usage error (argparse); 3 malformed or inconsistent
 configuration; 4 unwritable output location; 5 runtime/extraction failure.
 No output files are written unless the run succeeds.
@@ -22,7 +28,7 @@ from .model import ConfigurationError
 from .dynamics import DynamicsError
 from .observables import ExtractionError, UndefinedResultError
 from .counting import EstimateError
-from .scenarios import RUNNERS, replica_config
+from .scenarios import RUNNERS
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -42,7 +48,13 @@ _SUBCOMMANDS = {
 }
 
 
+def _one_p(text: str) -> tuple:
+    """``--p`` sets the one-point ``p_list``."""
+    return (float(text),)
+
+
 def _parser() -> argparse.ArgumentParser:
+    """Each override flag's ``dest`` is its configio override key."""
     top = argparse.ArgumentParser(prog="rydeit",
                                   description="Rydberg-EIT weak-pulse spin-model simulator")
     sub = top.add_subparsers(dest="command", required=True)
@@ -60,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-r-mhz", type=float, default=None)
         p.add_argument("--shape", default=None, choices=["square", "triangular_neg",
                                                          "triangular_pos", "gaussian"])
-        p.add_argument("--blockade", default=None, dest="blockade_mode",
+        p.add_argument("--blockade", default=None, dest="mode",
                        choices=["fully_blockaded", "power_law", "none"])
         p.add_argument("--d-b", type=float, default=None, dest="d_b",
                        help="optical depth per blockade radius (power_law)")
@@ -68,7 +80,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--duration-ns", type=float, default=None)
         p.add_argument("--n-trials", type=int, default=None)
         if name == "dlcz":
-            p.add_argument("--p", type=float, default=None, help="pair probability")
+            p.add_argument("--p", type=_one_p, default=None, dest="p_list",
+                           help="pair probability")
             p.add_argument("--eta-d", type=float, default=None)
             p.add_argument("--eta-r", type=float, default=None)
         if name == "storage":
@@ -77,37 +90,16 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _overrides(ns: argparse.Namespace) -> dict:
-    ov = {}
-    mapping = {
-        "seed": "seed", "threads": "threads", "d_target": "d_target",
-        "n_atoms": "n_atoms", "omega_c": "omega_c", "omega_c_mhz": "omega_c_mhz",
-        "gamma_r_mhz": "gamma_r_mhz", "shape": "shape", "n_in": "n_in",
-        "duration_ns": "duration_ns", "n_trials": "n_trials",
-        "blockade_mode": "mode", "d_b": "d_b",
-        "eta_d": "eta_d", "eta_r": "eta_r",
-        "t_off_ns": "t_off_ns", "t_store_ns": "t_store_ns",
-    }
-    for attr, key in mapping.items():
-        v = getattr(ns, attr, None)
-        if v is not None:
-            ov[key] = v
-    if getattr(ns, "p", None) is not None:
-        ov["p_list"] = (ns.p,)
-    if getattr(ns, "t_off_ns", None) is not None:
-        ov["schedule_kind"] = "storage"
-    return ov
-
-
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     kind = _SUBCOMMANDS[ns.command]
-    ov = _overrides(ns)
+    ov = {k: v for k, v in vars(ns).items()
+          if v is not None and k not in ("command", "config", "out")}
+    if "t_off_ns" in ov:
+        ov["schedule_kind"] = "storage"
     try:
         if ns.config is not None:
             cfg = load_config(ns.config, kind=kind, overrides=ov)
-        elif kind == "experiment_replica":
-            cfg = replica_config(**ov)
         else:
             cfg = default_config(kind, overrides=ov)
     except ConfigurationError as exc:

@@ -1,17 +1,33 @@
 """Plain-text configuration (INI sections) for scenarios, and the manifest
 format that makes any run reproducible bit-for-bit.
 
-Times in config files are physical (ns), rates either in Gamma units
-(omega_c, gamma_r, ...) or MHz via the *_mhz variants; the loader converts
-everything to internal Gamma = 1 units.  A manifest is the same format with
-every default resolved plus a [results] section, so `--config manifest.ini`
-re-runs the scenario identically.
+The fields of ScenarioConfig are the one schema: each names its INI section,
+and its key where that differs from the attribute. Override keys (the CLI
+flags' dests) are the file keys, qualified as ``scenario_kind``,
+``chain_seed`` and ``schedule_kind`` where two sections share a key. Each
+input takes its value from four sources, in rising precedence: the field
+default, the kind's preset (``PRESETS``: the measured device for
+experiment_replica), the config file, then the overrides.
+
+Five inputs have two spellings: omega_c | omega_c_mhz, gamma_r | gamma_r_mhz,
+n_atoms | d_target, ratio | gamma_1d + gamma_prime and d_b | r_b + v0. Each
+is resolved as a unit from the highest source naming any of its keys, so a
+flag in one spelling displaces the file's other one. A source naming both
+spellings or half a pair, an unknown section or key in a file, and an
+unknown override key are ConfigurationErrors.
+
+Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
+loader converts everything to internal Gamma = 1 units. A manifest is the
+same format with every input resolved (the decay rates exactly, a d_b
+blockade as its r_b and v0) plus [results] and [run] records, which the
+loader skips, so ``--config manifest.ini`` re-runs the scenario identically.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, ConfigurationError,
                     ControlSchedule, PhysicalParams, PulseEnvelope, PulseShape,
@@ -21,59 +37,85 @@ SCENARIO_KINDS = ("spectrum", "propagate", "turnon_scan", "turnoff_scan",
                   "experiment_replica", "window_scan", "storage", "dlcz",
                   "emulate_hbt")
 
+#: per-kind values above the field defaults and below the file, by override
+#: key: the measured device has D ~ 10, 2 Omega_c = 2pi x 6.4 MHz, gamma_r =
+#: 2pi x 0.8 MHz, a finite blockade with d_b ~ 0.9 and 10 ns pulse edges
+PRESETS = {
+    "experiment_replica": {"omega_c_mhz": 3.2, "gamma_r_mhz": 0.8, "n_atoms": 28,
+                           "mode": "power_law", "d_b": 0.9, "rise_time_ns": 10.0},
+}
+
+
+def _words(text: str) -> tuple:
+    return tuple(x.strip() for x in text.replace(";", ",").split(",") if x.strip())
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in _words(text))
+
+
+def _opt(section: str, default=None, *, key: str | None = None,
+         name: str | None = None, cast=None):
+    """A field read from ``[section] key`` (``key`` defaults to the attribute
+    name); ``name`` is its override key where it is not ``key``; ``cast``
+    parses its text where the annotation does not say how."""
+    return field(default=default, metadata={"section": section, "key": key,
+                                            "name": name, "cast": cast})
+
 
 @dataclass
 class ScenarioConfig:
-    """Fully resolved description of one scenario run."""
+    """Fully resolved description of one scenario run; its fields are the
+    config schema (see the module docstring)."""
 
-    kind: str
-    params: PhysicalParams
-    n_atoms: int
-    length: float = 1.0
-    k_p: float = 1.0
-    placement: str = "uniform"
-    chain_seed: int | None = None
-    blockade_mode: str = "fully_blockaded"
-    d_b: float | None = None
-    r_b: float | None = None
-    v0: float | None = None
-    v_cap: float = 1e3
-    pulse_shape: str = "square"
-    duration_ns: float = 1000.0
-    n_in: float = 1.5
-    rise_time_ns: float = 0.0
-    t_on_ns: float = 0.0
-    fwhm_ns: float | None = None
-    schedule_kind: str = "constant"
-    t_off_ns: float | None = None
-    t_store_ns: float = 500.0
-    dt: float | None = None
-    dt_out_ns: float = 2.0
-    method: str = "auto"
-    tail_ns: float = 1200.0
-    rel_tol: float = 0.005
-    d_list: tuple = (1.8, 3.6, 9.1)
-    omega_c_list: tuple = (0.05, 0.25, 0.5)
-    tail_fit_start: float = 8.0
-    tail_fit_end: float = 25.0
-    turnoff_doubles: bool = True
-    end_time_ns: float = 1700.0
-    delta_t_list_ns: tuple = (1000.0, 800.0, 680.0, 560.0, 450.0, 300.0, 200.0)
-    window_shapes: tuple = ("square", "gaussian")
-    n_trials: int = 100000
-    seed: int = 12345
-    eta_path: float = 0.46
-    eta1: float = 0.43
-    eta2: float = 0.43
-    split: float = 0.5
-    trial_period_ns: float = 16000.0
-    delta_min: float = -1.5
-    delta_max: float = 1.5
-    delta_points: int = 241
-    p_list: tuple = (0.025,)
-    eta_d: float = 1.0
-    eta_r: float = 1.0
-    threads: int = 1
+    kind: str = _opt("scenario", name="scenario_kind")
+    params: PhysicalParams = _opt("params", PhysicalParams.from_ratio())
+    n_atoms: int = _opt("chain", 10)
+    length: float = _opt("chain", 1.0)
+    k_p: float = _opt("chain", 1.0)
+    placement: str = _opt("chain", "uniform")
+    chain_seed: int | None = _opt("chain", key="seed", name="chain_seed")
+    blockade_mode: str = _opt("blockade", "fully_blockaded", key="mode")
+    d_b: float | None = _opt("blockade")
+    r_b: float | None = _opt("blockade")
+    v0: float | None = _opt("blockade")
+    v_cap: float = _opt("blockade", 1e3)
+    pulse_shape: str = _opt("pulse", "square", key="shape")
+    duration_ns: float = _opt("pulse", 1000.0)
+    n_in: float = _opt("pulse", 1.5)
+    rise_time_ns: float = _opt("pulse", 0.0)
+    t_on_ns: float = _opt("pulse", 0.0)
+    fwhm_ns: float | None = _opt("pulse")
+    schedule_kind: str = _opt("schedule", "constant", key="kind", name="schedule_kind")
+    t_off_ns: float | None = _opt("schedule")
+    t_store_ns: float = _opt("schedule", 500.0)
+    dt: float | None = _opt("integration")
+    dt_out_ns: float = _opt("integration", 2.0)
+    method: str = _opt("integration", "auto")
+    tail_ns: float = _opt("integration", 1200.0)
+    rel_tol: float = _opt("integration", 0.005)
+    d_list: tuple = _opt("scan", (1.8, 3.6, 9.1))
+    omega_c_list: tuple = _opt("scan", (0.05, 0.25, 0.5))
+    tail_fit_start: float = _opt("scan", 8.0)
+    tail_fit_end: float = _opt("scan", 25.0)
+    turnoff_doubles: bool = _opt("scan", True)
+    end_time_ns: float = _opt("windows", 1700.0)
+    delta_t_list_ns: tuple = _opt("windows", (1000.0, 800.0, 680.0, 560.0, 450.0, 300.0, 200.0))
+    window_shapes: tuple = _opt("windows", ("square", "gaussian"), key="shapes", cast=_words)
+    n_trials: int = _opt("counting", 100000)
+    seed: int = _opt("counting", 12345)
+    eta_path: float = _opt("counting", 0.46)
+    eta1: float = _opt("counting", 0.43)
+    eta2: float = _opt("counting", 0.43)
+    split: float = _opt("counting", 0.5)
+    trial_period_ns: float = _opt("counting", 16000.0)
+    delta_min: float = _opt("spectrum", -1.5)
+    delta_max: float = _opt("spectrum", 1.5)
+    delta_points: int = _opt("spectrum", 241, key="n_points")
+    p_list: tuple = _opt("dlcz", (0.025,))
+    eta_d: float = _opt("dlcz", 1.0)
+    eta_r: float = _opt("dlcz", 1.0)
+    threads: int = _opt("run", 1)
 
     # --- derived model objects ----------------------------------------------
     def chain(self) -> AtomChain:
@@ -119,20 +161,88 @@ class ScenarioConfig:
         t1 = time_from_ns(self.t_on_ns + self.duration_ns + self.tail_ns, g)
         return (t0, t1)
 
+    def resolved(self) -> "ScenarioConfig":
+        """This config with a power-law blockade given by d_b spelled as the
+        r_b and v0 it resolves to, as manifests write it."""
+        if self.blockade_mode != BlockadeMode.POWER_LAW.value or self.d_b is None:
+            return self
+        blk = self.blockade()
+        return replace(self, d_b=None, r_b=blk.r_b, v0=blk.v0)
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, fallback=None):
-    if cp.has_option(section, key):
-        v = cp.get(section, key).strip()
-        return v if v != "" else fallback
-    return fallback
+
+class _Input(NamedTuple):
+    """One input of the schema: a ScenarioConfig field, or a PhysicalParams
+    field (``in_params``) standing in for ``params``."""
+
+    name: str        # override key
+    section: str
+    key: str         # file key
+    attr: str
+    in_params: bool
+    default: object
+    cast: object
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.replace(";", ",").split(",") if x.strip())
+_CASTS = {"str": str, "int": int, "float": float, "tuple": _floats,
+          "bool": lambda text: bool(int(text))}
+#: the PhysicalParams fields whose file key is not their name
+_PARAM_KEYS = {"omega_c_peak": "omega_c"}
+
+
+def _inputs():
+    for f in fields(ScenarioConfig):
+        section = f.metadata["section"]
+        if f.name == "params":
+            for p in fields(PhysicalParams):
+                key = _PARAM_KEYS.get(p.name, p.name)
+                yield _Input(key, section, key, p.name, True, getattr(f.default, p.name),
+                             _CASTS[p.type])
+        else:
+            key = f.metadata["key"] or f.name
+            yield _Input(f.metadata["name"] or key, section, key, f.name, False, f.default,
+                         f.metadata["cast"] or _CASTS[f.type.split()[0]])
+
+
+#: every input, in manifest order
+_INPUTS = tuple(_inputs())
+#: inputs with two spellings, each resolved as a unit: (the spelling manifests
+#: write, the other spelling, the section of the other spelling's float keys)
+_SPELLINGS = ((("gamma_1d", "gamma_prime"), ("ratio",), "params"),
+              (("omega_c",), ("omega_c_mhz",), "params"),
+              (("gamma_r",), ("gamma_r_mhz",), "params"),
+              (("n_atoms",), ("d_target",), "chain"),
+              (("r_b", "v0"), ("d_b",), "blockade"))
+#: the keys resolved together: the spelling pairs, then every other input alone
+_GROUPS = tuple((a, b) for a, b, _ in _SPELLINGS) + tuple(
+    ((i.name,), ()) for i in _INPUTS
+    if not any(i.name in a + b for a, b, _ in _SPELLINGS))
+#: (section, key) -> (override key, cast) of every key a file may hold
+_FILE_KEYS = {(i.section, i.key): (i.name, i.cast) for i in _INPUTS}
+_FILE_KEYS.update({(section, key): (key, float)
+                   for _, other, section in _SPELLINGS for key in other})
+#: what a manifest records about the run rather than its inputs
+_RECORDS = {("run", "version"), ("run", "wall_time_s")}
+
+
+def _read(cp: configparser.ConfigParser) -> dict:
+    """The inputs a parsed file names, by override key, cast to their types."""
+    given = {}
+    for section in cp.sections():
+        if section == "results":
+            continue
+        for key, raw in cp[section].items():
+            if (section, key) in _RECORDS:
+                continue
+            if (section, key) not in _FILE_KEYS:
+                raise ConfigurationError(f"unknown key {key!r} in [{section}]")
+            name, cast = _FILE_KEYS[(section, key)]
+            if raw.strip():
+                given[name] = cast(raw.strip())
+    return given
 
 
 def load_config(path, kind: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
-    """Load a ScenarioConfig from an INI file; CLI overrides win over the file."""
+    """Load a ScenarioConfig from an INI file; overrides win over the file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         read = cp.read(path)
@@ -141,210 +251,84 @@ def load_config(path, kind: str | None = None, overrides: dict | None = None) ->
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     try:
-        return _build(cp, kind, overrides or {})
-    except (ValueError, KeyError) as exc:
+        return _build(_read(cp), kind, overrides or {})
+    except ValueError as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
 
 
 def default_config(kind: str, overrides: dict | None = None) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
-    return _build(cp, kind, overrides or {})
+    return _build({}, kind, overrides or {})
 
 
-def _build(cp: configparser.ConfigParser, kind: str | None, ov: dict) -> ScenarioConfig:
-
-    def get(section, key, cast=str, fallback=None, ov_key=None):
-        # override keys are flat; qualify the two that collide across sections
-        name = ov_key or key
-        if name in ov and ov[name] is not None:
-            return ov[name]
-        raw = _get(cp, section, key)
-        if raw is None:
-            return fallback
-        return cast(raw)
-
-    kind = kind or get("scenario", "kind", str, None, ov_key="scenario_kind")
+def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
+    """Resolve every input from the field default, the kind's preset, the
+    file's values (``file``) and the overrides (``ov``), highest last; an
+    explicit ``kind`` wins over any source's scenario kind."""
+    unknown = sorted(set(ov) - {name for name, _ in _FILE_KEYS.values()})
+    if unknown:
+        raise ConfigurationError(f"unknown override key(s): {', '.join(unknown)}")
+    kind = kind or ov.get("scenario_kind") or file.get("scenario_kind")
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(f"unknown or missing scenario kind {kind!r}")
+    sources = (ov, file, PRESETS.get(kind, {}))
 
-    gamma_mhz = get("params", "gamma_mhz", float, 6.0)
-    ratio = get("params", "ratio", float, None)
-    gamma_1d = get("params", "gamma_1d", float, None)
-    gamma_prime = get("params", "gamma_prime", float, None)
-    omega_c = get("params", "omega_c", float, None)
-    omega_c_mhz = get("params", "omega_c_mhz", float, None)
-    if omega_c is None:
-        omega_c = rate_from_mhz(omega_c_mhz, gamma_mhz) if omega_c_mhz is not None else 0.5
-    gamma_r = get("params", "gamma_r", float, None)
-    gamma_r_mhz = get("params", "gamma_r_mhz", float, None)
-    if gamma_r is None:
-        gamma_r = rate_from_mhz(gamma_r_mhz, gamma_mhz) if gamma_r_mhz is not None else 0.0
-    rates = dict(omega_c_peak=omega_c, gamma_r=gamma_r,
-                 delta_e=get("params", "delta_e", float, 0.0),
-                 delta_2=get("params", "delta_2", float, 0.0),
-                 gamma_mhz=gamma_mhz)
-    # a manifest stores the two decay rates exactly; the ratio they imply
-    # need not rebuild them bit for bit
-    if gamma_1d is None and gamma_prime is None:
-        params = PhysicalParams.from_ratio(ratio=0.2 if ratio is None else ratio,
-                                           gamma_total=1.0, **rates)
-    elif gamma_1d is None or gamma_prime is None or ratio is not None:
-        raise ConfigurationError("[params] takes ratio, or gamma_1d with gamma_prime")
-    elif abs(gamma_1d + gamma_prime - 1.0) > 1e-12:
+    given = {}
+    for first, other in _GROUPS:
+        got = {}
+        for src in sources:
+            got = {k: src[k] for k in first + other if src.get(k) is not None}
+            if got:
+                break
+        if got and set(got) not in (set(first), set(other)):
+            raise ConfigurationError(
+                f"give {' with '.join(first)} or {' with '.join(other)}, "
+                f"not {', '.join(sorted(got))} from one source")
+        given.update(got)
+
+    # the second spellings, in terms of the first
+    gamma_mhz = given.get("gamma_mhz", ScenarioConfig.params.gamma_mhz)
+    for rate in ("omega_c", "gamma_r"):
+        if rate + "_mhz" in given:
+            given[rate] = rate_from_mhz(given.pop(rate + "_mhz"), gamma_mhz)
+    if "ratio" in given:
+        decay = PhysicalParams.from_ratio(given.pop("ratio"))
+        given.update(gamma_1d=decay.gamma_1d, gamma_prime=decay.gamma_prime)
+    elif "gamma_1d" in given and abs(given["gamma_1d"] + given["gamma_prime"] - 1.0) > 1e-12:
         raise ConfigurationError("gamma_1d + gamma_prime must be 1 (the unit of rate)")
-    else:
-        params = PhysicalParams(gamma_1d=gamma_1d, gamma_prime=gamma_prime, **rates)
 
-    n_atoms = get("chain", "n_atoms", int, None)
-    d_target = get("chain", "d_target", float, None)
-    if n_atoms is None:
-        n_atoms = atoms_for_depth(d_target, params) if d_target is not None else 10
-
-    seed_raw = get("chain", "seed", int, None, ov_key="chain_seed")
-    cfg = ScenarioConfig(
-        kind=kind, params=params, n_atoms=n_atoms,
-        length=get("chain", "length", float, 1.0),
-        k_p=get("chain", "k_p", float, 1.0),
-        placement=get("chain", "placement", str, "uniform"),
-        chain_seed=seed_raw,
-        blockade_mode=get("blockade", "mode", str, "fully_blockaded"),
-        d_b=get("blockade", "d_b", float, None),
-        r_b=get("blockade", "r_b", float, None),
-        v0=get("blockade", "v0", float, None),
-        v_cap=get("blockade", "v_cap", float, 1e3),
-        pulse_shape=get("pulse", "shape", str, "square"),
-        duration_ns=get("pulse", "duration_ns", float, 1000.0),
-        n_in=get("pulse", "n_in", float, 1.5),
-        rise_time_ns=get("pulse", "rise_time_ns", float, 0.0),
-        t_on_ns=get("pulse", "t_on_ns", float, 0.0),
-        fwhm_ns=get("pulse", "fwhm_ns", float, None),
-        schedule_kind=get("schedule", "kind", str, "constant", ov_key="schedule_kind"),
-        t_off_ns=get("schedule", "t_off_ns", float, None),
-        t_store_ns=get("schedule", "t_store_ns", float, 500.0),
-        dt=get("integration", "dt", float, None),
-        dt_out_ns=get("integration", "dt_out_ns", float, 2.0),
-        method=get("integration", "method", str, "auto"),
-        tail_ns=get("integration", "tail_ns", float, 1200.0),
-        rel_tol=get("integration", "rel_tol", float, 0.005),
-        d_list=get("scan", "d_list", _floats, (1.8, 3.6, 9.1)),
-        omega_c_list=get("scan", "omega_c_list", _floats, (0.05, 0.25, 0.5)),
-        tail_fit_start=get("scan", "tail_fit_start", float, 8.0),
-        tail_fit_end=get("scan", "tail_fit_end", float, 25.0),
-        turnoff_doubles=bool(int(get("scan", "turnoff_doubles", int, 1))),
-        end_time_ns=get("windows", "end_time_ns", float, 1700.0),
-        delta_t_list_ns=get("windows", "delta_t_list_ns", _floats,
-                            (1000.0, 800.0, 680.0, 560.0, 450.0, 300.0, 200.0)),
-        window_shapes=tuple(get("windows", "shapes", lambda s: tuple(
-            x.strip() for x in s.split(",") if x.strip()), ("square", "gaussian"))),
-        n_trials=get("counting", "n_trials", int, 100000),
-        seed=get("counting", "seed", int, 12345),
-        eta_path=get("counting", "eta_path", float, 0.46),
-        eta1=get("counting", "eta1", float, 0.43),
-        eta2=get("counting", "eta2", float, 0.43),
-        split=get("counting", "split", float, 0.5),
-        trial_period_ns=get("counting", "trial_period_ns", float, 16000.0),
-        delta_min=get("spectrum", "delta_min", float, -1.5),
-        delta_max=get("spectrum", "delta_max", float, 1.5),
-        delta_points=get("spectrum", "n_points", int, 241),
-        p_list=get("dlcz", "p_list", _floats, (0.025,)),
-        eta_d=get("dlcz", "eta_d", float, 1.0),
-        eta_r=get("dlcz", "eta_r", float, 1.0),
-        threads=get("run", "threads", int, 1),
-    )
-    # fail fast on inconsistent sections
-    cfg.chain()
-    cfg.blockade()
-    cfg.envelope()
-    cfg.schedule()
+    values, rates = {}, {}
+    for i in _INPUTS:
+        (rates if i.in_params else values)[i.attr] = given.get(i.name, i.default)
+    values.update(kind=kind, params=PhysicalParams(**rates))
+    if "d_target" in given:
+        values["n_atoms"] = atoms_for_depth(given["d_target"], values["params"])
+    cfg = ScenarioConfig(**values)
+    for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule):
+        build()     # fail fast on inconsistent sections
     return cfg
 
 
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, (tuple, list)):
+        return ",".join(_fmt(x) for x in v)
+    return str(v)
+
+
 def manifest_text(cfg: ScenarioConfig, results: dict, run_info: dict) -> str:
-    """Render the fully resolved configuration as a re-runnable INI manifest."""
-    p = cfg.params
-
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        if isinstance(v, (tuple, list)):
-            return ",".join(fmt(x) for x in v)
-        return str(v)
-
-    lines = ["[scenario]", f"kind = {cfg.kind}", ""]
-    lines += ["[params]",
-              f"gamma_1d = {fmt(p.gamma_1d)}",
-              f"gamma_prime = {fmt(p.gamma_prime)}",
-              f"omega_c = {fmt(p.omega_c_peak)}",
-              f"gamma_r = {fmt(p.gamma_r)}",
-              f"delta_e = {fmt(p.delta_e)}",
-              f"delta_2 = {fmt(p.delta_2)}",
-              f"gamma_mhz = {fmt(p.gamma_mhz)}", ""]
-    lines += ["[chain]",
-              f"n_atoms = {cfg.n_atoms}",
-              f"length = {fmt(cfg.length)}",
-              f"k_p = {fmt(cfg.k_p)}",
-              f"placement = {cfg.placement}"]
-    if cfg.chain_seed is not None:
-        lines.append(f"seed = {cfg.chain_seed}")
-    lines.append("")
-    lines += ["[blockade]", f"mode = {cfg.blockade_mode}", f"v_cap = {fmt(cfg.v_cap)}"]
-    blk = cfg.blockade()
-    if blk.mode is BlockadeMode.POWER_LAW:
-        lines += [f"r_b = {fmt(blk.r_b)}", f"v0 = {fmt(blk.v0)}"]
-    lines.append("")
-    lines += ["[pulse]",
-              f"shape = {cfg.pulse_shape}",
-              f"duration_ns = {fmt(cfg.duration_ns)}",
-              f"n_in = {fmt(cfg.n_in)}",
-              f"rise_time_ns = {fmt(cfg.rise_time_ns)}",
-              f"t_on_ns = {fmt(cfg.t_on_ns)}"]
-    if cfg.fwhm_ns is not None:
-        lines.append(f"fwhm_ns = {fmt(cfg.fwhm_ns)}")
-    lines.append("")
-    lines += ["[schedule]", f"kind = {cfg.schedule_kind}"]
-    if cfg.t_off_ns is not None:
-        lines += [f"t_off_ns = {fmt(cfg.t_off_ns)}", f"t_store_ns = {fmt(cfg.t_store_ns)}"]
-    lines.append("")
-    lines += ["[integration]",
-              f"dt_out_ns = {fmt(cfg.dt_out_ns)}",
-              f"method = {cfg.method}",
-              f"tail_ns = {fmt(cfg.tail_ns)}",
-              f"rel_tol = {fmt(cfg.rel_tol)}"]
-    if cfg.dt is not None:
-        lines.append(f"dt = {fmt(cfg.dt)}")
-    lines.append("")
-    lines += ["[scan]",
-              f"d_list = {fmt(cfg.d_list)}",
-              f"omega_c_list = {fmt(cfg.omega_c_list)}",
-              f"tail_fit_start = {fmt(cfg.tail_fit_start)}",
-              f"tail_fit_end = {fmt(cfg.tail_fit_end)}",
-              f"turnoff_doubles = {int(cfg.turnoff_doubles)}", ""]
-    lines += ["[windows]",
-              f"end_time_ns = {fmt(cfg.end_time_ns)}",
-              f"delta_t_list_ns = {fmt(cfg.delta_t_list_ns)}",
-              f"shapes = {','.join(cfg.window_shapes)}", ""]
-    lines += ["[counting]",
-              f"n_trials = {cfg.n_trials}",
-              f"seed = {cfg.seed}",
-              f"eta_path = {fmt(cfg.eta_path)}",
-              f"eta1 = {fmt(cfg.eta1)}",
-              f"eta2 = {fmt(cfg.eta2)}",
-              f"split = {fmt(cfg.split)}",
-              f"trial_period_ns = {fmt(cfg.trial_period_ns)}", ""]
-    lines += ["[spectrum]",
-              f"delta_min = {fmt(cfg.delta_min)}",
-              f"delta_max = {fmt(cfg.delta_max)}",
-              f"n_points = {cfg.delta_points}", ""]
-    lines += ["[dlcz]",
-              f"p_list = {fmt(cfg.p_list)}",
-              f"eta_d = {fmt(cfg.eta_d)}",
-              f"eta_r = {fmt(cfg.eta_r)}", ""]
-    if results:
-        lines.append("[results]")
-        lines += [f"{k} = {fmt(v)}" for k, v in results.items()]
-        lines.append("")
-    if run_info:
-        lines.append("[run]")
-        lines += [f"{k} = {fmt(v)}" for k, v in run_info.items()]
-        lines.append("")
-    return "\n".join(lines)
+    """Render the fully resolved configuration as a re-runnable INI manifest,
+    with the run's ``results`` and ``run_info`` records."""
+    cfg = cfg.resolved()
+    sections: dict = {}
+    for i in _INPUTS:
+        value = getattr(cfg.params if i.in_params else cfg, i.attr)
+        if value is not None:
+            sections.setdefault(i.section, []).append(f"{i.key} = {_fmt(value)}")
+    run = sections.pop("run")
+    sections["results"] = [f"{k} = {_fmt(v)}" for k, v in results.items()]
+    sections["run"] = run + [f"{k} = {_fmt(v)}" for k, v in run_info.items()]
+    return "\n\n".join(f"[{name}]\n" + "\n".join(lines)
+                       for name, lines in sections.items() if lines) + "\n"

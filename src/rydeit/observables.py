@@ -283,14 +283,6 @@ def measure_steady_state(trace: ObservableTrace, t_on: float, t_off: float,
                             flat=dev < flat_tol, max_deviation=dev)
 
 
-@dataclass
-class TransientTimes:
-    tau_eit: float
-    tau_0: float | None = None
-    tau_i: float | None = None
-    tau_ii: float | None = None
-
-
 def tau_eit(d: float, gamma_prime: float, omega_c: float) -> float:
     """EIT traversal time 4 D Gamma' / Omega_c^2."""
     return 4.0 * d * gamma_prime / omega_c ** 2
@@ -351,24 +343,6 @@ def extract_tau_ii(trace: ObservableTrace, t_off: float) -> float:
     if len(t) < 2:
         raise ExtractionError("no samples after shutoff")
     return _first_half_crossing(t, y, 0.5 * y[0], t_off)
-
-
-def extract_transients(trace: ObservableTrace, t_on: float, t_off: float, *,
-                       d: float, gamma_prime: float, omega_c: float,
-                       g2_ss: float | None = None, rel_tol: float = 0.005) -> TransientTimes:
-    """All transient times of a square-pulse trace spanning both edges."""
-    stats = measure_steady_state(trace, t_on, t_off)
-    if not stats.flat:
-        raise ExtractionError(
-            f"steady state not reached before shutoff (deviation {stats.max_deviation:.3g})")
-    if g2_ss is None:
-        g2_ss = stats.g2_ss
-    return TransientTimes(
-        tau_eit=tau_eit(d, gamma_prime, omega_c),
-        tau_0=extract_tau0(trace, t_on, t_off, g2_ss, rel_tol),
-        tau_i=extract_tau_i(trace, t_off, stats.i_ss),
-        tau_ii=extract_tau_ii(trace, t_off),
-    )
 
 
 def fit_exponential_envelope(trace: ObservableTrace, t_start: float, t_end: float) -> float:

@@ -371,20 +371,6 @@ def _map_points(fn, points, threads: int):
 # ---------------------------------------------------------------------------
 # experiment replica
 
-def replica_config(**overrides) -> ScenarioConfig:
-    """Measured-device configuration: D ~ 10, 2 Omega_c = 2pi x 6.4 MHz,
-    gamma_r = 2pi x 0.8 MHz, finite blockade with d_b ~ 0.9, 1 us square pulse
-    with ~1.5 photons and 10 ns edges."""
-    from .configio import default_config
-    base = {"kind": "experiment_replica", "omega_c_mhz": 3.2, "gamma_r_mhz": 0.8,
-            "n_atoms": 28, "mode": "power_law", "d_b": 0.9,
-            "shape": "square", "duration_ns": 1000.0, "n_in": 1.5,
-            "rise_time_ns": 10.0, "dt_out_ns": 2.0, "tail_ns": 1200.0}
-    base.update(overrides)
-    kind = base.pop("kind")
-    return default_config(kind, base)
-
-
 @_timed
 def run_experiment_replica(cfg: ScenarioConfig) -> ResultBundle:
     g = cfg.params.gamma_mhz

@@ -196,38 +196,7 @@ class TruncatedState:
     def copy(self) -> "TruncatedState":
         return TruncatedState(self.index, self.amplitudes.copy())
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.amplitudes.view(float))))
-
 
 def zero_state(index: ExcitationIndex) -> TruncatedState:
     """Ground state: all excitation amplitudes zero."""
     return TruncatedState(index, np.zeros(index.dim, dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# plain-text debug dump (golden-test format)
-
-def dump_state(state: TruncatedState, path) -> None:
-    """Write 'flat_index kind atoms re im' lines; exact round-trip via repr."""
-    idx = state.index
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# rydeit state dump n_atoms={idx.n_atoms} "
-                 f"mode={idx.blockade_mode.value} dim={idx.dim}\n")
-        fh.write("# columns: slot kind atoms re im\n")
-        for slot, amp in enumerate(state.amplitudes):
-            label = idx.unpack(slot)
-            atoms = ",".join(str(a) for a in label[1:])
-            fh.write(f"{slot} {label[0]} {atoms} {float(amp.real)!r} {float(amp.imag)!r}\n")
-
-
-def load_state(index: ExcitationIndex, path) -> TruncatedState:
-    amps = np.zeros(index.dim, dtype=complex)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            slot_s, _kind, _atoms, re_s, im_s = line.split()
-            amps[int(slot_s)] = complex(float(re_s), float(im_s))
-    return TruncatedState(index, amps)

@@ -27,7 +27,7 @@ from rydeit.dynamics import (assemble_generator, evolve, one_photon_amplitude,
                              two_photon_amplitude)
 from rydeit.observables import (CorrelationGrid, ObservableTrace, correlation_grid,
                                 trace_from_trajectory, windowed_g2)
-from rydeit.scenarios import (replica_config, run_experiment_replica,
+from rydeit.scenarios import (run_experiment_replica,
                               run_turnoff_scan, run_turnon_scan, run_window_scan,
                               _turnoff_point)
 
@@ -44,7 +44,7 @@ def _report(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def replica_artifacts():
     """Replica trace, correlation grid and bundle scalars (criteria 9-11)."""
-    cfg = replica_config(dt_out_ns=2.0)
+    cfg = default_config("experiment_replica", {"dt_out_ns": 2.0})
     t0 = _time.perf_counter()
     bundle = run_experiment_replica(cfg)
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),

@@ -10,7 +10,7 @@ from rydeit.dynamics import evolve
 from rydeit.observables import (CorrelationGrid, ExtractionError, ObservableTrace,
                                 UndefinedResultError, correlation_grid, eit_peak,
                                 extract_tau0, extract_tau_i, extract_tau_ii,
-                                extract_transients, fit_exponential_envelope,
+                                fit_exponential_envelope,
                                 measure_steady_state, spectrum_fwhm, tau_eit,
                                 trace_from_trajectory, transmission_spectrum,
                                 two_time_g2, windowed_g2, write_csv)
@@ -231,22 +231,6 @@ def test_extract_tau_ii_half_of_post_jump():
     tr = _synthetic_trace(ts, np.ones_like(ts), g2t)
     tau = extract_tau_ii(tr, 10.0)
     assert tau == pytest.approx(1.5 * math.log(2.0), rel=1e-3)
-
-
-def test_extract_transients_end_to_end():
-    # D ~ 9.1: deep enough that the retrieved intensity crosses half of the
-    # steady value (at low depth the flash stays below half and tau_I is
-    # undefined, which is why the deep-medium grid is used for it)
-    gen = make_generator(n_atoms=25, omega_c=0.5, duration=120.0)
-    traj = evolve(gen, (0.0, 160.0), dt_out=0.1, method="auto")
-    trace = trace_from_trajectory(traj, gen)
-    tt = extract_transients(trace, 0.0, 120.0, d=optical_depth(gen.chain, gen.params),
-                            gamma_prime=gen.params.gamma_prime, omega_c=0.5)
-    assert tt.tau_0 > 0
-    assert tt.tau_i > 0
-    assert tt.tau_ii > 0
-    assert tt.tau_eit == pytest.approx(
-        tau_eit(optical_depth(gen.chain, gen.params), gen.params.gamma_prime, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydeit.cli import main
-from rydeit.configio import default_config, load_config, manifest_text
-from rydeit.model import ConfigurationError, PhysicalParams
-from rydeit.scenarios import (replica_config, run_dlcz, run_propagate, run_spectrum,
+from rydeit.configio import SCENARIO_KINDS, default_config, load_config, manifest_text
+from rydeit.model import ConfigurationError, PhysicalParams, atoms_for_depth
+from rydeit.scenarios import (run_dlcz, run_propagate, run_spectrum,
                               run_window_scan)
 
 
@@ -26,7 +28,7 @@ def test_default_config_builds_model_objects():
 
 
 def test_replica_config_matches_measured_device():
-    cfg = replica_config()
+    cfg = default_config("experiment_replica")
     assert cfg.n_atoms == 28
     assert cfg.params.omega_c_peak == pytest.approx(3.2 / 6.0)
     assert cfg.params.gamma_r == pytest.approx(0.8 / 6.0)
@@ -77,6 +79,176 @@ def test_malformed_config_raises():
         path = fh.name
     with pytest.raises(ConfigurationError):
         load_config(path, kind="propagate")
+
+
+def _replica_manifest(tmp_path):
+    path = tmp_path / "replica.ini"
+    path.write_text(manifest_text(default_config("experiment_replica"), {}, {}))
+    return path
+
+
+@pytest.mark.parametrize("key, value, check", [
+    ("omega_c_mhz", 1.0, lambda c: c.params.omega_c_peak == 1.0 / 6.0),
+    ("gamma_r_mhz", 0.3, lambda c: c.params.gamma_r == 0.3 / 6.0),
+    ("d_target", 5.0, lambda c: c.n_atoms == atoms_for_depth(5.0, c.params) != 28),
+    ("d_b", 0.5, lambda c: c.r_b is None and c.blockade().optical_depth_per_blockade(
+        c.chain(), c.params) == pytest.approx(0.5)),
+])
+def test_override_displaces_the_other_spelling_in_a_manifest(tmp_path, key, value, check):
+    # the manifest spells these as omega_c, gamma_r, n_atoms and r_b + v0
+    cfg = load_config(_replica_manifest(tmp_path), kind="experiment_replica",
+                      overrides={key: value})
+    assert check(cfg)
+
+
+def test_replica_preset_yields_to_a_depth_override():
+    # the depth picks the atom number; the rest of the measured device stays
+    cfg = default_config("experiment_replica", {"d_target": 5.0})
+    assert cfg.n_atoms == atoms_for_depth(5.0, cfg.params) != 28
+    assert cfg.params.omega_c_peak == 3.2 / 6.0
+    assert cfg.blockade_mode == "power_law"
+
+
+def test_partial_config_keeps_the_replica_preset(tmp_path, monkeypatch):
+    import rydeit.cli as cli
+    from rydeit.scenarios import ResultBundle
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return ResultBundle(name="experiment_replica", config=cfg)
+
+    monkeypatch.setitem(cli.RUNNERS, "experiment_replica", capture)
+    partial = tmp_path / "partial.ini"
+    partial.write_text("[counting]\nseed = 7\n")
+    assert main(["replica", "--config", str(partial), "--out", str(tmp_path / "r")]) == 0
+    cfg, device = seen[0], default_config("experiment_replica")
+    assert cfg.seed == 7
+    assert cfg.n_atoms == device.n_atoms == 28
+    assert cfg.blockade() == device.blockade()
+    assert cfg.params == device.params
+    assert cfg.rise_time_ns == device.rise_time_ns == 10.0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"omega_c": 0.5, "omega_c_mhz": 3.2},
+    {"gamma_r": 0.1, "gamma_r_mhz": 0.8},
+    {"n_atoms": 10, "d_target": 3.6},
+    {"ratio": 0.2, "gamma_1d": 0.2, "gamma_prime": 0.8},
+    {"mode": "power_law", "d_b": 0.9, "r_b": 0.1, "v0": 1.0},
+    {"mode": "power_law", "r_b": 0.1},
+])
+def test_two_spellings_in_one_source_raise(tmp_path, overrides):
+    with pytest.raises(ConfigurationError, match="give"):
+        default_config("propagate", overrides)
+    section_of = {"n_atoms": "chain", "d_target": "chain", "mode": "blockade",
+                  "d_b": "blockade", "r_b": "blockade", "v0": "blockade"}
+    sections = {}
+    for key, value in overrides.items():
+        sections.setdefault(section_of.get(key, "params"), []).append(f"{key} = {value}")
+    path = tmp_path / "both.ini"
+    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                            for name, lines in sections.items()))
+    with pytest.raises(ConfigurationError, match="give"):
+        load_config(path, kind="propagate")
+
+
+@pytest.mark.parametrize("text", ["[pulse]\nduraton_ns = 300\n",
+                                  "[puls]\nduration_ns = 300\n",
+                                  "[counting]\nkind = propagate\n"])
+def test_unknown_file_keys_raise(tmp_path, text):
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError):
+        load_config(path, kind="propagate")
+
+
+def test_unknown_override_key_raises():
+    with pytest.raises(ConfigurationError, match="duraton_ns"):
+        default_config("propagate", {"duraton_ns": 300.0})
+
+
+def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
+    bad = tmp_path / "typo.ini"
+    bad.write_text("[pulse]\nduraton_ns = 300\n")
+    out_dir = tmp_path / "out"
+    assert main(["propagate", "--config", str(bad), "--out", str(out_dir)]) == 3
+    assert not out_dir.exists()
+
+
+def test_older_manifest_without_the_newer_keys_loads(tmp_path):
+    # manifests of earlier versions hold no [run] threads, and no t_store_ns
+    # without a storage schedule; the [results] and [run] records are skipped
+    cfg = default_config("experiment_replica")
+    text = manifest_text(cfg, {"g2_ss": 0.35}, {"version": "0.1.0", "wall_time_s": 6.09})
+    path = tmp_path / "older.ini"
+    path.write_text("\n".join(line for line in text.splitlines()
+                              if not line.startswith(("threads", "t_store_ns"))))
+    assert load_config(path) == cfg.resolved()
+
+
+_SHAPES = ("square", "triangular_neg", "triangular_pos", "gaussian")
+
+
+@st.composite
+def _overrides(draw):
+    """Random valid overrides across the spellings, placements, pulse shapes,
+    schedules and blockade modes."""
+    ov = {}
+    ratio = draw(st.sampled_from([None, 0.405, 1 / 3]) | st.floats(0.01, 3.0))
+    if ratio is not None:
+        ov["ratio"] = ratio
+    ov.update(draw(st.sampled_from([{}, {"omega_c": 0.3}, {"omega_c_mhz": 2.5}])))
+    ov.update(draw(st.sampled_from([{}, {"gamma_r": 0.01}, {"gamma_r_mhz": 0.8}])))
+    ov.update(draw(st.sampled_from([{}, {"n_atoms": 7}]) | st.builds(
+        lambda d: {"d_target": d}, st.floats(0.5, 12.0))))
+    if draw(st.booleans()):
+        ov.update(placement="jittered", chain_seed=draw(st.integers(0, 2 ** 31)))
+    ov["shape"] = draw(st.sampled_from(_SHAPES))
+    duration = draw(st.floats(200.0, 2000.0))
+    ov["duration_ns"] = duration
+    if draw(st.booleans()):
+        ov["fwhm_ns"] = draw(st.floats(50.0, 900.0))
+    if ov["shape"] == "square":
+        ov["rise_time_ns"] = draw(st.floats(0.0, 0.5 * duration))
+    if draw(st.booleans()):
+        ov.update(schedule_kind="storage", t_off_ns=draw(st.floats(10.0, 900.0)),
+                  t_store_ns=draw(st.floats(1.0, 800.0)))
+    ov.update(draw(st.sampled_from([{}, {"mode": "none"},
+                                    {"mode": "power_law", "d_b": 0.9}])))
+    ov["d_list"] = tuple(draw(st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3)))
+    ov["turnoff_doubles"] = draw(st.booleans())
+    ov["shapes"] = tuple(draw(st.lists(st.sampled_from(_SHAPES), min_size=1, max_size=2)))
+    return ov
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(SCENARIO_KINDS), overrides=_overrides())
+def test_manifest_round_trips_any_valid_config(tmp_path_factory, kind, overrides):
+    cfg = default_config(kind, overrides)
+    text = manifest_text(cfg, {}, {})
+    path = tmp_path_factory.mktemp("manifest") / "manifest.ini"
+    path.write_text(text)
+    back = load_config(path)
+    assert back == cfg.resolved()
+    assert manifest_text(back, {}, {}) == text
+
+
+def test_example_config_loads_and_names_every_key():
+    import re
+    from pathlib import Path
+    from rydeit.configio import _FILE_KEYS
+    path = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
+    # its values are the defaults of the kind it names
+    assert load_config(path) == default_config("propagate")
+    blocks, section = {}, None      # None: the comment header
+    for line in path.read_text().splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        section = header.group(1) if header else section
+        blocks[section] = blocks.get(section, "") + line + "\n"
+    missing = [f"[{section}] {key}" for section, key in _FILE_KEYS
+               if not re.search(rf"\b{key}\b", blocks.get(section, ""))]
+    assert not missing
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from rydeit.model import BlockadeConfig, BlockadeMode, build_chain
 from rydeit.statespace import (KIND_E, KIND_EE, KIND_ER, KIND_R, KIND_RR,
-                               TruncatedState, build_index, dump_state, load_state,
-                               zero_state)
+                               TruncatedState, build_index, zero_state)
 
 
 def _index(n, mode="full", seedless_chain=None):
@@ -115,7 +114,6 @@ def test_zero_state_is_ground():
     idx = _index(4, "full")
     st0 = zero_state(idx)
     assert st0.norm() == 0.0
-    assert st0.is_finite()
     assert st0.amplitudes.shape == (idx.dim,)
 
 
@@ -123,13 +121,3 @@ def test_state_shape_validated():
     idx = _index(3, "full")
     with pytest.raises(Exception):
         TruncatedState(idx, np.zeros(idx.dim + 1, dtype=complex))
-
-
-def test_dump_load_round_trip(tmp_path):
-    idx = _index(4, "none")
-    rng = np.random.default_rng(5)
-    state = TruncatedState(idx, rng.normal(size=idx.dim) + 1j * rng.normal(size=idx.dim))
-    path = tmp_path / "state.txt"
-    dump_state(state, path)
-    back = load_state(idx, path)
-    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
