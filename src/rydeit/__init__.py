@@ -5,14 +5,12 @@ from .model import (AtomChain, BlockadeConfig, BlockadeMode, BLOCKED,
                     PhysicalParams, PulseEnvelope, PulseShape, atoms_for_depth,
                     build_chain, interaction, optical_depth, single_atom_bandwidth)
 from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
-from .dynamics import (ConditionedState, DynamicsError, Generator, StateTrajectory,
-                       apply_field, assemble_generator, conditional_evolve, evolve,
-                       one_photon_amplitude, steady_state, two_photon_amplitude)
+from .dynamics import (DynamicsError, Generator, StateTrajectory, assemble_generator,
+                       evolve, one_photon_amplitude, steady_state, two_photon_amplitude)
 from .observables import (CorrelationGrid, ExtractionError, ObservableTrace,
                           SteadyStateStats, UndefinedResultError, correlation_grid,
                           fit_exponential_envelope, measure_steady_state, tau_eit,
-                          trace_from_trajectory, transmission_spectrum, two_time_g2,
-                          windowed_g2)
+                          trace_from_trajectory, transmission_spectrum, windowed_g2)
 from .counting import (DetectionStream, EfficiencyBudget, EstimateError, dlcz_compare,
                        emulate_trials, estimate_g2, generation_probability_from_stream,
                        generation_probability_from_trace, load_stream, save_stream)

@@ -13,8 +13,9 @@ Five inputs have two spellings: omega_c | omega_c_mhz, gamma_r | gamma_r_mhz,
 n_atoms | d_target, ratio | gamma_1d + gamma_prime and d_b | r_b + v0. Each
 is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
-spellings or half a pair, an unknown section or key in a file, and an
-unknown override key are ConfigurationErrors.
+spellings or half a pair, an unknown section or key in a file, an
+unknown override key and an override of the wrong type are
+ConfigurationErrors.
 
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
@@ -26,9 +27,11 @@ loader skips, so ``--config manifest.ini`` re-runs the scenario identically.
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
+from .counting import DetectionStream, EfficiencyBudget
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, ConfigurationError,
                     ControlSchedule, PhysicalParams, PulseEnvelope, PulseShape,
                     atoms_for_depth, build_chain, rate_from_mhz, time_from_ns)
@@ -104,11 +107,11 @@ class ScenarioConfig:
     window_shapes: tuple = _opt("windows", ("square", "gaussian"), key="shapes", cast=_words)
     n_trials: int = _opt("counting", 100000)
     seed: int = _opt("counting", 12345)
-    eta_path: float = _opt("counting", 0.46)
-    eta1: float = _opt("counting", 0.43)
-    eta2: float = _opt("counting", 0.43)
-    split: float = _opt("counting", 0.5)
-    trial_period_ns: float = _opt("counting", 16000.0)
+    eta_path: float = _opt("counting", EfficiencyBudget.eta_path)
+    eta1: float = _opt("counting", EfficiencyBudget.eta1)
+    eta2: float = _opt("counting", EfficiencyBudget.eta2)
+    split: float = _opt("counting", EfficiencyBudget.split)
+    trial_period_ns: float = _opt("counting", DetectionStream.trial_period_ns)
     delta_min: float = _opt("spectrum", -1.5)
     delta_max: float = _opt("spectrum", 1.5)
     delta_points: int = _opt("spectrum", 241, key="n_points")
@@ -180,11 +183,15 @@ class _Input(NamedTuple):
     attr: str
     in_params: bool
     default: object
+    type: str        # annotation: a key of _CASTS
     cast: object
 
 
 _CASTS = {"str": str, "int": int, "float": float, "tuple": _floats,
           "bool": lambda text: bool(int(text))}
+#: the values an override of each annotation may hold
+_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
+          "tuple": (tuple, list), "bool": numbers.Integral}
 #: the PhysicalParams fields whose file key is not their name
 _PARAM_KEYS = {"omega_c_peak": "omega_c"}
 
@@ -196,11 +203,12 @@ def _inputs():
             for p in fields(PhysicalParams):
                 key = _PARAM_KEYS.get(p.name, p.name)
                 yield _Input(key, section, key, p.name, True, getattr(f.default, p.name),
-                             _CASTS[p.type])
+                             p.type, _CASTS[p.type])
         else:
             key = f.metadata["key"] or f.name
+            kind = f.type.split()[0]
             yield _Input(f.metadata["name"] or key, section, key, f.name, False, f.default,
-                         f.metadata["cast"] or _CASTS[f.type.split()[0]])
+                         kind, f.metadata["cast"] or _CASTS[kind])
 
 
 #: every input, in manifest order
@@ -220,6 +228,9 @@ _GROUPS = tuple((a, b) for a, b, _ in _SPELLINGS) + tuple(
 _FILE_KEYS = {(i.section, i.key): (i.name, i.cast) for i in _INPUTS}
 _FILE_KEYS.update({(section, key): (key, float)
                    for _, other, section in _SPELLINGS for key in other})
+#: override key -> the values it may hold
+_OVERRIDES = {i.name: _TYPES[i.type] for i in _INPUTS}
+_OVERRIDES.update({key: numbers.Real for _, other, _ in _SPELLINGS for key in other})
 #: what a manifest records about the run rather than its inputs
 _RECORDS = {("run", "version"), ("run", "wall_time_s")}
 
@@ -264,9 +275,12 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     """Resolve every input from the field default, the kind's preset, the
     file's values (``file``) and the overrides (``ov``), highest last; an
     explicit ``kind`` wins over any source's scenario kind."""
-    unknown = sorted(set(ov) - {name for name, _ in _FILE_KEYS.values()})
+    unknown = sorted(set(ov) - set(_OVERRIDES))
     if unknown:
         raise ConfigurationError(f"unknown override key(s): {', '.join(unknown)}")
+    for key, value in ov.items():
+        if value is not None and not isinstance(value, _OVERRIDES[key]):
+            raise ConfigurationError(f"override {key} = {value!r} has the wrong type")
     kind = kind or ov.get("scenario_kind") or file.get("scenario_kind")
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(f"unknown or missing scenario kind {kind!r}")

@@ -121,7 +121,7 @@ def save_stream(stream: DetectionStream, path_or_file) -> None:
 def load_stream(path) -> DetectionStream:
     trials, dets, times = [], [], []
     n_trials = None
-    period = 16000.0
+    period = DetectionStream.trial_period_ns
     seed = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -229,7 +229,8 @@ def _sample_pair_times(rng: np.random.Generator, times: np.ndarray,
 
 def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
                    budget: EfficiencyBudget, n_trials: int, seed: int,
-                   trial_period_ns: float = 16000.0, gamma_mhz: float = 6.0) -> DetectionStream:
+                   trial_period_ns: float = DetectionStream.trial_period_ns,
+                   gamma_mhz: float = 6.0) -> DetectionStream:
     """Synthesize the detection record of ``n_trials`` identical trials."""
     if n_trials < 1:
         raise ConfigurationError("need at least one trial")

@@ -23,15 +23,16 @@ Single-excitation amplitudes (per unit peak drive, Gamma = 1 units):
 and the one-photon output amplitude is
 f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
 
-Every evolution goes through ``propagate_segment``, which advances a stacked
-[ground; singles(; doubles)] vector, or a stack of such columns, across one
-segment in equal output steps.  ``Generator.stacked`` holds the generator on
-that layout as three CSR parts, built once per layout: A(t) = S + Omega_c(t) W
-+ e(t) F at drive level e = drive_scale * ep(t).  ``Generator.augmented`` is
-their dense sum, and fixed-step RK4 (deterministic, 4th order, steps aligned
-to breakpoints) takes S y + Omega_c(t) W y + e(t) F y on a varying stretch and
-one folded CSR on a constant one.  Constant stretches take a dense
-exponential instead when it pays.
+Every evolution of the full state goes through ``propagate_segment``, which
+advances a stacked [ground; singles(; doubles)] vector, or a stack of such
+columns, across one segment in equal output steps.  ``Generator.stacked``
+holds the generator on that layout as three CSR parts, built once per layout:
+A(t) = S + Omega_c(t) W + e(t) F at drive level e = drive_scale * ep(t).
+``Generator.augmented`` is their dense sum, and fixed-step RK4
+(deterministic, 4th order, steps aligned to breakpoints) takes
+S y + Omega_c(t) W y + e(t) F y on a varying stretch and one folded CSR on a
+constant one.  Constant stretches take a dense exponential instead when it
+pays.
 
 The exponential is taken at unit drive, E = exp(A(1) h), once per (Omega_c,
 output step h, layout).  With D = diag(1, e, e^2) over the ground, singles and
@@ -41,8 +42,8 @@ doubles <- singles block by e.  At e = 0, after the probe shuts off, that is
 the block diagonal of E, so a square pulse's plateau and its tail share one
 exponential.  ``evolve`` keeps these propagators for one call and takes the
 exponential only on a constant stretch under ``EXPM_MAX_DIM`` longer than 8
-RK4 steps; ``SinglesPropagator`` keeps them for one correlation grid and
-takes it on every constant interval.
+RK4 steps.  The undriven singles propagator of a correlation grid
+(``SinglesPropagator``) takes exp(M1 h) wherever Omega_c is constant.
 
 That exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
@@ -60,16 +61,18 @@ against 6.3-7.4 s for scipy.linalg.expm, agreeing to 6e-15 of the largest
 entry.  ``steady_state`` solves the doubles system in the same order, where
 LU in the natural order makes next to no fill.
 
-``evolve`` records full states by default.  Given a covector stack C (c rows
-over the stacked layout; the trace runners pass ``output_covectors``, the
-rows out_e and a2vec), it records only the c projections C y per sample,
-which is all a time trace reads.  Such projections of an exponential stretch,
-and the turn-off scans' c P^k y (k = 1..n) of one block evolving alone with
-P = exp(M h) (``free_decay``), come from ``_projected_powers`` by baby and
-giant steps (after Paterson and Stockmeyer, SIAM J. Comput. 2:60, 1973): with
-k = j m + i + 1, the rows C P^i (i < m) and the columns P^(j m + 1) y
-(j < ceil(n/m)) meet in one (ceil(n/m) x d)(d x m c) product, and the end
-state is the last column advanced by at most m - 1 steps.
+``evolve`` records only the projections C y of a covector stack C (c rows
+over the stacked layout) per sample.  ``Generator.output_covectors`` gives
+the rows out_e and a2vec, all a time trace reads, and with ``grid`` also the
+singles and the rows of ann, all a correlation grid reads (42 rows on the
+default emulate-hbt device, against 176 dimensions).  The projections of an
+exponential stretch, and the turn-off scans' c P^k y (k = 1..n) of one block
+evolving alone with P = exp(M h) (``free_decay``), come from
+``_projected_powers`` by baby and giant steps (after Paterson and
+Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1, the rows
+C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
+(ceil(n/m) x d)(d x m c) product, and the end state is the last column
+advanced by at most m - 1 steps.
 
 A dense P gives P^m by log2 m squarings, and m is the power of two that
 minimizes the cost in matvecs, log2(m) d / GEMM_KAPPA + c m + ceil(n/m),
@@ -203,13 +206,18 @@ class Generator:
         s, w, f = self.stacked(doubles)
         return (s + omega * w + (drive_scale * env) * f).toarray()
 
-    def output_covectors(self) -> np.ndarray:
+    def output_covectors(self, grid: bool = False) -> np.ndarray:
         """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
-        the one- and two-photon output projections a time trace reads."""
+        the one- and two-photon output projections a time trace reads.  With
+        ``grid`` it goes on with the n1 rows [0, I, 0] and the n1 rows
+        [0, 0, ann]: the singles and ann psi2 a correlation grid reads."""
         n1 = self.index.dim_singles
-        c = np.zeros((2, 1 + self.index.dim), dtype=complex)
+        c = np.zeros((2 + 2 * n1 if grid else 2, 1 + self.index.dim), dtype=complex)
         c[0, 1:1 + n1] = self.out_e
         c[1, 1 + n1:] = self.a2vec
+        if grid:
+            c[2:2 + n1, 1:1 + n1] = np.eye(n1)
+            c[2 + n1:, 1 + n1:] = self.ann.toarray()
         return c
 
 
@@ -558,48 +566,28 @@ def _tri_solve(l: np.ndarray, m: np.ndarray) -> None:
 
 @dataclass
 class StateTrajectory:
-    """States, or only their projections onto a covector stack, sampled on a
-    near-uniform output grid (breakpoints injected so that discontinuities
-    land exactly on samples).
-
-    ``states`` is (n_samples, dim), or None when ``evolve`` recorded only the
-    projections ``project @ [1; singles; doubles]``, (n_samples, c).
+    """The projections ``project @ [1; singles; doubles]`` of the state onto
+    a covector stack, (n_samples, c), sampled on a near-uniform output grid
+    (breakpoints injected so that discontinuities land exactly on samples).
     ``envelope_unit`` and ``omega_c`` hold the right-continuous values at the
     sample times, i.e. the post-jump values exactly at a discontinuity.
     """
 
     index: ExcitationIndex
     times: np.ndarray
-    states: np.ndarray | None
+    projections: np.ndarray
     envelope_unit: np.ndarray
     omega_c: np.ndarray
-    drive_scale: float = 1.0
-    projections: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("trajectory time grid must be strictly increasing")
-        if (self.states is None) == (self.projections is None):
-            raise ConfigurationError("a trajectory holds either states or projections")
-        if self.states is not None and self.states.shape != (len(self.times), self.index.dim):
-            raise ConfigurationError("snapshot count must match the time grid")
-        if self.projections is not None and len(self.projections) != len(self.times):
+        if len(self.projections) != len(self.times):
             raise ConfigurationError("projection count must match the time grid")
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-    def state_at(self, i: int) -> TruncatedState:
-        if self.states is None:
-            raise ConfigurationError("the trajectory holds projections only, not states")
-        return TruncatedState(self.index, self.states[i].copy())
-
-    def locate(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on the trajectory grid")
-        return i
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
@@ -621,7 +609,7 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
 def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
                       dt: float, method: str = "auto", drive_scale: float = 1.0,
                       out: np.ndarray | None = None, cache: dict | None = None,
-                      expm_after: float = 8.0, project: np.ndarray | None = None) -> np.ndarray:
+                      project: np.ndarray | None = None) -> np.ndarray:
     """Advance the stacked vector, or columns, ``y`` from ``a`` to ``b`` in
     ``n_out`` equal output steps and return the state at ``b``.
 
@@ -629,7 +617,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     a covector stack ``project`` (c x d) only its projections ``project @ y``.
     ``method`` is "rk4", "expm" or "auto"; "auto" takes the dense exponential
     on a constant stretch under ``EXPM_MAX_DIM`` whose output step is longer
-    than ``expm_after`` RK4 steps.  With a ``cache``, a dict the caller keeps
+    than 8 RK4 steps.  With a ``cache``, a dict the caller keeps
     for one generator, the unit-drive propagators are reused across calls.
     """
     h_out = (b - a) / n_out
@@ -638,7 +626,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         raise DynamicsError("expm method requires piecewise-constant coefficients")
     fits = y.shape[0] <= EXPM_MAX_DIM
     doubles = y.shape[0] > 1 + gen.index.dim_singles
-    if method == "expm" or (method == "auto" and const and fits and h_out > expm_after * dt):
+    if method == "expm" or (method == "auto" and const and fits and h_out > 8.0 * dt):
         if not fits:
             raise DynamicsError("state too large for the dense expm propagator")
         om = gen.omega_at(a)
@@ -883,9 +871,10 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
         "auto" - expm on constant stretches when the dimension permits and the
                  stretch is long enough to pay for it, RK4 otherwise.
 
-    The trajectory holds the full states, or, with a covector stack
-    ``project`` (c x (1 + dim) over [ground; singles; doubles], e.g.
-    ``Generator.output_covectors``), only the projections ``project @ y``.
+    The trajectory holds the projections ``project @ y`` of a covector
+    stack (c x (1 + dim) over [ground; singles; doubles]), by default
+    ``Generator.output_covectors(grid=True)``: what a trace and a
+    correlation grid read.
     """
     if method not in ("rk4", "expm", "auto"):
         raise ConfigurationError(f"unknown method {method!r}")
@@ -899,11 +888,13 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
         dt_out = max(dt, (t1 - t0) / 2000.0)
     if initial is None:
         initial = zero_state(idx)
+    if project is None:
+        project = generator.output_covectors(grid=True)
     segments = _segment_grid(t0, t1, generator.breakpoints(), dt_out)
     y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
     n_samples = 1 + sum(n for _, _, n in segments)
-    record = np.empty((n_samples, len(y) if project is None else len(project)), dtype=complex)
-    record[0] = y if project is None else project @ y
+    record = np.empty((n_samples, len(project)), dtype=complex)
+    record[0] = project @ y
     times = [t0]
     cache: dict = {}
     for (a, b, n_out) in segments:
@@ -915,12 +906,9 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
         times.extend(a + k * h_out for k in range(1, n_out + 1))
         _check_finite(y, b)
 
-    return StateTrajectory(index=idx, times=np.array(times),
-                           states=record[:, 1:] if project is None else None,
-                           projections=record if project is not None else None,
+    return StateTrajectory(index=idx, times=np.array(times), projections=record,
                            envelope_unit=np.array([generator.envelope_at(t) for t in times]),
-                           omega_c=np.array([generator.omega_at(t) for t in times]),
-                           drive_scale=drive_scale)
+                           omega_c=np.array([generator.omega_at(t) for t in times]))
 
 
 # ---------------------------------------------------------------------------
@@ -957,29 +945,7 @@ def steady_state(generator: Generator, omega_c: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# field-operator application and conditioned evolution
-
-@dataclass
-class ConditionedState:
-    """State after one photon annihilation: explicit ground amplitude plus the
-    single-excitation block (one perturbative order above the ground entry)."""
-
-    index: ExcitationIndex
-    ground: complex
-    singles: np.ndarray
-
-    def copy(self) -> "ConditionedState":
-        return ConditionedState(self.index, self.ground, self.singles.copy())
-
-
-def apply_field(state: TruncatedState, envelope_unit: float, generator: Generator) -> ConditionedState:
-    """Apply the output field operator (input term plus collective atomic
-    lowering) once, mapping the <=2 excitation state onto <=1 excitations."""
-    env = complex(envelope_unit)
-    ground = env + generator.out_e @ state.singles
-    singles = env * state.singles + generator.ann @ state.doubles
-    return ConditionedState(state.index, ground, np.asarray(singles))
-
+# output amplitudes and the undriven singles propagator
 
 def one_photon_amplitude(state: TruncatedState, envelope_unit: float,
                          generator: Generator) -> complex:
@@ -995,54 +961,36 @@ def two_photon_amplitude(state: TruncatedState, envelope_unit: float,
                    + generator.a2vec @ state.doubles)
 
 
-def conditioned_output(cstate: ConditionedState, envelope_unit: float,
-                       generator: Generator) -> complex:
-    """Ground component of one further field application on a conditioned state."""
-    return complex(envelope_unit * cstate.ground + generator.out_e @ cstate.singles)
-
-
-def conditional_evolve(cstate: ConditionedState, generator: Generator,
-                       t1: float, t2: float, dt: float | None = None,
-                       method: str = "auto", drive_scale: float = 1.0) -> ConditionedState:
-    """Evolve a conditioned state from t1 to t2 under the same generator; the
-    frozen ground component keeps sourcing the singles through the drive."""
-    if t2 < t1:
-        raise ConfigurationError("need t2 >= t1")
-    if t2 == t1:
-        return cstate.copy()
-    if dt is None:
-        # conditioned dynamics lives in the singles block; the capped rr
-        # interaction no longer limits the step
-        dt = 0.05 / generator.nonstiff_rate()
-    y = np.concatenate([[cstate.ground], cstate.singles])
-    for (a, b, _n) in _segment_grid(t1, t2, generator.breakpoints(), t2 - t1):
-        y = propagate_segment(generator, y, a, b, dt=dt, method=method,
-                              drive_scale=drive_scale)
-    _check_finite(y, t2)
-    return ConditionedState(cstate.index, complex(y[0]), y[1:])
-
-
 class SinglesPropagator:
-    """Advances stacked [ground; singles] columns across a trajectory grid.
+    """The undriven singles propagator Phi of a correlation grid over the
+    intervals of its time grid: d x/dt = M1(Omega_c(t)) x, blind to the
+    envelope.  An interval is split at the schedule's breakpoints; a piece
+    at constant Omega_c takes exp(M1 h), one per (Omega_c, h) for the grid,
+    and a ramp RK4 at steps of at most 0.05 over the fastest physical rate."""
 
-    Used to sweep conditioned states over every later output time in one pass
-    when filling two-time correlation grids; one step per grid interval,
-    shared by all active columns.  Every constant interval takes the dense
-    exponential, one per (Omega_c, step) for all drive levels.
-    """
-
-    def __init__(self, generator: Generator, times: np.ndarray,
-                 dt: float | None = None, drive_scale: float = 1.0):
+    def __init__(self, generator: Generator, times: np.ndarray):
         self.gen = generator
         self.times = np.asarray(times, dtype=float)
-        self.drive_scale = drive_scale
-        # the columns live in the singles block (see conditional_evolve)
-        self.dt = dt if dt is not None else 0.05 / generator.nonstiff_rate()
+        self.dt = 0.05 / generator.nonstiff_rate()
+        self._parts = (_csr(generator.m1_static), _csr(generator.m1_omega),
+                       sp.csr_matrix(generator.m1_omega.shape, dtype=complex))
         self._cache: dict = {}
 
-    def step(self, k: int, y_matrix: np.ndarray) -> np.ndarray:
-        """Propagate the columns of ``y_matrix`` from times[k] to times[k+1]."""
-        return propagate_segment(self.gen, y_matrix, float(self.times[k]),
-                                 float(self.times[k + 1]), dt=self.dt,
-                                 drive_scale=self.drive_scale, cache=self._cache,
-                                 expm_after=0.0)
+    def step(self, k: int, cols: np.ndarray) -> np.ndarray:
+        """Phi(times[k + 1], times[k]) applied to the singles columns ``cols``."""
+        schedule = self.gen.schedule
+        t0, t1 = float(self.times[k]), float(self.times[k + 1])
+        for a, b, _ in _segment_grid(t0, t1, schedule.breakpoints(), t1 - t0):
+            if schedule.is_constant_between(a, b):
+                om = schedule.value(a)
+                key = (round(om, 15), round(b - a, 15))
+                prop = self._cache.get(key)
+                if prop is None:
+                    prop = self._cache[key] = expm(self.gen.m1(om) * (b - a))
+                cols = prop @ cols
+            else:
+                # lookups clamped below b, as in ``propagate_segment``
+                t_hi = b - 1e-12 * max(1.0, b - a)
+                cols = _rk4(self._parts, cols, a, b - a, 1, self.dt,
+                            lambda t: (0.0, schedule.value(min(t, t_hi))), False)
+        return cols

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,12 +128,15 @@ def build_chain(n_atoms: int, length: float = 1.0, k_p: float = 1.0,
 
     ``uniform`` puts atom h at the center of its cell, z_h = (h - 1/2) L / N.
     ``jittered`` adds seeded uniform offsets within +-L/(4N), which keeps the
-    ordering strictly increasing.
+    ordering strictly increasing; it needs a ``seed``, so that a manifest
+    re-runs the same positions.
     """
     if n_atoms < 1 or length <= 0:
         raise ConfigurationError("need n_atoms >= 1 and length > 0")
     z = (np.arange(n_atoms) + 0.5) * length / n_atoms
     if placement == "jittered":
+        if seed is None:
+            raise ConfigurationError("jittered placement needs a seed")
         rng = np.random.default_rng(seed)
         z = z + rng.uniform(-0.25, 0.25, size=n_atoms) * length / n_atoms
     elif placement != "uniform":
@@ -314,7 +316,7 @@ class PulseEnvelope:
             return self.duration / 3.0
         a = 8.0 * math.log(2.0) / self.gaussian_fwhm ** 2  # |shape|^2 = exp(-a x^2)
         half = 0.5 * self.duration
-        return math.sqrt(math.pi / a) * float(erf(math.sqrt(a) * half))
+        return math.sqrt(math.pi / a) * math.erf(math.sqrt(a) * half)
 
     @property
     def peak_amplitude(self) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 from .model import AtomChain, ConfigurationError, PhysicalParams
-from .dynamics import (Generator, SinglesPropagator, StateTrajectory, apply_field,
-                       conditional_evolve, conditioned_output, steady_transmission_amplitude)
+from .dynamics import (Generator, SinglesPropagator, StateTrajectory,
+                       steady_transmission_amplitude)
 
 
 class ExtractionError(RuntimeError):
@@ -67,21 +67,16 @@ def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
                           floor: float = DEFAULT_INTENSITY_FLOOR) -> ObservableTrace:
     """Intensity |f1|^2 with f1 = ep + out_e . psi1, and two-photon intensity
     |A2|^2 with A2 = ep^2 + 2 ep (out_e . psi1) + a2vec . psi2, on the
-    trajectory grid; a projections-only trajectory must hold the
-    ``Generator.output_covectors`` projections.
+    trajectory grid, from the first two columns of its record, which must
+    be the ``Generator.output_covectors`` projections.
 
     A2 is ill-conditioned at low intensity: its terms cancel by about four
     orders of magnitude there, so ``g2tilde`` and ``g2`` below ~1e-2 of the
     peak intensity hold only to ~1e-11 relative (reordering one dot product
     moves them that much).  Compare them scaled by each column's maximum."""
-    if traj.states is None:
-        if traj.projections.shape[1] != 2:
-            raise ConfigurationError("trajectory projections are not the output covectors")
-        f_single, f_double = traj.projections.T
-    else:
-        n1 = traj.index.dim_singles
-        f_single = traj.states[:, :n1] @ generator.out_e
-        f_double = traj.states[:, n1:] @ generator.a2vec
+    if traj.projections.shape[1] < 2:
+        raise ConfigurationError("trajectory projections are not the output covectors")
+    f_single, f_double = traj.projections[:, :2].T
     env = traj.envelope_unit
     intensity = np.abs(env + f_single) ** 2
     g2tilde = np.abs(env ** 2 + 2.0 * env * f_single + f_double) ** 2
@@ -109,36 +104,28 @@ class CorrelationGrid:
         if self.g2_matrix.shape != (m, m):
             raise ConfigurationError("correlation matrix does not match the grid")
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on the correlation grid")
-        return i
 
-
-def two_time_g2(traj: StateTrajectory, generator: Generator, t1: float, t2: float,
-                dt: float | None = None) -> float:
-    """G2(t1, t2) for a single pair of grid times: annihilate one photon at t1,
-    evolve the conditioned state to t2 under the same generator, annihilate
-    again and take the squared modulus of the ground component."""
-    if t2 < t1:
-        t1, t2 = t2, t1
-    i1 = traj.locate(t1)
-    cstate = apply_field(traj.state_at(i1), float(traj.envelope_unit[i1]), generator)
-    cstate = conditional_evolve(cstate, generator, t1, t2, dt=dt,
-                                drive_scale=traj.drive_scale)
-    env2 = generator.envelope.unit_shape(t2)
-    return float(abs(conditioned_output(cstate, env2, generator)) ** 2)
+#: columns of the Toeplitz products ``correlation_grid`` holds at once
+GRID_BLOCK = 128
 
 
 def correlation_grid(traj: StateTrajectory, generator: Generator,
-                     i_start: int = 0, i_stop: int | None = None, stride: int = 1,
-                     dt: float | None = None) -> CorrelationGrid:
-    """Fill G2 over the trajectory sub-grid [i_start:i_stop:stride].
+                     i_start: int = 0, i_stop: int | None = None,
+                     stride: int = 1) -> CorrelationGrid:
+    """G2(t_i, t_j) over the trajectory sub-grid [i_start:i_stop:stride], in
+    closed form from the trajectory's record, which must begin with
+    ``Generator.output_covectors(grid=True)``.
 
-    All conditioned columns advance together one grid interval at a time, so
-    the cost is O(n_grid^2 * dim_singles) rather than one full evolution per
-    row.  The diagonal reproduces the equal-time G2 exactly.
+    A photon taken at t_i leaves the ground f1_i and the singles
+    ep_i psi1 + ann psi2, which evolve under the trajectory's own singles
+    generator with the ground frozen, so their difference from f1_i psi1(t)
+    evolves undriven (Duhamel splitting): for t_i <= t_j,
+    G2(t_i, t_j) = |f1_i f1_j + out_e Phi(t_j, t_i) x'_i|^2 with
+    x'_i = ann psi2(t_i) - (out_e psi1(t_i)) psi1(t_i) and Phi the undriven
+    ``SinglesPropagator``.  On a run of equal intervals at one constant
+    Omega_c, Phi(t_j, t_i) = P^(j - i): a Toeplitz product of the rows
+    out_e P^k with the columns x'_i, ``GRID_BLOCK`` columns at a time.
+    Earlier columns are carried to each run's start by binary powers of P.
     """
     if i_stop is None:
         i_stop = traj.n_samples
@@ -146,31 +133,75 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
     if len(sel) < 2:
         raise ConfigurationError("correlation grid needs at least two samples")
     n1 = traj.index.dim_singles
-    m = len(sel)
-    prop = SinglesPropagator(generator, traj.times, dt=dt, drive_scale=traj.drive_scale)
+    rec = traj.projections[sel]
+    if rec.shape[1] < 2 + 2 * n1:
+        raise ConfigurationError("trajectory projections lack the correlation-grid rows")
+    times = traj.times[sel]
+    env = traj.envelope_unit[sel]
+    f1 = env + rec[:, 0]
+    x = (rec[:, 2 + n1:2 + 2 * n1] - rec[:, :1] * rec[:, 2:2 + n1]).T
+    g2 = np.empty((len(sel), len(sel)))
+    phi = SinglesPropagator(generator, times)
+    runs = _uniform_runs(times, generator.schedule)
+    cols = np.empty((n1, 0), dtype=complex)
+    for r, (s, e) in enumerate(runs):
+        # columns born at i < stop are filled at t_j, j in [max(i, s), stop)
+        last = r == len(runs) - 1
+        stop = e + 1 if last else e
+        p = phi.step(s, np.eye(n1, dtype=complex))
+        rows = np.empty((stop - s, n1), dtype=complex)
+        rows[0] = generator.out_e
+        for k in range(1, stop - s):
+            rows[k] = rows[k - 1] @ p
+        cols = np.hstack([cols, x[:, s:stop]])
+        _fill_run(g2, f1, rows, cols, s)
+        if not last:
+            _carry(p, cols, e - np.maximum(np.arange(e), s))
+    return CorrelationGrid(times=times.copy(), g2_matrix=g2, intensity=np.abs(f1) ** 2,
+                           envelope_unit=env.copy())
 
-    y = np.zeros((1 + n1, m), dtype=complex)
-    g2 = np.zeros((m, m), dtype=float)
-    col = 0
-    for k in range(sel[0], sel[-1] + 1):
-        if col < m and k == sel[col]:
-            cs = apply_field(traj.state_at(k), float(traj.envelope_unit[k]), generator)
-            y[0, col] = cs.ground
-            y[1:, col] = cs.singles
-            col += 1
-            env_k = traj.envelope_unit[k]
-            a2_row = env_k * y[0, :col] + generator.out_e @ y[1:, :col]
-            g2[:col, col - 1] = np.abs(a2_row) ** 2
-        if k < sel[-1]:
-            y[:, :col] = prop.step(k, y[:, :col])
 
-    iu, ju = np.triu_indices(m, k=1)
-    g2[ju, iu] = g2[iu, ju]
+def _uniform_runs(times: np.ndarray, schedule) -> list:
+    """The grid as runs (s, e) of samples s..e whose intervals share one
+    length (to 1e-9 relative) and one constant Omega_c; an interval where
+    Omega_c varies is a run of its own."""
+    h = np.diff(times)
+    const = [schedule.is_constant_between(a, b) for a, b in zip(times[:-1], times[1:])]
+    runs, s = [], 0
+    for c in range(1, len(h) + 1):
+        if (c == len(h) or not (const[s] and const[c]) or abs(h[c] - h[s]) > 1e-9 * h[s]
+                or schedule.value(times[c]) != schedule.value(times[s])):
+            runs.append((s, c))
+            s = c
+    return runs
 
-    f1 = traj.envelope_unit[sel] + traj.states[sel, :n1] @ generator.out_e
-    return CorrelationGrid(times=traj.times[sel].copy(), g2_matrix=g2,
-                           intensity=np.abs(f1) ** 2,
-                           envelope_unit=traj.envelope_unit[sel].copy())
+
+def _fill_run(g2: np.ndarray, f1: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+              s: int) -> None:
+    """G2(t_i, t_j) and G2(t_j, t_i) for j in [s, s + len(rows)) and each
+    column i, which holds x'_i carried to t_max(i, s); rows[k] is out_e P^k."""
+    stop = s + len(rows)
+    for c0 in range(0, stop, GRID_BLOCK):
+        c1 = min(c0 + GRID_BLOCK, stop)
+        amp = rows @ cols[:, c0:c1]
+        old = min(c1, s + 1)        # columns born by t_s fill the whole run
+        if old > c0:
+            a = np.abs(np.outer(f1[c0:old], f1[s:stop]) + amp[:, :old - c0].T) ** 2
+            g2[c0:old, s:stop] = a
+            g2[s:stop, c0:old] = a.T
+        for i in range(max(c0, s + 1), c1):
+            a = np.abs(f1[i] * f1[i:stop] + amp[:stop - i, i - c0]) ** 2
+            g2[i, i:stop] = a
+            g2[i:stop, i] = a
+
+
+def _carry(p: np.ndarray, cols: np.ndarray, powers: np.ndarray) -> None:
+    """cols[:, i] <- p^powers[i] cols[:, i] in place, by binary powers of p."""
+    q = p
+    for b in range(int(powers.max()).bit_length()):
+        hit = (powers >> b) & 1 == 1
+        cols[:, hit] = q @ cols[:, hit]
+        q = q @ q
 
 
 def _window_slice(times: np.ndarray, t_start: float, width: float):

@@ -119,10 +119,10 @@ def relaxed_dt(gen) -> float | None:
     return min(0.05 / gen.nonstiff_rate(), 0.7 / gen.v_max)
 
 
-def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False, states: bool = False):
+def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False, grid: bool = False):
     """Generator, trajectory and trace of the configured run; the trajectory
-    keeps the full states only with ``states`` (for a correlation grid),
-    otherwise just the output projections the trace reads."""
+    records the output projections the trace reads, and with ``grid`` also
+    those a correlation grid reads."""
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),
                              cfg.schedule(), cfg.envelope())
     g = cfg.params.gamma_mhz
@@ -131,7 +131,7 @@ def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False, states: bool = Fa
         dt = relaxed_dt(gen)
     traj = evolve(gen, cfg.horizon(), dt=dt,
                   dt_out=time_from_ns(cfg.dt_out_ns, g), method=cfg.method,
-                  project=None if states else gen.output_covectors())
+                  project=gen.output_covectors(grid))
     return gen, traj, trace_from_trajectory(traj, gen)
 
 
@@ -424,7 +424,7 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
         shape_cfg = dc_replace(shape_cfg, duration_ns=1500.0,
                                fwhm_ns=cfg.fwhm_ns or 600.0,
                                rise_time_ns=0.0)
-    gen, traj, trace = _propagate(shape_cfg, relax_stiff=(shape == "gaussian"), states=True)
+    gen, traj, trace = _propagate(shape_cfg, relax_stiff=(shape == "gaussian"), grid=True)
     grid = correlation_grid(traj, gen)
     rows = []
     end = time_from_ns(cfg.end_time_ns, g)
@@ -463,7 +463,7 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     if cfg.schedule_kind != "storage":
         raise ConfigurationError("storage scenario needs a storage schedule (t_off_ns)")
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg, relax_stiff=True, states=True)
+    gen, traj, trace = _propagate(cfg, relax_stiff=True, grid=True)
     grid = correlation_grid(traj, gen)
     t_release = time_from_ns(cfg.t_off_ns + cfg.t_store_ns, g)
     t_end = trace.times[-1]
@@ -506,7 +506,7 @@ def run_dlcz(cfg: ScenarioConfig) -> ResultBundle:
 @_timed
 def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg, states=True)
+    gen, traj, trace = _propagate(cfg, grid=True)
     grid = correlation_grid(traj, gen)
     budget = EfficiencyBudget(eta_path=cfg.eta_path, eta1=cfg.eta1, eta2=cfg.eta2,
                               split=cfg.split)

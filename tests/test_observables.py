@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydeit.model import BlockadeConfig, optical_depth
+from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, ConfigurationError,
+                          PulseShape, build_chain, optical_depth)
 from rydeit.dynamics import evolve
 from rydeit.observables import (CorrelationGrid, ExtractionError, ObservableTrace,
                                 UndefinedResultError, correlation_grid, eit_peak,
@@ -13,9 +14,9 @@ from rydeit.observables import (CorrelationGrid, ExtractionError, ObservableTrac
                                 fit_exponential_envelope,
                                 measure_steady_state, spectrum_fwhm, tau_eit,
                                 trace_from_trajectory, transmission_spectrum,
-                                two_time_g2, windowed_g2, write_csv)
+                                windowed_g2, write_csv)
 
-from conftest import make_generator
+from conftest import make_generator, oracle_rows, two_time_g2
 
 
 def _synthetic_trace(times, intensity, g2tilde, envelope=None, omega=None):
@@ -61,7 +62,7 @@ def test_two_time_factorization_and_symmetry():
 
 def test_two_time_matches_equal_time_on_diagonal():
     gen = make_generator(n_atoms=5, duration=20.0)
-    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, method="auto")
+    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, method="auto", project=oracle_rows(gen))
     trace = trace_from_trajectory(traj, gen)
     for i in (3, 17, 30):
         t = float(traj.times[i])
@@ -71,12 +72,62 @@ def test_two_time_matches_equal_time_on_diagonal():
 
 def test_two_time_g2_off_diagonal_consistent_with_grid():
     gen = make_generator(n_atoms=5, duration=20.0)
-    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, method="auto")
+    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, method="auto", project=oracle_rows(gen))
     grid = correlation_grid(traj, gen, i_start=10, i_stop=40, stride=3)
     i, j = 2, 7
     t1, t2 = float(grid.times[i]), float(grid.times[j])
     assert two_time_g2(traj, gen, t1, t2) == pytest.approx(
         grid.g2_matrix[i, j], rel=1e-7, abs=1e-12)
+
+
+def _power_law(n_atoms):
+    from rydeit.model import PhysicalParams
+    p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
+    return BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms, 1.0), p)
+
+
+#: Omega_c held, ramped down over [6, 9], held again: the ramp's intervals
+#: take RK4 in the undriven propagator
+_RAMP = ControlSchedule(segments=(ControlSegment(0.0, 6.0, 0.5, 0.5),
+                                  ControlSegment(6.0, 9.0, 0.5, 0.1),
+                                  ControlSegment(9.0, 10.0, 0.1, 0.1)))
+
+
+@pytest.mark.parametrize("shape, schedule", [
+    (PulseShape.SQUARE, None),
+    (PulseShape.GAUSSIAN, None),
+    (PulseShape.SQUARE, ControlSchedule.storage(0.5, t_off=8.0, t_store=6.0)),
+    (PulseShape.GAUSSIAN, _RAMP)])
+@pytest.mark.parametrize("blockaded", [True, False])
+@pytest.mark.parametrize("i_start, i_stop, stride", [(0, None, 1), (7, 61, 3)])
+def test_correlation_grid_matches_conditioned_evolution(shape, schedule, blockaded,
+                                                        i_start, i_stop, stride):
+    # the closed-form grid against the oracle that evolves each conditioned
+    # state under the driven generator; storage's control jumps and the
+    # ramp's breakpoints fall inside the stride-3 intervals
+    n = 5
+    gen = make_generator(n_atoms=n, shape=shape, duration=12.0, schedule=schedule,
+                         blockade=None if blockaded else _power_law(n))
+    dt = 0.005
+    traj = evolve(gen, (0.0, 22.0), dt=dt, dt_out=0.25, method="auto",
+                  project=oracle_rows(gen))
+    grid = correlation_grid(traj, gen, i_start=i_start, i_stop=i_stop, stride=stride)
+    peak = np.max(grid.g2_matrix)
+    rng = np.random.default_rng(11)
+    m = len(grid.times)
+    pairs = [(0, 0), (0, m - 1), (m - 1, m - 1)] + [
+        tuple(sorted(rng.integers(0, m, size=2))) for _ in range(12)]
+    for a, b in pairs:
+        ref = two_time_g2(traj, gen, grid.times[a], grid.times[b], dt=dt)
+        assert abs(grid.g2_matrix[a, b] - ref) <= 1e-8 * peak, (a, b)
+        assert grid.g2_matrix[b, a] == grid.g2_matrix[a, b]
+
+
+def test_correlation_grid_needs_the_grid_rows():
+    gen = make_generator(n_atoms=3, duration=10.0)
+    traj = evolve(gen, (0.0, 12.0), dt_out=0.5, project=gen.output_covectors())
+    with pytest.raises(ConfigurationError):
+        correlation_grid(traj, gen)
 
 
 # ---------------------------------------------------------------------------

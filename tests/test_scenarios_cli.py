@@ -176,6 +176,27 @@ def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"schedule_kind": "storage", "t_off_ns": "600"}, {"n_atoms": 2.5},
+    {"p_list": 0.1}, {"ratio": "0.2"}, {"shape": 1}])
+def test_wrong_typed_override_raises(overrides):
+    with pytest.raises(ConfigurationError, match="wrong type"):
+        default_config("storage", overrides)
+
+
+def test_jittered_placement_needs_a_seed(tmp_path):
+    # unseeded jitter would draw positions no manifest records
+    with pytest.raises(ConfigurationError, match="seed"):
+        default_config("propagate", {"placement": "jittered"})
+    cfg = default_config("propagate", {"placement": "jittered", "chain_seed": 4})
+    assert cfg.chain() == cfg.chain()
+    bad = tmp_path / "jitter.ini"
+    bad.write_text("[chain]\nplacement = jittered\n")
+    out_dir = tmp_path / "out"
+    assert main(["propagate", "--config", str(bad), "--out", str(out_dir)]) == 3
+    assert not out_dir.exists()
+
+
 def test_older_manifest_without_the_newer_keys_loads(tmp_path):
     # manifests of earlier versions hold no [run] threads, and no t_store_ns
     # without a storage schedule; the [results] and [run] records are skipped
