@@ -164,9 +164,14 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
 def _uniform_runs(times: np.ndarray, schedule) -> list:
     """The grid as runs (s, e) of samples s..e whose intervals share one
     length (to 1e-9 relative) and one constant Omega_c; an interval where
-    Omega_c varies is a run of its own."""
+    Omega_c varies, or that holds a schedule breakpoint inside, is a run of
+    its own."""
     h = np.diff(times)
     const = [schedule.is_constant_between(a, b) for a, b in zip(times[:-1], times[1:])]
+    bp = np.asarray(schedule.breakpoints(), dtype=float)
+    c = np.searchsorted(times, bp, side="right") - 1
+    for k in c[(c >= 0) & (c < len(h)) & (times[np.clip(c, 0, len(h))] < bp)]:
+        const[k] = False
     runs, s = [], 0
     for c in range(1, len(h) + 1):
         if (c == len(h) or not (const[s] and const[c]) or abs(h[c] - h[s]) > 1e-9 * h[s]

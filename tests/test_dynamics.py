@@ -116,7 +116,8 @@ def test_steady_state_matches_long_evolution():
 
 def test_zero_envelope_stays_zero():
     gen = make_generator(n_atoms=4)
-    traj = evolve(gen, (40.0, 60.0), dt_out=2.0, method="rk4")  # after the pulse
+    traj = evolve(gen, (40.0, 60.0), dt_out=2.0, method="rk4",  # after the pulse
+                  project=state_rows(gen))
     assert np.all(traj.projections == 0)
 
 

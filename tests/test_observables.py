@@ -108,6 +108,21 @@ def test_correlation_grid_matches_conditioned_evolution(shape, schedule, blockad
     n = 5
     gen = make_generator(n_atoms=n, shape=shape, duration=12.0, schedule=schedule,
                          blockade=None if blockaded else _power_law(n))
+    _check_grid_against_oracle(gen, i_start, i_stop, stride)
+
+
+@pytest.mark.parametrize("blockaded", [True, False])
+def test_correlation_grid_storage_window_inside_one_interval(blockaded):
+    # the whole 0.25 storage window [8, 8.25] lies inside the stride-4
+    # interval [7.75, 8.75], where Omega_c reads the same at both ends
+    n = 5
+    gen = make_generator(n_atoms=n, duration=12.0,
+                         schedule=ControlSchedule.storage(0.5, t_off=8.0, t_store=0.25),
+                         blockade=None if blockaded else _power_law(n))
+    _check_grid_against_oracle(gen, 3, 80, 4)
+
+
+def _check_grid_against_oracle(gen, i_start, i_stop, stride):
     dt = 0.005
     traj = evolve(gen, (0.0, 22.0), dt=dt, dt_out=0.25, method="auto",
                   project=oracle_rows(gen))
