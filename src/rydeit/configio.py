@@ -14,8 +14,8 @@ n_atoms | d_target, ratio | gamma_1d + gamma_prime and d_b | r_b + v0. Each
 is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
-unknown override key and an override of the wrong type are
-ConfigurationErrors.
+unknown override key, an override of the wrong type and an [integration]
+method outside ``dynamics.METHODS`` are ConfigurationErrors.
 
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .counting import DetectionStream, EfficiencyBudget
+from .dynamics import METHODS
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, ConfigurationError,
                     ControlSchedule, PhysicalParams, PulseEnvelope, PulseShape,
                     atoms_for_depth, build_chain, rate_from_mhz, time_from_ns)
@@ -317,6 +318,8 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     if "d_target" in given:
         values["n_atoms"] = atoms_for_depth(given["d_target"], values["params"])
     cfg = ScenarioConfig(**values)
+    if cfg.method not in METHODS:
+        raise ConfigurationError(f"[integration] method must be one of {METHODS}")
     for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule):
         build()     # fail fast on inconsistent sections
     return cfg

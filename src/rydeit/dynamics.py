@@ -24,26 +24,24 @@ and the one-photon output amplitude is
 f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
 
 Every evolution of the full state goes through ``propagate_segment``, which
-advances a stacked [ground; singles(; doubles)] vector, or a stack of such
-columns, across one segment in equal output steps.  ``Generator.stacked``
-holds the generator on that layout as three CSR parts, built once per layout:
-A(t) = S + Omega_c(t) W + e(t) F at drive level e = drive_scale * ep(t).
-``Generator.augmented`` is their dense sum, and fixed-step RK4
-(deterministic, 4th order, steps aligned to breakpoints) takes
-S y + Omega_c(t) W y + e(t) F y on a varying stretch and one folded CSR on a
-constant one.  Constant stretches take a dense exponential instead when it
-pays.
+advances a stacked [ground; singles(; doubles)] vector across one segment in
+equal output steps.  ``Generator.stacked`` holds the generator on that
+layout as three CSR parts, A(t) = S + Omega_c(t) W + e(t) F at drive level
+e = ep(t).  A stretch where they are constant takes the exact exponential,
+whatever its length; only one where they vary takes fixed-step RK4
+(deterministic, 4th order, steps aligned to breakpoints).
 
-The exponential is taken at unit drive, E = exp(A(1) h), once per (Omega_c,
-output step h, layout).  With D = diag(1, e, e^2) over the ground, singles and
-doubles blocks, A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground
-column's singles rows scale by e, its doubles rows by e^2 and the
-doubles <- singles block by e.  At e = 0, after the probe shuts off, that is
-the block diagonal of E, so a square pulse's plateau and its tail share one
-exponential.  ``evolve`` keeps these propagators for one call and takes the
-exponential only on a constant stretch under ``EXPM_MAX_DIM`` longer than 8
-RK4 steps.  The undriven singles propagator of a correlation grid
-(``SinglesPropagator``) takes exp(M1 h) wherever Omega_c is constant.
+Under ``EXPM_MAX_DIM`` the exponential is the dense E = exp(A(1) h) at unit
+drive (``Generator.augmented``), once per (Omega_c, output step h, layout).
+With D = diag(1, e, e^2) over the ground, singles and doubles blocks,
+A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground column's
+singles rows scale by e, its doubles rows by e^2 and the doubles <- singles
+block by e.  At e = 0, after the probe shuts off, that is the block diagonal
+of E, so a square pulse's plateau and its tail share one exponential, which
+``evolve`` keeps for one call.  Above the cap a stretch takes the action of
+the exponential of the folded CSR S + Omega_c W + e F (``_action_powers``).
+The undriven singles propagator of a correlation grid (``SinglesPropagator``)
+takes exp(M1 h) wherever Omega_c is constant.
 
 That exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
@@ -80,10 +78,10 @@ where one d x d GEMM costs d / GEMM_KAPPA matvecs; GEMM_KAPPA = 4.8 (measured
 4.4-5.2 for d = 975-1,625 at one BLAS thread).  That picks m = 8 for a
 turn-on point (d ~ 1,001, n = 2,500, c = 2), and m = 1, the plain step loop,
 for the replica (d = 1,625, n = 490 and 600), where a squaring costs more
-than the matvecs it saves.  The turn-off doubles block, and any block above
-``EXPM_MAX_DIM``, never becomes dense: its baby rows and giant columns
-advance by the action of the exponential on vectors (``_TaylorAction``, a
-truncated Taylor series after Al-Mohy and Higham, SIAM J. Sci. Comput.
+than the matvecs it saves.  The turn-off doubles block, and any operator
+above ``EXPM_MAX_DIM``, never becomes dense (``_action_powers``): baby rows
+and giant columns advance by the action of the exponential (``_TaylorAction``,
+a truncated Taylor series after Al-Mohy and Higham, SIAM J. Sci. Comput.
 33:488, 2011), with m chosen from the planned matvecs of those actions.
 """
 
@@ -105,10 +103,13 @@ from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
 
 SQRT2 = math.sqrt(2.0)
 
-#: Largest stacked dimension for which the dense matrix-exponential path is
-#: allowed (memory bound; above it ``propagate_segment`` steps RK4 and
-#: ``free_decay`` takes the Taylor action).
+#: Largest stacked dimension for which the exponential is a dense matrix
+#: (memory bound; above it ``propagate_segment`` and ``free_decay`` take the
+#: Taylor action).
 EXPM_MAX_DIM = 2600
+
+#: The values of ``evolve``'s ``method`` and of the config's [integration] method
+METHODS = ("auto", "rk4", "expm")
 
 
 class DynamicsError(RuntimeError):
@@ -200,11 +201,10 @@ class Generator:
             parts = self._parts[doubles] = tuple(_csr(m) for m in (s, w, f))
         return parts
 
-    def augmented(self, env: float, omega: float, drive_scale: float = 1.0,
-                  doubles: bool = True) -> np.ndarray:
+    def augmented(self, env: float, omega: float, doubles: bool = True) -> np.ndarray:
         """Dense constant-coefficient generator on [ground; singles(; doubles)]."""
         s, w, f = self.stacked(doubles)
-        return (s + omega * w + (drive_scale * env) * f).toarray()
+        return (s + omega * w + env * f).toarray()
 
     def output_covectors(self, grid: bool = False) -> np.ndarray:
         """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
@@ -566,15 +566,16 @@ def _tri_solve(l: np.ndarray, m: np.ndarray) -> None:
 
 @dataclass
 class StateTrajectory:
-    """The projections ``project @ [1; singles; doubles]`` of the state onto
-    a covector stack, (n_samples, c), sampled on a near-uniform output grid
-    (breakpoints injected so that discontinuities land exactly on samples).
-    ``envelope_unit`` and ``omega_c`` hold the right-continuous values at the
-    sample times, i.e. the post-jump values exactly at a discontinuity.
+    """The projections ``covectors @ [1; singles; doubles]``, (n_samples, c),
+    of the state on a near-uniform output grid (breakpoints injected so that
+    discontinuities land exactly on samples).  ``envelope_unit`` and
+    ``omega_c`` hold the right-continuous values at the sample times, i.e.
+    the post-jump values exactly at a discontinuity.
     """
 
     index: ExcitationIndex
     times: np.ndarray
+    covectors: np.ndarray
     projections: np.ndarray
     envelope_unit: np.ndarray
     omega_c: np.ndarray
@@ -582,8 +583,8 @@ class StateTrajectory:
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("trajectory time grid must be strictly increasing")
-        if len(self.projections) != len(self.times):
-            raise ConfigurationError("projection count must match the time grid")
+        if self.projections.shape != (len(self.times), len(self.covectors)):
+            raise ConfigurationError("projections must be (samples, covectors)")
 
     @property
     def n_samples(self) -> int:
@@ -607,55 +608,50 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
 
 
 def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
-                      dt: float, method: str = "auto", drive_scale: float = 1.0,
-                      out: np.ndarray | None = None, cache: dict | None = None,
+                      dt: float, method: str = "auto", out: np.ndarray | None = None,
+                      cache: dict | None = None,
                       project: np.ndarray | None = None) -> np.ndarray:
-    """Advance the stacked vector, or columns, ``y`` from ``a`` to ``b`` in
-    ``n_out`` equal output steps and return the state at ``b``.
+    """Advance the stacked vector ``y`` from ``a`` to ``b`` in ``n_out`` equal
+    output steps and return the state at ``b``; row k of ``out``, when
+    given, receives ``project @ y`` (c x d covectors) after step k + 1.
 
-    Row k of ``out``, when given, receives the state after step k + 1, or with
-    a covector stack ``project`` (c x d) only its projections ``project @ y``.
-    ``method`` is "rk4", "expm" or "auto"; "auto" takes the dense exponential
-    on a constant stretch under ``EXPM_MAX_DIM`` whose output step is longer
-    than 8 RK4 steps.  With a ``cache``, a dict the caller keeps
-    for one generator, the unit-drive propagators are reused across calls.
-    """
+    Unless ``method`` is "rk4", constant coefficients take the exact
+    exponential: the dense unit-drive one under ``EXPM_MAX_DIM``, reused
+    across calls through a ``cache`` dict kept for one generator, the Taylor
+    action above it.  Varying ones take RK4 at steps of at most ``dt``, and
+    "expm" refuses them."""
     h_out = (b - a) / n_out
     const = gen.is_constant(a, b)
     if method == "expm" and not const:
         raise DynamicsError("expm method requires piecewise-constant coefficients")
-    fits = y.shape[0] <= EXPM_MAX_DIM
     doubles = y.shape[0] > 1 + gen.index.dim_singles
-    if method == "expm" or (method == "auto" and const and fits and h_out > 8.0 * dt):
-        if not fits:
-            raise DynamicsError("state too large for the dense expm propagator")
-        om = gen.omega_at(a)
-        key = (round(om, 15), round(h_out, 15), y.shape[0])
-        unit = None if cache is None else cache.get(key)
+    project = np.empty((0, len(y))) if project is None else project
+    cache = {} if cache is None else cache
+    if method == "rk4" or not const:
+        # coefficient lookups clamped below b, so the value exactly at a
+        # segment edge is the inside (left) limit
+        t_hi = b - 1e-12 * max(1.0, abs(b - a))
+
+        def coeffs(t: float):
+            t = min(t, t_hi)
+            return gen.envelope_at(t), gen.omega_at(t)
+
+        return _rk4(gen.stacked(doubles), y, a, h_out, n_out, dt, coeffs, out, project)
+    om, e = gen.omega_at(a), gen.envelope_at(a)
+    if len(y) <= EXPM_MAX_DIM:
+        key = (round(om, 15), round(h_out, 15), len(y))
+        unit = cache.get(key)
         if unit is None:
-            unit = expm(gen.augmented(1.0, om, 1.0, doubles) * h_out)
-            if cache is not None:
-                cache[key] = unit
-        prop = _at_drive(unit, drive_scale * gen.envelope_at(a), gen.index.dim_singles)
-        if project is not None:
-            proj, y = _dense_powers(prop, y, n_out, project, end_state=True)
-            if out is not None:
-                out[:] = proj
-            return y
-        for k in range(n_out):
-            y = prop @ y
-            if out is not None:
-                out[k] = y
-        return y
-    # coefficient lookups clamped below b, so the value exactly at a segment
-    # edge is the inside (left) limit
-    t_hi = b - 1e-12 * max(1.0, abs(b - a))
-
-    def coeffs(t: float):
-        t = min(t, t_hi)
-        return drive_scale * gen.envelope_at(t), gen.omega_at(t)
-
-    return _rk4(gen.stacked(doubles), y, a, h_out, n_out, dt, coeffs, const, out, project)
+            unit = cache[key] = expm(gen.augmented(1.0, om, doubles) * h_out)
+        proj, y = _dense_powers(_at_drive(unit, e, gen.index.dim_singles), y, n_out,
+                                project, end_state=True)
+    else:
+        s, w, f = gen.stacked(doubles)
+        proj, y = _action_powers(s + om * w + e * f, h_out, y, n_out, project,
+                                 end_state=True)
+    if out is not None:
+        out[:] = proj
+    return y
 
 
 def _at_drive(unit: np.ndarray, e: float, n1: int) -> np.ndarray:
@@ -682,19 +678,12 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
     ``EXPM_MAX_DIM`` takes the dense P; its retry horizons reach ~1e5/Gamma,
     where the action would need about horizon ||M||_1 matvecs.  The doubles
     block, and any block above the cap, stays CSR and takes the actions of P
-    and P^m (``_TaylorAction``): the baby rows C P^i advance by the action
-    of M^T over h, the giant columns by that of M over m h, with m the power
-    of two that minimizes the planned matvecs ceil(n/m) mv(m h) + c m mv(h)."""
+    and P^m (``_action_powers``)."""
     h = horizon / n_out
     if not doubles and len(y) <= EXPM_MAX_DIM:
         return _dense_powers(expm(gen.m1(omega) * h), y, n_out, project)
     a = gen.m2(omega) if doubles else _csr(gen.m1(omega))
-    right, left = _TaylorAction(a), _TaylorAction(a.T.tocsr())
-    c = len(np.atleast_2d(project))
-    m = _cheapest_power(n_out, lambda k: (-(-n_out // (1 << k)) * right.matvecs((1 << k) * h)
-                                          + c * (1 << k) * left.matvecs(h)))
-    return _projected_powers(lambda v: right(h, v), lambda r: left(h, r.T).T,
-                             lambda v: right(m * h, v), m, y, n_out, project)
+    return _action_powers(a, h, y, n_out, project)
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
@@ -789,6 +778,21 @@ def _dense_powers(prop: np.ndarray, y: np.ndarray, n_out: int, project: np.ndarr
                              m, y, n_out, project, end_state)
 
 
+def _action_powers(a: sp.csr_matrix, h: float, y: np.ndarray, n_out: int,
+                   project: np.ndarray, end_state: bool = False):
+    """``_projected_powers`` of P = exp(a h) for a CSR ``a`` that never
+    becomes dense, by Taylor actions (``_TaylorAction``): the baby rows
+    C P^i advance by the action of a^T over h, the giant columns by that of
+    a over m h, with m the power of two that minimizes the planned matvecs
+    ceil(n/m) mv(m h) + c m mv(h)."""
+    right, left = _TaylorAction(a), _TaylorAction(a.T.tocsr())
+    c = len(np.atleast_2d(project))
+    m = _cheapest_power(n_out, lambda k: (-(-n_out // (1 << k)) * right.matvecs((1 << k) * h)
+                                          + c * (1 << k) * left.matvecs(h)))
+    return _projected_powers(lambda v: right(h, v), lambda r: left(h, r.T).T,
+                             lambda v: right(m * h, v), m, y, n_out, project, end_state)
+
+
 def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
                       project: np.ndarray, end_state: bool = False):
     """``project @ P^k @ y`` for k = 1..n_out by baby and giant steps, P given
@@ -797,14 +801,14 @@ def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
     (i = 0..m-1) and the columns P^(j m + 1) y (j = 0..J-1, J = ceil(n_out /
     m)) meet in one (J x d)(d x m c) product (at m = 1, the step loop
     y <- P y projected).  Shape (n_out,) for one covector, (n_out, c) for a
-    stack; with ``end_state`` also P^n_out y, the last column advanced by at
-    most m - 1 steps."""
+    stack (c may be 0); with ``end_state`` also P^n_out y, the last column
+    advanced by at most m - 1 steps."""
     rows = np.atleast_2d(project)
     c, d = rows.shape
     n_giant = -(-n_out // m)
     baby = np.empty((m, c, d), dtype=complex)
     baby[0] = rows
-    for i in range(1, m):
+    for i in range(1, m if c else 1):
         baby[i] = step_rows(baby[i - 1])
     cols = np.empty((n_giant, d), dtype=complex)
     cols[0] = step(y)
@@ -822,23 +826,17 @@ def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
 
 
 def _rk4(parts: tuple, y: np.ndarray, a: float, h_out: float, n_out: int, dt: float,
-         coeffs, const: bool, out=None, project=None):
+         coeffs, out=None, project=None):
     """Fixed-step RK4 over ``n_out`` output steps of ``h_out`` from ``a``, each
     split into equal substeps no longer than ``dt``, with the derivative
     S y + Omega_c(t) W y + e(t) F y of the stacked ``parts`` (S, W, F);
-    ``coeffs(t)`` gives the (e, Omega_c) pair, and on a ``const`` stretch the
-    three fold into one CSR.  Records like ``propagate_segment``."""
+    ``coeffs(t)`` gives the (e, Omega_c) pair.  Records like
+    ``propagate_segment``."""
     s, w, f = parts
-    if const:
-        drive, om = coeffs(a)
-        op = (s + om * w + drive * f).tocsr()
 
-        def deriv(t: float, yy: np.ndarray) -> np.ndarray:
-            return op @ yy
-    else:
-        def deriv(t: float, yy: np.ndarray) -> np.ndarray:
-            drive, om = coeffs(t)
-            return s @ yy + om * (w @ yy) + drive * (f @ yy)
+    def deriv(t: float, yy: np.ndarray) -> np.ndarray:
+        drive, om = coeffs(t)
+        return s @ yy + om * (w @ yy) + drive * (f @ yy)
 
     n_sub = max(1, math.ceil(h_out / dt - 1e-9))
     h = h_out / n_sub
@@ -852,31 +850,30 @@ def _rk4(parts: tuple, y: np.ndarray, a: float, h_out: float, n_out: int, dt: fl
             k4 = deriv(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if out is not None:
-            out[k] = y if project is None else project @ y
+            out[k] = project @ y
     return y
 
 
 def evolve(generator: Generator, t_span, dt: float | None = None,
            dt_out: float | None = None, method: str = "auto",
-           drive_scale: float = 1.0, initial: TruncatedState | None = None,
+           initial: TruncatedState | None = None,
            project: np.ndarray | None = None) -> StateTrajectory:
     """Integrate the truncated state over ``t_span`` and sample it.
 
-    method:
+    method (one of ``METHODS``):
+        "auto" - the exact exponential on every constant-coefficient stretch
+                 (``propagate_segment``), RK4 where the coefficients vary;
+        "expm" - the same, raising if coefficients vary inside a segment;
         "rk4"  - fixed-step 4th order Runge-Kutta everywhere (bit-for-bit
                  deterministic; steps aligned to envelope/schedule breakpoints,
-                 discontinuous coefficients sampled from inside each segment);
-        "expm" - exact dense propagator per constant-coefficient stretch
-                 (raises if coefficients vary inside a segment);
-        "auto" - expm on constant stretches when the dimension permits and the
-                 stretch is long enough to pay for it, RK4 otherwise.
+                 discontinuous coefficients sampled from inside each segment).
 
     The trajectory holds the projections ``project @ y`` of a covector
     stack (c x (1 + dim) over [ground; singles; doubles]), by default
     ``Generator.output_covectors(grid=True)``: what a trace and a
     correlation grid read.
     """
-    if method not in ("rk4", "expm", "auto"):
+    if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
@@ -900,13 +897,13 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
     for (a, b, n_out) in segments:
         i = len(times)
         y = propagate_segment(generator, y, a, b, n_out, dt=dt, method=method,
-                              drive_scale=drive_scale, out=record[i:i + n_out],
-                              cache=cache, project=project)
+                              out=record[i:i + n_out], cache=cache, project=project)
         h_out = (b - a) / n_out
         times.extend(a + k * h_out for k in range(1, n_out + 1))
         _check_finite(y, b)
 
-    return StateTrajectory(index=idx, times=np.array(times), projections=record,
+    return StateTrajectory(index=idx, times=np.array(times), covectors=project,
+                           projections=record,
                            envelope_unit=np.array([generator.envelope_at(t) for t in times]),
                            omega_c=np.array([generator.omega_at(t) for t in times]))
 
@@ -915,7 +912,7 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
 # steady state (CW drive at the given control amplitude)
 
 def steady_state(generator: Generator, omega_c: float | None = None,
-                 envelope_unit: float = 1.0, drive_scale: float = 1.0) -> TruncatedState:
+                 envelope_unit: float = 1.0) -> TruncatedState:
     """Driven steady state by direct linear solve (exact long-pulse limit).
 
     The doubles system is solved in ``_cascade_order``, block lower
@@ -926,10 +923,9 @@ def steady_state(generator: Generator, omega_c: float | None = None,
     if omega_c is None:
         env = generator.envelope
         omega_c = generator.schedule.value(env.t_on + 0.5 * env.duration)
-    drive = drive_scale * envelope_unit
-    psi1 = _solve_singles_steady(p, generator.m1(omega_c), drive * generator.s1,
+    psi1 = _solve_singles_steady(p, generator.m1(omega_c), envelope_unit * generator.s1,
                                  omega_c, idx.n_atoms)
-    rhs2 = -drive * (generator.s21 @ psi1)
+    rhs2 = -envelope_unit * (generator.s21 @ psi1)
     psi2 = np.zeros(idx.dim_doubles, dtype=complex)
     if idx.dim_doubles > 0:
         m2 = generator.m2(omega_c)
@@ -992,5 +988,5 @@ class SinglesPropagator:
                 # lookups clamped below b, as in ``propagate_segment``
                 t_hi = b - 1e-12 * max(1.0, b - a)
                 cols = _rk4(self._parts, cols, a, b - a, 1, self.dt,
-                            lambda t: (0.0, schedule.value(min(t, t_hi))), False)
+                            lambda t: (0.0, schedule.value(min(t, t_hi))))
         return cols

@@ -67,15 +67,15 @@ def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
                           floor: float = DEFAULT_INTENSITY_FLOOR) -> ObservableTrace:
     """Intensity |f1|^2 with f1 = ep + out_e . psi1, and two-photon intensity
     |A2|^2 with A2 = ep^2 + 2 ep (out_e . psi1) + a2vec . psi2, on the
-    trajectory grid, from the first two columns of its record, which must
-    be the ``Generator.output_covectors`` projections.
+    trajectory grid, from the first two columns of its record, whose
+    covectors must begin with ``Generator.output_covectors()``.
 
     A2 is ill-conditioned at low intensity: its terms cancel by about four
     orders of magnitude there, so ``g2tilde`` and ``g2`` below ~1e-2 of the
     peak intensity hold only to ~1e-11 relative (reordering one dot product
     moves them that much).  Compare them scaled by each column's maximum."""
-    if traj.projections.shape[1] < 2:
-        raise ConfigurationError("trajectory projections are not the output covectors")
+    if not np.array_equal(traj.covectors[:2], generator.output_covectors()):
+        raise ConfigurationError("trajectory did not record the output covectors")
     f_single, f_double = traj.projections[:, :2].T
     env = traj.envelope_unit
     intensity = np.abs(env + f_single) ** 2
@@ -113,8 +113,8 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
                      i_start: int = 0, i_stop: int | None = None,
                      stride: int = 1) -> CorrelationGrid:
     """G2(t_i, t_j) over the trajectory sub-grid [i_start:i_stop:stride], in
-    closed form from the trajectory's record, which must begin with
-    ``Generator.output_covectors(grid=True)``.
+    closed form from the trajectory's record, whose covectors must begin
+    with ``Generator.output_covectors(grid=True)``.
 
     A photon taken at t_i leaves the ground f1_i and the singles
     ep_i psi1 + ann psi2, which evolve under the trajectory's own singles
@@ -133,9 +133,9 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
     if len(sel) < 2:
         raise ConfigurationError("correlation grid needs at least two samples")
     n1 = traj.index.dim_singles
+    if not np.array_equal(traj.covectors[:2 + 2 * n1], generator.output_covectors(grid=True)):
+        raise ConfigurationError("trajectory did not record the correlation-grid covectors")
     rec = traj.projections[sel]
-    if rec.shape[1] < 2 + 2 * n1:
-        raise ConfigurationError("trajectory projections lack the correlation-grid rows")
     times = traj.times[sel]
     env = traj.envelope_unit[sel]
     f1 = env + rec[:, 0]

@@ -150,18 +150,28 @@ def test_expm_matches_rk4_on_square_pulse():
     np.testing.assert_allclose(a, b, atol=5e-9)
 
 
-def test_evolve_above_expm_cap_is_rk4(monkeypatch):
+def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
+    # above the dense cap a constant stretch takes the Taylor action of the
+    # folded generator, never a dense exponential, and agrees with the dense
+    # run; so does the end state of a segment that records nothing
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=4, duration=15.0)
     rows = state_rows(gen)
     dense = evolve(gen, (0.0, 20.0), dt_out=1.0, method="auto", project=rows).projections
-    rk4 = evolve(gen, (0.0, 20.0), dt_out=1.0, method="rk4", project=rows).projections
-    assert not np.array_equal(dense, rk4)   # auto takes expm under the cap
+    y0 = np.concatenate([[1.0], dense[4]])
+    end = propagate_segment(gen, y0, 5.0, 10.0, 5, dt=0.01)
+
+    def no_dense(m):
+        raise AssertionError("dense exponential above the cap")
+
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", gen.index.dim)
-    auto = evolve(gen, (0.0, 20.0), dt_out=1.0, method="auto", project=rows).projections
-    assert np.array_equal(auto, rk4)
-    with pytest.raises(DynamicsError):
-        evolve(gen, (0.0, 20.0), dt_out=1.0, method="expm", project=rows)
+    monkeypatch.setattr(dynamics, "expm", no_dense)
+    scale = np.max(np.abs(dense))
+    for method in ("auto", "expm"):
+        got = evolve(gen, (0.0, 20.0), dt_out=1.0, method=method, project=rows).projections
+        assert np.max(np.abs(got - dense)) <= 1e-12 * scale, method
+    got = propagate_segment(gen, y0, 5.0, 10.0, 5, dt=0.01)
+    assert np.max(np.abs(got - end)) <= 1e-12 * np.max(np.abs(end))
 
 
 def _power_law_generator(n_atoms=6, **kwargs):
@@ -171,12 +181,12 @@ def _power_law_generator(n_atoms=6, **kwargs):
 
 
 @pytest.mark.parametrize("doubles", [False, True])
-@pytest.mark.parametrize("a, b, drive_scale", [
-    (2.0, 6.0, 0.0), (2.0, 6.0, 0.37), (2.0, 6.0, 1.0), (2.0, 6.0, 1.7),
-    (12.0, 16.0, 1.7)])                      # after the pulse: drive level 0
-def test_drive_level_identity(doubles, a, b, drive_scale):
+@pytest.mark.parametrize("a, b, level", [
+    (2.0, 6.0, 1.0),                         # the plateau: drive level 1
+    (12.0, 16.0, 0.0)])                      # after the pulse: drive level 0
+def test_drive_level_identity(doubles, a, b, level):
     # the propagator derived from the unit-drive exponential equals the
-    # exponential of the generator at the actual drive level
+    # exponential of the generator at the envelope's drive level
     gen = _power_law_generator(duration=10.0)
     assert gen.v_max > 0.0
     n_out = 7
@@ -184,14 +194,15 @@ def test_drive_level_identity(doubles, a, b, drive_scale):
     rng = np.random.default_rng(5)
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     env, om = gen.envelope_at(a), gen.omega_at(a)
-    prop = _scipy_expm(gen.augmented(env, om, drive_scale, doubles) * ((b - a) / n_out))
+    assert env == level
+    prop = _scipy_expm(gen.augmented(env, om, doubles) * ((b - a) / n_out))
     ref = np.empty((n_out, dim), dtype=complex)
     y = y0
     for k in range(n_out):
         y = ref[k] = prop @ y
     got = np.empty_like(ref)
     end = propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt(), method="expm",
-                            drive_scale=drive_scale, out=got)
+                            out=got, project=np.eye(dim))
     assert np.array_equal(end, got[-1])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -233,19 +244,19 @@ def test_singles_propagator_one_exponential_per_step(monkeypatch):
     assert len(calls) == 2
 
 
-def test_short_constant_stretch_stays_rk4():
-    # auto takes the exponential only when the output step is longer than 8
-    # RK4 steps; at most 8 it must still be the RK4 path, bit for bit
-    gen = make_generator(n_atoms=3, duration=15.0)
+def test_short_constant_stretch_takes_the_exponential(monkeypatch):
+    # a constant stretch takes the exponential however short its output
+    # step: at 8 RK4 steps per sample the plateau and the tail of a square
+    # pulse share one exponential and match a tight-step RK4 run
+    gen = make_generator(n_atoms=3, duration=16.0)
     dt = 0.05
     rows = state_rows(gen)
-    rk4 = evolve(gen, (0.0, 20.0), dt=dt, dt_out=8 * dt, method="rk4", project=rows).projections
-    auto = evolve(gen, (0.0, 20.0), dt=dt, dt_out=8 * dt, method="auto", project=rows).projections
-    assert np.array_equal(auto, rk4)
-    longer = evolve(gen, (0.0, 20.0), dt=dt, dt_out=9 * dt, method="auto", project=rows).projections
-    assert not np.array_equal(
-        longer, evolve(gen, (0.0, 20.0), dt=dt, dt_out=9 * dt, method="rk4",
-                       project=rows).projections)
+    calls = _count_expm(monkeypatch)
+    auto = evolve(gen, (0.0, 20.0), dt=dt, dt_out=8 * dt, method="auto", project=rows)
+    assert calls == [(1 + gen.index.dim,) * 2]
+    rk4 = evolve(gen, (0.0, 20.0), dt=0.005, dt_out=8 * dt, method="rk4", project=rows)
+    np.testing.assert_array_equal(auto.times, rk4.times)
+    np.testing.assert_allclose(auto.projections, rk4.projections, atol=5e-9)
 
 
 @pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])
@@ -373,7 +384,7 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         assert len(_cascade_order(a)[1]) == 2
     else:
-        a = _random_chain_generator(mode, omega).augmented(1.0, omega, 1.0, doubles)
+        a = _random_chain_generator(mode, omega).augmented(1.0, omega, doubles)
     a = a * (tau_norm / np.max(np.abs(a).sum(axis=0)))
     ref = _scipy_expm(a)
     got = expm(a)
@@ -392,7 +403,7 @@ def test_cascade_order_is_block_lower_triangular(mode):
     # pair for the doubles; the order is a pure function of the pattern
     gen = _random_chain_generator(mode, 0.5, n_atoms=8)
     for a, largest in ((gen.m1(0.5), 2), (gen.m2(0.5), 4),
-                       (gen.augmented(1.0, 0.5, 1.0, True), 4)):
+                       (gen.augmented(1.0, 0.5, True), 4)):
         perm, bounds = _cascade_order(a)
         assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
         assert bounds[0] == 0 and bounds[-1] == a.shape[0]
@@ -435,9 +446,9 @@ def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
     n1 = gen.index.dim_singles
     assert s.format == w.format == f.format == "csr"
     assert gen.stacked(doubles)[0] is s                  # built once per layout
-    for env, om, scale in ((1.0, 0.5, 1.0), (0.3, 0.05, 1.7), (0.0, 0.25, 1.0)):
-        dense = s.toarray() + om * w.toarray() + (scale * env) * f.toarray()
-        assert np.array_equal(gen.augmented(env, om, scale, doubles), dense)
+    for env, om in ((1.0, 0.5), (1.7, 0.05), (0.0, 0.25)):
+        dense = s.toarray() + om * w.toarray() + env * f.toarray()
+        assert np.array_equal(gen.augmented(env, om, doubles), dense)
     # the blocks land where the [ground; singles(; doubles)] layout puts them
     a = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
     assert np.all(a[0] == 0)
@@ -483,14 +494,15 @@ def test_stacked_derivative_matches_block_derivative(doubles, cols):
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 19.0)])   # rise edge, plateau
 def test_rk4_matches_block_derivative_loop(a, b):
-    # propagate_segment's RK4 (three stacked parts on the varying edge, one
-    # folded CSR on the plateau) against the RK4 loop on the block derivative
+    # propagate_segment's RK4 (the three stacked parts on the varying edge
+    # and on the plateau alike) against the RK4 loop on the block derivative
     gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
     rng = np.random.default_rng(4)
     y0 = _stacked_y(gen, True, rng)
     dt, n_out = 0.01, 5
     got = np.empty((n_out, len(y0)), dtype=complex)
-    end = propagate_segment(gen, y0, a, b, n_out, dt=dt, method="rk4", out=got)
+    end = propagate_segment(gen, y0, a, b, n_out, dt=dt, method="rk4", out=got,
+                            project=np.eye(len(y0)))
     h_out = (b - a) / n_out
     n_sub = math.ceil(h_out / dt - 1e-9)
     h = h_out / n_sub
@@ -548,8 +560,9 @@ def test_projected_segment_matches_state_loop(n_out, m):
     y0 = _stacked_y(gen, True, rng)
     c = np.vstack([gen.output_covectors(), rng.normal(size=len(y0))])
     states = np.empty((n_out, len(y0)), dtype=complex)
-    kw = dict(dt=gen.suggest_dt(), method="expm", drive_scale=0.8)
-    end_ref = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=states, **kw)
+    kw = dict(dt=gen.suggest_dt(), method="expm")
+    end_ref = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=states,
+                                project=np.eye(len(y0)), **kw)
     got = np.empty((n_out, 3), dtype=complex)
     end = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=got, project=c, **kw)
     ref = states @ c.T
@@ -571,19 +584,6 @@ def test_nan_detection_raises():
     with pytest.raises(DynamicsError):
         # unstable explicit step: repeated amplification overflows to inf/nan
         evolve(gen, (0.0, 4000.0), dt=5.0, dt_out=400.0, method="rk4")
-
-
-def test_linearity_in_drive_scale():
-    gen = make_generator(n_atoms=4, duration=12.0)
-    alpha = 0.37
-    t1 = evolve(gen, (0.0, 10.0), dt_out=1.0, method="rk4", project=state_rows(gen))
-    t2 = evolve(gen, (0.0, 10.0), dt_out=1.0, method="rk4", drive_scale=alpha,
-                project=state_rows(gen))
-    n1 = gen.index.dim_singles
-    np.testing.assert_allclose(t2.projections[:, :n1], alpha * t1.projections[:, :n1],
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(t2.projections[:, n1:], alpha ** 2 * t1.projections[:, n1:],
-                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -16,7 +16,7 @@ from rydeit.observables import (CorrelationGrid, ExtractionError, ObservableTrac
                                 trace_from_trajectory, transmission_spectrum,
                                 windowed_g2, write_csv)
 
-from conftest import make_generator, oracle_rows, two_time_g2
+from conftest import make_generator, oracle_rows, state_rows, two_time_g2
 
 
 def _synthetic_trace(times, intensity, g2tilde, envelope=None, omega=None):
@@ -143,6 +143,17 @@ def test_correlation_grid_needs_the_grid_rows():
     traj = evolve(gen, (0.0, 12.0), dt_out=0.5, project=gen.output_covectors())
     with pytest.raises(ConfigurationError):
         correlation_grid(traj, gen)
+
+
+@pytest.mark.parametrize("read", [trace_from_trajectory, correlation_grid])
+def test_a_record_of_other_rows_is_refused(read):
+    # a record of the whole state has as many columns as the readers need,
+    # but they are not the output covectors' projections
+    gen = make_generator(n_atoms=3, duration=10.0)
+    traj = evolve(gen, (0.0, 12.0), dt_out=0.5, project=state_rows(gen))
+    assert traj.projections.shape[1] >= 2 + 2 * gen.index.dim_singles
+    with pytest.raises(ConfigurationError):
+        read(traj, gen)
 
 
 # ---------------------------------------------------------------------------

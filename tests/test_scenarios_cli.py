@@ -197,6 +197,17 @@ def test_jittered_placement_needs_a_seed(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "propagate"])
+def test_unknown_integration_method_exits_3_and_writes_nothing(tmp_path, command):
+    # the method is checked when the config loads, also for a scenario that
+    # never integrates, so no manifest records a method no run accepts
+    bad = tmp_path / "method.ini"
+    bad.write_text("[integration]\nmethod = rk5\n")
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--out", str(out_dir)]) == 3
+    assert not out_dir.exists()
+
+
 def test_older_manifest_without_the_newer_keys_loads(tmp_path):
     # manifests of earlier versions hold no [run] threads, and no t_store_ns
     # without a storage schedule; the [results] and [run] records are skipped
@@ -356,13 +367,13 @@ def test_turnon_point_auto_extends_and_caps():
 def test_scan_point_fingerprints():
     # criteria 4, 5 and 6 fail on their bounds, so their printed values cannot
     # catch a refactor that moves the numbers; pin points of each scan, the
-    # turn-on scan on both its RK4 and its exponential branch
+    # turn-on scan at a short and at a long output step
     from rydeit.scenarios import _turnoff_point, _turnon_point
     on = _turnon_point((3.6, 0.25, PhysicalParams.from_ratio(0.2), 0.005, 100.0))
     assert on["status"] == "ok"
     assert on["tau_0"] == pytest.approx(64.59725685832528, rel=1e-12)
     assert on["g2_ss"] == pytest.approx(0.1043612635729166, rel=1e-12)
-    # Omega_c = 0.05: the output step is long enough for the exponential
+    # Omega_c = 0.05: a far longer horizon and output step
     on = _turnon_point((3.6, 0.05, PhysicalParams.from_ratio(0.2), 0.005, 100.0))
     assert on["status"] == "ok"
     assert on["tau_0"] == pytest.approx(1864.639025643132, rel=1e-12)
