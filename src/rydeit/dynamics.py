@@ -9,9 +9,17 @@ D = 2 N ln(Gamma/Gamma').
 
 Within the weak-drive hierarchy the equations are linear: the ground
 amplitude stays 1 and sources the singles through the probe; the singles
-source the doubles.  Two-excitation amplitudes evolve under the same one-body
-rules applied to each excited slot (with sqrt(2) matrix elements on
-doubly-occupied slots), plus the Rydberg pair shift -i V_hj on rr amplitudes.
+source the doubles.  Each atom is two bosonic modes, e and r, so the doubles
+are pairs of excitations in the 2N singles modes, and their generator is the
+singles one-body operator acting on each excitation of a pair, plus the
+Rydberg pair shift -i V_hj on rr amplitudes.  ``assemble_generator`` builds
+it as that lift: U spreads each doubles slot onto the (2N)^2 pair tensor T,
+the singles operator K acts as K x 1 + 1 x K, and P picks the slots back.  A
+slot stores the amplitude of a normalized ket, a_a^+ a_b^+ |0> for modes
+a != b but (a_a^+)^2 / sqrt(2) |0> for a = b, while the state is
+(1/2) sum T_ab a_a^+ a_b^+ |0>; so U weights (a, a) by sqrt(2) and P by
+1/sqrt(2), and every sqrt(2) matrix element on a doubly occupied slot falls
+out of the two maps.
 
 Single-excitation amplitudes (per unit peak drive, Gamma = 1 units):
 
@@ -228,44 +236,30 @@ def _csr(m) -> sp.csr_matrix:
     return m
 
 
-def _atom_coefficients(params: PhysicalParams, chain: AtomChain):
-    """Per-atom drive coefficients w, output phases u, the output constant and
-    the e and r diagonal rates, shared by the singles and doubles blocks."""
-    g1d = params.gamma_1d
-    phase = np.exp(1j * chain.k_p * chain.z())
-    w = math.sqrt(0.5 * g1d) * phase          # drive coefficient per atom
-    u = np.conj(phase)                        # output phase per atom
-    c_out = 1j * math.sqrt(0.5 * g1d)
-    diag_e = 1j * params.delta_e - 0.5 * params.gamma_total
-    diag_r = 1j * params.delta_2 - params.gamma_r
-    return w, u, c_out, diag_e, diag_r
-
-
 def singles_blocks(params: PhysicalParams, chain: AtomChain):
     """Single-excitation matrices (layout [e_0..e_{N-1}, r_0..r_{N-1}]).
 
-    Returns (m1_static, m1_omega, s1, out_e): the Omega-independent generator,
-    the control-coupling pattern (to be scaled by Omega_c(t)), the drive
-    source per unit envelope and the output covector.
+    Returns (m1_static, m1_omega, s1, out_e): the Omega-independent generator
+    (the e and r rates on the diagonal, the cascaded e <- e exchange
+    -(Gamma_1D/2) exp(i k_p (z_h - z_m)), m < h, strictly below it), the
+    control coupling -i between e_h and r_h (to be scaled by Omega_c(t)),
+    the drive source i sqrt(Gamma_1D/2) exp(i k_p z_h) per unit envelope
+    and the output covector i sqrt(Gamma_1D/2) exp(-i k_p z_h).
     """
     n = chain.n_atoms
     z = chain.z()
     g1d = params.gamma_1d
-    w, u, c_out, diag_e, diag_r = _atom_coefficients(params, chain)
-
+    phase = np.exp(1j * chain.k_p * z)
     m1s = np.zeros((2 * n, 2 * n), dtype=complex)
+    m1s[:n, :n] = np.tril(-0.5 * g1d * np.exp(1j * chain.k_p * (z[:, None] - z[None, :])), -1)
+    m1s[np.diag_indices(2 * n)] = np.repeat([1j * params.delta_e - 0.5 * params.gamma_total,
+                                             1j * params.delta_2 - params.gamma_r], n)
     m1o = np.zeros((2 * n, 2 * n), dtype=complex)
+    m1o[:n, n:] = m1o[n:, :n] = -1j * np.eye(n)
     s1 = np.zeros(2 * n, dtype=complex)
+    s1[:n] = 1j * (math.sqrt(0.5 * g1d) * phase)
     out_e = np.zeros(2 * n, dtype=complex)
-    for h in range(n):
-        m1s[h, h] = diag_e
-        m1s[n + h, n + h] = diag_r
-        m1o[h, n + h] = -1j
-        m1o[n + h, h] = -1j
-        s1[h] = 1j * w[h]
-        out_e[h] = c_out * u[h]
-        for m in range(h):
-            m1s[h, m] = -0.5 * g1d * np.exp(1j * chain.k_p * (z[h] - z[m]))
+    out_e[:n] = 1j * math.sqrt(0.5 * g1d) * np.conj(phase)
     return m1s, m1o, s1, out_e
 
 
@@ -293,104 +287,47 @@ def _solve_singles_steady(params: PhysicalParams, m1: np.ndarray, s1: np.ndarray
 def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: BlockadeConfig,
                        schedule: ControlSchedule, envelope: PulseEnvelope,
                        index: ExcitationIndex | None = None) -> Generator:
-    """Build the block matrices realizing the cascaded spin-model generator."""
+    """Build the block matrices realizing the cascaded spin-model generator:
+    the singles blocks (``singles_blocks``) and their lift onto the doubles
+    slots of ``index`` (by default every rr pair the blockade allows).
+
+    With (a_k, b_k) the modes of doubles slot k (``mode_pairs``), U
+    (``spread``) puts slot k on the (2N)^2 pair tensor at (a_k, b_k) and
+    (b_k, a_k) with weight 1, or at (a_k, a_k) with weight sqrt(2), and P
+    (``pick``) takes (a_k, b_k) back with weight 1, or 1/sqrt(2) when
+    a_k = b_k.  For a singles block M with diagonal m and off-diagonal part
+    K, its doubles block is P (K x 1 + 1 x K) U + diag(m_a + m_b), and
+    m2_static also gets -i V_hj on the rr slots.  Then s21 = P (s1 x 1 +
+    1 x s1), ann = (out_e^T x 1) U and a2vec = ann^T out_e.  ``v_max`` is the
+    largest |V_hj| of an allowed rr pair."""
     idx = index if index is not None else build_index(chain.n_atoms, blockade, chain)
     if idx.n_atoms != chain.n_atoms:
         raise ConfigurationError("index/chain dimension mismatch")
-    n = idx.n_atoms
     z = chain.z()
-    g1d = params.gamma_1d
-    gtot = params.gamma_total
-    w, u, c_out, diag_e, diag_r = _atom_coefficients(params, chain)
-
-    # exchange coefficient for a hop from atom m onto atom h (m < h)
-    def hop(h: int, m: int) -> complex:
-        return -0.5 * g1d * np.exp(1j * chain.k_p * (z[h] - z[m]))
-
-    # --- singles ------------------------------------------------------------
-    n1 = idx.dim_singles
     m1s, m1o, s1, out_e = singles_blocks(params, chain)
+    n1, d2 = idx.dim_singles, idx.dim_doubles
+    a, b = idx.mode_pairs()
+    slots = np.arange(d2)
+    distinct = a != b
+    spread = sp.csr_matrix((np.r_[np.where(distinct, 1.0, SQRT2), np.ones(distinct.sum())],
+                            (np.r_[a * n1 + b, (b * n1 + a)[distinct]],
+                             np.r_[slots, slots[distinct]])), shape=(n1 * n1, d2))
+    pick = sp.csr_matrix((np.where(distinct, 1.0, 1.0 / SQRT2), (slots, a * n1 + b)),
+                         shape=(d2, n1 * n1))
+    one = sp.identity(n1, format="csr")
 
-    # --- doubles (built in local coordinates, shifted to slot - off) --------
-    d2 = idx.dim_doubles
-    off = idx.dim_singles
+    def lift(m1: np.ndarray, shift=0.0) -> sp.csr_matrix:
+        rate = np.diag(m1)
+        k = _csr(m1 - np.diag(rate))
+        return _csr(pick @ (sp.kron(k, one) + sp.kron(one, k)) @ spread
+                    + sp.diags(rate[a] + rate[b] - 1j * shift))
 
-    def dd(slot_row, slot_col, val, rows, cols, vals):
-        rows.append(slot_row - off)
-        cols.append(slot_col - off)
-        vals.append(val)
-
-    rs, cs, vs = [], [], []      # static part
-    ro, co, vo = [], [], []      # Omega_c part
-    sr, sc, sv = [], [], []      # drive source doubles <- singles
-    ar, ac, av = [], [], []      # annihilation singles <- doubles
-
-    # ee block
-    for h in range(n):
-        for j in range(h, n):
-            s_ee = idx.ee_slot(h, j)
-            dd(s_ee, s_ee, 2j * params.delta_e - gtot, rs, cs, vs)
-            if h == j:
-                # doubly-excited single atom: sqrt(2) on every coupling
-                dd(s_ee, idx.er_slot(h, h), -1j * SQRT2, ro, co, vo)
-                sr.append(s_ee - off); sc.append(idx.e_slot(h)); sv.append(1j * SQRT2 * w[h])
-                ar.append(idx.e_slot(h)); ac.append(s_ee - off); av.append(SQRT2 * c_out * u[h])
-                for m in range(h):
-                    dd(s_ee, idx.ee_slot(m, h), SQRT2 * hop(h, m), rs, cs, vs)
-            else:
-                dd(s_ee, idx.er_slot(h, j), -1j, ro, co, vo)
-                dd(s_ee, idx.er_slot(j, h), -1j, ro, co, vo)
-                sr.append(s_ee - off); sc.append(idx.e_slot(j)); sv.append(1j * w[h])
-                sr.append(s_ee - off); sc.append(idx.e_slot(h)); sv.append(1j * w[j])
-                ar.append(idx.e_slot(j)); ac.append(s_ee - off); av.append(c_out * u[h])
-                ar.append(idx.e_slot(h)); ac.append(s_ee - off); av.append(c_out * u[j])
-                # e hops onto h, partner fixed at j
-                for m in range(h):
-                    dd(s_ee, idx.ee_slot(m, j), hop(h, m), rs, cs, vs)
-                # e hops onto j, partner fixed at h (m == h comes from the doubly
-                # occupied slot and carries sqrt(2))
-                for m in range(j):
-                    if m == h:
-                        dd(s_ee, idx.ee_slot(h, h), SQRT2 * hop(j, h), rs, cs, vs)
-                    else:
-                        dd(s_ee, idx.ee_slot(m, h), hop(j, m), rs, cs, vs)
-
-    # er block (e at h, r at j; h == j allowed)
-    for h in range(n):
-        for j in range(n):
-            s_er = idx.er_slot(h, j)
-            dd(s_er, s_er, diag_e + diag_r, rs, cs, vs)
-            root = SQRT2 if h == j else 1.0
-            dd(s_er, idx.ee_slot(h, j), -1j * root, ro, co, vo)
-            s_rr = idx.rr_slot(h, j)
-            if s_rr is not None:
-                dd(s_er, s_rr, -1j * root, ro, co, vo)
-            sr.append(s_er - off); sc.append(idx.r_slot(j)); sv.append(1j * w[h])
-            ar.append(idx.r_slot(j)); ac.append(s_er - off); av.append(c_out * u[h])
-            for m in range(h):
-                dd(s_er, idx.er_slot(m, j), hop(h, m), rs, cs, vs)
-
-    # rr block
-    for (h, j) in idx.rr_pairs:
-        s_rr = idx.rr_slot(h, j)
-        v_hj = 0.0 if h == j else interaction(blockade, abs(z[j] - z[h]))
-        dd(s_rr, s_rr, 2j * params.delta_2 - 2.0 * params.gamma_r - 1j * v_hj, rs, cs, vs)
-        root = SQRT2 if h == j else 1.0
-        dd(s_rr, idx.er_slot(h, j), -1j * root, ro, co, vo)
-        if h != j:
-            dd(s_rr, idx.er_slot(j, h), -1j, ro, co, vo)
-
-    m2s = sp.csr_matrix((vs, (rs, cs)), shape=(d2, d2), dtype=complex)
-    m2o = sp.csr_matrix((vo, (ro, co)), shape=(d2, d2), dtype=complex)
-    s21 = sp.csr_matrix((sv, (sr, sc)), shape=(d2, n1), dtype=complex)
-    ann = sp.csr_matrix((av, (ar, ac)), shape=(n1, d2), dtype=complex)
-
+    v = np.array([interaction(blockade, abs(z[j] - z[h])) for h, j in idx.rr_pairs])
+    m2s, m2o = lift(m1s, np.r_[np.zeros(idx.n_ee + idx.n_er), v]), lift(m1o)
+    s21 = _csr(pick @ (sp.kron(s1[:, None], one) + sp.kron(one, s1[:, None])))
+    ann = _csr(sp.kron(out_e[None, :], one) @ spread)
     a2vec = np.asarray(ann.T @ out_e).ravel()
-
-    v_max = 0.0
-    for (h, j) in idx.rr_pairs:
-        if h != j:
-            v_max = max(v_max, abs(interaction(blockade, abs(z[j] - z[h]))))
+    v_max = float(np.max(np.abs(v), initial=0.0))
 
     return Generator(index=idx, params=params, chain=chain, blockade=blockade,
                      schedule=schedule, envelope=envelope,
@@ -911,21 +848,17 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
 # ---------------------------------------------------------------------------
 # steady state (CW drive at the given control amplitude)
 
-def steady_state(generator: Generator, omega_c: float | None = None,
-                 envelope_unit: float = 1.0) -> TruncatedState:
-    """Driven steady state by direct linear solve (exact long-pulse limit).
+def steady_state(generator: Generator, omega_c: float) -> TruncatedState:
+    """Steady state at unit drive and control ``omega_c`` by direct linear
+    solve (the exact long-pulse limit).
 
     The doubles system is solved in ``_cascade_order``, block lower
     triangular with blocks of at most 4 slots, so LU in the natural order
     is block forward substitution and makes next to no fill."""
     idx = generator.index
     p = generator.params
-    if omega_c is None:
-        env = generator.envelope
-        omega_c = generator.schedule.value(env.t_on + 0.5 * env.duration)
-    psi1 = _solve_singles_steady(p, generator.m1(omega_c), envelope_unit * generator.s1,
-                                 omega_c, idx.n_atoms)
-    rhs2 = -envelope_unit * (generator.s21 @ psi1)
+    psi1 = _solve_singles_steady(p, generator.m1(omega_c), generator.s1, omega_c, idx.n_atoms)
+    rhs2 = -(generator.s21 @ psi1)
     psi2 = np.zeros(idx.dim_doubles, dtype=complex)
     if idx.dim_doubles > 0:
         m2 = generator.m2(omega_c)

@@ -8,8 +8,10 @@ modes (one for the e coherence, one for the r coherence), so the
 two-excitation manifold carries same-atom slots ee[h,h] and er[h,h] alongside
 the distinct-atom pairs; unordered doubly-occupied slots store the amplitude
 of the normalized two-quantum ket (the sqrt(2) bookkeeping lives in the
-generator and field operators, not in the layout).  rr pairs exist only where
-the blockade allows them; the same-atom rr slot exists only when the
+generator and field operators, not in the layout).  ``mode_pairs`` gives the
+two singles modes of each doubles slot, through which the generator lifts
+the singles operators onto the doubles.  rr pairs exist only where the
+blockade allows them; the same-atom rr slot exists only when the
 interaction is disabled entirely.
 
 Flat layout: [e_h (N)] [r_h (N)] [ee_{h<=j}] [er_{h,j} (N*N, ordered)] [rr_allowed].
@@ -147,6 +149,18 @@ class ExcitationIndex:
             k = slot - self.off_er
             return (KIND_ER, k // n, k % n)
         return (KIND_RR,) + self.rr_pairs[slot - self.off_rr]
+
+    def mode_pairs(self) -> tuple:
+        """The two singles modes (a_k <= b_k) excited in each doubles slot k,
+        as arrays over the doubles block: ee(h, j) -> (h, j), er(h, j) ->
+        (h, N + j) and rr(h, j) -> (N + h, N + j), modes numbered as the
+        singles slots."""
+        n = self.n_atoms
+        ee_a, ee_b = np.triu_indices(n)
+        er_a, er_b = np.divmod(np.arange(n * n), n)
+        rr = np.array(self.rr_pairs, dtype=np.int64).reshape(-1, 2)
+        return (np.concatenate([ee_a, er_a, n + rr[:, 0]]),
+                np.concatenate([ee_b, n + er_b, n + rr[:, 1]]))
 
 
 def build_index(n_atoms: int, blockade: BlockadeConfig, chain: AtomChain) -> ExcitationIndex:

@@ -4,7 +4,8 @@ Builds the truncated two-oscillator-per-atom Fock space (at most two quanta
 in total) with explicit ladder-operator matrices, assembles the effective
 Hamiltonian and drive from first principles, and compares every block of the
 production generator against it.  This pins each sqrt(2) matrix element and
-coupling independently of the hand-derived assembly loops.
+coupling independently of the production assembly, which lifts the singles
+operators onto the doubles slots.
 """
 
 import itertools
@@ -101,18 +102,25 @@ def _slot_map(basis, idx):
     return mapping
 
 
-@pytest.mark.parametrize("mode", ["none", "full", "power"])
+@pytest.mark.parametrize("mode", ["none", "full", "power", "partial"])
 def test_generator_matches_operator_algebra(mode):
     params = PhysicalParams.from_ratio(0.2, omega_c_peak=0.37, gamma_r=0.04,
                                        delta_e=0.2, delta_2=-0.1)
     chain = build_chain(4, 1.0, k_p=2.3)
+    # "partial": r_b = 0.45 on spacing 1/4 puts V = 27 > v_cap on nearest
+    # neighbours and V <= 0.43 on farther pairs
     blockade = {"none": BlockadeConfig.none(),
                 "full": BlockadeConfig.fully_blockaded(),
                 "power": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.3,
-                                        v0=0.8, v_cap=5.0)}[mode]
+                                        v0=0.8, v_cap=5.0),
+                "partial": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.45,
+                                          v0=0.8, v_cap=5.0)}[mode]
     gen = assemble_generator(params, chain, blockade, ControlSchedule.constant(0.37),
                              PulseEnvelope(duration=10.0, n_in=1.0))
     idx = gen.index
+    if mode == "partial":
+        distinct = sum(h < j for h, j in idx.rr_pairs)
+        assert 0 < distinct < 4 * 3 // 2
 
     basis, m_static, m_omega, m_drive = _brute_force_generator(params, chain, blockade)
     mapping = _slot_map(basis, idx)

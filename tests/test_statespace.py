@@ -105,6 +105,26 @@ def test_pack_unpack_exhaustive_small_and_random_large():
         assert back == slot
 
 
+@pytest.mark.parametrize("mode", ["none", "full", "power"])
+def test_mode_pairs_match_slot_labels(mode):
+    # doubles slot k holds singles modes (a_k, b_k): e_h is mode h, r_h is N + h
+    n = 6
+    idx = _index(n, mode)
+    a, b = idx.mode_pairs()
+    assert a.shape == b.shape == (idx.dim_doubles,)
+    for k, (ak, bk) in enumerate(zip(a, b)):
+        slot = idx.dim_singles + k
+        kind, h, j = idx.unpack(slot)
+        if kind == KIND_EE:
+            assert (ak, bk) == (h, j) and idx.ee_slot(h, j) == slot
+        elif kind == KIND_ER:
+            assert (ak, bk) == (h, n + j) and idx.er_slot(h, j) == slot
+        else:
+            assert kind == KIND_RR
+            assert (ak, bk) == (n + h, n + j) and idx.rr_slot(h, j) == slot
+        assert ak <= bk
+
+
 def test_er_ordering_matters():
     idx = _index(3, "full")
     assert idx.er_slot(0, 2) != idx.er_slot(2, 0)
