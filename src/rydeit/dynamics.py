@@ -39,9 +39,9 @@ e = ep(t).  A stretch where they are constant takes the exact exponential,
 whatever its length; only one where they vary takes fixed-step RK4
 (deterministic, 4th order, steps aligned to breakpoints).
 
-Under ``EXPM_MAX_DIM`` the exponential is the dense E = exp(A(1) h) at unit
-drive (``Generator.augmented``), once per (Omega_c, output step h, layout).
-With D = diag(1, e, e^2) over the ground, singles and doubles blocks,
+Under ``EXPM_MAX_DIM`` the exponential is E = exp(A(1) h) at unit drive
+(``Generator.augmented``), once per (Omega_c, output step h, layout).  With
+D = diag(1, e, e^2) over the ground, singles and doubles blocks,
 A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground column's
 singles rows scale by e, its doubles rows by e^2 and the doubles <- singles
 block by e.  At e = 0, after the probe shuts off, that is the block diagonal
@@ -64,8 +64,15 @@ one triangular solve, done by recursive 2 x 2 tiles over ztrmm and ztrsm at
 about n^3/6 complex multiplications each, against n^3 for a dense GEMM.  At
 one BLAS thread that took 2.0-2.3 s for the replica's 1,625-dim propagator
 against 6.3-7.4 s for scipy.linalg.expm, agreeing to 6e-15 of the largest
-entry.  ``steady_state`` solves the doubles system in the same order, where
-LU in the natural order makes next to no fill.
+entry.  ``expm`` returns exp(t), upper triangular, with that basis
+(``TriangularExp``): the permutation and the Schur blocks Z, at most 4 x 4.
+The propagator stays there: a stretch maps y and the covectors in once,
+steps with triangular matvecs, and maps only its end state back, and the
+drive scaling acts in place on the triangle, since Z never mixes the
+ground, singles and doubles.  Only ``SinglesPropagator``, whose correlation
+grid reads the propagator's entries, asks for the dense matrix.
+``steady_state`` solves the doubles system in the same order, where LU in
+the natural order makes next to no fill.
 
 ``evolve`` records only the projections C y of a covector stack C (c rows
 over the stacked layout) per sample.  ``Generator.output_covectors`` gives
@@ -80,29 +87,33 @@ C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
 (ceil(n/m) x d)(d x m c) product, and the end state is the last column
 advanced by at most m - 1 steps.
 
-A dense P gives P^m by log2 m squarings, and m is the power of two that
-minimizes the cost in matvecs, log2(m) d / GEMM_KAPPA + c m + ceil(n/m),
-where one d x d GEMM costs d / GEMM_KAPPA matvecs; GEMM_KAPPA = 4.8 (measured
-4.4-5.2 for d = 975-1,625 at one BLAS thread).  That picks m = 8 for a
-turn-on point (d ~ 1,001, n = 2,500, c = 2), and m = 1, the plain step loop,
-for the replica (d = 1,625, n = 490 and 600), where a squaring costs more
-than the matvecs it saves.  The turn-off doubles block, and any operator
-above ``EXPM_MAX_DIM``, never becomes dense (``_action_powers``): baby rows
-and giant columns advance by the action of the exponential (``_TaylorAction``,
-a truncated Taylor series after Al-Mohy and Higham, SIAM J. Sci. Comput.
-33:488, 2011), with m chosen from the planned matvecs of those actions.
+An ``expm`` propagator P, triangular in its basis, gives P^m by log2 m
+triangular squarings (``_tri_mul``), and a step is one triangular matvec
+(ztrmv); m is the power of two that minimizes the cost in matvecs,
+log2(m) d / SQUARE_KAPPA + c m + ceil(n/m), where one squaring costs
+d / SQUARE_KAPPA matvecs; SQUARE_KAPPA = 8 (measured 6.1-10.4 for
+d = 975-1,625 at one BLAS thread; a dense GEMM against a dense matvec gave
+4.4-5.2).  That picks m = 16 for a turn-on point (d ~ 1,001, n = 2,500,
+c = 2), and m = 2 for the replica (d = 1,625, n = 490 and 600), where one
+squaring, about 200 matvecs, saves 245-300.  The turn-off doubles block,
+and any operator above ``EXPM_MAX_DIM``, never becomes dense
+(``_action_powers``): baby rows and giant columns advance by the action of
+the exponential (``_TaylorAction``, a truncated Taylor series after Al-Mohy
+and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m chosen from the
+planned matvecs of those actions.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import norm as dense_norm, schur, solve as dense_solve
-from scipy.linalg.blas import zaxpy, ztrmm, ztrsm
+from scipy.linalg.blas import zaxpy, ztrmm, ztrmv, ztrsm
 from scipy.sparse.csgraph import connected_components
 
 from .model import (AtomChain, BlockadeConfig, ConfigurationError, ControlSchedule,
@@ -314,18 +325,16 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
                              np.r_[slots, slots[distinct]])), shape=(n1 * n1, d2))
     pick = sp.csr_matrix((np.where(distinct, 1.0, 1.0 / SQRT2), (slots, a * n1 + b)),
                          shape=(d2, n1 * n1))
-    one = sp.identity(n1, format="csr")
 
     def lift(m1: np.ndarray, shift=0.0) -> sp.csr_matrix:
         rate = np.diag(m1)
-        k = _csr(m1 - np.diag(rate))
-        return _csr(pick @ (sp.kron(k, one) + sp.kron(one, k)) @ spread
+        return _csr(pick @ _kron_eye(m1 - np.diag(rate), n1) @ spread
                     + sp.diags(rate[a] + rate[b] - 1j * shift))
 
     v = np.array([interaction(blockade, abs(z[j] - z[h])) for h, j in idx.rr_pairs])
     m2s, m2o = lift(m1s, np.r_[np.zeros(idx.n_ee + idx.n_er), v]), lift(m1o)
-    s21 = _csr(pick @ (sp.kron(s1[:, None], one) + sp.kron(one, s1[:, None])))
-    ann = _csr(sp.kron(out_e[None, :], one) @ spread)
+    s21 = _csr(pick @ _kron_eye(s1[:, None], n1))
+    ann = _csr(_kron_eye(out_e[None, :], n1, both=False) @ spread)
     a2vec = np.asarray(ann.T @ out_e).ravel()
     v_max = float(np.max(np.abs(v), initial=0.0))
 
@@ -334,6 +343,21 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
                      m1_static=m1s, m1_omega=m1o, s1=s1,
                      m2_static=m2s, m2_omega=m2o, s21=s21, ann=ann,
                      out_e=out_e, a2vec=a2vec, v_max=v_max)
+
+
+def _kron_eye(k: np.ndarray, n: int, both: bool = True) -> sp.csr_matrix:
+    """k x 1_n, plus 1_n x k with ``both``, for a dense r x c matrix k, as
+    CSR built from k's nonzero triplets (i, j, k_ij) by index arithmetic:
+    (i n + p, j n + p) and (p r + i, p c + j) for p < n (scipy's sp.kron
+    costs ~0.4 ms a call at n = 8)."""
+    r, c = k.shape
+    i, j = np.nonzero(k)
+    vals = k[i, j].repeat(n)
+    i, j, p = i.repeat(n), j.repeat(n), np.tile(np.arange(n), len(i))
+    rows, cols = i * n + p, j * n + p
+    if both:
+        rows, cols, vals = np.r_[rows, p * r + i], np.r_[cols, p * c + j], np.r_[vals, vals]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(r * n, c * n))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +410,50 @@ THETA13 = 5.371920351148152
 TRI_LEAF = 256
 
 
-def expm(a: np.ndarray) -> np.ndarray:
+@dataclass
+class TriangularExp:
+    """exp(a) as ``expm`` leaves it: Q tri^T Q^H with ``tri`` upper
+    triangular (Fortran-ordered) and Q = Pi^T conj(Z) unitary, where Pi
+    takes y to y[perm] and Z is block diagonal over the strongly connected
+    components (``blocks``: (i0, i1, z) for each of more than one slot).  A
+    vector maps into this basis as w = Q^H y = Z^T y[perm], a covector
+    stack as C Q = (Q^H C^H)^H = C[:, perm] conj(Z), and then
+    exp(a) y = Q tri^T w and C exp(a) y = (C Q) tri^T w."""
+
+    tri: np.ndarray
+    perm: np.ndarray
+    blocks: list
+
+    def to_basis(self, y: np.ndarray) -> np.ndarray:
+        """Q^H y = Z^T y[perm] for a vector y or the columns of y."""
+        w = np.asarray(y, dtype=complex)[self.perm]
+        for i0, i1, z in self.blocks:
+            w[i0:i1] = z.T @ w[i0:i1]
+        return w
+
+    def from_basis(self, w: np.ndarray) -> np.ndarray:
+        """y with Z^T y[perm] = w, for a vector w."""
+        v = w.copy()
+        for i0, i1, z in self.blocks:
+            v[i0:i1] = z.conj() @ v[i0:i1]
+        y = np.empty_like(v)
+        y[self.perm] = v
+        return y
+
+    def dense(self) -> np.ndarray:
+        """exp(a) as a dense matrix: Z tri Z^H, transposed and permuted back."""
+        x = self.tri.copy(order="F")
+        for i0, i1, z in self.blocks:
+            x[i0:i1, i0:] = z @ x[i0:i1, i0:]
+            x[:i1, i0:i1] = x[:i1, i0:i1] @ z.conj().T
+        back = np.argsort(self.perm)
+        return x.T[np.ix_(back, back)]
+
+
+def expm(a: np.ndarray) -> TriangularExp:
     """exp(a) of a dense square matrix, complex, by way of the cascade
-    structure of the generators this module builds.
+    structure of the generators this module builds, returned in the basis
+    where it is triangular (``TriangularExp``).
 
     In ``_cascade_order`` a is block lower triangular, so its transpose u is
     block upper triangular; the complex Schur form Z_I^H u_II Z_I of each
@@ -397,9 +462,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     with s from the exact 1-norm of t and ``THETA13`` (Higham 2005), and
     its diagonal set to exp(t_ii) at every stage; every product is
     triangular times triangular (``_tri_mul``) and the Padé denominator a
-    triangular solve (``_tri_solve``).  exp(a) is Z exp(t) Z^H,
-    transposed and permuted back.  Apart from a and the result at most five
-    d x d arrays are alive at once, plus tiles of a quarter of that.  A
+    triangular solve (``_tri_solve``).  Apart from a and the result at most
+    five d x d arrays are alive at once, plus tiles of a quarter of that.  A
     matrix of one strongly connected component takes one dense Schur form
     and the same steps."""
     perm, bounds = _cascade_order(a)
@@ -432,22 +496,29 @@ def expm(a: np.ndarray) -> np.ndarray:
     x *= 2.0
     x += v
     _tri_solve(v, x)
+    del v
     # the diagonal of exp(2^j t) is exp(2^j t_ii); setting it exactly after
     # the Padé step and each squaring (Al-Mohy and Higham, SIAM J. Matrix
     # Anal. Appl. 31:970, 2009, code fragment 2.1) took the replica's singles
     # block from 1e-15 to 2e-16 off a 40-digit reference
     x.reshape(-1, order="F")[::len(x) + 1] = np.exp(rates)
-    for j in range(1, s + 1):
+    return TriangularExp(_tri_squarings(x, s, rates), perm, blocks)
+
+
+def _tri_squarings(x: np.ndarray, k: int, rates: np.ndarray | None = None) -> np.ndarray:
+    """x^(2^k) for an upper triangular, Fortran-ordered x by k squarings
+    (``_tri_mul``), in x's memory and one more array; with ``rates`` the
+    diagonal is set to exp(2^j rates) after squaring j."""
+    if k == 0:
+        return x
+    v = np.empty_like(x, order="F")
+    for j in range(1, k + 1):
         v[...] = x
         _tri_mul(x, v)
         x, v = v, x
-        x.reshape(-1, order="F")[::len(x) + 1] = np.exp(rates * 2.0 ** j)
-    del v
-    for i0, i1, z in blocks:
-        x[i0:i1, i0:] = z @ x[i0:i1, i0:]
-        x[:i1, i0:i1] = x[:i1, i0:i1] @ z.conj().T
-    back = np.argsort(perm)
-    return x.T[np.ix_(back, back)]
+        if rates is not None:
+            x.reshape(-1, order="F")[::len(x) + 1] = np.exp(rates * 2.0 ** j)
+    return x
 
 
 def _pade_part(c, a2: np.ndarray, a4: np.ndarray, a6: np.ndarray) -> np.ndarray:
@@ -580,8 +651,8 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         unit = cache.get(key)
         if unit is None:
             unit = cache[key] = expm(gen.augmented(1.0, om, doubles) * h_out)
-        proj, y = _dense_powers(_at_drive(unit, e, gen.index.dim_singles), y, n_out,
-                                project, end_state=True)
+        with _at_drive(unit, e, gen.index.dim_singles):
+            proj, y = _dense_powers(unit, y, n_out, project, end_state=True)
     else:
         s, w, f = gen.stacked(doubles)
         proj, y = _action_powers(s + om * w + e * f, h_out, y, n_out, project,
@@ -591,17 +662,29 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     return y
 
 
-def _at_drive(unit: np.ndarray, e: float, n1: int) -> np.ndarray:
-    """The dense propagator at drive level ``e`` from the unit-drive one:
-    D ``unit`` D^-1 with D = diag(1, e, e^2) over [ground; singles; doubles]
-    (the block diagonal of ``unit`` at e = 0)."""
+@contextmanager
+def _at_drive(prop: TriangularExp, e: float, n1: int):
+    """``prop``, the unit-drive propagator, at drive level ``e`` for the body
+    of the ``with``: D exp(A(1) h) D^-1 with D = diag(1, e, e^2) over
+    [ground; singles; doubles].  Z keeps to one strongly connected
+    component, and none mixes the three levels, so entry (k, l) of
+    ``prop.tri`` scales by e^(lev_l - lev_k), in place (at e = 0 only the
+    entries within one level are left); the unit-drive entries are put back
+    on exit."""
     if e == 1.0:
-        return unit
-    prop = unit.copy()
-    prop[1:1 + n1, 0] *= e
-    prop[1 + n1:, 0] *= e * e
-    prop[1 + n1:, 1:1 + n1] *= e
-    return prop
+        yield
+        return
+    level = np.searchsorted([1, 1 + n1], prop.perm, side="right")
+    at = [np.flatnonzero(level == k) for k in range(3)]
+    cells = [(np.ix_(at[k], at[l]), e ** (l - k)) for k, l in ((0, 1), (0, 2), (1, 2))]
+    unit = [prop.tri[c] for c, _ in cells]
+    try:
+        for (c, f), u in zip(cells, unit):
+            prop.tri[c] = u * f
+        yield
+    finally:
+        for (c, _), u in zip(cells, unit):
+            prop.tri[c] = u
 
 
 def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_out: int,
@@ -612,7 +695,7 @@ def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_ou
     ``omega``.  ``project`` is one covector, shape (n_out,) out, or a stack,
     (n_out, c) out.  These are projected powers of P = exp(M h) by baby and
     giant steps (``_projected_powers``).  The singles block under
-    ``EXPM_MAX_DIM`` takes the dense P; its retry horizons reach ~1e5/Gamma,
+    ``EXPM_MAX_DIM`` takes P from ``expm``; its retry horizons reach ~1e5/Gamma,
     where the action would need about horizon ||M||_1 matvecs.  The doubles
     block, and any block above the cap, stays CSR and takes the actions of P
     and P^m (``_action_powers``)."""
@@ -684,9 +767,11 @@ class _TaylorAction:
         return f
 
 
-#: GEMM-to-matvec cost ratio over the dimension d: one d x d product costs
-#: d / GEMM_KAPPA matvecs (measured 4.4-5.2 at d = 975-1,625, one BLAS thread)
-GEMM_KAPPA = 4.8
+#: Squaring-to-matvec cost ratio over the dimension d: one triangular d x d
+#: squaring (``_tri_mul``) costs d / SQUARE_KAPPA triangular matvecs (ztrmv)
+#: (measured 6.1-10.4 at d = 975-1,625, one BLAS thread; any value in
+#: 7.5-9.7 makes the same choices on the default runs)
+SQUARE_KAPPA = 8.0
 
 
 def _cheapest_power(n: int, cost) -> int:
@@ -697,22 +782,33 @@ def _cheapest_power(n: int, cost) -> int:
 
 def _giant_step(d: int, n: int, c: int) -> int:
     """The power of two m that minimizes the cost, in matvecs, of ``n``
-    projected powers of a dense d x d propagator onto ``c`` covectors:
-    log2(m) squarings at d / GEMM_KAPPA each, c m baby rows and ceil(n / m)
-    giant columns (m = 1 is the plain step loop)."""
-    return _cheapest_power(n, lambda k: k * d / GEMM_KAPPA + c * (1 << k) + -(-n // (1 << k)))
+    projected powers of a triangular d x d propagator onto ``c`` covectors:
+    log2(m) squarings at d / SQUARE_KAPPA each, c m baby rows and
+    ceil(n / m) giant columns (m = 1 is the plain step loop)."""
+    return _cheapest_power(n, lambda k: k * d / SQUARE_KAPPA + c * (1 << k) + -(-n // (1 << k)))
 
 
-def _dense_powers(prop: np.ndarray, y: np.ndarray, n_out: int, project: np.ndarray,
+def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
                   end_state: bool = False):
-    """``_projected_powers`` of a dense propagator, with m from ``_giant_step``
-    and P^m from log2 m squarings."""
+    """``_projected_powers`` of an ``expm`` propagator in its triangular
+    basis: y and the covectors map in once, a step is one triangular matvec
+    (ztrmv with tri^T), P^m takes log2 m triangular squarings (m from
+    ``_giant_step``), and only the end state maps back.  The last row is
+    then ``project`` times that end state, so the two agree to the bit."""
+    tri = prop.tri
     m = _giant_step(len(y), n_out, len(np.atleast_2d(project)))
-    giant = prop
-    for _ in range(m.bit_length() - 1):
-        giant = giant @ giant
-    return _projected_powers(lambda v: prop @ v, lambda r: r @ prop, lambda v: giant @ v,
-                             m, y, n_out, project, end_state)
+    giant = _tri_squarings(tri.copy(order="F"), m.bit_length() - 1) if m > 1 else tri
+    got = _projected_powers(lambda v: ztrmv(tri, v, trans=1),
+                            lambda r: ztrmm(1.0, tri, r.T).T,
+                            lambda v: ztrmv(giant, v, trans=1),
+                            m, prop.to_basis(y), n_out,
+                            prop.to_basis(project.conj().T).conj().T, end_state)
+    if not end_state:
+        return got
+    proj, w = got
+    y = prop.from_basis(w)
+    proj[-1] = project @ y
+    return proj, y
 
 
 def _action_powers(a: sp.csr_matrix, h: float, y: np.ndarray, n_out: int,
@@ -915,7 +1011,7 @@ class SinglesPropagator:
                 key = (round(om, 15), round(b - a, 15))
                 prop = self._cache.get(key)
                 if prop is None:
-                    prop = self._cache[key] = expm(self.gen.m1(om) * (b - a))
+                    prop = self._cache[key] = expm(self.gen.m1(om) * (b - a)).dense()
                 cols = prop @ cols
             else:
                 # lookups clamped below b, as in ``propagate_segment``

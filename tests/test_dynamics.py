@@ -208,12 +208,15 @@ def test_drive_level_identity(doubles, a, b, level):
 
 
 def _count_expm(monkeypatch):
+    # records each call of the module's own exponential and runs it, so the
+    # counts pin what production runs
     import rydeit.dynamics as dynamics
     calls = []
+    real = dynamics.expm
 
     def counted(m):
         calls.append(m.shape)
-        return _scipy_expm(m)
+        return real(m)
 
     monkeypatch.setattr(dynamics, "expm", counted)
     return calls
@@ -320,12 +323,12 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
 def test_giant_step_cost_rule():
     # the measured shapes: turn-on points (d ~ 1,001, 2,500 steps, two
     # covectors), a d = 975 block over 5,000 steps onto one covector and
-    # the replica's plateau and tail (d = 1,625, ~500 steps, two), where a
-    # squaring costs more than the matvecs it saves
-    assert _giant_step(1001, 2500, 2) == 8
-    assert _giant_step(975, 5000, 1) == 16
+    # the replica's plateau and tail (d = 1,625, ~500 steps, two), where one
+    # triangular squaring costs less than the ~250 matvecs it saves
+    assert _giant_step(1001, 2500, 2) == 16
+    assert _giant_step(975, 5000, 1) == 32
     for n in (450, 500, 523, 550):
-        assert _giant_step(1625, n, 2) == 1
+        assert _giant_step(1625, n, 2) == 2
     assert _giant_step(56, 6000, 1) == 64
     assert _giant_step(1625, 1, 2) == 1
 
@@ -387,7 +390,9 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         a = _random_chain_generator(mode, omega).augmented(1.0, omega, doubles)
     a = a * (tau_norm / np.max(np.abs(a).sum(axis=0)))
     ref = _scipy_expm(a)
-    got = expm(a)
+    prop = expm(a)
+    assert np.array_equal(prop.tri, np.triu(prop.tri))
+    got = prop.dense()
     assert got.shape == a.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     if omega == 0.0:
@@ -547,7 +552,7 @@ def test_projections_only_evolve_matches_states(method):
 
 
 @pytest.mark.parametrize("n_out, m", [(1, 1), (2, 1), (33, 1), (64, 2), (65, 2),
-                                      (255, 4), (256, 4), (511, 8), (512, 8),
+                                      (255, 8), (256, 8), (511, 8), (512, 8),
                                       (513, 8), (2500, 32)])
 def test_projected_segment_matches_state_loop(n_out, m):
     # one exponential stretch: the projections and the end state from baby
@@ -572,6 +577,69 @@ def test_projected_segment_matches_state_loop(n_out, m):
     assert np.max(np.abs(end - end_ref)) <= 1e-12 * np.max(np.abs(end_ref))
 
 
+def _dense_loop(prop, y, n_out, rows):
+    """The reference: y <- P y with a dense P, projected after each step."""
+    ref = np.empty((n_out, len(rows)), dtype=complex)
+    for k in range(n_out):
+        y = prop @ y
+        ref[k] = rows @ y
+    return ref, y
+
+
+@pytest.mark.parametrize("n_out", [255, 256, 257])
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("doubles", [False, True])
+@pytest.mark.parametrize("level", [0.0, 0.37, 1.0])
+def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, grid, n_out):
+    # an exponential stretch stepped in the triangular basis of expm, at a
+    # drive level scaled from the unit-drive propagator, against scipy's
+    # dense propagator at that level stepped in the natural basis; n_out on
+    # both sides of a multiple of the chosen giant step m > 1.  The stretch
+    # is short: the random rr amplitudes keep their norm and turn at pair
+    # shifts up to v_max ~ 68, so any double-precision step loop, this one
+    # or the reference, drifts by up to 3e-14 of the largest entry per unit
+    # time in the end state (1.2e-12 over 40, 4.5e-14 over this stretch of 2)
+    gen = _power_law_generator(duration=100.0)
+    monkeypatch.setattr(gen, "envelope_at", lambda t: level)
+    dim = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
+    rows = gen.output_covectors(grid)[:, :dim]
+    m = _giant_step(dim, n_out, len(rows))
+    assert m > 1 and 256 % m == 0
+    rng = np.random.default_rng(9)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    h = 2.0 / n_out
+    ref, y_ref = _dense_loop(_scipy_expm(gen.augmented(level, 0.5, doubles) * h), y0,
+                             n_out, rows)
+    got = np.empty_like(ref)
+    end = propagate_segment(gen, y0, 2.0, 4.0, n_out, dt=gen.suggest_dt(), method="expm",
+                            out=got, project=rows)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(end - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+    assert np.array_equal(got[-1], rows @ end)
+
+
+@pytest.mark.parametrize("n_out", [255, 256, 257])
+@pytest.mark.parametrize("c", [1, 2, "singles"])
+def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
+    # free_decay's dense singles route, stepped in the triangular basis,
+    # against scipy's dense propagator: one covector, two rows, and the
+    # out_e row over the singles rows a correlation grid reads
+    gen = _power_law_generator(n_atoms=10, omega_c=0.5)
+    y0 = steady_state(gen, omega_c=0.5).singles
+    n1 = len(y0)
+    rng = np.random.default_rng(13)
+    other = rng.normal(size=n1) + 1j * rng.normal(size=n1)
+    stack = {1: gen.out_e, 2: np.stack([gen.out_e, other]),
+             "singles": np.vstack([gen.out_e, np.eye(n1)])}[c]
+    rows = np.atleast_2d(stack)
+    m = _giant_step(n1, n_out, len(rows))
+    assert m > 1 and 256 % m == 0
+    ref, _ = _dense_loop(_scipy_expm(gen.m1(0.5) * (40.0 / n_out)), y0, n_out, rows)
+    got = free_decay(gen, y0, 0.5, 40.0, n_out, stack)
+    assert got.shape == ((n_out,) if c == 1 else ref.shape)
+    assert np.max(np.abs(got.reshape(ref.shape) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_evolve_deterministic_bit_for_bit():
     gen = make_generator(n_atoms=3)
     a = evolve(gen, (0.0, 10.0), dt_out=0.5, method="rk4", project=state_rows(gen)).projections
@@ -581,8 +649,9 @@ def test_evolve_deterministic_bit_for_bit():
 
 def test_nan_detection_raises():
     gen = make_generator(n_atoms=3)
-    with pytest.raises(DynamicsError):
-        # unstable explicit step: repeated amplification overflows to inf/nan
+    # unstable explicit step: repeated amplification overflows to inf/nan,
+    # on purpose, so numpy's overflow warnings are expected here
+    with pytest.raises(DynamicsError), np.errstate(over="ignore", invalid="ignore"):
         evolve(gen, (0.0, 4000.0), dt=5.0, dt_out=400.0, method="rk4")
 
 

@@ -48,10 +48,15 @@ def test_dimension_formula_matches_enumeration():
 
 
 def test_power_law_cap_excludes_near_pairs():
-    # near pairs exceed the cap and disappear from the rr block
-    idx = _index(6, "power")
+    # near pairs exceed the cap and disappear from the rr block: on spacing
+    # 1/6 with r_b = 0.25 and v0 = 1 the nearest neighbours have V = 11.4
+    # > 5, so their 5 pairs drop and the 10 farther ones (V <= 0.18) stay
+    chain = build_chain(6, 1.0)
+    blk = BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.25, v0=1.0, v_cap=5.0)
+    idx = build_index(6, blk, chain)
     assert idx.rr_slot(0, 0) is None          # same atom always blocked
-    assert idx.n_rr < 6 * 5 // 2 + 6
+    assert idx.rr_slot(0, 1) is None
+    assert idx.n_rr == 10
 
 
 def test_full_blockade_has_empty_rr():
