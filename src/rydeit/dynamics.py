@@ -36,11 +36,17 @@ advances a stacked [ground; singles(; doubles)] vector across one segment in
 equal output steps.  ``Generator.stacked`` holds the generator on that
 layout as three CSR parts, A(t) = S + Omega_c(t) W + e(t) F at drive level
 e = ep(t).  A stretch where they are constant takes the exact exponential,
-whatever its length; only one where they vary takes fixed-step RK4
-(deterministic, 4th order, steps aligned to breakpoints).
+whatever its length.  So does a drive ramp, a stretch at constant Omega_c
+where the envelope is affine, e(a + tau) = c0 + c1 tau (a square pulse's
+rise and fall, a triangular pulse): F is nilpotent and the ground amplitude
+g is frozen, so the clocks tau g, tau^2 g and, with the doubles, tau psi1
+make the ramp a constant linear system, stepped by its Taylor action
+(``_ramp_powers``).  Only a stretch where Omega_c varies, or where the
+envelope is a gaussian, takes fixed-step RK4 (deterministic, 4th order,
+steps aligned to breakpoints).
 
-Under ``EXPM_MAX_DIM`` the exponential is E = exp(A(1) h) at unit drive
-(``Generator.augmented``), once per (Omega_c, output step h, layout).  With
+Under ``EXPM_MAX_DIM`` the exponential is E = exp(A(1) h) at unit drive,
+of the CSR S + Omega_c W + F, once per (Omega_c, output step h, layout).  With
 D = diag(1, e, e^2) over the ground, singles and doubles blocks,
 A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground column's
 singles rows scale by e, its doubles rows by e^2 and the doubles <- singles
@@ -220,10 +226,13 @@ class Generator:
             parts = self._parts[doubles] = tuple(_csr(m) for m in (s, w, f))
         return parts
 
-    def augmented(self, env: float, omega: float, doubles: bool = True) -> np.ndarray:
-        """Dense constant-coefficient generator on [ground; singles(; doubles)]."""
-        s, w, f = self.stacked(doubles)
-        return (s + omega * w + env * f).toarray()
+    def drive_ramp(self, a: float, b: float) -> tuple | None:
+        """(c0, c1) with e(a + tau) = c0 + c1 tau on [a, b) when the control is
+        constant there and the envelope affine (``PulseEnvelope.affine_on``),
+        else None."""
+        if not self.schedule.is_constant_between(a, b):
+            return None
+        return self.envelope.affine_on(a, b)
 
     def output_covectors(self, grid: bool = False) -> np.ndarray:
         """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
@@ -450,10 +459,11 @@ class TriangularExp:
         return x.T[np.ix_(back, back)]
 
 
-def expm(a: np.ndarray) -> TriangularExp:
-    """exp(a) of a dense square matrix, complex, by way of the cascade
-    structure of the generators this module builds, returned in the basis
-    where it is triangular (``TriangularExp``).
+def expm(a) -> TriangularExp:
+    """exp(a) of a dense or sparse square matrix, complex, by way of the
+    cascade structure of the generators this module builds, returned in the
+    basis where it is triangular (``TriangularExp``).  A sparse a becomes
+    dense only as its permuted transpose u.
 
     In ``_cascade_order`` a is block lower triangular, so its transpose u is
     block upper triangular; the complex Schur form Z_I^H u_II Z_I of each
@@ -467,7 +477,8 @@ def expm(a: np.ndarray) -> TriangularExp:
     matrix of one strongly connected component takes one dense Schur form
     and the same steps."""
     perm, bounds = _cascade_order(a)
-    u = np.asarray(a, dtype=complex)[np.ix_(perm, perm)].T
+    u = a[perm][:, perm]
+    u = np.asarray(u.toarray() if sp.issparse(u) else u, dtype=complex).T
     blocks = []
     for i0, i1 in zip(bounds[:-1], bounds[1:]):
         if i1 - i0 > 1:
@@ -626,16 +637,21 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     Unless ``method`` is "rk4", constant coefficients take the exact
     exponential: the dense unit-drive one under ``EXPM_MAX_DIM``, reused
     across calls through a ``cache`` dict kept for one generator, the Taylor
-    action above it.  Varying ones take RK4 at steps of at most ``dt``, and
-    "expm" refuses them."""
+    action above it.  So does a drive ramp, a stretch at constant Omega_c
+    where the envelope is affine (``Generator.drive_ramp``), through the
+    clocked generator of ``_ramp_powers``.  The rest, where Omega_c
+    varies or the envelope is a gaussian, takes RK4 at steps of at most
+    ``dt``, and "expm" refuses it."""
     h_out = (b - a) / n_out
-    const = gen.is_constant(a, b)
-    if method == "expm" and not const:
-        raise DynamicsError("expm method requires piecewise-constant coefficients")
+    const = method != "rk4" and gen.is_constant(a, b)
+    ramp = None if method == "rk4" or const else gen.drive_ramp(a, b)
+    if method == "expm" and not const and ramp is None:
+        raise DynamicsError("expm method refuses a stretch that needs RK4: Omega_c varies "
+                            "on it or the envelope is not affine (gaussian)")
     doubles = y.shape[0] > 1 + gen.index.dim_singles
     project = np.empty((0, len(y))) if project is None else project
     cache = {} if cache is None else cache
-    if method == "rk4" or not const:
+    if not const and ramp is None:
         # coefficient lookups clamped below b, so the value exactly at a
         # segment edge is the inside (left) limit
         t_hi = b - 1e-12 * max(1.0, abs(b - a))
@@ -646,20 +662,57 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
 
         return _rk4(gen.stacked(doubles), y, a, h_out, n_out, dt, coeffs, out, project)
     om, e = gen.omega_at(a), gen.envelope_at(a)
-    if len(y) <= EXPM_MAX_DIM:
+    s, w, f = gen.stacked(doubles)
+    if ramp is not None:
+        proj, z = _ramp_powers(gen, om, ramp, h_out, y, n_out, project)
+        y = z[:len(y)]
+        proj[-1] = project @ y
+    elif len(y) <= EXPM_MAX_DIM:
         key = (round(om, 15), round(h_out, 15), len(y))
         unit = cache.get(key)
         if unit is None:
-            unit = cache[key] = expm(gen.augmented(1.0, om, doubles) * h_out)
+            unit = cache[key] = expm(_csr((s + om * w + f) * h_out))
         with _at_drive(unit, e, gen.index.dim_singles):
             proj, y = _dense_powers(unit, y, n_out, project, end_state=True)
     else:
-        s, w, f = gen.stacked(doubles)
         proj, y = _action_powers(s + om * w + e * f, h_out, y, n_out, project,
                                  end_state=True)
     if out is not None:
         out[:] = proj
     return y
+
+
+def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.ndarray,
+                 n_out: int, project: np.ndarray):
+    """The projections ``project @ y`` after each of ``n_out`` steps of
+    ``h_out`` over a drive ramp e(a + tau) = c0 + c1 tau at control
+    ``omega``, and the end state of the clocked layout [y; tau y_K; tau^2 g]:
+    g is the ground amplitude of the stacked state y and K its first k
+    slots, every slot F reads: the ground, and with the doubles also the
+    singles.  With A0 = S + Omega W, y' = (A0 + c0 F) y + c1 F tau y_K
+    closes on these clocks, since the ground is frozen and the rows of
+    A0 + e F in K read only K:
+
+        (tau y_K)'  = y_K + (A0 + c0 F)_KK tau y_K + c1 F_K0 tau^2 g
+        (tau^2 g)'  = 2 tau g
+
+    (the augmented-matrix idea of Al-Mohy and Higham, SIAM J. Sci. Comput.
+    33:488, 2011, section 2).  So the ramp is the constant CSR generator B
+    of d + k + 1 rows, d + 2 + n1 with the doubles and d + 2 without: the
+    clocks start at zero, the covectors are padded with zeros, and the
+    steps are Taylor actions of B (``_action_powers``)."""
+    c0, c1 = ramp
+    d = len(y)
+    doubles = d > 1 + gen.index.dim_singles
+    k = 1 + gen.index.dim_singles if doubles else 1
+    s, w, f = gen.stacked(doubles)
+    a0 = s + omega * w + c0 * f
+    b = _csr(sp.bmat([[a0, c1 * f[:, :k], None],
+                      [sp.eye(k, d, dtype=complex), a0[:k, :k], c1 * f[:k, :1]],
+                      [None, 2.0 * sp.eye(1, k, dtype=complex), None]]))
+    z = np.concatenate([y, np.zeros(k + 1, dtype=complex)])
+    rows = np.hstack([project, np.zeros((len(project), k + 1), dtype=complex)])
+    return _action_powers(b, h_out, z, n_out, rows, end_state=True)
 
 
 @contextmanager
@@ -895,8 +948,9 @@ def evolve(generator: Generator, t_span, dt: float | None = None,
 
     method (one of ``METHODS``):
         "auto" - the exact exponential on every constant-coefficient stretch
-                 (``propagate_segment``), RK4 where the coefficients vary;
-        "expm" - the same, raising if coefficients vary inside a segment;
+                 and every drive ramp (``propagate_segment``), RK4 where
+                 Omega_c varies or the envelope is a gaussian;
+        "expm" - the same, raising where it would take RK4;
         "rk4"  - fixed-step 4th order Runge-Kutta everywhere (bit-for-bit
                  deterministic; steps aligned to envelope/schedule breakpoints,
                  discontinuous coefficients sampled from inside each segment).

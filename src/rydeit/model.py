@@ -304,6 +304,26 @@ class PulseEnvelope:
         x = u - 0.5 * self.duration
         return math.exp(-4.0 * math.log(2.0) * x * x / (w * w))
 
+    def affine_on(self, a: float, b: float) -> tuple | None:
+        """(c0, c1) with unit_shape(a + tau) = c0 + c1 tau for a <= a + tau < b,
+        from the shape's own formulas, when no breakpoint lies inside (a, b);
+        None otherwise and for a gaussian, which is nowhere polynomial."""
+        if self.shape is PulseShape.GAUSSIAN or any(a < t < b for t in self.breakpoints()):
+            return None
+        u, mid = a - self.t_on, 0.5 * (a + b) - self.t_on
+        if mid < 0.0 or mid >= self.duration:
+            return 0.0, 0.0
+        if self.shape is PulseShape.TRIANGULAR_NEG:
+            return 1.0 - u / self.duration, -1.0 / self.duration
+        if self.shape is PulseShape.TRIANGULAR_POS:
+            return u / self.duration, 1.0 / self.duration
+        r = self.rise_time
+        if r == 0.0 or r <= mid <= self.duration - r:
+            return 1.0, 0.0
+        if mid < r:
+            return u / r, 1.0 / r
+        return (self.duration - u) / r, -1.0 / r
+
     def unit_shape_array(self, ts: np.ndarray) -> np.ndarray:
         return np.array([self.unit_shape(float(t)) for t in np.asarray(ts).ravel()])
 

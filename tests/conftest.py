@@ -29,6 +29,13 @@ def make_generator(n_atoms=10, omega_c=0.5, blockade=None, shape=PulseShape.SQUA
     return assemble_generator(p, chain, blk, sch, env)
 
 
+def augmented(gen, env, omega, doubles=True):
+    """The dense generator S + Omega_c W + e F on the stacked
+    [ground; singles(; doubles)] layout at drive level ``env``."""
+    s, w, f = gen.stacked(doubles)
+    return (s + omega * w + env * f).toarray()
+
+
 def state_rows(gen):
     """Covectors over [ground; singles; doubles] that make ``evolve`` record
     the whole state [singles; doubles]."""

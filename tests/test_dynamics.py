@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from scipy.linalg import expm as _scipy_expm
 
-from rydeit.model import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseEnvelope,
-                          PulseShape, build_chain, optical_depth)
+from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, PhysicalParams,
+                          PulseEnvelope, PulseShape, build_chain, optical_depth)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
-                             _giant_step, assemble_generator, evolve, expm, free_decay,
+                             _csr, _giant_step, _ramp_powers, assemble_generator, evolve, expm,
+                             free_decay,
                              one_photon_amplitude, propagate_segment, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
 from rydeit.observables import trace_from_trajectory
 from rydeit.statespace import TruncatedState, zero_state
 
-from conftest import make_generator, state_rows
+from conftest import augmented, make_generator, state_rows
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_drive_level_identity(doubles, a, b, level):
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     env, om = gen.envelope_at(a), gen.omega_at(a)
     assert env == level
-    prop = _scipy_expm(gen.augmented(env, om, doubles) * ((b - a) / n_out))
+    prop = _scipy_expm(augmented(gen, env, om, doubles) * ((b - a) / n_out))
     ref = np.empty((n_out, dim), dtype=complex)
     y = y0
     for k in range(n_out):
@@ -224,13 +225,145 @@ def _count_expm(monkeypatch):
 
 def test_evolve_takes_one_exponential(monkeypatch):
     # square pulse with rise edges and a tail: the plateau (drive 1) and the
-    # tail (drive 0) share one unit-drive exponential; the edges are RK4
+    # tail (drive 0) share one unit-drive exponential; the edges are drive
+    # ramps, stepped by the Taylor action of their clocked generator
     gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
     calls = _count_expm(monkeypatch)
     traj = evolve(gen, (0.0, 30.0), dt_out=0.5, method="auto", project=state_rows(gen))
     assert calls == [(1 + gen.index.dim,) * 2]
     rk4 = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.5, method="rk4", project=state_rows(gen))
     np.testing.assert_allclose(traj.projections, rk4.projections, atol=5e-9)
+
+
+def _count_rk4(monkeypatch):
+    # records the start of each RK4 call and runs it
+    import rydeit.dynamics as dynamics
+    calls = []
+    real = dynamics._rk4
+
+    def counted(parts, y, a, *args, **kwargs):
+        calls.append(a)
+        return real(parts, y, a, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_rk4", counted)
+    return calls
+
+
+def test_rk4_runs_only_where_the_drive_is_not_a_ramp(monkeypatch):
+    # under auto a square pulse with rise edges takes no RK4 step: constant
+    # stretches take the exponential and the edges the clocked action; a
+    # gaussian envelope and method="rk4" still take RK4
+    calls = _count_rk4(monkeypatch)
+    square = make_generator(n_atoms=3, duration=10.0, rise_time=1.0)
+    evolve(square, (0.0, 12.0), dt_out=0.5, method="auto")
+    assert calls == []
+    evolve(square, (0.0, 12.0), dt=0.05, dt_out=0.5, method="rk4")
+    assert calls == [0.0, 1.0, 9.0, 10.0]    # rise, plateau, fall, tail
+    calls.clear()
+    gaussian = make_generator(n_atoms=3, shape=PulseShape.GAUSSIAN, duration=10.0)
+    evolve(gaussian, (0.0, 12.0), dt=0.05, dt_out=0.5, method="auto")
+    assert calls == [0.0]                    # the window; the tail is constant
+
+
+@pytest.mark.parametrize("shape, rise", [(PulseShape.SQUARE, 1.0),
+                                         (PulseShape.TRIANGULAR_NEG, 0.0),
+                                         (PulseShape.TRIANGULAR_POS, 0.0)])
+def test_expm_method_takes_drive_ramps(shape, rise):
+    # a drive ramp is an exact exponential, so "expm" accepts it and takes
+    # the route "auto" takes
+    gen = make_generator(n_atoms=3, shape=shape, duration=10.0, rise_time=rise)
+    rows = gen.output_covectors(grid=True)
+    auto = evolve(gen, (0.0, 12.0), dt_out=0.5, method="auto", project=rows)
+    exact = evolve(gen, (0.0, 12.0), dt_out=0.5, method="expm", project=rows)
+    assert np.array_equal(exact.projections, auto.projections)
+
+
+@pytest.mark.parametrize("shape, schedule", [
+    (PulseShape.GAUSSIAN, None),
+    (PulseShape.SQUARE, ControlSchedule(segments=(ControlSegment(0.0, 4.0, 0.5, 0.5),
+                                                  ControlSegment(4.0, 6.0, 0.5, 0.1),
+                                                  ControlSegment(6.0, 12.0, 0.1, 0.1))))])
+def test_expm_method_refuses_what_needs_rk4(shape, schedule):
+    # a gaussian envelope or a control ramp would take RK4, which "expm"
+    # refuses, naming both
+    gen = make_generator(n_atoms=3, shape=shape, duration=10.0, schedule=schedule)
+    with pytest.raises(DynamicsError, match="Omega_c varies.*gaussian"):
+        evolve(gen, (0.0, 12.0), dt_out=0.5, method="expm")
+
+
+def _ramp_case(shape, power_law):
+    """Four atoms under a pulse with drive ramps: a square one with 0.25
+    edges, or a triangular one (whole window a ramp), with full blockade or
+    pair shifts up to v_max ~ 68; short, so that RK4 at suggest_dt()/16
+    stays cheap."""
+    square = shape is PulseShape.SQUARE
+    kw = dict(n_atoms=4, shape=shape, rise_time=0.25 if square else 0.0,
+              duration=1.5 if square else 0.5 if power_law else 3.0)
+    return _power_law_generator(**kw) if power_law else make_generator(**kw)
+
+
+RAMP_CASES = [(shape, power_law) for shape in (PulseShape.SQUARE, PulseShape.TRIANGULAR_NEG,
+                                               PulseShape.TRIANGULAR_POS)
+              for power_law in (False, True)]
+
+
+def _assert_columns_close(got, ref, rel):
+    """Every column of ``got`` within ``rel`` of its largest entry in ``ref``."""
+    err = np.max(np.abs(got - ref), axis=0)
+    assert np.all(err <= rel * np.max(np.abs(ref), axis=0)), np.max(err)
+
+
+@pytest.mark.parametrize("shape, power_law", RAMP_CASES)
+def test_drive_ramps_match_rk4(monkeypatch, shape, power_law):
+    # evolve over the whole window with the drive ramps on their clocked
+    # route, against the same run with RK4 at suggest_dt()/16 on the ramps
+    # (the exponential elsewhere in both): the output covectors and the
+    # grid stack, each column within 1e-10 of its largest entry
+    gen = _ramp_case(shape, power_law)
+    assert (gen.v_max > 50.0) == power_law
+    window = (0.0, gen.envelope.t_end + 0.5)
+    got = [evolve(gen, window, dt_out=0.125, method="auto",
+                  project=gen.output_covectors(grid)).projections for grid in (False, True)]
+    monkeypatch.setattr(gen, "drive_ramp", lambda a, b: None)
+    ref = evolve(gen, window, dt=gen.suggest_dt() / 16, dt_out=0.125, method="auto",
+                 project=gen.output_covectors(grid=True)).projections
+    for proj in got:
+        _assert_columns_close(proj, ref[:, :proj.shape[1]], 1e-10)
+
+
+@pytest.mark.parametrize("doubles", [False, True])
+@pytest.mark.parametrize("shape, power_law", RAMP_CASES)
+def test_drive_ramp_segment(shape, power_law, doubles):
+    # one ramp from a random state (ground != 1, as in a conditioned
+    # singles column), on the doubles and the singles-only layouts: the
+    # projections against RK4 at suggest_dt()/16, the last row against the
+    # end state to the bit, and the clocks at the end: g (b - a),
+    # g (b - a)^2 and (b - a) psi1
+    gen = _ramp_case(shape, power_law)
+    a, b = gen.envelope.breakpoints()[:2]
+    om, ramp = gen.omega_at(a), gen.drive_ramp(a, b)
+    assert ramp is not None and ramp[1] != 0.0
+    n1 = gen.index.dim_singles
+    dim = 1 + (gen.index.dim if doubles else n1)
+    rng = np.random.default_rng(7)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    rows = gen.output_covectors(grid=True)[:, :dim]
+    n_out = 5
+    got, ref = (np.empty((n_out, len(rows)), dtype=complex) for _ in range(2))
+    end = propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt(), out=got, project=rows)
+    propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt() / 16, method="rk4", out=ref,
+                      project=rows)
+    _assert_columns_close(got, ref, 1e-10)
+    assert np.array_equal(got[-1], rows @ end)
+    _, z = _ramp_powers(gen, om, ramp, (b - a) / n_out, y0, n_out, rows)
+    assert np.array_equal(z[:dim], end)
+    g, length = y0[0], b - a
+    assert len(z) == dim + (2 + n1 if doubles else 2)
+    assert abs(z[dim] - g * length) <= 1e-13 * abs(g * length)
+    assert abs(z[-1] - g * length ** 2) <= 1e-13 * abs(g * length ** 2)
+    if doubles:
+        chi = z[dim + 1:dim + 1 + n1]
+        assert np.max(np.abs(chi - length * end[1:1 + n1])) <= 1e-12 * np.max(np.abs(chi))
 
 
 def test_singles_propagator_one_exponential_per_step(monkeypatch):
@@ -387,7 +520,7 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         assert len(_cascade_order(a)[1]) == 2
     else:
-        a = _random_chain_generator(mode, omega).augmented(1.0, omega, doubles)
+        a = augmented(_random_chain_generator(mode, omega), 1.0, omega, doubles)
     a = a * (tau_norm / np.max(np.abs(a).sum(axis=0)))
     ref = _scipy_expm(a)
     prop = expm(a)
@@ -401,6 +534,21 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         assert np.array_equal(np.diag(got), np.exp(np.diag(a)))
 
 
+@pytest.mark.parametrize("doubles", [False, True])
+@pytest.mark.parametrize("mode", BLOCKADE_MODES)
+def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
+    # a CSR argument becomes dense only as the permuted transpose, with the
+    # same entries in the same layout as a dense one's: the same cascade
+    # order and the same triangular exponential, bit for bit
+    gen = _random_chain_generator(mode, 0.5)
+    s, w, f = gen.stacked(doubles)
+    a = _csr((s + 0.5 * w + f) * 0.37)
+    dense, sparse = expm(a.toarray()), expm(a)
+    assert np.array_equal(sparse.perm, dense.perm)
+    assert np.array_equal(sparse.tri, dense.tri)
+    assert sparse.tri.flags.f_contiguous
+
+
 @pytest.mark.parametrize("mode", BLOCKADE_MODES)
 def test_cascade_order_is_block_lower_triangular(mode):
     # in cascade order every generator block is block lower triangular, with
@@ -408,7 +556,7 @@ def test_cascade_order_is_block_lower_triangular(mode):
     # pair for the doubles; the order is a pure function of the pattern
     gen = _random_chain_generator(mode, 0.5, n_atoms=8)
     for a, largest in ((gen.m1(0.5), 2), (gen.m2(0.5), 4),
-                       (gen.augmented(1.0, 0.5, True), 4)):
+                       (augmented(gen, 1.0, 0.5, True), 4)):
         perm, bounds = _cascade_order(a)
         assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
         assert bounds[0] == 0 and bounds[-1] == a.shape[0]
@@ -452,8 +600,9 @@ def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
     assert s.format == w.format == f.format == "csr"
     assert gen.stacked(doubles)[0] is s                  # built once per layout
     for env, om in ((1.0, 0.5), (1.7, 0.05), (0.0, 0.25)):
+        # the folded CSR that propagate_segment hands to expm
         dense = s.toarray() + om * w.toarray() + env * f.toarray()
-        assert np.array_equal(gen.augmented(env, om, doubles), dense)
+        assert np.array_equal(_csr(s + om * w + env * f).toarray(), dense)
     # the blocks land where the [ground; singles(; doubles)] layout puts them
     a = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
     assert np.all(a[0] == 0)
@@ -535,8 +684,9 @@ def test_rk4_matches_block_derivative_loop(a, b):
 @pytest.mark.parametrize("method", ["auto", "rk4"])
 def test_projections_only_evolve_matches_states(method):
     # square pulse with rise edges and a tail, doubles on: exponential
-    # plateau and tail (auto), RK4 edges; the output-covector run records
-    # C y where the state-row run records y
+    # plateau and tail, clocked Taylor actions on the edges (auto), or RK4
+    # throughout; the output-covector run records C y where the state-row
+    # run records y
     gen = _power_law_generator(duration=20.0, rise_time=1.0)
     c = gen.output_covectors()
     full = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.25, method=method,
@@ -608,7 +758,7 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     rng = np.random.default_rng(9)
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     h = 2.0 / n_out
-    ref, y_ref = _dense_loop(_scipy_expm(gen.augmented(level, 0.5, doubles) * h), y0,
+    ref, y_ref = _dense_loop(_scipy_expm(augmented(gen, level, 0.5, doubles) * h), y0,
                              n_out, rows)
     got = np.empty_like(ref)
     end = propagate_segment(gen, y0, 2.0, 4.0, n_out, dt=gen.suggest_dt(), method="expm",

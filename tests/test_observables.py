@@ -111,6 +111,18 @@ def test_correlation_grid_matches_conditioned_evolution(shape, schedule, blockad
     _check_grid_against_oracle(gen, i_start, i_stop, stride)
 
 
+@pytest.mark.parametrize("shape, rise", [(PulseShape.SQUARE, 3.0),
+                                         (PulseShape.TRIANGULAR_POS, 0.0)])
+@pytest.mark.parametrize("blockaded", [True, False])
+def test_correlation_grid_on_drive_ramps_matches_conditioned_evolution(shape, rise, blockaded):
+    # the trajectory and the oracle's conditioned [ground; singles] columns,
+    # whose ground f1 is not 1, cross the drive ramps on their clocked route
+    n = 5
+    gen = make_generator(n_atoms=n, shape=shape, duration=12.0, rise_time=rise,
+                         blockade=None if blockaded else _power_law(n))
+    _check_grid_against_oracle(gen, 7, 61, 3)
+
+
 @pytest.mark.parametrize("blockaded", [True, False])
 def test_correlation_grid_storage_window_inside_one_interval(blockaded):
     # the whole 0.25 storage window [8, 8.25] lies inside the stride-4
