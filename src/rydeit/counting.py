@@ -3,22 +3,20 @@ coincidence-counting estimator with inter-trial normalization.
 
 Generative model (weak-drive leading order): each trial emits at most one
 event, either a photon pair with probability P2 = (E0^4/2) * double integral
-of G2, with times drawn from G2 by acceptance-rejection, or a single photon
-with probability P1 = E0^2 * int I - 2 P2, with times drawn from the
-intensity-weighted density minus the pair marginal.  Photons are then routed
-by the splitting ratio and thinned by the efficiency budget.  With this
-construction the coincidence estimator converges to the quadrature value
-(double integral of G2 over the product of windowed intensities) for any
-photon statistics, sub-Poissonian included.
+of G2, with times drawn from G2, or a single photon with probability
+P1 = E0^2 * int I - 2 P2, with times drawn from the intensity-weighted density
+minus the pair marginal.  Photons are then routed by the splitting ratio and
+thinned by the efficiency budget.  With this construction the coincidence
+estimator converges to the quadrature value (double integral of G2 over the
+product of windowed intensities) for any photon statistics, sub-Poissonian
+included.
 
-Pair times are drawn against the global maximum of the gridded pair density.
-Most candidates fall where the density is far below that maximum, so each
-one is first compared with a precomputed upper bound of the bilinear
-interpolant on its block of a coarse uniform partition; only candidates
-under the bound get the exact interpolated test.  The bound is never below
-the interpolant, so the pre-filter rejects only candidates the exact test
-would reject: the accepted set, the random draws and hence the stream are
-exactly those of testing every candidate.
+Pair times are drawn exactly from the bilinear interpolant of the gridded G2
+by composition, with three uniforms per pair and no rejection: one picks a
+grid cell in proportion to its mass, one the t1 fraction from the cell's
+linear marginal, one the t2 fraction from the linear conditional at that t1.
+The pair marginal is subtracted from the singles density at every trace
+sample, interpolated linearly between the samples of a coarser G2 grid.
 """
 
 from __future__ import annotations
@@ -153,78 +151,64 @@ def load_stream(path) -> DetectionStream:
 # ---------------------------------------------------------------------------
 # trial emulation
 
-def _grid_interp2(times: np.ndarray, values: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a square grid at points (t1, t2)."""
-    i = np.clip(np.searchsorted(times, t1) - 1, 0, len(times) - 2)
-    j = np.clip(np.searchsorted(times, t2) - 1, 0, len(times) - 2)
-    fx = (t1 - times[i]) / (times[i + 1] - times[i])
-    fy = (t2 - times[j]) / (times[j + 1] - times[j])
-    v00 = values[i, j]
-    v10 = values[i + 1, j]
-    v01 = values[i, j + 1]
-    v11 = values[i + 1, j + 1]
-    return (v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy)
-            + v01 * (1 - fx) * fy + v11 * fx * fy)
+def _linear_fraction(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF on [0, 1] of the linear density a(1 - x) + b x, a, b >= 0,
+    at the uniforms ``u``.
 
-
-#: blocks per axis of the pair-density bound table
-_BOUND_BLOCKS = 64
-
-
-def _block_bounds(times: np.ndarray, values: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Upper bounds of the bilinear interpolant of ``values`` on ``n_blocks``
-    uniform blocks per axis of [times[0], times[-1]]^2.
-
-    Block (a, b) holds the maximum over every grid corner that a point in
-    blocks a-1..a+1 x b-1..b+1 interpolates from, so a point whose floored
-    block index is off by one through rounding is still covered.  The bilinear
-    value is a convex combination of its four corners; the relative pad
-    absorbs the few ulps its floating-point evaluation can overshoot by.
+    The root of (b - a) x^2 / 2 + a x = (a + b) u / 2 is taken in the form
+    x = u / (p + sqrt(p^2 (1 - u) + (1 - p)^2 u)), p = a / (a + b), which has
+    no cancellation, a radicand that cannot round below zero and no overflow
+    for any scale of a and b.  Where the density vanishes (a = b = 0) the
+    fraction is uniform, p = 1/2: any point has zero weight there.
     """
-    t_lo, t_hi = float(times[0]), float(times[-1])
-    edges = t_lo + (t_hi - t_lo) * np.arange(-1, n_blocks + 2) / n_blocks
-    cell = np.clip(np.searchsorted(times, np.clip(edges, t_lo, t_hi)) - 1,
-                   0, len(times) - 2)
-    slices = list(zip(cell[:-3], cell[3:] + 2))   # corner range of each block
-
-    def block_max(v: np.ndarray) -> np.ndarray:
-        rows = np.stack([v[a:b].max(axis=0) for a, b in slices])
-        return np.stack([rows[:, a:b].max(axis=1) for a, b in slices], axis=1)
-
-    return block_max(values) + 1e-12 * block_max(np.abs(values))
+    s = a + b
+    p = np.divide(a, s, out=np.full_like(s, 0.5), where=s > 0)
+    den = p + np.sqrt(p * p * (1.0 - u) + (1.0 - p) ** 2 * u)
+    x = np.divide(u, den, out=np.zeros_like(u), where=den > 0)
+    return np.minimum(x, 1.0)
 
 
 def _sample_pair_times(rng: np.random.Generator, times: np.ndarray,
                        density: np.ndarray, k: int):
-    """``k`` time pairs drawn from the gridded pair density by
-    acceptance-rejection against its global maximum.
+    """``k`` time pairs drawn exactly from the bilinear interpolant of the
+    gridded pair density, by composition with three uniforms per pair.
 
-    Candidates at or above the block bound of their block are rejected
-    before the exact bilinear test; the bound is never below the
-    interpolant, so the accepted set, and every RNG draw, is exactly that of
-    testing all candidates.
+    A cell is picked with probability proportional to its mass (corner mean
+    times cell area); the t1 fraction follows the cell's linear marginal and
+    the t2 fraction the linear conditional at that t1.  The density must be
+    nonnegative, as G2 is.
     """
-    g2max = float(np.max(density)) if density.size else 0.0
-    if k == 0 or not g2max > 0:
+    if np.any(density < 0):
+        raise ConfigurationError("pair density must be nonnegative")
+    if k == 0:
         return np.empty(0), np.empty(0)
-    t_lo, t_hi = float(times[0]), float(times[-1])
-    bound = _block_bounds(times, density, _BOUND_BLOCKS)
-    scale = _BOUND_BLOCKS / (t_hi - t_lo)
-    acc1, acc2 = [], []
-    n_acc = 0
-    while n_acc < k:
-        batch = max(256, 4 * (k - n_acc))
-        c1 = rng.uniform(t_lo, t_hi, batch)
-        c2 = rng.uniform(t_lo, t_hi, batch)
-        lim = rng.random(batch) * g2max
-        b1 = np.minimum(((c1 - t_lo) * scale).astype(np.intp), _BOUND_BLOCKS - 1)
-        b2 = np.minimum(((c2 - t_lo) * scale).astype(np.intp), _BOUND_BLOCKS - 1)
-        live = np.nonzero(lim < bound[b1, b2])[0]
-        keep = live[lim[live] < _grid_interp2(times, density, c1[live], c2[live])]
-        acc1.append(c1[keep])
-        acc2.append(c2[keep])
-        n_acc += len(keep)
-    return np.concatenate(acc1)[:k], np.concatenate(acc2)[:k]
+    n = len(times) - 1
+    dt = np.diff(times)
+    cum = density[:-1, :-1] + density[:-1, 1:]
+    cum += density[1:, :-1]
+    cum += density[1:, 1:]
+    cum *= 0.25 * dt[:, None]
+    cum *= dt
+    cum = np.cumsum(cum, axis=None)
+    total = cum[-1]
+    if not total > 0:
+        return np.empty(0), np.empty(0)
+    # searching the keys in ascending order keeps the binary search in cache;
+    # u * total can round up to total, and the clip keeps such a draw in the
+    # last cell of nonzero mass, where cum first reaches total
+    r = rng.random(k) * total
+    order = np.argsort(r)
+    c = np.empty(k, dtype=np.intp)
+    c[order] = np.minimum(np.searchsorted(cum, r[order], side="right"),
+                          np.searchsorted(cum, total))
+    del cum, r, order
+    i, j = np.divmod(c, n)
+    w00, w01 = density[i, j], density[i, j + 1]
+    w10, w11 = density[i + 1, j], density[i + 1, j + 1]
+    x = _linear_fraction(w00 + w01, w10 + w11, rng.random(k))
+    y = _linear_fraction((1.0 - x) * w00 + x * w10, (1.0 - x) * w01 + x * w11,
+                         rng.random(k))
+    return times[i] + x * dt[i], times[j] + y * dt[j]
 
 
 def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
@@ -249,11 +233,7 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
 
     # subtract the pair marginal from the singles density
     rho_grid = np.trapezoid(pair_density, grid.times, axis=1)
-    rho = np.zeros_like(lam)
-    gi = np.clip(np.searchsorted(trace.times, grid.times), 0, len(lam) - 1)
-    if not np.allclose(trace.times[gi], grid.times, rtol=0, atol=1e-9):
-        raise ConfigurationError("correlation grid times are not trace samples")
-    rho[gi] = rho_grid
+    rho = np.interp(trace.times, grid.times, rho_grid, left=0.0, right=0.0)
     lam_single = np.clip(lam - rho, 0.0, None)
     p_single = float(np.trapezoid(lam_single, trace.times))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from rydeit import counting
 from rydeit.counting import (DetectionStream, EfficiencyBudget, EstimateError,
@@ -169,28 +170,12 @@ def test_validity_warning_fires_for_bright_input():
 
 
 # ---------------------------------------------------------------------------
-# pair sampler: the block-bounded pre-filter against the plain rejection loop
+# pair sampler: exact composition draws from the bilinear pair density
 
-def _reference_pair_times(rng, times, density, k):
-    """Plain acceptance-rejection: every candidate gets the exact bilinear test."""
-    g2max = float(np.max(density)) if density.size else 0.0
-    t_lo, t_hi = float(times[0]), float(times[-1])
-    acc1 = np.empty(0)
-    acc2 = np.empty(0)
-    while len(acc1) < k and g2max > 0:
-        batch = max(256, 4 * (k - len(acc1)))
-        c1 = rng.uniform(t_lo, t_hi, batch)
-        c2 = rng.uniform(t_lo, t_hi, batch)
-        keep = rng.random(batch) * g2max < counting._grid_interp2(times, density, c1, c2)
-        acc1 = np.concatenate([acc1, c1[keep]])
-        acc2 = np.concatenate([acc2, c2[keep]])
-    return acc1[:k], acc2[:k]
-
-
-def _simulated_scene(**kw):
+def _simulated_scene(stride=1, **kw):
     gen = make_generator(n_atoms=4, **kw)
     traj = evolve(gen, (0.0, 12.0), dt_out=0.3, method="rk4")
-    return trace_from_trajectory(traj, gen), correlation_grid(traj, gen)
+    return trace_from_trajectory(traj, gen), correlation_grid(traj, gen, stride=stride)
 
 
 def _gaussian_scene():
@@ -203,7 +188,7 @@ def _square_edges_scene():
 
 
 def _blockwise_zero_scene():
-    # pairs only inside a small off-diagonal patch; most bound blocks are 0
+    # pairs only inside a small off-diagonal patch; most cells have zero mass
     trace, grid = _flat_scene(n=301)
     patch = np.zeros_like(grid.g2_matrix)
     patch[40:70, 200:260] = 1.0
@@ -211,31 +196,133 @@ def _blockwise_zero_scene():
     return trace, grid
 
 
+def _checkerboard_scene():
+    # corners alternate between 0 and 1: no cell's density is a product of a
+    # t1 and a t2 factor, so the t2 draw must follow the conditional at t1
+    trace, grid = _flat_scene(n=41)
+    i = np.arange(41)
+    grid.g2_matrix[:] = (i[:, None] + i[None, :]) % 2
+    return trace, grid
+
+
+#: bilinear weights (1 - x, x) integrated over the lower and upper half of a cell
+_HALF_WEIGHTS = np.array([[0.375, 0.125], [0.125, 0.375]])
+
+
+def _quarter_cell_masses(times, density):
+    """Mass of the bilinear interpolant on each quarter of each grid cell,
+    shape (cells, cells, 2, 2); the last two axes are the lower/upper half in
+    t1 and in t2."""
+    corners = np.stack([np.stack([density[:-1, :-1], density[:-1, 1:]], -1),
+                        np.stack([density[1:, :-1], density[1:, 1:]], -1)], -2)
+    dt = np.diff(times)
+    q = np.einsum("ijab,pa,qb->ijpq", corners, _HALF_WEIGHTS, _HALF_WEIGHTS)
+    return q * (dt[:, None] * dt[None, :])[:, :, None, None]
+
+
+def _chi2_pvalue(times, density, t1, t2, block):
+    """Goodness of fit of the draws (t1, t2) to the bilinear density: counts
+    per quarter cell, summed over ``block`` x ``block`` cells, against the
+    exact masses.  Every draw must fall in a cell of nonzero mass."""
+    n = len(times) - 1
+    i = np.clip(np.searchsorted(times, t1, side="right") - 1, 0, n - 1)
+    j = np.clip(np.searchsorted(times, t2, side="right") - 1, 0, n - 1)
+    dt = np.diff(times)
+    p = ((t1 - times[i]) / dt[i] >= 0.5).astype(int)
+    q = ((t2 - times[j]) / dt[j] >= 0.5).astype(int)
+    masses = _quarter_cell_masses(times, density)
+    assert np.all(masses[i, j].sum(axis=(-2, -1)) > 0)
+    nb = -(-n // block)
+    bins = ((i // block * nb + j // block) * 2 + p) * 2 + q
+    observed = np.bincount(bins, minlength=nb * nb * 4)
+    expected = np.zeros((nb, nb, 2, 2))
+    np.add.at(expected, (np.arange(n)[:, None] // block, np.arange(n)[None, :] // block),
+              masses)
+    expected = expected.ravel() * (len(t1) / expected.sum())
+    live = expected > 0
+    assert np.all(observed[~live] == 0)
+    stat = float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
+    return chi2.sf(stat, int(np.sum(live)) - 1)
+
+
 @pytest.mark.parametrize("scene", [_gaussian_scene, _square_edges_scene,
-                                   _blockwise_zero_scene])
-def test_pair_sampler_matches_plain_rejection(scene, monkeypatch):
+                                   _blockwise_zero_scene, _checkerboard_scene])
+def test_pair_sampler_is_exact(scene):
     trace, grid = scene()
     if scene is _square_edges_scene:
         assert np.ptp(np.diff(grid.times)) > 1e-3
     density = grid.g2_matrix
-    for seed in (1, 7, 21, 123456):
-        rng_a = np.random.default_rng(seed)
-        rng_b = np.random.default_rng(seed)
-        a = counting._sample_pair_times(rng_a, grid.times, density, 3000)
-        b = _reference_pair_times(rng_b, grid.times, density, 3000)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-        assert len(a[0]) == 3000
-        assert rng_a.random() == rng_b.random()   # same number of draws
+    # blocks pool sparse cells; the checkerboard is binned per cell, because a
+    # block would sum its two kinds of cell into a separable whole
+    block = {_blockwise_zero_scene: 10, _checkerboard_scene: 1}.get(scene, 4)
+    for seed in (1, 7, 21):
+        t1, t2 = counting._sample_pair_times(np.random.default_rng(seed),
+                                              grid.times, density, 200000)
+        assert len(t1) == len(t2) == 200000
+        assert _chi2_pvalue(grid.times, density, t1, t2, block) > 1e-4
 
-    fast = [emulate_trials(trace, grid, 0.4, IDEAL, 20000, seed=s) for s in (3, 99)]
-    monkeypatch.setattr(counting, "_sample_pair_times", _reference_pair_times)
-    slow = [emulate_trials(trace, grid, 0.4, IDEAL, 20000, seed=s) for s in (3, 99)]
-    for x, y in zip(fast, slow):
-        np.testing.assert_array_equal(x.trials, y.trials)
-        np.testing.assert_array_equal(x.detectors, y.detectors)
-        np.testing.assert_array_equal(x.times_ns, y.times_ns)
+    for s in (3, 99):
+        x = emulate_trials(trace, grid, 0.4, IDEAL, 20000, seed=s)
         assert np.any(np.bincount(x.trials, minlength=x.n_trials) == 2)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0),
+                                  (1e300, 1e-300), (1e-300, 1e300), (3.0, 1e-17),
+                                  (1e-17, 3.0), (2.5, 0.7)])
+def test_linear_inverse_cdf_edges(a, b):
+    u = np.array([0.0, 1e-300, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+    x = counting._linear_fraction(np.full(u.shape, a), np.full(u.shape, b), u)
+    assert np.all(np.isfinite(x))
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert np.all(np.diff(x) >= 0.0)
+    if a == b == 0.0:
+        np.testing.assert_array_equal(x, u)   # zero density: any fraction will do
+    else:
+        # the CDF of a(1 - x) + b x, scaled to avoid overflow, returns u
+        sa, sb = a / max(a, b), b / max(a, b)
+        cdf = (2 * sa * x + (sb - sa) * x * x) / (sa + sb)
+        np.testing.assert_allclose(cdf, u, rtol=1e-12, atol=1e-15)
+
+
+def test_pair_sampler_empty_cases():
+    times = np.linspace(0.0, 1.0, 5)
+    rng = np.random.default_rng(0)
+    for density, k in ((np.ones((5, 5)), 0), (np.zeros((5, 5)), 10)):
+        t1, t2 = counting._sample_pair_times(rng, times, density, k)
+        assert t1.shape == t2.shape == (0,)
+    with pytest.raises(ConfigurationError):
+        counting._sample_pair_times(rng, times, -np.ones((5, 5)), 10)
+
+
+def test_pair_sampler_conditional_zero_at_cell_edge():
+    # the only nonzero corner is (1, 1): a draw at x = 0 sees a conditional of
+    # zero in t2, which must give a finite time, not 0/0
+    times = np.array([0.0, 1.0])
+    density = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+    class ZeroUniforms:
+        def random(self, k):
+            return np.zeros(k)
+
+    t1, t2 = counting._sample_pair_times(ZeroUniforms(), times, density, 3)
+    assert np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))
+    np.testing.assert_array_equal(t1, 0.0)
+
+
+def test_singles_density_on_strided_grid():
+    # pair marginal sampled on every second trace sample: the singles density
+    # must subtract it between the grid samples too, so the photons emitted
+    # per trial match the integrated output rate
+    trace, grid = _simulated_scene(stride=2, shape=PulseShape.GAUSSIAN, duration=12.0)
+    assert len(grid.times) < len(trace.times)
+    n_in, n_trials = 0.5, 200000
+    stream = emulate_trials(trace, grid, n_in, IDEAL, n_trials, seed=5)
+    per_trial = np.bincount(stream.trials, minlength=n_trials) / (
+        IDEAL.p_detect_1 + IDEAL.p_detect_2)
+    expected = generation_probability_from_trace(
+        trace, (trace.times[0], trace.times[-1] - trace.times[0]), n_in)
+    se = per_trial.std() / math.sqrt(n_trials)
+    assert abs(per_trial.mean() - expected) < 5 * se
 
 
 # ---------------------------------------------------------------------------
