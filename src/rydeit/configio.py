@@ -14,8 +14,10 @@ n_atoms | d_target, ratio | gamma_1d + gamma_prime and d_b | r_b + v0. Each
 is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
-unknown override key, an override of the wrong type and an [integration]
-method outside ``dynamics.METHODS`` are ConfigurationErrors.
+unknown override key and an override of the wrong type are
+ConfigurationErrors. Manifests of earlier versions hold ``[integration]
+method = auto``, which the loader accepts and ignores; any other method and
+any ``dt`` (retired with the fixed-step integrator) are ConfigurationErrors.
 
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .counting import DetectionStream, EfficiencyBudget
-from .dynamics import METHODS
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, ConfigurationError,
                     ControlSchedule, PhysicalParams, PulseEnvelope, PulseShape,
                     atoms_for_depth, build_chain, rate_from_mhz, time_from_ns)
@@ -93,9 +94,7 @@ class ScenarioConfig:
     schedule_kind: str = _opt("schedule", "constant", key="kind", name="schedule_kind")
     t_off_ns: float | None = _opt("schedule")
     t_store_ns: float = _opt("schedule", 500.0)
-    dt: float | None = _opt("integration")
     dt_out_ns: float = _opt("integration", 2.0)
-    method: str = _opt("integration", "auto")
     tail_ns: float = _opt("integration", 1200.0)
     rel_tol: float = _opt("integration", 0.005)
     d_list: tuple = _opt("scan", (1.8, 3.6, 9.1))
@@ -234,6 +233,8 @@ _OVERRIDES = {i.name: _TYPES[i.type] for i in _INPUTS}
 _OVERRIDES.update({key: numbers.Real for _, other, _ in _SPELLINGS for key in other})
 #: what a manifest records about the run rather than its inputs
 _RECORDS = {("run", "version"), ("run", "wall_time_s")}
+#: retired keys: the one value a file may still hold (None: none)
+_RETIRED = {("integration", "method"): "auto", ("integration", "dt"): None}
 
 
 def _read(cp: configparser.ConfigParser) -> dict:
@@ -244,6 +245,13 @@ def _read(cp: configparser.ConfigParser) -> dict:
             continue
         for key, raw in cp[section].items():
             if (section, key) in _RECORDS:
+                continue
+            if (section, key) in _RETIRED:
+                kept = _RETIRED[section, key]
+                if raw.strip() != kept:
+                    raise ConfigurationError(
+                        f"[{section}] {key} is retired"
+                        + (f"; it may only read {kept}" if kept else ""))
                 continue
             if (section, key) not in _FILE_KEYS:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}]")
@@ -318,8 +326,6 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     if "d_target" in given:
         values["n_atoms"] = atoms_for_depth(given["d_target"], values["params"])
     cfg = ScenarioConfig(**values)
-    if cfg.method not in METHODS:
-        raise ConfigurationError(f"[integration] method must be one of {METHODS}")
     for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule):
         build()     # fail fast on inconsistent sections
     return cfg

@@ -79,10 +79,6 @@ class PhysicalParams:
         """Total e-state decay rate; by construction exactly gamma_1d + gamma_prime."""
         return self.gamma_1d + self.gamma_prime
 
-    @property
-    def coupling_ratio(self) -> float:
-        return self.gamma_1d / self.gamma_prime
-
     @classmethod
     def from_ratio(cls, ratio: float = 0.2, gamma_total: float = 1.0, **kwargs) -> "PhysicalParams":
         """Build from the collected/lost branching ratio Gamma_1D/Gamma'."""
@@ -209,9 +205,6 @@ class BlockadeConfig:
         v0 = single_atom_bandwidth(params, omega_c)
         return cls(mode=BlockadeMode.POWER_LAW, r_b=r_b, v0=v0, v_cap=v_cap)
 
-    def optical_depth_per_blockade(self, chain: AtomChain, params: PhysicalParams) -> float:
-        return optical_depth(chain, params) * self.r_b / chain.length
-
 
 def single_atom_bandwidth(params: PhysicalParams, omega_c: float | None = None) -> float:
     """V0 = 2 Omega_c^2 [Gamma_1D (2 Gamma' + Gamma_1D)]^(-1/2)."""
@@ -324,9 +317,6 @@ class PulseEnvelope:
             return u / r, 1.0 / r
         return (self.duration - u) / r, -1.0 / r
 
-    def unit_shape_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.unit_shape(float(t)) for t in np.asarray(ts).ravel()])
-
     @property
     def norm_integral(self) -> float:
         """Analytic integral of |unit_shape|^2 over all time."""
@@ -358,29 +348,18 @@ class PulseEnvelope:
 class ControlSegment:
     t_start: float
     t_end: float
-    omega_start: float
-    omega_end: float
+    omega: float
 
     def __post_init__(self) -> None:
         if self.t_end <= self.t_start:
             raise ConfigurationError("segment must have t_end > t_start")
-        if min(self.omega_start, self.omega_end) < 0:
+        if self.omega < 0:
             raise ConfigurationError("control amplitude must be >= 0")
-
-    def value(self, t: float) -> float:
-        if self.omega_start == self.omega_end:
-            return self.omega_start
-        frac = (t - self.t_start) / (self.t_end - self.t_start)
-        return self.omega_start + frac * (self.omega_end - self.omega_start)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.omega_start == self.omega_end
 
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise-linear control Rabi amplitude Omega_c(t).
+    """Piecewise-constant control Rabi amplitude Omega_c(t).
 
     Segments are contiguous and non-overlapping; evaluation clamps to the
     first/last segment value outside the covered range and is
@@ -398,7 +377,7 @@ class ControlSchedule:
 
     @classmethod
     def constant(cls, omega_c: float) -> "ControlSchedule":
-        return cls(segments=(ControlSegment(0.0, 1.0, omega_c, omega_c),))
+        return cls(segments=(ControlSegment(0.0, 1.0, omega_c),))
 
     @classmethod
     def storage(cls, omega_c: float, t_off: float, t_store: float,
@@ -407,40 +386,19 @@ class ControlSchedule:
         if t_off <= t_start or t_store <= 0:
             raise ConfigurationError("need t_off > t_start and t_store > 0")
         return cls(segments=(
-            ControlSegment(t_start, t_off, omega_c, omega_c),
-            ControlSegment(t_off, t_off + t_store, 0.0, 0.0),
-            ControlSegment(t_off + t_store, t_off + t_store + 1.0, omega_c, omega_c),
+            ControlSegment(t_start, t_off, omega_c),
+            ControlSegment(t_off, t_off + t_store, 0.0),
+            ControlSegment(t_off + t_store, t_off + t_store + 1.0, omega_c),
         ))
 
     def value(self, t: float) -> float:
         segs = self.segments
-        if t < segs[0].t_start:
-            return segs[0].value(segs[0].t_start)
-        if t >= segs[-1].t_end:
-            return segs[-1].value(segs[-1].t_end)
-        for seg in segs:
-            if seg.t_start <= t < seg.t_end:
-                return seg.value(t)
-        return segs[-1].value(t)  # t == last t_end, unreachable via loop
-
-    @property
-    def max_omega(self) -> float:
-        return max(max(s.omega_start, s.omega_end) for s in self.segments)
-
-    def is_constant_between(self, a: float, b: float) -> bool:
-        """True when Omega_c is constant on [a, b] (used to pick the exact
-        piecewise-constant propagator)."""
-        va = self.value(a)
-        mid = self.value(0.5 * (a + b))
-        vb = self.value(max(a, b - 1e-12 * max(1.0, abs(b))))
-        return va == mid == vb
+        for prev, seg in zip(segs, segs[1:]):
+            if t < seg.t_start:
+                return prev.omega
+        return segs[-1].omega
 
     def breakpoints(self) -> tuple:
-        """Times where Omega_c or its slope may jump: every inner segment
-        boundary, and an outer end only when its segment is a ramp (the
+        """Times where Omega_c may jump: every inner segment boundary (the
         schedule is clamped flat outside its segments)."""
-        segs = self.segments
-        inner = [s.t_start for s in segs[1:]]
-        first = [] if segs[0].is_constant else [segs[0].t_start]
-        last = [] if segs[-1].is_constant else [segs[-1].t_end]
-        return tuple(first + inner + last)
+        return tuple(s.t_start for s in self.segments[1:])

@@ -56,12 +56,6 @@ class ObservableTrace:
     def window_mask(self, t_start: float, t_stop: float) -> np.ndarray:
         return (self.times >= t_start - 1e-12) & (self.times <= t_stop + 1e-12)
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on the trace grid")
-        return i
-
 
 def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
                           floor: float = DEFAULT_INTENSITY_FLOOR) -> ObservableTrace:
@@ -163,15 +157,13 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
 
 def _uniform_runs(times: np.ndarray, schedule) -> list:
     """The grid as runs (s, e) of samples s..e whose intervals share one
-    length (to 1e-9 relative) and one constant Omega_c; an interval where
-    Omega_c varies, or that holds a schedule breakpoint inside, is a run of
-    its own."""
+    length (to 1e-9 relative) and one constant Omega_c; an interval that
+    holds a schedule breakpoint inside is a run of its own."""
     h = np.diff(times)
-    const = [schedule.is_constant_between(a, b) for a, b in zip(times[:-1], times[1:])]
     bp = np.asarray(schedule.breakpoints(), dtype=float)
     c = np.searchsorted(times, bp, side="right") - 1
-    for k in c[(c >= 0) & (c < len(h)) & (times[np.clip(c, 0, len(h))] < bp)]:
-        const[k] = False
+    const = np.ones(len(h), dtype=bool)
+    const[c[(c >= 0) & (c < len(h)) & (times[np.clip(c, 0, len(h))] < bp)]] = False
     runs, s = [], 0
     for c in range(1, len(h) + 1):
         if (c == len(h) or not (const[s] and const[c]) or abs(h[c] - h[s]) > 1e-9 * h[s]
@@ -359,26 +351,6 @@ def _first_half_crossing(t: np.ndarray, y: np.ndarray, level: float, t_ref: floa
     # linear interpolation between the bracketing samples
     frac = (y[i - 1] - level) / (y[i - 1] - y[i])
     return float(t[i - 1] + frac * (t[i] - t[i - 1]) - t_ref)
-
-
-def extract_tau_i(trace: ObservableTrace, t_off: float, i_ss: float) -> float:
-    """Time after shutoff for the intensity to drop to half its steady value
-    (the falling crossing after the retrieval flash)."""
-    mask = trace.times >= t_off - 1e-12
-    return _first_half_crossing(trace.times[mask], trace.intensity[mask],
-                                0.5 * i_ss, t_off, falling_only=True)
-
-
-def extract_tau_ii(trace: ObservableTrace, t_off: float) -> float:
-    """Time after shutoff for the two-photon intensity to drop to half of its
-    value immediately after shutoff (the sample exactly at t_off is the
-    post-jump one by the right-continuity convention)."""
-    mask = trace.times >= t_off - 1e-12
-    t = trace.times[mask]
-    y = trace.g2tilde[mask]
-    if len(t) < 2:
-        raise ExtractionError("no samples after shutoff")
-    return _first_half_crossing(t, y, 0.5 * y[0], t_off)
 
 
 def fit_exponential_envelope(trace: ObservableTrace, t_start: float, t_end: float) -> float:

@@ -110,27 +110,13 @@ def run_spectrum(cfg: ScenarioConfig) -> ResultBundle:
 # ---------------------------------------------------------------------------
 # plain propagation
 
-def relaxed_dt(gen) -> float | None:
-    """Step for smooth-envelope runs with deeply blockaded (capped) pairs:
-    accuracy-bound for the physical rates, stability-bound (|V| dt < 0.7) for
-    the nearly removed stiff rr phases, whose observable weight is ~Omega/V."""
-    if gen.v_max <= 20.0:
-        return None
-    return min(0.05 / gen.nonstiff_rate(), 0.7 / gen.v_max)
-
-
-def _propagate(cfg: ScenarioConfig, relax_stiff: bool = False, grid: bool = False):
+def _propagate(cfg: ScenarioConfig, grid: bool = False):
     """Generator, trajectory and trace of the configured run; the trajectory
     records the output projections the trace reads, and with ``grid`` also
     those a correlation grid reads."""
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),
                              cfg.schedule(), cfg.envelope())
-    g = cfg.params.gamma_mhz
-    dt = cfg.dt
-    if dt is None and relax_stiff:
-        dt = relaxed_dt(gen)
-    traj = evolve(gen, cfg.horizon(), dt=dt,
-                  dt_out=time_from_ns(cfg.dt_out_ns, g), method=cfg.method,
+    traj = evolve(gen, cfg.horizon(), time_from_ns(cfg.dt_out_ns, cfg.params.gamma_mhz),
                   project=gen.output_covectors(grid))
     return gen, traj, trace_from_trajectory(traj, gen)
 
@@ -198,8 +184,7 @@ def _turnon_point(args) -> dict:
         ss = steady_state(gen, omega_c=om)
         i_ss = abs(one_photon_amplitude(ss, 1.0, gen)) ** 2
         g2_ss = abs(two_photon_amplitude(ss, 1.0, gen)) ** 2 / i_ss ** 2
-        traj = evolve(gen, (0.0, horizon), dt_out=horizon / 2500.0, method="auto",
-                      project=gen.output_covectors())
+        traj = evolve(gen, (0.0, horizon), horizon / 2500.0, project=gen.output_covectors())
         trace = trace_from_trajectory(traj, gen)
         try:
             tau0 = extract_tau0(trace, 0.0, horizon, g2_ss, rel_tol)
@@ -424,7 +409,7 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
         shape_cfg = dc_replace(shape_cfg, duration_ns=1500.0,
                                fwhm_ns=cfg.fwhm_ns or 600.0,
                                rise_time_ns=0.0)
-    gen, traj, trace = _propagate(shape_cfg, relax_stiff=(shape == "gaussian"), grid=True)
+    gen, traj, trace = _propagate(shape_cfg, grid=True)
     grid = correlation_grid(traj, gen)
     rows = []
     end = time_from_ns(cfg.end_time_ns, g)
@@ -463,7 +448,7 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     if cfg.schedule_kind != "storage":
         raise ConfigurationError("storage scenario needs a storage schedule (t_off_ns)")
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg, relax_stiff=True, grid=True)
+    gen, traj, trace = _propagate(cfg, grid=True)
     grid = correlation_grid(traj, gen)
     t_release = time_from_ns(cfg.t_off_ns + cfg.t_store_ns, g)
     t_end = trace.times[-1]

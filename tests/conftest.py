@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from rydeit import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseEnvelope,
                     PulseShape, assemble_generator, build_chain)
-from rydeit.dynamics import _segment_grid, propagate_segment
+from rydeit.dynamics import StateTrajectory, _segment_grid, propagate_segment
+from rydeit.statespace import zero_state
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +51,7 @@ def oracle_rows(gen):
     return np.vstack([gen.output_covectors(grid=True), state_rows(gen)])
 
 
-def two_time_g2(traj, gen, t1, t2, dt=None):
+def two_time_g2(traj, gen, t1, t2):
     """Independent oracle for G2(t1, t2) at two times of a trajectory
     recorded with ``oracle_rows``: apply the output field once at the
     earlier time, evolve the conditioned [ground; singles] column to the
@@ -62,9 +65,72 @@ def two_time_g2(traj, gen, t1, t2, dt=None):
     env = traj.envelope_unit[i]
     y = np.concatenate([[env + gen.out_e @ state[:n1]],
                         env * state[:n1] + gen.ann @ state[n1:]])
-    if dt is None:
-        dt = 0.05 / gen.nonstiff_rate()
     if t2 > t1:
         for a, b, _ in _segment_grid(t1, t2, gen.breakpoints(), t2 - t1):
-            y = propagate_segment(gen, y, a, b, dt=dt)
+            y = propagate_segment(gen, y, a, b)
     return float(abs(gen.envelope_at(t2) * y[0] + gen.out_e @ y[1:]) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 oracle
+
+def rk4_dt(gen):
+    """The oracle's default step: one eighth of 0.05 over the fastest rate of
+    the generator (the decay, dephasing and detunings, the largest Omega_c,
+    the collective emission rate N Gamma_1D / 2 and the largest kept pair
+    shift v_max, and at least 1)."""
+    p = gen.params
+    rate = max(p.gamma_total, p.gamma_r, abs(p.delta_e), abs(p.delta_2),
+               max(s.omega for s in gen.schedule.segments),
+               0.5 * p.gamma_1d * gen.index.n_atoms, gen.v_max, 1.0)
+    return 0.05 / rate / 8.0
+
+
+def rk4_segment(gen, y, a, b, n_out, dt, project):
+    """Plain fixed-step RK4 of the stacked vector ``y`` from ``a`` to ``b`` in
+    ``n_out`` output steps, each split into equal substeps no longer than
+    ``dt``, with the derivative S y + Omega_c(t) W y + e(t) F y of
+    ``Generator.stacked``; the coefficients are looked up clamped below
+    ``b``, so a jump at ``b`` is not seen.  Returns the projections
+    ``project @ y`` after each output step and the state at ``b``."""
+    s, w, f = gen.stacked(y.shape[0] > 1 + gen.index.dim_singles)
+    t_hi = b - 1e-12 * max(1.0, abs(b - a))
+
+    def deriv(t, yy):
+        t = min(t, t_hi)
+        return s @ yy + gen.omega_at(t) * (w @ yy) + gen.envelope_at(t) * (f @ yy)
+
+    h_out = (b - a) / n_out
+    n_sub = max(1, math.ceil(h_out / dt - 1e-9))
+    h = h_out / n_sub
+    proj = np.empty((n_out, len(project)), dtype=complex)
+    for k in range(n_out):
+        for i in range(n_sub):
+            t = a + k * h_out + i * h
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = deriv(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        proj[k] = project @ y
+    return proj, y
+
+
+def rk4_evolve(gen, t_span, dt_out, dt=None, initial=None, project=None):
+    """``evolve`` by ``rk4_segment`` on the same output grid, at steps of at
+    most ``dt`` (by default ``rk4_dt``), as a ``StateTrajectory``."""
+    t0, t1 = t_span
+    dt = rk4_dt(gen) if dt is None else dt
+    initial = zero_state(gen.index) if initial is None else initial
+    project = gen.output_covectors(grid=True) if project is None else project
+    y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
+    record, times = [project @ y], [t0]
+    for a, b, n_out in _segment_grid(t0, t1, gen.breakpoints(), dt_out):
+        proj, y = rk4_segment(gen, y, a, b, n_out, dt, project)
+        record.extend(proj)
+        h_out = (b - a) / n_out
+        times.extend(a + k * h_out for k in range(1, n_out + 1))
+    return StateTrajectory(index=gen.index, times=np.array(times), covectors=project,
+                           projections=np.array(record),
+                           envelope_unit=np.array([gen.envelope_at(t) for t in times]),
+                           omega_c=np.array([gen.omega_at(t) for t in times]))

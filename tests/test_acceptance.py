@@ -31,6 +31,8 @@ from rydeit.scenarios import (run_experiment_replica,
                               run_turnoff_scan, run_turnon_scan, run_window_scan,
                               _turnoff_point)
 
+from conftest import rk4_evolve
+
 
 def _report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -49,7 +51,7 @@ def replica_artifacts():
     bundle = run_experiment_replica(cfg)
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),
                              cfg.schedule(), cfg.envelope())
-    traj = evolve(gen, cfg.horizon(), dt_out=time_from_ns(2.0), method="auto")
+    traj = evolve(gen, cfg.horizon(), dt_out=time_from_ns(2.0))
     trace = trace_from_trajectory(traj, gen)
     grid = correlation_grid(traj, gen, stride=2)  # 4 ns grid
     wall = _time.perf_counter() - t0
@@ -101,7 +103,7 @@ def test_criterion_01_coherent_state_oracle():
             env = PulseEnvelope(shape=shape, duration=30.0, n_in=1.5)
             gen = assemble_generator(p, chain, BlockadeConfig.none(),
                                      ControlSchedule.constant(0.5), env)
-            traj = evolve(gen, (0.0, 42.0), dt=0.01, dt_out=0.25, method="auto")
+            traj = evolve(gen, (0.0, 42.0), dt_out=0.25)
             trace = trace_from_trajectory(traj, gen)
             mask = trace.intensity > 1e-2
             dev = float(np.nanmax(np.abs(trace.g2[mask] - 1.0)))
@@ -142,7 +144,7 @@ def test_criterion_03_turn_on_coherence():
     env = PulseEnvelope(shape=PulseShape.SQUARE, duration=20.0, n_in=1.0)
     gen = assemble_generator(p, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(0.5), env)
-    traj = evolve(gen, (0.0, 5.0), dt_out=0.1, method="rk4")
+    traj = rk4_evolve(gen, (0.0, 5.0), 0.1)
     trace = trace_from_trajectory(traj, gen)
     g2_on = float(trace.g2[0])
     ok = abs(g2_on - 1.0) < 1e-3
@@ -329,7 +331,7 @@ def test_criterion_11_estimator_equivalence(replica_artifacts):
     genb = assemble_generator(p, build_chain(10, 1.0), BlockadeConfig.fully_blockaded(),
                               ControlSchedule.constant(0.5),
                               PulseEnvelope(duration=30.0, n_in=1.0))
-    trajb = evolve(genb, (0.0, 40.0), dt_out=0.25, method="auto")
+    trajb = evolve(genb, (0.0, 40.0), dt_out=0.25)
     traceb = trace_from_trajectory(trajb, genb)
     gridb = correlation_grid(trajb, genb)
 

@@ -33,9 +33,11 @@ def test_traced_run_records_the_benchmark_layers(tmp_path, monkeypatch):
 
 
 def test_traced_propagate_times_the_cascade_exponential(tmp_path, monkeypatch):
-    # a small doubles run forced onto the exponential: the expm layer must be
-    # the module's own routine, called once per propagator with n3 = (1 + dim)^3
-    (tmp_path / "expm.ini").write_text("[integration]\nmethod = expm\n")
+    # a small doubles run on the exponential (a square pulse, from a config
+    # with the retired key at the one value still accepted): the expm layer
+    # must be the module's own routine, called once per propagator with
+    # n3 = (1 + dim)^3
+    (tmp_path / "expm.ini").write_text("[integration]\nmethod = auto\n")
     timing = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))

@@ -174,7 +174,7 @@ def test_validity_warning_fires_for_bright_input():
 
 def _simulated_scene(stride=1, **kw):
     gen = make_generator(n_atoms=4, **kw)
-    traj = evolve(gen, (0.0, 12.0), dt_out=0.3, method="rk4")
+    traj = evolve(gen, (0.0, 12.0), dt_out=0.3)
     return trace_from_trajectory(traj, gen), correlation_grid(traj, gen, stride=stride)
 
 

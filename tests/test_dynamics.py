@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as _scipy_expm
 
 from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, PhysicalParams,
-                          PulseEnvelope, PulseShape, build_chain, optical_depth)
+                          PulseEnvelope, PulseShape, build_chain, optical_depth, time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
                              _csr, _giant_step, _ramp_powers, assemble_generator, evolve, expm,
                              free_decay,
@@ -18,7 +18,8 @@ from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _c
 from rydeit.observables import trace_from_trajectory
 from rydeit.statespace import TruncatedState, zero_state
 
-from conftest import augmented, make_generator, state_rows
+from conftest import (augmented, make_generator, rk4_dt, rk4_evolve, rk4_segment,
+                      state_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +31,7 @@ def test_single_excited_atom_decays_at_gamma():
     y0 = zero_state(idx)
     y0.amplitudes[idx.e_slot(0)] = 1.0
     # drive off: evolve outside the pulse support
-    traj = evolve(gen, (50.0, 56.0), dt=0.002, dt_out=0.5, method="rk4", initial=y0,
-                  project=state_rows(gen))
+    traj = evolve(gen, (50.0, 56.0), dt_out=0.5, initial=y0, project=state_rows(gen))
     pops = np.abs(traj.projections[:, idx.e_slot(0)]) ** 2
     expected = np.exp(-(traj.times - 50.0))
     np.testing.assert_allclose(pops, expected, rtol=1e-8)
@@ -108,7 +108,7 @@ def test_blockaded_steady_transparency():
 def test_steady_state_matches_long_evolution():
     gen = make_generator(n_atoms=5, omega_c=0.4, duration=400.0)
     ss = steady_state(gen, omega_c=0.4)
-    traj = evolve(gen, (0.0, 300.0), dt_out=10.0, method="auto", project=state_rows(gen))
+    traj = evolve(gen, (0.0, 300.0), dt_out=10.0, project=state_rows(gen))
     np.testing.assert_allclose(traj.projections[-1], ss.amplitudes, atol=1e-8)
 
 
@@ -117,37 +117,113 @@ def test_steady_state_matches_long_evolution():
 
 def test_zero_envelope_stays_zero():
     gen = make_generator(n_atoms=4)
-    traj = evolve(gen, (40.0, 60.0), dt_out=2.0, method="rk4",  # after the pulse
-                  project=state_rows(gen))
+    traj = evolve(gen, (40.0, 60.0), dt_out=2.0, project=state_rows(gen))  # after the pulse
     assert np.all(traj.projections == 0)
 
 
 def test_trajectory_grid_contains_breakpoints():
     gen = make_generator(n_atoms=2, duration=10.0)
-    traj = evolve(gen, (0.0, 15.0), dt_out=0.7, method="rk4")
+    traj = evolve(gen, (0.0, 15.0), dt_out=0.7)
     assert np.any(np.isclose(traj.times, 10.0))
     assert np.all(np.diff(traj.times) > 0)
 
 
 def test_rk4_fourth_order_convergence():
-    # smooth drive: halve dt -> global error drops ~16x
+    # the RK4 oracle on a smooth drive: halve dt -> global error drops ~16x
     gen = make_generator(n_atoms=3, shape=PulseShape.GAUSSIAN, duration=12.0)
-    ref = evolve(gen, (0.0, 12.0), dt=0.0025, dt_out=12.0, method="rk4",
-                 project=state_rows(gen)).projections[-1]
+    ref = rk4_evolve(gen, (0.0, 12.0), 12.0, dt=0.0025, project=state_rows(gen)).projections[-1]
     errs = []
     for dt in (0.08, 0.04):
-        y = evolve(gen, (0.0, 12.0), dt=dt, dt_out=12.0, method="rk4",
-                   project=state_rows(gen)).projections[-1]
+        y = rk4_evolve(gen, (0.0, 12.0), 12.0, dt=dt, project=state_rows(gen)).projections[-1]
         errs.append(np.max(np.abs(y - ref)))
     ratio = errs[0] / errs[1]
     assert 11.0 < ratio < 23.0
 
 
+def test_magnus_fourth_order_convergence(monkeypatch):
+    # the gaussian's Magnus step against a tight-step RK4 run: the end-state
+    # error falls by at least 12x per halving of the substep, twice
+    import rydeit.dynamics as dynamics
+    gen = make_generator(n_atoms=3, shape=PulseShape.GAUSSIAN, duration=12.0)
+    rows = state_rows(gen)
+    ref = rk4_evolve(gen, (0.0, 12.0), 12.0, dt=0.0025, project=rows).projections[-1]
+    errs = []
+    for per_fwhm in (20, 40, 80):
+        monkeypatch.setattr(dynamics, "MAGNUS_PER_FWHM", per_fwhm)
+        y = evolve(gen, (0.0, 12.0), dt_out=12.0, project=rows).projections[-1]
+        errs.append(np.max(np.abs(y - ref)))
+    assert errs[0] >= 12.0 * errs[1] and errs[1] >= 12.0 * errs[2], errs
+
+
+@pytest.mark.parametrize("power_law", [False, True])
+def test_gaussian_matches_rk4(power_law):
+    # a gaussian window and its tail against the RK4 oracle at its own step,
+    # with pair shifts up to v_max ~ 68 or none: the output covectors each
+    # within 1e-8 of their largest entry, every grid column within 5e-8
+    kw = dict(n_atoms=4, shape=PulseShape.GAUSSIAN, duration=3.0)
+    gen = (_power_law_generator(**kw) if power_law
+           else make_generator(blockade=BlockadeConfig.none(), **kw))
+    assert (gen.v_max > 50.0) == power_law
+    window = (0.0, gen.envelope.t_end + 0.5)
+    got = evolve(gen, window, dt_out=0.125).projections
+    ref = rk4_evolve(gen, window, 0.125).projections
+    _assert_columns_close(got[:, :2], ref[:, :2], 1e-8)
+    _assert_columns_close(got, ref, 5e-8)
+
+
+@pytest.mark.parametrize("n_atoms", [4, 10])
+def test_gaussian_linear_medium_is_coherent(n_atoms):
+    # without the blockade the doubles stay the symmetrized pair of the
+    # singles: each Magnus factor is an exact exponential of the lifted
+    # generator, so g2 = 1 to rounding wherever the intensity counts
+    gen = make_generator(n_atoms=n_atoms, blockade=BlockadeConfig.none(),
+                         shape=PulseShape.GAUSSIAN, duration=30.0)
+    trace = trace_from_trajectory(evolve(gen, (0.0, 42.0), dt_out=0.25), gen)
+    mask = trace.intensity > 1e-2
+    assert np.max(np.abs(trace.g2[mask] - 1.0)) <= 1e-12
+
+
+def test_narrow_gaussian_underflow_stays_finite():
+    # a 20 ns gaussian in a 1 us window: the envelope underflows to exactly
+    # 0.0 over most of the window, and no drive level is ever divided by
+    from rydeit.configio import default_config
+    cfg = default_config("propagate", {"shape": "gaussian", "fwhm_ns": 20.0,
+                                       "duration_ns": 1000.0})
+    gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(), cfg.schedule(),
+                             cfg.envelope())
+    assert gen.envelope_at(0.0) == 0.0 == gen.envelope_at(gen.envelope.t_end * (1 - 1e-9))
+    window = (0.0, gen.envelope.t_end + 1.0)
+    dt_out = time_from_ns(cfg.dt_out_ns, cfg.params.gamma_mhz)
+    got = evolve(gen, window, dt_out=dt_out).projections
+    assert np.all(np.isfinite(got.view(float)))
+    ref = rk4_evolve(gen, window, dt_out).projections
+    _assert_columns_close(got[:, :2], ref[:, :2], 1e-8)
+    _assert_columns_close(got, ref, 5e-8)
+
+
+def test_magnus_above_expm_cap_takes_the_action(monkeypatch):
+    # above the dense cap each Magnus factor is the Taylor action of the
+    # folded generator at its drive level, never a dense exponential; the
+    # substeps are the same, so the two runs agree to rounding
+    import rydeit.dynamics as dynamics
+    gen = _power_law_generator(n_atoms=4, shape=PulseShape.GAUSSIAN, duration=3.0)
+    window = (0.0, gen.envelope.t_end + 0.5)
+    dense = evolve(gen, window, dt_out=0.125).projections
+
+    def no_dense(m):
+        raise AssertionError("dense exponential above the cap")
+
+    monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", gen.index.dim)
+    monkeypatch.setattr(dynamics, "expm", no_dense)
+    got = evolve(gen, window, dt_out=0.125).projections
+    _assert_columns_close(got, dense, 1e-12)
+
+
 def test_expm_matches_rk4_on_square_pulse():
     gen = make_generator(n_atoms=4, duration=15.0)
     rows = state_rows(gen)
-    a = evolve(gen, (0.0, 20.0), dt=0.01, dt_out=1.0, method="rk4", project=rows).projections
-    b = evolve(gen, (0.0, 20.0), dt_out=1.0, method="expm", project=rows).projections
+    a = rk4_evolve(gen, (0.0, 20.0), 1.0, dt=0.01, project=rows).projections
+    b = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
     np.testing.assert_allclose(a, b, atol=5e-9)
 
 
@@ -158,20 +234,18 @@ def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=4, duration=15.0)
     rows = state_rows(gen)
-    dense = evolve(gen, (0.0, 20.0), dt_out=1.0, method="auto", project=rows).projections
+    dense = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
     y0 = np.concatenate([[1.0], dense[4]])
-    end = propagate_segment(gen, y0, 5.0, 10.0, 5, dt=0.01)
+    end = propagate_segment(gen, y0, 5.0, 10.0, 5)
 
     def no_dense(m):
         raise AssertionError("dense exponential above the cap")
 
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", gen.index.dim)
     monkeypatch.setattr(dynamics, "expm", no_dense)
-    scale = np.max(np.abs(dense))
-    for method in ("auto", "expm"):
-        got = evolve(gen, (0.0, 20.0), dt_out=1.0, method=method, project=rows).projections
-        assert np.max(np.abs(got - dense)) <= 1e-12 * scale, method
-    got = propagate_segment(gen, y0, 5.0, 10.0, 5, dt=0.01)
+    got = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+    got = propagate_segment(gen, y0, 5.0, 10.0, 5)
     assert np.max(np.abs(got - end)) <= 1e-12 * np.max(np.abs(end))
 
 
@@ -202,8 +276,7 @@ def test_drive_level_identity(doubles, a, b, level):
     for k in range(n_out):
         y = ref[k] = prop @ y
     got = np.empty_like(ref)
-    end = propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt(), method="expm",
-                            out=got, project=np.eye(dim))
+    end = propagate_segment(gen, y0, a, b, n_out, out=got, project=np.eye(dim))
     assert np.array_equal(end, got[-1])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -229,73 +302,59 @@ def test_evolve_takes_one_exponential(monkeypatch):
     # ramps, stepped by the Taylor action of their clocked generator
     gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
     calls = _count_expm(monkeypatch)
-    traj = evolve(gen, (0.0, 30.0), dt_out=0.5, method="auto", project=state_rows(gen))
+    traj = evolve(gen, (0.0, 30.0), dt_out=0.5, project=state_rows(gen))
     assert calls == [(1 + gen.index.dim,) * 2]
-    rk4 = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.5, method="rk4", project=state_rows(gen))
+    rk4 = rk4_evolve(gen, (0.0, 30.0), 0.5, dt=0.01, project=state_rows(gen))
     np.testing.assert_allclose(traj.projections, rk4.projections, atol=5e-9)
 
 
-def _count_rk4(monkeypatch):
-    # records the start of each RK4 call and runs it
+def test_each_stretch_takes_its_route(monkeypatch):
+    # a square pulse with rise edges takes one exponential for its plateau
+    # and tail and the clocked action on its edges, never the Magnus step;
+    # a gaussian takes the Magnus step over its window, from one unit-drive
+    # exponential at half the substep, and a second exponential in the tail
     import rydeit.dynamics as dynamics
-    calls = []
-    real = dynamics._rk4
+    magnus = []
+    real = dynamics._magnus_powers
 
-    def counted(parts, y, a, *args, **kwargs):
-        calls.append(a)
-        return real(parts, y, a, *args, **kwargs)
+    def counted(gen, parts, omega, a, *args):
+        magnus.append(a)
+        return real(gen, parts, omega, a, *args)
 
-    monkeypatch.setattr(dynamics, "_rk4", counted)
-    return calls
-
-
-def test_rk4_runs_only_where_the_drive_is_not_a_ramp(monkeypatch):
-    # under auto a square pulse with rise edges takes no RK4 step: constant
-    # stretches take the exponential and the edges the clocked action; a
-    # gaussian envelope and method="rk4" still take RK4
-    calls = _count_rk4(monkeypatch)
+    monkeypatch.setattr(dynamics, "_magnus_powers", counted)
+    calls = _count_expm(monkeypatch)
     square = make_generator(n_atoms=3, duration=10.0, rise_time=1.0)
-    evolve(square, (0.0, 12.0), dt_out=0.5, method="auto")
-    assert calls == []
-    evolve(square, (0.0, 12.0), dt=0.05, dt_out=0.5, method="rk4")
-    assert calls == [0.0, 1.0, 9.0, 10.0]    # rise, plateau, fall, tail
+    evolve(square, (0.0, 12.0), dt_out=0.5)
+    assert magnus == [] and len(calls) == 1
     calls.clear()
     gaussian = make_generator(n_atoms=3, shape=PulseShape.GAUSSIAN, duration=10.0)
-    evolve(gaussian, (0.0, 12.0), dt=0.05, dt_out=0.5, method="auto")
-    assert calls == [0.0]                    # the window; the tail is constant
+    evolve(gaussian, (0.0, 12.0), dt_out=0.5)
+    assert magnus == [0.0]                   # the window; the tail is constant
+    assert len(calls) == 2
 
 
-@pytest.mark.parametrize("shape, rise", [(PulseShape.SQUARE, 1.0),
-                                         (PulseShape.TRIANGULAR_NEG, 0.0),
-                                         (PulseShape.TRIANGULAR_POS, 0.0)])
-def test_expm_method_takes_drive_ramps(shape, rise):
-    # a drive ramp is an exact exponential, so "expm" accepts it and takes
-    # the route "auto" takes
-    gen = make_generator(n_atoms=3, shape=shape, duration=10.0, rise_time=rise)
-    rows = gen.output_covectors(grid=True)
-    auto = evolve(gen, (0.0, 12.0), dt_out=0.5, method="auto", project=rows)
-    exact = evolve(gen, (0.0, 12.0), dt_out=0.5, method="expm", project=rows)
-    assert np.array_equal(exact.projections, auto.projections)
-
-
-@pytest.mark.parametrize("shape, schedule", [
-    (PulseShape.GAUSSIAN, None),
-    (PulseShape.SQUARE, ControlSchedule(segments=(ControlSegment(0.0, 4.0, 0.5, 0.5),
-                                                  ControlSegment(4.0, 6.0, 0.5, 0.1),
-                                                  ControlSegment(6.0, 12.0, 0.1, 0.1))))])
-def test_expm_method_refuses_what_needs_rk4(shape, schedule):
-    # a gaussian envelope or a control ramp would take RK4, which "expm"
-    # refuses, naming both
-    gen = make_generator(n_atoms=3, shape=shape, duration=10.0, schedule=schedule)
-    with pytest.raises(DynamicsError, match="Omega_c varies.*gaussian"):
-        evolve(gen, (0.0, 12.0), dt_out=0.5, method="expm")
+@pytest.mark.parametrize("a, b", [(2.0, 6.0), (0.5, 1.5), (8.0, 12.0)])
+def test_segment_across_a_breakpoint_is_refused(a, b):
+    # Omega_c is constant and the envelope one smooth piece on every segment
+    # evolve hands on; a segment across a jump of the control (at 4) or a
+    # kink of the envelope (its rise ends at 1, its fall starts at 9) is
+    # refused
+    schedule = ControlSchedule(segments=(ControlSegment(0.0, 4.0, 0.5),
+                                         ControlSegment(4.0, 8.0, 0.1)))
+    gen = make_generator(n_atoms=3, duration=10.0, rise_time=1.0, schedule=schedule)
+    y0 = np.zeros(1 + gen.index.dim, dtype=complex)
+    y0[0] = 1.0
+    with pytest.raises(DynamicsError, match="breakpoint"):
+        propagate_segment(gen, y0, a, b)
+    traj = evolve(gen, (0.0, 12.0), dt_out=0.5)
+    assert {1.0, 4.0, 9.0} <= set(traj.times)
 
 
 def _ramp_case(shape, power_law):
     """Four atoms under a pulse with drive ramps: a square one with 0.25
     edges, or a triangular one (whole window a ramp), with full blockade or
-    pair shifts up to v_max ~ 68; short, so that RK4 at suggest_dt()/16
-    stays cheap."""
+    pair shifts up to v_max ~ 68; short, so that the RK4 oracle stays
+    cheap."""
     square = shape is PulseShape.SQUARE
     kw = dict(n_atoms=4, shape=shape, rise_time=0.25 if square else 0.0,
               duration=1.5 if square else 0.5 if power_law else 3.0)
@@ -314,19 +373,16 @@ def _assert_columns_close(got, ref, rel):
 
 
 @pytest.mark.parametrize("shape, power_law", RAMP_CASES)
-def test_drive_ramps_match_rk4(monkeypatch, shape, power_law):
+def test_drive_ramps_match_rk4(shape, power_law):
     # evolve over the whole window with the drive ramps on their clocked
-    # route, against the same run with RK4 at suggest_dt()/16 on the ramps
-    # (the exponential elsewhere in both): the output covectors and the
-    # grid stack, each column within 1e-10 of its largest entry
+    # route, against the RK4 oracle at its own step: the output covectors
+    # and the grid stack, each column within 1e-10 of its largest entry
     gen = _ramp_case(shape, power_law)
     assert (gen.v_max > 50.0) == power_law
     window = (0.0, gen.envelope.t_end + 0.5)
-    got = [evolve(gen, window, dt_out=0.125, method="auto",
-                  project=gen.output_covectors(grid)).projections for grid in (False, True)]
-    monkeypatch.setattr(gen, "drive_ramp", lambda a, b: None)
-    ref = evolve(gen, window, dt=gen.suggest_dt() / 16, dt_out=0.125, method="auto",
-                 project=gen.output_covectors(grid=True)).projections
+    got = [evolve(gen, window, dt_out=0.125, project=gen.output_covectors(grid)).projections
+           for grid in (False, True)]
+    ref = rk4_evolve(gen, window, 0.125).projections
     for proj in got:
         _assert_columns_close(proj, ref[:, :proj.shape[1]], 1e-10)
 
@@ -336,12 +392,12 @@ def test_drive_ramps_match_rk4(monkeypatch, shape, power_law):
 def test_drive_ramp_segment(shape, power_law, doubles):
     # one ramp from a random state (ground != 1, as in a conditioned
     # singles column), on the doubles and the singles-only layouts: the
-    # projections against RK4 at suggest_dt()/16, the last row against the
+    # projections against the RK4 oracle, the last row against the
     # end state to the bit, and the clocks at the end: g (b - a),
     # g (b - a)^2 and (b - a) psi1
     gen = _ramp_case(shape, power_law)
     a, b = gen.envelope.breakpoints()[:2]
-    om, ramp = gen.omega_at(a), gen.drive_ramp(a, b)
+    om, ramp = gen.omega_at(a), gen.envelope.affine_on(a, b)
     assert ramp is not None and ramp[1] != 0.0
     n1 = gen.index.dim_singles
     dim = 1 + (gen.index.dim if doubles else n1)
@@ -349,10 +405,9 @@ def test_drive_ramp_segment(shape, power_law, doubles):
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     rows = gen.output_covectors(grid=True)[:, :dim]
     n_out = 5
-    got, ref = (np.empty((n_out, len(rows)), dtype=complex) for _ in range(2))
-    end = propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt(), out=got, project=rows)
-    propagate_segment(gen, y0, a, b, n_out, dt=gen.suggest_dt() / 16, method="rk4", out=ref,
-                      project=rows)
+    got = np.empty((n_out, len(rows)), dtype=complex)
+    end = propagate_segment(gen, y0, a, b, n_out, out=got, project=rows)
+    ref, _ = rk4_segment(gen, y0, a, b, n_out, rk4_dt(gen), rows)
     _assert_columns_close(got, ref, 1e-10)
     assert np.array_equal(got[-1], rows @ end)
     _, z = _ramp_powers(gen, om, ramp, (b - a) / n_out, y0, n_out, rows)
@@ -382,15 +437,14 @@ def test_singles_propagator_one_exponential_per_step(monkeypatch):
 
 def test_short_constant_stretch_takes_the_exponential(monkeypatch):
     # a constant stretch takes the exponential however short its output
-    # step: at 8 RK4 steps per sample the plateau and the tail of a square
-    # pulse share one exponential and match a tight-step RK4 run
+    # step: at steps of 0.4 the plateau and the tail of a square pulse share
+    # one exponential and match a tight-step RK4 run
     gen = make_generator(n_atoms=3, duration=16.0)
-    dt = 0.05
     rows = state_rows(gen)
     calls = _count_expm(monkeypatch)
-    auto = evolve(gen, (0.0, 20.0), dt=dt, dt_out=8 * dt, method="auto", project=rows)
+    auto = evolve(gen, (0.0, 20.0), dt_out=0.4, project=rows)
     assert calls == [(1 + gen.index.dim,) * 2]
-    rk4 = evolve(gen, (0.0, 20.0), dt=0.005, dt_out=8 * dt, method="rk4", project=rows)
+    rk4 = rk4_evolve(gen, (0.0, 20.0), 0.4, dt=0.005, project=rows)
     np.testing.assert_array_equal(auto.times, rk4.times)
     np.testing.assert_allclose(auto.projections, rk4.projections, atol=5e-9)
 
@@ -566,6 +620,10 @@ def test_cascade_order_is_block_lower_triangular(mode):
         assert np.all(block[cols] <= block[rows])
         again = _cascade_order(a)
         assert np.array_equal(again[0], perm) and np.array_equal(again[1], bounds)
+    # on the stacked layout the ground, singles and doubles stay contiguous
+    n1 = gen.index.dim_singles
+    perm, _ = _cascade_order(augmented(gen, 1.0, 0.5, True))
+    assert np.all(np.diff(np.searchsorted([1, 1 + n1], perm, side="right")) >= 0)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5])
@@ -648,15 +706,13 @@ def test_stacked_derivative_matches_block_derivative(doubles, cols):
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 19.0)])   # rise edge, plateau
 def test_rk4_matches_block_derivative_loop(a, b):
-    # propagate_segment's RK4 (the three stacked parts on the varying edge
-    # and on the plateau alike) against the RK4 loop on the block derivative
+    # the RK4 oracle (the three stacked parts on the varying edge and on the
+    # plateau alike) against the RK4 loop on the block derivative
     gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
     rng = np.random.default_rng(4)
     y0 = _stacked_y(gen, True, rng)
     dt, n_out = 0.01, 5
-    got = np.empty((n_out, len(y0)), dtype=complex)
-    end = propagate_segment(gen, y0, a, b, n_out, dt=dt, method="rk4", out=got,
-                            project=np.eye(len(y0)))
+    got, end = rk4_segment(gen, y0, a, b, n_out, dt, np.eye(len(y0)))
     h_out = (b - a) / n_out
     n_sub = math.ceil(h_out / dt - 1e-9)
     h = h_out / n_sub
@@ -684,14 +740,18 @@ def test_rk4_matches_block_derivative_loop(a, b):
 @pytest.mark.parametrize("method", ["auto", "rk4"])
 def test_projections_only_evolve_matches_states(method):
     # square pulse with rise edges and a tail, doubles on: exponential
-    # plateau and tail, clocked Taylor actions on the edges (auto), or RK4
-    # throughout; the output-covector run records C y where the state-row
-    # run records y
+    # plateau and tail, clocked Taylor actions on the edges (evolve, "auto"),
+    # or the RK4 oracle throughout ("rk4"); the output-covector run records
+    # C y where the state-row run records y
     gen = _power_law_generator(duration=20.0, rise_time=1.0)
     c = gen.output_covectors()
-    full = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.25, method=method,
-                  project=state_rows(gen))
-    proj = evolve(gen, (0.0, 30.0), dt=0.01, dt_out=0.25, method=method, project=c)
+
+    def run(project):
+        if method == "auto":
+            return evolve(gen, (0.0, 30.0), dt_out=0.25, project=project)
+        return rk4_evolve(gen, (0.0, 30.0), 0.25, dt=0.01, project=project)
+
+    full, proj = run(state_rows(gen)), run(c)
     np.testing.assert_array_equal(proj.times, full.times)
     ones = np.ones((full.n_samples, 1))
     ref = np.hstack([ones, full.projections]) @ c.T
@@ -715,11 +775,10 @@ def test_projected_segment_matches_state_loop(n_out, m):
     y0 = _stacked_y(gen, True, rng)
     c = np.vstack([gen.output_covectors(), rng.normal(size=len(y0))])
     states = np.empty((n_out, len(y0)), dtype=complex)
-    kw = dict(dt=gen.suggest_dt(), method="expm")
     end_ref = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=states,
-                                project=np.eye(len(y0)), **kw)
+                                project=np.eye(len(y0)))
     got = np.empty((n_out, 3), dtype=complex)
-    end = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=got, project=c, **kw)
+    end = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=got, project=c)
     ref = states @ c.T
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the undamped r amplitudes carry the rounding of up to 2,500 steps,
@@ -761,8 +820,7 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     ref, y_ref = _dense_loop(_scipy_expm(augmented(gen, level, 0.5, doubles) * h), y0,
                              n_out, rows)
     got = np.empty_like(ref)
-    end = propagate_segment(gen, y0, 2.0, 4.0, n_out, dt=gen.suggest_dt(), method="expm",
-                            out=got, project=rows)
+    end = propagate_segment(gen, y0, 2.0, 4.0, n_out, out=got, project=rows)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(end - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     assert np.array_equal(got[-1], rows @ end)
@@ -791,18 +849,20 @@ def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
 
 
 def test_evolve_deterministic_bit_for_bit():
-    gen = make_generator(n_atoms=3)
-    a = evolve(gen, (0.0, 10.0), dt_out=0.5, method="rk4", project=state_rows(gen)).projections
-    b = evolve(gen, (0.0, 10.0), dt_out=0.5, method="rk4", project=state_rows(gen)).projections
-    assert np.array_equal(a, b)
+    for shape in (PulseShape.SQUARE, PulseShape.GAUSSIAN):
+        gen = make_generator(n_atoms=3, shape=shape)
+        a, b = (evolve(gen, (0.0, 10.0), dt_out=0.5, project=state_rows(gen)).projections
+                for _ in range(2))
+        assert np.array_equal(a, b)
 
 
 def test_nan_detection_raises():
+    # a non-finite amplitude stops the run at the end of its segment
     gen = make_generator(n_atoms=3)
-    # unstable explicit step: repeated amplification overflows to inf/nan,
-    # on purpose, so numpy's overflow warnings are expected here
-    with pytest.raises(DynamicsError), np.errstate(over="ignore", invalid="ignore"):
-        evolve(gen, (0.0, 4000.0), dt=5.0, dt_out=400.0, method="rk4")
+    y0 = zero_state(gen.index)
+    y0.amplitudes[gen.index.e_slot(0)] = np.nan
+    with pytest.raises(DynamicsError), np.errstate(invalid="ignore"):
+        evolve(gen, (0.0, 40.0), dt_out=4.0, initial=y0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -812,8 +872,7 @@ def test_dissipativity_drive_off(seed):
     rng = np.random.default_rng(seed)
     y0 = TruncatedState(gen.index, rng.normal(size=gen.index.dim)
                         + 1j * rng.normal(size=gen.index.dim))
-    traj = evolve(gen, (40.0, 48.0), dt_out=0.5, method="rk4", initial=y0,
-                  project=state_rows(gen))
+    traj = evolve(gen, (40.0, 48.0), dt_out=0.5, initial=y0, project=state_rows(gen))
     norms = np.linalg.norm(traj.projections, axis=1)
     assert np.all(np.diff(norms) <= 1e-12)
 
@@ -831,7 +890,7 @@ def test_observables_independent_of_atom_positions():
     for placement, seed in (("uniform", None), ("jittered", 3), ("jittered", 99)):
         chain = _bc(8, 1.0, k_p=4.2, placement=placement, seed=seed)
         gen = _ag(p, chain, _BC.fully_blockaded(), _CS.constant(0.5), env)
-        trace = trace_from_trajectory(evolve(gen, (0.0, 14.0), dt_out=1.0, method="rk4"), gen)
+        trace = trace_from_trajectory(evolve(gen, (0.0, 14.0), dt_out=1.0), gen)
         results.append((trace.intensity, trace.g2tilde))
     for intensity, g2t in results[1:]:
         np.testing.assert_allclose(intensity, results[0][0], atol=1e-12)
@@ -841,7 +900,7 @@ def test_observables_independent_of_atom_positions():
 def test_observables_invariant_under_kp_sign():
     for kp in (1.0, -1.0):
         gen = make_generator(n_atoms=5, k_p=kp, duration=12.0)
-        trace = trace_from_trajectory(evolve(gen, (0.0, 12.0), dt_out=1.0, method="rk4"), gen)
+        trace = trace_from_trajectory(evolve(gen, (0.0, 12.0), dt_out=1.0), gen)
         if kp == 1.0:
             i_ref, g_ref = trace.intensity, trace.g2tilde
         else:
@@ -854,7 +913,7 @@ def test_observables_invariant_under_kp_sign():
 
 def test_turn_on_instant_is_coherent():
     gen = make_generator(n_atoms=6)
-    traj = evolve(gen, (0.0, 5.0), dt_out=0.5, method="rk4", project=state_rows(gen))
+    traj = evolve(gen, (0.0, 5.0), dt_out=0.5, project=state_rows(gen))
     state = TruncatedState(gen.index, traj.projections[0])
     f1 = one_photon_amplitude(state, 1.0, gen)
     a2 = two_photon_amplitude(state, 1.0, gen)
@@ -870,8 +929,7 @@ def test_storage_population_decay_oracle():
     sched = ControlSchedule.storage(0.5, t_off=20.0, t_store=t_store)
     gen = make_generator(n_atoms=4, omega_c=0.5, gamma_r=gamma_r, duration=20.0,
                          schedule=sched)
-    traj = evolve(gen, (0.0, 20.0 + t_store), dt_out=1.0, method="auto",
-                  project=state_rows(gen))
+    traj = evolve(gen, (0.0, 20.0 + t_store), dt_out=1.0, project=state_rows(gen))
     idx = gen.index
     i_off = int(np.argmin(np.abs(traj.times - 20.0)))
     r_slots = [idx.r_slot(h) for h in range(4)]
@@ -892,8 +950,7 @@ def test_phase_matched_spin_wave_superradiant_rate():
     y0 = zero_state(idx)
     for h in range(n):
         y0.amplitudes[idx.e_slot(h)] = np.exp(1j * gen.chain.k_p * z[h]) / math.sqrt(n)
-    traj = evolve(gen, (5.0, 5.02), dt=5e-4, dt_out=0.01, method="rk4", initial=y0,
-                  project=state_rows(gen))
+    traj = evolve(gen, (5.0, 5.02), dt_out=0.01, initial=y0, project=state_rows(gen))
     norms = np.linalg.norm(traj.projections, axis=1) ** 2
     rate = -(math.log(norms[-1]) - math.log(norms[0])) / (traj.times[-1] - traj.times[0])
     g1d = gen.params.gamma_1d

@@ -9,9 +9,8 @@ from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, Confi
                           PulseShape, build_chain, optical_depth)
 from rydeit.dynamics import evolve
 from rydeit.observables import (CorrelationGrid, ExtractionError, ObservableTrace,
-                                UndefinedResultError, correlation_grid, eit_peak,
-                                extract_tau0, extract_tau_i, extract_tau_ii,
-                                fit_exponential_envelope,
+                                UndefinedResultError, _first_half_crossing, correlation_grid,
+                                eit_peak, extract_tau0, fit_exponential_envelope,
                                 measure_steady_state, spectrum_fwhm, tau_eit,
                                 trace_from_trajectory, transmission_spectrum,
                                 windowed_g2, write_csv)
@@ -45,7 +44,7 @@ def test_no_atoms_equivalent_input_passthrough():
 
 def test_coherent_factorization_trace(params):
     gen = make_generator(n_atoms=10, blockade=BlockadeConfig.none(), duration=30.0)
-    traj = evolve(gen, (0.0, 45.0), dt=0.01, dt_out=0.25, method="auto")
+    traj = evolve(gen, (0.0, 45.0), dt_out=0.25)
     trace = trace_from_trajectory(traj, gen)
     mask = trace.intensity > 1e-2
     assert np.nanmax(np.abs(trace.g2[mask] - 1.0)) < 1e-6
@@ -53,7 +52,7 @@ def test_coherent_factorization_trace(params):
 
 def test_two_time_factorization_and_symmetry():
     gen = make_generator(n_atoms=6, blockade=BlockadeConfig.none(), duration=20.0)
-    traj = evolve(gen, (0.0, 30.0), dt_out=0.5, method="auto")
+    traj = evolve(gen, (0.0, 30.0), dt_out=0.5)
     grid = correlation_grid(traj, gen, i_start=0, i_stop=50, stride=4)
     outer = np.outer(grid.intensity, grid.intensity)
     assert np.max(np.abs(grid.g2_matrix - outer)) < 1e-6
@@ -62,7 +61,7 @@ def test_two_time_factorization_and_symmetry():
 
 def test_two_time_matches_equal_time_on_diagonal():
     gen = make_generator(n_atoms=5, duration=20.0)
-    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, method="auto", project=oracle_rows(gen))
+    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, project=oracle_rows(gen))
     trace = trace_from_trajectory(traj, gen)
     for i in (3, 17, 30):
         t = float(traj.times[i])
@@ -72,7 +71,7 @@ def test_two_time_matches_equal_time_on_diagonal():
 
 def test_two_time_g2_off_diagonal_consistent_with_grid():
     gen = make_generator(n_atoms=5, duration=20.0)
-    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, method="auto", project=oracle_rows(gen))
+    traj = evolve(gen, (0.0, 25.0), dt_out=0.5, project=oracle_rows(gen))
     grid = correlation_grid(traj, gen, i_start=10, i_stop=40, stride=3)
     i, j = 2, 7
     t1, t2 = float(grid.times[i]), float(grid.times[j])
@@ -86,25 +85,24 @@ def _power_law(n_atoms):
     return BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms, 1.0), p)
 
 
-#: Omega_c held, ramped down over [6, 9], held again: the ramp's intervals
-#: take RK4 in the undriven propagator
-_RAMP = ControlSchedule(segments=(ControlSegment(0.0, 6.0, 0.5, 0.5),
-                                  ControlSegment(6.0, 9.0, 0.5, 0.1),
-                                  ControlSegment(9.0, 10.0, 0.1, 0.1)))
+#: Omega_c stepped down at 6 and 9, between grid samples at stride 3
+_STEPS = ControlSchedule(segments=(ControlSegment(0.0, 6.0, 0.5),
+                                   ControlSegment(6.0, 9.0, 0.3),
+                                   ControlSegment(9.0, 10.0, 0.1)))
 
 
 @pytest.mark.parametrize("shape, schedule", [
     (PulseShape.SQUARE, None),
     (PulseShape.GAUSSIAN, None),
     (PulseShape.SQUARE, ControlSchedule.storage(0.5, t_off=8.0, t_store=6.0)),
-    (PulseShape.GAUSSIAN, _RAMP)])
+    (PulseShape.GAUSSIAN, _STEPS)])
 @pytest.mark.parametrize("blockaded", [True, False])
 @pytest.mark.parametrize("i_start, i_stop, stride", [(0, None, 1), (7, 61, 3)])
 def test_correlation_grid_matches_conditioned_evolution(shape, schedule, blockaded,
                                                         i_start, i_stop, stride):
     # the closed-form grid against the oracle that evolves each conditioned
     # state under the driven generator; storage's control jumps and the
-    # ramp's breakpoints fall inside the stride-3 intervals
+    # steps' breakpoints fall inside the stride-3 intervals
     n = 5
     gen = make_generator(n_atoms=n, shape=shape, duration=12.0, schedule=schedule,
                          blockade=None if blockaded else _power_law(n))
@@ -135,9 +133,7 @@ def test_correlation_grid_storage_window_inside_one_interval(blockaded):
 
 
 def _check_grid_against_oracle(gen, i_start, i_stop, stride):
-    dt = 0.005
-    traj = evolve(gen, (0.0, 22.0), dt=dt, dt_out=0.25, method="auto",
-                  project=oracle_rows(gen))
+    traj = evolve(gen, (0.0, 22.0), dt_out=0.25, project=oracle_rows(gen))
     grid = correlation_grid(traj, gen, i_start=i_start, i_stop=i_stop, stride=stride)
     peak = np.max(grid.g2_matrix)
     rng = np.random.default_rng(11)
@@ -145,7 +141,7 @@ def _check_grid_against_oracle(gen, i_start, i_stop, stride):
     pairs = [(0, 0), (0, m - 1), (m - 1, m - 1)] + [
         tuple(sorted(rng.integers(0, m, size=2))) for _ in range(12)]
     for a, b in pairs:
-        ref = two_time_g2(traj, gen, grid.times[a], grid.times[b], dt=dt)
+        ref = two_time_g2(traj, gen, grid.times[a], grid.times[b])
         assert abs(grid.g2_matrix[a, b] - ref) <= 1e-8 * peak, (a, b)
         assert grid.g2_matrix[b, a] == grid.g2_matrix[a, b]
 
@@ -200,11 +196,12 @@ def test_windowed_g2_floor_error():
 def test_windowed_g2_converges_to_instantaneous():
     # shrink the window at a steady point: gap to g2(t) closes roughly linearly
     gen = make_generator(n_atoms=10, omega_c=0.5, duration=120.0)
-    traj = evolve(gen, (0.0, 110.0), dt_out=0.2, method="auto")
+    traj = evolve(gen, (0.0, 110.0), dt_out=0.2)
     trace = trace_from_trajectory(traj, gen)
-    grid = correlation_grid(traj, gen, i_start=trace.index_of(80.0) - 100,
-                            i_stop=trace.index_of(80.0) + 101)
-    g2_inst = float(trace.g2[trace.index_of(80.0)])
+    i80 = int(np.argmin(np.abs(trace.times - 80.0)))
+    assert trace.times[i80] == pytest.approx(80.0, abs=1e-9)
+    grid = correlation_grid(traj, gen, i_start=i80 - 100, i_stop=i80 + 101)
+    g2_inst = float(trace.g2[i80])
     gaps = []
     widths = (16.0, 8.0, 4.0, 2.0)
     for w in widths:
@@ -220,9 +217,10 @@ def test_two_time_g2_recovers_to_one_at_large_delay():
     # time are uncorrelated: g2(t, t+tau) climbs from the antibunched
     # equal-time value back to ~1
     gen = make_generator(n_atoms=10, omega_c=0.5, duration=120.0)
-    traj = evolve(gen, (0.0, 110.0), dt_out=0.5, method="auto")
+    traj = evolve(gen, (0.0, 110.0), dt_out=0.5)
     trace = trace_from_trajectory(traj, gen)
-    i0 = trace.index_of(60.0)
+    i0 = int(np.argmin(np.abs(trace.times - 60.0)))
+    assert trace.times[i0] == pytest.approx(60.0, abs=1e-9)
     grid = correlation_grid(traj, gen, i_start=i0, i_stop=i0 + 81)
     norm = grid.g2_matrix[0, :] / (grid.intensity[0] * grid.intensity)
     assert norm[0] < 0.3
@@ -303,23 +301,26 @@ def test_extract_tau_i_falling_crossing():
     intensity = np.where(ts < t_off, i_ss,
                          1.2 * i_ss * (1 - np.exp(-(ts - t_off) / 0.2))
                          * np.exp(-(ts - t_off) / 3.0))
-    tr = _synthetic_trace(ts, intensity, 0.1 * intensity ** 2)
-    tau_i = extract_tau_i(tr, t_off, i_ss)
+    # tau_I as the turn-off runner reads it: the falling half crossing
+    after = ts >= t_off - 1e-12
     target = 0.5 * i_ss
-    after = ts >= t_off
-    rising_done = intensity[after] > target
+    tau_i = _first_half_crossing(ts[after], intensity[after], target, t_off,
+                                 falling_only=True)
     assert tau_i > 0.2  # not the initial zero
-    idx = np.nonzero(after)[0]
     val = np.interp(t_off + tau_i, ts, intensity)
     assert val == pytest.approx(target, rel=1e-3)
+    # without falling_only the initial zero is the crossing
+    assert _first_half_crossing(ts[after], intensity[after], target, t_off) == 0.0
 
 
 def test_extract_tau_ii_half_of_post_jump():
     ts = np.linspace(10.0, 20.0, 2001)
     g2t = 0.9 * np.exp(-(ts - 10.0) / 1.5)
-    tr = _synthetic_trace(ts, np.ones_like(ts), g2t)
-    tau = extract_tau_ii(tr, 10.0)
+    # tau_II: the two-photon intensity falls to half its post-jump value
+    tau = _first_half_crossing(ts, g2t, 0.5 * g2t[0], 10.0)
     assert tau == pytest.approx(1.5 * math.log(2.0), rel=1e-3)
+    with pytest.raises(ExtractionError):
+        _first_half_crossing(ts, g2t, 0.1 * g2t[-1], 10.0)
 
 
 # ---------------------------------------------------------------------------

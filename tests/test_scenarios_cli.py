@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from rydeit.cli import main
 from rydeit.configio import SCENARIO_KINDS, default_config, load_config, manifest_text
-from rydeit.model import ConfigurationError, PhysicalParams, atoms_for_depth
+from rydeit.model import ConfigurationError, PhysicalParams, atoms_for_depth, optical_depth
 from rydeit.scenarios import (run_dlcz, run_propagate, run_spectrum,
                               run_window_scan)
 
@@ -33,8 +34,9 @@ def test_replica_config_matches_measured_device():
     assert cfg.params.omega_c_peak == pytest.approx(3.2 / 6.0)
     assert cfg.params.gamma_r == pytest.approx(0.8 / 6.0)
     assert cfg.blockade_mode == "power_law"
-    blk = cfg.blockade()
-    assert blk.optical_depth_per_blockade(cfg.chain(), cfg.params) == pytest.approx(0.9)
+    chain = cfg.chain()
+    d_b = optical_depth(chain, cfg.params) * cfg.blockade().r_b / chain.length
+    assert d_b == pytest.approx(0.9)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -91,8 +93,8 @@ def _replica_manifest(tmp_path):
     ("omega_c_mhz", 1.0, lambda c: c.params.omega_c_peak == 1.0 / 6.0),
     ("gamma_r_mhz", 0.3, lambda c: c.params.gamma_r == 0.3 / 6.0),
     ("d_target", 5.0, lambda c: c.n_atoms == atoms_for_depth(5.0, c.params) != 28),
-    ("d_b", 0.5, lambda c: c.r_b is None and c.blockade().optical_depth_per_blockade(
-        c.chain(), c.params) == pytest.approx(0.5)),
+    ("d_b", 0.5, lambda c: c.r_b is None and optical_depth(c.chain(), c.params)
+     * c.blockade().r_b / c.chain().length == pytest.approx(0.5)),
 ])
 def test_override_displaces_the_other_spelling_in_a_manifest(tmp_path, key, value, check):
     # the manifest spells these as omega_c, gamma_r, n_atoms and r_b + v0
@@ -206,6 +208,42 @@ def test_unknown_integration_method_exits_3_and_writes_nothing(tmp_path, command
     out_dir = tmp_path / "out"
     assert main([command, "--config", str(bad), "--out", str(out_dir)]) == 3
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("line", ["method = rk4", "method = expm", "dt = 0.01"])
+def test_retired_integration_keys_exit_3_and_write_nothing(tmp_path, line):
+    # the fixed-step integrator and its knobs are gone: only method = auto,
+    # which every manifest so far holds, still loads
+    bad = tmp_path / "retired.ini"
+    bad.write_text(f"[integration]\n{line}\n")
+    with pytest.raises(ConfigurationError, match="retired"):
+        load_config(bad, kind="propagate")
+    out_dir = tmp_path / "out"
+    assert main(["propagate", "--config", str(bad), "--out", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    with pytest.raises(ConfigurationError):
+        default_config("propagate", {line.split()[0]: line.split()[-1]})
+
+
+def test_earlier_manifest_with_method_auto_reruns_byte_identically(tmp_path):
+    # a manifest of an earlier version is this version's with
+    # "method = auto" after dt_out_ns; a gaussian run re-runs from it to the
+    # byte, and the re-run's manifest no longer names the method
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["propagate", "--shape", "gaussian", "--d", "1.8", "--duration-ns", "300",
+                 "--out", str(a)]) == 0
+    text = (a / "manifest.ini").read_text()
+    assert "method" not in text
+    earlier = tmp_path / "earlier.ini"
+    earlier.write_text(re.sub(r"(\ndt_out_ns = .*\n)", r"\1method = auto\n", text))
+    assert "\nmethod = auto\n" in earlier.read_text()
+    assert main(["propagate", "--config", str(earlier), "--out", str(b)]) == 0
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+    def inputs(path):
+        return path.read_text().split("\n[run]")[0]
+
+    assert inputs(b / "manifest.ini") == inputs(a / "manifest.ini")
 
 
 def test_older_manifest_without_the_newer_keys_loads(tmp_path):
@@ -394,7 +432,8 @@ def test_scan_points_keep_the_configured_params(monkeypatch):
     import rydeit.scenarios as scenarios
     from dataclasses import replace
     params = PhysicalParams.from_ratio(0.405, gamma_r=0.05)
-    assert PhysicalParams.from_ratio(params.coupling_ratio).gamma_1d != params.gamma_1d
+    ratio = params.gamma_1d / params.gamma_prime
+    assert PhysicalParams.from_ratio(ratio).gamma_1d != params.gamma_1d
     seen = []
     real = scenarios.assemble_generator
 
