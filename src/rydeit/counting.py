@@ -69,6 +69,13 @@ class DetectionStream:
     n_trials: int
     trial_period_ns: float = 16000.0
     seed: int | None = None
+    # what the emulation drew from (NaN for a stream read from a file): the
+    # pair and lone-photon probabilities per trial, and the singles mass per
+    # trial added where the pair marginal rho exceeds the photon rate lam,
+    # the integral of max(rho - lam, 0)
+    pairs_per_trial: float = math.nan
+    singles_per_trial: float = math.nan
+    singles_clip_per_trial: float = math.nan
 
     def __post_init__(self) -> None:
         if not (len(self.trials) == len(self.detectors) == len(self.times_ns)):
@@ -236,6 +243,7 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
     rho = np.interp(trace.times, grid.times, rho_grid, left=0.0, right=0.0)
     lam_single = np.clip(lam - rho, 0.0, None)
     p_single = float(np.trapezoid(lam_single, trace.times))
+    clip = float(np.trapezoid(np.maximum(rho - lam, 0.0), trace.times))
 
     p_detect_mean = (mu1) * max(budget.p_detect_1, budget.p_detect_2)
     if p_single + p_pair > 0.5 or p_detect_mean > 0.5:
@@ -280,7 +288,9 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
     order = np.lexsort((times, dets, trials))
     return DetectionStream(trials=trials[order].astype(int), detectors=dets[order],
                            times_ns=times[order] * ns_from_time(1.0, gamma_mhz),
-                           n_trials=n_trials, trial_period_ns=trial_period_ns, seed=seed)
+                           n_trials=n_trials, trial_period_ns=trial_period_ns, seed=seed,
+                           pairs_per_trial=p_pair, singles_per_trial=p_single,
+                           singles_clip_per_trial=clip)
 
 
 # ---------------------------------------------------------------------------

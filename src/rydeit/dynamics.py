@@ -98,12 +98,17 @@ the rows out_e and a2vec, all a time trace reads, and with ``grid`` also the
 singles and the rows of ann, all a correlation grid reads (42 rows on the
 default emulate-hbt device, against 176 dimensions).  The projections of an
 exponential stretch, and the turn-off scans' c P^k y (k = 1..n) of one block
-evolving alone with P = exp(M h) (``free_decay``), come from
+evolving alone with P = exp(M h) (``decay_steps``, ``free_decay``), come from
 ``_projected_powers`` by baby and giant steps (after Paterson and
 Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1, the rows
 C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
 (ceil(n/m) x d)(d x m c) product, and the end state is the last column
-advanced by at most m - 1 steps.
+advanced by at most m - 1 steps.  A turn-off point builds one singles P
+and goes on from that end state over each longer horizon it needs; its
+stop rests on ``log_norm``, the top eigenvalue lam of (M + M^H) / 2, since
+||exp(M t)|| <= exp(lam t) bounds every later sample by the end state's
+norm (lam = 0 on the default turn-off devices, where gamma_r = 0, and
+-gamma_r on the replica).
 
 An ``expm`` propagator P, triangular in its basis, gives P^m by log2 m
 triangular squarings (``_tri_mul``), and a step is one triangular matvec
@@ -113,8 +118,9 @@ d / SQUARE_KAPPA matvecs; SQUARE_KAPPA = 8 (measured 6.1-10.4 for
 d = 975-1,625 at one BLAS thread; a dense GEMM against a dense matvec gave
 4.4-5.2).  That picks m = 16 for a turn-on point (d ~ 1,001, n = 2,500,
 c = 2), and m = 2 for the replica (d = 1,625, n = 490 and 600), where one
-squaring, about 200 matvecs, saves 245-300.  The turn-off doubles block,
-and any operator above ``EXPM_MAX_DIM``, never becomes dense
+squaring, about 200 matvecs, saves 245-300.  A turn-off doubles block above
+``DECAY_DENSE_DOUBLES`` (300 slots, the measured crossover over its 5,000
+steps), and any operator above ``EXPM_MAX_DIM``, never becomes dense
 (``_action_powers``): baby rows and giant columns advance by the action of
 the exponential (``_TaylorAction``, a truncated Taylor series after Al-Mohy
 and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m chosen from the
@@ -127,6 +133,7 @@ import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -823,23 +830,50 @@ def _at_drive(props: list, n1: int, e: float = 1.0):
                 p.tri[c] = u
 
 
+#: Largest doubles block whose free decay takes the dense exponential; a
+#: larger one stays CSR and takes the Taylor action.  Over the turn-off
+#: scan's 5,000 steps (horizon 45, Omega_c = 0.05 and 0.5, one BLAS thread)
+#: dense against action took 0.027-0.038 s against 0.050-0.060 s at d = 222,
+#: 0.046-0.048 s against 0.052-0.065 s at d = 260, about even at d = 301
+#: (0.060-0.069 s against 0.055-0.067 s), 0.077-0.091 s against 0.049-0.059 s
+#: at d = 345 and 0.74-0.81 s against 0.13 s at d = 950.  The singles block
+#: is dense up to ``EXPM_MAX_DIM``: its horizons reach 128 times the first,
+#: and the action's matvecs grow with the horizon.
+DECAY_DENSE_DOUBLES = 300
+
+
+def decay_steps(gen: Generator, omega: float, h: float, doubles: bool = False):
+    """The steps of P = exp(M h) for the singles block M, or with ``doubles``
+    the doubles block, evolving alone: the probe is off, so no block is
+    sourced, and the control stays at ``omega``.  The result maps
+    (y, n_out, project, end_state=False) to ``project @ P^k @ y`` for
+    k = 1..n_out, shape (n_out,) for one covector and (n_out, c) for a stack,
+    and with ``end_state`` also P^n_out y, from which a later call goes on.
+    These are projected powers by baby and giant steps
+    (``_projected_powers``).  The singles block under ``EXPM_MAX_DIM``, and a
+    doubles block up to ``DECAY_DENSE_DOUBLES``, take P once from ``expm``
+    (``_dense_powers``); a larger block stays CSR and takes the actions of P
+    and P^m (``_action_powers``)."""
+    m = gen.m2(omega) if doubles else gen.m1(omega)
+    d = m.shape[0]
+    if d <= EXPM_MAX_DIM and (not doubles or d <= DECAY_DENSE_DOUBLES):
+        return partial(_dense_powers, expm(m * h))
+    return partial(_action_powers, _csr(m), h)
+
+
 def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_out: int,
                project: np.ndarray, doubles: bool = False) -> np.ndarray:
     """``project @ y`` after each of ``n_out`` equal steps over ``horizon`` for
-    the singles block, or with ``doubles`` the doubles block, evolving alone:
-    the probe is off, so no block is sourced, and the control stays at
-    ``omega``.  ``project`` is one covector, shape (n_out,) out, or a stack,
-    (n_out, c) out.  These are projected powers of P = exp(M h) by baby and
-    giant steps (``_projected_powers``).  The singles block under
-    ``EXPM_MAX_DIM`` takes P from ``expm``; its retry horizons reach ~1e5/Gamma,
-    where the action would need about horizon ||M||_1 matvecs.  The doubles
-    block, and any block above the cap, stays CSR and takes the actions of P
-    and P^m (``_action_powers``)."""
-    h = horizon / n_out
-    if not doubles and len(y) <= EXPM_MAX_DIM:
-        return _dense_powers(expm(gen.m1(omega) * h), y, n_out, project)
-    a = gen.m2(omega) if doubles else _csr(gen.m1(omega))
-    return _action_powers(a, h, y, n_out, project)
+    the singles block, or with ``doubles`` the doubles block, evolving alone
+    (``decay_steps``)."""
+    return decay_steps(gen, omega, horizon / n_out, doubles)(y, n_out, project)
+
+
+def log_norm(m: np.ndarray) -> float:
+    """The logarithmic 2-norm of a square matrix, the top eigenvalue of its
+    Hermitian part (m + m^H) / 2: ||exp(m t)||_2 <= exp(log_norm(m) t) for
+    t >= 0 (Dahlquist's bound)."""
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m

@@ -28,8 +28,8 @@ from .configio import ScenarioConfig, manifest_text
 from .counting import (EfficiencyBudget, emulate_trials, estimate_g2,
                        generation_probability_from_stream,
                        generation_probability_from_trace, dlcz_compare, save_stream)
-from .dynamics import (DynamicsError, assemble_generator, evolve, free_decay,
-                       one_photon_amplitude, steady_state, two_photon_amplitude)
+from .dynamics import (DynamicsError, assemble_generator, decay_steps, evolve, free_decay,
+                       log_norm, one_photon_amplitude, steady_state, two_photon_amplitude)
 from .observables import (ExtractionError, UndefinedResultError, _envelope_decay_rate,
                           _first_half_crossing, correlation_grid, eit_peak, extract_tau0,
                           measure_steady_state, spectrum_fwhm, tau_eit,
@@ -236,7 +236,17 @@ def _turnoff_point(args) -> dict:
     state (the long-pulse limit): singles give tau_I and the retrieval peak,
     doubles give the shutoff jump, tau_II and the late decay rate.  The
     point's ``params`` are the configured ones, with the control set to
-    Omega_c."""
+    Omega_c.
+
+    The singles decay takes one propagator, at the step h of 6,000 samples
+    over the first horizon max(0.4 tau_eit, 40), and goes on from its end
+    state over each doubled horizon that finds no falling half crossing, up
+    to t_cap = 128 times the first.  After a horizon's end t_h every sample
+    obeys |out_e psi1(t)|^2 <= ||out_e||^2 ||psi1(t_h)||^2
+    exp(2 lam+ (t_cap - t_h)), lam+ the nonnegative part of M1's logarithmic
+    norm (``log_norm``; 0 wherever the undriven singles contract).  Once that
+    bound is under both i_ss / 2 and the peak so far, no later sample can
+    cross or raise the peak, and the point stops as ``no_half_crossing``."""
     (d_target, om, params, want_doubles, fit_lo, fit_hi) = args
     params = dc_replace(params, omega_c_peak=om)
     n = atoms_for_depth(d_target, params)
@@ -253,25 +263,29 @@ def _turnoff_point(args) -> dict:
     out["i_ss"] = i_ss
     out["i_jump"] = abs(complex(gen.out_e @ ss.singles)) ** 2
 
-    # singles retrieval on a horizon doubled until the half crossing appears,
-    # at the first attempt's output step
+    # singles retrieval over doubled horizons of one propagator, stopped by
+    # the contraction bound once no crossing can follow
+    h0 = max(0.4 * teit, 40.0)
+    t_cap = 128 * h0
+    steps = decay_steps(gen, om, h0 / 6000)
+    lam = max(0.0, log_norm(gen.m1(om)))
+    out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
+    y, intens, tau_i = ss.singles, np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
-        horizon = max(0.4 * teit, 40.0) * 2 ** attempt
-        n_steps = 6000 << attempt
-        intens = np.empty(n_steps + 1)
-        intens[0] = out["i_jump"]
-        intens[1:] = np.abs(free_decay(gen, ss.singles, om, horizon, n_steps, gen.out_e)) ** 2
-        ts = np.linspace(0.0, horizon, n_steps + 1)
+        proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e, end_state=True)
+        intens = np.concatenate([intens, np.abs(proj) ** 2])
+        ts = np.linspace(0.0, h0 * 2 ** attempt, len(intens))
         try:
-            out["tau_i"] = _first_half_crossing(ts, intens, 0.5 * i_ss, 0.0, falling_only=True)
+            tau_i = _first_half_crossing(ts, intens, 0.5 * i_ss, 0.0, falling_only=True)
+            break
         except ExtractionError:
-            continue
-        out["ratio_tau_i"] = out["tau_i"] / teit
-        out["peak_intensity"] = float(np.max(intens))
-        break
-    else:
-        out.update(tau_i=math.nan, ratio_tau_i=math.nan,
-                   peak_intensity=float(np.max(intens)), status="no_half_crossing")
+            # the bound with its growth factor moved to the right, so it cannot overflow
+            level = min(0.5 * i_ss, float(np.max(intens)))
+            if out_e2 * np.vdot(y, y).real < level * math.exp(-2.0 * lam * (t_cap - ts[-1])):
+                break
+    out.update(tau_i=tau_i, ratio_tau_i=tau_i / teit, peak_intensity=float(np.max(intens)))
+    if math.isnan(tau_i):
+        out["status"] = "no_half_crossing"
 
     if want_doubles:
         try:
@@ -516,7 +530,10 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
     save_stream(stream, buf)
     scalars = {"n_events": stream.n_events,
                "pg_stream_full": generation_probability_from_stream(stream, w_ns, budget),
-               "pg_trace_full": generation_probability_from_trace(trace, w, cfg.n_in)}
+               "pg_trace_full": generation_probability_from_trace(trace, w, cfg.n_in),
+               "pairs_per_trial": stream.pairs_per_trial,
+               "singles_per_trial": stream.singles_per_trial,
+               "singles_clip_per_trial": stream.singles_clip_per_trial}
     return ResultBundle(name="emulate_hbt", config=cfg, scalars=scalars,
                         tables=[("estimates.csv",
                                  ["window", "t_start_ns", "width_ns", "g2_mc",

@@ -45,14 +45,23 @@ def _report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def replica_artifacts():
-    """Replica trace, correlation grid and bundle scalars (criteria 9-11)."""
+    """Replica trace, correlation grid and bundle scalars (criteria 9-11),
+    all from the replica run's one ``evolve``: its propagation records the
+    grid's projections too, and the fixture keeps the trajectory."""
+    import rydeit.scenarios as scenarios
     cfg = default_config("experiment_replica", {"dt_out_ns": 2.0})
+    kept = []
+    real = scenarios._propagate
+
+    def propagate(c, grid=False):
+        kept.append(real(c, grid=True))
+        return kept[-1]
+
     t0 = _time.perf_counter()
-    bundle = run_experiment_replica(cfg)
-    gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),
-                             cfg.schedule(), cfg.envelope())
-    traj = evolve(gen, cfg.horizon(), dt_out=time_from_ns(2.0))
-    trace = trace_from_trajectory(traj, gen)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_propagate", propagate)
+        bundle = run_experiment_replica(cfg)
+    (gen, traj, trace), = kept
     grid = correlation_grid(traj, gen, stride=2)  # 4 ns grid
     wall = _time.perf_counter() - t0
     return {"cfg": cfg, "bundle": bundle, "gen": gen, "trace": trace,

@@ -169,6 +169,41 @@ def test_validity_warning_fires_for_bright_input():
         emulate_trials(trace, grid, 3.0, IDEAL, 100, seed=1)
 
 
+def _trapezoid(y, t):
+    return np.sum(0.5 * (y[..., 1:] + y[..., :-1]) * np.diff(t), axis=-1)
+
+
+def test_stream_reports_pairs_singles_and_clip():
+    # a bright gaussian scene: the pair marginal rho exceeds the photon rate
+    # lam on part of the pulse, where the singles density is clipped at 0;
+    # the stream hands back the probabilities it drew from and the clipped
+    # mass, against trapezoid sums written out here
+    trace, grid = _gaussian_scene()
+    n_in = 3.0
+    with pytest.warns(RuntimeWarning):
+        stream = emulate_trials(trace, grid, n_in, IDEAL, 100, seed=1)
+    t = trace.times
+    np.testing.assert_array_equal(grid.times, t)
+    e0sq = n_in / _trapezoid(trace.envelope_unit ** 2, t)
+    lam = e0sq * trace.intensity
+    rho = e0sq ** 2 * _trapezoid(grid.g2_matrix, t)
+    clip = _trapezoid(np.maximum(rho - lam, 0.0), t)
+    assert clip > 0.01
+    assert stream.singles_clip_per_trial == pytest.approx(clip, rel=1e-12)
+    assert stream.pairs_per_trial == pytest.approx(0.5 * _trapezoid(rho, t), rel=1e-12)
+    assert stream.singles_per_trial == pytest.approx(
+        _trapezoid(lam, t) - _trapezoid(rho, t) + clip, rel=1e-12)
+
+
+def test_stream_clip_is_zero_without_clipping():
+    # a flat coherent scene at 0.4 photons: rho = 0.4 lam everywhere
+    trace, grid = _flat_scene()
+    stream = emulate_trials(trace, grid, 0.4, IDEAL, 100, seed=1)
+    assert stream.singles_clip_per_trial == 0.0
+    assert stream.pairs_per_trial == pytest.approx(0.08, rel=1e-12)
+    assert stream.singles_per_trial == pytest.approx(0.4 - 0.16, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pair sampler: exact composition draws from the bilinear pair density
 

@@ -11,8 +11,8 @@ from scipy.linalg import expm as _scipy_expm
 from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, PhysicalParams,
                           PulseEnvelope, PulseShape, build_chain, optical_depth, time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
-                             _csr, _giant_step, _ramp_powers, assemble_generator, evolve, expm,
-                             free_decay,
+                             _csr, _giant_step, _ramp_powers, assemble_generator, decay_steps,
+                             evolve, expm, free_decay,
                              one_photon_amplitude, propagate_segment, steady_state,
                              steady_transmission_amplitude, two_photon_amplitude)
 from rydeit.observables import trace_from_trajectory
@@ -505,6 +505,43 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
     for r in range(2):
         one = free_decay(gen, y0, 0.5, 2.0, 20, stack[r], doubles=doubles)
         assert np.max(np.abs(got[:, r] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
+    # a doubles block up to DECAY_DENSE_DOUBLES decays by one dense
+    # exponential (d = 155, the D ~ 3.6 turn-off device), and matches the
+    # Taylor action it takes above the bound
+    import rydeit.dynamics as dynamics
+    gen = make_generator(n_atoms=10, omega_c=0.5)
+    assert gen.index.dim_doubles == 155 <= dynamics.DECAY_DENSE_DOUBLES
+    y0 = steady_state(gen, omega_c=0.5).doubles
+    calls = _count_expm(monkeypatch)
+    dense = free_decay(gen, y0, 0.5, 45.0, 5000, gen.a2vec, doubles=True)
+    assert calls == [(155, 155)]
+    monkeypatch.setattr(dynamics, "DECAY_DENSE_DOUBLES", 154)
+    action = free_decay(gen, y0, 0.5, 45.0, 5000, gen.a2vec, doubles=True)
+    assert calls == [(155, 155)]
+    assert np.max(np.abs(dense - action)) <= 1e-12 * np.max(np.abs(action))
+
+
+@pytest.mark.parametrize("doubles, cap", [(False, None), (True, None), (False, 1), (True, 1)])
+def test_decay_steps_continue_from_the_end_state(monkeypatch, doubles, cap):
+    # the steps of one propagator, continued from the end state of a first
+    # call, give the samples of one call over the whole span, on the dense
+    # route and (above the cap) by the Taylor action
+    import rydeit.dynamics as dynamics
+    if cap is not None:
+        monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", cap)
+    gen = make_generator(n_atoms=6, omega_c=0.25)
+    ss = steady_state(gen, omega_c=0.25)
+    y0, project = (ss.doubles, gen.a2vec) if doubles else (ss.singles, gen.out_e)
+    steps = decay_steps(gen, 0.25, 0.01, doubles)
+    whole, end = steps(y0, 3000, project, end_state=True)
+    first, y = steps(y0, 1000, project, end_state=True)
+    rest, y = steps(y, 2000, project, end_state=True)
+    got = np.concatenate([first, rest])
+    assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
+    assert np.max(np.abs(y - end)) <= 1e-12 * np.max(np.abs(end))
 
 
 def test_giant_step_cost_rule():

@@ -526,9 +526,11 @@ def test_turnoff_scan_flags_failed_points():
 
 
 def test_turnoff_retries_keep_the_output_step():
-    # a point without a half crossing ends on the eighth horizon, 128 times
-    # the first, which the retries must cover at the first attempt's step;
-    # the reference steps y <- P y over that whole horizon
+    # a point without a half crossing stops once the contraction bound shows
+    # no later sample can cross or raise the peak (here after the first
+    # horizon); its peak must still be that of the whole capped horizon, 128
+    # times the first, at the first horizon's step: the reference steps
+    # y <- P y over all of it
     from scipy.linalg import expm
     from rydeit.dynamics import steady_state
     from rydeit.scenarios import _turnoff_point
@@ -545,6 +547,80 @@ def test_turnoff_retries_keep_the_output_step():
         y = prop @ y
         amps[k] = gen.out_e @ y
     assert out["peak_intensity"] == pytest.approx(np.max(np.abs(amps) ** 2), rel=1e-12)
+
+
+def test_undriven_singles_contract():
+    # the turn-off stop bounds later samples by exp(lam+ t) with lam+ the
+    # nonnegative part of M1's logarithmic norm; on the nine default devices
+    # the undriven singles contract, exactly at the edge (the undamped
+    # Rydberg modes), and the replica's decay at gamma_r = 0.8/6 Gamma
+    from dataclasses import replace
+    from rydeit.dynamics import assemble_generator, log_norm
+    from rydeit.model import (BlockadeConfig, ControlSchedule, PulseEnvelope, PulseShape,
+                              build_chain)
+    cfg = default_config("turnoff_scan", {})
+    lams = []
+    for d in cfg.d_list:
+        for om in cfg.omega_c_list:
+            params = replace(cfg.params, omega_c_peak=om)
+            chain = build_chain(atoms_for_depth(d, params), 1.0)
+            gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
+                                     ControlSchedule.constant(om),
+                                     PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0))
+            lams.append(log_norm(gen.m1(om)))
+    assert lams == [0.0] * 9
+    cfg = default_config("experiment_replica", {})
+    gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(), cfg.schedule(),
+                             cfg.envelope())
+    assert log_norm(gen.m1(cfg.params.omega_c_peak)) == pytest.approx(-0.8 / 6.0, rel=1e-9)
+
+
+def _record_calls(monkeypatch, module, name, arg):
+    # wraps module.name to record its positional argument ``arg`` (the
+    # matrix's dimension when it has one) on each call, then run it
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        a = args[arg]
+        calls.append(a.shape[0] if hasattr(a, "shape") else a)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_turnoff_points_take_one_singles_exponential(monkeypatch):
+    # each default point builds one singles propagator; the four points
+    # without a half crossing stop after the first horizon's 6,000 steps
+    import rydeit.dynamics as dynamics
+    from dataclasses import replace
+    from rydeit.scenarios import run_turnoff_scan
+    dims = _record_calls(monkeypatch, dynamics, "expm", 0)
+    steps = _record_calls(monkeypatch, dynamics, "_dense_powers", 2)
+    cfg = replace(default_config("turnoff_scan", {}), turnoff_doubles=False, threads=1)
+    rows = run_turnoff_scan(cfg).tables[0][2]
+    assert [r[-1] for r in rows].count("no_half_crossing") == 4
+    assert dims == [2 * r[2] for r in rows]
+    assert steps == [6000] * 9
+
+
+def test_turnoff_continuation_matches_the_stop(monkeypatch):
+    # with the contraction bound made useless the point without a crossing
+    # goes on from the end state over all eight horizons, 768,000 steps of
+    # one propagator, and ends where the stop ended it
+    import rydeit.dynamics as dynamics
+    import rydeit.scenarios as scenarios
+    point = (1.8, 0.25, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)
+    stopped = scenarios._turnoff_point(point)
+    monkeypatch.setattr(scenarios, "log_norm", lambda m: 1.0)
+    dims = _record_calls(monkeypatch, dynamics, "expm", 0)
+    steps = _record_calls(monkeypatch, dynamics, "_dense_powers", 2)
+    full = scenarios._turnoff_point(point)
+    assert dims == [10]
+    assert steps == [6000, 6000, 12000, 24000, 48000, 96000, 192000, 384000]
+    assert stopped["status"] == full["status"] == "no_half_crossing"
+    assert full["peak_intensity"] == pytest.approx(stopped["peak_intensity"], rel=1e-12)
 
 
 _GOOD_POINT = (1.8, 0.5, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)
@@ -634,6 +710,14 @@ def test_cli_emulate_hbt_outputs(tmp_path):
     from rydeit.counting import load_stream
     stream = load_stream(out / "timestamps.txt")
     assert stream.n_trials == 5000
+    # the emulation's validity numbers reach the manifest's [results]
+    import configparser
+    cp = configparser.ConfigParser()
+    cp.read(out / "manifest.ini")
+    res = cp["results"]
+    p_pair, p_single = float(res["pairs_per_trial"]), float(res["singles_per_trial"])
+    assert 0.0 < p_pair and 0.0 < p_single
+    assert float(res["singles_clip_per_trial"]) >= 0.0
 
 
 def test_cli_storage_requires_schedule(tmp_path):
