@@ -6,7 +6,7 @@ from .model import (AtomChain, BlockadeConfig, BlockadeMode, BLOCKED,
                     build_chain, interaction, optical_depth, single_atom_bandwidth)
 from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
 from .dynamics import (DynamicsError, Generator, StateTrajectory, assemble_generator,
-                       evolve, one_photon_amplitude, steady_state, two_photon_amplitude)
+                       evolve, steady_state)
 from .observables import (CorrelationGrid, ExtractionError, ObservableTrace,
                           SteadyStateStats, UndefinedResultError, correlation_grid,
                           fit_exponential_envelope, measure_steady_state, tau_eit,

@@ -98,7 +98,7 @@ the rows out_e and a2vec, all a time trace reads, and with ``grid`` also the
 singles and the rows of ann, all a correlation grid reads (42 rows on the
 default emulate-hbt device, against 176 dimensions).  The projections of an
 exponential stretch, and the turn-off scans' c P^k y (k = 1..n) of one block
-evolving alone with P = exp(M h) (``decay_steps``, ``free_decay``), come from
+evolving alone with P = exp(M h) (``decay_steps``), come from
 ``_projected_powers`` by baby and giant steps (after Paterson and
 Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1, the rows
 C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
@@ -150,7 +150,7 @@ SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 #: Largest stacked dimension for which the exponential is a dense matrix
-#: (memory bound; above it ``propagate_segment`` and ``free_decay`` take the
+#: (memory bound; above it ``propagate_segment`` and ``decay_steps`` take the
 #: Taylor action).
 EXPM_MAX_DIM = 2600
 
@@ -209,12 +209,6 @@ class Generator:
 
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.envelope.breakpoints()) | set(self.schedule.breakpoints())))
-
-    def is_constant(self, a: float, b: float) -> bool:
-        """True when the envelope is constant on [a, b), a stretch without
-        breakpoints (so the control is constant there too)."""
-        eps = 1e-12 * max(1.0, abs(b))
-        return self.envelope_at(a) == self.envelope_at(0.5 * (a + b)) == self.envelope_at(b - eps)
 
     # --- matrix actions -----------------------------------------------------
     def m1(self, omega: float) -> np.ndarray:
@@ -654,12 +648,13 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     A segment may not cross a breakpoint of the envelope or the control, so
     Omega_c is constant on it and the envelope one smooth piece.
 
-    A stretch of constant coefficients takes the exact exponential: the
-    dense unit-drive one under ``EXPM_MAX_DIM``, reused with its giant-step
-    power across calls through a ``cache`` dict kept for one generator, the
-    Taylor action above it.  So does a drive ramp, where the envelope is
-    affine (``PulseEnvelope.affine_on``), through the clocked generator of
-    ``_ramp_powers``.  The rest, a gaussian envelope, takes the Magnus step
+    The route follows ``PulseEnvelope.affine_on``.  A stretch of constant
+    coefficients (slope 0) takes the exact exponential at its drive level:
+    the dense unit-drive one under ``EXPM_MAX_DIM``, reused with its
+    giant-step power across calls through a ``cache`` dict kept for one
+    generator, the Taylor action above it.  So does a drive ramp (a nonzero
+    slope), through the clocked generator of ``_ramp_powers``.  The rest, a
+    gaussian envelope inside its window, takes the Magnus step
     (``_magnus_powers``)."""
     eps = 1e-12 * max(1.0, abs(a), abs(b))
     if any(a + eps < t < b - eps for t in gen.breakpoints()):
@@ -669,26 +664,23 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     doubles = y.shape[0] > 1 + n1
     project = np.empty((0, len(y))) if project is None else project
     cache = {} if cache is None else cache
-    om, e = gen.omega_at(a), gen.envelope_at(a)
+    om = gen.omega_at(a)
     parts = gen.stacked(doubles)
-    if not gen.is_constant(a, b):
-        ramp = gen.envelope.affine_on(a, b)
-        if ramp is not None:
-            proj, z = _ramp_powers(gen, om, ramp, h_out, y, n_out, project)
-            y = z[:len(y)]
-            proj[-1] = project @ y
-        else:
-            proj, y = _magnus_powers(gen, parts, om, a, h_out, n_out, y, project, cache)
+    ramp = gen.envelope.affine_on(a, b)
+    if ramp is None:
+        proj, y = _magnus_powers(gen, parts, om, a, h_out, n_out, y, project, cache)
+    elif ramp[1] != 0.0:
+        proj, z = _ramp_powers(gen, om, ramp, h_out, y, n_out, project)
+        y = z[:len(y)]
+        proj[-1] = project @ y
     elif len(y) <= EXPM_MAX_DIM:
         m = _giant_step(len(y), n_out, len(project))
         unit, giant = (_unit_exp(cache, parts, om, h_out, len(y), p) for p in (1, m))
-        with _at_drive([unit] if m == 1 else [unit, giant], n1, e):
-            proj, y = _dense_powers(unit, y, n_out, project, end_state=True,
-                                    giant=(m, giant.tri))
+        with _at_drive([unit] if m == 1 else [unit, giant], n1, ramp[0]):
+            proj, y = _dense_powers(unit, y, n_out, project, giant=(m, giant.tri))
     else:
         s, w, f = parts
-        proj, y = _action_powers(s + om * w + e * f, h_out, y, n_out, project,
-                                 end_state=True)
+        proj, y = _action_powers(s + om * w + ramp[0] * f, h_out, y, n_out, project)
     if out is not None:
         out[:] = proj
     return y
@@ -793,7 +785,7 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
                       [None, 2.0 * sp.eye(1, k, dtype=complex), None]]))
     z = np.concatenate([y, np.zeros(k + 1, dtype=complex)])
     rows = np.hstack([project, np.zeros((len(project), k + 1), dtype=complex)])
-    return _action_powers(b, h_out, z, n_out, rows, end_state=True)
+    return _action_powers(b, h_out, z, n_out, rows)
 
 
 @contextmanager
@@ -846,10 +838,10 @@ def decay_steps(gen: Generator, omega: float, h: float, doubles: bool = False):
     """The steps of P = exp(M h) for the singles block M, or with ``doubles``
     the doubles block, evolving alone: the probe is off, so no block is
     sourced, and the control stays at ``omega``.  The result maps
-    (y, n_out, project, end_state=False) to ``project @ P^k @ y`` for
-    k = 1..n_out, shape (n_out,) for one covector and (n_out, c) for a stack,
-    and with ``end_state`` also P^n_out y, from which a later call goes on.
-    These are projected powers by baby and giant steps
+    (y, n_out, project), ``project`` a c x d covector stack, to
+    (``project @ P^k @ y`` for k = 1..n_out, shape (n_out, c), and the end
+    state P^n_out y, from which a later call goes on).  These are projected
+    powers by baby and giant steps
     (``_projected_powers``).  The singles block under ``EXPM_MAX_DIM``, and a
     doubles block up to ``DECAY_DENSE_DOUBLES``, take P once from ``expm``
     (``_dense_powers``); a larger block stays CSR and takes the actions of P
@@ -859,14 +851,6 @@ def decay_steps(gen: Generator, omega: float, h: float, doubles: bool = False):
     if d <= EXPM_MAX_DIM and (not doubles or d <= DECAY_DENSE_DOUBLES):
         return partial(_dense_powers, expm(m * h))
     return partial(_action_powers, _csr(m), h)
-
-
-def free_decay(gen: Generator, y: np.ndarray, omega: float, horizon: float, n_out: int,
-               project: np.ndarray, doubles: bool = False) -> np.ndarray:
-    """``project @ y`` after each of ``n_out`` equal steps over ``horizon`` for
-    the singles block, or with ``doubles`` the doubles block, evolving alone
-    (``decay_steps``)."""
-    return decay_steps(gen, omega, horizon / n_out, doubles)(y, n_out, project)
 
 
 def log_norm(m: np.ndarray) -> float:
@@ -959,7 +943,7 @@ def _giant_step(d: int, n: int, c: int) -> int:
 
 
 def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
-                  end_state: bool = False, giant: tuple | None = None):
+                  giant: tuple | None = None):
     """``_projected_powers`` of an ``expm`` propagator in its triangular
     basis: y and the covectors map in once, a step is one triangular matvec
     (ztrmv with tri^T), P^m takes log2 m triangular squarings (m from
@@ -968,52 +952,48 @@ def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.nd
     the two agree to the bit."""
     tri = prop.tri
     if giant is None:
-        m = _giant_step(len(y), n_out, len(np.atleast_2d(project)))
+        m = _giant_step(len(y), n_out, len(project))
         giant = m, _tri_squarings(tri.copy(order="F"), m.bit_length() - 1) if m > 1 else tri
     m, tri_m = giant
-    got = _projected_powers(lambda v: ztrmv(tri, v, trans=1),
-                            lambda r: ztrmm(1.0, tri, r.T).T,
-                            lambda v: ztrmv(tri_m, v, trans=1),
-                            m, prop.to_basis(y), n_out,
-                            prop.to_basis(project.conj().T).conj().T, end_state)
-    if not end_state:
-        return got
-    proj, w = got
+    proj, w = _projected_powers(lambda v: ztrmv(tri, v, trans=1),
+                                lambda r: ztrmm(1.0, tri, r.T).T,
+                                lambda v: ztrmv(tri_m, v, trans=1),
+                                m, prop.to_basis(y), n_out,
+                                prop.to_basis(project.conj().T).conj().T)
     y = prop.from_basis(w)
     proj[-1] = project @ y
     return proj, y
 
 
 def _action_powers(a: sp.csr_matrix, h: float, y: np.ndarray, n_out: int,
-                   project: np.ndarray, end_state: bool = False):
+                   project: np.ndarray):
     """``_projected_powers`` of P = exp(a h) for a CSR ``a`` that never
     becomes dense, by Taylor actions (``_TaylorAction``): the baby rows
     C P^i advance by the action of a^T over h, the giant columns by that of
     a over m h, with m the power of two that minimizes the planned matvecs
     ceil(n/m) mv(m h) + c m mv(h)."""
     right, left = _TaylorAction(a), _TaylorAction(a.T.tocsr())
-    c = len(np.atleast_2d(project))
+    c = len(project)
     m = _cheapest_power(n_out, lambda k: (-(-n_out // (1 << k)) * right.matvecs((1 << k) * h)
                                           + c * (1 << k) * left.matvecs(h)))
     return _projected_powers(lambda v: right(h, v), lambda r: left(h, r.T).T,
-                             lambda v: right(m * h, v), m, y, n_out, project, end_state)
+                             lambda v: right(m * h, v), m, y, n_out, project)
 
 
 def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
-                      project: np.ndarray, end_state: bool = False):
+                      project: np.ndarray):
     """``project @ P^k @ y`` for k = 1..n_out by baby and giant steps, P given
     by its actions ``step(v)`` = P v, ``step_rows(r)`` = r P on a row stack
     and ``giant(v)`` = P^m v: with k = j m + i + 1, the rows ``project @ P^i``
     (i = 0..m-1) and the columns P^(j m + 1) y (j = 0..J-1, J = ceil(n_out /
     m)) meet in one (J x d)(d x m c) product (at m = 1, the step loop
-    y <- P y projected).  Shape (n_out,) for one covector, (n_out, c) for a
-    stack (c may be 0); with ``end_state`` also P^n_out y, the last column
+    y <- P y projected).  Returns that, shape (n_out, c) for the c x d stack
+    ``project`` (c may be 0), and the end state P^n_out y, the last column
     advanced by at most m - 1 steps."""
-    rows = np.atleast_2d(project)
-    c, d = rows.shape
+    c, d = project.shape
     n_giant = -(-n_out // m)
     baby = np.empty((m, c, d), dtype=complex)
-    baby[0] = rows
+    baby[0] = project
     for i in range(1, m if c else 1):
         baby[i] = step_rows(baby[i - 1])
     cols = np.empty((n_giant, d), dtype=complex)
@@ -1021,10 +1001,6 @@ def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
     for j in range(1, n_giant):
         cols[j] = giant(cols[j - 1])
     proj = (cols @ baby.reshape(m * c, d).T).reshape(n_giant * m, c)[:n_out]
-    if project.ndim == 1:
-        proj = proj.ravel()
-    if not end_state:
-        return proj
     y = cols[-1]
     for _ in range(n_out - (n_giant - 1) * m - 1):
         y = step(y)
@@ -1102,21 +1078,7 @@ def steady_state(generator: Generator, omega_c: float) -> TruncatedState:
 
 
 # ---------------------------------------------------------------------------
-# output amplitudes and the undriven singles propagator
-
-def one_photon_amplitude(state: TruncatedState, envelope_unit: float,
-                         generator: Generator) -> complex:
-    """f1 = ep + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h."""
-    return complex(envelope_unit + generator.out_e @ state.singles)
-
-
-def two_photon_amplitude(state: TruncatedState, envelope_unit: float,
-                         generator: Generator) -> complex:
-    """Fully de-excited component of applying the field operator twice."""
-    env = complex(envelope_unit)
-    return complex(env * env + 2.0 * env * (generator.out_e @ state.singles)
-                   + generator.a2vec @ state.doubles)
-
+# the undriven singles propagator
 
 class SinglesPropagator:
     """The undriven singles propagator Phi of a correlation grid over the

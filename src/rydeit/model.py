@@ -299,13 +299,18 @@ class PulseEnvelope:
 
     def affine_on(self, a: float, b: float) -> tuple | None:
         """(c0, c1) with unit_shape(a + tau) = c0 + c1 tau for a <= a + tau < b,
-        from the shape's own formulas, when no breakpoint lies inside (a, b);
-        None otherwise and for a gaussian, which is nowhere polynomial."""
-        if self.shape is PulseShape.GAUSSIAN or any(a < t < b for t in self.breakpoints()):
+        from the shape's own formulas, when no breakpoint lies inside (a, b)
+        by more than rounding (1e-12 relative): (0, 0) outside the window,
+        and None inside a gaussian's window, where it is nowhere polynomial,
+        or across a breakpoint."""
+        eps = 1e-12 * max(1.0, abs(a), abs(b))
+        if any(a + eps < t < b - eps for t in self.breakpoints()):
             return None
         u, mid = a - self.t_on, 0.5 * (a + b) - self.t_on
         if mid < 0.0 or mid >= self.duration:
             return 0.0, 0.0
+        if self.shape is PulseShape.GAUSSIAN:
+            return None
         if self.shape is PulseShape.TRIANGULAR_NEG:
             return 1.0 - u / self.duration, -1.0 / self.duration
         if self.shape is PulseShape.TRIANGULAR_POS:

@@ -260,23 +260,13 @@ def eit_peak(spectrum):
 
 def spectrum_fwhm(spectrum) -> float:
     """Full width at half maximum of the EIT transparency window given as
-    (delta, T) pairs; linear interpolation at the half crossings."""
+    (delta, T) pairs: the first half crossing (``_first_half_crossing``) on
+    each side, run from the peak outward."""
     d = np.array([p[0] for p in spectrum])
     t = np.array([p[1] for p in spectrum])
     _, t_peak, i0 = eit_peak(spectrum)
-    half = 0.5 * t_peak
-    lo = None
-    for i in range(i0, 0, -1):
-        if t[i - 1] < half <= t[i]:
-            lo = np.interp(half, [t[i - 1], t[i]], [d[i - 1], d[i]])
-            break
-    hi = None
-    for i in range(i0, len(t) - 1):
-        if t[i + 1] < half <= t[i]:
-            hi = np.interp(half, [t[i + 1], t[i]], [d[i + 1], d[i]])
-            break
-    if lo is None or hi is None:
-        raise ExtractionError("transmission window does not cross half maximum in range")
+    lo = _first_half_crossing(d[i0::-1], t[i0::-1], 0.5 * t_peak, 0.0, falling_only=True)
+    hi = _first_half_crossing(d[i0:], t[i0:], 0.5 * t_peak, 0.0, falling_only=True)
     return float(hi - lo)
 
 
@@ -336,9 +326,10 @@ def extract_tau0(trace: ObservableTrace, t_on: float, t_off: float, g2_ss: float
 
 def _first_half_crossing(t: np.ndarray, y: np.ndarray, level: float, t_ref: float,
                          falling_only: bool = False) -> float:
-    """First time the signal drops to ``level``; with ``falling_only`` the
-    crossing must follow a sample above the level (the retrieved intensity
-    starts at zero right after shutoff, flashes up, then falls)."""
+    """First time (or detuning) ``t`` at which the signal ``y`` drops to
+    ``level``, less ``t_ref``; with ``falling_only`` the crossing must follow
+    a sample above the level (the retrieved intensity starts at zero right
+    after shutoff, flashes up, then falls)."""
     below = y <= level
     if falling_only:
         seen_above = np.concatenate([[False], np.maximum.accumulate(~below)[:-1]])
@@ -353,21 +344,15 @@ def _first_half_crossing(t: np.ndarray, y: np.ndarray, level: float, t_ref: floa
     return float(t[i - 1] + frac * (t[i] - t[i - 1]) - t_ref)
 
 
-def fit_exponential_envelope(trace: ObservableTrace, t_start: float, t_end: float) -> float:
-    """Decay rate of the upper envelope of G2 over [t_start, t_end].
+def fit_exponential_envelope(t: np.ndarray, y: np.ndarray) -> float:
+    """Decay rate of the upper envelope of the positive samples ``y`` (a
+    two-photon intensity) at times ``t``.
 
-    The envelope is the set of samples not exceeded by any later sample in the
-    range (for a monotone decay that is every sample; for an oscillating decay
-    it is the descending crests).  Least squares on the log of those points;
-    fewer than 3 envelope points is a fit error.
+    The envelope is the set of samples not exceeded by any later sample (for
+    a monotone decay that is every sample; for an oscillating decay it is the
+    descending crests).  Least squares on the log of those points; fewer
+    than 3 samples or envelope points is a fit error.
     """
-    mask = (trace.times >= t_start - 1e-12) & (trace.times <= t_end + 1e-12)
-    return _envelope_decay_rate(trace.times[mask], trace.g2tilde[mask])
-
-
-def _envelope_decay_rate(t: np.ndarray, y: np.ndarray) -> float:
-    """Decay rate of the upper envelope of the samples ``y`` at times ``t``
-    (see ``fit_exponential_envelope``)."""
     if len(t) < 3:
         raise ExtractionError("fit range holds fewer than 3 samples")
     if np.any(y <= 0):

@@ -28,10 +28,10 @@ from .configio import ScenarioConfig, manifest_text
 from .counting import (EfficiencyBudget, emulate_trials, estimate_g2,
                        generation_probability_from_stream,
                        generation_probability_from_trace, dlcz_compare, save_stream)
-from .dynamics import (DynamicsError, assemble_generator, decay_steps, evolve, free_decay,
-                       log_norm, one_photon_amplitude, steady_state, two_photon_amplitude)
-from .observables import (ExtractionError, UndefinedResultError, _envelope_decay_rate,
-                          _first_half_crossing, correlation_grid, eit_peak, extract_tau0,
+from .dynamics import (DynamicsError, assemble_generator, decay_steps, evolve, log_norm,
+                       steady_state)
+from .observables import (ExtractionError, UndefinedResultError, _first_half_crossing,
+                          correlation_grid, eit_peak, extract_tau0, fit_exponential_envelope,
                           measure_steady_state, spectrum_fwhm, tau_eit,
                           trace_from_trajectory, transmission_spectrum, windowed_g2,
                           write_csv)
@@ -160,45 +160,63 @@ def run_propagate(cfg: ScenarioConfig) -> ResultBundle:
 
 
 # ---------------------------------------------------------------------------
-# turn-on scan
+# turn-on and turn-off scans
 
-def _turnon_point(args) -> dict:
-    """One (D, Omega_c) turn-on point: evolve from vacuum under a long square
-    drive, auto-extended until g2 settles, and extract tau_0.  The point's
-    ``params`` are the configured ones, with the control set to Omega_c."""
-    (d_target, om, params, rel_tol, cap_mult) = args
-    params = dc_replace(params, omega_c_peak=om)
+#: Longest turn-on horizon, in units of tau_eit; a point whose g2 has not
+#: settled by then is flagged ``no_settling_before_cap``
+TURNON_CAP = 100.0
+
+
+def _device(params, d_target: float, omega_c: float) -> tuple:
+    """One scan point's device: the fully blockaded chain of optical depth
+    about ``d_target``, its generator at constant ``omega_c`` (the
+    configured ``params`` with the control set to it) and the driven steady
+    state ss.  The square probe stays on over every horizon a turn-on point
+    can reach, max(1.2 tau_eit, 50) up to ``TURNON_CAP`` tau_eit.  Returns
+    (gen, ss, f, a2, row): the steady output amplitudes f = out_e psi1 and
+    a2 = a2vec psi2, and the start of the point's row."""
+    params = dc_replace(params, omega_c_peak=omega_c)
     n = atoms_for_depth(d_target, params)
     chain = build_chain(n, 1.0)
     d = optical_depth(chain, params)
-    teit = tau_eit(d, params.gamma_prime, om)
-    out = {"d_target": d_target, "omega_c": om, "n_atoms": n, "d": d,
-           "tau_eit": teit, "status": "ok"}
-    schedule = ControlSchedule.constant(om)
+    teit = tau_eit(d, params.gamma_prime, omega_c)
+    envelope = PulseEnvelope(shape=PulseShape.SQUARE, n_in=1.0,
+                             duration=2.0 * max(1.2 * teit, 50.0, TURNON_CAP * teit))
+    gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
+                             ControlSchedule.constant(omega_c), envelope)
+    ss = steady_state(gen, omega_c=omega_c)
+    row = {"d_target": d_target, "omega_c": omega_c, "n_atoms": n, "d": d,
+           "tau_eit_gamma": teit, "status": "ok"}
+    return gen, ss, complex(gen.out_e @ ss.singles), complex(gen.a2vec @ ss.doubles), row
+
+
+def _turnon_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict:
+    """One (D, Omega_c) turn-on point of ``_device``: evolve from vacuum under
+    the square probe over max(1.2 tau_eit, 50), and over doubled horizons up
+    to ``TURNON_CAP`` tau_eit until g2 settles to its steady value within
+    ``cfg.rel_tol`` well inside the horizon, and extract tau_0."""
+    gen, ss, f, a2, out = _device(cfg.params, d_target, omega_c)
+    teit = out["tau_eit_gamma"]
+    i_ss = abs(1.0 + f) ** 2
+    g2_ss = out["g2_ss"] = abs(1.0 + 2.0 * f + a2) ** 2 / i_ss ** 2
+    cap = TURNON_CAP * teit
     horizon = max(1.2 * teit, 50.0)
     while True:
-        envelope = PulseEnvelope(shape=PulseShape.SQUARE, duration=4.0 * horizon,
-                                 n_in=1.0)
-        gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
-                                 schedule, envelope)
-        ss = steady_state(gen, omega_c=om)
-        i_ss = abs(one_photon_amplitude(ss, 1.0, gen)) ** 2
-        g2_ss = abs(two_photon_amplitude(ss, 1.0, gen)) ** 2 / i_ss ** 2
         traj = evolve(gen, (0.0, horizon), horizon / 2500.0, project=gen.output_covectors())
-        trace = trace_from_trajectory(traj, gen)
         try:
-            tau0 = extract_tau0(trace, 0.0, horizon, g2_ss, rel_tol)
+            tau0 = extract_tau0(trace_from_trajectory(traj, gen), 0.0, horizon, g2_ss,
+                                cfg.rel_tol)
         except ExtractionError:
-            tau0 = None
+            tau0 = math.nan
         # settled well inside the horizon, or give up at the cap
-        if tau0 is not None and tau0 < 0.8 * horizon:
-            out.update(tau_0=tau0, ratio_tau0=tau0 / teit, g2_ss=g2_ss)
+        if tau0 < 0.8 * horizon:
+            out.update(tau0_gamma=tau0, tau0_ns=ns_from_time(tau0, cfg.params.gamma_mhz),
+                       tau0_over_tau_eit=tau0 / teit)
             return out
-        if horizon >= cap_mult * teit:
-            out.update(tau_0=math.nan, ratio_tau0=math.nan, g2_ss=g2_ss,
-                       status="no_settling_before_cap")
+        if horizon >= cap:
+            out["status"] = "no_settling_before_cap"
             return out
-        horizon = min(2.0 * horizon, cap_mult * teit)
+        horizon = min(2.0 * horizon, cap)
 
 
 _TURNON_COLS = ["d_target", "d", "n_atoms", "omega_c", "tau0_gamma", "tau0_ns",
@@ -207,36 +225,22 @@ _TURNON_COLS = ["d_target", "d", "n_atoms", "omega_c", "tau0_gamma", "tau0_ns",
 
 @_timed
 def run_turnon_scan(cfg: ScenarioConfig) -> ResultBundle:
-    points = [(d, om, cfg.params, cfg.rel_tol, 100.0)
-              for d in cfg.d_list for om in cfg.omega_c_list]
-    results = _map_points(_turnon_point, points, cfg.threads)
-    g = cfg.params.gamma_mhz
-    rows = []
-    for r in results:
-        rows.append((r["d_target"], r.get("d", math.nan), r.get("n_atoms", math.nan),
-                     r["omega_c"], r.get("tau_0", math.nan),
-                     ns_from_time(r.get("tau_0", math.nan), g),
-                     r.get("tau_eit", math.nan), r.get("ratio_tau0", math.nan),
-                     r.get("g2_ss", math.nan), r["status"]))
-    ratios = [r["ratio_tau0"] for r in results if r["status"] == "ok"]
-    scalars = {"n_points": len(results),
-               "n_failed": sum(1 for r in results if r["status"] != "ok")}
-    if ratios:
-        scalars["median_tau0_over_tau_eit"] = float(np.median(ratios))
+    ok, rows, scalars = _scan(cfg, _turnon_point, _TURNON_COLS)
+    if ok:
+        scalars["median_tau0_over_tau_eit"] = float(np.median(
+            [r["tau0_over_tau_eit"] for r in ok]))
     return ResultBundle(name="turnon_scan", config=cfg, scalars=scalars, tables=[(
-        "turnon.csv", _TURNON_COLS, rows,
-        "turn-on transient times; tau_eit = 4 D Gamma' / Omega_c^2; " + _csv_time_cols(g))])
+        "turnon.csv", _TURNON_COLS, rows, "turn-on transient times; tau_eit = "
+        "4 D Gamma' / Omega_c^2; " + _csv_time_cols(cfg.params.gamma_mhz))])
 
 
-# ---------------------------------------------------------------------------
-# turn-off scan
-
-def _turnoff_point(args) -> dict:
+def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict:
     """One (D, Omega_c) turn-off point, starting from the exact driven steady
-    state (the long-pulse limit): singles give tau_I and the retrieval peak,
-    doubles give the shutoff jump, tau_II and the late decay rate.  The
-    point's ``params`` are the configured ones, with the control set to
-    Omega_c.
+    state of ``_device`` (the long-pulse limit): singles give tau_I and the
+    retrieval peak, and the shutoff jump of G2 is |a2|^2.  With
+    ``cfg.turnoff_doubles`` the doubles decay over 5,000 steps and give tau_II,
+    where G2 first falls to half its jump, and the decay rate of its upper
+    envelope over [``cfg.tail_fit_start``, ``cfg.tail_fit_end``].
 
     The singles decay takes one propagator, at the step h of 6,000 samples
     over the first horizon max(0.4 tau_eit, 40), and goes on from its end
@@ -247,33 +251,22 @@ def _turnoff_point(args) -> dict:
     norm (``log_norm``; 0 wherever the undriven singles contract).  Once that
     bound is under both i_ss / 2 and the peak so far, no later sample can
     cross or raise the peak, and the point stops as ``no_half_crossing``."""
-    (d_target, om, params, want_doubles, fit_lo, fit_hi) = args
-    params = dc_replace(params, omega_c_peak=om)
-    n = atoms_for_depth(d_target, params)
-    chain = build_chain(n, 1.0)
-    d = optical_depth(chain, params)
-    teit = tau_eit(d, params.gamma_prime, om)
-    out = {"d_target": d_target, "omega_c": om, "n_atoms": n, "d": d,
-           "tau_eit": teit, "status": "ok"}
-    envelope = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.0)
-    gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
-                             ControlSchedule.constant(om), envelope)
-    ss = steady_state(gen, omega_c=om)
-    i_ss = abs(one_photon_amplitude(ss, 1.0, gen)) ** 2
-    out["i_ss"] = i_ss
-    out["i_jump"] = abs(complex(gen.out_e @ ss.singles)) ** 2
+    gen, ss, f, a2, out = _device(cfg.params, d_target, omega_c)
+    teit = out["tau_eit_gamma"]
+    i_ss = out["i_ss"] = abs(1.0 + f) ** 2
+    out["i_jump"] = abs(f) ** 2
 
     # singles retrieval over doubled horizons of one propagator, stopped by
     # the contraction bound once no crossing can follow
     h0 = max(0.4 * teit, 40.0)
     t_cap = 128 * h0
-    steps = decay_steps(gen, om, h0 / 6000)
-    lam = max(0.0, log_norm(gen.m1(om)))
+    steps = decay_steps(gen, omega_c, h0 / 6000)
+    lam = max(0.0, log_norm(gen.m1(omega_c)))
     out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
     y, intens, tau_i = ss.singles, np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
-        proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e, end_state=True)
-        intens = np.concatenate([intens, np.abs(proj) ** 2])
+        proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e[None])
+        intens = np.concatenate([intens, np.abs(proj[:, 0]) ** 2])
         ts = np.linspace(0.0, h0 * 2 ** attempt, len(intens))
         try:
             tau_i = _first_half_crossing(ts, intens, 0.5 * i_ss, 0.0, falling_only=True)
@@ -283,34 +276,26 @@ def _turnoff_point(args) -> dict:
             level = min(0.5 * i_ss, float(np.max(intens)))
             if out_e2 * np.vdot(y, y).real < level * math.exp(-2.0 * lam * (t_cap - ts[-1])):
                 break
-    out.update(tau_i=tau_i, ratio_tau_i=tau_i / teit, peak_intensity=float(np.max(intens)))
+    out.update(peak_intensity=float(np.max(intens)), tau_i_gamma=tau_i,
+               tau_i_ns=ns_from_time(tau_i, cfg.params.gamma_mhz),
+               tau_i_over_tau_eit=tau_i / teit)
     if math.isnan(tau_i):
         out["status"] = "no_half_crossing"
 
-    if want_doubles:
+    out["g2tilde_jump"] = abs(a2) ** 2
+    if cfg.turnoff_doubles:
+        horizon = max(40.0, cfg.tail_fit_end + 5.0)
+        ts = np.linspace(0.0, horizon, 5001)
+        mask = (ts >= cfg.tail_fit_start) & (ts <= cfg.tail_fit_end)
         try:
-            out.update(_turnoff_doubles(gen, ss, om, fit_lo, fit_hi))
+            proj, _ = decay_steps(gen, omega_c, horizon / 5000, doubles=True)(
+                ss.doubles, 5000, gen.a2vec[None])
+            g2t = np.concatenate([[out["g2tilde_jump"]], np.abs(proj[:, 0]) ** 2])
+            out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0], 0.0),
+                       tail_rate_gamma=fit_exponential_envelope(ts[mask], g2t[mask]))
         except (ExtractionError, DynamicsError) as exc:
-            out["status"] = f"doubles_failed:{type(exc).__name__}"
-            out.update(g2tilde_jump=math.nan, tau_ii=math.nan, tail_rate=math.nan)
-    else:
-        out.update(g2tilde_jump=abs(complex(gen.a2vec @ ss.doubles)) ** 2,
-                   tau_ii=math.nan, tail_rate=math.nan)
+            out.update(g2tilde_jump=math.nan, status=f"doubles_failed:{type(exc).__name__}")
     return out
-
-
-def _turnoff_doubles(gen, ss, om: float, fit_lo: float, fit_hi: float) -> dict:
-    horizon = max(40.0, fit_hi + 5.0)
-    n_steps = 5000
-    ts = np.linspace(0.0, horizon, n_steps + 1)
-    g2t = np.empty(n_steps + 1)
-    g2t[0] = abs(complex(gen.a2vec @ ss.doubles)) ** 2
-    g2t[1:] = np.abs(free_decay(gen, ss.doubles, om, horizon, n_steps, gen.a2vec,
-                                doubles=True)) ** 2
-    mask = (ts >= fit_lo) & (ts <= fit_hi)
-    return {"g2tilde_jump": float(g2t[0]),
-            "tau_ii": _first_half_crossing(ts, g2t, 0.5 * g2t[0], 0.0),
-            "tail_rate": _envelope_decay_rate(ts[mask], g2t[mask])}
 
 
 _TURNOFF_COLS = ["d_target", "d", "n_atoms", "omega_c", "i_ss", "i_jump",
@@ -321,37 +306,37 @@ _TURNOFF_COLS = ["d_target", "d", "n_atoms", "omega_c", "i_ss", "i_jump",
 
 @_timed
 def run_turnoff_scan(cfg: ScenarioConfig) -> ResultBundle:
-    points = [(d, om, cfg.params, cfg.turnoff_doubles,
-               cfg.tail_fit_start, cfg.tail_fit_end)
-              for d in cfg.d_list for om in cfg.omega_c_list]
-    results = _map_points(_turnoff_point, points, cfg.threads)
-    g = cfg.params.gamma_mhz
-    rows = [(r["d_target"], r.get("d", math.nan), r.get("n_atoms", math.nan),
-             r["omega_c"], r.get("i_ss", math.nan), r.get("i_jump", math.nan),
-             r.get("peak_intensity", math.nan),
-             r.get("tau_i", math.nan), ns_from_time(r.get("tau_i", math.nan), g),
-             r.get("tau_eit", math.nan), r.get("ratio_tau_i", math.nan),
-             r.get("g2tilde_jump", math.nan), r.get("tau_ii", math.nan),
-             r.get("tail_rate", math.nan), r["status"]) for r in results]
+    ok, rows, scalars = _scan(cfg, _turnoff_point, _TURNOFF_COLS)
     # power-law fit of tau_II against D across the whole grid
-    ok = [r for r in results if r["status"] == "ok" and np.isfinite(r.get("tau_ii", math.nan))]
-    scalars = {"n_points": len(results),
-               "n_failed": sum(1 for r in results if r["status"] != "ok")}
+    ok = [r for r in ok if np.isfinite(r.get("tau_ii_gamma", math.nan))]
     if len({r["d"] for r in ok}) >= 2:
         slope, _ = np.polyfit(np.log([r["d"] for r in ok]),
-                              np.log([r["tau_ii"] for r in ok]), 1)
+                              np.log([r["tau_ii_gamma"] for r in ok]), 1)
         scalars["tau_ii_vs_d_exponent"] = float(slope)
     return ResultBundle(name="turnoff_scan", config=cfg, scalars=scalars, tables=[(
-        "turnoff.csv", _TURNOFF_COLS, rows,
-        "turn-off transients from the exact driven steady state; " + _csv_time_cols(g))])
+        "turnoff.csv", _TURNOFF_COLS, rows, "turn-off transients from the exact driven "
+        "steady state; " + _csv_time_cols(cfg.params.gamma_mhz))])
 
 
-def _guarded_point(fn, point) -> dict:
-    """Run one scan point; any failure becomes a flagged row so the rest of
-    the scan survives.  Rows carry ``d_target`` and ``omega_c`` from the point
-    (every scan point starts with them) and NaN for everything else."""
+def _scan(cfg: ScenarioConfig, point, columns: list) -> tuple:
+    """Run ``point(cfg, d_target, omega_c)`` over the configured (D, Omega_c)
+    grid (``_map_points``).  Returns the results with status ``ok``, the
+    rows of every result in grid order over ``columns`` (NaN where a result
+    holds no value: a raising point keeps only d_target, omega_c and its
+    status), and the n_points and n_failed scalars."""
+    results = _map_points(partial(point, cfg),
+                          [(d, om) for d in cfg.d_list for om in cfg.omega_c_list],
+                          cfg.threads)
+    ok = [r for r in results if r["status"] == "ok"]
+    rows = [tuple(r.get(c, math.nan) for c in columns) for r in results]
+    return ok, rows, {"n_points": len(results), "n_failed": len(results) - len(ok)}
+
+
+def _guarded_point(fn, point: tuple) -> dict:
+    """``fn(d_target, omega_c)`` for one (D, Omega_c) point; any failure
+    becomes a flagged row so the rest of the scan survives."""
     try:
-        return fn(point)
+        return fn(*point)
     except Exception as exc:  # per-point boundary: one point must not end the scan
         warnings.warn(f"scan point {point!r} failed:\n{traceback.format_exc()}",
                       RuntimeWarning)
@@ -359,7 +344,9 @@ def _guarded_point(fn, point) -> dict:
                 "status": f"failed:{type(exc).__name__}"}
 
 
-def _map_points(fn, points, threads: int):
+def _map_points(fn, points, threads: int) -> list:
+    """``_guarded_point`` of ``fn`` over the (D, Omega_c) ``points``, in order,
+    across ``threads`` worker processes when more than one."""
     run = partial(_guarded_point, fn)
     if threads > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

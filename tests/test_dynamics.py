@@ -12,9 +12,8 @@ from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, Physi
                           PulseEnvelope, PulseShape, build_chain, optical_depth, time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
                              _csr, _giant_step, _ramp_powers, assemble_generator, decay_steps,
-                             evolve, expm, free_decay,
-                             one_photon_amplitude, propagate_segment, steady_state,
-                             steady_transmission_amplitude, two_photon_amplitude)
+                             evolve, expm, propagate_segment, steady_state,
+                             steady_transmission_amplitude)
 from rydeit.observables import trace_from_trajectory
 from rydeit.statespace import TruncatedState, zero_state
 
@@ -94,7 +93,7 @@ def test_perfect_eit_steady_state():
         assert abs(ss.amplitudes[idx.e_slot(h)]) < 1e-12
         expected_r = math.sqrt(gen.params.gamma_1d / 2) * np.exp(1j * z[h]) / 0.5
         assert ss.amplitudes[idx.r_slot(h)] == pytest.approx(expected_r, rel=1e-12)
-    assert one_photon_amplitude(ss, 1.0, gen) == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 + gen.out_e @ ss.singles == pytest.approx(1.0, abs=1e-12)
 
 
 def test_blockaded_steady_transparency():
@@ -102,7 +101,7 @@ def test_blockaded_steady_transparency():
     # component sees perfect transparency regardless of the blockade
     gen = make_generator(n_atoms=10, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
-    assert abs(one_photon_amplitude(ss, 1.0, gen)) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert abs(1.0 + gen.out_e @ ss.singles) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_steady_state_matches_long_evolution():
@@ -322,15 +321,37 @@ def test_each_stretch_takes_its_route(monkeypatch):
         return real(gen, parts, omega, a, *args)
 
     monkeypatch.setattr(dynamics, "_magnus_powers", counted)
+    dense = []
+    real_dense = dynamics._dense_powers
+
+    def counted_dense(prop, y, n_out, project, giant=None):
+        dense.append(n_out)
+        return real_dense(prop, y, n_out, project, giant)
+
+    monkeypatch.setattr(dynamics, "_dense_powers", counted_dense)
     calls = _count_expm(monkeypatch)
     square = make_generator(n_atoms=3, duration=10.0, rise_time=1.0)
     evolve(square, (0.0, 12.0), dt_out=0.5)
     assert magnus == [] and len(calls) == 1
+    assert dense == [16, 4]                  # the plateau and the tail
     calls.clear()
+    dense.clear()
     gaussian = make_generator(n_atoms=3, shape=PulseShape.GAUSSIAN, duration=10.0)
     evolve(gaussian, (0.0, 12.0), dt_out=0.5)
     assert magnus == [0.0]                   # the window; the tail is constant
-    assert len(calls) == 2
+    assert len(calls) == 2 and dense == [4]
+    # the post-pulse tail is affine at level 0, and so is the stretch before
+    # a late pulse: both take the tail's exponential, the window the Magnus step
+    assert gaussian.envelope.affine_on(10.0, 12.0) == (0.0, 0.0)
+    assert gaussian.envelope.affine_on(0.0, 10.0) is None
+    late = replace(gaussian, envelope=replace(gaussian.envelope, t_on=2.0))
+    assert late.envelope.affine_on(0.0, 2.0) == (0.0, 0.0)
+    calls.clear()
+    dense.clear()
+    magnus.clear()
+    evolve(late, (0.0, 14.0), dt_out=0.5)
+    assert magnus == [2.0]
+    assert len(calls) == 2 and dense == [4, 4]
 
 
 @pytest.mark.parametrize("a, b", [(2.0, 6.0), (0.5, 1.5), (8.0, 12.0)])
@@ -452,9 +473,9 @@ def test_short_constant_stretch_takes_the_exponential(monkeypatch):
 @pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])
 @pytest.mark.parametrize("n_out", [1, 2, 63, 64, 65, 5000, 6001])
 def test_free_decay_matches_step_loop(doubles, horizon, n_out):
-    # free_decay splits the powers into baby and giant steps; the reference
-    # is the plain loop y <- P y, projected on one covector and on a 2-row
-    # stack of it and a random covector
+    # the free decay of one block (decay_steps) splits the powers into baby
+    # and giant steps; the reference is the plain loop y <- P y, projected on
+    # one covector and on a 2-row stack of it and a random covector
     _check_free_decay_against_loop(make_generator(n_atoms=10, omega_c=0.5), doubles,
                                    horizon, n_out)
 
@@ -481,10 +502,12 @@ def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
     for k in range(n_out):
         y = prop @ y
         ref[k] = stack @ y
-    got = free_decay(gen, y0, 0.5, horizon, n_out, project, doubles=doubles)
-    assert got.shape == (n_out,)
-    assert np.max(np.abs(got - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref[:, 0]))
-    got = free_decay(gen, y0, 0.5, horizon, n_out, stack, doubles=doubles)
+    steps = decay_steps(gen, 0.5, horizon / n_out, doubles)
+    got, end = steps(y0, n_out, project[None])
+    assert got.shape == (n_out, 1)
+    assert np.max(np.abs(got[:, 0] - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref[:, 0]))
+    assert np.max(np.abs(end - y)) <= 1e-12 * np.max(np.abs(y))
+    got, _ = steps(y0, n_out, stack)
     assert got.shape == (n_out, 2)
     for r in range(2):
         assert np.max(np.abs(got[:, r] - ref[:, r])) <= 1e-12 * np.max(np.abs(ref[:, r]))
@@ -493,18 +516,19 @@ def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
 @pytest.mark.parametrize("doubles", [False, True])
 def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
     # above the dense cap the Taylor action projects a covector stack row by
-    # row like single covectors
+    # row like one-row stacks
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=4, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
     y0, project = (ss.doubles, gen.a2vec) if doubles else (ss.singles, gen.out_e)
     stack = np.stack([project, np.conj(project)])
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
-    got = free_decay(gen, y0, 0.5, 2.0, 20, stack, doubles=doubles)
+    steps = decay_steps(gen, 0.5, 0.1, doubles)
+    got, _ = steps(y0, 20, stack)
     assert got.shape == (20, 2)
     for r in range(2):
-        one = free_decay(gen, y0, 0.5, 2.0, 20, stack[r], doubles=doubles)
-        assert np.max(np.abs(got[:, r] - one)) <= 1e-14 * np.max(np.abs(one))
+        one, _ = steps(y0, 20, stack[r:r + 1])
+        assert np.max(np.abs(got[:, r:r + 1] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
@@ -516,10 +540,10 @@ def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
     assert gen.index.dim_doubles == 155 <= dynamics.DECAY_DENSE_DOUBLES
     y0 = steady_state(gen, omega_c=0.5).doubles
     calls = _count_expm(monkeypatch)
-    dense = free_decay(gen, y0, 0.5, 45.0, 5000, gen.a2vec, doubles=True)
+    dense, _ = decay_steps(gen, 0.5, 45.0 / 5000, True)(y0, 5000, gen.a2vec[None])
     assert calls == [(155, 155)]
     monkeypatch.setattr(dynamics, "DECAY_DENSE_DOUBLES", 154)
-    action = free_decay(gen, y0, 0.5, 45.0, 5000, gen.a2vec, doubles=True)
+    action, _ = decay_steps(gen, 0.5, 45.0 / 5000, True)(y0, 5000, gen.a2vec[None])
     assert calls == [(155, 155)]
     assert np.max(np.abs(dense - action)) <= 1e-12 * np.max(np.abs(action))
 
@@ -536,9 +560,9 @@ def test_decay_steps_continue_from_the_end_state(monkeypatch, doubles, cap):
     ss = steady_state(gen, omega_c=0.25)
     y0, project = (ss.doubles, gen.a2vec) if doubles else (ss.singles, gen.out_e)
     steps = decay_steps(gen, 0.25, 0.01, doubles)
-    whole, end = steps(y0, 3000, project, end_state=True)
-    first, y = steps(y0, 1000, project, end_state=True)
-    rest, y = steps(y, 2000, project, end_state=True)
+    whole, end = steps(y0, 3000, project[None])
+    first, y = steps(y0, 1000, project[None])
+    rest, y = steps(y, 2000, project[None])
     got = np.concatenate([first, rest])
     assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
     assert np.max(np.abs(y - end)) <= 1e-12 * np.max(np.abs(end))
@@ -846,7 +870,7 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     # or the reference, drifts by up to 3e-14 of the largest entry per unit
     # time in the end state (1.2e-12 over 40, 4.5e-14 over this stretch of 2)
     gen = _power_law_generator(duration=100.0)
-    monkeypatch.setattr(gen, "envelope_at", lambda t: level)
+    monkeypatch.setattr(PulseEnvelope, "affine_on", lambda self, a, b: (level, 0.0))
     dim = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
     rows = gen.output_covectors(grid)[:, :dim]
     m = _giant_step(dim, n_out, len(rows))
@@ -866,23 +890,24 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
 @pytest.mark.parametrize("n_out", [255, 256, 257])
 @pytest.mark.parametrize("c", [1, 2, "singles"])
 def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
-    # free_decay's dense singles route, stepped in the triangular basis,
-    # against scipy's dense propagator: one covector, two rows, and the
-    # out_e row over the singles rows a correlation grid reads
+    # the dense singles route of decay_steps, stepped in the triangular
+    # basis, against scipy's dense propagator: one covector, two rows, and
+    # the out_e row over the singles rows a correlation grid reads
     gen = _power_law_generator(n_atoms=10, omega_c=0.5)
     y0 = steady_state(gen, omega_c=0.5).singles
     n1 = len(y0)
     rng = np.random.default_rng(13)
     other = rng.normal(size=n1) + 1j * rng.normal(size=n1)
-    stack = {1: gen.out_e, 2: np.stack([gen.out_e, other]),
-             "singles": np.vstack([gen.out_e, np.eye(n1)])}[c]
-    rows = np.atleast_2d(stack)
+    rows = {1: gen.out_e[None], 2: np.stack([gen.out_e, other]),
+            "singles": np.vstack([gen.out_e, np.eye(n1)])}[c]
     m = _giant_step(n1, n_out, len(rows))
     assert m > 1 and 256 % m == 0
-    ref, _ = _dense_loop(_scipy_expm(gen.m1(0.5) * (40.0 / n_out)), y0, n_out, rows)
-    got = free_decay(gen, y0, 0.5, 40.0, n_out, stack)
-    assert got.shape == ((n_out,) if c == 1 else ref.shape)
-    assert np.max(np.abs(got.reshape(ref.shape) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ref, y_ref = _dense_loop(_scipy_expm(gen.m1(0.5) * (40.0 / n_out)), y0, n_out, rows)
+    got, end = decay_steps(gen, 0.5, 40.0 / n_out)(y0, n_out, rows)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(end - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+    assert np.array_equal(got[-1], rows @ end)
 
 
 def test_evolve_deterministic_bit_for_bit():
@@ -950,12 +975,9 @@ def test_observables_invariant_under_kp_sign():
 
 def test_turn_on_instant_is_coherent():
     gen = make_generator(n_atoms=6)
-    traj = evolve(gen, (0.0, 5.0), dt_out=0.5, project=state_rows(gen))
-    state = TruncatedState(gen.index, traj.projections[0])
-    f1 = one_photon_amplitude(state, 1.0, gen)
-    a2 = two_photon_amplitude(state, 1.0, gen)
-    g2 = abs(a2) ** 2 / abs(f1) ** 4
-    assert g2 == pytest.approx(1.0, abs=1e-12)
+    trace = trace_from_trajectory(evolve(gen, (0.0, 5.0), dt_out=0.5), gen)
+    assert trace.envelope_unit[0] == 1.0
+    assert trace.g2[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_storage_population_decay_oracle():

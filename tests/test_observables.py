@@ -36,10 +36,15 @@ def _synthetic_trace(times, intensity, g2tilde, envelope=None, omega=None):
 def test_no_atoms_equivalent_input_passthrough():
     # a chain must hold at least one atom; the zero-state trace plays the role
     # of "atoms never excited": output equals the bare input
+    from rydeit.dynamics import StateTrajectory
     gen = make_generator(n_atoms=1, omega_c=0.5)
-    from rydeit.statespace import zero_state
-    from rydeit.dynamics import one_photon_amplitude
-    assert one_photon_amplitude(zero_state(gen.index), 0.73, gen) == pytest.approx(0.73)
+    traj = StateTrajectory(index=gen.index, times=np.array([0.0, 1.0]),
+                           covectors=gen.output_covectors(),
+                           projections=np.zeros((2, 2), dtype=complex),
+                           envelope_unit=np.array([0.73, 0.0]), omega_c=np.full(2, 0.5))
+    trace = trace_from_trajectory(traj, gen)
+    np.testing.assert_allclose(trace.intensity, [0.73 ** 2, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(trace.g2tilde, [0.73 ** 4, 0.0], rtol=1e-15)
 
 
 def test_coherent_factorization_trace(params):
@@ -252,6 +257,25 @@ def test_spectrum_fwhm_on_analytic_window():
     assert pk == pytest.approx(1.0, abs=1e-6)
 
 
+def test_spectrum_fwhm_needs_both_half_crossings(tmp_path):
+    # each edge is the first half crossing from the peak outward; a window
+    # that never falls to half height on one side is an extraction error,
+    # and the spectrum runner then records fwhm_gamma = nan
+    from dataclasses import replace
+    from rydeit.configio import default_config
+    from rydeit.scenarios import run_spectrum
+    spec = [(float(d), 1.0 / (1.0 + d * d)) for d in np.linspace(-2.0, 2.0, 801)]
+    assert spectrum_fwhm(spec) == pytest.approx(2.0, rel=1e-9)
+    for side in (lambda d: d > -0.5, lambda d: d < 0.5):
+        with pytest.raises(ExtractionError):
+            spectrum_fwhm([(d, t) for d, t in spec if side(d)])
+    cfg = replace(default_config("spectrum", {}), delta_min=-0.01, delta_max=0.01)
+    bundle = run_spectrum(cfg)
+    assert math.isnan(bundle.scalars["fwhm_gamma"]) and "fwhm_mhz" not in bundle.scalars
+    bundle.write(tmp_path)
+    assert "fwhm_gamma = nan" in (tmp_path / "manifest.ini").read_text()
+
+
 # ---------------------------------------------------------------------------
 # steady-state measurement and transient extraction
 
@@ -329,23 +353,22 @@ def test_extract_tau_ii_half_of_post_jump():
 def test_fit_pure_exponentials_within_one_percent():
     ts = np.linspace(2.0, 20.0, 400)
     for rate in (1.0, 2.0):
-        tr = _synthetic_trace(ts, np.ones_like(ts), 0.5 * np.exp(-rate * ts))
-        assert fit_exponential_envelope(tr, 2.0, 20.0) == pytest.approx(rate, rel=0.01)
+        assert fit_exponential_envelope(ts, 0.5 * np.exp(-rate * ts)) == pytest.approx(
+            rate, rel=0.01)
 
 
 def test_fit_oscillating_envelope():
     ts = np.linspace(0.0, 19.5, 2000)
     y = np.exp(-ts) * (0.55 + 0.45 * np.cos(3.0 * ts)) ** 2
-    tr = _synthetic_trace(ts, np.ones_like(ts), y)
-    rate = fit_exponential_envelope(tr, 0.0, 19.5)
+    rate = fit_exponential_envelope(ts, y)
     assert rate == pytest.approx(1.0, rel=0.15)
 
 
 def test_fit_too_few_points_errors():
     ts = np.linspace(0.0, 10.0, 100)
-    tr = _synthetic_trace(ts, np.ones_like(ts), np.exp(-ts))
+    window = (ts >= 4.0) & (ts <= 4.05)
     with pytest.raises(ExtractionError):
-        fit_exponential_envelope(tr, 4.0, 4.05)
+        fit_exponential_envelope(ts[window], np.exp(-ts[window]))
 
 
 # ---------------------------------------------------------------------------

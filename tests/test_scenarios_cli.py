@@ -391,15 +391,50 @@ def test_storage_efficiency_decreases_with_dephasing():
     assert effs[0] > effs[1] > effs[2]
 
 
-def test_turnon_point_auto_extends_and_caps():
-    from rydeit.scenarios import _turnon_point
+def _scan_config(kind, **fields):
+    # a scan config with the default device, PhysicalParams.from_ratio(0.2)
+    from dataclasses import replace
+    cfg = replace(default_config(kind, {}), **fields)
+    assert cfg.params == PhysicalParams.from_ratio(0.2)
+    return cfg
+
+
+_TURNOFF_CFG = _scan_config("turnoff_scan", turnoff_doubles=True, tail_fit_start=8.0,
+                            tail_fit_end=25.0)
+_SINGLES_CFG = _scan_config("turnoff_scan", turnoff_doubles=False)
+
+
+def test_turnon_point_auto_extends_and_caps(monkeypatch):
+    import rydeit.scenarios as scenarios
     # a very tight settling tolerance outruns the initial horizon and forces
     # the doubling path; an absurd tolerance with a tiny cap must flag the row
-    out = _turnon_point((1.8, 0.5, PhysicalParams.from_ratio(0.2), 1e-9, 100.0))
+    out = scenarios._turnon_point(_scan_config("turnon_scan", rel_tol=1e-9), 1.8, 0.5)
     assert out["status"] == "ok"
-    assert out["tau_0"] > 50.0  # beyond the first horizon
-    capped = _turnon_point((1.8, 0.5, PhysicalParams.from_ratio(0.2), 1e-13, 4.0))
+    assert out["tau0_gamma"] > 50.0  # beyond the first horizon
+    monkeypatch.setattr(scenarios, "TURNON_CAP", 4.0)
+    capped = scenarios._turnon_point(_scan_config("turnon_scan", rel_tol=1e-13), 1.8, 0.5)
     assert capped["status"] == "no_settling_before_cap"
+    assert "tau0_gamma" not in capped and capped["g2_ss"] == out["g2_ss"]
+
+
+def test_turnon_point_builds_one_device(monkeypatch):
+    # the doubling path evolves one generator from one steady state, under a
+    # square probe that stays on over every horizon up to the cap
+    import rydeit.scenarios as scenarios
+    devices = _record_calls(monkeypatch, scenarios, "steady_state", 0)
+    horizons = []
+    real = scenarios.evolve
+
+    def evolve(gen, span, *args, **kwargs):
+        horizons.append(span[1])
+        assert gen.envelope.t_end > span[1]
+        return real(gen, span, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "evolve", evolve)
+    out = scenarios._turnon_point(_scan_config("turnon_scan", rel_tol=1e-9), 1.8, 0.5)
+    assert len(devices) == 1 and len(horizons) > 1
+    assert horizons == [50.0 * 2 ** k for k in range(len(horizons))]
+    assert out["status"] == "ok"
 
 
 def test_scan_point_fingerprints():
@@ -407,20 +442,21 @@ def test_scan_point_fingerprints():
     # catch a refactor that moves the numbers; pin points of each scan, the
     # turn-on scan at a short and at a long output step
     from rydeit.scenarios import _turnoff_point, _turnon_point
-    on = _turnon_point((3.6, 0.25, PhysicalParams.from_ratio(0.2), 0.005, 100.0))
+    on_cfg = _scan_config("turnon_scan", rel_tol=0.005)
+    on = _turnon_point(on_cfg, 3.6, 0.25)
     assert on["status"] == "ok"
-    assert on["tau_0"] == pytest.approx(64.59725685832528, rel=1e-12)
+    assert on["tau0_gamma"] == pytest.approx(64.59725685832528, rel=1e-12)
     assert on["g2_ss"] == pytest.approx(0.1043612635729166, rel=1e-12)
     # Omega_c = 0.05: a far longer horizon and output step
-    on = _turnon_point((3.6, 0.05, PhysicalParams.from_ratio(0.2), 0.005, 100.0))
+    on = _turnon_point(on_cfg, 3.6, 0.05)
     assert on["status"] == "ok"
-    assert on["tau_0"] == pytest.approx(1864.639025643132, rel=1e-12)
+    assert on["tau0_gamma"] == pytest.approx(1864.639025643132, rel=1e-12)
     assert on["g2_ss"] == pytest.approx(0.0887863478133944, rel=1e-12)
-    off = _turnoff_point((3.6, 0.25, PhysicalParams.from_ratio(0.2), True, 8.0, 25.0))
+    off = _turnoff_point(_TURNOFF_CFG, 3.6, 0.25)
     assert off["status"] == "ok"
-    expected = {"tau_i": 4.874427894176789, "peak_intensity": 0.5931312619453503,
-                "g2tilde_jump": 0.45826138407156086, "tau_ii": 0.7273525589201222,
-                "tail_rate": 1.0804656981356617}
+    expected = {"tau_i_gamma": 4.874427894176789, "peak_intensity": 0.5931312619453503,
+                "g2tilde_jump": 0.45826138407156086, "tau_ii_gamma": 0.7273525589201222,
+                "tail_rate_gamma": 1.0804656981356617}
     for key, value in expected.items():
         assert off[key] == pytest.approx(value, rel=1e-12), key
 
@@ -445,7 +481,7 @@ def test_scan_points_keep_the_configured_params(monkeypatch):
     cfg = replace(default_config("turnon_scan", {}), params=params, d_list=(1.8,),
                   omega_c_list=(0.5,), threads=1)
     assert scenarios.run_turnon_scan(cfg).tables[0][2][0][-1] == "ok"
-    scenarios._turnoff_point((1.8, 0.25, params, False, 5.0, 20.0))
+    scenarios._turnoff_point(replace(cfg, turnoff_doubles=False), 1.8, 0.25)
     assert seen[0] == replace(params, omega_c_peak=0.5)
     assert seen[-1] == replace(params, omega_c_peak=0.25)
 
@@ -455,43 +491,32 @@ def test_turnoff_doubles_above_expm_cap(monkeypatch):
     # with no dense exponential; it must reproduce the dense path's numbers
     import rydeit.dynamics as dynamics
     from rydeit.scenarios import _turnoff_point
-    point = (3.6, 0.25, PhysicalParams.from_ratio(0.2), True, 8.0, 25.0)
-    dense = _turnoff_point(point)
+    dense = _turnoff_point(_TURNOFF_CFG, 3.6, 0.25)
 
     def no_expm(_a):
         raise AssertionError("dense propagator used above the cap")
 
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
     monkeypatch.setattr(dynamics, "expm", no_expm)
-    action = _turnoff_point(point)
+    action = _turnoff_point(_TURNOFF_CFG, 3.6, 0.25)
     assert action["status"] == "ok"
-    for key in ("tau_i", "peak_intensity", "tau_ii", "tail_rate"):
+    for key in ("tau_i_gamma", "peak_intensity", "tau_ii_gamma", "tail_rate_gamma"):
         assert action[key] == pytest.approx(dense[key], rel=1e-12), key
 
 
 def test_turnoff_doubles_decay_takes_no_dense_exponential(monkeypatch):
     # the doubles block stays sparse at any size: the deepest default point
-    # (D ~ 9.1, 950 doubles dims) decays with the dense exponential disabled
+    # (D ~ 9.1, 950 doubles dims) decays by the Taylor action, and its one
+    # dense exponential is the singles block's
     import rydeit.dynamics as dynamics
-    from dataclasses import replace
-    from rydeit.model import (BlockadeConfig, ControlSchedule, PulseEnvelope, PulseShape,
-                              build_chain)
-    from rydeit.scenarios import _turnoff_doubles, atoms_for_depth
-    params = replace(PhysicalParams.from_ratio(0.2), omega_c_peak=0.5)
-    chain = build_chain(atoms_for_depth(9.1, params), 1.0)
-    gen = dynamics.assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
-                                      ControlSchedule.constant(0.5),
-                                      PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0))
-    ss = dynamics.steady_state(gen, omega_c=0.5)
-
-    def no_expm(_a):
-        raise AssertionError("dense exponential of the doubles block")
-
-    monkeypatch.setattr(dynamics, "expm", no_expm)
-    got = _turnoff_doubles(gen, ss, 0.5, 8.0, 25.0)
-    assert gen.index.dim_doubles == 950
-    assert got["tau_ii"] == pytest.approx(0.3288512313452058, rel=1e-12)
-    assert got["tail_rate"] == pytest.approx(1.428061768360669, rel=1e-12)
+    from rydeit.scenarios import _turnoff_point
+    dense = _record_calls(monkeypatch, dynamics, "expm", 0)
+    action = _record_calls(monkeypatch, dynamics, "_action_powers", 0)
+    got = _turnoff_point(_TURNOFF_CFG, 9.1, 0.5)
+    assert dense == [2 * got["n_atoms"]]
+    assert action == [950]
+    assert got["tau_ii_gamma"] == pytest.approx(0.3288512313452058, rel=1e-12)
+    assert got["tail_rate_gamma"] == pytest.approx(1.428061768360669, rel=1e-12)
 
 
 def test_turnoff_scan_ignores_numpy_global_seed(tmp_path):
@@ -535,12 +560,12 @@ def test_turnoff_retries_keep_the_output_step():
     from rydeit.dynamics import steady_state
     from rydeit.scenarios import _turnoff_point
     from conftest import make_generator
-    out = _turnoff_point((1.8, 0.5, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0))
+    out = _turnoff_point(_SINGLES_CFG, 1.8, 0.5)
     assert out["status"] == "no_half_crossing"
     gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0, n_in=1.0)
     y = steady_state(gen, omega_c=0.5).singles
     n_steps = 6000 * 128
-    prop = expm(gen.m1(0.5) * (max(0.4 * out["tau_eit"], 40.0) * 128 / n_steps))
+    prop = expm(gen.m1(0.5) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
     amps = np.empty(n_steps + 1, dtype=complex)
     amps[0] = gen.out_e @ y
     for k in range(1, n_steps + 1):
@@ -611,27 +636,25 @@ def test_turnoff_continuation_matches_the_stop(monkeypatch):
     # one propagator, and ends where the stop ended it
     import rydeit.dynamics as dynamics
     import rydeit.scenarios as scenarios
-    point = (1.8, 0.25, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)
-    stopped = scenarios._turnoff_point(point)
+    stopped = scenarios._turnoff_point(_SINGLES_CFG, 1.8, 0.25)
     monkeypatch.setattr(scenarios, "log_norm", lambda m: 1.0)
     dims = _record_calls(monkeypatch, dynamics, "expm", 0)
     steps = _record_calls(monkeypatch, dynamics, "_dense_powers", 2)
-    full = scenarios._turnoff_point(point)
+    full = scenarios._turnoff_point(_SINGLES_CFG, 1.8, 0.25)
     assert dims == [10]
     assert steps == [6000, 6000, 12000, 24000, 48000, 96000, 192000, 384000]
     assert stopped["status"] == full["status"] == "no_half_crossing"
     assert full["peak_intensity"] == pytest.approx(stopped["peak_intensity"], rel=1e-12)
 
 
-_GOOD_POINT = (1.8, 0.5, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)
-_BAD_POINT = (1.8, -0.25, PhysicalParams.from_ratio(0.2), False, 5.0, 20.0)  # negative control
-
-
 @pytest.mark.filterwarnings("ignore:scan point")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_map_points_flags_a_raising_point(threads):
+    # the second point has a negative control
+    from functools import partial
     from rydeit.scenarios import _map_points, _turnoff_point
-    good, bad = _map_points(_turnoff_point, [_GOOD_POINT, _BAD_POINT], threads)
+    good, bad = _map_points(partial(_turnoff_point, _SINGLES_CFG), [(1.8, 0.5), (1.8, -0.25)],
+                            threads)
     assert good["status"] == "no_half_crossing"
     assert bad == {"d_target": 1.8, "omega_c": -0.25,
                    "status": "failed:ConfigurationError"}
