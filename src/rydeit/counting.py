@@ -225,10 +225,7 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
     """Synthesize the detection record of ``n_trials`` identical trials."""
     if n_trials < 1:
         raise ConfigurationError("need at least one trial")
-    env2 = np.trapezoid(trace.envelope_unit ** 2, trace.times)
-    if env2 <= 0:
-        raise ConfigurationError("trace carries no input pulse")
-    e0sq = n_in / env2
+    e0sq = n_in / trace.input_energy()
 
     lam = e0sq * trace.intensity                       # output photon rate
     mu1 = float(np.trapezoid(lam, trace.times))
@@ -296,22 +293,21 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
 # ---------------------------------------------------------------------------
 # coincidence estimator
 
-def estimate_g2(stream: DetectionStream, w1_ns, w2_ns,
-                baseline_trials=(5, 20)):
+def estimate_g2(stream: DetectionStream, w1_ns, w2_ns):
     """Windowed g2 from same-trial cross-detector coincidences, normalized by
-    the mean coincidences against the ``baseline_trials`` offset range.
+    the mean coincidences against the trials 5 to 20 later.
 
     Returns (value, standard_error); Poisson counting errors propagated from
     the coincidence and baseline counts.
     """
-    if stream.n_trials <= baseline_trials[1]:
+    k_lo, k_hi = 5, 20
+    if stream.n_trials <= k_hi:
         raise EstimateError("need more trials than the largest baseline offset")
     n1 = stream.counts_in_window(1, w1_ns)
     n2 = stream.counts_in_window(2, w2_ns)
     t = stream.n_trials
     same = float(np.dot(n1, n2))
 
-    k_lo, k_hi = baseline_trials
     b_rates = []
     b_total = 0.0
     for k in range(k_lo, k_hi + 1):
@@ -331,11 +327,9 @@ def estimate_g2(stream: DetectionStream, w1_ns, w2_ns,
 
 
 def generation_probability_from_trace(trace: ObservableTrace, window, n_in: float) -> float:
-    """Photons per trial at the cloud output inside the window (Gamma units)."""
-    env2 = np.trapezoid(trace.envelope_unit ** 2, trace.times)
-    if env2 <= 0:
-        return 0.0
-    e0sq = n_in / env2
+    """Photons per trial at the cloud output inside the window (Gamma
+    units); a window of fewer than two samples holds none."""
+    e0sq = n_in / trace.input_energy()
     t0, width = window
     mask = trace.window_mask(t0, t0 + width)
     if int(np.sum(mask)) < 2:

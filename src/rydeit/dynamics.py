@@ -32,7 +32,7 @@ and the one-photon output amplitude is
 f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
 
 Every evolution of the full state goes through ``propagate_segment``, which
-advances a stacked [ground; singles(; doubles)] vector across one segment in
+advances a stacked [ground; singles; doubles] vector across one segment in
 equal output steps.  ``Generator.stacked`` holds the generator on that
 layout as three CSR parts, A(t) = S + Omega_c(t) W + e(t) F at drive level
 e = ep(t).  The control is piecewise constant and segments end at its
@@ -40,9 +40,9 @@ breakpoints, so Omega_c is constant on each.  A stretch where e is constant
 too takes the exact exponential, whatever its length.  So does a drive
 ramp, where the envelope is affine, e(a + tau) = c0 + c1 tau (a square
 pulse's rise and fall, a triangular pulse): F is nilpotent and the ground
-amplitude g is frozen, so the clocks tau g, tau^2 g and, with the doubles,
-tau psi1 make the ramp a constant linear system, stepped by its Taylor
-action (``_ramp_powers``).
+amplitude g is frozen, so the clocks tau g, tau^2 g and tau psi1 make the
+ramp a constant linear system, stepped by its Taylor action
+(``_ramp_powers``).
 
 A gaussian envelope takes the 4th-order commutator-free Magnus step of
 Blanes and Moan (Appl. Numer. Math. 56:1519, 2006; see also Alvermann and
@@ -56,7 +56,7 @@ exponential of the lifted generator, so in a linear medium the doubles stay
 the pair of the singles and g2 = 1 to rounding.
 
 Under ``EXPM_MAX_DIM`` the exponential is E = exp(A(1) h) at unit drive,
-of the CSR S + Omega_c W + F, once per (Omega_c, step h, layout).  With
+of the CSR S + Omega_c W + F, once per (Omega_c, step h).  With
 D = diag(1, e, e^2) over the ground, singles and doubles blocks,
 A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground column's
 singles rows scale by e, its doubles rows by e^2 and the doubles <- singles
@@ -104,11 +104,9 @@ Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1, the rows
 C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
 (ceil(n/m) x d)(d x m c) product, and the end state is the last column
 advanced by at most m - 1 steps.  A turn-off point builds one singles P
-and goes on from that end state over each longer horizon it needs; its
-stop rests on ``log_norm``, the top eigenvalue lam of (M + M^H) / 2, since
-||exp(M t)|| <= exp(lam t) bounds every later sample by the end state's
-norm (lam = 0 on the default turn-off devices, where gamma_r = 0, and
--gamma_r on the replica).
+and goes on from that end state over each longer horizon it needs, and
+stops once the end state's norm bounds every later sample under the half
+level: the undriven singles contract (``scenarios._turnoff_point``).
 
 An ``expm`` propagator P, triangular in its basis, gives P^m by log2 m
 triangular squarings (``_tri_mul``), and a step is one triangular matvec
@@ -132,8 +130,8 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,14 +196,6 @@ class Generator:
     out_e: np.ndarray           # singles -> ground annihilation covector
     a2vec: np.ndarray           # doubles -> ground double-annihilation covector
     v_max: float
-    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    # --- time-dependent coefficient lookups --------------------------------
-    def omega_at(self, t: float) -> float:
-        return self.schedule.value(t)
-
-    def envelope_at(self, t: float) -> float:
-        return self.envelope.unit_shape(t)
 
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.envelope.breakpoints()) | set(self.schedule.breakpoints())))
@@ -217,28 +207,19 @@ class Generator:
     def m2(self, omega: float) -> sp.csr_matrix:
         return (self.m2_static + omega * self.m2_omega).tocsr()
 
-    def stacked(self, doubles: bool) -> tuple:
+    @cached_property
+    def stacked(self) -> tuple:
         """Static, Omega_c and drive parts (S, W, F) of the generator on the
-        stacked [ground; singles(; doubles)] layout, as CSR matrices built
-        once per layout: A(t) = S + Omega_c(t) W + e(t) F at drive level e."""
-        parts = self._parts.get(doubles)
-        if parts is None:
-            def zero(rows, cols):
-                return sp.csr_matrix((rows, cols), dtype=complex)
-            n1, d2 = self.index.dim_singles, self.index.dim_doubles
-            src = _csr(self.s1[:, None])
-            m1s, m1o = _csr(self.m1_static), _csr(self.m1_omega)
-            if doubles:
-                s = sp.block_diag([zero(1, 1), m1s, self.m2_static])
-                w = sp.block_diag([zero(1, 1), m1o, self.m2_omega])
-                f = sp.bmat([[zero(1, 1), None, None], [src, None, None],
-                             [None, self.s21, zero(d2, d2)]])
-            else:
-                s = sp.block_diag([zero(1, 1), m1s])
-                w = sp.block_diag([zero(1, 1), m1o])
-                f = sp.bmat([[zero(1, 1), None], [src, zero(n1, n1)]])
-            parts = self._parts[doubles] = tuple(_csr(m) for m in (s, w, f))
-        return parts
+        stacked [ground; singles; doubles] layout, as CSR matrices built on
+        first use: A(t) = S + Omega_c(t) W + e(t) F at drive level e."""
+        def zero(rows, cols):
+            return sp.csr_matrix((rows, cols), dtype=complex)
+        d2 = self.index.dim_doubles
+        s = sp.block_diag([zero(1, 1), _csr(self.m1_static), self.m2_static])
+        w = sp.block_diag([zero(1, 1), _csr(self.m1_omega), self.m2_omega])
+        f = sp.bmat([[zero(1, 1), None, None], [_csr(self.s1[:, None]), None, None],
+                     [None, self.s21, zero(d2, d2)]])
+        return tuple(_csr(m) for m in (s, w, f))
 
     def output_covectors(self, grid: bool = False) -> np.ndarray:
         """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
@@ -642,11 +623,12 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
 def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
                       out: np.ndarray | None = None, cache: dict | None = None,
                       project: np.ndarray | None = None) -> np.ndarray:
-    """Advance the stacked vector ``y`` from ``a`` to ``b`` in ``n_out`` equal
-    output steps and return the state at ``b``; row k of ``out``, when
-    given, receives ``project @ y`` (c x d covectors) after step k + 1.
-    A segment may not cross a breakpoint of the envelope or the control, so
-    Omega_c is constant on it and the envelope one smooth piece.
+    """Advance the stacked vector ``y`` (length 1 + ``index.dim``) from
+    ``a`` to ``b`` in ``n_out`` equal output steps and return the state at
+    ``b``; row k of ``out``, when given, receives ``project @ y`` (c x d
+    covectors) after step k + 1.  A segment may not cross a breakpoint of
+    the envelope or the control, so Omega_c is constant on it and the
+    envelope one smooth piece.
 
     The route follows ``PulseEnvelope.affine_on``.  A stretch of constant
     coefficients (slope 0) takes the exact exponential at its drive level:
@@ -656,58 +638,58 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     slope), through the clocked generator of ``_ramp_powers``.  The rest, a
     gaussian envelope inside its window, takes the Magnus step
     (``_magnus_powers``)."""
+    if len(y) != 1 + gen.index.dim:
+        raise ConfigurationError(f"stacked vector of length {len(y)}, "
+                                 f"expected {1 + gen.index.dim}")
     eps = 1e-12 * max(1.0, abs(a), abs(b))
     if any(a + eps < t < b - eps for t in gen.breakpoints()):
         raise DynamicsError(f"segment [{a:.6g}, {b:.6g}] crosses a breakpoint")
     h_out = (b - a) / n_out
-    n1 = gen.index.dim_singles
-    doubles = y.shape[0] > 1 + n1
     project = np.empty((0, len(y))) if project is None else project
     cache = {} if cache is None else cache
-    om = gen.omega_at(a)
-    parts = gen.stacked(doubles)
+    om = gen.schedule.value(a)
     ramp = gen.envelope.affine_on(a, b)
     if ramp is None:
-        proj, y = _magnus_powers(gen, parts, om, a, h_out, n_out, y, project, cache)
+        proj, y = _magnus_powers(gen, om, a, h_out, n_out, y, project, cache)
     elif ramp[1] != 0.0:
         proj, z = _ramp_powers(gen, om, ramp, h_out, y, n_out, project)
         y = z[:len(y)]
         proj[-1] = project @ y
     elif len(y) <= EXPM_MAX_DIM:
         m = _giant_step(len(y), n_out, len(project))
-        unit, giant = (_unit_exp(cache, parts, om, h_out, len(y), p) for p in (1, m))
-        with _at_drive([unit] if m == 1 else [unit, giant], n1, ramp[0]):
+        unit, giant = (_unit_exp(cache, gen, om, h_out, p) for p in (1, m))
+        with _at_drive([unit] if m == 1 else [unit, giant], gen.index.dim_singles, ramp[0]):
             proj, y = _dense_powers(unit, y, n_out, project, giant=(m, giant.tri))
     else:
-        s, w, f = parts
+        s, w, f = gen.stacked
         proj, y = _action_powers(s + om * w + ramp[0] * f, h_out, y, n_out, project)
     if out is not None:
         out[:] = proj
     return y
 
 
-def _unit_exp(cache: dict, parts: tuple, omega: float, tau: float, d: int,
+def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float,
               m: int = 1) -> TriangularExp:
     """exp(A(1) tau)^m for a power of two m, with exp(A(1) tau) the
-    unit-drive exponential of the stacked ``parts`` (S, W, F) at control
-    ``omega``, each once per (omega, tau, layout, m) in ``cache``: the power
-    by log2 m squarings in the same basis.  At the unit drive one power
-    serves every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
-    key = (round(omega, 15), round(tau, 15), d, m)
+    unit-drive exponential of ``gen.stacked`` (S, W, F) at control
+    ``omega``, each once per (omega, tau, m) in ``cache``: the power by
+    log2 m squarings in the same basis.  At the unit drive one power serves
+    every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
+    key = (round(omega, 15), round(tau, 15), m)
     if key not in cache:
         if m == 1:
-            s, w, f = parts
+            s, w, f = gen.stacked
             cache[key] = expm(_csr((s + omega * w + f) * tau))
         else:
-            unit = _unit_exp(cache, parts, omega, tau, d)
+            unit = _unit_exp(cache, gen, omega, tau)
             cache[key] = TriangularExp(_tri_squarings(unit.tri.copy(order="F"),
                                                       m.bit_length() - 1),
                                        unit.perm, unit.blocks)
     return cache[key]
 
 
-def _magnus_powers(gen: Generator, parts: tuple, omega: float, a: float, h_out: float,
-                   n_out: int, y: np.ndarray, project: np.ndarray, cache: dict):
+def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: int,
+                   y: np.ndarray, project: np.ndarray, cache: dict):
     """The projections ``project @ y`` after each of ``n_out`` steps of
     ``h_out`` from ``a`` at control ``omega`` under a gaussian envelope, and
     the end state, by the 4th-order commutator-free Magnus step.  On the
@@ -726,20 +708,21 @@ def _magnus_powers(gen: Generator, parts: tuple, omega: float, a: float, h_out: 
     k = max(1, math.ceil(h_out * MAGNUS_PER_FWHM / gen.envelope.gaussian_fwhm - 1e-9))
     h = h_out / k
     (c1, c2), (a1, a2) = MAGNUS_NODES, MAGNUS_ALPHA
+    shape = gen.envelope.unit_shape
 
     def run(factor, v, rows):
         proj = np.empty((n_out, len(rows)), dtype=complex)
         for j in range(n_out):
             for i in range(k):
                 t = a + j * h_out + i * h
-                e1, e2 = gen.envelope_at(t + c1 * h), gen.envelope_at(t + c2 * h)
+                e1, e2 = shape(t + c1 * h), shape(t + c2 * h)
                 v = factor(2.0 * (a2 * e1 + a1 * e2), v)
                 v = factor(2.0 * (a1 * e1 + a2 * e2), v)
             proj[j] = rows @ v
         return proj, v
 
     if len(y) <= EXPM_MAX_DIM:
-        unit = _unit_exp(cache, parts, omega, 0.5 * h, len(y))
+        unit = _unit_exp(cache, gen, omega, 0.5 * h)
         with _at_drive([unit], gen.index.dim_singles) as at:
             def factor(e, v):
                 at(e)
@@ -748,7 +731,7 @@ def _magnus_powers(gen: Generator, parts: tuple, omega: float, a: float, h_out: 
                           unit.to_basis(project.conj().T).conj().T)
         y = unit.from_basis(v)
     else:
-        s, w, f = parts
+        s, w, f = gen.stacked
         proj, y = run(lambda e, v: _TaylorAction(_csr(s + omega * w + e * f))(0.5 * h, v),
                       y, project)
     proj[-1] = project @ y
@@ -760,9 +743,9 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
     """The projections ``project @ y`` after each of ``n_out`` steps of
     ``h_out`` over a drive ramp e(a + tau) = c0 + c1 tau at control
     ``omega``, and the end state of the clocked layout [y; tau y_K; tau^2 g]:
-    g is the ground amplitude of the stacked state y and K its first k
-    slots, every slot F reads: the ground, and with the doubles also the
-    singles.  With A0 = S + Omega W, y' = (A0 + c0 F) y + c1 F tau y_K
+    g is the ground amplitude of the stacked state y and K its first
+    k = 1 + n1 slots, every slot F reads: the ground and the singles.  With
+    A0 = S + Omega W, y' = (A0 + c0 F) y + c1 F tau y_K
     closes on these clocks, since the ground is frozen and the rows of
     A0 + e F in K read only K:
 
@@ -771,14 +754,11 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
 
     (the augmented-matrix idea of Al-Mohy and Higham, SIAM J. Sci. Comput.
     33:488, 2011, section 2).  So the ramp is the constant CSR generator B
-    of d + k + 1 rows, d + 2 + n1 with the doubles and d + 2 without: the
-    clocks start at zero, the covectors are padded with zeros, and the
-    steps are Taylor actions of B (``_action_powers``)."""
+    of d + k + 1 rows: the clocks start at zero, the covectors are padded
+    with zeros, and the steps are Taylor actions of B (``_action_powers``)."""
     c0, c1 = ramp
-    d = len(y)
-    doubles = d > 1 + gen.index.dim_singles
-    k = 1 + gen.index.dim_singles if doubles else 1
-    s, w, f = gen.stacked(doubles)
+    d, k = len(y), 1 + gen.index.dim_singles
+    s, w, f = gen.stacked
     a0 = s + omega * w + c0 * f
     b = _csr(sp.bmat([[a0, c1 * f[:, :k], None],
                       [sp.eye(k, d, dtype=complex), a0[:k, :k], c1 * f[:k, :1]],
@@ -829,8 +809,9 @@ def _at_drive(props: list, n1: int, e: float = 1.0):
 #: 0.046-0.048 s against 0.052-0.065 s at d = 260, about even at d = 301
 #: (0.060-0.069 s against 0.055-0.067 s), 0.077-0.091 s against 0.049-0.059 s
 #: at d = 345 and 0.74-0.81 s against 0.13 s at d = 950.  The singles block
-#: is dense up to ``EXPM_MAX_DIM``: its horizons reach 128 times the first,
-#: and the action's matvecs grow with the horizon.
+#: is dense up to ``EXPM_MAX_DIM``: its e block is dense lower triangular, so
+#: one sparse matvec of an action costs about what a dense triangular step
+#: does, and an action step takes several.
 DECAY_DENSE_DOUBLES = 300
 
 
@@ -851,13 +832,6 @@ def decay_steps(gen: Generator, omega: float, h: float, doubles: bool = False):
     if d <= EXPM_MAX_DIM and (not doubles or d <= DECAY_DENSE_DOUBLES):
         return partial(_dense_powers, expm(m * h))
     return partial(_action_powers, _csr(m), h)
-
-
-def log_norm(m: np.ndarray) -> float:
-    """The logarithmic 2-norm of a square matrix, the top eigenvalue of its
-    Hermitian part (m + m^H) / 2: ||exp(m t)||_2 <= exp(log_norm(m) t) for
-    t >= 0 (Dahlquist's bound)."""
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
@@ -1045,8 +1019,9 @@ def evolve(generator: Generator, t_span, dt_out: float,
 
     return StateTrajectory(index=idx, times=np.array(times), covectors=project,
                            projections=record,
-                           envelope_unit=np.array([generator.envelope_at(t) for t in times]),
-                           omega_c=np.array([generator.omega_at(t) for t in times]))
+                           envelope_unit=np.array([generator.envelope.unit_shape(t)
+                                                   for t in times]),
+                           omega_c=np.array([generator.schedule.value(t) for t in times]))
 
 
 # ---------------------------------------------------------------------------

@@ -197,18 +197,19 @@ class BlockadeConfig:
 
     @classmethod
     def power_law_from_db(cls, d_b: float, chain: AtomChain, params: PhysicalParams,
-                          omega_c: float | None = None, v_cap: float = 1e3) -> "BlockadeConfig":
+                          v_cap: float = 1e3) -> "BlockadeConfig":
         """Power-law config with blockade radius fixed by the optical depth per
         blockade radius d_b = D * r_b / L and v0 set to the single-atom bandwidth."""
         d = optical_depth(chain, params)
         r_b = d_b * chain.length / d
-        v0 = single_atom_bandwidth(params, omega_c)
+        v0 = single_atom_bandwidth(params)
         return cls(mode=BlockadeMode.POWER_LAW, r_b=r_b, v0=v0, v_cap=v_cap)
 
 
-def single_atom_bandwidth(params: PhysicalParams, omega_c: float | None = None) -> float:
-    """V0 = 2 Omega_c^2 [Gamma_1D (2 Gamma' + Gamma_1D)]^(-1/2)."""
-    om = params.omega_c_peak if omega_c is None else omega_c
+def single_atom_bandwidth(params: PhysicalParams) -> float:
+    """V0 = 2 Omega_c^2 [Gamma_1D (2 Gamma' + Gamma_1D)]^(-1/2) at the peak
+    control ``params.omega_c_peak``."""
+    om = params.omega_c_peak
     denom = math.sqrt(params.gamma_1d * (2.0 * params.gamma_prime + params.gamma_1d))
     if denom == 0:
         raise ConfigurationError("single-atom bandwidth undefined for gamma_1d = 0")
@@ -245,8 +246,9 @@ class PulseEnvelope:
     """Probe envelope on [t_on, t_on + duration], zero outside.
 
     ``unit_shape`` is normalized to unit peak; the physical amplitude is
-    ``peak_amplitude * unit_shape(t)`` with the peak fixed so that the
-    integral of |E_p|^2 equals the mean input photon number ``n_in``.
+    E0 unit_shape(t) with the peak E0 fixed so that the integral of |E_p|^2
+    equals the mean input photon number ``n_in``
+    (``ObservableTrace.input_energy`` takes that integral on a trace).
     Evaluation is right-continuous at the discontinuous edges, so the value
     recorded exactly at a jump is the post-jump one.
     """
@@ -321,22 +323,6 @@ class PulseEnvelope:
         if mid < r:
             return u / r, 1.0 / r
         return (self.duration - u) / r, -1.0 / r
-
-    @property
-    def norm_integral(self) -> float:
-        """Analytic integral of |unit_shape|^2 over all time."""
-        if self.shape is PulseShape.SQUARE:
-            return self.duration - 4.0 * self.rise_time / 3.0
-        if self.shape in (PulseShape.TRIANGULAR_NEG, PulseShape.TRIANGULAR_POS):
-            return self.duration / 3.0
-        a = 8.0 * math.log(2.0) / self.gaussian_fwhm ** 2  # |shape|^2 = exp(-a x^2)
-        half = 0.5 * self.duration
-        return math.sqrt(math.pi / a) * math.erf(math.sqrt(a) * half)
-
-    @property
-    def peak_amplitude(self) -> float:
-        """Peak field amplitude, sqrt(photons/time), such that int |E_p|^2 dt = n_in."""
-        return math.sqrt(self.n_in / self.norm_integral)
 
     def breakpoints(self) -> tuple:
         """Times where the envelope or its slope is discontinuous."""

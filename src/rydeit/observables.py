@@ -35,8 +35,8 @@ DEFAULT_INTENSITY_FLOOR = 1e-4
 class ObservableTrace:
     """Time series of the normalized intensity, two-photon intensity and g2.
 
-    ``g2`` is NaN wherever the intensity is at or below ``floor`` (division
-    noise after pulse extinction).
+    ``g2`` is NaN wherever the intensity is at or below
+    ``DEFAULT_INTENSITY_FLOOR`` (division noise after pulse extinction).
     """
 
     times: np.ndarray
@@ -45,7 +45,6 @@ class ObservableTrace:
     intensity: np.ndarray
     g2tilde: np.ndarray
     g2: np.ndarray
-    floor: float = DEFAULT_INTENSITY_FLOOR
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -56,9 +55,17 @@ class ObservableTrace:
     def window_mask(self, t_start: float, t_stop: float) -> np.ndarray:
         return (self.times >= t_start - 1e-12) & (self.times <= t_stop + 1e-12)
 
+    def input_energy(self) -> float:
+        """The integral of the unit-peak envelope squared over the grid
+        (trapezoid rule), which n_in normalizes: the peak input intensity is
+        n_in over it.  A trace with no input pulse is refused."""
+        env2 = np.trapezoid(self.envelope_unit ** 2, self.times)
+        if env2 <= 0:
+            raise ConfigurationError("trace carries no input pulse")
+        return env2
 
-def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
-                          floor: float = DEFAULT_INTENSITY_FLOOR) -> ObservableTrace:
+
+def trace_from_trajectory(traj: StateTrajectory, generator: Generator) -> ObservableTrace:
     """Intensity |f1|^2 with f1 = ep + out_e . psi1, and two-photon intensity
     |A2|^2 with A2 = ep^2 + 2 ep (out_e . psi1) + a2vec . psi2, on the
     trajectory grid, from the first two columns of its record, whose
@@ -75,10 +82,10 @@ def trace_from_trajectory(traj: StateTrajectory, generator: Generator,
     intensity = np.abs(env + f_single) ** 2
     g2tilde = np.abs(env ** 2 + 2.0 * env * f_single + f_double) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        g2 = np.where(intensity > floor, g2tilde / intensity ** 2, np.nan)
+        g2 = np.where(intensity > DEFAULT_INTENSITY_FLOOR, g2tilde / intensity ** 2, np.nan)
     return ObservableTrace(times=traj.times.copy(), envelope_unit=traj.envelope_unit.copy(),
                            omega_c=traj.omega_c.copy(), intensity=intensity,
-                           g2tilde=g2tilde, g2=g2, floor=floor)
+                           g2tilde=g2tilde, g2=g2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +217,11 @@ def _window_slice(times: np.ndarray, t_start: float, width: float):
     return a, b
 
 
-def windowed_g2(grid: CorrelationGrid, w1, w2,
-                floor: float = DEFAULT_INTENSITY_FLOOR) -> float:
+def windowed_g2(grid: CorrelationGrid, w1, w2) -> float:
     """Windowed correlation: coincidence mass over the product of the windowed
     intensities, trapezoidal quadrature on the grid.  Exactly 1 for coherent
-    light.  ``w1``/``w2`` are (start_time, width) pairs."""
+    light.  ``w1``/``w2`` are (start_time, width) pairs; a window whose mean
+    intensity is at or below ``DEFAULT_INTENSITY_FLOOR`` has none."""
     a1, b1 = _window_slice(grid.times, *w1)
     a2, b2 = _window_slice(grid.times, *w2)
     t1 = grid.times[a1:b1]
@@ -222,6 +229,7 @@ def windowed_g2(grid: CorrelationGrid, w1, w2,
     num = np.trapezoid(np.trapezoid(grid.g2_matrix[a1:b1, a2:b2], t2, axis=1), t1)
     p1 = np.trapezoid(grid.intensity[a1:b1], t1)
     p2 = np.trapezoid(grid.intensity[a2:b2], t2)
+    floor = DEFAULT_INTENSITY_FLOOR
     if p1 <= floor * (t1[-1] - t1[0]) or p2 <= floor * (t2[-1] - t2[0]):
         raise UndefinedResultError("windowed intensity below floor; g2 undefined")
     return float(num / (p1 * p2))
@@ -265,8 +273,8 @@ def spectrum_fwhm(spectrum) -> float:
     d = np.array([p[0] for p in spectrum])
     t = np.array([p[1] for p in spectrum])
     _, t_peak, i0 = eit_peak(spectrum)
-    lo = _first_half_crossing(d[i0::-1], t[i0::-1], 0.5 * t_peak, 0.0, falling_only=True)
-    hi = _first_half_crossing(d[i0:], t[i0:], 0.5 * t_peak, 0.0, falling_only=True)
+    lo = _first_half_crossing(d[i0::-1], t[i0::-1], 0.5 * t_peak, falling_only=True)
+    hi = _first_half_crossing(d[i0:], t[i0:], 0.5 * t_peak, falling_only=True)
     return float(hi - lo)
 
 
@@ -279,14 +287,12 @@ class SteadyStateStats:
     g2tilde_ss: float
     g2_ss: float
     flat: bool
-    max_deviation: float
 
 
-def measure_steady_state(trace: ObservableTrace, t_on: float, t_off: float,
-                         tail_fraction: float = 0.1, flat_tol: float = 0.005) -> SteadyStateStats:
-    """Average over the final ``tail_fraction`` of the on-interval, with a
-    flatness check on the intensity (max fractional deviation < flat_tol)."""
-    t0 = t_off - tail_fraction * (t_off - t_on)
+def measure_steady_state(trace: ObservableTrace, t_on: float, t_off: float) -> SteadyStateStats:
+    """Average over the final tenth of the on-interval, with a flatness
+    check on the intensity (max fractional deviation under 0.005)."""
+    t0 = t_off - 0.1 * (t_off - t_on)
     eps = 1e-9 * max(1.0, abs(t_off))
     mask = (trace.times >= t0 - eps) & (trace.times < t_off - eps)
     if not np.any(mask):
@@ -297,8 +303,7 @@ def measure_steady_state(trace: ObservableTrace, t_on: float, t_off: float,
     g2t_ss = float(np.mean(g_win))
     dev = float(np.max(np.abs(i_win - i_ss)) / i_ss) if i_ss > 0 else math.inf
     g2_ss = g2t_ss / i_ss ** 2 if i_ss > 0 else math.nan
-    return SteadyStateStats(i_ss=i_ss, g2tilde_ss=g2t_ss, g2_ss=g2_ss,
-                            flat=dev < flat_tol, max_deviation=dev)
+    return SteadyStateStats(i_ss=i_ss, g2tilde_ss=g2t_ss, g2_ss=g2_ss, flat=dev < 0.005)
 
 
 def tau_eit(d: float, gamma_prime: float, omega_c: float) -> float:
@@ -324,12 +329,12 @@ def extract_tau0(trace: ObservableTrace, t_on: float, t_off: float, g2_ss: float
     return float(t[last_bad + 1] - t_on)
 
 
-def _first_half_crossing(t: np.ndarray, y: np.ndarray, level: float, t_ref: float,
+def _first_half_crossing(t: np.ndarray, y: np.ndarray, level: float,
                          falling_only: bool = False) -> float:
     """First time (or detuning) ``t`` at which the signal ``y`` drops to
-    ``level``, less ``t_ref``; with ``falling_only`` the crossing must follow
-    a sample above the level (the retrieved intensity starts at zero right
-    after shutoff, flashes up, then falls)."""
+    ``level``; with ``falling_only`` the crossing must follow a sample above
+    the level (the retrieved intensity starts at zero right after shutoff,
+    flashes up, then falls)."""
     below = y <= level
     if falling_only:
         seen_above = np.concatenate([[False], np.maximum.accumulate(~below)[:-1]])
@@ -338,10 +343,10 @@ def _first_half_crossing(t: np.ndarray, y: np.ndarray, level: float, t_ref: floa
         raise ExtractionError("signal never drops to the half level in the trace")
     i = int(np.argmax(below))
     if i == 0:
-        return float(t[0] - t_ref)
+        return float(t[0])
     # linear interpolation between the bracketing samples
     frac = (y[i - 1] - level) / (y[i - 1] - y[i])
-    return float(t[i - 1] + frac * (t[i] - t[i - 1]) - t_ref)
+    return float(t[i - 1] + frac * (t[i] - t[i - 1]))
 
 
 def fit_exponential_envelope(t: np.ndarray, y: np.ndarray) -> float:

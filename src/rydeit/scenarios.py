@@ -28,8 +28,7 @@ from .configio import ScenarioConfig, manifest_text
 from .counting import (EfficiencyBudget, emulate_trials, estimate_g2,
                        generation_probability_from_stream,
                        generation_probability_from_trace, dlcz_compare, save_stream)
-from .dynamics import (DynamicsError, assemble_generator, decay_steps, evolve, log_norm,
-                       steady_state)
+from .dynamics import DynamicsError, assemble_generator, decay_steps, evolve, steady_state
 from .observables import (ExtractionError, UndefinedResultError, _first_half_crossing,
                           correlation_grid, eit_peak, extract_tau0, fit_exponential_envelope,
                           measure_steady_state, spectrum_fwhm, tau_eit,
@@ -145,9 +144,8 @@ def run_propagate(cfg: ScenarioConfig) -> ResultBundle:
     gen, traj, trace = _propagate(cfg)
     g = cfg.params.gamma_mhz
     scalars = {"optical_depth": optical_depth(gen.chain, cfg.params)}
-    env2 = np.trapezoid(trace.envelope_unit ** 2, trace.times)
     scalars["pulse_transmission"] = float(
-        np.trapezoid(trace.intensity, trace.times) / env2)
+        np.trapezoid(trace.intensity, trace.times) / trace.input_energy())
     if cfg.pulse_shape == "square":
         try:
             stats = measure_steady_state(trace, *_flat_interval(cfg))
@@ -172,7 +170,7 @@ def _device(params, d_target: float, omega_c: float) -> tuple:
     about ``d_target``, its generator at constant ``omega_c`` (the
     configured ``params`` with the control set to it) and the driven steady
     state ss.  The square probe stays on over every horizon a turn-on point
-    can reach, max(1.2 tau_eit, 50) up to ``TURNON_CAP`` tau_eit.  Returns
+    can reach, up to max(50, ``TURNON_CAP`` tau_eit).  Returns
     (gen, ss, f, a2, row): the steady output amplitudes f = out_e psi1 and
     a2 = a2vec psi2, and the start of the point's row."""
     params = dc_replace(params, omega_c_peak=omega_c)
@@ -181,7 +179,7 @@ def _device(params, d_target: float, omega_c: float) -> tuple:
     d = optical_depth(chain, params)
     teit = tau_eit(d, params.gamma_prime, omega_c)
     envelope = PulseEnvelope(shape=PulseShape.SQUARE, n_in=1.0,
-                             duration=2.0 * max(1.2 * teit, 50.0, TURNON_CAP * teit))
+                             duration=2.0 * max(50.0, TURNON_CAP * teit))
     gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(omega_c), envelope)
     ss = steady_state(gen, omega_c=omega_c)
@@ -245,12 +243,18 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     The singles decay takes one propagator, at the step h of 6,000 samples
     over the first horizon max(0.4 tau_eit, 40), and goes on from its end
     state over each doubled horizon that finds no falling half crossing, up
-    to t_cap = 128 times the first.  After a horizon's end t_h every sample
-    obeys |out_e psi1(t)|^2 <= ||out_e||^2 ||psi1(t_h)||^2
-    exp(2 lam+ (t_cap - t_h)), lam+ the nonnegative part of M1's logarithmic
-    norm (``log_norm``; 0 wherever the undriven singles contract).  Once that
-    bound is under both i_ss / 2 and the peak so far, no later sample can
-    cross or raise the peak, and the point stops as ``no_half_crossing``."""
+    to 128 times the first.  The undriven singles contract: the Hermitian
+    part of M1 = M1(Omega_c) is block diagonal, with the e block
+    -(Gamma/2) I - (Gamma_1D/4)(u u^H - I), u_h = exp(i k_p z_h) (the
+    cascaded exchange is -(Gamma_1D/2) u_h conj(u_m) below the diagonal),
+    the r block -gamma_r I, and the control coupling and the detunings
+    anti-Hermitian.  Since u u^H - I has the eigenvalues N - 1 and -1, its
+    top eigenvalue is max(-Gamma/2 + Gamma_1D/4, -gamma_r) <= 0 (-Gamma/2 in
+    place of the first term at N = 1), so ||exp(M1 t)|| <= 1 and after a
+    horizon's end t_h every sample obeys |out_e psi1(t)|^2 <=
+    ||out_e||^2 ||psi1(t_h)||^2.  Once that bound is under both i_ss / 2 and
+    the peak so far, no later sample can cross or raise the peak, and the
+    point stops as ``no_half_crossing``."""
     gen, ss, f, a2, out = _device(cfg.params, d_target, omega_c)
     teit = out["tau_eit_gamma"]
     i_ss = out["i_ss"] = abs(1.0 + f) ** 2
@@ -259,9 +263,7 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     # singles retrieval over doubled horizons of one propagator, stopped by
     # the contraction bound once no crossing can follow
     h0 = max(0.4 * teit, 40.0)
-    t_cap = 128 * h0
     steps = decay_steps(gen, omega_c, h0 / 6000)
-    lam = max(0.0, log_norm(gen.m1(omega_c)))
     out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
     y, intens, tau_i = ss.singles, np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
@@ -269,12 +271,10 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
         intens = np.concatenate([intens, np.abs(proj[:, 0]) ** 2])
         ts = np.linspace(0.0, h0 * 2 ** attempt, len(intens))
         try:
-            tau_i = _first_half_crossing(ts, intens, 0.5 * i_ss, 0.0, falling_only=True)
+            tau_i = _first_half_crossing(ts, intens, 0.5 * i_ss, falling_only=True)
             break
         except ExtractionError:
-            # the bound with its growth factor moved to the right, so it cannot overflow
-            level = min(0.5 * i_ss, float(np.max(intens)))
-            if out_e2 * np.vdot(y, y).real < level * math.exp(-2.0 * lam * (t_cap - ts[-1])):
+            if out_e2 * np.vdot(y, y).real < min(0.5 * i_ss, float(np.max(intens))):
                 break
     out.update(peak_intensity=float(np.max(intens)), tau_i_gamma=tau_i,
                tau_i_ns=ns_from_time(tau_i, cfg.params.gamma_mhz),
@@ -291,7 +291,7 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
             proj, _ = decay_steps(gen, omega_c, horizon / 5000, doubles=True)(
                 ss.doubles, 5000, gen.a2vec[None])
             g2t = np.concatenate([[out["g2tilde_jump"]], np.abs(proj[:, 0]) ** 2])
-            out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0], 0.0),
+            out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0]),
                        tail_rate_gamma=fit_exponential_envelope(ts[mask], g2t[mask]))
         except (ExtractionError, DynamicsError) as exc:
             out.update(g2tilde_jump=math.nan, status=f"doubles_failed:{type(exc).__name__}")
@@ -367,8 +367,7 @@ def run_experiment_replica(cfg: ScenarioConfig) -> ResultBundle:
     fw = spectrum_fwhm(spec)
 
     gen, traj, trace = _propagate(cfg)
-    env2 = float(np.trapezoid(trace.envelope_unit ** 2, trace.times))
-    eta = float(np.trapezoid(trace.intensity, trace.times) / env2)
+    eta = float(np.trapezoid(trace.intensity, trace.times) / trace.input_energy())
     stats = measure_steady_state(trace, *_flat_interval(cfg))
 
     t_bar = time_from_ns(cfg.t_on_ns + cfg.duration_ns, g)
@@ -459,9 +458,8 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     except (UndefinedResultError, ExtractionError):
         g2_ret = math.nan
     pg = generation_probability_from_trace(trace, w, cfg.n_in)
-    env2 = float(np.trapezoid(trace.envelope_unit ** 2, trace.times))
     mask = trace.window_mask(*[w[0], w[0] + w[1]])
-    eff = float(np.trapezoid(trace.intensity[mask], trace.times[mask]) / env2)
+    eff = float(np.trapezoid(trace.intensity[mask], trace.times[mask]) / trace.input_energy())
     scalars = {"g2_retrieved": g2_ret, "generation_probability": pg,
                "retrieval_efficiency": eff,
                "t_release_ns": cfg.t_off_ns + cfg.t_store_ns}

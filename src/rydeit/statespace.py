@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (AtomChain, BlockadeConfig, BlockadeMode, ConfigurationError,
-                    interaction, BLOCKED)
+from .model import AtomChain, BlockadeConfig, ConfigurationError, interaction, BLOCKED
 
 KIND_E = "e"
 KIND_R = "r"
@@ -44,7 +43,6 @@ class ExcitationIndex:
     """Bijection between (manifold, atom indices) labels and flat slots."""
 
     n_atoms: int
-    blockade_mode: BlockadeMode
     rr_pairs: tuple  # allowed (h, j) with h <= j, lexicographic
 
     def __post_init__(self) -> None:
@@ -175,8 +173,7 @@ def build_index(n_atoms: int, blockade: BlockadeConfig, chain: AtomChain) -> Exc
             r = abs(z[j] - z[h])
             if interaction(blockade, r) != BLOCKED:
                 pairs.append((h, j))
-    return ExcitationIndex(n_atoms=n_atoms, blockade_mode=blockade.mode,
-                           rr_pairs=tuple(pairs))
+    return ExcitationIndex(n_atoms=n_atoms, rr_pairs=tuple(pairs))
 
 
 @dataclass
@@ -203,12 +200,6 @@ class TruncatedState:
     @property
     def doubles(self) -> np.ndarray:
         return self.amplitudes[self.index.dim_singles:]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "TruncatedState":
-        return TruncatedState(self.index, self.amplitudes.copy())
 
 
 def zero_state(index: ExcitationIndex) -> TruncatedState:

@@ -34,9 +34,21 @@ def make_generator(n_atoms=10, omega_c=0.5, blockade=None, shape=PulseShape.SQUA
 
 def augmented(gen, env, omega, doubles=True):
     """The dense generator S + Omega_c W + e F on the stacked
-    [ground; singles(; doubles)] layout at drive level ``env``."""
-    s, w, f = gen.stacked(doubles)
-    return (s + omega * w + env * f).toarray()
+    [ground; singles; doubles] layout at drive level ``env``; without
+    ``doubles`` its leading [ground; singles] block, which reads no doubles
+    and so evolves on its own."""
+    s, w, f = gen.stacked
+    a = (s + omega * w + env * f).toarray()
+    d = len(a) if doubles else 1 + gen.index.dim_singles
+    return a[:d, :d]
+
+
+def padded(gen, y):
+    """The leading slots ``y`` of a stacked vector, the rest zero: a
+    [ground; singles] column becomes a state without doubles."""
+    full = np.zeros(1 + gen.index.dim, dtype=complex)
+    full[:len(y)] = y
+    return full
 
 
 def state_rows(gen):
@@ -54,21 +66,22 @@ def oracle_rows(gen):
 def two_time_g2(traj, gen, t1, t2):
     """Independent oracle for G2(t1, t2) at two times of a trajectory
     recorded with ``oracle_rows``: apply the output field once at the
-    earlier time, evolve the conditioned [ground; singles] column to the
-    later one under the driven generator (the frozen ground keeps sourcing
-    the singles through the probe), apply the field again and take the
-    squared modulus of the ground component."""
+    earlier time, evolve the conditioned [ground; singles] column, padded
+    with doubles it never reads, to the later one under the driven
+    generator (the frozen ground keeps sourcing the singles through the
+    probe), apply the field again and take the squared modulus of the
+    ground component."""
     t1, t2 = sorted((float(t1), float(t2)))
     i = int(np.argmin(np.abs(traj.times - t1)))
     n1 = gen.index.dim_singles
     state = traj.projections[i, -gen.index.dim:]
     env = traj.envelope_unit[i]
-    y = np.concatenate([[env + gen.out_e @ state[:n1]],
-                        env * state[:n1] + gen.ann @ state[n1:]])
+    y = padded(gen, np.concatenate([[env + gen.out_e @ state[:n1]],
+                                    env * state[:n1] + gen.ann @ state[n1:]]))
     if t2 > t1:
         for a, b, _ in _segment_grid(t1, t2, gen.breakpoints(), t2 - t1):
             y = propagate_segment(gen, y, a, b)
-    return float(abs(gen.envelope_at(t2) * y[0] + gen.out_e @ y[1:]) ** 2)
+    return float(abs(gen.envelope.unit_shape(t2) * y[0] + gen.out_e @ y[1:1 + n1]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +106,13 @@ def rk4_segment(gen, y, a, b, n_out, dt, project):
     ``Generator.stacked``; the coefficients are looked up clamped below
     ``b``, so a jump at ``b`` is not seen.  Returns the projections
     ``project @ y`` after each output step and the state at ``b``."""
-    s, w, f = gen.stacked(y.shape[0] > 1 + gen.index.dim_singles)
+    s, w, f = gen.stacked
     t_hi = b - 1e-12 * max(1.0, abs(b - a))
 
     def deriv(t, yy):
         t = min(t, t_hi)
-        return s @ yy + gen.omega_at(t) * (w @ yy) + gen.envelope_at(t) * (f @ yy)
+        return (s @ yy + gen.schedule.value(t) * (w @ yy)
+                + gen.envelope.unit_shape(t) * (f @ yy))
 
     h_out = (b - a) / n_out
     n_sub = max(1, math.ceil(h_out / dt - 1e-9))
@@ -132,5 +146,5 @@ def rk4_evolve(gen, t_span, dt_out, dt=None, initial=None, project=None):
         times.extend(a + k * h_out for k in range(1, n_out + 1))
     return StateTrajectory(index=gen.index, times=np.array(times), covectors=project,
                            projections=np.array(record),
-                           envelope_unit=np.array([gen.envelope_at(t) for t in times]),
-                           omega_c=np.array([gen.omega_at(t) for t in times]))
+                           envelope_unit=np.array([gen.envelope.unit_shape(t) for t in times]),
+                           omega_c=np.array([gen.schedule.value(t) for t in times]))

@@ -150,6 +150,17 @@ def test_generation_probability_empty_window():
     assert generation_probability_from_trace(trace, (100.0, 5.0), 1.0) == 0.0
 
 
+def test_trace_without_input_pulse_is_refused():
+    # with no input pulse there is no photon number to normalize to: the
+    # generation probability refuses the trace as the emulation does
+    trace, grid = _flat_scene()
+    trace.envelope_unit[:] = 0.0
+    with pytest.raises(ConfigurationError, match="no input pulse"):
+        generation_probability_from_trace(trace, (0.0, 8.0), 1.0)
+    with pytest.raises(ConfigurationError, match="no input pulse"):
+        emulate_trials(trace, grid, 0.4, IDEAL, 100, seed=1)
+
+
 def test_stream_file_round_trip(tmp_path):
     trace, grid = _flat_scene()
     stream = emulate_trials(trace, grid, 0.4, IDEAL, 2000, seed=5)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from scipy.linalg import expm as _scipy_expm
 
-from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, PhysicalParams,
-                          PulseEnvelope, PulseShape, build_chain, optical_depth, time_from_ns)
+from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule, ControlSegment,
+                          PhysicalParams, PulseEnvelope, PulseShape, build_chain, optical_depth,
+                          time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
                              _csr, _giant_step, _ramp_powers, assemble_generator, decay_steps,
                              evolve, expm, propagate_segment, steady_state,
@@ -17,7 +18,7 @@ from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _c
 from rydeit.observables import trace_from_trajectory
 from rydeit.statespace import TruncatedState, zero_state
 
-from conftest import (augmented, make_generator, rk4_dt, rk4_evolve, rk4_segment,
+from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4_segment,
                       state_rows)
 
 
@@ -190,7 +191,8 @@ def test_narrow_gaussian_underflow_stays_finite():
                                        "duration_ns": 1000.0})
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(), cfg.schedule(),
                              cfg.envelope())
-    assert gen.envelope_at(0.0) == 0.0 == gen.envelope_at(gen.envelope.t_end * (1 - 1e-9))
+    shape = gen.envelope.unit_shape
+    assert shape(0.0) == 0.0 == shape(gen.envelope.t_end * (1 - 1e-9))
     window = (0.0, gen.envelope.t_end + 1.0)
     dt_out = time_from_ns(cfg.dt_out_ns, cfg.params.gamma_mhz)
     got = evolve(gen, window, dt_out=dt_out).projections
@@ -248,6 +250,17 @@ def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
     assert np.max(np.abs(got - end)) <= 1e-12 * np.max(np.abs(end))
 
 
+@pytest.mark.parametrize("length", ["singles", "short", "long"])
+def test_propagate_segment_needs_the_stacked_length(length):
+    # only [ground; singles; doubles] vectors step; a [ground; singles]
+    # column or any other length is refused before any work
+    gen = make_generator(n_atoms=3, duration=15.0)
+    d = {"singles": 1 + gen.index.dim_singles, "short": gen.index.dim,
+         "long": 2 + gen.index.dim}[length]
+    with pytest.raises(ConfigurationError, match="stacked vector"):
+        propagate_segment(gen, np.ones(d, dtype=complex), 2.0, 4.0, 3)
+
+
 def _power_law_generator(n_atoms=6, **kwargs):
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
     blk = BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms, 1.0), p)
@@ -260,14 +273,16 @@ def _power_law_generator(n_atoms=6, **kwargs):
     (12.0, 16.0, 0.0)])                      # after the pulse: drive level 0
 def test_drive_level_identity(doubles, a, b, level):
     # the propagator derived from the unit-drive exponential equals the
-    # exponential of the generator at the envelope's drive level
+    # exponential of the generator at the envelope's drive level; without
+    # ``doubles`` the state starts with none and is read on its ground and
+    # singles, which step as the leading block of the generator
     gen = _power_law_generator(duration=10.0)
     assert gen.v_max > 0.0
     n_out = 7
     dim = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
     rng = np.random.default_rng(5)
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    env, om = gen.envelope_at(a), gen.omega_at(a)
+    env, om = gen.envelope.unit_shape(a), gen.schedule.value(a)
     assert env == level
     prop = _scipy_expm(augmented(gen, env, om, doubles) * ((b - a) / n_out))
     ref = np.empty((n_out, dim), dtype=complex)
@@ -275,8 +290,9 @@ def test_drive_level_identity(doubles, a, b, level):
     for k in range(n_out):
         y = ref[k] = prop @ y
     got = np.empty_like(ref)
-    end = propagate_segment(gen, y0, a, b, n_out, out=got, project=np.eye(dim))
-    assert np.array_equal(end, got[-1])
+    end = propagate_segment(gen, padded(gen, y0), a, b, n_out, out=got,
+                            project=np.eye(dim, 1 + gen.index.dim))
+    assert np.array_equal(end[:dim], got[-1])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -316,9 +332,9 @@ def test_each_stretch_takes_its_route(monkeypatch):
     magnus = []
     real = dynamics._magnus_powers
 
-    def counted(gen, parts, omega, a, *args):
+    def counted(gen, omega, a, *args):
         magnus.append(a)
-        return real(gen, parts, omega, a, *args)
+        return real(gen, omega, a, *args)
 
     monkeypatch.setattr(dynamics, "_magnus_powers", counted)
     dense = []
@@ -412,19 +428,21 @@ def test_drive_ramps_match_rk4(shape, power_law):
 @pytest.mark.parametrize("shape, power_law", RAMP_CASES)
 def test_drive_ramp_segment(shape, power_law, doubles):
     # one ramp from a random state (ground != 1, as in a conditioned
-    # singles column), on the doubles and the singles-only layouts: the
-    # projections against the RK4 oracle, the last row against the
-    # end state to the bit, and the clocks at the end: g (b - a),
-    # g (b - a)^2 and (b - a) psi1
+    # singles column), with doubles, or without them and read on the ground
+    # and singles only: the projections against the RK4 oracle, the last
+    # row against the end state to the bit, and the clocks at the end:
+    # g (b - a), g (b - a)^2 and (b - a) psi1
     gen = _ramp_case(shape, power_law)
     a, b = gen.envelope.breakpoints()[:2]
-    om, ramp = gen.omega_at(a), gen.envelope.affine_on(a, b)
+    om, ramp = gen.schedule.value(a), gen.envelope.affine_on(a, b)
     assert ramp is not None and ramp[1] != 0.0
     n1 = gen.index.dim_singles
     dim = 1 + (gen.index.dim if doubles else n1)
     rng = np.random.default_rng(7)
-    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    rows = gen.output_covectors(grid=True)[:, :dim]
+    y0 = padded(gen, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    rows = gen.output_covectors(grid=True)
+    rows[:, dim:] = 0.0
+    d = len(y0)
     n_out = 5
     got = np.empty((n_out, len(rows)), dtype=complex)
     end = propagate_segment(gen, y0, a, b, n_out, out=got, project=rows)
@@ -432,14 +450,13 @@ def test_drive_ramp_segment(shape, power_law, doubles):
     _assert_columns_close(got, ref, 1e-10)
     assert np.array_equal(got[-1], rows @ end)
     _, z = _ramp_powers(gen, om, ramp, (b - a) / n_out, y0, n_out, rows)
-    assert np.array_equal(z[:dim], end)
+    assert np.array_equal(z[:d], end)
     g, length = y0[0], b - a
-    assert len(z) == dim + (2 + n1 if doubles else 2)
-    assert abs(z[dim] - g * length) <= 1e-13 * abs(g * length)
+    assert len(z) == d + 2 + n1
+    assert abs(z[d] - g * length) <= 1e-13 * abs(g * length)
     assert abs(z[-1] - g * length ** 2) <= 1e-13 * abs(g * length ** 2)
-    if doubles:
-        chi = z[dim + 1:dim + 1 + n1]
-        assert np.max(np.abs(chi - length * end[1:1 + n1])) <= 1e-12 * np.max(np.abs(chi))
+    chi = z[d + 1:d + 1 + n1]
+    assert np.max(np.abs(chi - length * end[1:1 + n1])) <= 1e-12 * np.max(np.abs(chi))
 
 
 def test_singles_propagator_one_exponential_per_step(monkeypatch):
@@ -607,7 +624,8 @@ def _random_chain_generator(mode, omega, n_atoms=6, seed=3):
     shifts are fixed by Omega_c = 0.5, so they stay on at omega = 0."""
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=omega)
     chain = build_chain(n_atoms, 1.0, placement="jittered", seed=seed)
-    blk = {"power_law": BlockadeConfig.power_law_from_db(1.5, chain, p, omega_c=0.5),
+    blk = {"power_law": BlockadeConfig.power_law_from_db(1.5, chain,
+                                                         replace(p, omega_c_peak=0.5)),
            "full": BlockadeConfig.fully_blockaded(),
            "none": BlockadeConfig.none()}[mode]
     env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.0)
@@ -656,8 +674,12 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
     # same entries in the same layout as a dense one's: the same cascade
     # order and the same triangular exponential, bit for bit
     gen = _random_chain_generator(mode, 0.5)
-    s, w, f = gen.stacked(doubles)
+    s, w, f = gen.stacked
     a = _csr((s + 0.5 * w + f) * 0.37)
+    if not doubles:
+        # the leading [ground; singles] block
+        d = 1 + gen.index.dim_singles
+        a = _csr(a[:d, :d])
     dense, sparse = expm(a.toarray()), expm(a)
     assert np.array_equal(sparse.perm, dense.perm)
     assert np.array_equal(sparse.tri, dense.tri)
@@ -706,32 +728,44 @@ def test_steady_state_natural_order_matches_colamd(mode, omega):
 
 
 def _stacked_y(gen, doubles, rng, cols=None):
-    d = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
+    """A random stacked vector, or ``cols`` columns; without ``doubles``
+    the doubles slots are zero."""
+    d = 1 + gen.index.dim
     shape = (d,) if cols is None else (d, cols)
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if not doubles:
+        y[1 + gen.index.dim_singles:] = 0.0
+    return y
 
 
 @pytest.mark.parametrize("doubles", [False, True])
 def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
+    # the whole layout, or without ``doubles`` its leading [ground; singles]
+    # block, which ``augmented`` cuts out: nothing outside it feeds it
     gen = _power_law_generator(omega_c=0.5, gamma_r=0.02, delta_e=0.1)
-    s, w, f = gen.stacked(doubles)
+    s, w, f = gen.stacked
     n1 = gen.index.dim_singles
     assert s.format == w.format == f.format == "csr"
-    assert gen.stacked(doubles)[0] is s                  # built once per layout
+    assert s.shape == (1 + gen.index.dim,) * 2
+    assert gen.stacked[0] is s                           # built once
     for env, om in ((1.0, 0.5), (1.7, 0.05), (0.0, 0.25)):
         # the folded CSR that propagate_segment hands to expm
         dense = s.toarray() + om * w.toarray() + env * f.toarray()
         assert np.array_equal(_csr(s + om * w + env * f).toarray(), dense)
-    # the blocks land where the [ground; singles(; doubles)] layout puts them
-    a = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
+    # the blocks land where the [ground; singles; doubles] layout puts them
+    full = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
+    a = augmented(gen, 0.3, 0.5, doubles)
+    assert np.array_equal(a, full[:len(a), :len(a)])
     assert np.all(a[0] == 0)
     np.testing.assert_array_equal(a[1:1 + n1, 0], 0.3 * gen.s1)
     np.testing.assert_array_equal(a[1:1 + n1, 1:1 + n1], gen.m1(0.5))
+    np.testing.assert_array_equal(full[:1 + n1, 1 + n1:], 0)
     if doubles:
         np.testing.assert_array_equal(a[1 + n1:, 0], 0)
         np.testing.assert_array_equal(a[1 + n1:, 1:1 + n1], 0.3 * gen.s21.toarray())
         np.testing.assert_array_equal(a[1 + n1:, 1 + n1:], gen.m2(0.5).toarray())
-        np.testing.assert_array_equal(a[1:1 + n1, 1 + n1:], 0)
+    else:
+        assert a.shape == (1 + n1, 1 + n1)
 
 
 def _block_deriv(gen, yy, drive, om):
@@ -743,17 +777,18 @@ def _block_deriv(gen, yy, drive, om):
     d = np.empty_like(yy)
     d[0] = 0.0
     d[1:1 + n1] = gen.m1_static @ y1 + om * (gen.m1_omega @ y1) + drive * (s1 * yy[0:1])
-    if yy.shape[0] > 1 + n1:
-        y2 = yy[1 + n1:]
-        d[1 + n1:] = gen.m2_static @ y2 + om * (gen.m2_omega @ y2) + drive * (gen.s21 @ y1)
+    y2 = yy[1 + n1:]
+    d[1 + n1:] = gen.m2_static @ y2 + om * (gen.m2_omega @ y2) + drive * (gen.s21 @ y1)
     return d
 
 
 @pytest.mark.parametrize("cols", [None, 3])
 @pytest.mark.parametrize("doubles", [False, True])
 def test_stacked_derivative_matches_block_derivative(doubles, cols):
+    # a random state, or one without doubles, which they gain only from the
+    # drive
     gen = _power_law_generator(omega_c=0.5, gamma_r=0.02)
-    s, w, f = gen.stacked(doubles)
+    s, w, f = gen.stacked
     rng = np.random.default_rng(3)
     for drive, om in ((0.0, 0.5), (0.37, 0.5), (1.7, 0.05)):
         y = _stacked_y(gen, doubles, rng, cols)
@@ -781,7 +816,7 @@ def test_rk4_matches_block_derivative_loop(a, b):
 
     def deriv(t, yy):
         t = min(t, t_hi)
-        return _block_deriv(gen, yy, gen.envelope_at(t), gen.omega_at(t))
+        return _block_deriv(gen, yy, gen.envelope.unit_shape(t), gen.schedule.value(t))
 
     ref = np.empty_like(got)
     y = y0
@@ -868,22 +903,25 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     # is short: the random rr amplitudes keep their norm and turn at pair
     # shifts up to v_max ~ 68, so any double-precision step loop, this one
     # or the reference, drifts by up to 3e-14 of the largest entry per unit
-    # time in the end state (1.2e-12 over 40, 4.5e-14 over this stretch of 2)
+    # time in the end state (1.2e-12 over 40, 4.5e-14 over this stretch of 2).
+    # Without ``doubles`` the state starts with none and is read on its
+    # ground and singles, against the loop of their own block
     gen = _power_law_generator(duration=100.0)
     monkeypatch.setattr(PulseEnvelope, "affine_on", lambda self, a, b: (level, 0.0))
     dim = 1 + (gen.index.dim if doubles else gen.index.dim_singles)
-    rows = gen.output_covectors(grid)[:, :dim]
-    m = _giant_step(dim, n_out, len(rows))
+    rows = gen.output_covectors(grid)
+    rows[:, dim:] = 0.0
+    m = _giant_step(1 + gen.index.dim, n_out, len(rows))
     assert m > 1 and 256 % m == 0
     rng = np.random.default_rng(9)
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     h = 2.0 / n_out
     ref, y_ref = _dense_loop(_scipy_expm(augmented(gen, level, 0.5, doubles) * h), y0,
-                             n_out, rows)
+                             n_out, rows[:, :dim])
     got = np.empty_like(ref)
-    end = propagate_segment(gen, y0, 2.0, 4.0, n_out, out=got, project=rows)
+    end = propagate_segment(gen, padded(gen, y0), 2.0, 4.0, n_out, out=got, project=rows)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(end - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+    assert np.max(np.abs(end[:dim] - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     assert np.array_equal(got[-1], rows @ end)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ def test_cap_promotes_to_blockade():
 def test_single_atom_bandwidth_value(params):
     # V0 = 2 Omega^2 / sqrt(Gamma_1D (2 Gamma' + Gamma_1D)) at Omega = Gamma/2
     expected = 0.5 / math.sqrt((1 / 6) * (11 / 6))
-    assert single_atom_bandwidth(params, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert single_atom_bandwidth(replace(params, omega_c_peak=0.5)) == pytest.approx(
+        expected, rel=1e-12)
     assert expected == pytest.approx(0.904534034, rel=1e-9)
 
 
@@ -150,13 +152,27 @@ def test_interaction_monotone_decreasing(r1, r2):
 def test_square_zero_before_turn_on():
     env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.5)
     assert env.unit_shape(-0.1) == 0.0
-    assert env.peak_amplitude * env.unit_shape(-0.1) == 0
+
+
+def _closed_form_norm(env: PulseEnvelope) -> float:
+    """The integral of unit_shape^2 over all time, in closed form per shape."""
+    if env.shape is PulseShape.SQUARE:
+        return env.duration - 4.0 * env.rise_time / 3.0
+    if env.shape in (PulseShape.TRIANGULAR_NEG, PulseShape.TRIANGULAR_POS):
+        return env.duration / 3.0
+    a = 8.0 * math.log(2.0) / env.gaussian_fwhm ** 2  # unit_shape^2 = exp(-a x^2)
+    return math.sqrt(math.pi / a) * math.erf(math.sqrt(a) * 0.5 * env.duration)
+
+
+def _peak_field(env: PulseEnvelope) -> float:
+    """Peak field amplitude, sqrt(photons/time), with int |E_p|^2 dt = n_in."""
+    return math.sqrt(env.n_in / _closed_form_norm(env))
 
 
 def test_square_mid_pulse_physical_amplitude():
     one_us = time_from_ns(1000.0)
     env = PulseEnvelope(shape=PulseShape.SQUARE, duration=one_us, n_in=1.5)
-    assert env.peak_amplitude * env.unit_shape(0.5 * one_us) == pytest.approx(
+    assert _peak_field(env) * env.unit_shape(0.5 * one_us) == pytest.approx(
         math.sqrt(1.5 / one_us), rel=1e-12)
 
 
@@ -186,7 +202,7 @@ def _numeric_norm(env: PulseEnvelope, pts_per_segment: int = 30001) -> float:
         ts = np.linspace(a, b, pts_per_segment)
         vals = np.array([env.unit_shape(float(t)) for t in ts])
         vals[-1] = env.unit_shape(b - 1e-12 * (b - a))  # inside limit at the edge
-        total += np.trapezoid((env.peak_amplitude * vals) ** 2, ts)
+        total += np.trapezoid((_peak_field(env) * vals) ** 2, ts)
     return float(total)
 
 

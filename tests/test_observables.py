@@ -328,23 +328,23 @@ def test_extract_tau_i_falling_crossing():
     # tau_I as the turn-off runner reads it: the falling half crossing
     after = ts >= t_off - 1e-12
     target = 0.5 * i_ss
-    tau_i = _first_half_crossing(ts[after], intensity[after], target, t_off,
-                                 falling_only=True)
+    tau_i = _first_half_crossing(ts[after], intensity[after], target,
+                                 falling_only=True) - t_off
     assert tau_i > 0.2  # not the initial zero
     val = np.interp(t_off + tau_i, ts, intensity)
     assert val == pytest.approx(target, rel=1e-3)
     # without falling_only the initial zero is the crossing
-    assert _first_half_crossing(ts[after], intensity[after], target, t_off) == 0.0
+    assert _first_half_crossing(ts[after], intensity[after], target) - t_off == 0.0
 
 
 def test_extract_tau_ii_half_of_post_jump():
     ts = np.linspace(10.0, 20.0, 2001)
     g2t = 0.9 * np.exp(-(ts - 10.0) / 1.5)
     # tau_II: the two-photon intensity falls to half its post-jump value
-    tau = _first_half_crossing(ts, g2t, 0.5 * g2t[0], 10.0)
+    tau = _first_half_crossing(ts, g2t, 0.5 * g2t[0]) - 10.0
     assert tau == pytest.approx(1.5 * math.log(2.0), rel=1e-3)
     with pytest.raises(ExtractionError):
-        _first_half_crossing(ts, g2t, 0.1 * g2t[-1], 10.0)
+        _first_half_crossing(ts, g2t, 0.1 * g2t[-1])
 
 
 # ---------------------------------------------------------------------------

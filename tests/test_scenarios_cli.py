@@ -574,30 +574,26 @@ def test_turnoff_retries_keep_the_output_step():
     assert out["peak_intensity"] == pytest.approx(np.max(np.abs(amps) ** 2), rel=1e-12)
 
 
-def test_undriven_singles_contract():
-    # the turn-off stop bounds later samples by exp(lam+ t) with lam+ the
-    # nonnegative part of M1's logarithmic norm; on the nine default devices
-    # the undriven singles contract, exactly at the edge (the undamped
-    # Rydberg modes), and the replica's decay at gamma_r = 0.8/6 Gamma
-    from dataclasses import replace
-    from rydeit.dynamics import assemble_generator, log_norm
-    from rydeit.model import (BlockadeConfig, ControlSchedule, PulseEnvelope, PulseShape,
-                              build_chain)
-    cfg = default_config("turnoff_scan", {})
-    lams = []
-    for d in cfg.d_list:
-        for om in cfg.omega_c_list:
-            params = replace(cfg.params, omega_c_peak=om)
-            chain = build_chain(atoms_for_depth(d, params), 1.0)
-            gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
-                                     ControlSchedule.constant(om),
-                                     PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0))
-            lams.append(log_norm(gen.m1(om)))
-    assert lams == [0.0] * 9
-    cfg = default_config("experiment_replica", {})
-    gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(), cfg.schedule(),
-                             cfg.envelope())
-    assert log_norm(gen.m1(cfg.params.omega_c_peak)) == pytest.approx(-0.8 / 6.0, rel=1e-9)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 16), ratio=st.floats(0.0, 10.0),
+       gamma_r=st.floats(0.0, 2.0), delta_e=st.floats(-5.0, 5.0),
+       delta_2=st.floats(-5.0, 5.0), k_p=st.floats(0.0, 50.0), omega=st.floats(0.0, 3.0))
+def test_undriven_singles_contract(n, seed, ratio, gamma_r, delta_e, delta_2, k_p, omega):
+    # the turn-off stop bounds every later sample by the end state's norm:
+    # the top eigenvalue of M1's Hermitian part is max(-Gamma/2 +
+    # Gamma_1D/4, -gamma_r) (-Gamma/2 in place of the first at N = 1), never
+    # above 0, on jittered chains at any detuning, k_p and control
+    from rydeit.dynamics import singles_blocks
+    from rydeit.model import build_chain
+    params = PhysicalParams.from_ratio(ratio, gamma_r=gamma_r, delta_e=delta_e,
+                                       delta_2=delta_2)
+    chain = build_chain(n, 1.0, k_p=k_p, placement="jittered", seed=seed)
+    m1s, m1o, _, _ = singles_blocks(params, chain)
+    m1 = m1s + omega * m1o
+    top = np.linalg.eigvalsh(0.5 * (m1 + m1.conj().T))[-1]
+    e_top = -0.5 * params.gamma_total + (0.25 * params.gamma_1d if n > 1 else 0.0)
+    assert abs(top - max(e_top, -gamma_r)) <= 1e-12
+    assert top <= 0.0
 
 
 def _record_calls(monkeypatch, module, name, arg):
@@ -631,20 +627,27 @@ def test_turnoff_points_take_one_singles_exponential(monkeypatch):
 
 
 def test_turnoff_continuation_matches_the_stop(monkeypatch):
-    # with the contraction bound made useless the point without a crossing
-    # goes on from the end state over all eight horizons, 768,000 steps of
-    # one propagator, and ends where the stop ended it
+    # a one-atom point without a crossing goes on from the end state over
+    # three horizons of one singles exponential before the contraction bound
+    # stops it; its peak is that of the whole capped horizon, 128 times the
+    # first, against the step loop y <- P y over all 768,000 steps
+    from scipy.linalg import expm
     import rydeit.dynamics as dynamics
-    import rydeit.scenarios as scenarios
-    stopped = scenarios._turnoff_point(_SINGLES_CFG, 1.8, 0.25)
-    monkeypatch.setattr(scenarios, "log_norm", lambda m: 1.0)
+    from rydeit.scenarios import _device, _turnoff_point
     dims = _record_calls(monkeypatch, dynamics, "expm", 0)
     steps = _record_calls(monkeypatch, dynamics, "_dense_powers", 2)
-    full = scenarios._turnoff_point(_SINGLES_CFG, 1.8, 0.25)
-    assert dims == [10]
-    assert steps == [6000, 6000, 12000, 24000, 48000, 96000, 192000, 384000]
-    assert stopped["status"] == full["status"] == "no_half_crossing"
-    assert full["peak_intensity"] == pytest.approx(stopped["peak_intensity"], rel=1e-12)
+    out = _turnoff_point(_SINGLES_CFG, 0.5, 0.05)
+    assert dims == [2] and out["n_atoms"] == 1
+    assert steps == [6000, 6000, 12000]
+    assert out["status"] == "no_half_crossing"
+    gen, ss, _, _, _ = _device(_SINGLES_CFG.params, 0.5, 0.05)
+    n_steps = 6000 * 128
+    prop = expm(gen.m1(0.05) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
+    y, peak = ss.singles, abs(gen.out_e @ ss.singles) ** 2
+    for _ in range(n_steps):
+        y = prop @ y
+        peak = max(peak, abs(gen.out_e @ y) ** 2)
+    assert out["peak_intensity"] == pytest.approx(peak, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:scan point")

@@ -138,7 +138,7 @@ def test_er_ordering_matters():
 def test_zero_state_is_ground():
     idx = _index(4, "full")
     st0 = zero_state(idx)
-    assert st0.norm() == 0.0
+    assert not np.any(st0.amplitudes)
     assert st0.amplitudes.shape == (idx.dim,)
 
 
