@@ -16,7 +16,7 @@ by composition, with three uniforms per pair and no rejection: one picks a
 grid cell in proportion to its mass, one the t1 fraction from the cell's
 linear marginal, one the t2 fraction from the linear conditional at that t1.
 The pair marginal is subtracted from the singles density at every trace
-sample, interpolated linearly between the samples of a coarser G2 grid.
+sample: the G2 grid is the trace's own grid.
 """
 
 from __future__ import annotations
@@ -222,9 +222,12 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
                    budget: EfficiencyBudget, n_trials: int, seed: int,
                    trial_period_ns: float = DetectionStream.trial_period_ns,
                    gamma_mhz: float = 6.0) -> DetectionStream:
-    """Synthesize the detection record of ``n_trials`` identical trials."""
+    """Synthesize the detection record of ``n_trials`` identical trials,
+    from a trace and a correlation grid on the same time grid."""
     if n_trials < 1:
         raise ConfigurationError("need at least one trial")
+    if not np.array_equal(grid.times, trace.times):
+        raise ConfigurationError("correlation grid is not on the trace's time grid")
     e0sq = n_in / trace.input_energy()
 
     lam = e0sq * trace.intensity                       # output photon rate
@@ -236,8 +239,7 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
     p_pair = 0.5 * mu2
 
     # subtract the pair marginal from the singles density
-    rho_grid = np.trapezoid(pair_density, grid.times, axis=1)
-    rho = np.interp(trace.times, grid.times, rho_grid, left=0.0, right=0.0)
+    rho = np.trapezoid(pair_density, grid.times, axis=1)
     lam_single = np.clip(lam - rho, 0.0, None)
     p_single = float(np.trapezoid(lam_single, trace.times))
     clip = float(np.trapezoid(np.maximum(rho - lam, 0.0), trace.times))

@@ -66,8 +66,10 @@ so a square pulse's plateau and its tail share one exponential, and its
 giant-step power, which ``evolve`` keeps for one call.  Above the cap a
 stretch, and a Magnus factor, takes the action of the exponential of the
 folded CSR S + Omega_c W + e F (``_action_powers``, ``_TaylorAction``).
-The undriven singles propagator of a correlation grid (``SinglesPropagator``)
-takes exp(M1 h) on each piece between control breakpoints.
+``evolve`` records the sample where each segment starts
+(``StateTrajectory.segment_starts``), and a correlation grid steps the
+undriven singles by exp(M1 h) at each segment's Omega_c and sample step h
+(``SinglesPropagator``).
 
 That exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
@@ -88,7 +90,7 @@ The propagator stays there: a stretch maps y and the covectors in once,
 steps with triangular matvecs, and maps only its end state back, and the
 drive scaling acts in place on the triangle, since Z never mixes the
 ground, singles and doubles.  Only ``SinglesPropagator``, whose correlation
-grid reads the propagator's entries, asks for the dense matrix.
+grid reads the entries of one step per segment, asks for the dense matrix.
 ``steady_state`` solves the doubles system in the same order, where LU in
 the natural order makes next to no fill.
 
@@ -292,11 +294,10 @@ def _solve_singles_steady(params: PhysicalParams, m1: np.ndarray, s1: np.ndarray
 
 
 def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: BlockadeConfig,
-                       schedule: ControlSchedule, envelope: PulseEnvelope,
-                       index: ExcitationIndex | None = None) -> Generator:
+                       schedule: ControlSchedule, envelope: PulseEnvelope) -> Generator:
     """Build the block matrices realizing the cascaded spin-model generator:
     the singles blocks (``singles_blocks``) and their lift onto the doubles
-    slots of ``index`` (by default every rr pair the blockade allows).
+    slots of every rr pair the blockade allows.
 
     With (a_k, b_k) the modes of doubles slot k (``mode_pairs``), U
     (``spread``) puts slot k on the (2N)^2 pair tensor at (a_k, b_k) and
@@ -307,9 +308,7 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     m2_static also gets -i V_hj on the rr slots.  Then s21 = P (s1 x 1 +
     1 x s1), ann = (out_e^T x 1) U and a2vec = ann^T out_e.  ``v_max`` is the
     largest |V_hj| of an allowed rr pair."""
-    idx = index if index is not None else build_index(chain.n_atoms, blockade, chain)
-    if idx.n_atoms != chain.n_atoms:
-        raise ConfigurationError("index/chain dimension mismatch")
+    idx = build_index(chain.n_atoms, blockade, chain)
     z = chain.z()
     m1s, m1o, s1, out_e = singles_blocks(params, chain)
     n1, d2 = idx.dim_singles, idx.dim_doubles
@@ -583,7 +582,10 @@ class StateTrajectory:
     of the state on a near-uniform output grid (breakpoints injected so that
     discontinuities land exactly on samples).  ``envelope_unit`` and
     ``omega_c`` hold the right-continuous values at the sample times, i.e.
-    the post-jump values exactly at a discontinuity.
+    the post-jump values exactly at a discontinuity.  ``segment_starts``
+    holds the sample index where each segment of the evolution starts: a
+    segment runs to the next one's start (the last to the final sample) in
+    equal steps at constant Omega_c.
     """
 
     index: ExcitationIndex
@@ -592,12 +594,17 @@ class StateTrajectory:
     projections: np.ndarray
     envelope_unit: np.ndarray
     omega_c: np.ndarray
+    segment_starts: np.ndarray
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("trajectory time grid must be strictly increasing")
         if self.projections.shape != (len(self.times), len(self.covectors)):
             raise ConfigurationError("projections must be (samples, covectors)")
+        s = self.segment_starts
+        if (s.ndim != 1 or len(s) == 0 or s[0] != 0 or np.any(np.diff(s) <= 0)
+                or s[-1] >= len(self.times) - 1):
+            raise ConfigurationError("segment starts must rise from 0 and stay inside the grid")
 
     @property
     def n_samples(self) -> int:
@@ -987,7 +994,7 @@ def evolve(generator: Generator, t_span, dt_out: float,
     """Integrate the truncated state over ``t_span`` and sample it at output
     steps of at most ``dt_out``, every envelope and control breakpoint
     landing on a sample; each segment between breakpoints goes through
-    ``propagate_segment``.
+    ``propagate_segment``, and the trajectory records where it starts.
 
     The trajectory holds the projections ``project @ y`` of a covector
     stack (c x (1 + dim) over [ground; singles; doubles]), by default
@@ -1008,20 +1015,25 @@ def evolve(generator: Generator, t_span, dt_out: float,
     record = np.empty((n_samples, len(project)), dtype=complex)
     record[0] = project @ y
     times = [t0]
+    starts = []
     cache: dict = {}
     for (a, b, n_out) in segments:
         i = len(times)
+        starts.append(i - 1)
         y = propagate_segment(generator, y, a, b, n_out, out=record[i:i + n_out],
                               cache=cache, project=project)
         h_out = (b - a) / n_out
-        times.extend(a + k * h_out for k in range(1, n_out + 1))
+        # the last sample is the breakpoint itself, so the next segment's
+        # start reads the post-jump envelope and control
+        times.extend([*(a + k * h_out for k in range(1, n_out)), b])
         _check_finite(y, b)
 
     return StateTrajectory(index=idx, times=np.array(times), covectors=project,
                            projections=record,
                            envelope_unit=np.array([generator.envelope.unit_shape(t)
                                                    for t in times]),
-                           omega_c=np.array([generator.schedule.value(t) for t in times]))
+                           omega_c=np.array([generator.schedule.value(t) for t in times]),
+                           segment_starts=np.array(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,26 +1068,18 @@ def steady_state(generator: Generator, omega_c: float) -> TruncatedState:
 # the undriven singles propagator
 
 class SinglesPropagator:
-    """The undriven singles propagator Phi of a correlation grid over the
-    intervals of its time grid: d x/dt = M1(Omega_c(t)) x, blind to the
-    envelope.  An interval is split at the schedule's breakpoints, and each
-    piece, at constant Omega_c (read at its midpoint), takes exp(M1 h), one
-    per (Omega_c, h) for the grid."""
+    """The undriven singles propagator of a correlation grid's segments,
+    d x/dt = M1(Omega_c) x at the segment's constant Omega_c, blind to the
+    envelope: one dense exp(M1 h) per (Omega_c, h) for the grid."""
 
-    def __init__(self, generator: Generator, times: np.ndarray):
+    def __init__(self, generator: Generator):
         self.gen = generator
-        self.times = np.asarray(times, dtype=float)
         self._cache: dict = {}
 
-    def step(self, k: int, cols: np.ndarray) -> np.ndarray:
-        """Phi(times[k + 1], times[k]) applied to the singles columns ``cols``."""
-        schedule = self.gen.schedule
-        t0, t1 = float(self.times[k]), float(self.times[k + 1])
-        for a, b, _ in _segment_grid(t0, t1, schedule.breakpoints(), t1 - t0):
-            om = schedule.value(0.5 * (a + b))
-            key = (round(om, 15), round(b - a, 15))
-            prop = self._cache.get(key)
-            if prop is None:
-                prop = self._cache[key] = expm(self.gen.m1(om) * (b - a)).dense()
-            cols = prop @ cols
-        return cols
+    def step(self, omega: float, h: float) -> np.ndarray:
+        """exp(M1(``omega``) ``h``), one sample step of a segment."""
+        key = (round(omega, 15), round(h, 15))
+        prop = self._cache.get(key)
+        if prop is None:
+            prop = self._cache[key] = expm(self.gen.m1(omega) * h).dense()
+        return prop

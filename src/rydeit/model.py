@@ -80,12 +80,13 @@ class PhysicalParams:
         return self.gamma_1d + self.gamma_prime
 
     @classmethod
-    def from_ratio(cls, ratio: float = 0.2, gamma_total: float = 1.0, **kwargs) -> "PhysicalParams":
-        """Build from the collected/lost branching ratio Gamma_1D/Gamma'."""
-        if ratio < 0 or gamma_total <= 0:
-            raise ConfigurationError("need ratio >= 0 and gamma_total > 0")
-        gamma_prime = gamma_total / (1.0 + ratio)
-        return cls(gamma_1d=gamma_total - gamma_prime, gamma_prime=gamma_prime, **kwargs)
+    def from_ratio(cls, ratio: float = 0.2, **kwargs) -> "PhysicalParams":
+        """Build from the collected/lost branching ratio Gamma_1D/Gamma', at
+        Gamma = 1."""
+        if ratio < 0:
+            raise ConfigurationError("need ratio >= 0")
+        gamma_prime = 1.0 / (1.0 + ratio)
+        return cls(gamma_1d=1.0 - gamma_prime, gamma_prime=gamma_prime, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +372,12 @@ class ControlSchedule:
         return cls(segments=(ControlSegment(0.0, 1.0, omega_c),))
 
     @classmethod
-    def storage(cls, omega_c: float, t_off: float, t_store: float,
-                t_start: float = 0.0) -> "ControlSchedule":
-        """Constant control, switched off during [t_off, t_off + t_store]."""
-        if t_off <= t_start or t_store <= 0:
-            raise ConfigurationError("need t_off > t_start and t_store > 0")
+    def storage(cls, omega_c: float, t_off: float, t_store: float) -> "ControlSchedule":
+        """Constant control from t = 0, switched off during [t_off, t_off + t_store]."""
+        if t_off <= 0 or t_store <= 0:
+            raise ConfigurationError("need t_off > 0 and t_store > 0")
         return cls(segments=(
-            ControlSegment(t_start, t_off, omega_c),
+            ControlSegment(0.0, t_off, omega_c),
             ControlSegment(t_off, t_off + t_store, 0.0),
             ControlSegment(t_off + t_store, t_off + t_store + 1.0, omega_c),
         ))

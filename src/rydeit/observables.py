@@ -98,7 +98,6 @@ class CorrelationGrid:
     times: np.ndarray
     g2_matrix: np.ndarray
     intensity: np.ndarray
-    envelope_unit: np.ndarray
 
     def __post_init__(self) -> None:
         m = len(self.times)
@@ -110,12 +109,10 @@ class CorrelationGrid:
 GRID_BLOCK = 128
 
 
-def correlation_grid(traj: StateTrajectory, generator: Generator,
-                     i_start: int = 0, i_stop: int | None = None,
-                     stride: int = 1) -> CorrelationGrid:
-    """G2(t_i, t_j) over the trajectory sub-grid [i_start:i_stop:stride], in
-    closed form from the trajectory's record, whose covectors must begin
-    with ``Generator.output_covectors(grid=True)``.
+def correlation_grid(traj: StateTrajectory, generator: Generator) -> CorrelationGrid:
+    """G2(t_i, t_j) over the trajectory's grid, in closed form from its
+    record, whose covectors must begin with
+    ``Generator.output_covectors(grid=True)``.
 
     A photon taken at t_i leaves the ground f1_i and the singles
     ep_i psi1 + ann psi2, which evolve under the trajectory's own singles
@@ -123,33 +120,29 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
     evolves undriven (Duhamel splitting): for t_i <= t_j,
     G2(t_i, t_j) = |f1_i f1_j + out_e Phi(t_j, t_i) x'_i|^2 with
     x'_i = ann psi2(t_i) - (out_e psi1(t_i)) psi1(t_i) and Phi the undriven
-    ``SinglesPropagator``.  On a run of equal intervals at one constant
-    Omega_c, Phi(t_j, t_i) = P^(j - i): a Toeplitz product of the rows
+    singles propagator.  The runs are the trajectory's recorded segments:
+    on each, the samples are equally spaced at one constant Omega_c, so
+    Phi(t_j, t_i) = P^(j - i) with P = ``SinglesPropagator.step`` at the
+    segment's Omega_c and mean step h, a Toeplitz product of the rows
     out_e P^k with the columns x'_i, ``GRID_BLOCK`` columns at a time.
-    Earlier columns are carried to each run's start by binary powers of P.
+    Earlier columns are carried to each segment's start by binary powers
+    of P.
     """
-    if i_stop is None:
-        i_stop = traj.n_samples
-    sel = np.arange(i_start, i_stop, stride, dtype=int)
-    if len(sel) < 2:
-        raise ConfigurationError("correlation grid needs at least two samples")
     n1 = traj.index.dim_singles
     if not np.array_equal(traj.covectors[:2 + 2 * n1], generator.output_covectors(grid=True)):
         raise ConfigurationError("trajectory did not record the correlation-grid covectors")
-    rec = traj.projections[sel]
-    times = traj.times[sel]
-    env = traj.envelope_unit[sel]
-    f1 = env + rec[:, 0]
+    rec, times, n = traj.projections, traj.times, traj.n_samples
+    f1 = traj.envelope_unit + rec[:, 0]
     x = (rec[:, 2 + n1:2 + 2 * n1] - rec[:, :1] * rec[:, 2:2 + n1]).T
-    g2 = np.empty((len(sel), len(sel)))
-    phi = SinglesPropagator(generator, times)
-    runs = _uniform_runs(times, generator.schedule)
+    g2 = np.empty((n, n))
+    phi = SinglesPropagator(generator)
+    bounds = [*traj.segment_starts, n - 1]
     cols = np.empty((n1, 0), dtype=complex)
-    for r, (s, e) in enumerate(runs):
+    for s, e in zip(bounds, bounds[1:]):
         # columns born at i < stop are filled at t_j, j in [max(i, s), stop)
-        last = r == len(runs) - 1
+        last = e == n - 1
         stop = e + 1 if last else e
-        p = phi.step(s, np.eye(n1, dtype=complex))
+        p = phi.step(traj.omega_c[s], (times[e] - times[s]) / (e - s))
         rows = np.empty((stop - s, n1), dtype=complex)
         rows[0] = generator.out_e
         for k in range(1, stop - s):
@@ -158,26 +151,7 @@ def correlation_grid(traj: StateTrajectory, generator: Generator,
         _fill_run(g2, f1, rows, cols, s)
         if not last:
             _carry(p, cols, e - np.maximum(np.arange(e), s))
-    return CorrelationGrid(times=times.copy(), g2_matrix=g2, intensity=np.abs(f1) ** 2,
-                           envelope_unit=env.copy())
-
-
-def _uniform_runs(times: np.ndarray, schedule) -> list:
-    """The grid as runs (s, e) of samples s..e whose intervals share one
-    length (to 1e-9 relative) and one constant Omega_c; an interval that
-    holds a schedule breakpoint inside is a run of its own."""
-    h = np.diff(times)
-    bp = np.asarray(schedule.breakpoints(), dtype=float)
-    c = np.searchsorted(times, bp, side="right") - 1
-    const = np.ones(len(h), dtype=bool)
-    const[c[(c >= 0) & (c < len(h)) & (times[np.clip(c, 0, len(h))] < bp)]] = False
-    runs, s = [], 0
-    for c in range(1, len(h) + 1):
-        if (c == len(h) or not (const[s] and const[c]) or abs(h[c] - h[s]) > 1e-9 * h[s]
-                or schedule.value(times[c]) != schedule.value(times[s])):
-            runs.append((s, c))
-            s = c
-    return runs
+    return CorrelationGrid(times=times.copy(), g2_matrix=g2, intensity=np.abs(f1) ** 2)
 
 
 def _fill_run(g2: np.ndarray, f1: np.ndarray, rows: np.ndarray, cols: np.ndarray,

@@ -446,7 +446,8 @@ def run_window_scan(cfg: ScenarioConfig) -> ResultBundle:
 @_timed
 def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     if cfg.schedule_kind != "storage":
-        raise ConfigurationError("storage scenario needs a storage schedule (t_off_ns)")
+        raise ConfigurationError("storage scenario needs a storage schedule: pass --t-off-ns, "
+                                 "or set [schedule] kind = storage with t_off_ns")
     g = cfg.params.gamma_mhz
     gen, traj, trace = _propagate(cfg, grid=True)
     grid = correlation_grid(traj, gen)

@@ -138,13 +138,15 @@ def rk4_evolve(gen, t_span, dt_out, dt=None, initial=None, project=None):
     initial = zero_state(gen.index) if initial is None else initial
     project = gen.output_covectors(grid=True) if project is None else project
     y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
-    record, times = [project @ y], [t0]
+    record, times, starts = [project @ y], [t0], []
     for a, b, n_out in _segment_grid(t0, t1, gen.breakpoints(), dt_out):
+        starts.append(len(times) - 1)
         proj, y = rk4_segment(gen, y, a, b, n_out, dt, project)
         record.extend(proj)
         h_out = (b - a) / n_out
-        times.extend(a + k * h_out for k in range(1, n_out + 1))
+        times.extend([*(a + k * h_out for k in range(1, n_out)), b])
     return StateTrajectory(index=gen.index, times=np.array(times), covectors=project,
                            projections=np.array(record),
                            envelope_unit=np.array([gen.envelope.unit_shape(t) for t in times]),
-                           omega_c=np.array([gen.schedule.value(t) for t in times]))
+                           omega_c=np.array([gen.schedule.value(t) for t in times]),
+                           segment_starts=np.array(starts))

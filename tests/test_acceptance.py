@@ -61,7 +61,7 @@ def replica_artifacts():
         mp.setattr(scenarios, "_propagate", propagate)
         bundle = run_experiment_replica(cfg)
     (gen, traj, trace), = kept
-    grid = correlation_grid(traj, gen, stride=2)  # 4 ns grid
+    grid = correlation_grid(traj, gen)
     wall = _time.perf_counter() - t0
     return {"cfg": cfg, "bundle": bundle, "gen": gen, "trace": trace,
             "grid": grid, "wall": wall}
@@ -73,8 +73,7 @@ def _flat_scene(t_max=8.0, n=161, g2=1.0):
     trace = ObservableTrace(times=ts, envelope_unit=ones.copy(), omega_c=ones * 0.5,
                             intensity=ones.copy(), g2tilde=np.full(n, g2),
                             g2=np.full(n, g2))
-    grid = CorrelationGrid(times=ts, g2_matrix=np.full((n, n), g2),
-                           intensity=ones.copy(), envelope_unit=ones.copy())
+    grid = CorrelationGrid(times=ts, g2_matrix=np.full((n, n), g2), intensity=ones.copy())
     return trace, grid
 
 

@@ -30,6 +30,8 @@ def test_traced_run_records_the_benchmark_layers(tmp_path, monkeypatch):
     metrics = importlib.import_module("layers").per_layer(spans)
     assert metrics["dynamics.expm.calls"] > 0
     assert metrics["dynamics.SinglesPropagator.step.calls"] > 0
+    # the grid spans the whole trajectory of the run's one evolve
+    assert metrics["observables.correlation_grid.cells"] == metrics["dynamics.evolve.samples"] ** 2
 
 
 def test_traced_propagate_times_the_cascade_exponential(tmp_path, monkeypatch):

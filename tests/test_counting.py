@@ -29,7 +29,7 @@ def _flat_scene(t_max=8.0, n=161, intensity=1.0, g2=1.0):
                             g2tilde=np.full(n, g2 * intensity ** 2),
                             g2=np.full(n, g2))
     grid = CorrelationGrid(times=ts, g2_matrix=np.full((n, n), g2 * intensity ** 2),
-                           intensity=inten, envelope_unit=np.ones(n))
+                           intensity=inten)
     return trace, grid
 
 
@@ -218,10 +218,10 @@ def test_stream_clip_is_zero_without_clipping():
 # ---------------------------------------------------------------------------
 # pair sampler: exact composition draws from the bilinear pair density
 
-def _simulated_scene(stride=1, **kw):
+def _simulated_scene(**kw):
     gen = make_generator(n_atoms=4, **kw)
     traj = evolve(gen, (0.0, 12.0), dt_out=0.3)
-    return trace_from_trajectory(traj, gen), correlation_grid(traj, gen, stride=stride)
+    return trace_from_trajectory(traj, gen), correlation_grid(traj, gen)
 
 
 def _gaussian_scene():
@@ -355,12 +355,10 @@ def test_pair_sampler_conditional_zero_at_cell_edge():
     np.testing.assert_array_equal(t1, 0.0)
 
 
-def test_singles_density_on_strided_grid():
-    # pair marginal sampled on every second trace sample: the singles density
-    # must subtract it between the grid samples too, so the photons emitted
-    # per trial match the integrated output rate
-    trace, grid = _simulated_scene(stride=2, shape=PulseShape.GAUSSIAN, duration=12.0)
-    assert len(grid.times) < len(trace.times)
+def test_photons_per_trial_match_the_output_rate():
+    # the singles density subtracts the pair marginal at every trace sample,
+    # so the photons emitted per trial match the integrated output rate
+    trace, grid = _gaussian_scene()
     n_in, n_trials = 0.5, 200000
     stream = emulate_trials(trace, grid, n_in, IDEAL, n_trials, seed=5)
     per_trial = np.bincount(stream.trials, minlength=n_trials) / (
@@ -369,6 +367,19 @@ def test_singles_density_on_strided_grid():
         trace, (trace.times[0], trace.times[-1] - trace.times[0]), n_in)
     se = per_trial.std() / math.sqrt(n_trials)
     assert abs(per_trial.mean() - expected) < 5 * se
+
+
+@pytest.mark.parametrize("times", [lambda t: t[::2], lambda t: t + 1e-9],
+                         ids=["coarser", "shifted"])
+def test_emulation_refuses_a_grid_off_the_trace(times):
+    # the pair marginal is subtracted sample by sample, so the correlation
+    # grid must be on the trace's own grid: a coarser or shifted one is refused
+    trace, grid = _flat_scene()
+    t = times(grid.times)
+    off = CorrelationGrid(times=t, g2_matrix=np.ones((len(t), len(t))),
+                          intensity=np.ones(len(t)))
+    with pytest.raises(ConfigurationError):
+        emulate_trials(trace, off, 0.4, IDEAL, 100, seed=1)
 
 
 # ---------------------------------------------------------------------------

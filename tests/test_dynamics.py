@@ -11,9 +11,9 @@ from scipy.linalg import expm as _scipy_expm
 from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule, ControlSegment,
                           PhysicalParams, PulseEnvelope, PulseShape, build_chain, optical_depth,
                           time_from_ns)
-from rydeit.dynamics import (DynamicsError, SinglesPropagator, _TaylorAction, _cascade_order,
-                             _csr, _giant_step, _ramp_powers, assemble_generator, decay_steps,
-                             evolve, expm, propagate_segment, steady_state,
+from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, _TaylorAction,
+                             _cascade_order, _csr, _giant_step, _ramp_powers, assemble_generator,
+                             decay_steps, evolve, expm, propagate_segment, steady_state,
                              steady_transmission_amplitude)
 from rydeit.observables import trace_from_trajectory
 from rydeit.statespace import TruncatedState, zero_state
@@ -126,6 +126,40 @@ def test_trajectory_grid_contains_breakpoints():
     traj = evolve(gen, (0.0, 15.0), dt_out=0.7)
     assert np.any(np.isclose(traj.times, 10.0))
     assert np.all(np.diff(traj.times) > 0)
+    # the trajectory records where each segment starts: at 0 and at the
+    # pulse's end, each in equal steps
+    starts = traj.segment_starts
+    np.testing.assert_allclose(traj.times[starts], [0.0, 10.0], atol=1e-12)
+    for s, e in zip(starts, [*starts[1:], traj.n_samples - 1]):
+        np.testing.assert_allclose(np.diff(traj.times[s:e + 1]), traj.times[s + 1] - traj.times[s],
+                                   rtol=1e-12)
+
+
+def test_segment_starts_on_its_breakpoint():
+    # six steps of 1.51 / 6 add up to 1.5099999999999998: the segment's last
+    # sample is the breakpoint itself, so the storage segment after it
+    # starts at Omega_c = 0 and the tail after the pulse at envelope 0
+    gen = make_generator(n_atoms=2, duration=3.0,
+                         schedule=ControlSchedule.storage(0.5, t_off=1.51, t_store=1.0))
+    traj = evolve(gen, (0.0, 4.0), dt_out=0.3)
+    starts = traj.segment_starts
+    np.testing.assert_array_equal(traj.times[starts], [0.0, 1.51, 2.51, 3.0])
+    np.testing.assert_array_equal(traj.omega_c[starts], [0.5, 0.0, 0.5, 0.5])
+    np.testing.assert_array_equal(traj.envelope_unit[starts], [1.0, 1.0, 1.0, 0.0])
+    assert traj.times[-1] == 4.0
+
+
+@pytest.mark.parametrize("starts", [[], [1], [0, 3, 3], [0, 5, 2], [0, 7]])
+def test_trajectory_refuses_malformed_segment_starts(starts):
+    # segment starts rise from 0, and every segment holds at least one step
+    gen = make_generator(n_atoms=2, duration=10.0)
+    n = 8
+    with pytest.raises(ConfigurationError, match="segment starts"):
+        StateTrajectory(index=gen.index, times=np.arange(float(n)),
+                        covectors=gen.output_covectors(),
+                        projections=np.zeros((n, 2), dtype=complex),
+                        envelope_unit=np.zeros(n), omega_c=np.zeros(n),
+                        segment_starts=np.array(starts, dtype=int))
 
 
 def test_rk4_fourth_order_convergence():
@@ -460,17 +494,15 @@ def test_drive_ramp_segment(shape, power_law, doubles):
 
 
 def test_singles_propagator_one_exponential_per_step(monkeypatch):
-    # a grid with step 0.5 before the pulse (drive 0) and on the plateau
-    # (drive 1), and step 0.25 in the tail: the undriven propagator never
-    # sees the drive, so two exponentials, not three
+    # segment steps of 0.5 before the pulse (drive 0) and on the plateau
+    # (drive 1), and of 0.25 in the tail: the undriven propagator never sees
+    # the drive, so two exponentials, not three
     gen = make_generator(n_atoms=4, duration=20.0, rise_time=1.0)
-    times = np.concatenate([np.arange(-5.0, 20.0, 0.5), np.arange(20.0, 30.1, 0.25)])
     calls = _count_expm(monkeypatch)
-    prop = SinglesPropagator(gen, times)
-    y = np.ones((gen.index.dim_singles, 3), dtype=complex)
-    for k in range(len(times) - 1):
-        y = prop.step(k, y)
-    assert len(calls) == 2
+    prop = SinglesPropagator(gen)
+    pre, plateau, tail = (prop.step(0.5, h) for h in (0.5, 0.5, 0.25))
+    assert len(calls) == 2 and plateau is pre
+    np.testing.assert_allclose(tail, _scipy_expm(gen.m1(0.5) * 0.25), rtol=0, atol=1e-13)
 
 
 def test_short_constant_stretch_takes_the_exponential(monkeypatch):

@@ -41,7 +41,8 @@ def test_no_atoms_equivalent_input_passthrough():
     traj = StateTrajectory(index=gen.index, times=np.array([0.0, 1.0]),
                            covectors=gen.output_covectors(),
                            projections=np.zeros((2, 2), dtype=complex),
-                           envelope_unit=np.array([0.73, 0.0]), omega_c=np.full(2, 0.5))
+                           envelope_unit=np.array([0.73, 0.0]), omega_c=np.full(2, 0.5),
+                           segment_starts=np.array([0]))
     trace = trace_from_trajectory(traj, gen)
     np.testing.assert_allclose(trace.intensity, [0.73 ** 2, 0.0], rtol=1e-15)
     np.testing.assert_allclose(trace.g2tilde, [0.73 ** 4, 0.0], rtol=1e-15)
@@ -58,7 +59,7 @@ def test_coherent_factorization_trace(params):
 def test_two_time_factorization_and_symmetry():
     gen = make_generator(n_atoms=6, blockade=BlockadeConfig.none(), duration=20.0)
     traj = evolve(gen, (0.0, 30.0), dt_out=0.5)
-    grid = correlation_grid(traj, gen, i_start=0, i_stop=50, stride=4)
+    grid = correlation_grid(traj, gen)
     outer = np.outer(grid.intensity, grid.intensity)
     assert np.max(np.abs(grid.g2_matrix - outer)) < 1e-6
     assert np.max(np.abs(grid.g2_matrix - grid.g2_matrix.T)) < 1e-10
@@ -77,8 +78,8 @@ def test_two_time_matches_equal_time_on_diagonal():
 def test_two_time_g2_off_diagonal_consistent_with_grid():
     gen = make_generator(n_atoms=5, duration=20.0)
     traj = evolve(gen, (0.0, 25.0), dt_out=0.5, project=oracle_rows(gen))
-    grid = correlation_grid(traj, gen, i_start=10, i_stop=40, stride=3)
-    i, j = 2, 7
+    grid = correlation_grid(traj, gen)
+    i, j = 16, 31
     t1, t2 = float(grid.times[i]), float(grid.times[j])
     assert two_time_g2(traj, gen, t1, t2) == pytest.approx(
         grid.g2_matrix[i, j], rel=1e-7, abs=1e-12)
@@ -90,7 +91,7 @@ def _power_law(n_atoms):
     return BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms, 1.0), p)
 
 
-#: Omega_c stepped down at 6 and 9, between grid samples at stride 3
+#: Omega_c stepped down at 6 and 9
 _STEPS = ControlSchedule(segments=(ControlSegment(0.0, 6.0, 0.5),
                                    ControlSegment(6.0, 9.0, 0.3),
                                    ControlSegment(9.0, 10.0, 0.1)))
@@ -102,16 +103,17 @@ _STEPS = ControlSchedule(segments=(ControlSegment(0.0, 6.0, 0.5),
     (PulseShape.SQUARE, ControlSchedule.storage(0.5, t_off=8.0, t_store=6.0)),
     (PulseShape.GAUSSIAN, _STEPS)])
 @pytest.mark.parametrize("blockaded", [True, False])
-@pytest.mark.parametrize("i_start, i_stop, stride", [(0, None, 1), (7, 61, 3)])
+@pytest.mark.parametrize("first, stop, step", [(0, None, 1), (7, 61, 3)])
 def test_correlation_grid_matches_conditioned_evolution(shape, schedule, blockaded,
-                                                        i_start, i_stop, stride):
+                                                        first, stop, step):
     # the closed-form grid against the oracle that evolves each conditioned
-    # state under the driven generator; storage's control jumps and the
-    # steps' breakpoints fall inside the stride-3 intervals
+    # state under the driven generator, at pairs of the grid samples
+    # [first:stop:step]; the second set straddles storage's control jumps
+    # and the steps' breakpoints
     n = 5
     gen = make_generator(n_atoms=n, shape=shape, duration=12.0, schedule=schedule,
                          blockade=None if blockaded else _power_law(n))
-    _check_grid_against_oracle(gen, i_start, i_stop, stride)
+    _check_grid_against_oracle(gen, first, stop, step)
 
 
 @pytest.mark.parametrize("shape, rise", [(PulseShape.SQUARE, 3.0),
@@ -128,24 +130,60 @@ def test_correlation_grid_on_drive_ramps_matches_conditioned_evolution(shape, ri
 
 @pytest.mark.parametrize("blockaded", [True, False])
 def test_correlation_grid_storage_window_inside_one_interval(blockaded):
-    # the whole 0.25 storage window [8, 8.25] lies inside the stride-4
-    # interval [7.75, 8.75], where Omega_c reads the same at both ends
+    # the whole 0.25 storage window [8, 8.25] is one sample interval: a
+    # segment of one step at Omega_c = 0 between two at 0.5
     n = 5
     gen = make_generator(n_atoms=n, duration=12.0,
                          schedule=ControlSchedule.storage(0.5, t_off=8.0, t_store=0.25),
                          blockade=None if blockaded else _power_law(n))
-    _check_grid_against_oracle(gen, 3, 80, 4)
+    _check_grid_against_oracle(gen, 28, 40, 1)
 
 
-def _check_grid_against_oracle(gen, i_start, i_stop, stride):
+def test_correlation_grid_reads_each_segment_at_its_own_control():
+    # the control switches off at 1.51, just past the sum of six steps of
+    # 1.51 / 6: the storage segment steps at Omega_c = 0 from its first sample
+    gen = make_generator(n_atoms=3, duration=3.0,
+                         schedule=ControlSchedule.storage(0.5, t_off=1.51, t_store=1.0))
+    traj = evolve(gen, (0.0, 4.0), dt_out=0.3, project=oracle_rows(gen))
+    grid = correlation_grid(traj, gen)
+    peak = np.max(grid.g2_matrix)
+    for a in range(len(grid.times)):
+        for b in range(a, len(grid.times)):
+            ref = two_time_g2(traj, gen, grid.times[a], grid.times[b])
+            assert abs(grid.g2_matrix[a, b] - ref) <= 1e-8 * peak, (a, b)
+
+
+def test_correlation_grid_one_exponential_per_segment_step(monkeypatch):
+    # storage switches Omega_c 0.5 -> 0 -> 0.5, and the pulse's end at 12
+    # splits the dark stretch: four recorded segments, all at step 0.25,
+    # share two (Omega_c, h), so the grid builds two singles exponentials
+    import rydeit.dynamics as dynamics
+    gen = make_generator(n_atoms=4, duration=12.0,
+                         schedule=ControlSchedule.storage(0.5, t_off=8.0, t_store=6.0))
+    traj = evolve(gen, (0.0, 22.0), dt_out=0.25)
+    starts = traj.segment_starts
+    np.testing.assert_array_equal(traj.times[starts], [0.0, 8.0, 12.0, 14.0])
+    steps = {(traj.omega_c[s], traj.times[s + 1] - traj.times[s]) for s in starts}
+    assert steps == {(0.5, 0.25), (0.0, 0.25)}
+    calls = []
+    real = dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda m: calls.append(m.shape) or real(m))
+    correlation_grid(traj, gen)
+    n1 = gen.index.dim_singles
+    assert calls == [(n1, n1)] * len(steps)
+
+
+def _check_grid_against_oracle(gen, first, stop, step):
     traj = evolve(gen, (0.0, 22.0), dt_out=0.25, project=oracle_rows(gen))
-    grid = correlation_grid(traj, gen, i_start=i_start, i_stop=i_stop, stride=stride)
+    grid = correlation_grid(traj, gen)
+    np.testing.assert_array_equal(grid.times, traj.times)
     peak = np.max(grid.g2_matrix)
     rng = np.random.default_rng(11)
-    m = len(grid.times)
+    sel = np.arange(len(grid.times))[first:stop:step]
+    m = len(sel)
     pairs = [(0, 0), (0, m - 1), (m - 1, m - 1)] + [
         tuple(sorted(rng.integers(0, m, size=2))) for _ in range(12)]
-    for a, b in pairs:
+    for a, b in (sel[list(pair)] for pair in pairs):
         ref = two_time_g2(traj, gen, grid.times[a], grid.times[b])
         assert abs(grid.g2_matrix[a, b] - ref) <= 1e-8 * peak, (a, b)
         assert grid.g2_matrix[b, a] == grid.g2_matrix[a, b]
@@ -174,8 +212,7 @@ def test_a_record_of_other_rows_is_refused(read):
 
 def _coherent_grid(t_max=10.0, n=101):
     ts = np.linspace(0.0, t_max, n)
-    return CorrelationGrid(times=ts, g2_matrix=np.ones((n, n)),
-                           intensity=np.ones(n), envelope_unit=np.ones(n))
+    return CorrelationGrid(times=ts, g2_matrix=np.ones((n, n)), intensity=np.ones(n))
 
 
 def test_windowed_g2_coherent_is_one():
@@ -193,7 +230,7 @@ def test_windowed_g2_coherent_any_window(a, w):
 def test_windowed_g2_floor_error():
     ts = np.linspace(0.0, 10.0, 101)
     grid = CorrelationGrid(times=ts, g2_matrix=np.zeros((101, 101)),
-                           intensity=np.full(101, 1e-7), envelope_unit=np.ones(101))
+                           intensity=np.full(101, 1e-7))
     with pytest.raises(UndefinedResultError):
         windowed_g2(grid, (0.0, 5.0), (0.0, 5.0))
 
@@ -205,7 +242,7 @@ def test_windowed_g2_converges_to_instantaneous():
     trace = trace_from_trajectory(traj, gen)
     i80 = int(np.argmin(np.abs(trace.times - 80.0)))
     assert trace.times[i80] == pytest.approx(80.0, abs=1e-9)
-    grid = correlation_grid(traj, gen, i_start=i80 - 100, i_stop=i80 + 101)
+    grid = correlation_grid(traj, gen)
     g2_inst = float(trace.g2[i80])
     gaps = []
     widths = (16.0, 8.0, 4.0, 2.0)
@@ -226,8 +263,9 @@ def test_two_time_g2_recovers_to_one_at_large_delay():
     trace = trace_from_trajectory(traj, gen)
     i0 = int(np.argmin(np.abs(trace.times - 60.0)))
     assert trace.times[i0] == pytest.approx(60.0, abs=1e-9)
-    grid = correlation_grid(traj, gen, i_start=i0, i_stop=i0 + 81)
-    norm = grid.g2_matrix[0, :] / (grid.intensity[0] * grid.intensity)
+    grid = correlation_grid(traj, gen)
+    later = slice(i0, i0 + 81)
+    norm = grid.g2_matrix[i0, later] / (grid.intensity[i0] * grid.intensity[later])
     assert norm[0] < 0.3
     assert norm[-1] > 0.9
     assert norm[-1] == pytest.approx(1.0, abs=0.05)

@@ -746,6 +746,13 @@ def test_cli_emulate_hbt_outputs(tmp_path):
     assert float(res["singles_clip_per_trial"]) >= 0.0
 
 
-def test_cli_storage_requires_schedule(tmp_path):
-    rc = main(["storage", "--d", "1.8", "--out", str(tmp_path / "s")])
-    assert rc == 3
+def test_cli_storage_requires_schedule(tmp_path, monkeypatch, capsys):
+    # with no flags the run has no switch-off time: it exits 3, names the
+    # flag that gives one and writes nothing (under the default results/,
+    # here made writable so that the output check passes)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    assert main(["storage"]) == 3
+    assert "--t-off-ns" in capsys.readouterr().err
+    assert main(["storage", "--d", "1.8", "--out", str(tmp_path / "s")]) == 3
+    assert [p.name for p in tmp_path.rglob("*")] == ["results"]
