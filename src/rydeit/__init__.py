@@ -4,7 +4,7 @@ from .model import (AtomChain, BlockadeConfig, BlockadeMode, BLOCKED,
                     ConfigurationError, ControlSchedule, ControlSegment,
                     PhysicalParams, PulseEnvelope, PulseShape, atoms_for_depth,
                     build_chain, interaction, optical_depth, single_atom_bandwidth)
-from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
+from .statespace import ExcitationIndex, build_index
 from .dynamics import (DynamicsError, Generator, StateTrajectory, assemble_generator,
                        evolve, steady_state)
 from .observables import (CorrelationGrid, ExtractionError, ObservableTrace,

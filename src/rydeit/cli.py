@@ -107,7 +107,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out_dir = ns.out or os.path.join("results", ns.command)
-    parent = os.path.dirname(os.path.abspath(out_dir))
+    # ResultBundle.write makes what is missing: check the nearest existing ancestor
+    parent = os.path.abspath(out_dir)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         print(f"rydeit: cannot write under {parent}", file=sys.stderr)
         return EXIT_OUTPUT

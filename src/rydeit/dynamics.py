@@ -133,7 +133,7 @@ import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -144,7 +144,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .model import (AtomChain, BlockadeConfig, ConfigurationError, ControlSchedule,
                     PhysicalParams, PulseEnvelope, interaction)
-from .statespace import ExcitationIndex, TruncatedState, build_index, zero_state
+from .statespace import ExcitationIndex, build_index
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -176,11 +176,12 @@ class DynamicsError(RuntimeError):
 
 @dataclass
 class Generator:
-    """Block action of the effective generator on a truncated state.
-
-    The time dependence enters only through Omega_c(t) (m*_omega blocks) and
-    the unit-peak probe envelope ep(t) (s1, s21 sources).
-    """
+    """The effective generator on the stacked [ground; singles; doubles]
+    layout of a state y = [g; psi1; psi2], length 1 + ``index.dim``:
+    A(t) = S + Omega_c(t) W + e(t) F, ``stacked`` = (S, W, F) as CSR, with
+    the time dependence only in the control Omega_c(t) and the unit-peak
+    probe envelope e(t) = ep(t).  F holds the sources, the ground -> singles
+    drive s1 and the singles -> doubles block S21."""
 
     index: ExcitationIndex
     params: PhysicalParams
@@ -188,12 +189,7 @@ class Generator:
     blockade: BlockadeConfig
     schedule: ControlSchedule
     envelope: PulseEnvelope
-    m1_static: np.ndarray
-    m1_omega: np.ndarray
-    s1: np.ndarray
-    m2_static: sp.csr_matrix
-    m2_omega: sp.csr_matrix
-    s21: sp.csr_matrix
+    stacked: tuple              # CSR (S, W, F) over [ground; singles; doubles]
     ann: sp.csr_matrix          # doubles -> singles photon annihilation
     out_e: np.ndarray           # singles -> ground annihilation covector
     a2vec: np.ndarray           # doubles -> ground double-annihilation covector
@@ -202,26 +198,15 @@ class Generator:
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.envelope.breakpoints()) | set(self.schedule.breakpoints())))
 
-    # --- matrix actions -----------------------------------------------------
     def m1(self, omega: float) -> np.ndarray:
-        return self.m1_static + omega * self.m1_omega
+        """The singles block of S + omega W, dense."""
+        k, (s, w, _) = slice(1, 1 + self.index.dim_singles), self.stacked
+        return (s[k, k] + omega * w[k, k]).toarray()
 
     def m2(self, omega: float) -> sp.csr_matrix:
-        return (self.m2_static + omega * self.m2_omega).tocsr()
-
-    @cached_property
-    def stacked(self) -> tuple:
-        """Static, Omega_c and drive parts (S, W, F) of the generator on the
-        stacked [ground; singles; doubles] layout, as CSR matrices built on
-        first use: A(t) = S + Omega_c(t) W + e(t) F at drive level e."""
-        def zero(rows, cols):
-            return sp.csr_matrix((rows, cols), dtype=complex)
-        d2 = self.index.dim_doubles
-        s = sp.block_diag([zero(1, 1), _csr(self.m1_static), self.m2_static])
-        w = sp.block_diag([zero(1, 1), _csr(self.m1_omega), self.m2_omega])
-        f = sp.bmat([[zero(1, 1), None, None], [_csr(self.s1[:, None]), None, None],
-                     [None, self.s21, zero(d2, d2)]])
-        return tuple(_csr(m) for m in (s, w, f))
+        """The doubles block of S + omega W."""
+        k, (s, w, _) = slice(1 + self.index.dim_singles, None), self.stacked
+        return s[k, k] + omega * w[k, k]
 
     def output_covectors(self, grid: bool = False) -> np.ndarray:
         """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
@@ -248,7 +233,7 @@ def _csr(m) -> sp.csr_matrix:
 def singles_blocks(params: PhysicalParams, chain: AtomChain):
     """Single-excitation matrices (layout [e_0..e_{N-1}, r_0..r_{N-1}]).
 
-    Returns (m1_static, m1_omega, s1, out_e): the Omega-independent generator
+    Returns (m1s, m1o, s1, out_e): the Omega-independent generator
     (the e and r rates on the diagonal, the cascaded e <- e exchange
     -(Gamma_1D/2) exp(i k_p (z_h - z_m)), m < h, strictly below it), the
     control coupling -i between e_h and r_h (to be scaled by Omega_c(t)),
@@ -295,9 +280,11 @@ def _solve_singles_steady(params: PhysicalParams, m1: np.ndarray, s1: np.ndarray
 
 def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: BlockadeConfig,
                        schedule: ControlSchedule, envelope: PulseEnvelope) -> Generator:
-    """Build the block matrices realizing the cascaded spin-model generator:
-    the singles blocks (``singles_blocks``) and their lift onto the doubles
-    slots of every rr pair the blockade allows.
+    """Build the stacked parts (S, W, F) of the cascaded spin-model
+    generator from the singles blocks (``singles_blocks``) and their lift
+    onto the doubles slots of every rr pair the blockade allows: S and W
+    are block diagonal over [ground; singles; doubles], F holds s1 in the
+    ground column and S21 in the doubles <- singles block.
 
     With (a_k, b_k) the modes of doubles slot k (``mode_pairs``), U
     (``spread``) puts slot k on the (2N)^2 pair tensor at (a_k, b_k) and
@@ -305,8 +292,8 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     (``pick``) takes (a_k, b_k) back with weight 1, or 1/sqrt(2) when
     a_k = b_k.  For a singles block M with diagonal m and off-diagonal part
     K, its doubles block is P (K x 1 + 1 x K) U + diag(m_a + m_b), and
-    m2_static also gets -i V_hj on the rr slots.  Then s21 = P (s1 x 1 +
-    1 x s1), ann = (out_e^T x 1) U and a2vec = ann^T out_e.  ``v_max`` is the
+    the static one also gets -i V_hj on the rr slots.  Then S21 = P (s1 x 1
+    + 1 x s1), ann = (out_e^T x 1) U and a2vec = ann^T out_e.  ``v_max`` is the
     largest |V_hj| of an allowed rr pair."""
     idx = build_index(chain.n_atoms, blockade, chain)
     z = chain.z()
@@ -329,14 +316,17 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     v = np.array([interaction(blockade, abs(z[j] - z[h])) for h, j in idx.rr_pairs])
     m2s, m2o = lift(m1s, np.r_[np.zeros(idx.n_ee + idx.n_er), v]), lift(m1o)
     s21 = _csr(pick @ _kron_eye(s1[:, None], n1))
+    g = sp.csr_matrix((1, 1), dtype=complex)        # the ground slot
+    stacked = (sp.block_diag([g, _csr(m1s), m2s]), sp.block_diag([g, _csr(m1o), m2o]),
+               sp.bmat([[g, None, None], [_csr(s1[:, None]), None, None],
+                        [None, s21, sp.csr_matrix((d2, d2), dtype=complex)]]))
     ann = _csr(_kron_eye(out_e[None, :], n1, both=False) @ spread)
     a2vec = np.asarray(ann.T @ out_e).ravel()
     v_max = float(np.max(np.abs(v), initial=0.0))
 
     return Generator(index=idx, params=params, chain=chain, blockade=blockade,
                      schedule=schedule, envelope=envelope,
-                     m1_static=m1s, m1_omega=m1o, s1=s1,
-                     m2_static=m2s, m2_omega=m2o, s21=s21, ann=ann,
+                     stacked=tuple(_csr(m) for m in stacked), ann=ann,
                      out_e=out_e, a2vec=a2vec, v_max=v_max)
 
 
@@ -578,14 +568,14 @@ def _tri_solve(l: np.ndarray, m: np.ndarray) -> None:
 
 @dataclass
 class StateTrajectory:
-    """The projections ``covectors @ [1; singles; doubles]``, (n_samples, c),
-    of the state on a near-uniform output grid (breakpoints injected so that
-    discontinuities land exactly on samples).  ``envelope_unit`` and
-    ``omega_c`` hold the right-continuous values at the sample times, i.e.
-    the post-jump values exactly at a discontinuity.  ``segment_starts``
-    holds the sample index where each segment of the evolution starts: a
-    segment runs to the next one's start (the last to the final sample) in
-    equal steps at constant Omega_c.
+    """The projections ``covectors @ y``, (n_samples, c), of the stacked
+    state y = [g; psi1; psi2] on a near-uniform output grid (breakpoints
+    injected so that discontinuities land exactly on samples).
+    ``envelope_unit`` and ``omega_c`` hold the right-continuous values at
+    the sample times, i.e. the post-jump values exactly at a discontinuity.
+    ``segment_starts`` holds the sample index where each segment of the
+    evolution starts: a segment runs to the next one's start (the last to
+    the final sample) in equal steps at constant Omega_c.
     """
 
     index: ExcitationIndex
@@ -614,6 +604,12 @@ class StateTrajectory:
 def _check_finite(y: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(y.view(float))):
         raise DynamicsError(f"non-finite state at t={t:.6g}")
+
+
+def _check_length(gen: Generator, y: np.ndarray) -> None:
+    if len(y) != 1 + gen.index.dim:
+        raise ConfigurationError(f"stacked vector of length {len(y)}, "
+                                 f"expected {1 + gen.index.dim}")
 
 
 def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
@@ -645,9 +641,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     slope), through the clocked generator of ``_ramp_powers``.  The rest, a
     gaussian envelope inside its window, takes the Magnus step
     (``_magnus_powers``)."""
-    if len(y) != 1 + gen.index.dim:
-        raise ConfigurationError(f"stacked vector of length {len(y)}, "
-                                 f"expected {1 + gen.index.dim}")
+    _check_length(gen, y)
     eps = 1e-12 * max(1.0, abs(a), abs(b))
     if any(a + eps < t < b - eps for t in gen.breakpoints()):
         raise DynamicsError(f"segment [{a:.6g}, {b:.6g}] crosses a breakpoint")
@@ -988,13 +982,14 @@ def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
     return proj, y
 
 
-def evolve(generator: Generator, t_span, dt_out: float,
-           initial: TruncatedState | None = None,
+def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | None = None,
            project: np.ndarray | None = None) -> StateTrajectory:
-    """Integrate the truncated state over ``t_span`` and sample it at output
+    """Integrate the stacked state y = [g; psi1; psi2] from ``initial`` (by
+    default the vacuum e_0, g = 1) over ``t_span`` and sample it at output
     steps of at most ``dt_out``, every envelope and control breakpoint
     landing on a sample; each segment between breakpoints goes through
-    ``propagate_segment``, and the trajectory records where it starts.
+    ``propagate_segment``, and the trajectory records where it starts.  An
+    ``initial`` vector of another length than 1 + ``index.dim`` is refused.
 
     The trajectory holds the projections ``project @ y`` of a covector
     stack (c x (1 + dim) over [ground; singles; doubles]), by default
@@ -1005,12 +1000,12 @@ def evolve(generator: Generator, t_span, dt_out: float,
     if t1 <= t0:
         raise ConfigurationError("need t_span with t1 > t0")
     idx = generator.index
-    if initial is None:
-        initial = zero_state(idx)
+    y = (np.eye(1, 1 + idx.dim, dtype=complex)[0] if initial is None
+         else np.asarray(initial, dtype=complex))
+    _check_length(generator, y)
     if project is None:
         project = generator.output_covectors(grid=True)
     segments = _segment_grid(t0, t1, generator.breakpoints(), dt_out)
-    y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
     n_samples = 1 + sum(n for _, _, n in segments)
     record = np.empty((n_samples, len(project)), dtype=complex)
     record[0] = project @ y
@@ -1039,18 +1034,23 @@ def evolve(generator: Generator, t_span, dt_out: float,
 # ---------------------------------------------------------------------------
 # steady state (CW drive at the given control amplitude)
 
-def steady_state(generator: Generator, omega_c: float) -> TruncatedState:
-    """Steady state at unit drive and control ``omega_c`` by direct linear
-    solve (the exact long-pulse limit).
+def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
+    """The stacked steady state y = [1; psi1; psi2] at unit drive and
+    control ``omega_c`` (the exact long-pulse limit): rows 1: of
+    (S + omega_c W + F) y = 0, solved by direct linear solves with s1 and
+    S21 read from F.
 
     The doubles system is solved in ``_cascade_order``, block lower
     triangular with blocks of at most 4 slots, so LU in the natural order
     is block forward substitution and makes next to no fill."""
     idx = generator.index
     p = generator.params
-    psi1 = _solve_singles_steady(p, generator.m1(omega_c), generator.s1, omega_c, idx.n_atoms)
-    rhs2 = -(generator.s21 @ psi1)
-    psi2 = np.zeros(idx.dim_doubles, dtype=complex)
+    n1 = idx.dim_singles
+    f = generator.stacked[2]
+    y = np.eye(1, 1 + idx.dim, dtype=complex)[0]
+    y[1:1 + n1] = _solve_singles_steady(p, generator.m1(omega_c),
+                                        f[1:1 + n1, 0].toarray().ravel(), omega_c, idx.n_atoms)
+    rhs2 = -(f[1 + n1:, 1:1 + n1] @ y[1:1 + n1])
     if idx.dim_doubles > 0:
         m2 = generator.m2(omega_c)
         if omega_c == 0.0 and p.gamma_r == 0.0 and p.delta_2 == 0.0:
@@ -1059,9 +1059,9 @@ def steady_state(generator: Generator, omega_c: float) -> TruncatedState:
             n_keep = idx.n_ee + idx.n_er
             m2 = m2[:n_keep, :n_keep]
         perm, _ = _cascade_order(m2)
-        psi2[perm] = np.atleast_1d(spla.spsolve(m2[perm][:, perm].tocsc(), rhs2[perm],
-                                                permc_spec="NATURAL"))
-    return TruncatedState(idx, np.concatenate([psi1, psi2]))
+        y[1 + n1 + perm] = spla.spsolve(m2[perm][:, perm].tocsc(), rhs2[perm],
+                                        permc_spec="NATURAL")
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -169,10 +169,10 @@ def _device(params, d_target: float, omega_c: float) -> tuple:
     """One scan point's device: the fully blockaded chain of optical depth
     about ``d_target``, its generator at constant ``omega_c`` (the
     configured ``params`` with the control set to it) and the driven steady
-    state ss.  The square probe stays on over every horizon a turn-on point
-    can reach, up to max(50, ``TURNON_CAP`` tau_eit).  Returns
-    (gen, ss, f, a2, row): the steady output amplitudes f = out_e psi1 and
-    a2 = a2vec psi2, and the start of the point's row."""
+    state ss = [1; psi1; psi2].  The square probe stays on over every
+    horizon a turn-on point can reach, up to max(50, ``TURNON_CAP``
+    tau_eit).  Returns (gen, ss, f, a2, row): the steady output amplitudes
+    f = out_e psi1 and a2 = a2vec psi2, and the start of the point's row."""
     params = dc_replace(params, omega_c_peak=omega_c)
     n = atoms_for_depth(d_target, params)
     chain = build_chain(n, 1.0)
@@ -183,9 +183,11 @@ def _device(params, d_target: float, omega_c: float) -> tuple:
     gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(omega_c), envelope)
     ss = steady_state(gen, omega_c=omega_c)
+    n1 = gen.index.dim_singles
     row = {"d_target": d_target, "omega_c": omega_c, "n_atoms": n, "d": d,
            "tau_eit_gamma": teit, "status": "ok"}
-    return gen, ss, complex(gen.out_e @ ss.singles), complex(gen.a2vec @ ss.doubles), row
+    return (gen, ss, complex(gen.out_e @ ss[1:1 + n1]), complex(gen.a2vec @ ss[1 + n1:]),
+            row)
 
 
 def _turnon_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict:
@@ -265,7 +267,8 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     h0 = max(0.4 * teit, 40.0)
     steps = decay_steps(gen, omega_c, h0 / 6000)
     out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
-    y, intens, tau_i = ss.singles, np.array([out["i_jump"]]), math.nan
+    n1 = gen.index.dim_singles
+    y, intens, tau_i = ss[1:1 + n1], np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
         proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e[None])
         intens = np.concatenate([intens, np.abs(proj[:, 0]) ** 2])
@@ -289,7 +292,7 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
         mask = (ts >= cfg.tail_fit_start) & (ts <= cfg.tail_fit_end)
         try:
             proj, _ = decay_steps(gen, omega_c, horizon / 5000, doubles=True)(
-                ss.doubles, 5000, gen.a2vec[None])
+                ss[1 + n1:], 5000, gen.a2vec[None])
             g2t = np.concatenate([[out["g2tilde_jump"]], np.abs(proj[:, 0]) ** 2])
             out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0]),
                        tail_rate_gamma=fit_exponential_envelope(ts[mask], g2t[mask]))

@@ -1,20 +1,21 @@
-"""Indexing and storage of the truncated amplitude vector.
+"""Indexing of the truncated amplitude vector.
 
-The state keeps the weak-drive hierarchy at leading order: the ground
-amplitude is fixed at 1 and is not stored; single-excitation amplitudes are
-defined per unit peak drive and two-excitation amplitudes per unit peak drive
-squared.  Within this hierarchy each atom behaves as a pair of oscillator
-modes (one for the e coherence, one for the r coherence), so the
-two-excitation manifold carries same-atom slots ee[h,h] and er[h,h] alongside
-the distinct-atom pairs; unordered doubly-occupied slots store the amplitude
-of the normalized two-quantum ket (the sqrt(2) bookkeeping lives in the
-generator and field operators, not in the layout).  ``mode_pairs`` gives the
-two singles modes of each doubles slot, through which the generator lifts
-the singles operators onto the doubles.  rr pairs exist only where the
-blockade allows them; the same-atom rr slot exists only when the
-interaction is disabled entirely.
+The state keeps the weak-drive hierarchy at leading order: single-excitation
+amplitudes are defined per unit peak drive and two-excitation amplitudes per
+unit peak drive squared.  Within this hierarchy each atom behaves as a pair
+of oscillator modes (one for the e coherence, one for the r coherence), so
+the two-excitation manifold carries same-atom slots ee[h,h] and er[h,h]
+alongside the distinct-atom pairs; unordered doubly-occupied slots store the
+amplitude of the normalized two-quantum ket (the sqrt(2) bookkeeping lives
+in the generator and field operators, not in the layout).  ``mode_pairs``
+gives the two singles modes of each doubles slot, through which the
+generator lifts the singles operators onto the doubles.  rr pairs exist
+only where the blockade allows them; the same-atom rr slot exists only when
+the interaction is disabled entirely.
 
-Flat layout: [e_h (N)] [r_h (N)] [ee_{h<=j}] [er_{h,j} (N*N, ordered)] [rr_allowed].
+Slots: [e_h (N)] [r_h (N)] [ee_{h<=j}] [er_{h,j} (N*N, ordered)] [rr_allowed].
+A state is the stacked vector y = [g; psi1; psi2] of ``dynamics``, the
+ground amplitude g ahead of these slots, so slot s is y[1 + s].
 """
 
 from __future__ import annotations
@@ -174,34 +175,3 @@ def build_index(n_atoms: int, blockade: BlockadeConfig, chain: AtomChain) -> Exc
             if interaction(blockade, r) != BLOCKED:
                 pairs.append((h, j))
     return ExcitationIndex(n_atoms=n_atoms, rr_pairs=tuple(pairs))
-
-
-@dataclass
-class TruncatedState:
-    """Complex amplitude vector laid out by an ExcitationIndex.
-
-    The ground amplitude is fixed at 1 by the weak-drive convention and not
-    stored; singles are per unit peak drive, doubles per unit squared.
-    """
-
-    index: ExcitationIndex
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.index.dim,):
-            raise ConfigurationError(
-                f"amplitude vector has shape {self.amplitudes.shape}, expected ({self.index.dim},)")
-
-    @property
-    def singles(self) -> np.ndarray:
-        return self.amplitudes[: self.index.dim_singles]
-
-    @property
-    def doubles(self) -> np.ndarray:
-        return self.amplitudes[self.index.dim_singles:]
-
-
-def zero_state(index: ExcitationIndex) -> TruncatedState:
-    """Ground state: all excitation amplitudes zero."""
-    return TruncatedState(index, np.zeros(index.dim, dtype=complex))

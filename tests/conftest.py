@@ -6,7 +6,6 @@ import pytest
 from rydeit import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseEnvelope,
                     PulseShape, assemble_generator, build_chain)
 from rydeit.dynamics import StateTrajectory, _segment_grid, propagate_segment
-from rydeit.statespace import zero_state
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +48,11 @@ def padded(gen, y):
     full = np.zeros(1 + gen.index.dim, dtype=complex)
     full[:len(y)] = y
     return full
+
+
+def vacuum(gen):
+    """The stacked vacuum e_0 = [1; 0; 0]."""
+    return np.eye(1, 1 + gen.index.dim, dtype=complex)[0]
 
 
 def state_rows(gen):
@@ -135,9 +139,8 @@ def rk4_evolve(gen, t_span, dt_out, dt=None, initial=None, project=None):
     most ``dt`` (by default ``rk4_dt``), as a ``StateTrajectory``."""
     t0, t1 = t_span
     dt = rk4_dt(gen) if dt is None else dt
-    initial = zero_state(gen.index) if initial is None else initial
+    y = vacuum(gen) if initial is None else np.asarray(initial, dtype=complex)
     project = gen.output_covectors(grid=True) if project is None else project
-    y = np.concatenate([[1.0 + 0j], initial.singles, initial.doubles])
     record, times, starts = [project @ y], [t0], []
     for a, b, n_out in _segment_grid(t0, t1, gen.breakpoints(), dt_out):
         starts.append(len(times) - 1)

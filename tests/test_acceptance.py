@@ -87,8 +87,8 @@ def _g2ss_simulated(n_atoms, om):
     gen = assemble_generator(p, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(om),
                              PulseEnvelope(duration=10.0, n_in=1.0))
-    ss = steady_state(gen, omega_c=om)
-    f, a2 = gen.out_e @ ss.singles, gen.a2vec @ ss.doubles
+    ss, n1 = steady_state(gen, omega_c=om), gen.index.dim_singles
+    f, a2 = gen.out_e @ ss[1:1 + n1], gen.a2vec @ ss[1 + n1:]
     i_ss = abs(1.0 + f) ** 2
     g2t = abs(1.0 + 2.0 * f + a2) ** 2
     return g2t / i_ss ** 2, optical_depth(chain, p)
@@ -217,9 +217,9 @@ def test_criterion_07_shutoff_limits():
     gen = assemble_generator(p, build_chain(n20, 1.0), BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(0.5),
                              PulseEnvelope(duration=10.0, n_in=1.0))
-    ss = steady_state(gen, omega_c=0.5)
-    i_jump = abs(complex(gen.out_e @ ss.singles)) ** 2
-    g2t_jump = abs(complex(gen.a2vec @ ss.doubles)) ** 2
+    ss, n1 = steady_state(gen, omega_c=0.5), gen.index.dim_singles
+    i_jump = abs(complex(gen.out_e @ ss[1:1 + n1])) ** 2
+    g2t_jump = abs(complex(gen.a2vec @ ss[1 + n1:])) ** 2
     # superradiant flash at D ~ 23, Omega = Gamma/5
     p2 = PhysicalParams.from_ratio(0.2, omega_c_peak=0.2)
     n23 = atoms_for_depth(23.0, p2)
@@ -229,7 +229,7 @@ def test_criterion_07_shutoff_limits():
     ss2 = steady_state(gen2, omega_c=0.2)
     from scipy.linalg import expm
     prop = expm(gen2.m1(0.2) * 0.02)
-    y = ss2.singles.copy()
+    y = ss2[1:1 + gen2.index.dim_singles]
     peak = 0.0
     for _ in range(250):
         y = prop @ y

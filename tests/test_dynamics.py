@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
 from scipy.linalg import expm as _scipy_expm
 
 from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule, ControlSegment,
@@ -13,13 +14,11 @@ from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule, C
                           time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, _TaylorAction,
                              _cascade_order, _csr, _giant_step, _ramp_powers, assemble_generator,
-                             decay_steps, evolve, expm, propagate_segment, steady_state,
-                             steady_transmission_amplitude)
+                             decay_steps, evolve, expm, propagate_segment, singles_blocks,
+                             steady_state, steady_transmission_amplitude)
 from rydeit.observables import trace_from_trajectory
-from rydeit.statespace import TruncatedState, zero_state
-
 from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4_segment,
-                      state_rows)
+                      state_rows, vacuum)
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +27,8 @@ from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4
 def test_single_excited_atom_decays_at_gamma():
     gen = make_generator(n_atoms=1, omega_c=0.0, n_in=1.0)
     idx = gen.index
-    y0 = zero_state(idx)
-    y0.amplitudes[idx.e_slot(0)] = 1.0
+    y0 = vacuum(gen)
+    y0[1 + idx.e_slot(0)] = 1.0
     # drive off: evolve outside the pulse support
     traj = evolve(gen, (50.0, 56.0), dt_out=0.5, initial=y0, project=state_rows(gen))
     pops = np.abs(traj.projections[:, idx.e_slot(0)]) ** 2
@@ -91,10 +90,10 @@ def test_perfect_eit_steady_state():
     idx = gen.index
     z = gen.chain.z()
     for h in range(3):
-        assert abs(ss.amplitudes[idx.e_slot(h)]) < 1e-12
+        assert abs(ss[1 + idx.e_slot(h)]) < 1e-12
         expected_r = math.sqrt(gen.params.gamma_1d / 2) * np.exp(1j * z[h]) / 0.5
-        assert ss.amplitudes[idx.r_slot(h)] == pytest.approx(expected_r, rel=1e-12)
-    assert 1.0 + gen.out_e @ ss.singles == pytest.approx(1.0, abs=1e-12)
+        assert ss[1 + idx.r_slot(h)] == pytest.approx(expected_r, rel=1e-12)
+    assert 1.0 + gen.out_e @ ss[1:1 + idx.dim_singles] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_blockaded_steady_transparency():
@@ -102,14 +101,15 @@ def test_blockaded_steady_transparency():
     # component sees perfect transparency regardless of the blockade
     gen = make_generator(n_atoms=10, omega_c=0.5)
     ss = steady_state(gen, omega_c=0.5)
-    assert abs(1.0 + gen.out_e @ ss.singles) ** 2 == pytest.approx(1.0, abs=1e-10)
+    psi1 = ss[1:1 + gen.index.dim_singles]
+    assert abs(1.0 + gen.out_e @ psi1) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_steady_state_matches_long_evolution():
     gen = make_generator(n_atoms=5, omega_c=0.4, duration=400.0)
     ss = steady_state(gen, omega_c=0.4)
     traj = evolve(gen, (0.0, 300.0), dt_out=10.0, project=state_rows(gen))
-    np.testing.assert_allclose(traj.projections[-1], ss.amplitudes, atol=1e-8)
+    np.testing.assert_allclose(traj.projections[-1], ss[1:], atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +540,9 @@ def test_free_decay_power_law_matches_step_loop(n_out):
 
 def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
     from scipy.linalg import expm as _expm
-    ss = steady_state(gen, omega_c=0.5)
-    y0, m, project = ((ss.doubles, gen.m2(0.5).toarray(), gen.a2vec) if doubles
-                      else (ss.singles, gen.m1(0.5), gen.out_e))
+    ss, n1 = steady_state(gen, omega_c=0.5), gen.index.dim_singles
+    y0, m, project = ((ss[1 + n1:], gen.m2(0.5).toarray(), gen.a2vec) if doubles
+                      else (ss[1:1 + n1], gen.m1(0.5), gen.out_e))
     rng = np.random.default_rng(11)
     stack = np.stack([project, rng.normal(size=len(y0)) + 1j * rng.normal(size=len(y0))])
     prop = _expm(m * (horizon / n_out))
@@ -568,8 +568,8 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
     # row like one-row stacks
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=4, omega_c=0.5)
-    ss = steady_state(gen, omega_c=0.5)
-    y0, project = (ss.doubles, gen.a2vec) if doubles else (ss.singles, gen.out_e)
+    ss, n1 = steady_state(gen, omega_c=0.5), gen.index.dim_singles
+    y0, project = (ss[1 + n1:], gen.a2vec) if doubles else (ss[1:1 + n1], gen.out_e)
     stack = np.stack([project, np.conj(project)])
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
     steps = decay_steps(gen, 0.5, 0.1, doubles)
@@ -587,7 +587,7 @@ def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=10, omega_c=0.5)
     assert gen.index.dim_doubles == 155 <= dynamics.DECAY_DENSE_DOUBLES
-    y0 = steady_state(gen, omega_c=0.5).doubles
+    y0 = steady_state(gen, omega_c=0.5)[1 + gen.index.dim_singles:]
     calls = _count_expm(monkeypatch)
     dense, _ = decay_steps(gen, 0.5, 45.0 / 5000, True)(y0, 5000, gen.a2vec[None])
     assert calls == [(155, 155)]
@@ -606,8 +606,8 @@ def test_decay_steps_continue_from_the_end_state(monkeypatch, doubles, cap):
     if cap is not None:
         monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", cap)
     gen = make_generator(n_atoms=6, omega_c=0.25)
-    ss = steady_state(gen, omega_c=0.25)
-    y0, project = (ss.doubles, gen.a2vec) if doubles else (ss.singles, gen.out_e)
+    ss, n1 = steady_state(gen, omega_c=0.25), gen.index.dim_singles
+    y0, project = (ss[1 + n1:], gen.a2vec) if doubles else (ss[1:1 + n1], gen.out_e)
     steps = decay_steps(gen, 0.25, 0.01, doubles)
     whole, end = steps(y0, 3000, project[None])
     first, y = steps(y0, 1000, project[None])
@@ -750,13 +750,30 @@ def test_steady_state_natural_order_matches_colamd(mode, omega):
     import scipy.sparse.linalg as spla
     gen = _random_chain_generator(mode, omega, n_atoms=10)
     idx = gen.index
-    ss = steady_state(gen, omega_c=omega)
-    rhs = -(gen.s21 @ ss.singles)
+    ss, n1 = steady_state(gen, omega_c=omega), idx.dim_singles
+    rhs = -(gen.stacked[2][1 + n1:, 1:1 + n1] @ ss[1:1 + n1])
     n_keep = idx.n_ee + idx.n_er if omega == 0.0 else idx.dim_doubles
     ref = np.zeros(idx.dim_doubles, dtype=complex)
     ref[:n_keep] = spla.spsolve(gen.m2(omega)[:n_keep, :n_keep].tocsc(), rhs[:n_keep],
                                 permc_spec="COLAMD")
-    assert np.max(np.abs(ss.doubles - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(ss[1 + n1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("mode", BLOCKADE_MODES)
+def test_steady_state_is_a_null_vector_of_the_driven_rows(mode, omega):
+    # y = [1; psi1; psi2] solves rows 1: of (S + omega W + F) y = 0; at
+    # omega = 0 (gamma_r = delta_2 = 0) the undriven r and rr rows are
+    # pinned to zero and still solve theirs
+    gen = _random_chain_generator(mode, omega, n_atoms=8)
+    assert gen.params.gamma_r == gen.params.delta_2 == 0.0
+    s, w, f = gen.stacked
+    a = s + omega * w + f
+    y = steady_state(gen, omega_c=omega)
+    assert y.shape == (1 + gen.index.dim,) and y[0] == 1.0
+    residual = (a @ y)[1:]
+    scale = (abs(a) @ np.abs(y))[1:]
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(scale)
 
 
 def _stacked_y(gen, doubles, rng, cols=None):
@@ -770,6 +787,27 @@ def _stacked_y(gen, doubles, rng, cols=None):
     return y
 
 
+def _pair_source(gen, s1):
+    """S21 by the pair rule: doubles slot k of modes (a, b) is sourced by
+    s1_a psi1_b + s1_b psi1_a, over sqrt(2) when a = b."""
+    a, b = gen.index.mode_pairs()
+    k = np.arange(len(a))
+    weight = np.where(a == b, 1.0 / math.sqrt(2.0), 1.0)
+    s21 = np.zeros((len(a), gen.index.dim_singles), dtype=complex)
+    np.add.at(s21, (k, b), weight * s1[a])
+    np.add.at(s21, (k, a), weight * s1[b])
+    return s21
+
+
+def _blocks(gen):
+    """The blocks of the stacked parts: the singles from ``singles_blocks``,
+    the doubles blocks of S and W, and S21 by ``_pair_source``."""
+    m1s, m1o, s1, _ = singles_blocks(gen.params, gen.chain)
+    k = slice(1 + gen.index.dim_singles, None)
+    s, w, _ = gen.stacked
+    return m1s, m1o, s1, s[k, k], w[k, k], _pair_source(gen, s1)
+
+
 @pytest.mark.parametrize("doubles", [False, True])
 def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
     # the whole layout, or without ``doubles`` its leading [ground; singles]
@@ -779,38 +817,51 @@ def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
     n1 = gen.index.dim_singles
     assert s.format == w.format == f.format == "csr"
     assert s.shape == (1 + gen.index.dim,) * 2
-    assert gen.stacked[0] is s                           # built once
     for env, om in ((1.0, 0.5), (1.7, 0.05), (0.0, 0.25)):
         # the folded CSR that propagate_segment hands to expm
         dense = s.toarray() + om * w.toarray() + env * f.toarray()
         assert np.array_equal(_csr(s + om * w + env * f).toarray(), dense)
     # the blocks land where the [ground; singles; doubles] layout puts them
+    m1s, m1o, s1, _, _, s21 = _blocks(gen)
     full = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
     a = augmented(gen, 0.3, 0.5, doubles)
     assert np.array_equal(a, full[:len(a), :len(a)])
     assert np.all(a[0] == 0)
-    np.testing.assert_array_equal(a[1:1 + n1, 0], 0.3 * gen.s1)
-    np.testing.assert_array_equal(a[1:1 + n1, 1:1 + n1], gen.m1(0.5))
+    np.testing.assert_array_equal(a[1:1 + n1, 0], 0.3 * s1)
+    np.testing.assert_array_equal(a[1:1 + n1, 1:1 + n1], m1s + 0.5 * m1o)
     np.testing.assert_array_equal(full[:1 + n1, 1 + n1:], 0)
     if doubles:
         np.testing.assert_array_equal(a[1 + n1:, 0], 0)
-        np.testing.assert_array_equal(a[1 + n1:, 1:1 + n1], 0.3 * gen.s21.toarray())
+        np.testing.assert_allclose(a[1 + n1:, 1:1 + n1], 0.3 * s21, rtol=1e-15, atol=0)
         np.testing.assert_array_equal(a[1 + n1:, 1 + n1:], gen.m2(0.5).toarray())
     else:
         assert a.shape == (1 + n1, 1 + n1)
 
 
-def _block_deriv(gen, yy, drive, om):
-    """The block derivative the stacked operator replaced: singles and
-    doubles products sliced out of the stacked vector or columns."""
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.3])
+def test_m1_m2_are_the_blocks_of_the_stacked_parts(omega):
+    gen = _power_law_generator(omega_c=0.5, gamma_r=0.02, delta_e=0.1)
+    s, w, _ = gen.stacked
+    a = s.toarray() + omega * w.toarray()
     n1 = gen.index.dim_singles
-    s1 = gen.s1 if yy.ndim == 1 else gen.s1[:, None]
+    m1, m2 = gen.m1(omega), gen.m2(omega)
+    assert isinstance(m1, np.ndarray) and sp.issparse(m2)
+    np.testing.assert_array_equal(m1, a[1:1 + n1, 1:1 + n1])
+    np.testing.assert_array_equal(m2.toarray(), a[1 + n1:, 1 + n1:])
+
+
+def _block_deriv(blocks, yy, drive, om):
+    """The derivative block by block (``_blocks``), on slices of the
+    stacked vector or columns."""
+    m1s, m1o, s1, m2s, m2o, s21 = blocks
+    n1 = len(s1)
+    s1 = s1 if yy.ndim == 1 else s1[:, None]
     y1 = yy[1:1 + n1]
     d = np.empty_like(yy)
     d[0] = 0.0
-    d[1:1 + n1] = gen.m1_static @ y1 + om * (gen.m1_omega @ y1) + drive * (s1 * yy[0:1])
+    d[1:1 + n1] = m1s @ y1 + om * (m1o @ y1) + drive * (s1 * yy[0:1])
     y2 = yy[1 + n1:]
-    d[1 + n1:] = gen.m2_static @ y2 + om * (gen.m2_omega @ y2) + drive * (gen.s21 @ y1)
+    d[1 + n1:] = m2s @ y2 + om * (m2o @ y2) + drive * (s21 @ y1)
     return d
 
 
@@ -821,10 +872,11 @@ def test_stacked_derivative_matches_block_derivative(doubles, cols):
     # drive
     gen = _power_law_generator(omega_c=0.5, gamma_r=0.02)
     s, w, f = gen.stacked
+    blocks = _blocks(gen)
     rng = np.random.default_rng(3)
     for drive, om in ((0.0, 0.5), (0.37, 0.5), (1.7, 0.05)):
         y = _stacked_y(gen, doubles, rng, cols)
-        ref = _block_deriv(gen, y, drive, om)
+        ref = _block_deriv(blocks, y, drive, om)
         scale = np.max(np.abs(ref))
         got = s @ y + om * (w @ y) + drive * (f @ y)
         folded = (s + om * w + drive * f).tocsr() @ y
@@ -845,10 +897,11 @@ def test_rk4_matches_block_derivative_loop(a, b):
     n_sub = math.ceil(h_out / dt - 1e-9)
     h = h_out / n_sub
     t_hi = b - 1e-12 * max(1.0, b - a)
+    blocks = _blocks(gen)
 
     def deriv(t, yy):
         t = min(t, t_hi)
-        return _block_deriv(gen, yy, gen.envelope.unit_shape(t), gen.schedule.value(t))
+        return _block_deriv(blocks, yy, gen.envelope.unit_shape(t), gen.schedule.value(t))
 
     ref = np.empty_like(got)
     y = y0
@@ -964,8 +1017,8 @@ def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
     # basis, against scipy's dense propagator: one covector, two rows, and
     # the out_e row over the singles rows a correlation grid reads
     gen = _power_law_generator(n_atoms=10, omega_c=0.5)
-    y0 = steady_state(gen, omega_c=0.5).singles
-    n1 = len(y0)
+    n1 = gen.index.dim_singles
+    y0 = steady_state(gen, omega_c=0.5)[1:1 + n1]
     rng = np.random.default_rng(13)
     other = rng.normal(size=n1) + 1j * rng.normal(size=n1)
     rows = {1: gen.out_e[None], 2: np.stack([gen.out_e, other]),
@@ -991,10 +1044,18 @@ def test_evolve_deterministic_bit_for_bit():
 def test_nan_detection_raises():
     # a non-finite amplitude stops the run at the end of its segment
     gen = make_generator(n_atoms=3)
-    y0 = zero_state(gen.index)
-    y0.amplitudes[gen.index.e_slot(0)] = np.nan
+    y0 = vacuum(gen)
+    y0[1 + gen.index.e_slot(0)] = np.nan
     with pytest.raises(DynamicsError), np.errstate(invalid="ignore"):
         evolve(gen, (0.0, 40.0), dt_out=4.0, initial=y0)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_evolve_refuses_an_initial_vector_of_the_wrong_length(extra):
+    gen = make_generator(n_atoms=3)
+    y0 = np.zeros(1 + gen.index.dim + extra, dtype=complex)
+    with pytest.raises(ConfigurationError, match="length"):
+        evolve(gen, (0.0, 4.0), dt_out=1.0, initial=y0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1002,8 +1063,8 @@ def test_nan_detection_raises():
 def test_dissipativity_drive_off(seed):
     gen = make_generator(n_atoms=3, omega_c=0.5, gamma_r=0.01)
     rng = np.random.default_rng(seed)
-    y0 = TruncatedState(gen.index, rng.normal(size=gen.index.dim)
-                        + 1j * rng.normal(size=gen.index.dim))
+    y0 = np.concatenate([[0.0], rng.normal(size=gen.index.dim)
+                         + 1j * rng.normal(size=gen.index.dim)])
     traj = evolve(gen, (40.0, 48.0), dt_out=0.5, initial=y0, project=state_rows(gen))
     norms = np.linalg.norm(traj.projections, axis=1)
     assert np.all(np.diff(norms) <= 1e-12)
@@ -1076,9 +1137,9 @@ def test_phase_matched_spin_wave_superradiant_rate():
     gen = make_generator(n_atoms=n, omega_c=0.0, duration=1.0)
     idx = gen.index
     z = gen.chain.z()
-    y0 = zero_state(idx)
+    y0 = vacuum(gen)
     for h in range(n):
-        y0.amplitudes[idx.e_slot(h)] = np.exp(1j * gen.chain.k_p * z[h]) / math.sqrt(n)
+        y0[1 + idx.e_slot(h)] = np.exp(1j * gen.chain.k_p * z[h]) / math.sqrt(n)
     traj = evolve(gen, (5.0, 5.02), dt_out=0.01, initial=y0, project=state_rows(gen))
     norms = np.linalg.norm(traj.projections, axis=1) ** 2
     rate = -(math.log(norms[-1]) - math.log(norms[0])) / (traj.times[-1] - traj.times[0])
@@ -1100,7 +1161,7 @@ def test_superradiant_retrieval_after_shutoff():
     from scipy.linalg import expm as _expm
     m1 = gen.m1(0.2)
     prop = _expm(m1 * 0.02)
-    y = ss.singles.copy()
+    y = ss[1:1 + gen.index.dim_singles]
     peak = 0.0
     for _ in range(250):  # first 5/Gamma after shutoff
         y = prop @ y

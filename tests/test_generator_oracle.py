@@ -125,23 +125,21 @@ def test_generator_matches_operator_algebra(mode):
     basis, m_static, m_omega, m_drive = _brute_force_generator(params, chain, blockade)
     mapping = _slot_map(basis, idx)
 
-    # embed the production blocks into the Fock layout and compare
+    # embed the production parts into the Fock layout and compare: slot s
+    # of the index is row 1 + s of the stacked layout
     dim = len(basis)
     n1 = idx.dim_singles
+    s_part, w_part, f_part = (m.toarray() for m in gen.stacked)
     for ref, parts in ((m_static, "static"), (m_omega, "omega")):
         got = np.zeros((dim, dim), dtype=complex)
+        src = s_part if parts == "static" else w_part
         for i, (kind_i, slot_i) in mapping.items():
             for j, (kind_j, slot_j) in mapping.items():
                 if kind_i != "state" or kind_j != "state":
                     continue
                 if slot_i is None or slot_j is None:
                     continue  # blockaded rr states are removed, not evolved
-                if slot_i < n1 and slot_j < n1:
-                    src = gen.m1_static if parts == "static" else gen.m1_omega
-                    got[i, j] = src[slot_i, slot_j]
-                elif slot_i >= n1 and slot_j >= n1:
-                    src = gen.m2_static if parts == "static" else gen.m2_omega
-                    got[i, j] = src[slot_i - n1, slot_j - n1]
+                got[i, j] = src[1 + slot_i, 1 + slot_j]
         # reference entries touching removed rr states do not apply
         keep = np.array([mapping[i][0] == "state" and mapping[i][1] is not None
                          for i in range(dim)])
@@ -160,10 +158,10 @@ def test_generator_matches_operator_algebra(mode):
             if slot_i is None:
                 continue
             if kind_j == "ground":
-                assert gen.s1[slot_i] == pytest.approx(amp, abs=1e-14)
+                assert f_part[1 + slot_i, 0] == pytest.approx(amp, abs=1e-14)
             elif kind_j == "state" and slot_j is not None and slot_j < n1 \
                     and slot_i is not None and slot_i >= n1:
-                assert gen.s21[slot_i - n1, slot_j] == pytest.approx(amp, abs=1e-14)
+                assert f_part[1 + slot_i, 1 + slot_j] == pytest.approx(amp, abs=1e-14)
 
     # field operator: atomic lowering part c_out * sum_h u_h b_h
     z = chain.z()

@@ -563,7 +563,7 @@ def test_turnoff_retries_keep_the_output_step():
     out = _turnoff_point(_SINGLES_CFG, 1.8, 0.5)
     assert out["status"] == "no_half_crossing"
     gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0, n_in=1.0)
-    y = steady_state(gen, omega_c=0.5).singles
+    y = steady_state(gen, omega_c=0.5)[1:1 + gen.index.dim_singles]
     n_steps = 6000 * 128
     prop = expm(gen.m1(0.5) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
     amps = np.empty(n_steps + 1, dtype=complex)
@@ -643,7 +643,8 @@ def test_turnoff_continuation_matches_the_stop(monkeypatch):
     gen, ss, _, _, _ = _device(_SINGLES_CFG.params, 0.5, 0.05)
     n_steps = 6000 * 128
     prop = expm(gen.m1(0.05) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
-    y, peak = ss.singles, abs(gen.out_e @ ss.singles) ** 2
+    y = ss[1:1 + gen.index.dim_singles]
+    peak = abs(gen.out_e @ y) ** 2
     for _ in range(n_steps):
         y = prop @ y
         peak = max(peak, abs(gen.out_e @ y) ** 2)
@@ -712,8 +713,20 @@ def test_cli_malformed_config_no_partial_output(tmp_path):
 
 
 def test_cli_unwritable_output(tmp_path):
-    rc = main(["dlcz", "--p", "0.01", "--out", "/proc/definitely/not/writable/x"])
+    # the nearest existing ancestor of the output directory is a file: the
+    # run exits 4 before it starts and writes nothing
+    (tmp_path / "file").write_text("")
+    rc = main(["dlcz", "--p", "0.01", "--out", str(tmp_path / "file" / "x" / "y")])
     assert rc == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_cli_default_output_location(tmp_path, monkeypatch):
+    # results/ need not exist: a successful run makes results/<command>/
+    monkeypatch.chdir(tmp_path)
+    assert main(["dlcz"]) == 0
+    assert (tmp_path / "results" / "dlcz" / "dlcz.csv").exists()
+    assert (tmp_path / "results" / "dlcz" / "manifest.ini").exists()
 
 
 def test_cli_manifest_rerun_byte_identical(tmp_path):
@@ -748,11 +761,9 @@ def test_cli_emulate_hbt_outputs(tmp_path):
 
 def test_cli_storage_requires_schedule(tmp_path, monkeypatch, capsys):
     # with no flags the run has no switch-off time: it exits 3, names the
-    # flag that gives one and writes nothing (under the default results/,
-    # here made writable so that the output check passes)
+    # flag that gives one and writes nothing, not even the default results/
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "results").mkdir()
     assert main(["storage"]) == 3
     assert "--t-off-ns" in capsys.readouterr().err
     assert main(["storage", "--d", "1.8", "--out", str(tmp_path / "s")]) == 3
-    assert [p.name for p in tmp_path.rglob("*")] == ["results"]
+    assert list(tmp_path.iterdir()) == []

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydeit.model import BlockadeConfig, BlockadeMode, build_chain
-from rydeit.statespace import (KIND_E, KIND_EE, KIND_ER, KIND_R, KIND_RR,
-                               TruncatedState, build_index, zero_state)
+from rydeit.statespace import KIND_E, KIND_EE, KIND_ER, KIND_R, KIND_RR, build_index
 
 
 def _index(n, mode="full", seedless_chain=None):
@@ -133,16 +132,3 @@ def test_mode_pairs_match_slot_labels(mode):
 def test_er_ordering_matters():
     idx = _index(3, "full")
     assert idx.er_slot(0, 2) != idx.er_slot(2, 0)
-
-
-def test_zero_state_is_ground():
-    idx = _index(4, "full")
-    st0 = zero_state(idx)
-    assert not np.any(st0.amplitudes)
-    assert st0.amplitudes.shape == (idx.dim,)
-
-
-def test_state_shape_validated():
-    idx = _index(3, "full")
-    with pytest.raises(Exception):
-        TruncatedState(idx, np.zeros(idx.dim + 1, dtype=complex))
