@@ -12,8 +12,9 @@ presets the measured device), which wins over the defaults. A flag in one
 spelling of an input (``--omega-c-mhz``) displaces the file's other spelling
 (``omega_c``). An unknown section or key in the file exits 3.
 
-Exit codes: 0 success; 2 usage error (argparse); 3 malformed or inconsistent
-configuration; 4 unwritable output location; 5 runtime/extraction failure.
+Exit codes: 0 success; 2 usage error (argparse); 3 malformed, inconsistent or
+out-of-range configuration; 4 unwritable output location; 5 runtime/extraction
+failure.
 No output files are written unless the run succeeds.
 """
 

@@ -14,7 +14,8 @@ n_atoms | d_target, ratio | gamma_1d + gamma_prime and d_b | r_b + v0. Each
 is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
-unknown override key and an override of the wrong type are
+unknown override key, an override of the wrong type and an input out of
+its range (dt_out_ns, n_points, seed, threads, delta_t_list_ns) are
 ConfigurationErrors. Manifests of earlier versions hold ``[integration]
 method = auto``, which the loader accepts and ignores; any other method and
 any ``dt`` (retired with the fixed-step integrator) are ConfigurationErrors.
@@ -326,6 +327,12 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     if "d_target" in given:
         values["n_atoms"] = atoms_for_depth(given["d_target"], values["params"])
     cfg = ScenarioConfig(**values)
+    for rule, ok in (("dt_out_ns > 0", cfg.dt_out_ns > 0),
+                     ("n_points >= 1", cfg.delta_points >= 1),
+                     ("seed >= 0", cfg.seed >= 0), ("threads >= 1", cfg.threads >= 1),
+                     ("delta_t_list_ns > 0", all(t > 0 for t in cfg.delta_t_list_ns))):
+        if not ok:
+            raise ConfigurationError(f"out of range: need {rule}")
     for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule):
         build()     # fail fast on inconsistent sections
     return cfg

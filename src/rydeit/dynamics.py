@@ -200,12 +200,12 @@ class Generator:
 
     def m1(self, omega: float) -> np.ndarray:
         """The singles block of S + omega W, dense."""
-        k, (s, w, _) = slice(1, 1 + self.index.dim_singles), self.stacked
+        k, (s, w, _) = self.index.singles, self.stacked
         return (s[k, k] + omega * w[k, k]).toarray()
 
     def m2(self, omega: float) -> sp.csr_matrix:
         """The doubles block of S + omega W."""
-        k, (s, w, _) = slice(1 + self.index.dim_singles, None), self.stacked
+        k, (s, w, _) = self.index.doubles, self.stacked
         return s[k, k] + omega * w[k, k]
 
     def output_covectors(self, grid: bool = False) -> np.ndarray:
@@ -213,13 +213,14 @@ class Generator:
         the one- and two-photon output projections a time trace reads.  With
         ``grid`` it goes on with the n1 rows [0, I, 0] and the n1 rows
         [0, 0, ann]: the singles and ann psi2 a correlation grid reads."""
-        n1 = self.index.dim_singles
-        c = np.zeros((2 + 2 * n1 if grid else 2, 1 + self.index.dim), dtype=complex)
-        c[0, 1:1 + n1] = self.out_e
-        c[1, 1 + n1:] = self.a2vec
+        idx = self.index
+        n1, k1, k2 = idx.dim_singles, idx.singles, idx.doubles
+        c = np.zeros((2 + 2 * n1 if grid else 2, 1 + idx.dim), dtype=complex)
+        c[0, k1] = self.out_e
+        c[1, k2] = self.a2vec
         if grid:
-            c[2:2 + n1, 1:1 + n1] = np.eye(n1)
-            c[2 + n1:, 1 + n1:] = self.ann.toarray()
+            c[2:2 + n1, k1] = np.eye(n1)
+            c[2 + n1:, k2] = self.ann.toarray()
         return c
 
 
@@ -295,7 +296,7 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     the static one also gets -i V_hj on the rr slots.  Then S21 = P (s1 x 1
     + 1 x s1), ann = (out_e^T x 1) U and a2vec = ann^T out_e.  ``v_max`` is the
     largest |V_hj| of an allowed rr pair."""
-    idx = build_index(chain.n_atoms, blockade, chain)
+    idx = build_index(blockade, chain)
     z = chain.z()
     m1s, m1o, s1, out_e = singles_blocks(params, chain)
     n1, d2 = idx.dim_singles, idx.dim_doubles
@@ -659,7 +660,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     elif len(y) <= EXPM_MAX_DIM:
         m = _giant_step(len(y), n_out, len(project))
         unit, giant = (_unit_exp(cache, gen, om, h_out, p) for p in (1, m))
-        with _at_drive([unit] if m == 1 else [unit, giant], gen.index.dim_singles, ramp[0]):
+        with _at_drive([unit] if m == 1 else [unit, giant], gen.index, ramp[0]):
             proj, y = _dense_powers(unit, y, n_out, project, giant=(m, giant.tri))
     else:
         s, w, f = gen.stacked
@@ -724,7 +725,7 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
 
     if len(y) <= EXPM_MAX_DIM:
         unit = _unit_exp(cache, gen, omega, 0.5 * h)
-        with _at_drive([unit], gen.index.dim_singles) as at:
+        with _at_drive([unit], gen.index) as at:
             def factor(e, v):
                 at(e)
                 return ztrmv(unit.tri, v, trans=1)
@@ -758,7 +759,7 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
     of d + k + 1 rows: the clocks start at zero, the covectors are padded
     with zeros, and the steps are Taylor actions of B (``_action_powers``)."""
     c0, c1 = ramp
-    d, k = len(y), 1 + gen.index.dim_singles
+    d, k = len(y), gen.index.singles.stop
     s, w, f = gen.stacked
     a0 = s + omega * w + c0 * f
     b = _csr(sp.bmat([[a0, c1 * f[:, :k], None],
@@ -770,7 +771,7 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
 
 
 @contextmanager
-def _at_drive(props: list, n1: int, e: float = 1.0):
+def _at_drive(props: list, index: ExcitationIndex, e: float = 1.0):
     """Puts ``props``, unit-drive propagators of the stacked layout in one
     basis, at drive level ``e`` for the body of the ``with``, and yields the
     setter of that level: D exp(A(1) h) D^-1 with D = diag(1, e, e^2) over
@@ -780,7 +781,8 @@ def _at_drive(props: list, n1: int, e: float = 1.0):
     and block (k, l) scales by e^(l - k), in place: no level is ever divided
     by e, and at e = 0 only the blocks within one level are left.  The
     unit-drive blocks are put back on exit."""
-    level = np.searchsorted([1, 1 + n1], props[0].perm, side="right")
+    level = np.searchsorted([index.singles.start, index.doubles.start], props[0].perm,
+                            side="right")
     if np.any(np.diff(level) < 0):
         raise DynamicsError("the cascade order mixes the ground, singles and doubles")
     i1, i2 = np.searchsorted(level, [1, 2])
@@ -1045,12 +1047,12 @@ def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
     is block forward substitution and makes next to no fill."""
     idx = generator.index
     p = generator.params
-    n1 = idx.dim_singles
+    k1, k2 = idx.singles, idx.doubles
     f = generator.stacked[2]
     y = np.eye(1, 1 + idx.dim, dtype=complex)[0]
-    y[1:1 + n1] = _solve_singles_steady(p, generator.m1(omega_c),
-                                        f[1:1 + n1, 0].toarray().ravel(), omega_c, idx.n_atoms)
-    rhs2 = -(f[1 + n1:, 1:1 + n1] @ y[1:1 + n1])
+    y[k1] = _solve_singles_steady(p, generator.m1(omega_c),
+                                  f[k1, 0].toarray().ravel(), omega_c, idx.n_atoms)
+    rhs2 = -(f[k2, k1] @ y[k1])
     if idx.dim_doubles > 0:
         m2 = generator.m2(omega_c)
         if omega_c == 0.0 and p.gamma_r == 0.0 and p.delta_2 == 0.0:
@@ -1059,8 +1061,8 @@ def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
             n_keep = idx.n_ee + idx.n_er
             m2 = m2[:n_keep, :n_keep]
         perm, _ = _cascade_order(m2)
-        y[1 + n1 + perm] = spla.spsolve(m2[perm][:, perm].tocsc(), rhs2[perm],
-                                        permc_spec="NATURAL")
+        y[k2][perm] = spla.spsolve(m2[perm][:, perm].tocsc(), rhs2[perm],
+                                   permc_spec="NATURAL")
     return y
 
 

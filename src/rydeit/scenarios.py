@@ -183,11 +183,10 @@ def _device(params, d_target: float, omega_c: float) -> tuple:
     gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(omega_c), envelope)
     ss = steady_state(gen, omega_c=omega_c)
-    n1 = gen.index.dim_singles
     row = {"d_target": d_target, "omega_c": omega_c, "n_atoms": n, "d": d,
            "tau_eit_gamma": teit, "status": "ok"}
-    return (gen, ss, complex(gen.out_e @ ss[1:1 + n1]), complex(gen.a2vec @ ss[1 + n1:]),
-            row)
+    return (gen, ss, complex(gen.out_e @ ss[gen.index.singles]),
+            complex(gen.a2vec @ ss[gen.index.doubles]), row)
 
 
 def _turnon_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict:
@@ -267,8 +266,7 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     h0 = max(0.4 * teit, 40.0)
     steps = decay_steps(gen, omega_c, h0 / 6000)
     out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
-    n1 = gen.index.dim_singles
-    y, intens, tau_i = ss[1:1 + n1], np.array([out["i_jump"]]), math.nan
+    y, intens, tau_i = ss[gen.index.singles], np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
         proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e[None])
         intens = np.concatenate([intens, np.abs(proj[:, 0]) ** 2])
@@ -292,7 +290,7 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
         mask = (ts >= cfg.tail_fit_start) & (ts <= cfg.tail_fit_end)
         try:
             proj, _ = decay_steps(gen, omega_c, horizon / 5000, doubles=True)(
-                ss[1 + n1:], 5000, gen.a2vec[None])
+                ss[gen.index.doubles], 5000, gen.a2vec[None])
             g2t = np.concatenate([[out["g2tilde_jump"]], np.abs(proj[:, 0]) ** 2])
             out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0]),
                        tail_rate_gamma=fit_exponential_envelope(ts[mask], g2t[mask]))

@@ -28,10 +28,10 @@ def test_single_excited_atom_decays_at_gamma():
     gen = make_generator(n_atoms=1, omega_c=0.0, n_in=1.0)
     idx = gen.index
     y0 = vacuum(gen)
-    y0[1 + idx.e_slot(0)] = 1.0
+    y0[1 + 0] = 1.0
     # drive off: evolve outside the pulse support
     traj = evolve(gen, (50.0, 56.0), dt_out=0.5, initial=y0, project=state_rows(gen))
-    pops = np.abs(traj.projections[:, idx.e_slot(0)]) ** 2
+    pops = np.abs(traj.projections[:, 0]) ** 2
     expected = np.exp(-(traj.times - 50.0))
     np.testing.assert_allclose(pops, expected, rtol=1e-8)
 
@@ -90,9 +90,9 @@ def test_perfect_eit_steady_state():
     idx = gen.index
     z = gen.chain.z()
     for h in range(3):
-        assert abs(ss[1 + idx.e_slot(h)]) < 1e-12
+        assert abs(ss[1 + h]) < 1e-12
         expected_r = math.sqrt(gen.params.gamma_1d / 2) * np.exp(1j * z[h]) / 0.5
-        assert ss[1 + idx.r_slot(h)] == pytest.approx(expected_r, rel=1e-12)
+        assert ss[1 + idx.n_atoms + h] == pytest.approx(expected_r, rel=1e-12)
     assert 1.0 + gen.out_e @ ss[1:1 + idx.dim_singles] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1045,7 +1045,7 @@ def test_nan_detection_raises():
     # a non-finite amplitude stops the run at the end of its segment
     gen = make_generator(n_atoms=3)
     y0 = vacuum(gen)
-    y0[1 + gen.index.e_slot(0)] = np.nan
+    y0[1 + 0] = np.nan
     with pytest.raises(DynamicsError), np.errstate(invalid="ignore"):
         evolve(gen, (0.0, 40.0), dt_out=4.0, initial=y0)
 
@@ -1122,7 +1122,7 @@ def test_storage_population_decay_oracle():
     traj = evolve(gen, (0.0, 20.0 + t_store), dt_out=1.0, project=state_rows(gen))
     idx = gen.index
     i_off = int(np.argmin(np.abs(traj.times - 20.0)))
-    r_slots = [idx.r_slot(h) for h in range(4)]
+    r_slots = [idx.n_atoms + h for h in range(4)]
     pop_start = np.sum(np.abs(traj.projections[i_off, r_slots]) ** 2)
     pop_end = np.sum(np.abs(traj.projections[-1, r_slots]) ** 2)
     assert pop_end / pop_start == pytest.approx(math.exp(-2 * gamma_r * t_store), rel=1e-6)
@@ -1139,7 +1139,7 @@ def test_phase_matched_spin_wave_superradiant_rate():
     z = gen.chain.z()
     y0 = vacuum(gen)
     for h in range(n):
-        y0[1 + idx.e_slot(h)] = np.exp(1j * gen.chain.k_p * z[h]) / math.sqrt(n)
+        y0[1 + h] = np.exp(1j * gen.chain.k_p * z[h]) / math.sqrt(n)
     traj = evolve(gen, (5.0, 5.02), dt_out=0.01, initial=y0, project=state_rows(gen))
     norms = np.linalg.norm(traj.projections, axis=1) ** 2
     rate = -(math.log(norms[-1]) - math.log(norms[0])) / (traj.times[-1] - traj.times[0])

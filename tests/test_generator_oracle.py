@@ -18,7 +18,6 @@ from rydeit.model import (BlockadeConfig, BlockadeMode, ControlSchedule,
                           PhysicalParams, PulseEnvelope, build_chain, interaction,
                           BLOCKED)
 from rydeit.dynamics import assemble_generator
-from rydeit.statespace import build_index, KIND_E, KIND_R, KIND_EE, KIND_ER, KIND_RR
 
 
 def _fock_basis(n_atoms):
@@ -79,26 +78,22 @@ def _brute_force_generator(params, chain, blockade):
 
 
 def _slot_map(basis, idx):
-    """Map Fock occupation tuples to production flat slots (or None)."""
+    """Map Fock occupation tuples to production flat slots (or None): e_h
+    is slot h, r_h slot N + h, and the doubles slot of singles modes (a, b)
+    is dim_singles + k through ``mode_pairs``."""
     n = idx.n_atoms
+    pair_slot = {(a, b): idx.dim_singles + k
+                 for k, (a, b) in enumerate(zip(*(m.tolist() for m in idx.mode_pairs())))}
     mapping = {}
     for i, occ in enumerate(basis):
-        e_occ = [h for h in range(n) for _ in range(occ[h])]
-        r_occ = [h for h in range(n) for _ in range(occ[n + h])]
-        total = len(e_occ) + len(r_occ)
-        if total == 0:
+        modes = [m for m in range(2 * n) for _ in range(occ[m])]
+        if not modes:
             mapping[i] = ("ground", None)
-        elif total == 1:
-            slot = idx.e_slot(e_occ[0]) if e_occ else idx.r_slot(r_occ[0])
-            mapping[i] = ("state", slot)
+        elif len(modes) == 1:
+            mapping[i] = ("state", modes[0])
         else:
-            if len(e_occ) == 2:
-                slot = idx.ee_slot(e_occ[0], e_occ[1])
-            elif len(e_occ) == 1:
-                slot = idx.er_slot(e_occ[0], r_occ[0])
-            else:
-                slot = idx.rr_slot(r_occ[0], r_occ[1])
-            mapping[i] = ("state", slot)  # slot is None for blockaded rr
+            # None for a blockaded rr pair
+            mapping[i] = ("state", pair_slot.get(tuple(modes)))
     return mapping
 
 

@@ -178,6 +178,26 @@ def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, ini, flags", [
+    ("propagate", "[integration]\ndt_out_ns = 0\n", []),
+    ("propagate", "[integration]\ndt_out_ns = -1\n", []),
+    ("spectrum", "[spectrum]\nn_points = 0\n", []),
+    ("emulate-hbt", "", ["--seed", "-1"]),
+    ("window-scan", "[windows]\ndelta_t_list_ns = 1000, 0, 300\n", []),
+    ("propagate", "", ["--threads", "0"]),
+    ("propagate", "", ["--threads", "-2"])],
+    ids=["dt_out_zero", "dt_out_negative", "n_points_zero", "seed_negative",
+         "delta_t_zero", "threads_zero", "threads_negative"])
+def test_out_of_range_input_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
+                                                       monkeypatch, command, ini, flags):
+    # each is refused before the run starts: none reaches the runner
+    cfg = tmp_path_factory.mktemp("cfg") / "range.ini"
+    cfg.write_text(ini)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")] + flags) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("overrides", [
     {"schedule_kind": "storage", "t_off_ns": "600"}, {"n_atoms": 2.5},
     {"p_list": 0.1}, {"ratio": "0.2"}, {"shape": 1}])
