@@ -1,11 +1,18 @@
 """Command-line entry point.
 
-    rydeit <subcommand> [--config FILE] [--out DIR] [--seed N] [--threads N]
-                        [per-subcommand overrides]
+    rydeit <subcommand> [--config FILE] [--out DIR] [overrides]
 
-Subcommands: spectrum, propagate, scan-turnon, scan-turnoff, replica,
-window-scan, storage, dlcz, emulate-hbt.
+Each subcommand takes only the override flags its runner reads:
 
+    spectrum                   --d --n-atoms --omega-c --omega-c-mhz --gamma-r-mhz
+    propagate, replica         spectrum's, --shape --blockade --d-b --duration-ns
+    window-scan                spectrum's, --blockade --d-b --n-in --duration-ns
+    storage                    propagate's, --n-in --t-off-ns --t-store-ns
+    emulate-hbt                propagate's, --n-in --n-trials --seed
+    scan-turnon, scan-turnoff  --gamma-r-mhz --threads
+    dlcz                       --p --eta-d --eta-r
+
+Any other flag exits 2; a config file may set every input.
 Each override flag stores under its configio override key, and the flags
 win over the config file, which wins over the scenario's preset (``replica``
 presets the measured device), which wins over the defaults. A flag in one
@@ -36,64 +43,59 @@ EXIT_CONFIG = 3
 EXIT_OUTPUT = 4
 EXIT_RUNTIME = 5
 
+
+#: every override flag's argparse options; a flag's ``dest`` is its configio
+#: override key, and ``--p`` sets the one-point ``p_list``
+_FLAGS = {
+    "--d": dict(type=float, dest="d_target",
+                help="target optical depth (chooses the atom number)"),
+    "--omega-c": dict(type=float, help="control amplitude (Gamma units)"),
+    "--shape": dict(choices=["square", "triangular_neg", "triangular_pos", "gaussian"]),
+    "--blockade": dict(dest="mode", choices=["fully_blockaded", "power_law", "none"]),
+    "--d-b": dict(type=float, help="optical depth per blockade radius (power_law)"),
+    "--n-in": dict(type=float, help="mean input photons"),
+    "--seed": dict(type=int, help="Monte Carlo seed"),
+    "--threads": dict(type=int, help="scan worker processes"),
+    "--p": dict(type=lambda text: (float(text),), dest="p_list", help="pair probability"),
+    **{flag: dict(type=int) for flag in ("--n-atoms", "--n-trials")},
+    **{flag: dict(type=float) for flag in ("--omega-c-mhz", "--gamma-r-mhz", "--duration-ns",
+                                           "--t-off-ns", "--t-store-ns", "--eta-d", "--eta-r")},
+}
+_DEVICE = ("--d", "--n-atoms", "--omega-c", "--omega-c-mhz", "--gamma-r-mhz")
+_PULSE = _DEVICE + ("--shape", "--blockade", "--d-b", "--duration-ns")
+_SCAN = ("--gamma-r-mhz", "--threads")
+
+#: subcommand -> (scenario kind, the override flags its runner reads)
 _SUBCOMMANDS = {
-    "spectrum": "spectrum",
-    "propagate": "propagate",
-    "scan-turnon": "turnon_scan",
-    "scan-turnoff": "turnoff_scan",
-    "replica": "experiment_replica",
-    "window-scan": "window_scan",
-    "storage": "storage",
-    "dlcz": "dlcz",
-    "emulate-hbt": "emulate_hbt",
+    "spectrum": ("spectrum", _DEVICE),
+    "propagate": ("propagate", _PULSE),
+    "scan-turnon": ("turnon_scan", _SCAN),
+    "scan-turnoff": ("turnoff_scan", _SCAN),
+    "replica": ("experiment_replica", _PULSE),
+    "window-scan": ("window_scan",
+                    _DEVICE + ("--blockade", "--d-b", "--n-in", "--duration-ns")),
+    "storage": ("storage", _PULSE + ("--n-in", "--t-off-ns", "--t-store-ns")),
+    "dlcz": ("dlcz", ("--p", "--eta-d", "--eta-r")),
+    "emulate-hbt": ("emulate_hbt", _PULSE + ("--n-in", "--n-trials", "--seed")),
 }
 
 
-def _one_p(text: str) -> tuple:
-    """``--p`` sets the one-point ``p_list``."""
-    return (float(text),)
-
-
 def _parser() -> argparse.ArgumentParser:
-    """Each override flag's ``dest`` is its configio override key."""
     top = argparse.ArgumentParser(prog="rydeit",
                                   description="Rydberg-EIT weak-pulse spin-model simulator")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name, (_, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", help="INI config or manifest to load")
         p.add_argument("--out", default=None, help="output directory (default: results/<name>)")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
-        p.add_argument("--threads", type=int, default=None, help="scan worker processes")
-        p.add_argument("--d", type=float, default=None, dest="d_target",
-                       help="target optical depth (chooses the atom number)")
-        p.add_argument("--n-atoms", type=int, default=None)
-        p.add_argument("--omega-c", type=float, default=None, help="control amplitude (Gamma units)")
-        p.add_argument("--omega-c-mhz", type=float, default=None)
-        p.add_argument("--gamma-r-mhz", type=float, default=None)
-        p.add_argument("--shape", default=None, choices=["square", "triangular_neg",
-                                                         "triangular_pos", "gaussian"])
-        p.add_argument("--blockade", default=None, dest="mode",
-                       choices=["fully_blockaded", "power_law", "none"])
-        p.add_argument("--d-b", type=float, default=None, dest="d_b",
-                       help="optical depth per blockade radius (power_law)")
-        p.add_argument("--n-in", type=float, default=None, help="mean input photons")
-        p.add_argument("--duration-ns", type=float, default=None)
-        p.add_argument("--n-trials", type=int, default=None)
-        if name == "dlcz":
-            p.add_argument("--p", type=_one_p, default=None, dest="p_list",
-                           help="pair probability")
-            p.add_argument("--eta-d", type=float, default=None)
-            p.add_argument("--eta-r", type=float, default=None)
-        if name == "storage":
-            p.add_argument("--t-off-ns", type=float, default=None)
-            p.add_argument("--t-store-ns", type=float, default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return top
 
 
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
-    kind = _SUBCOMMANDS[ns.command]
+    kind = _SUBCOMMANDS[ns.command][0]
     ov = {k: v for k, v in vars(ns).items()
           if v is not None and k not in ("command", "config", "out")}
     if "t_off_ns" in ov:

@@ -15,10 +15,11 @@ is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
 unknown override key, an override of the wrong type and an input out of
-its range (dt_out_ns, n_points, seed, threads, delta_t_list_ns) are
+its range (n_in, dt_out_ns, n_points, seed, threads, delta_t_list_ns) are
 ConfigurationErrors. Manifests of earlier versions hold ``[integration]
-method = auto``, which the loader accepts and ignores; any other method and
-any ``dt`` (retired with the fixed-step integrator) are ConfigurationErrors.
+method = auto`` and ``[chain] length = 1.0`` and ``k_p = 1.0``, which the
+loader accepts and ignores; any other value of these keys and any ``dt``
+(retired with the fixed-step integrator) are ConfigurationErrors.
 
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
@@ -77,8 +78,6 @@ class ScenarioConfig:
     kind: str = _opt("scenario", name="scenario_kind")
     params: PhysicalParams = _opt("params", PhysicalParams.from_ratio())
     n_atoms: int = _opt("chain", 10)
-    length: float = _opt("chain", 1.0)
-    k_p: float = _opt("chain", 1.0)
     placement: str = _opt("chain", "uniform")
     chain_seed: int | None = _opt("chain", key="seed", name="chain_seed")
     blockade_mode: str = _opt("blockade", "fully_blockaded", key="mode")
@@ -123,8 +122,7 @@ class ScenarioConfig:
 
     # --- derived model objects ----------------------------------------------
     def chain(self) -> AtomChain:
-        return build_chain(self.n_atoms, self.length, self.k_p,
-                           placement=self.placement, seed=self.chain_seed)
+        return build_chain(self.n_atoms, self.placement, self.chain_seed)
 
     def blockade(self) -> BlockadeConfig:
         mode = BlockadeMode(self.blockade_mode)
@@ -142,7 +140,6 @@ class ScenarioConfig:
         g = self.params.gamma_mhz
         return PulseEnvelope(shape=PulseShape(self.pulse_shape),
                              duration=time_from_ns(self.duration_ns, g),
-                             n_in=self.n_in,
                              rise_time=time_from_ns(self.rise_time_ns, g),
                              t_on=time_from_ns(self.t_on_ns, g),
                              fwhm=None if self.fwhm_ns is None else time_from_ns(self.fwhm_ns, g))
@@ -234,8 +231,10 @@ _OVERRIDES = {i.name: _TYPES[i.type] for i in _INPUTS}
 _OVERRIDES.update({key: numbers.Real for _, other, _ in _SPELLINGS for key in other})
 #: what a manifest records about the run rather than its inputs
 _RECORDS = {("run", "version"), ("run", "wall_time_s")}
-#: retired keys: the one value a file may still hold (None: none)
-_RETIRED = {("integration", "method"): "auto", ("integration", "dt"): None}
+#: retired keys: the one value a file may still hold (None: none); no output
+#: depends on the chain length (the unit of z) or k_p (a gauge phase)
+_RETIRED = {("integration", "method"): "auto", ("integration", "dt"): None,
+            ("chain", "length"): "1.0", ("chain", "k_p"): "1.0"}
 
 
 def _read(cp: configparser.ConfigParser) -> dict:
@@ -327,7 +326,7 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     if "d_target" in given:
         values["n_atoms"] = atoms_for_depth(given["d_target"], values["params"])
     cfg = ScenarioConfig(**values)
-    for rule, ok in (("dt_out_ns > 0", cfg.dt_out_ns > 0),
+    for rule, ok in (("n_in > 0", cfg.n_in > 0), ("dt_out_ns > 0", cfg.dt_out_ns > 0),
                      ("n_points >= 1", cfg.delta_points >= 1),
                      ("seed >= 0", cfg.seed >= 0), ("threads >= 1", cfg.threads >= 1),
                      ("delta_t_list_ns > 0", all(t > 0 for t in cfg.delta_t_list_ns))):

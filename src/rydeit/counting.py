@@ -5,11 +5,11 @@ Generative model (weak-drive leading order): each trial emits at most one
 event, either a photon pair with probability P2 = (E0^4/2) * double integral
 of G2, with times drawn from G2, or a single photon with probability
 P1 = E0^2 * int I - 2 P2, with times drawn from the intensity-weighted density
-minus the pair marginal.  Photons are then routed by the splitting ratio and
-thinned by the efficiency budget.  With this construction the coincidence
-estimator converges to the quadrature value (double integral of G2 over the
-product of windowed intensities) for any photon statistics, sub-Poissonian
-included.
+minus the pair marginal; P1 + P2 above 1 has no such distribution and is
+refused.  Photons are then routed by the splitting ratio and thinned by the
+efficiency budget.  With this construction the coincidence estimator
+converges to the quadrature value (double integral of G2 over the product of
+windowed intensities) for any photon statistics, sub-Poissonian included.
 
 Pair times are drawn exactly from the bilinear interpolant of the gridded G2
 by composition, with three uniforms per pair and no rejection: one picks a
@@ -244,6 +244,9 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
     p_single = float(np.trapezoid(lam_single, trace.times))
     clip = float(np.trapezoid(np.maximum(rho - lam, 0.0), trace.times))
 
+    if p_pair + p_single > 1.0:
+        raise ConfigurationError(f"pair and single probabilities per trial sum to "
+                                 f"{p_pair + p_single!r} > 1: no at-most-one-event draw")
     p_detect_mean = (mu1) * max(budget.p_detect_1, budget.p_detect_2)
     if p_single + p_pair > 0.5 or p_detect_mean > 0.5:
         warnings.warn("mean photons per trial above 0.5; the at-most-one-event "

@@ -24,12 +24,15 @@ out of the two maps.
 Single-excitation amplitudes (per unit peak drive, Gamma = 1 units):
 
     d e_h/dt = (i d_e - Gamma/2) e_h - i Omega_c(t) r_h
-               + i sqrt(Gamma_1D/2) ep(t) exp(+i k_p z_h)
-               - (Gamma_1D/2) sum_{m<h} exp(+i k_p (z_h - z_m)) e_m
+               + i sqrt(Gamma_1D/2) ep(t) - (Gamma_1D/2) sum_{m<h} e_m
     d r_h/dt = (i d_2 - gamma_r) r_h - i Omega_c(t) e_h
 
 and the one-photon output amplitude is
-f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h exp(-i k_p z_h) e_h(t).
+f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h e_h(t).  The propagation phase
+exp(i k_p z_h) of the probe at atom h is a gauge of the cascaded chain: the
+change of variables e_h -> exp(-i k_p z_h) e_h (r_h alike) removes it from
+every equation and leaves each output unchanged, so the atom positions
+enter only through the blockade.
 
 Every evolution of the full state goes through ``propagate_segment``, which
 advances a stacked [ground; singles; doubles] vector across one segment in
@@ -186,7 +189,6 @@ class Generator:
     index: ExcitationIndex
     params: PhysicalParams
     chain: AtomChain
-    blockade: BlockadeConfig
     schedule: ControlSchedule
     envelope: PulseEnvelope
     stacked: tuple              # CSR (S, W, F) over [ground; singles; doubles]
@@ -236,26 +238,21 @@ def singles_blocks(params: PhysicalParams, chain: AtomChain):
 
     Returns (m1s, m1o, s1, out_e): the Omega-independent generator
     (the e and r rates on the diagonal, the cascaded e <- e exchange
-    -(Gamma_1D/2) exp(i k_p (z_h - z_m)), m < h, strictly below it), the
-    control coupling -i between e_h and r_h (to be scaled by Omega_c(t)),
-    the drive source i sqrt(Gamma_1D/2) exp(i k_p z_h) per unit envelope
-    and the output covector i sqrt(Gamma_1D/2) exp(-i k_p z_h).
+    -Gamma_1D/2 strictly below it), the control coupling -i between e_h
+    and r_h (to be scaled by Omega_c(t)), the drive source
+    i sqrt(Gamma_1D/2) per unit envelope on every e mode and the output
+    covector, the same on every e mode.
     """
     n = chain.n_atoms
-    z = chain.z()
-    g1d = params.gamma_1d
-    phase = np.exp(1j * chain.k_p * z)
     m1s = np.zeros((2 * n, 2 * n), dtype=complex)
-    m1s[:n, :n] = np.tril(-0.5 * g1d * np.exp(1j * chain.k_p * (z[:, None] - z[None, :])), -1)
+    m1s[np.tril_indices(n, -1)] = -0.5 * params.gamma_1d
     m1s[np.diag_indices(2 * n)] = np.repeat([1j * params.delta_e - 0.5 * params.gamma_total,
                                              1j * params.delta_2 - params.gamma_r], n)
     m1o = np.zeros((2 * n, 2 * n), dtype=complex)
     m1o[:n, n:] = m1o[n:, :n] = -1j * np.eye(n)
     s1 = np.zeros(2 * n, dtype=complex)
-    s1[:n] = 1j * (math.sqrt(0.5 * g1d) * phase)
-    out_e = np.zeros(2 * n, dtype=complex)
-    out_e[:n] = 1j * math.sqrt(0.5 * g1d) * np.conj(phase)
-    return m1s, m1o, s1, out_e
+    s1[:n] = 1j * math.sqrt(0.5 * params.gamma_1d)
+    return m1s, m1o, s1, s1.copy()
 
 
 def steady_transmission_amplitude(params: PhysicalParams, chain: AtomChain,
@@ -325,9 +322,8 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     a2vec = np.asarray(ann.T @ out_e).ravel()
     v_max = float(np.max(np.abs(v), initial=0.0))
 
-    return Generator(index=idx, params=params, chain=chain, blockade=blockade,
-                     schedule=schedule, envelope=envelope,
-                     stacked=tuple(_csr(m) for m in stacked), ann=ann,
+    return Generator(index=idx, params=params, chain=chain, schedule=schedule,
+                     envelope=envelope, stacked=tuple(_csr(m) for m in stacked), ann=ann,
                      out_e=out_e, a2vec=a2vec, v_max=v_max)
 
 

@@ -94,22 +94,18 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class AtomChain:
-    """Ordered quasi-1D chain of atom positions along the probe axis."""
+    """Ordered atom positions along the probe axis, in units of the chain length."""
 
     positions: tuple
-    length: float
-    k_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ConfigurationError("chain length must be positive")
         z = np.asarray(self.positions, dtype=float)
         if z.size < 1:
             raise ConfigurationError("need at least one atom")
         if np.any(np.diff(z) <= 0):
             raise ConfigurationError("positions must be strictly increasing")
-        if z[0] < 0 or z[-1] > self.length:
-            raise ConfigurationError("positions must lie in [0, length]")
+        if z[0] < 0 or z[-1] > 1:
+            raise ConfigurationError("positions must lie in [0, 1]")
 
     @property
     def n_atoms(self) -> int:
@@ -119,26 +115,25 @@ class AtomChain:
         return np.asarray(self.positions, dtype=float)
 
 
-def build_chain(n_atoms: int, length: float = 1.0, k_p: float = 1.0,
-                placement: str = "uniform", seed: int | None = None) -> AtomChain:
-    """Place ``n_atoms`` on [0, length].
+def build_chain(n_atoms: int, placement: str = "uniform", seed: int | None = None) -> AtomChain:
+    """Place ``n_atoms`` on [0, 1].
 
-    ``uniform`` puts atom h at the center of its cell, z_h = (h - 1/2) L / N.
-    ``jittered`` adds seeded uniform offsets within +-L/(4N), which keeps the
+    ``uniform`` puts atom h at the center of its cell, z_h = (h - 1/2) / N.
+    ``jittered`` adds seeded uniform offsets within +-1/(4N), which keeps the
     ordering strictly increasing; it needs a ``seed``, so that a manifest
     re-runs the same positions.
     """
-    if n_atoms < 1 or length <= 0:
-        raise ConfigurationError("need n_atoms >= 1 and length > 0")
-    z = (np.arange(n_atoms) + 0.5) * length / n_atoms
+    if n_atoms < 1:
+        raise ConfigurationError("need n_atoms >= 1")
+    z = (np.arange(n_atoms) + 0.5) / n_atoms
     if placement == "jittered":
         if seed is None:
             raise ConfigurationError("jittered placement needs a seed")
         rng = np.random.default_rng(seed)
-        z = z + rng.uniform(-0.25, 0.25, size=n_atoms) * length / n_atoms
+        z = z + rng.uniform(-0.25, 0.25, size=n_atoms) / n_atoms
     elif placement != "uniform":
         raise ConfigurationError(f"unknown placement {placement!r}")
-    return AtomChain(positions=tuple(z), length=length, k_p=k_p)
+    return AtomChain(positions=tuple(z))
 
 
 def optical_depth(chain: AtomChain, params: PhysicalParams) -> float:
@@ -200,11 +195,11 @@ class BlockadeConfig:
     def power_law_from_db(cls, d_b: float, chain: AtomChain, params: PhysicalParams,
                           v_cap: float = 1e3) -> "BlockadeConfig":
         """Power-law config with blockade radius fixed by the optical depth per
-        blockade radius d_b = D * r_b / L and v0 set to the single-atom bandwidth."""
-        d = optical_depth(chain, params)
-        r_b = d_b * chain.length / d
-        v0 = single_atom_bandwidth(params)
-        return cls(mode=BlockadeMode.POWER_LAW, r_b=r_b, v0=v0, v_cap=v_cap)
+        blockade radius d_b = D r_b (r_b in units of the chain length) and v0
+        set to the single-atom bandwidth."""
+        r_b = d_b / optical_depth(chain, params)
+        return cls(mode=BlockadeMode.POWER_LAW, r_b=r_b, v0=single_atom_bandwidth(params),
+                   v_cap=v_cap)
 
 
 def single_atom_bandwidth(params: PhysicalParams) -> float:
@@ -246,9 +241,9 @@ class PulseShape(str, Enum):
 class PulseEnvelope:
     """Probe envelope on [t_on, t_on + duration], zero outside.
 
-    ``unit_shape`` is normalized to unit peak; the physical amplitude is
-    E0 unit_shape(t) with the peak E0 fixed so that the integral of |E_p|^2
-    equals the mean input photon number ``n_in``
+    ``unit_shape`` is normalized to unit peak.  The physical amplitude is
+    E0 unit_shape(t), with E0 fixed by the run's mean input photon number
+    n_in = E0^2 times the integral of unit_shape^2
     (``ObservableTrace.input_energy`` takes that integral on a trace).
     Evaluation is right-continuous at the discontinuous edges, so the value
     recorded exactly at a jump is the post-jump one.
@@ -256,14 +251,13 @@ class PulseEnvelope:
 
     shape: PulseShape = PulseShape.SQUARE
     duration: float = 37.699111843077517  # 1 us at Gamma = 2*pi*6 MHz
-    n_in: float = 1.5
     rise_time: float = 0.0  # square only; both edges
     t_on: float = 0.0
     fwhm: float | None = None  # gaussian only; default 0.4 * duration
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.n_in <= 0:
-            raise ConfigurationError("need duration > 0 and n_in > 0")
+        if self.duration <= 0:
+            raise ConfigurationError("need duration > 0")
         if self.rise_time < 0 or 2 * self.rise_time > self.duration:
             raise ConfigurationError("rise_time must satisfy 0 <= 2*rise_time <= duration")
         if self.fwhm is not None and self.fwhm <= 0:

@@ -40,7 +40,6 @@ from .observables import (ExtractionError, UndefinedResultError, _first_half_cro
 class ResultBundle:
     """Everything one scenario produced; written to disk in one shot."""
 
-    name: str
     config: ScenarioConfig
     tables: list = field(default_factory=list)   # (filename, columns, rows, note)
     scalars: dict = field(default_factory=dict)
@@ -101,7 +100,7 @@ def run_spectrum(cfg: ScenarioConfig) -> ResultBundle:
         scalars["fwhm_mhz"] = fw * g
     except ExtractionError:
         scalars["fwhm_gamma"] = math.nan
-    return ResultBundle(name="spectrum", config=cfg, scalars=scalars, tables=[(
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "spectrum.csv", ["delta_gamma", "delta_mhz", "transmission"], rows,
         f"CW intensity transmission vs probe detuning; Gamma = 2*pi*{g!r} MHz")])
 
@@ -153,7 +152,7 @@ def run_propagate(cfg: ScenarioConfig) -> ResultBundle:
                            g2_ss=stats.g2_ss, steady_flat=int(stats.flat))
         except ExtractionError:
             pass
-    return ResultBundle(name="propagate", config=cfg, scalars=scalars, tables=[(
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "trace.csv", _TRACE_COLS, _trace_rows(trace, g), _csv_time_cols(g))])
 
 
@@ -175,11 +174,10 @@ def _device(params, d_target: float, omega_c: float) -> tuple:
     f = out_e psi1 and a2 = a2vec psi2, and the start of the point's row."""
     params = dc_replace(params, omega_c_peak=omega_c)
     n = atoms_for_depth(d_target, params)
-    chain = build_chain(n, 1.0)
+    chain = build_chain(n)
     d = optical_depth(chain, params)
     teit = tau_eit(d, params.gamma_prime, omega_c)
-    envelope = PulseEnvelope(shape=PulseShape.SQUARE, n_in=1.0,
-                             duration=2.0 * max(50.0, TURNON_CAP * teit))
+    envelope = PulseEnvelope(PulseShape.SQUARE, duration=2.0 * max(50.0, TURNON_CAP * teit))
     gen = assemble_generator(params, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(omega_c), envelope)
     ss = steady_state(gen, omega_c=omega_c)
@@ -228,7 +226,7 @@ def run_turnon_scan(cfg: ScenarioConfig) -> ResultBundle:
     if ok:
         scalars["median_tau0_over_tau_eit"] = float(np.median(
             [r["tau0_over_tau_eit"] for r in ok]))
-    return ResultBundle(name="turnon_scan", config=cfg, scalars=scalars, tables=[(
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "turnon.csv", _TURNON_COLS, rows, "turn-on transient times; tau_eit = "
         "4 D Gamma' / Omega_c^2; " + _csv_time_cols(cfg.params.gamma_mhz))])
 
@@ -246,12 +244,12 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     state over each doubled horizon that finds no falling half crossing, up
     to 128 times the first.  The undriven singles contract: the Hermitian
     part of M1 = M1(Omega_c) is block diagonal, with the e block
-    -(Gamma/2) I - (Gamma_1D/4)(u u^H - I), u_h = exp(i k_p z_h) (the
-    cascaded exchange is -(Gamma_1D/2) u_h conj(u_m) below the diagonal),
-    the r block -gamma_r I, and the control coupling and the detunings
-    anti-Hermitian.  Since u u^H - I has the eigenvalues N - 1 and -1, its
-    top eigenvalue is max(-Gamma/2 + Gamma_1D/4, -gamma_r) <= 0 (-Gamma/2 in
-    place of the first term at N = 1), so ||exp(M1 t)|| <= 1 and after a
+    -(Gamma/2) I - (Gamma_1D/4)(u u^H - I), u = (1, ..., 1) (the cascaded
+    exchange is -Gamma_1D/2 below the diagonal), the r block -gamma_r I,
+    and the control coupling and the detunings anti-Hermitian.  Since
+    u u^H - I has the eigenvalues N - 1 and -1, its top eigenvalue is
+    max(-Gamma/2 + Gamma_1D/4, -gamma_r) <= 0 (-Gamma/2 in place of the
+    first term at N = 1), so ||exp(M1 t)|| <= 1 and after a
     horizon's end t_h every sample obeys |out_e psi1(t)|^2 <=
     ||out_e||^2 ||psi1(t_h)||^2.  Once that bound is under both i_ss / 2 and
     the peak so far, no later sample can cross or raise the peak, and the
@@ -314,7 +312,7 @@ def run_turnoff_scan(cfg: ScenarioConfig) -> ResultBundle:
         slope, _ = np.polyfit(np.log([r["d"] for r in ok]),
                               np.log([r["tau_ii_gamma"] for r in ok]), 1)
         scalars["tau_ii_vs_d_exponent"] = float(slope)
-    return ResultBundle(name="turnoff_scan", config=cfg, scalars=scalars, tables=[(
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "turnoff.csv", _TURNOFF_COLS, rows, "turn-off transients from the exact driven "
         "steady state; " + _csv_time_cols(cfg.params.gamma_mhz))])
 
@@ -391,8 +389,7 @@ def run_experiment_replica(cfg: ScenarioConfig) -> ResultBundle:
          [(float(t), ns_from_time(float(t), g), float(v))
           for t, v in zip(trace.times, trace.g2)], _csv_time_cols(g)),
     ]
-    return ResultBundle(name="experiment_replica", config=cfg, scalars=scalars,
-                        tables=tables)
+    return ResultBundle(config=cfg, scalars=scalars, tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +433,7 @@ def run_window_scan(cfg: ScenarioConfig) -> ResultBundle:
         rows.extend(_window_scan_rows(cfg, shape))
     scalars = {"n_points": len(rows),
                "n_failed": sum(1 for r in rows if r[-1] != "ok")}
-    return ResultBundle(name="window_scan", config=cfg, scalars=scalars, tables=[(
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "window_scan.csv", _WINDOW_COLS, rows,
         "windows end at end_time_ns; g2 windowed by trapezoidal quadrature")])
 
@@ -449,10 +446,15 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     if cfg.schedule_kind != "storage":
         raise ConfigurationError("storage scenario needs a storage schedule: pass --t-off-ns, "
                                  "or set [schedule] kind = storage with t_off_ns")
+    release_ns = cfg.t_off_ns + cfg.t_store_ns
+    end_ns = cfg.t_on_ns + cfg.duration_ns + cfg.tail_ns
+    if release_ns >= end_ns:
+        raise ConfigurationError(f"the release at t_off_ns + t_store_ns = {release_ns!r} ns is "
+                                 f"not before the simulated horizon's end at {end_ns!r} ns")
     g = cfg.params.gamma_mhz
     gen, traj, trace = _propagate(cfg, grid=True)
     grid = correlation_grid(traj, gen)
-    t_release = time_from_ns(cfg.t_off_ns + cfg.t_store_ns, g)
+    t_release = time_from_ns(release_ns, g)
     t_end = trace.times[-1]
     w = (t_release, t_end - t_release)
     try:
@@ -464,8 +466,8 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     eff = float(np.trapezoid(trace.intensity[mask], trace.times[mask]) / trace.input_energy())
     scalars = {"g2_retrieved": g2_ret, "generation_probability": pg,
                "retrieval_efficiency": eff,
-               "t_release_ns": cfg.t_off_ns + cfg.t_store_ns}
-    return ResultBundle(name="storage", config=cfg, scalars=scalars, tables=[(
+               "t_release_ns": release_ns}
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "trace.csv", _TRACE_COLS, _trace_rows(trace, g), _csv_time_cols(g))])
 
 
@@ -481,7 +483,7 @@ def run_dlcz(cfg: ScenarioConfig) -> ResultBundle:
     scalars = {}
     if len(cfg.p_list) == 1:
         scalars = {"g2": rows[0][3], "p_dlcz": rows[0][4]}
-    return ResultBundle(name="dlcz", config=cfg, scalars=scalars, tables=[(
+    return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "dlcz.csv", ["p", "eta_d", "eta_r", "g2", "p_dlcz"], rows,
         "probabilistic pair-source reference: g2 = 4p, P = p*eta_D*eta_R")])
 
@@ -521,7 +523,7 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
                "pairs_per_trial": stream.pairs_per_trial,
                "singles_per_trial": stream.singles_per_trial,
                "singles_clip_per_trial": stream.singles_clip_per_trial}
-    return ResultBundle(name="emulate_hbt", config=cfg, scalars=scalars,
+    return ResultBundle(config=cfg, scalars=scalars,
                         tables=[("estimates.csv",
                                  ["window", "t_start_ns", "width_ns", "g2_mc",
                                   "stderr", "g2_quadrature", "z_score", "status"],

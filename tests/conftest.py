@@ -16,17 +16,17 @@ def params():
 
 @pytest.fixture(scope="session")
 def chain10():
-    return build_chain(10, 1.0)
+    return build_chain(10)
 
 
 def make_generator(n_atoms=10, omega_c=0.5, blockade=None, shape=PulseShape.SQUARE,
-                   duration=30.0, n_in=1.5, rise_time=0.0, gamma_r=0.0,
-                   delta_e=0.0, delta_2=0.0, schedule=None, k_p=1.0):
+                   duration=30.0, rise_time=0.0, gamma_r=0.0,
+                   delta_e=0.0, delta_2=0.0, schedule=None):
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=omega_c, gamma_r=gamma_r,
                                   delta_e=delta_e, delta_2=delta_2)
-    chain = build_chain(n_atoms, 1.0, k_p=k_p)
+    chain = build_chain(n_atoms)
     blk = blockade if blockade is not None else BlockadeConfig.fully_blockaded()
-    env = PulseEnvelope(shape=shape, duration=duration, n_in=n_in, rise_time=rise_time)
+    env = PulseEnvelope(shape=shape, duration=duration, rise_time=rise_time)
     sch = schedule if schedule is not None else ControlSchedule.constant(omega_c)
     return assemble_generator(p, chain, blk, sch, env)
 

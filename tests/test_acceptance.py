@@ -83,10 +83,10 @@ def _g2ss_closed_form(d, om):
 
 def _g2ss_simulated(n_atoms, om):
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=om)
-    chain = build_chain(n_atoms, 1.0)
+    chain = build_chain(n_atoms)
     gen = assemble_generator(p, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(om),
-                             PulseEnvelope(duration=10.0, n_in=1.0))
+                             PulseEnvelope(duration=10.0))
     ss, n1 = steady_state(gen, omega_c=om), gen.index.dim_singles
     f, a2 = gen.out_e @ ss[1:1 + n1], gen.a2vec @ ss[1 + n1:]
     i_ss = abs(1.0 + f) ** 2
@@ -105,10 +105,10 @@ def test_criterion_01_coherent_state_oracle():
     details = []
     for n_atoms in (10, 28):
         p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
-        chain = build_chain(n_atoms, 1.0)
+        chain = build_chain(n_atoms)
         for shape in (PulseShape.SQUARE, PulseShape.TRIANGULAR_NEG,
                       PulseShape.TRIANGULAR_POS, PulseShape.GAUSSIAN):
-            env = PulseEnvelope(shape=shape, duration=30.0, n_in=1.5)
+            env = PulseEnvelope(shape=shape, duration=30.0)
             gen = assemble_generator(p, chain, BlockadeConfig.none(),
                                      ControlSchedule.constant(0.5), env)
             traj = evolve(gen, (0.0, 42.0), dt_out=0.25)
@@ -126,7 +126,7 @@ def test_criterion_01_coherent_state_oracle():
 
 def test_criterion_02_linear_optics_oracle():
     p0 = PhysicalParams.from_ratio(0.2)
-    chain1 = build_chain(1, 1.0)
+    chain1 = build_chain(1)
     worst_amp = 0.0
     for delta in np.linspace(-5.0, 5.0, 81):
         p = dc_replace(p0, delta_e=float(delta), delta_2=float(delta))
@@ -135,7 +135,7 @@ def test_criterion_02_linear_optics_oracle():
         worst_amp = max(worst_amp, abs(t - ref))
     worst_rel = 0.0
     for n in (10, 25, 28):
-        chain = build_chain(n, 1.0)
+        chain = build_chain(n)
         t = steady_transmission_amplitude(p0, chain, omega_c=0.0)
         d = optical_depth(chain, p0)
         worst_rel = max(worst_rel, abs(abs(t) ** 2 - math.exp(-d)) / math.exp(-d))
@@ -148,8 +148,8 @@ def test_criterion_02_linear_optics_oracle():
 def test_criterion_03_turn_on_coherence():
     gen_kwargs = dict(omega_c_peak=0.5)
     p = PhysicalParams.from_ratio(0.2, **gen_kwargs)
-    chain = build_chain(10, 1.0)
-    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=20.0, n_in=1.0)
+    chain = build_chain(10)
+    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=20.0)
     gen = assemble_generator(p, chain, BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(0.5), env)
     traj = rk4_evolve(gen, (0.0, 5.0), 0.1)
@@ -214,18 +214,18 @@ def test_criterion_06_two_photon_decay_scaling():
 def test_criterion_07_shutoff_limits():
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
     n20 = atoms_for_depth(20.0, p)
-    gen = assemble_generator(p, build_chain(n20, 1.0), BlockadeConfig.fully_blockaded(),
+    gen = assemble_generator(p, build_chain(n20), BlockadeConfig.fully_blockaded(),
                              ControlSchedule.constant(0.5),
-                             PulseEnvelope(duration=10.0, n_in=1.0))
+                             PulseEnvelope(duration=10.0))
     ss, n1 = steady_state(gen, omega_c=0.5), gen.index.dim_singles
     i_jump = abs(complex(gen.out_e @ ss[1:1 + n1])) ** 2
     g2t_jump = abs(complex(gen.a2vec @ ss[1 + n1:])) ** 2
     # superradiant flash at D ~ 23, Omega = Gamma/5
     p2 = PhysicalParams.from_ratio(0.2, omega_c_peak=0.2)
     n23 = atoms_for_depth(23.0, p2)
-    gen2 = assemble_generator(p2, build_chain(n23, 1.0), BlockadeConfig.fully_blockaded(),
+    gen2 = assemble_generator(p2, build_chain(n23), BlockadeConfig.fully_blockaded(),
                               ControlSchedule.constant(0.2),
-                              PulseEnvelope(duration=10.0, n_in=1.0))
+                              PulseEnvelope(duration=10.0))
     ss2 = steady_state(gen2, omega_c=0.2)
     from scipy.linalg import expm
     prop = expm(gen2.m1(0.2) * 0.02)
@@ -260,7 +260,7 @@ def test_criterion_08_steady_state_antibunching_structure():
     formula_ok = all(0.5 <= r <= 2.0 for r in ratios)
     ok = dec_d and inc_om and formula_ok
     grid_txt = "; ".join(
-        f"D~{optical_depth(build_chain(n, 1.0), PhysicalParams.from_ratio(0.2)):.1f}: "
+        f"D~{optical_depth(build_chain(n), PhysicalParams.from_ratio(0.2)):.1f}: "
         + ",".join(f"{table[(n, om)]:.3e}" for om in oms) for n in n_list)
     assert _report(8, "steady-state antibunching structure", ok,
                    f"decreasing in D: {dec_d}; increasing in Omega_c: {inc_om} "
@@ -336,9 +336,9 @@ def test_criterion_11_estimator_equivalence(replica_artifacts):
 
     # a cheap fully blockaded scene for one scenario
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
-    genb = assemble_generator(p, build_chain(10, 1.0), BlockadeConfig.fully_blockaded(),
+    genb = assemble_generator(p, build_chain(10), BlockadeConfig.fully_blockaded(),
                               ControlSchedule.constant(0.5),
-                              PulseEnvelope(duration=30.0, n_in=1.0))
+                              PulseEnvelope(duration=30.0))
     trajb = evolve(genb, (0.0, 40.0), dt_out=0.25)
     traceb = trace_from_trajectory(trajb, genb)
     gridb = correlation_grid(trajb, genb)

@@ -175,9 +175,28 @@ def test_stream_file_round_trip(tmp_path):
 
 
 def test_validity_warning_fires_for_bright_input():
+    # 1.2 photons in: 0.72 pairs per trial, above the 0.5 of the warning
     trace, grid = _flat_scene()
     with pytest.warns(RuntimeWarning):
-        emulate_trials(trace, grid, 3.0, IDEAL, 100, seed=1)
+        emulate_trials(trace, grid, 1.2, IDEAL, 100, seed=1)
+
+
+@pytest.mark.parametrize("n_in, total", [(math.sqrt(1.8), 0.9), (math.sqrt(2.2), 1.1),
+                                         (3.0, 4.5)])
+def test_per_trial_probabilities_above_one_are_refused(n_in, total):
+    # on the flat coherent scene above one photon in, the pair marginal
+    # exceeds the photon rate, the singles clip to 0 and the pairs per trial
+    # are n_in^2 / 2: a sum of 0.9 still runs, one above 1 has no
+    # at-most-one-event distribution
+    trace, grid = _flat_scene()
+    if total <= 1.0:
+        with pytest.warns(RuntimeWarning):
+            stream = emulate_trials(trace, grid, n_in, IDEAL, 1000, seed=1)
+        assert stream.singles_per_trial == 0.0
+        assert stream.pairs_per_trial == pytest.approx(total, rel=1e-12)
+    else:
+        with pytest.raises(ConfigurationError, match=f"sum to {total}"):
+            emulate_trials(trace, grid, n_in, IDEAL, 1000, seed=1)
 
 
 def _trapezoid(y, t):
@@ -190,7 +209,7 @@ def test_stream_reports_pairs_singles_and_clip():
     # the stream hands back the probabilities it drew from and the clipped
     # mass, against trapezoid sums written out here
     trace, grid = _gaussian_scene()
-    n_in = 3.0
+    n_in = 2.0
     with pytest.warns(RuntimeWarning):
         stream = emulate_trials(trace, grid, n_in, IDEAL, 100, seed=1)
     t = trace.times

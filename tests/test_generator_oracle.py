@@ -5,7 +5,9 @@ in total) with explicit ladder-operator matrices, assembles the effective
 Hamiltonian and drive from first principles, and compares every block of the
 production generator against it.  This pins each sqrt(2) matrix element and
 coupling independently of the production assembly, which lifts the singles
-operators onto the doubles slots.
+operators onto the doubles slots.  The oracle keeps the probe's propagation
+phase exp(i k_p z_h), which the production generator drops as a gauge; the
+comparison applies that diagonal change of variables.
 """
 
 import itertools
@@ -46,8 +48,9 @@ def _ladder(basis, mode):
     return a
 
 
-def _brute_force_generator(params, chain, blockade):
-    """M = -iH_eff and the drive pattern on the full truncated Fock space."""
+def _brute_force_generator(params, chain, blockade, k_p):
+    """M = -iH_eff and the drive pattern on the full truncated Fock space,
+    with the probe's propagation phase exp(i k_p z_h) at atom h."""
     n = chain.n_atoms
     z = chain.z()
     basis = _fock_basis(n)
@@ -56,7 +59,7 @@ def _brute_force_generator(params, chain, blockade):
     c = [_ladder(basis, n + h) for h in range(n)]      # r-coherence modes
 
     g1d = params.gamma_1d
-    w = math.sqrt(0.5 * g1d) * np.exp(1j * chain.k_p * z)
+    w = math.sqrt(0.5 * g1d) * np.exp(1j * k_p * z)
     h_static = np.zeros((dim, dim), dtype=complex)
     h_omega = np.zeros((dim, dim), dtype=complex)
     for h in range(n):
@@ -64,7 +67,7 @@ def _brute_force_generator(params, chain, blockade):
         h_static += (-params.delta_2 - 1j * params.gamma_r) * c[h].conj().T @ c[h]
         h_omega += b[h].conj().T @ c[h] + c[h].conj().T @ b[h]
         for m in range(h):
-            h_static += -0.5j * g1d * np.exp(1j * chain.k_p * (z[h] - z[m])) \
+            h_static += -0.5j * g1d * np.exp(1j * k_p * (z[h] - z[m])) \
                 * b[h].conj().T @ b[m]
     for h in range(n):
         for j in range(h + 1, n):
@@ -97,11 +100,37 @@ def _slot_map(basis, idx):
     return mapping
 
 
+def _embedding(basis, idx):
+    """The 0/1 matrix taking Fock amplitudes to the stacked layout: the
+    ground to row 0 and the state of flat slot s to row 1 + s (a blockaded
+    rr state has no row)."""
+    e = np.zeros((1 + idx.dim, len(basis)))
+    for i, (kind, slot) in _slot_map(basis, idx).items():
+        if kind == "ground":
+            e[0, i] = 1.0
+        elif slot is not None:
+            e[1 + slot, i] = 1.0
+    return e
+
+
+def _gauge(chain, idx, k_p):
+    """The diagonal change of variables e_h -> exp(-i k_p z_h) e_h (r_h
+    alike) on the stacked layout: 1 on the ground, the mode's factor on each
+    singles slot, and the product of its two modes' factors on each doubles
+    slot (``mode_pairs``)."""
+    mode = np.tile(np.exp(-1j * k_p * chain.z()), 2)
+    a, b = idx.mode_pairs()
+    return np.r_[1.0, mode, mode[a] * mode[b]]
+
+
 @pytest.mark.parametrize("mode", ["none", "full", "power", "partial"])
 def test_generator_matches_operator_algebra(mode):
+    # the oracle keeps the probe's propagation phase exp(i k_p z_h); the
+    # production generator is the oracle's after the gauge change of
+    # variables, and at k_p = 0 the two agree entry by entry
     params = PhysicalParams.from_ratio(0.2, omega_c_peak=0.37, gamma_r=0.04,
                                        delta_e=0.2, delta_2=-0.1)
-    chain = build_chain(4, 1.0, k_p=2.3)
+    chain = build_chain(4)
     # "partial": r_b = 0.45 on spacing 1/4 puts V = 27 > v_cap on nearest
     # neighbours and V <= 0.43 on farther pairs
     blockade = {"none": BlockadeConfig.none(),
@@ -111,73 +140,38 @@ def test_generator_matches_operator_algebra(mode):
                 "partial": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.45,
                                           v0=0.8, v_cap=5.0)}[mode]
     gen = assemble_generator(params, chain, blockade, ControlSchedule.constant(0.37),
-                             PulseEnvelope(duration=10.0, n_in=1.0))
+                             PulseEnvelope(duration=10.0))
     idx = gen.index
     if mode == "partial":
         distinct = sum(h < j for h, j in idx.rr_pairs)
         assert 0 < distinct < 4 * 3 // 2
 
-    basis, m_static, m_omega, m_drive = _brute_force_generator(params, chain, blockade)
-    mapping = _slot_map(basis, idx)
+    e = _embedding(_fock_basis(chain.n_atoms), idx)
+    k1, k2 = idx.singles, idx.doubles
+    for k_p in (0.0, 2.3):
+        basis, m_static, m_omega, m_drive = _brute_force_generator(params, chain,
+                                                                   blockade, k_p)
+        # the oracle on the stacked layout, in the production gauge; its
+        # entries touching removed rr states do not apply
+        phi = _gauge(chain, idx, k_p)
+        assert k_p != 0.0 or np.all(phi == 1.0)
 
-    # embed the production parts into the Fock layout and compare: slot s
-    # of the index is row 1 + s of the stacked layout
-    dim = len(basis)
-    n1 = idx.dim_singles
-    s_part, w_part, f_part = (m.toarray() for m in gen.stacked)
-    for ref, parts in ((m_static, "static"), (m_omega, "omega")):
-        got = np.zeros((dim, dim), dtype=complex)
-        src = s_part if parts == "static" else w_part
-        for i, (kind_i, slot_i) in mapping.items():
-            for j, (kind_j, slot_j) in mapping.items():
-                if kind_i != "state" or kind_j != "state":
-                    continue
-                if slot_i is None or slot_j is None:
-                    continue  # blockaded rr states are removed, not evolved
-                got[i, j] = src[1 + slot_i, 1 + slot_j]
-        # reference entries touching removed rr states do not apply
-        keep = np.array([mapping[i][0] == "state" and mapping[i][1] is not None
-                         for i in range(dim)])
-        ref_kept = ref[np.ix_(keep, keep)]
-        got_kept = got[np.ix_(keep, keep)]
-        np.testing.assert_allclose(got_kept, ref_kept, atol=1e-13,
-                                   err_msg=f"{mode}/{parts} block mismatch")
+        def gauged(m):
+            return phi[:, None] * (e @ m @ e.T) / phi[None, :]
 
-    # drive: ground -> singles and singles -> doubles sources
-    for j, (kind_j, slot_j) in mapping.items():
-        col = m_drive[:, j]
-        for i, amp in enumerate(col):
-            if amp == 0:
-                continue
-            kind_i, slot_i = mapping[i]
-            if slot_i is None:
-                continue
-            if kind_j == "ground":
-                assert f_part[1 + slot_i, 0] == pytest.approx(amp, abs=1e-14)
-            elif kind_j == "state" and slot_j is not None and slot_j < n1 \
-                    and slot_i is not None and slot_i >= n1:
-                assert f_part[1 + slot_i, 1 + slot_j] == pytest.approx(amp, abs=1e-14)
+        for part, ref, name in zip(gen.stacked, (m_static, m_omega, m_drive),
+                                   ("static", "omega", "drive")):
+            np.testing.assert_allclose(part.toarray(), gauged(ref), rtol=0,
+                                       atol=1e-13 if name != "drive" else 1e-14,
+                                       err_msg=f"{mode}/{name} block mismatch at k_p = {k_p}")
 
-    # field operator: atomic lowering part c_out * sum_h u_h b_h
-    z = chain.z()
-    c_out = 1j * math.sqrt(0.5 * params.gamma_1d)
-    field = np.zeros((len(basis), len(basis)), dtype=complex)
-    for h in range(chain.n_atoms):
-        field += c_out * np.exp(-1j * chain.k_p * z[h]) * _ladder(basis, h)
-    for j, (kind_j, slot_j) in mapping.items():
-        col = field[:, j]
-        for i, amp in enumerate(col):
-            if amp == 0:
-                continue
-            kind_i, slot_i = mapping[i]
-            if kind_j != "state" or slot_j is None:
-                continue
-            if kind_i == "ground":
-                assert gen.out_e[slot_j] == pytest.approx(amp, abs=1e-14)
-            elif slot_i is not None and slot_i < n1 and slot_j >= n1:
-                assert gen.ann[slot_i, slot_j - n1] == pytest.approx(amp, abs=1e-14)
-    # the double-annihilation covector is the composition of the two
-    field2_ground = (field @ field)[0, :]
-    for j, (kind_j, slot_j) in mapping.items():
-        if kind_j == "state" and slot_j is not None and slot_j >= n1:
-            assert gen.a2vec[slot_j - n1] == pytest.approx(field2_ground[j], abs=1e-14)
+        # field operator: atomic lowering part c_out * sum_h exp(-i k_p z_h) b_h
+        c_out = 1j * math.sqrt(0.5 * params.gamma_1d)
+        field = sum(c_out * np.exp(-1j * k_p * z) * _ladder(basis, h)
+                    for h, z in enumerate(chain.z()))
+        ref = gauged(field)
+        np.testing.assert_allclose(gen.out_e, ref[0, k1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gen.ann.toarray(), ref[k1, k2], rtol=0, atol=1e-14)
+        # the double-annihilation covector is the composition of the two
+        np.testing.assert_allclose(gen.a2vec, gauged(field @ field)[0, k2], rtol=0,
+                                   atol=1e-14)

@@ -45,45 +45,47 @@ def test_unit_conversions_round_trip():
 # chain geometry and optical depth
 
 def test_single_atom_at_cell_midpoint():
-    chain = build_chain(1, 1.0)
+    chain = build_chain(1)
     assert chain.positions == (0.5,)
 
 
 def test_uniform_positions_strictly_increasing():
-    chain = build_chain(10, 2.0)
+    chain = build_chain(10)
     z = chain.z()
     assert np.all(np.diff(z) > 0)
-    assert z[0] == pytest.approx(0.1)
+    assert z[0] == pytest.approx(0.05)
 
 
 def test_jitter_is_seeded_and_bounded():
-    a = build_chain(20, 1.0, placement="jittered", seed=3)
-    b = build_chain(20, 1.0, placement="jittered", seed=3)
-    c = build_chain(20, 1.0, placement="jittered", seed=4)
+    a = build_chain(20, placement="jittered", seed=3)
+    b = build_chain(20, placement="jittered", seed=3)
+    c = build_chain(20, placement="jittered", seed=4)
     assert a.positions == b.positions
     assert a.positions != c.positions
-    base = build_chain(20, 1.0).z()
+    base = build_chain(20).z()
     assert np.all(np.abs(a.z() - base) <= 1.0 / (4 * 20) + 1e-12)
 
 
 def test_invalid_chain_inputs():
     with pytest.raises(ConfigurationError):
-        build_chain(0, 1.0)
+        build_chain(0)
     with pytest.raises(ConfigurationError):
-        build_chain(3, -1.0)
+        build_chain(3, placement="lattice")
     with pytest.raises(ConfigurationError):
-        AtomChain(positions=(0.2, 0.1), length=1.0)
+        AtomChain(positions=(0.2, 0.1))
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        AtomChain(positions=(0.5, 1.5))
 
 
 def test_optical_depth_values(params):
     # D = 2 N ln(1.2) at the fixed branching ratio
-    assert optical_depth(build_chain(10, 1.0), params) == pytest.approx(
+    assert optical_depth(build_chain(10), params) == pytest.approx(
         20 * math.log(1.2), rel=1e-12)  # ~3.646, the D ~ 3.6 setting
-    assert optical_depth(build_chain(25, 1.0), params) == pytest.approx(
+    assert optical_depth(build_chain(25), params) == pytest.approx(
         9.116077839, rel=1e-9)
-    assert optical_depth(build_chain(5, 1.0), params) == pytest.approx(
+    assert optical_depth(build_chain(5), params) == pytest.approx(
         1.823215568, rel=1e-9)
-    assert optical_depth(build_chain(28, 1.0), params) == pytest.approx(
+    assert optical_depth(build_chain(28), params) == pytest.approx(
         10.21000718, rel=1e-9)
 
 
@@ -95,7 +97,7 @@ def test_optical_depth_zero_atoms():
 def test_atoms_for_depth_one_atom_granularity(params):
     for target in (1.8, 3.6, 9.1, 10.0, 27.3):
         n = atoms_for_depth(target, params)
-        d = optical_depth(build_chain(n, 1.0), params)
+        d = optical_depth(build_chain(n), params)
         assert abs(d - target) <= 2 * math.log(1.2) * (0.5 + 1e-12)
 
 
@@ -134,7 +136,7 @@ def test_single_atom_bandwidth_value(params):
 
 def test_db_relation(params, chain10):
     b = BlockadeConfig.power_law_from_db(0.9, chain10, params)
-    d_b = optical_depth(chain10, params) * b.r_b / chain10.length
+    d_b = optical_depth(chain10, params) * b.r_b
     assert d_b == pytest.approx(0.9, rel=1e-12)
 
 
@@ -150,7 +152,7 @@ def test_interaction_monotone_decreasing(r1, r2):
 # pulse envelopes
 
 def test_square_zero_before_turn_on():
-    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.5)
+    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0)
     assert env.unit_shape(-0.1) == 0.0
 
 
@@ -164,35 +166,35 @@ def _closed_form_norm(env: PulseEnvelope) -> float:
     return math.sqrt(math.pi / a) * math.erf(math.sqrt(a) * 0.5 * env.duration)
 
 
-def _peak_field(env: PulseEnvelope) -> float:
+def _peak_field(env: PulseEnvelope, n_in: float) -> float:
     """Peak field amplitude, sqrt(photons/time), with int |E_p|^2 dt = n_in."""
-    return math.sqrt(env.n_in / _closed_form_norm(env))
+    return math.sqrt(n_in / _closed_form_norm(env))
 
 
 def test_square_mid_pulse_physical_amplitude():
     one_us = time_from_ns(1000.0)
-    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=one_us, n_in=1.5)
-    assert _peak_field(env) * env.unit_shape(0.5 * one_us) == pytest.approx(
+    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=one_us)
+    assert _peak_field(env, 1.5) * env.unit_shape(0.5 * one_us) == pytest.approx(
         math.sqrt(1.5 / one_us), rel=1e-12)
 
 
 def test_triangular_edges():
-    neg = PulseEnvelope(shape=PulseShape.TRIANGULAR_NEG, duration=8.0, n_in=1.0)
+    neg = PulseEnvelope(shape=PulseShape.TRIANGULAR_NEG, duration=8.0)
     assert neg.unit_shape(0.0) == 1.0
     assert neg.unit_shape(8.0) == 0.0  # closes at zero
-    pos = PulseEnvelope(shape=PulseShape.TRIANGULAR_POS, duration=8.0, n_in=1.0)
+    pos = PulseEnvelope(shape=PulseShape.TRIANGULAR_POS, duration=8.0)
     assert pos.unit_shape(0.0) == 0.0
     assert pos.unit_shape(8.0) == 0.0  # right-continuous at the drop
     assert pos.unit_shape(7.9999) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_square_edges_right_continuous():
-    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=5.0, n_in=1.0)
+    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=5.0)
     assert env.unit_shape(0.0) == 1.0    # post-jump value at turn-on
     assert env.unit_shape(5.0) == 0.0    # post-jump value at shutoff
 
 
-def _numeric_norm(env: PulseEnvelope, pts_per_segment: int = 30001) -> float:
+def _numeric_norm(env: PulseEnvelope, n_in: float, pts_per_segment: int = 30001) -> float:
     """Independent quadrature of int |E_p|^2 dt: dense trapezoid on each
     smooth piece between breakpoints (the envelope is only piecewise
     continuous, so a grid crossing a jump cannot converge)."""
@@ -202,7 +204,7 @@ def _numeric_norm(env: PulseEnvelope, pts_per_segment: int = 30001) -> float:
         ts = np.linspace(a, b, pts_per_segment)
         vals = np.array([env.unit_shape(float(t)) for t in ts])
         vals[-1] = env.unit_shape(b - 1e-12 * (b - a))  # inside limit at the edge
-        total += np.trapezoid((_peak_field(env) * vals) ** 2, ts)
+        total += np.trapezoid((_peak_field(env, n_in) * vals) ** 2, ts)
     return float(total)
 
 
@@ -213,19 +215,19 @@ def _numeric_norm(env: PulseEnvelope, pts_per_segment: int = 30001) -> float:
        rise_frac=st.floats(0.0, 0.4))
 def test_envelope_normalization_numerical(shape, duration, n_in, rise_frac):
     rise = rise_frac * duration / 2 if shape is PulseShape.SQUARE else 0.0
-    env = PulseEnvelope(shape=shape, duration=duration, n_in=n_in, rise_time=rise)
-    assert _numeric_norm(env) == pytest.approx(n_in, rel=1e-6)
+    env = PulseEnvelope(shape=shape, duration=duration, rise_time=rise)
+    assert _numeric_norm(env, n_in) == pytest.approx(n_in, rel=1e-6)
 
 
 def test_envelope_normalization_all_shapes_fixed():
     for shape in PulseShape:
-        env = PulseEnvelope(shape=shape, duration=37.699, n_in=1.5,
+        env = PulseEnvelope(shape=shape, duration=37.699,
                             rise_time=0.4 if shape is PulseShape.SQUARE else 0.0)
-        assert _numeric_norm(env) == pytest.approx(1.5, rel=1e-6)
+        assert _numeric_norm(env, 1.5) == pytest.approx(1.5, rel=1e-6)
 
 
 def test_envelope_breakpoints():
-    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, n_in=1.0, rise_time=1.0)
+    env = PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, rise_time=1.0)
     assert env.breakpoints() == (0.0, 1.0, 9.0, 10.0)
 
 

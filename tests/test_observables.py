@@ -88,7 +88,7 @@ def test_two_time_g2_off_diagonal_consistent_with_grid():
 def _power_law(n_atoms):
     from rydeit.model import PhysicalParams
     p = PhysicalParams.from_ratio(0.2, omega_c_peak=0.5)
-    return BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms, 1.0), p)
+    return BlockadeConfig.power_law_from_db(1.5, build_chain(n_atoms), p)
 
 
 #: Omega_c stepped down at 6 and 9

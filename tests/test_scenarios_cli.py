@@ -25,7 +25,7 @@ def test_default_config_builds_model_objects():
     cfg = default_config("propagate", {"d_target": 3.6})
     assert cfg.n_atoms == 10
     assert cfg.chain().n_atoms == 10
-    assert cfg.envelope().n_in == 1.5
+    assert cfg.n_in == 1.5
 
 
 def test_replica_config_matches_measured_device():
@@ -35,7 +35,7 @@ def test_replica_config_matches_measured_device():
     assert cfg.params.gamma_r == pytest.approx(0.8 / 6.0)
     assert cfg.blockade_mode == "power_law"
     chain = cfg.chain()
-    d_b = optical_depth(chain, cfg.params) * cfg.blockade().r_b / chain.length
+    d_b = optical_depth(chain, cfg.params) * cfg.blockade().r_b
     assert d_b == pytest.approx(0.9)
 
 
@@ -94,7 +94,7 @@ def _replica_manifest(tmp_path):
     ("gamma_r_mhz", 0.3, lambda c: c.params.gamma_r == 0.3 / 6.0),
     ("d_target", 5.0, lambda c: c.n_atoms == atoms_for_depth(5.0, c.params) != 28),
     ("d_b", 0.5, lambda c: c.r_b is None and optical_depth(c.chain(), c.params)
-     * c.blockade().r_b / c.chain().length == pytest.approx(0.5)),
+     * c.blockade().r_b == pytest.approx(0.5)),
 ])
 def test_override_displaces_the_other_spelling_in_a_manifest(tmp_path, key, value, check):
     # the manifest spells these as omega_c, gamma_r, n_atoms and r_b + v0
@@ -118,7 +118,7 @@ def test_partial_config_keeps_the_replica_preset(tmp_path, monkeypatch):
 
     def capture(cfg):
         seen.append(cfg)
-        return ResultBundle(name="experiment_replica", config=cfg)
+        return ResultBundle(config=cfg)
 
     monkeypatch.setitem(cli.RUNNERS, "experiment_replica", capture)
     partial = tmp_path / "partial.ini"
@@ -184,13 +184,23 @@ def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
     ("spectrum", "[spectrum]\nn_points = 0\n", []),
     ("emulate-hbt", "", ["--seed", "-1"]),
     ("window-scan", "[windows]\ndelta_t_list_ns = 1000, 0, 300\n", []),
-    ("propagate", "", ["--threads", "0"]),
-    ("propagate", "", ["--threads", "-2"])],
+    ("scan-turnon", "", ["--threads", "0"]),
+    ("scan-turnon", "", ["--threads", "-2"]),
+    ("propagate", "[pulse]\nn_in = 0\n", []),
+    ("storage", "", ["--t-off-ns", "2000"]),
+    ("storage", "", ["--t-off-ns", "5000"]),
+    ("emulate-hbt", "", ["--n-in", "1.8", "--n-trials", "1000"])],
     ids=["dt_out_zero", "dt_out_negative", "n_points_zero", "seed_negative",
-         "delta_t_zero", "threads_zero", "threads_negative"])
+         "delta_t_zero", "threads_zero", "threads_negative", "n_in_zero",
+         "storage_release_after_horizon", "storage_release_far_after_horizon",
+         "hbt_probabilities_above_one"])
 def test_out_of_range_input_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
                                                        monkeypatch, command, ini, flags):
-    # each is refused before the run starts: none reaches the runner
+    # each is refused before anything is written.  A storage release at
+    # t_off_ns + 500 ns falls after the default horizon's end at 2200 ns.  At
+    # n_in = 1.8 the default square scene's pair and single probabilities
+    # per trial sum above 1, where the at-most-one-event draw has no
+    # distribution
     cfg = tmp_path_factory.mktemp("cfg") / "range.ini"
     cfg.write_text(ini)
     monkeypatch.chdir(tmp_path)
@@ -264,6 +274,25 @@ def test_earlier_manifest_with_method_auto_reruns_byte_identically(tmp_path):
         return path.read_text().split("\n[run]")[0]
 
     assert inputs(b / "manifest.ini") == inputs(a / "manifest.ini")
+
+
+@pytest.mark.parametrize("line, code", [("length = 1.0\nk_p = 1.0", 0), ("length = 2.0", 3),
+                                        ("k_p = 2.0", 3)])
+def test_earlier_manifest_chain_length_and_k_p(tmp_path, line, code):
+    # manifests of earlier versions hold [chain] length = 1.0 and k_p = 1.0,
+    # which change no output and load as before; any other value is refused
+    cfg = default_config("propagate", {"d_target": 1.8, "duration_ns": 300.0})
+    text = manifest_text(cfg, {}, {})
+    earlier = tmp_path / "earlier.ini"
+    earlier.write_text(text.replace("[chain]\n", f"[chain]\n{line}\n"))
+    if code == 0:
+        assert load_config(earlier) == cfg
+    else:
+        with pytest.raises(ConfigurationError, match="retired"):
+            load_config(earlier)
+    out_dir = tmp_path / "out"
+    assert main(["propagate", "--config", str(earlier), "--out", str(out_dir)]) == code
+    assert out_dir.exists() == (code == 0)
 
 
 def test_older_manifest_without_the_newer_keys_loads(tmp_path):
@@ -582,7 +611,7 @@ def test_turnoff_retries_keep_the_output_step():
     from conftest import make_generator
     out = _turnoff_point(_SINGLES_CFG, 1.8, 0.5)
     assert out["status"] == "no_half_crossing"
-    gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0, n_in=1.0)
+    gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0)
     y = steady_state(gen, omega_c=0.5)[1:1 + gen.index.dim_singles]
     n_steps = 6000 * 128
     prop = expm(gen.m1(0.5) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
@@ -597,17 +626,17 @@ def test_turnoff_retries_keep_the_output_step():
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 16), ratio=st.floats(0.0, 10.0),
        gamma_r=st.floats(0.0, 2.0), delta_e=st.floats(-5.0, 5.0),
-       delta_2=st.floats(-5.0, 5.0), k_p=st.floats(0.0, 50.0), omega=st.floats(0.0, 3.0))
-def test_undriven_singles_contract(n, seed, ratio, gamma_r, delta_e, delta_2, k_p, omega):
+       delta_2=st.floats(-5.0, 5.0), omega=st.floats(0.0, 3.0))
+def test_undriven_singles_contract(n, seed, ratio, gamma_r, delta_e, delta_2, omega):
     # the turn-off stop bounds every later sample by the end state's norm:
     # the top eigenvalue of M1's Hermitian part is max(-Gamma/2 +
     # Gamma_1D/4, -gamma_r) (-Gamma/2 in place of the first at N = 1), never
-    # above 0, on jittered chains at any detuning, k_p and control
+    # above 0, on jittered chains at any detuning and control
     from rydeit.dynamics import singles_blocks
     from rydeit.model import build_chain
     params = PhysicalParams.from_ratio(ratio, gamma_r=gamma_r, delta_e=delta_e,
                                        delta_2=delta_2)
-    chain = build_chain(n, 1.0, k_p=k_p, placement="jittered", seed=seed)
+    chain = build_chain(n, placement="jittered", seed=seed)
     m1s, m1o, _, _ = singles_blocks(params, chain)
     m1 = m1s + omega * m1o
     top = np.linalg.eigvalsh(0.5 * (m1 + m1.conj().T))[-1]
@@ -786,4 +815,42 @@ def test_cli_storage_requires_schedule(tmp_path, monkeypatch, capsys):
     assert main(["storage"]) == 3
     assert "--t-off-ns" in capsys.readouterr().err
     assert main(["storage", "--d", "1.8", "--out", str(tmp_path / "s")]) == 3
+    assert list(tmp_path.iterdir()) == []
+    # a release after the horizon names both times
+    assert main(["storage", "--t-off-ns", "2000", "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert "2500.0 ns" in err and "2200.0 ns" in err
+
+
+_DEVICE_FLAGS = {"--d", "--n-atoms", "--omega-c", "--omega-c-mhz", "--gamma-r-mhz"}
+_PULSE_FLAGS = _DEVICE_FLAGS | {"--shape", "--blockade", "--d-b", "--duration-ns"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("spectrum", _DEVICE_FLAGS),
+    ("propagate", _PULSE_FLAGS),
+    ("replica", _PULSE_FLAGS),
+    ("window-scan", _DEVICE_FLAGS | {"--blockade", "--d-b", "--n-in", "--duration-ns"}),
+    ("storage", _PULSE_FLAGS | {"--n-in", "--t-off-ns", "--t-store-ns"}),
+    ("emulate-hbt", _PULSE_FLAGS | {"--n-in", "--n-trials", "--seed"}),
+    ("scan-turnon", {"--gamma-r-mhz", "--threads"}),
+    ("scan-turnoff", {"--gamma-r-mhz", "--threads"}),
+    ("dlcz", {"--p", "--eta-d", "--eta-r"})])
+def test_each_subcommand_takes_only_the_flags_its_runner_reads(command, flags):
+    import argparse
+    from rydeit.cli import _parser
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert got == flags | {"-h", "--help", "--config", "--out"}
+
+
+@pytest.mark.parametrize("argv", [["dlcz", "--seed", "3"], ["scan-turnon", "--d", "4.5"],
+                                  ["propagate", "--n-in", "1.0"],
+                                  ["spectrum", "--blockade", "none"],
+                                  ["window-scan", "--shape", "gaussian"]])
+def test_a_flag_the_runner_ignores_exits_2_and_writes_nothing(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []

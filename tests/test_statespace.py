@@ -6,7 +6,7 @@ from rydeit.statespace import build_index
 
 
 def _index(n, mode="full", seedless_chain=None):
-    chain = seedless_chain or build_chain(n, 1.0)
+    chain = seedless_chain or build_chain(n)
     blk = {"full": BlockadeConfig.fully_blockaded(),
            "none": BlockadeConfig.none(),
            "power": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.25, v0=1.0,
@@ -32,7 +32,7 @@ def test_dimension_formula_matches_enumeration():
             assert idx.n_er == n * n
             # enumerate rr by the same rule the index uses
             from rydeit.model import interaction, BLOCKED
-            chain = build_chain(n, 1.0)
+            chain = build_chain(n)
             blk = {"full": BlockadeConfig.fully_blockaded(),
                    "none": BlockadeConfig.none(),
                    "power": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.25,
@@ -48,7 +48,7 @@ def test_power_law_cap_excludes_near_pairs():
     # near pairs exceed the cap and disappear from the rr block: on spacing
     # 1/6 with r_b = 0.25 and v0 = 1 the nearest neighbours have V = 11.4
     # > 5, so their 5 pairs drop and the 10 farther ones (V <= 0.18) stay
-    chain = build_chain(6, 1.0)
+    chain = build_chain(6)
     blk = BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.25, v0=1.0, v_cap=5.0)
     idx = build_index(blk, chain)
     assert (0, 0) not in idx.rr_pairs         # same atom always blocked
