@@ -231,10 +231,10 @@ _OVERRIDES = {i.name: _TYPES[i.type] for i in _INPUTS}
 _OVERRIDES.update({key: numbers.Real for _, other, _ in _SPELLINGS for key in other})
 #: what a manifest records about the run rather than its inputs
 _RECORDS = {("run", "version"), ("run", "wall_time_s")}
-#: retired keys: the one value a file may still hold (None: none); no output
-#: depends on the chain length (the unit of z) or k_p (a gauge phase)
+#: retired keys: the one value a file may still hold (None: none; a number read
+#: as one); no output depends on the chain length (the unit of z) or k_p (a gauge)
 _RETIRED = {("integration", "method"): "auto", ("integration", "dt"): None,
-            ("chain", "length"): "1.0", ("chain", "k_p"): "1.0"}
+            ("chain", "length"): 1.0, ("chain", "k_p"): 1.0}
 
 
 def _read(cp: configparser.ConfigParser) -> dict:
@@ -248,7 +248,11 @@ def _read(cp: configparser.ConfigParser) -> dict:
                 continue
             if (section, key) in _RETIRED:
                 kept = _RETIRED[section, key]
-                if raw.strip() != kept:
+                try:
+                    holds = float(raw) == kept if isinstance(kept, float) else raw.strip() == kept
+                except ValueError:
+                    holds = False
+                if not holds:
                     raise ConfigurationError(
                         f"[{section}] {key} is retired"
                         + (f"; it may only read {kept}" if kept else ""))

@@ -32,7 +32,11 @@ f1(t) = ep(t) + i sqrt(Gamma_1D/2) sum_h e_h(t).  The propagation phase
 exp(i k_p z_h) of the probe at atom h is a gauge of the cascaded chain: the
 change of variables e_h -> exp(-i k_p z_h) e_h (r_h alike) removes it from
 every equation and leaves each output unchanged, so the atom positions
-enter only through the blockade.
+enter only through the blockade.  A second gauge, e_h -> i e_h, makes the
+control coupling -1 (e <- r) and +1 (r <- e), the drive sqrt(Gamma_1D/2)
+and f1 = ep - sqrt(Gamma_1D/2) sum_h e_h: the generator is assembled so,
+and is real when d_e = d_2 = 0 and no allowed rr pair carries a shift
+(full blockade, or none); then it and every run's buffers are float64.
 
 Every evolution of the full state goes through ``propagate_segment``, which
 advances a stacked [ground; singles; doubles] vector across one segment in
@@ -78,24 +82,19 @@ That exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
 it, so the strongly connected components of the generator's nonzero
 pattern, in topological order (``_cascade_order``), make it block lower
-triangular.  The blocks hold at most 2 slots in the singles, (e_h, r_h), and
-4 in the doubles, the ee, er, re and rr amplitudes of one pair.  The complex
-Schur forms of these blocks make the generator triangular in a block-diagonal
-unitary basis, and degree-13 Padé scaling and squaring (Higham, SIAM J.
-Matrix Anal. Appl. 26:1179, 2005) then needs only triangular products and
-one triangular solve, done by recursive 2 x 2 tiles over ztrmm and ztrsm at
-about n^3/6 complex multiplications each, against n^3 for a dense GEMM.  At
-one BLAS thread that took 2.0-2.3 s for the replica's 1,625-dim propagator
-against 6.3-7.4 s for scipy.linalg.expm, agreeing to 6e-15 of the largest
-entry.  ``expm`` returns exp(t), upper triangular, with that basis
-(``TriangularExp``): the permutation and the Schur blocks Z, at most 4 x 4.
-The propagator stays there: a stretch maps y and the covectors in once,
-steps with triangular matvecs, and maps only its end state back, and the
-drive scaling acts in place on the triangle, since Z never mixes the
-ground, singles and doubles.  Only ``SinglesPropagator``, whose correlation
-grid reads the entries of one step per segment, asks for the dense matrix.
-``steady_state`` solves the doubles system in the same order, where LU in
-the natural order makes next to no fill.
+triangular, with blocks of at most 2 slots in the singles, (e_h, r_h), and
+4 in the doubles, the ee, er, re and rr amplitudes of one pair.  Degree-13
+Padé scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179,
+2005) keeps that structure, in tiles split at block boundaries: about n^3/6
+multiplications per product against n^3 for a dense GEMM (at one BLAS
+thread 1.5-1.8 s for the replica's complex 1,625-dim propagator and
+0.18-0.25 s for a real 1,001-dim turn-on one, against 5.3 s and 0.3-0.45 s
+for scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
+permutes y and the covectors into cascade order once (``TriangularExp``)
+and only its end state back, and the drive scaling acts in place there,
+since no block mixes the ground, singles and doubles.  ``steady_state``
+solves the doubles system in the same order, where LU in the natural order
+makes next to no fill.
 
 ``evolve`` records only the projections C y of a covector stack C (c rows
 over the stacked layout) per sample.  ``Generator.output_covectors`` gives
@@ -113,21 +112,16 @@ and goes on from that end state over each longer horizon it needs, and
 stops once the end state's norm bounds every later sample under the half
 level: the undriven singles contract (``scenarios._turnoff_point``).
 
-An ``expm`` propagator P, triangular in its basis, gives P^m by log2 m
-triangular squarings (``_tri_mul``), and a step is one triangular matvec
-(ztrmv); m is the power of two that minimizes the cost in matvecs,
-log2(m) d / SQUARE_KAPPA + c m + ceil(n/m), where one squaring costs
-d / SQUARE_KAPPA matvecs; SQUARE_KAPPA = 8 (measured 6.1-10.4 for
-d = 975-1,625 at one BLAS thread; a dense GEMM against a dense matvec gave
-4.4-5.2).  That picks m = 16 for a turn-on point (d ~ 1,001, n = 2,500,
-c = 2), and m = 2 for the replica (d = 1,625, n = 490 and 600), where one
-squaring, about 200 matvecs, saves 245-300.  A turn-off doubles block above
-``DECAY_DENSE_DOUBLES`` (300 slots, the measured crossover over its 5,000
-steps), and any operator above ``EXPM_MAX_DIM``, never becomes dense
-(``_action_powers``): baby rows and giant columns advance by the action of
-the exponential (``_TaylorAction``, a truncated Taylor series after Al-Mohy
-and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m chosen from the
-planned matvecs of those actions.
+An ``expm`` propagator P gives P^m by log2 m squarings (``_tri_mul``), and
+a step is one triangular matvec (``_tri_apply``); m is the power of two
+that minimizes the cost in matvecs (``_giant_step``, ``SQUARE_KAPPA``):
+m = 16 for a turn-on point (d ~ 1,001, n = 2,500, c = 2) and m = 2 for the
+replica (d = 1,625, n = 490 and 600).  A turn-off doubles block above
+``DECAY_DENSE_DOUBLES``, and any operator above ``EXPM_MAX_DIM``, never
+becomes dense (``_action_powers``): baby rows and giant columns advance by
+the action of the exponential (``_TaylorAction``, a truncated Taylor series
+after Al-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m chosen
+from the planned matvecs of those actions.
 """
 
 from __future__ import annotations
@@ -141,8 +135,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import norm as dense_norm, schur, solve as dense_solve
-from scipy.linalg.blas import zaxpy, ztrmm, ztrmv, ztrsm
+from scipy.linalg import expm as scipy_expm, norm as dense_norm, solve as dense_solve
+from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.csgraph import connected_components
 
 from .model import (AtomChain, BlockadeConfig, ConfigurationError, ControlSchedule,
@@ -197,6 +191,10 @@ class Generator:
     a2vec: np.ndarray           # doubles -> ground double-annihilation covector
     v_max: float
 
+    @property
+    def dtype(self) -> np.dtype:    # float64 when every part is real, else complex
+        return self.stacked[0].dtype
+
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.envelope.breakpoints()) | set(self.schedule.breakpoints())))
 
@@ -217,7 +215,7 @@ class Generator:
         [0, 0, ann]: the singles and ann psi2 a correlation grid reads."""
         idx = self.index
         n1, k1, k2 = idx.dim_singles, idx.singles, idx.doubles
-        c = np.zeros((2 + 2 * n1 if grid else 2, 1 + idx.dim), dtype=complex)
+        c = np.zeros((2 + 2 * n1 if grid else 2, 1 + idx.dim), dtype=self.dtype)
         c[0, k1] = self.out_e
         c[1, k2] = self.a2vec
         if grid:
@@ -227,8 +225,10 @@ class Generator:
 
 
 def _csr(m) -> sp.csr_matrix:
-    """Complex CSR copy of a dense or sparse matrix, without stored zeros."""
-    m = sp.csr_matrix(m, dtype=complex)
+    """CSR copy without stored zeros, float64 when its imaginary part is 0."""
+    m = sp.csr_matrix(m, dtype=np.result_type(m.dtype, float))
+    if m.dtype.kind == "c" and not np.any(m.data.imag):
+        m = m.real
     m.eliminate_zeros()
     return m
 
@@ -236,23 +236,23 @@ def _csr(m) -> sp.csr_matrix:
 def singles_blocks(params: PhysicalParams, chain: AtomChain):
     """Single-excitation matrices (layout [e_0..e_{N-1}, r_0..r_{N-1}]).
 
-    Returns (m1s, m1o, s1, out_e): the Omega-independent generator
-    (the e and r rates on the diagonal, the cascaded e <- e exchange
-    -Gamma_1D/2 strictly below it), the control coupling -i between e_h
-    and r_h (to be scaled by Omega_c(t)), the drive source
-    i sqrt(Gamma_1D/2) per unit envelope on every e mode and the output
-    covector, the same on every e mode.
+    Returns (m1s, m1o, s1, out_e) in the gauge e_h -> i e_h: the
+    Omega-independent generator (the e and r rates on the diagonal, the
+    cascaded e <- e exchange -Gamma_1D/2 strictly below it), the control
+    coupling, -1 for e_h <- r_h and +1 for r_h <- e_h (to be scaled by
+    Omega_c(t)), the drive source sqrt(Gamma_1D/2) per unit envelope on
+    every e mode and the output covector, -sqrt(Gamma_1D/2) on every e mode.
     """
     n = chain.n_atoms
     m1s = np.zeros((2 * n, 2 * n), dtype=complex)
     m1s[np.tril_indices(n, -1)] = -0.5 * params.gamma_1d
     m1s[np.diag_indices(2 * n)] = np.repeat([1j * params.delta_e - 0.5 * params.gamma_total,
                                              1j * params.delta_2 - params.gamma_r], n)
-    m1o = np.zeros((2 * n, 2 * n), dtype=complex)
-    m1o[:n, n:] = m1o[n:, :n] = -1j * np.eye(n)
-    s1 = np.zeros(2 * n, dtype=complex)
-    s1[:n] = 1j * math.sqrt(0.5 * params.gamma_1d)
-    return m1s, m1o, s1, s1.copy()
+    m1o = np.zeros((2 * n, 2 * n))
+    m1o[:n, n:], m1o[n:, :n] = -np.eye(n), np.eye(n)
+    s1 = np.zeros(2 * n)
+    s1[:n] = math.sqrt(0.5 * params.gamma_1d)
+    return m1s, m1o, s1, -s1
 
 
 def steady_transmission_amplitude(params: PhysicalParams, chain: AtomChain,
@@ -270,7 +270,7 @@ def _solve_singles_steady(params: PhysicalParams, m1: np.ndarray, s1: np.ndarray
     level the r rows are identically zero (never driven), so solve the closed
     e block and pin r to zero instead of inverting a singular matrix."""
     if omega_c == 0.0 and params.gamma_r == 0.0 and params.delta_2 == 0.0:
-        psi = np.zeros(2 * n, dtype=complex)
+        psi = np.zeros(2 * n, dtype=np.result_type(m1, s1))
         psi[:n] = dense_solve(m1[:n, :n], -s1[:n])
         return psi
     return dense_solve(m1, -s1)
@@ -321,10 +321,12 @@ def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: Block
     ann = _csr(_kron_eye(out_e[None, :], n1, both=False) @ spread)
     a2vec = np.asarray(ann.T @ out_e).ravel()
     v_max = float(np.max(np.abs(v), initial=0.0))
-
+    stacked = [_csr(m) for m in stacked]
+    dtype = np.result_type(*(m.dtype for m in stacked))   # real unless one part is complex
     return Generator(index=idx, params=params, chain=chain, schedule=schedule,
-                     envelope=envelope, stacked=tuple(_csr(m) for m in stacked), ann=ann,
-                     out_e=out_e, a2vec=a2vec, v_max=v_max)
+                     envelope=envelope, stacked=tuple(m.astype(dtype) for m in stacked),
+                     ann=ann.astype(dtype), out_e=out_e.astype(dtype),
+                     a2vec=a2vec.astype(dtype), v_max=v_max)
 
 
 def _kron_eye(k: np.ndarray, n: int, both: bool = True) -> sp.csr_matrix:
@@ -393,171 +395,189 @@ PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 THETA13 = 5.371920351148152
 
-#: Edge of the triangular tiles ``_tri_mul`` and ``_tri_solve`` hand to one
-#: BLAS call (256 and 384 took 0.18-0.19 s per 1,625-dim product, 128 took
-#: 0.20 s, against 0.38 s for one ztrmm, one BLAS thread)
+#: Edge of the tiles ``_tri_mul`` and ``_tri_solve`` hand whole to BLAS (with
+#: triangular ztrmm tiles 256 and 384 took 0.18-0.19 s per 1,625-dim product)
 TRI_LEAF = 256
 
 
 @dataclass
 class TriangularExp:
-    """exp(a) as ``expm`` leaves it: Q tri^T Q^H with ``tri`` upper
-    triangular (Fortran-ordered) and Q = Pi^T conj(Z) unitary, where Pi
-    takes y to y[perm] and Z is block diagonal over the strongly connected
-    components (``blocks``: (i0, i1, z) for each of more than one slot).  A
-    vector maps into this basis as w = Q^H y = Z^T y[perm], a covector
-    stack as C Q = (Q^H C^H)^H = C[:, perm] conj(Z), and then
-    exp(a) y = Q tri^T w and C exp(a) y = (C Q) tri^T w."""
+    """exp(a) = Pi^T tri^T Pi, Pi y = y[perm], with ``tri`` (Fortran order)
+    block upper triangular over the cascade blocks that start at ``bounds``
+    (then the dimension), at most ``reach`` rows below its diagonal."""
 
     tri: np.ndarray
     perm: np.ndarray
-    blocks: list
+    bounds: np.ndarray
 
-    def to_basis(self, y: np.ndarray) -> np.ndarray:
-        """Q^H y = Z^T y[perm] for a vector y or the columns of y."""
-        w = np.asarray(y, dtype=complex)[self.perm]
-        for i0, i1, z in self.blocks:
-            w[i0:i1] = z.T @ w[i0:i1]
-        return w
-
-    def from_basis(self, w: np.ndarray) -> np.ndarray:
-        """y with Z^T y[perm] = w, for a vector w."""
-        v = w.copy()
-        for i0, i1, z in self.blocks:
-            v[i0:i1] = z.conj() @ v[i0:i1]
-        y = np.empty_like(v)
-        y[self.perm] = v
-        return y
+    @property
+    def reach(self) -> int:
+        return int(np.max(np.diff(self.bounds))) - 1
 
     def dense(self) -> np.ndarray:
-        """exp(a) as a dense matrix: Z tri Z^H, transposed and permuted back."""
-        x = self.tri.copy(order="F")
-        for i0, i1, z in self.blocks:
-            x[i0:i1, i0:] = z @ x[i0:i1, i0:]
-            x[:i1, i0:i1] = x[:i1, i0:i1] @ z.conj().T
+        """exp(a) as a dense matrix: tri transposed and permuted back."""
         back = np.argsort(self.perm)
-        return x.T[np.ix_(back, back)]
+        return self.tri.T[np.ix_(back, back)]
 
 
 def expm(a) -> TriangularExp:
-    """exp(a) of a dense or sparse square matrix, complex, by way of the
-    cascade structure of the generators this module builds, returned in the
-    basis where it is triangular (``TriangularExp``).  A sparse a becomes
-    dense only as its permuted transpose u.
-
-    In ``_cascade_order`` a is block lower triangular, so its transpose u is
-    block upper triangular; the complex Schur form Z_I^H u_II Z_I of each
-    diagonal block makes t = Z^H u Z upper triangular, Z block diagonal.
-    exp(t) is the degree-13 Padé approximant of t / 2^s squared s times,
-    with s from the exact 1-norm of t and ``THETA13`` (Higham 2005), and
-    its diagonal set to exp(t_ii) at every stage; every product is
-    triangular times triangular (``_tri_mul``) and the Padé denominator a
-    triangular solve (``_tri_solve``).  Apart from a and the result at most
-    five d x d arrays are alive at once, plus tiles of a quarter of that.  A
-    matrix of one strongly connected component takes one dense Schur form
-    and the same steps."""
+    """exp(a) of a dense or sparse square matrix, float64 for a real a and
+    complex otherwise, in cascade order (``TriangularExp``); a sparse a
+    becomes dense only as its permuted transpose u, block upper triangular.
+    exp(u) is the degree-13 Padé approximant of u / 2^s squared s times,
+    with s from the exact 1-norm of u and ``THETA13`` (Higham 2005), by
+    block triangular products (``_tri_mul``); the Padé denominator, each
+    block row scaled by the inverse of its diagonal block, is unit
+    triangular (``_tri_solve``).  The approximant's diagonal blocks of up
+    to 4 slots are set to scipy's exponential of u's (exp(u_ii) on one
+    slot), and the one-slot diagonal again after each squaring (Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment 2.1).  At
+    most five d x d arrays are alive at once, plus tiles of a quarter."""
     perm, bounds = _cascade_order(a)
     u = a[perm][:, perm]
-    u = np.asarray(u.toarray() if sp.issparse(u) else u, dtype=complex).T
-    blocks = []
-    for i0, i1 in zip(bounds[:-1], bounds[1:]):
-        if i1 - i0 > 1:
-            t, z = schur(u[i0:i1, i0:i1], output="complex", check_finite=False)
-            u[i0:i1, i1:] = z.conj().T @ u[i0:i1, i1:]
-            u[:i0, i0:i1] = u[:i0, i0:i1] @ z
-            u[i0:i1, i0:i1] = t      # LAPACK zeroes it below the diagonal
-            blocks.append((i0, i1, z))
+    u = np.asarray(u.toarray() if sp.issparse(u) else u)
+    u = np.asfortranarray(u.T, dtype=np.result_type(u.dtype, float))
     norm = dense_norm(u, 1, check_finite=False)
     s = math.ceil(math.log2(norm / THETA13)) if THETA13 < norm < math.inf else 0
     u *= 0.5 ** s
-    rates = u.diagonal().copy()
+    blocks = [bounds[:-1][np.diff(bounds) == k][:, None] + np.arange(k) for k in (1, 2, 3, 4)]
+    small = [u[r[:, :, None], r[:, None, :]] for r in blocks]
     a2 = u.copy(order="F")
-    _tri_mul(u, a2)
+    _tri_mul(u, a2, bounds)
     a4 = a2.copy(order="F")
-    _tri_mul(a2, a4)
+    _tri_mul(a2, a4, bounds)
     a6 = a4.copy(order="F")
-    _tri_mul(a2, a6)
-    x = _pade_part(PADE13[1::2], a2, a4, a6)
-    _tri_mul(u, x)
+    _tri_mul(a2, a6, bounds)
+    x = _pade_part(PADE13[1::2], a2, a4, a6, bounds)
+    _tri_mul(u, x, bounds)
     del u
-    v = _pade_part(PADE13[0::2], a2, a4, a6)
+    v = _pade_part(PADE13[0::2], a2, a4, a6, bounds)
     del a2, a4, a6
     # x = (V - U)^-1 (V + U) with U in x and V in v
     v -= x
     x *= 2.0
     x += v
-    _tri_solve(v, x)
+    for i0, i1 in zip(bounds[:-1], bounds[1:]):
+        q = np.linalg.inv(v[i0:i1, i0:i1])
+        x[i0:i1, i0:] = q @ x[i0:i1, i0:]
+        v[i0:i1, i1:] = q @ v[i0:i1, i1:]
+        v[i0:i1, i0:i1] = np.eye(i1 - i0)
+    _tri_solve(v, x, bounds)
     del v
-    # the diagonal of exp(2^j t) is exp(2^j t_ii); setting it exactly after
-    # the Padé step and each squaring (Al-Mohy and Higham, SIAM J. Matrix
-    # Anal. Appl. 31:970, 2009, code fragment 2.1) took the replica's singles
-    # block from 1e-15 to 2e-16 off a 40-digit reference
-    x.reshape(-1, order="F")[::len(x) + 1] = np.exp(rates)
-    return TriangularExp(_tri_squarings(x, s, rates), perm, blocks)
+    for r, b in zip(blocks, small):
+        x[r[:, :, None], r[:, None, :]] = scipy_expm(b)
+    exact = blocks[0][:, 0], small[0][:, 0, 0]
+    return TriangularExp(_tri_squarings(x, s, bounds, exact), perm, bounds)
 
 
-def _tri_squarings(x: np.ndarray, k: int, rates: np.ndarray | None = None) -> np.ndarray:
-    """x^(2^k) for an upper triangular, Fortran-ordered x by k squarings
-    (``_tri_mul``), in x's memory and one more array; with ``rates`` the
-    diagonal is set to exp(2^j rates) after squaring j."""
+def _tri_squarings(x: np.ndarray, k: int, bounds: np.ndarray,
+                   exact: tuple | None = None) -> np.ndarray:
+    """x^(2^k) for a block upper triangular, Fortran-ordered x by k
+    squarings (``_tri_mul``), in x's memory and one more array; ``exact`` =
+    (i, rates) sets the entries x_ii to exp(2^j rates) after squaring j."""
     if k == 0:
         return x
     v = np.empty_like(x, order="F")
     for j in range(1, k + 1):
         v[...] = x
-        _tri_mul(x, v)
+        _tri_mul(x, v, bounds)
         x, v = v, x
-        if rates is not None:
-            x.reshape(-1, order="F")[::len(x) + 1] = np.exp(rates * 2.0 ** j)
+        if exact is not None:
+            x.reshape(-1, order="F")[exact[0] * (len(x) + 1)] = np.exp(exact[1] * 2.0 ** j)
     return x
 
 
-def _pade_part(c, a2: np.ndarray, a4: np.ndarray, a6: np.ndarray) -> np.ndarray:
+def _pade_part(c, a2: np.ndarray, a4: np.ndarray, a6: np.ndarray,
+               bounds: np.ndarray) -> np.ndarray:
     """c_0 I + c_1 A2 + c_2 A4 + c_3 A6 + A6 (c_4 A2 + c_5 A4 + c_6 A6) in
     one new Fortran-ordered array: the even part V of the degree-13 Padé
     numerator for c = b_0, b_2, .., b_12, and U / A for c = b_1, .., b_13."""
     x = np.multiply(a6, c[6], order="F")
     flat = x.reshape(-1, order="F")
+    axpy = get_blas_funcs("axpy", (x,))
     for ci, p in zip(c[4:6], (a2, a4)):
-        zaxpy(p.reshape(-1, order="F"), flat, a=ci)
-    _tri_mul(a6, x)
+        axpy(p.reshape(-1, order="F"), flat, a=ci)
+    _tri_mul(a6, x, bounds)
     for ci, p in zip(c[1:4], (a2, a4, a6)):
-        zaxpy(p.reshape(-1, order="F"), flat, a=ci)
+        axpy(p.reshape(-1, order="F"), flat, a=ci)
     flat[::len(x) + 1] += c[0]
     return x
 
 
-def _tri_mul(l: np.ndarray, m: np.ndarray) -> None:
-    """m <- l m in place for upper triangular l and m (Fortran-ordered, or
-    tiles of such arrays), by recursive 2 x 2 tiles: the off-diagonal tile
-    l11 m12 + l12 m22 is two ztrmm calls, the diagonal tiles recurse, and
-    only leaves of ``TRI_LEAF`` treat a triangle as full.  That is about
-    n^3/6 complex multiplications against n^3/2 for one ztrmm."""
-    n = len(l)
-    if n <= TRI_LEAF:
-        m[...] = ztrmm(1.0, l, m, overwrite_b=1)
-        return
-    h = n // 2
-    tail = ztrmm(1.0, m[h:, h:], l[:h, h:], side=1)
-    m[:h, h:] = ztrmm(1.0, l[:h, :h], m[:h, h:], overwrite_b=1)
-    m[:h, h:] += tail
-    del tail
-    _tri_mul(l[:h, :h], m[:h, :h])
-    _tri_mul(l[h:, h:], m[h:, h:])
+def _halves(bounds: np.ndarray) -> tuple:
+    """(h, bounds of the tile above h, of the tile below) at the middlemost block start h."""
+    inner = bounds[1:-1]
+    h = int(inner[np.argmin(np.abs(2 * inner - bounds[-1]))])
+    return h, bounds[bounds <= h], bounds[bounds >= h] - h
 
 
-def _tri_solve(l: np.ndarray, m: np.ndarray) -> None:
-    """m <- l^-1 m in place for upper triangular l and m, tiled like
-    ``_tri_mul``: x22 first, then x12 = l11^-1 (m12 - l12 x22), then x11."""
-    n = len(l)
-    if n <= TRI_LEAF:
-        m[...] = ztrsm(1.0, l, m, overwrite_b=1)
+def _tri_mul(l: np.ndarray, m: np.ndarray, bounds: np.ndarray) -> None:
+    """m <- l m in place for block upper triangular l and m (Fortran-ordered,
+    or tiles of such arrays), blocks at ``bounds``, by 2 x 2 tiles split at
+    a block start: m12 <- l11 m12 + l12 m22, then the diagonal tiles recurse;
+    a tile of at most ``TRI_LEAF``, or of one block, is one dense product."""
+    if len(bounds) == 2 or len(l) <= TRI_LEAF:
+        m[...] = l @ m
         return
-    h = n // 2
-    _tri_solve(l[h:, h:], m[h:, h:])
-    m[:h, h:] -= ztrmm(1.0, m[h:, h:], l[:h, h:], side=1)
-    m[:h, h:] = ztrsm(1.0, l[:h, :h], m[:h, h:], overwrite_b=1)
-    _tri_solve(l[:h, :h], m[:h, :h])
+    h, lo, hi = _halves(bounds)
+    _left_mul(l[:h, :h], m[:h, h:], lo)
+    _add_right_mul(m[:h, h:], l[:h, h:], m[h:, h:], hi)
+    _tri_mul(l[:h, :h], m[:h, :h], lo)
+    _tri_mul(l[h:, h:], m[h:, h:], hi)
+
+
+def _left_mul(t: np.ndarray, x: np.ndarray, bounds: np.ndarray) -> None:
+    """x <- t x in place, t block upper triangular, tiled like ``_tri_mul``."""
+    if len(bounds) == 2 or len(t) <= TRI_LEAF:
+        x[...] = t @ x
+        return
+    h, lo, hi = _halves(bounds)
+    _left_mul(t[:h, :h], x[:h], lo)
+    x[:h] += t[:h, h:] @ x[h:]
+    _left_mul(t[h:, h:], x[h:], hi)
+
+
+def _add_right_mul(out: np.ndarray, x: np.ndarray, t: np.ndarray, bounds: np.ndarray,
+                   op=np.add) -> None:
+    """out <- op(out, x t) in place (``op`` np.add or np.subtract), t block
+    upper triangular, tiled like ``_tri_mul``."""
+    if len(bounds) == 2 or len(t) <= TRI_LEAF:
+        op(out, x @ t, out=out)
+        return
+    h, lo, hi = _halves(bounds)
+    _add_right_mul(out[:, :h], x[:, :h], t[:h, :h], lo, op)
+    op(out[:, h:], x[:, :h] @ t[:h, h:], out=out[:, h:])
+    _add_right_mul(out[:, h:], x[:, h:], t[h:, h:], hi, op)
+
+
+def _tri_solve(l: np.ndarray, m: np.ndarray, bounds: np.ndarray) -> None:
+    """m <- l^-1 m in place for l unit upper triangular (identity on its
+    diagonal blocks) and m block upper triangular, tiled like ``_tri_mul``."""
+    if len(bounds) == 2:
+        return
+    trsm = get_blas_funcs("trsm", (l, m))
+    if len(l) <= TRI_LEAF:
+        m[...] = trsm(1.0, l, m, diag=1, overwrite_b=1)
+        return
+    h, lo, hi = _halves(bounds)
+    _tri_solve(l[h:, h:], m[h:, h:], hi)
+    _add_right_mul(m[:h, h:], l[:h, h:], m[h:, h:], hi, np.subtract)
+    m[:h, h:] = trsm(1.0, l[:h, :h], m[:h, h:], diag=1, overwrite_b=1)
+    _tri_solve(l[:h, :h], m[:h, :h], lo)
+
+
+def _tri_apply(tri: np.ndarray, reach: int, v: np.ndarray) -> np.ndarray:
+    """tri^T v for a vector v, or v tri^T for a row stack v, with tri block
+    upper triangular: trmv or trmm read its upper triangle, then the loop
+    adds the ``reach`` subdiagonals inside the blocks."""
+    w = (get_blas_funcs("trmv", (tri,))(tri, v, trans=1) if v.ndim == 1
+         else get_blas_funcs("trmm", (tri,))(1.0, tri, v.T).T)
+    for k in range(1, reach + 1):
+        if v.ndim == 1:
+            w[:-k] += v[k:] * np.diagonal(tri, -k)
+        else:
+            w[:, k:] += v[:, :-k] * np.diagonal(tri, -k)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +657,15 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     generator, the Taylor action above it.  So does a drive ramp (a nonzero
     slope), through the clocked generator of ``_ramp_powers``.  The rest, a
     gaussian envelope inside its window, takes the Magnus step
-    (``_magnus_powers``)."""
+    (``_magnus_powers``), all in the dtype of gen, ``y`` and ``project``."""
     _check_length(gen, y)
     eps = 1e-12 * max(1.0, abs(a), abs(b))
     if any(a + eps < t < b - eps for t in gen.breakpoints()):
         raise DynamicsError(f"segment [{a:.6g}, {b:.6g}] crosses a breakpoint")
     h_out = (b - a) / n_out
     project = np.empty((0, len(y))) if project is None else project
+    dtype = np.result_type(gen.dtype, y, project)
+    y, project = np.asarray(y, dtype=dtype), np.asarray(project, dtype=dtype)
     cache = {} if cache is None else cache
     om = gen.schedule.value(a)
     ramp = gen.envelope.affine_on(a, b)
@@ -655,7 +677,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         proj[-1] = project @ y
     elif len(y) <= EXPM_MAX_DIM:
         m = _giant_step(len(y), n_out, len(project))
-        unit, giant = (_unit_exp(cache, gen, om, h_out, p) for p in (1, m))
+        unit, giant = (_unit_exp(cache, gen, om, h_out, dtype, p) for p in (1, m))
         with _at_drive([unit] if m == 1 else [unit, giant], gen.index, ramp[0]):
             proj, y = _dense_powers(unit, y, n_out, project, giant=(m, giant.tri))
     else:
@@ -666,23 +688,23 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     return y
 
 
-def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float,
+def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float, dtype: np.dtype,
               m: int = 1) -> TriangularExp:
-    """exp(A(1) tau)^m for a power of two m, with exp(A(1) tau) the
-    unit-drive exponential of ``gen.stacked`` (S, W, F) at control
-    ``omega``, each once per (omega, tau, m) in ``cache``: the power by
-    log2 m squarings in the same basis.  At the unit drive one power serves
-    every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
-    key = (round(omega, 15), round(tau, 15), m)
+    """exp(A(1) tau)^m in ``dtype`` for a power of two m, with exp(A(1) tau)
+    the unit-drive exponential of ``gen.stacked`` (S, W, F) at control
+    ``omega``, each once per (omega, tau, dtype, m) in ``cache``: the power
+    by log2 m squarings.  At the unit drive one power serves every drive
+    level e, since D P^m D^-1 = (D P D^-1)^m."""
+    key = (round(omega, 15), round(tau, 15), dtype, m)
     if key not in cache:
         if m == 1:
             s, w, f = gen.stacked
-            cache[key] = expm(_csr((s + omega * w + f) * tau))
+            cache[key] = expm(_csr((s + omega * w + f) * tau).astype(dtype))
         else:
-            unit = _unit_exp(cache, gen, omega, tau)
+            unit = _unit_exp(cache, gen, omega, tau, dtype)
             cache[key] = TriangularExp(_tri_squarings(unit.tri.copy(order="F"),
-                                                      m.bit_length() - 1),
-                                       unit.perm, unit.blocks)
+                                                      m.bit_length() - 1, unit.bounds),
+                                       unit.perm, unit.bounds)
     return cache[key]
 
 
@@ -709,7 +731,7 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
     shape = gen.envelope.unit_shape
 
     def run(factor, v, rows):
-        proj = np.empty((n_out, len(rows)), dtype=complex)
+        proj = np.empty((n_out, len(rows)), dtype=y.dtype)
         for j in range(n_out):
             for i in range(k):
                 t = a + j * h_out + i * h
@@ -720,14 +742,14 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
         return proj, v
 
     if len(y) <= EXPM_MAX_DIM:
-        unit = _unit_exp(cache, gen, omega, 0.5 * h)
+        unit = _unit_exp(cache, gen, omega, 0.5 * h, y.dtype)
+        reach = unit.reach
         with _at_drive([unit], gen.index) as at:
             def factor(e, v):
                 at(e)
-                return ztrmv(unit.tri, v, trans=1)
-            proj, v = run(factor, unit.to_basis(y),
-                          unit.to_basis(project.conj().T).conj().T)
-        y = unit.from_basis(v)
+                return _tri_apply(unit.tri, reach, v)
+            proj, v = run(factor, y[unit.perm], project[:, unit.perm])
+        y = v[np.argsort(unit.perm)]
     else:
         s, w, f = gen.stacked
         proj, y = run(lambda e, v: _TaylorAction(_csr(s + omega * w + e * f))(0.5 * h, v),
@@ -759,24 +781,24 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
     s, w, f = gen.stacked
     a0 = s + omega * w + c0 * f
     b = _csr(sp.bmat([[a0, c1 * f[:, :k], None],
-                      [sp.eye(k, d, dtype=complex), a0[:k, :k], c1 * f[:k, :1]],
-                      [None, 2.0 * sp.eye(1, k, dtype=complex), None]]))
-    z = np.concatenate([y, np.zeros(k + 1, dtype=complex)])
-    rows = np.hstack([project, np.zeros((len(project), k + 1), dtype=complex)])
+                      [sp.eye(k, d), a0[:k, :k], c1 * f[:k, :1]],
+                      [None, 2.0 * sp.eye(1, k), None]]))
+    z = np.concatenate([y, np.zeros(k + 1, dtype=y.dtype)])
+    rows = np.hstack([project, np.zeros((len(project), k + 1), dtype=project.dtype)])
     return _action_powers(b, h_out, z, n_out, rows)
 
 
 @contextmanager
 def _at_drive(props: list, index: ExcitationIndex, e: float = 1.0):
     """Puts ``props``, unit-drive propagators of the stacked layout in one
-    basis, at drive level ``e`` for the body of the ``with``, and yields the
-    setter of that level: D exp(A(1) h) D^-1 with D = diag(1, e, e^2) over
-    [ground; singles; doubles].  Z keeps to one strongly connected
-    component, none mixes the three levels, and ``_cascade_order`` keeps
-    each level contiguous, so ``tri`` is triangular over the level blocks
-    and block (k, l) scales by e^(l - k), in place: no level is ever divided
-    by e, and at e = 0 only the blocks within one level are left.  The
-    unit-drive blocks are put back on exit."""
+    cascade order, at drive level ``e`` for the body of the ``with``, and
+    yields the setter of that level: D exp(A(1) h) D^-1 with
+    D = diag(1, e, e^2) over [ground; singles; doubles].  No strongly
+    connected component mixes the three levels, and ``_cascade_order``
+    keeps each level contiguous, so ``tri`` is triangular over the level
+    blocks and block (k, l) scales by e^(l - k), in place: no level is ever
+    divided by e, and at e = 0 only the blocks within one level are left.
+    The unit-drive blocks are put back on exit."""
     level = np.searchsorted([index.singles.start, index.doubles.start], props[0].perm,
                             side="right")
     if np.any(np.diff(level) < 0):
@@ -860,7 +882,7 @@ class _TaylorAction:
     def __init__(self, a: sp.csr_matrix):
         d = a.shape[0]
         self.mu = a.diagonal().sum() / d
-        self.shifted = _csr(a - self.mu * sp.identity(d, dtype=complex, format="csr"))
+        self.shifted = _csr(a - self.mu * sp.identity(d, format="csr"))
         self.norm = float(abs(self.shifted).sum(axis=0).max())
 
     def plan(self, tau: float) -> tuple:
@@ -895,8 +917,8 @@ class _TaylorAction:
 
 
 #: Squaring-to-matvec cost ratio over the dimension d: one triangular d x d
-#: squaring (``_tri_mul``) costs d / SQUARE_KAPPA triangular matvecs (ztrmv)
-#: (measured 6.1-10.4 at d = 975-1,625, one BLAS thread; any value in
+#: squaring (``_tri_mul``) costs d / SQUARE_KAPPA triangular matvecs
+#: (measured 6.1-10.4 at d = 975-1,625, complex, one BLAS thread; any value in
 #: 7.5-9.7 makes the same choices on the default runs)
 SQUARE_KAPPA = 8.0
 
@@ -917,23 +939,23 @@ def _giant_step(d: int, n: int, c: int) -> int:
 
 def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
                   giant: tuple | None = None):
-    """``_projected_powers`` of an ``expm`` propagator in its triangular
-    basis: y and the covectors map in once, a step is one triangular matvec
-    (ztrmv with tri^T), P^m takes log2 m triangular squarings (m from
-    ``_giant_step``) unless ``giant`` gives (m, P^m), and only the end state
-    maps back.  The last row is then ``project`` times that end state, so
-    the two agree to the bit."""
-    tri = prop.tri
+    """``_projected_powers`` of an ``expm`` propagator in its cascade order
+    and the dtype of P, y and ``project``: y and the covectors are permuted
+    once, a step is ``_tri_apply``, P^m takes log2 m squarings (m from
+    ``_giant_step``) unless ``giant`` gives (m, P^m), and the end state is
+    permuted back; the last row is ``project`` times it, to the bit."""
+    dtype = np.result_type(prop.tri, y, project)
+    tri, reach = prop.tri.astype(dtype, copy=False), prop.reach
     if giant is None:
         m = _giant_step(len(y), n_out, len(project))
-        giant = m, _tri_squarings(tri.copy(order="F"), m.bit_length() - 1) if m > 1 else tri
+        giant = m, (_tri_squarings(tri.copy(order="F"), m.bit_length() - 1, prop.bounds)
+                    if m > 1 else tri)
     m, tri_m = giant
-    proj, w = _projected_powers(lambda v: ztrmv(tri, v, trans=1),
-                                lambda r: ztrmm(1.0, tri, r.T).T,
-                                lambda v: ztrmv(tri_m, v, trans=1),
-                                m, prop.to_basis(y), n_out,
-                                prop.to_basis(project.conj().T).conj().T)
-    y = prop.from_basis(w)
+    proj, w = _projected_powers(partial(_tri_apply, tri, reach), partial(_tri_apply, tri, reach),
+                                partial(_tri_apply, tri_m, reach), m,
+                                y.astype(dtype, copy=False)[prop.perm], n_out,
+                                project[:, prop.perm].astype(dtype, copy=False))
+    y = w[np.argsort(prop.perm)]
     proj[-1] = project @ y
     return proj, y
 
@@ -946,6 +968,8 @@ def _action_powers(a: sp.csr_matrix, h: float, y: np.ndarray, n_out: int,
     a over m h, with m the power of two that minimizes the planned matvecs
     ceil(n/m) mv(m h) + c m mv(h)."""
     right, left = _TaylorAction(a), _TaylorAction(a.T.tocsr())
+    dtype = np.result_type(a.dtype, y, project)
+    y, project = y.astype(dtype, copy=False), project.astype(dtype, copy=False)
     c = len(project)
     m = _cheapest_power(n_out, lambda k: (-(-n_out // (1 << k)) * right.matvecs((1 << k) * h)
                                           + c * (1 << k) * left.matvecs(h)))
@@ -962,14 +986,15 @@ def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
     m)) meet in one (J x d)(d x m c) product (at m = 1, the step loop
     y <- P y projected).  Returns that, shape (n_out, c) for the c x d stack
     ``project`` (c may be 0), and the end state P^n_out y, the last column
-    advanced by at most m - 1 steps."""
+    advanced by at most m - 1 steps, in the dtype of y and ``project``."""
     c, d = project.shape
     n_giant = -(-n_out // m)
-    baby = np.empty((m, c, d), dtype=complex)
+    dtype = np.result_type(y, project)
+    baby = np.empty((m, c, d), dtype=dtype)
     baby[0] = project
     for i in range(1, m if c else 1):
         baby[i] = step_rows(baby[i - 1])
-    cols = np.empty((n_giant, d), dtype=complex)
+    cols = np.empty((n_giant, d), dtype=dtype)
     cols[0] = step(y)
     for j in range(1, n_giant):
         cols[j] = giant(cols[j - 1])
@@ -992,20 +1017,20 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
     The trajectory holds the projections ``project @ y`` of a covector
     stack (c x (1 + dim) over [ground; singles; doubles]), by default
     ``Generator.output_covectors(grid=True)``: what a trace and a
-    correlation grid read.
+    correlation grid read, in the dtype of the generator, ``initial`` and
+    ``project``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ConfigurationError("need t_span with t1 > t0")
     idx = generator.index
-    y = (np.eye(1, 1 + idx.dim, dtype=complex)[0] if initial is None
-         else np.asarray(initial, dtype=complex))
+    y = np.eye(1, 1 + idx.dim)[0] if initial is None else initial
     _check_length(generator, y)
-    if project is None:
-        project = generator.output_covectors(grid=True)
+    project = generator.output_covectors(grid=True) if project is None else project
+    y = np.asarray(y, dtype=np.result_type(generator.dtype, y, project))
     segments = _segment_grid(t0, t1, generator.breakpoints(), dt_out)
     n_samples = 1 + sum(n for _, _, n in segments)
-    record = np.empty((n_samples, len(project)), dtype=complex)
+    record = np.empty((n_samples, len(project)), dtype=y.dtype)
     record[0] = project @ y
     times = [t0]
     starts = []
@@ -1045,7 +1070,7 @@ def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
     p = generator.params
     k1, k2 = idx.singles, idx.doubles
     f = generator.stacked[2]
-    y = np.eye(1, 1 + idx.dim, dtype=complex)[0]
+    y = np.eye(1, 1 + idx.dim, dtype=generator.dtype)[0]
     y[k1] = _solve_singles_steady(p, generator.m1(omega_c),
                                   f[k1, 0].toarray().ravel(), omega_c, idx.n_atoms)
     rhs2 = -(f[k2, k1] @ y[k1])

@@ -137,13 +137,13 @@ def correlation_grid(traj: StateTrajectory, generator: Generator) -> Correlation
     g2 = np.empty((n, n))
     phi = SinglesPropagator(generator)
     bounds = [*traj.segment_starts, n - 1]
-    cols = np.empty((n1, 0), dtype=complex)
+    cols = np.empty((n1, 0), dtype=x.dtype)
     for s, e in zip(bounds, bounds[1:]):
         # columns born at i < stop are filled at t_j, j in [max(i, s), stop)
         last = e == n - 1
         stop = e + 1 if last else e
         p = phi.step(traj.omega_c[s], (times[e] - times[s]) / (e - s))
-        rows = np.empty((stop - s, n1), dtype=complex)
+        rows = np.empty((stop - s, n1), dtype=np.result_type(generator.out_e, p))
         rows[0] = generator.out_e
         for k in range(1, stop - s):
             rows[k] = rows[k - 1] @ p

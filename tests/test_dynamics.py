@@ -674,8 +674,11 @@ BLOCKADE_MODES = ["power_law", "full", "none"]
 def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     # the cascade-triangular exponential against scipy's dense one on the
     # stacked generators (omega = 0.25 makes each singles 2 x 2 block
-    # defective) and on a dense random matrix, one strongly connected block;
-    # leaf = 7 takes these small matrices through the recursive tiles
+    # defective, and at omega = 0.5 its eigenvalues are complex) and on a
+    # dense random matrix, one strongly connected block; leaf = 7 takes
+    # these small matrices through the recursive tiles.  The fully
+    # blockaded and interaction-free generators are real and so is their
+    # exponential; the power-law one is complex
     import rydeit.dynamics as dynamics
     if leaf is not None:
         monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
@@ -688,14 +691,56 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     a = a * (tau_norm / np.max(np.abs(a).sum(axis=0)))
     ref = _scipy_expm(a)
     prop = expm(a)
-    assert np.array_equal(prop.tri, np.triu(prop.tri))
+    # below its diagonal, tri is nonzero only inside the cascade blocks
+    perm, bounds = _cascade_order(a)
+    assert np.array_equal(prop.perm, perm) and np.array_equal(prop.bounds, bounds)
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    rows, cols = np.nonzero(np.tril(prop.tri, -1))
+    assert np.all(block[rows] == block[cols])
+    assert (mode in ("full", "none")) == np.isrealobj(a)
     got = prop.dense()
-    assert got.shape == a.shape
+    assert got.shape == a.shape and got.dtype == np.result_type(a, float)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     if omega == 0.0:
         # every block is one slot, so the diagonal is exp(a_ii) to the bit
         assert len(_cascade_order(a)[1]) == a.shape[0] + 1
         assert np.array_equal(np.diag(got), np.exp(np.diag(a)))
+
+
+@pytest.mark.parametrize("shape", [PulseShape.SQUARE, PulseShape.TRIANGULAR_POS,
+                                   PulseShape.GAUSSIAN])
+@pytest.mark.parametrize("power_law", [False, True])
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
+    # a fully blockaded resonant generator is real, and so are its
+    # exponentials, evolve's record, the free decay steps and the
+    # correlation grid's matrix: a complex buffer anywhere would upcast the
+    # real propagator on every matvec (or drop an imaginary part on its way
+    # into a real one).  The power-law device stays complex
+    import rydeit.dynamics as dynamics
+    import rydeit.observables as observables
+    kw = dict(n_atoms=5, shape=shape, duration=6.0, rise_time=1.0)
+    gen = _power_law_generator(**kw) if power_law else make_generator(**kw)
+    want = np.complex128 if power_law else np.float64
+    assert gen.dtype == want
+    real_expm, props = dynamics.expm, []
+    monkeypatch.setattr(dynamics, "expm", lambda a: props.append(real_expm(a)) or props[-1])
+    traj = evolve(gen, (0.0, 10.0), dt_out=0.1)
+    assert props and all(p.tri.dtype == want for p in props)
+    assert traj.projections.dtype == want
+    # the grid's Toeplitz factors, rows out_e P^k and carried columns
+    real_fill, factors = observables._fill_run, []
+    monkeypatch.setattr(observables, "_fill_run",
+                        lambda g2, f1, rows, cols, s: factors.append((rows.dtype, cols.dtype))
+                        or real_fill(g2, f1, rows, cols, s))
+    assert observables.correlation_grid(traj, gen).g2_matrix.dtype == np.float64
+    assert factors and all(f == (want, want) for f in factors)
+    n1 = gen.index.dim_singles
+    ss = steady_state(gen, omega_c=0.5)
+    assert ss.dtype == want
+    for doubles, y, row in ((False, ss[1:1 + n1], gen.out_e), (True, ss[1 + n1:], gen.a2vec)):
+        proj, end = decay_steps(gen, 0.5, 0.1, doubles)(y, 50, row[None])
+        assert proj.dtype == want and end.dtype == want
 
 
 @pytest.mark.parametrize("doubles", [False, True])

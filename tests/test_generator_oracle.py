@@ -6,8 +6,10 @@ Hamiltonian and drive from first principles, and compares every block of the
 production generator against it.  This pins each sqrt(2) matrix element and
 coupling independently of the production assembly, which lifts the singles
 operators onto the doubles slots.  The oracle keeps the probe's propagation
-phase exp(i k_p z_h), which the production generator drops as a gauge; the
-comparison applies that diagonal change of variables.
+phase exp(i k_p z_h), which the production generator drops as a gauge, and
+the phase of the e amplitudes, which the production generator takes in the
+gauge e_h -> i e_h; the comparison applies both diagonal changes of
+variables.
 """
 
 import itertools
@@ -114,56 +116,77 @@ def _embedding(basis, idx):
 
 
 def _gauge(chain, idx, k_p):
-    """The diagonal change of variables e_h -> exp(-i k_p z_h) e_h (r_h
-    alike) on the stacked layout: 1 on the ground, the mode's factor on each
-    singles slot, and the product of its two modes' factors on each doubles
-    slot (``mode_pairs``)."""
-    mode = np.tile(np.exp(-1j * k_p * chain.z()), 2)
+    """The diagonal change of variables e_h -> -i exp(-i k_p z_h) e_h and
+    r_h -> exp(-i k_p z_h) r_h on the stacked layout: 1 on the ground, the
+    mode's factor on each singles slot, and the product of its two modes'
+    factors on each doubles slot (``mode_pairs``)."""
+    n = chain.n_atoms
+    mode = np.tile(np.exp(-1j * k_p * chain.z()), 2) * np.r_[np.full(n, -1j), np.ones(n)]
     a, b = idx.mode_pairs()
     return np.r_[1.0, mode, mode[a] * mode[b]]
 
 
+#: "partial": r_b = 0.45 on spacing 1/4 puts V = 27 > v_cap on nearest
+#: neighbours and V <= 0.43 on farther pairs
+BLOCKADES = {"none": BlockadeConfig.none(), "full": BlockadeConfig.fully_blockaded(),
+             "power": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.3, v0=0.8, v_cap=5.0),
+             "partial": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.45, v0=0.8,
+                                       v_cap=5.0)}
+
+
+def _device(mode, delta_e, delta_2):
+    """(params, chain, blockade, generator) of a 4-atom device."""
+    params = PhysicalParams.from_ratio(0.2, omega_c_peak=0.37, gamma_r=0.04,
+                                       delta_e=delta_e, delta_2=delta_2)
+    chain, blockade = build_chain(4), BLOCKADES[mode]
+    return params, chain, blockade, assemble_generator(
+        params, chain, blockade, ControlSchedule.constant(0.37), PulseEnvelope(duration=10.0))
+
+
+@pytest.mark.parametrize("mode, delta_e, delta_2, real", [
+    ("full", 0.0, 0.0, True), ("none", 0.0, 0.0, True), ("power", 0.0, 0.0, False),
+    ("partial", 0.0, 0.0, False), ("full", 0.2, 0.0, False), ("full", 0.0, -0.1, False),
+    ("none", 0.2, -0.1, False)])
+def test_generator_dtype_is_real_exactly_when_its_parts_are(mode, delta_e, delta_2, real):
+    # in the gauge e_h -> i e_h a fully blockaded or interaction-free
+    # resonant generator is real, and its parts and covectors are float64;
+    # a pair shift or a detuning makes all of them complex
+    gen = _device(mode, delta_e, delta_2)[3]
+    want = np.float64 if real else np.complex128
+    assert gen.dtype == want
+    for part in (*gen.stacked, gen.ann, gen.out_e, gen.a2vec):
+        assert part.dtype == want
+
+
 @pytest.mark.parametrize("mode", ["none", "full", "power", "partial"])
 def test_generator_matches_operator_algebra(mode):
-    # the oracle keeps the probe's propagation phase exp(i k_p z_h); the
-    # production generator is the oracle's after the gauge change of
-    # variables, and at k_p = 0 the two agree entry by entry
-    params = PhysicalParams.from_ratio(0.2, omega_c_peak=0.37, gamma_r=0.04,
-                                       delta_e=0.2, delta_2=-0.1)
-    chain = build_chain(4)
-    # "partial": r_b = 0.45 on spacing 1/4 puts V = 27 > v_cap on nearest
-    # neighbours and V <= 0.43 on farther pairs
-    blockade = {"none": BlockadeConfig.none(),
-                "full": BlockadeConfig.fully_blockaded(),
-                "power": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.3,
-                                        v0=0.8, v_cap=5.0),
-                "partial": BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.45,
-                                          v0=0.8, v_cap=5.0)}[mode]
-    gen = assemble_generator(params, chain, blockade, ControlSchedule.constant(0.37),
-                             PulseEnvelope(duration=10.0))
-    idx = gen.index
-    if mode == "partial":
-        distinct = sum(h < j for h, j in idx.rr_pairs)
-        assert 0 < distinct < 4 * 3 // 2
-
-    e = _embedding(_fock_basis(chain.n_atoms), idx)
-    k1, k2 = idx.singles, idx.doubles
-    for k_p in (0.0, 2.3):
+    # the oracle keeps the probe's propagation phase exp(i k_p z_h) and the
+    # phase of e; the production generator is the oracle's after the gauge
+    # change of variables, which at k_p = 0 is e_h -> i e_h alone.  Both the
+    # detuned device and the resonant one (real under full blockade or none)
+    for (delta_e, delta_2), k_p in itertools.product(((0.2, -0.1), (0.0, 0.0)), (0.0, 2.3)):
+        params, chain, blockade, gen = _device(mode, delta_e, delta_2)
+        idx = gen.index
+        if mode == "partial":
+            distinct = sum(h < j for h, j in idx.rr_pairs)
+            assert 0 < distinct < 4 * 3 // 2
+        e = _embedding(_fock_basis(chain.n_atoms), idx)
+        k1, k2 = idx.singles, idx.doubles
         basis, m_static, m_omega, m_drive = _brute_force_generator(params, chain,
                                                                    blockade, k_p)
         # the oracle on the stacked layout, in the production gauge; its
         # entries touching removed rr states do not apply
         phi = _gauge(chain, idx, k_p)
-        assert k_p != 0.0 or np.all(phi == 1.0)
 
         def gauged(m):
             return phi[:, None] * (e @ m @ e.T) / phi[None, :]
 
+        where = f"{mode} at delta_e = {delta_e}, delta_2 = {delta_2}, k_p = {k_p}"
         for part, ref, name in zip(gen.stacked, (m_static, m_omega, m_drive),
                                    ("static", "omega", "drive")):
             np.testing.assert_allclose(part.toarray(), gauged(ref), rtol=0,
                                        atol=1e-13 if name != "drive" else 1e-14,
-                                       err_msg=f"{mode}/{name} block mismatch at k_p = {k_p}")
+                                       err_msg=f"{name} block mismatch, {where}")
 
         # field operator: atomic lowering part c_out * sum_h exp(-i k_p z_h) b_h
         c_out = 1j * math.sqrt(0.5 * params.gamma_1d)

@@ -277,10 +277,12 @@ def test_earlier_manifest_with_method_auto_reruns_byte_identically(tmp_path):
 
 
 @pytest.mark.parametrize("line, code", [("length = 1.0\nk_p = 1.0", 0), ("length = 2.0", 3),
-                                        ("k_p = 2.0", 3)])
+                                        ("k_p = 2.0", 3), ("length = 1\nk_p = 1.00", 0),
+                                        ("length = 2", 3), ("k_p = one", 3)])
 def test_earlier_manifest_chain_length_and_k_p(tmp_path, line, code):
     # manifests of earlier versions hold [chain] length = 1.0 and k_p = 1.0,
-    # which change no output and load as before; any other value is refused
+    # which change no output and load as before, as does any spelling of
+    # the number 1 in a hand-written file; any other value is refused
     cfg = default_config("propagate", {"d_target": 1.8, "duration_ns": 300.0})
     text = manifest_text(cfg, {}, {})
     earlier = tmp_path / "earlier.ini"
