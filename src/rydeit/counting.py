@@ -335,11 +335,7 @@ def generation_probability_from_trace(trace: ObservableTrace, window, n_in: floa
     """Photons per trial at the cloud output inside the window (Gamma
     units); a window of fewer than two samples holds none."""
     e0sq = n_in / trace.input_energy()
-    t0, width = window
-    mask = trace.window_mask(t0, t0 + width)
-    if int(np.sum(mask)) < 2:
-        return 0.0
-    return float(e0sq * np.trapezoid(trace.intensity[mask], trace.times[mask]))
+    return float(e0sq * trace.window_energy(*window))
 
 
 def generation_probability_from_stream(stream: DetectionStream, window_ns,

@@ -63,20 +63,19 @@ exponential of the lifted generator, so in a linear medium the doubles stay
 the pair of the singles and g2 = 1 to rounding.
 
 Under ``EXPM_MAX_DIM`` the exponential is E = exp(A(1) h) at unit drive,
-of the CSR S + Omega_c W + F, once per (Omega_c, step h).  With
-D = diag(1, e, e^2) over the ground, singles and doubles blocks,
-A(e) = D A(1) D^-1 and so exp(A(e) h) = D E D^-1: the ground column's
-singles rows scale by e, its doubles rows by e^2 and the doubles <- singles
-block by e (``_at_drive``; no level is divided by e, which may underflow to
-0).  At e = 0, after the probe shuts off, that is the block diagonal of E,
-so a square pulse's plateau and its tail share one exponential, and its
-giant-step power, which ``evolve`` keeps for one call.  Above the cap a
-stretch, and a Magnus factor, takes the action of the exponential of the
-folded CSR S + Omega_c W + e F (``_action_powers``, ``_TaylorAction``).
-``evolve`` records the sample where each segment starts
-(``StateTrajectory.segment_starts``), and a correlation grid steps the
-undriven singles by exp(M1 h) at each segment's Omega_c and sample step h
-(``SinglesPropagator``).
+of the CSR S + Omega_c W + F, once per (Omega_c, step h), split once at the
+levels [ground; singles; doubles] and read-only (``TriangularExp.split``).
+With D = diag(1, e, e^2) over the levels, exp(A(e) h) = D E D^-1: a step
+(``_tri_apply``) is the level-diagonal part of E, then the blocks one level
+apart times e and the block two apart times e^2, nothing divided by e,
+which may underflow to 0.  So a square pulse's plateau (e = 1) and tail
+(e = 0) share one exponential and its giant-step power, which ``evolve``
+keeps for one call.  Above the cap a stretch, and a Magnus factor, takes
+the action of the exponential of the folded CSR S + Omega_c W + e F
+(``_action_powers``, ``_TaylorAction``).  ``evolve`` records the sample
+where each segment starts (``StateTrajectory.segment_starts``), and a
+correlation grid steps the undriven singles by exp(M1 h) at each
+segment's Omega_c and sample step h (``SinglesPropagator``).
 
 That exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
@@ -91,8 +90,9 @@ thread 1.5-1.8 s for the replica's complex 1,625-dim propagator and
 0.18-0.25 s for a real 1,001-dim turn-on one, against 5.3 s and 0.3-0.45 s
 for scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
 permutes y and the covectors into cascade order once (``TriangularExp``)
-and only its end state back, and the drive scaling acts in place there,
-since no block mixes the ground, singles and doubles.  ``steady_state``
+and only its end state back; no block mixes the levels, and the order
+keeps each contiguous, so they start where they do in the stacked layout.
+``steady_state``
 solves the doubles system in the same order, where LU in the natural order
 makes next to no fill.
 
@@ -128,9 +128,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -260,20 +259,23 @@ def steady_transmission_amplitude(params: PhysicalParams, chain: AtomChain,
     """CW steady-state amplitude transmission of the chain, from the actual
     singles generator (solve, not the analytic per-atom product)."""
     m1s, m1o, s1, out_e = singles_blocks(params, chain)
-    psi1 = _solve_singles_steady(params, m1s + omega_c * m1o, s1, omega_c, chain.n_atoms)
+    psi1 = _solve_singles_steady(m1s + omega_c * m1o, s1)
     return complex(1.0 + out_e @ psi1)
 
 
-def _solve_singles_steady(params: PhysicalParams, m1: np.ndarray, s1: np.ndarray,
-                          omega_c: float, n: int) -> np.ndarray:
-    """Solve m1 psi = -s1; with the control off and an undamped, resonant r
-    level the r rows are identically zero (never driven), so solve the closed
-    e block and pin r to zero instead of inverting a singular matrix."""
-    if omega_c == 0.0 and params.gamma_r == 0.0 and params.delta_2 == 0.0:
-        psi = np.zeros(2 * n, dtype=np.result_type(m1, s1))
-        psi[:n] = dense_solve(m1[:n, :n], -s1[:n])
-        return psi
-    return dense_solve(m1, -s1)
+def _unpinned(m) -> np.ndarray:
+    """The slots whose row of a dense or sparse S + Omega_c W block is nonzero;
+    a steady solve pins the rest to 0, as no source reaches them: F feeds
+    only slots that hold an e mode, whose diagonal carries -Gamma/2."""
+    return np.flatnonzero(np.asarray(abs(m).sum(axis=1)).ravel())
+
+
+def _solve_singles_steady(m1: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Solve m1 psi = -s1 over the ``_unpinned`` slots, the rest pinned to 0."""
+    keep = _unpinned(m1)
+    psi = np.zeros(len(s1), dtype=np.result_type(m1, s1))
+    psi[keep] = dense_solve(m1[np.ix_(keep, keep)], -s1[keep])
+    return psi
 
 
 def assemble_generator(params: PhysicalParams, chain: AtomChain, blockade: BlockadeConfig,
@@ -404,20 +406,58 @@ TRI_LEAF = 256
 class TriangularExp:
     """exp(a) = Pi^T tri^T Pi, Pi y = y[perm], with ``tri`` (Fortran order)
     block upper triangular over the cascade blocks that start at ``bounds``
-    (then the dimension), at most ``reach`` rows below its diagonal."""
+    (then the dimension), at most ``reach`` rows below its diagonal.  A
+    stacked propagator split at the starts ``levels`` of its singles and
+    doubles (``split``) holds the blocks of tri that cross them in ``lift``
+    and zeros in tri: tri is the propagator at drive level 0."""
 
     tri: np.ndarray
     perm: np.ndarray
     bounds: np.ndarray
+    levels: tuple = ()
+    lift: tuple = ()            # (rows, cols, power of e, block) per level-crossing block
 
-    @property
+    @cached_property
     def reach(self) -> int:
         return int(np.max(np.diff(self.bounds))) - 1
 
+    def split(self, levels: tuple) -> TriangularExp:
+        """This propagator on the same tri, read-only, split at the starts
+        ``levels`` = (i1, i2) of the stacked layout's singles and doubles
+        (whole at ()), which its cascade order must keep contiguous."""
+        if np.any(np.diff(np.searchsorted(levels, self.perm, side="right")) < 0):
+            raise DynamicsError("the cascade order mixes the ground, singles and doubles")
+        lift = []
+        if levels:
+            i1, i2 = levels
+            for r, c, k in ((np.s_[:i1], np.s_[i1:i2], 1), (np.s_[:i1], np.s_[i2:], 2),
+                            (np.s_[i1:i2], np.s_[i2:], 1)):
+                lift.append((r, c, k, self.tri[r, c].copy()))
+                self.tri[r, c] = 0.0
+        for x in (self.tri, *(block for *_, block in lift)):
+            x.flags.writeable = False
+        return TriangularExp(self.tri, self.perm, self.bounds, levels, tuple(lift))
+
+    def joined(self) -> np.ndarray:
+        """A Fortran-ordered copy of tri with the lift put back: P at unit drive."""
+        x = self.tri.copy(order="F")
+        for r, c, _, block in self.lift:
+            x[r, c] = block
+        return x
+
+    def power(self, m: int) -> TriangularExp:
+        """P^m for a power of two m: log2 m squarings (``_tri_squarings``) of
+        the joined P, split like P.  At unit drive one power serves every
+        drive level e, since D P^m D^-1 = (D P D^-1)^m."""
+        if m == 1:
+            return self
+        x = _tri_squarings(self.joined(), m.bit_length() - 1, self.bounds)
+        return TriangularExp(x, self.perm, self.bounds).split(self.levels)
+
     def dense(self) -> np.ndarray:
-        """exp(a) as a dense matrix: tri transposed and permuted back."""
+        """exp(a) as a dense matrix: tri joined, transposed and permuted back."""
         back = np.argsort(self.perm)
-        return self.tri.T[np.ix_(back, back)]
+        return self.joined().T[np.ix_(back, back)]
 
 
 def expm(a) -> TriangularExp:
@@ -566,17 +606,24 @@ def _tri_solve(l: np.ndarray, m: np.ndarray, bounds: np.ndarray) -> None:
     _tri_solve(l[:h, :h], m[:h, :h], lo)
 
 
-def _tri_apply(tri: np.ndarray, reach: int, v: np.ndarray) -> np.ndarray:
-    """tri^T v for a vector v, or v tri^T for a row stack v, with tri block
-    upper triangular: trmv or trmm read its upper triangle, then the loop
-    adds the ``reach`` subdiagonals inside the blocks."""
+def _tri_apply(prop: TriangularExp, v: np.ndarray, e: float) -> np.ndarray:
+    """P v for a vector v, or v P for a row stack v, with P = tri^T at drive
+    level ``e``: trmv or trmm read the upper triangle of tri, the loop adds
+    the ``reach`` subdiagonals inside the blocks, and a split propagator
+    adds its lift times e, or e^2 two levels apart (e^2 may underflow to 0)."""
+    tri = prop.tri
     w = (get_blas_funcs("trmv", (tri,))(tri, v, trans=1) if v.ndim == 1
          else get_blas_funcs("trmm", (tri,))(1.0, tri, v.T).T)
-    for k in range(1, reach + 1):
+    for k in range(1, prop.reach + 1):
         if v.ndim == 1:
             w[:-k] += v[k:] * np.diagonal(tri, -k)
         else:
             w[:, k:] += v[:, :-k] * np.diagonal(tri, -k)
+    for r, c, k, block in prop.lift if e != 0.0 else ():
+        if v.ndim == 1:
+            w[c] += e ** k * (v[r] @ block)
+        else:
+            w[:, r] += e ** k * (v[:, c] @ block.T)
     return w
 
 
@@ -676,10 +723,8 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         y = z[:len(y)]
         proj[-1] = project @ y
     elif len(y) <= EXPM_MAX_DIM:
-        m = _giant_step(len(y), n_out, len(project))
-        unit, giant = (_unit_exp(cache, gen, om, h_out, dtype, p) for p in (1, m))
-        with _at_drive([unit] if m == 1 else [unit, giant], gen.index, ramp[0]):
-            proj, y = _dense_powers(unit, y, n_out, project, giant=(m, giant.tri))
+        power = partial(_unit_exp, cache, gen, om, h_out, dtype)
+        proj, y = _dense_powers(power(1), y, n_out, project, ramp[0], power)
     else:
         s, w, f = gen.stacked
         proj, y = _action_powers(s + om * w + ramp[0] * f, h_out, y, n_out, project)
@@ -692,19 +737,17 @@ def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float, dtype: np.d
               m: int = 1) -> TriangularExp:
     """exp(A(1) tau)^m in ``dtype`` for a power of two m, with exp(A(1) tau)
     the unit-drive exponential of ``gen.stacked`` (S, W, F) at control
-    ``omega``, each once per (omega, tau, dtype, m) in ``cache``: the power
-    by log2 m squarings.  At the unit drive one power serves every drive
-    level e, since D P^m D^-1 = (D P D^-1)^m."""
+    ``omega``, each once per (omega, tau, dtype, m) in ``cache``, split at
+    the levels and read-only (``TriangularExp.split``); the power by
+    ``TriangularExp.power``."""
     key = (round(omega, 15), round(tau, 15), dtype, m)
     if key not in cache:
         if m == 1:
             s, w, f = gen.stacked
-            cache[key] = expm(_csr((s + omega * w + f) * tau).astype(dtype))
+            p = expm(_csr((s + omega * w + f) * tau).astype(dtype))
+            cache[key] = p.split((gen.index.singles.start, gen.index.doubles.start))
         else:
-            unit = _unit_exp(cache, gen, omega, tau, dtype)
-            cache[key] = TriangularExp(_tri_squarings(unit.tri.copy(order="F"),
-                                                      m.bit_length() - 1, unit.bounds),
-                                       unit.perm, unit.bounds)
+            cache[key] = _unit_exp(cache, gen, omega, tau, dtype).power(m)
     return cache[key]
 
 
@@ -721,10 +764,10 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
     with e_1, e_2 the envelope at the Gauss nodes t + c_i h (``MAGNUS_NODES``,
     ``MAGNUS_ALPHA``).  An output step takes k = ceil(h_out
     ``MAGNUS_PER_FWHM`` / FWHM) substeps.  Under ``EXPM_MAX_DIM`` both
-    factors are the cached unit-drive exponential at h/2 put at their drive
-    level in place (``_at_drive``), which holds also where the envelope
-    underflows to 0, and a factor is one triangular matvec; above it a
-    factor is the Taylor action of the folded CSR at its level."""
+    factors are the cached unit-drive exponential at h/2, and a factor is
+    one triangular matvec at its level (``_tri_apply``), which holds also
+    where the envelope underflows to 0; above it a factor is the Taylor
+    action of the folded CSR at its level."""
     k = max(1, math.ceil(h_out * MAGNUS_PER_FWHM / gen.envelope.gaussian_fwhm - 1e-9))
     h = h_out / k
     (c1, c2), (a1, a2) = MAGNUS_NODES, MAGNUS_ALPHA
@@ -736,23 +779,18 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
             for i in range(k):
                 t = a + j * h_out + i * h
                 e1, e2 = shape(t + c1 * h), shape(t + c2 * h)
-                v = factor(2.0 * (a2 * e1 + a1 * e2), v)
-                v = factor(2.0 * (a1 * e1 + a2 * e2), v)
+                v = factor(v, 2.0 * (a2 * e1 + a1 * e2))
+                v = factor(v, 2.0 * (a1 * e1 + a2 * e2))
             proj[j] = rows @ v
         return proj, v
 
     if len(y) <= EXPM_MAX_DIM:
         unit = _unit_exp(cache, gen, omega, 0.5 * h, y.dtype)
-        reach = unit.reach
-        with _at_drive([unit], gen.index) as at:
-            def factor(e, v):
-                at(e)
-                return _tri_apply(unit.tri, reach, v)
-            proj, v = run(factor, y[unit.perm], project[:, unit.perm])
+        proj, v = run(partial(_tri_apply, unit), y[unit.perm], project[:, unit.perm])
         y = v[np.argsort(unit.perm)]
     else:
         s, w, f = gen.stacked
-        proj, y = run(lambda e, v: _TaylorAction(_csr(s + omega * w + e * f))(0.5 * h, v),
+        proj, y = run(lambda v, e: _TaylorAction(_csr(s + omega * w + e * f))(0.5 * h, v),
                       y, project)
     proj[-1] = project @ y
     return proj, y
@@ -786,41 +824,6 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
     z = np.concatenate([y, np.zeros(k + 1, dtype=y.dtype)])
     rows = np.hstack([project, np.zeros((len(project), k + 1), dtype=project.dtype)])
     return _action_powers(b, h_out, z, n_out, rows)
-
-
-@contextmanager
-def _at_drive(props: list, index: ExcitationIndex, e: float = 1.0):
-    """Puts ``props``, unit-drive propagators of the stacked layout in one
-    cascade order, at drive level ``e`` for the body of the ``with``, and
-    yields the setter of that level: D exp(A(1) h) D^-1 with
-    D = diag(1, e, e^2) over [ground; singles; doubles].  No strongly
-    connected component mixes the three levels, and ``_cascade_order``
-    keeps each level contiguous, so ``tri`` is triangular over the level
-    blocks and block (k, l) scales by e^(l - k), in place: no level is ever
-    divided by e, and at e = 0 only the blocks within one level are left.
-    The unit-drive blocks are put back on exit."""
-    level = np.searchsorted([index.singles.start, index.doubles.start], props[0].perm,
-                            side="right")
-    if np.any(np.diff(level) < 0):
-        raise DynamicsError("the cascade order mixes the ground, singles and doubles")
-    i1, i2 = np.searchsorted(level, [1, 2])
-    cells = [((slice(0, i1), slice(i1, i2)), 1), ((slice(0, i1), slice(i2, None)), 2),
-             ((slice(i1, i2), slice(i2, None)), 1)]
-    units = [[p.tri[c].copy() for c, _ in cells] for p in props]
-
-    def set_drive(e: float) -> None:
-        for p, unit in zip(props, units):
-            for (c, power), u in zip(cells, unit):
-                np.multiply(u, e ** power, out=p.tri[c])
-
-    try:
-        if e != 1.0:
-            set_drive(e)
-        yield set_drive
-    finally:
-        for p, unit in zip(props, units):
-            for (c, _), u in zip(cells, unit):
-                p.tri[c] = u
 
 
 #: Largest doubles block whose free decay takes the dense exponential; a
@@ -938,22 +941,21 @@ def _giant_step(d: int, n: int, c: int) -> int:
 
 
 def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
-                  giant: tuple | None = None):
-    """``_projected_powers`` of an ``expm`` propagator in its cascade order
-    and the dtype of P, y and ``project``: y and the covectors are permuted
-    once, a step is ``_tri_apply``, P^m takes log2 m squarings (m from
-    ``_giant_step``) unless ``giant`` gives (m, P^m), and the end state is
-    permuted back; the last row is ``project`` times it, to the bit."""
+                  e: float = 1.0, power=None):
+    """``_projected_powers`` of an ``expm`` propagator P at drive level ``e``
+    in its cascade order and the dtype of P, y and ``project``: y and the
+    covectors are permuted once, P^m (m from ``_giant_step``) is ``power(m)``
+    (``prop.power`` by default), and the end state is permuted back; the
+    last row is ``project`` times it, to the bit."""
     dtype = np.result_type(prop.tri, y, project)
-    tri, reach = prop.tri.astype(dtype, copy=False), prop.reach
-    if giant is None:
-        m = _giant_step(len(y), n_out, len(project))
-        giant = m, (_tri_squarings(tri.copy(order="F"), m.bit_length() - 1, prop.bounds)
-                    if m > 1 else tri)
-    m, tri_m = giant
-    proj, w = _projected_powers(partial(_tri_apply, tri, reach), partial(_tri_apply, tri, reach),
-                                partial(_tri_apply, tri_m, reach), m,
-                                y.astype(dtype, copy=False)[prop.perm], n_out,
+    if dtype != prop.tri.dtype:         # a complex state on a real propagator
+        prop = TriangularExp(prop.joined().astype(dtype, order="F"), prop.perm,
+                             prop.bounds).split(prop.levels)
+        power = None
+    m = _giant_step(len(y), n_out, len(project))
+    step = partial(_tri_apply, prop, e=e)
+    proj, w = _projected_powers(step, step, partial(_tri_apply, (power or prop.power)(m), e=e),
+                                m, y.astype(dtype, copy=False)[prop.perm], n_out,
                                 project[:, prop.perm].astype(dtype, copy=False))
     y = w[np.argsort(prop.perm)]
     proj[-1] = project @ y
@@ -1061,29 +1063,22 @@ def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
     """The stacked steady state y = [1; psi1; psi2] at unit drive and
     control ``omega_c`` (the exact long-pulse limit): rows 1: of
     (S + omega_c W + F) y = 0, solved by direct linear solves with s1 and
-    S21 read from F.
+    S21 read from F, the ``_unpinned`` slots only.
 
     The doubles system is solved in ``_cascade_order``, block lower
     triangular with blocks of at most 4 slots, so LU in the natural order
     is block forward substitution and makes next to no fill."""
     idx = generator.index
-    p = generator.params
     k1, k2 = idx.singles, idx.doubles
     f = generator.stacked[2]
     y = np.eye(1, 1 + idx.dim, dtype=generator.dtype)[0]
-    y[k1] = _solve_singles_steady(p, generator.m1(omega_c),
-                                  f[k1, 0].toarray().ravel(), omega_c, idx.n_atoms)
+    y[k1] = _solve_singles_steady(generator.m1(omega_c), f[k1, 0].toarray().ravel())
     rhs2 = -(f[k2, k1] @ y[k1])
     if idx.dim_doubles > 0:
         m2 = generator.m2(omega_c)
-        if omega_c == 0.0 and p.gamma_r == 0.0 and p.delta_2 == 0.0:
-            # rr rows are undriven and undamped with the control off; keep them
-            # at zero and solve the damped ee/er sector only
-            n_keep = idx.n_ee + idx.n_er
-            m2 = m2[:n_keep, :n_keep]
-        perm, _ = _cascade_order(m2)
-        y[k2][perm] = spla.spsolve(m2[perm][:, perm].tocsc(), rhs2[perm],
-                                   permc_spec="NATURAL")
+        keep = _unpinned(m2)
+        keep = keep[_cascade_order(m2[keep][:, keep])[0]]
+        y[k2][keep] = spla.spsolve(m2[keep][:, keep].tocsc(), rhs2[keep], permc_spec="NATURAL")
     return y
 
 

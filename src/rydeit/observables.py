@@ -52,8 +52,14 @@ class ObservableTrace:
             if len(getattr(self, name)) != n:
                 raise ConfigurationError(f"trace column {name} does not match the grid")
 
-    def window_mask(self, t_start: float, t_stop: float) -> np.ndarray:
-        return (self.times >= t_start - 1e-12) & (self.times <= t_stop + 1e-12)
+    def window_energy(self, t_start: float, width: float) -> float:
+        """The trapezoid of the intensity over the window's samples, those
+        ``windowed_g2`` reads (``_window_slice``); 0.0 on fewer than two."""
+        try:
+            a, b = _window_slice(self.times, t_start, width)
+        except UndefinedResultError:
+            return 0.0
+        return float(np.trapezoid(self.intensity[a:b], self.times[a:b]))
 
     def input_energy(self) -> float:
         """The integral of the unit-peak envelope squared over the grid

@@ -462,8 +462,7 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
     except (UndefinedResultError, ExtractionError):
         g2_ret = math.nan
     pg = generation_probability_from_trace(trace, w, cfg.n_in)
-    mask = trace.window_mask(*[w[0], w[0] + w[1]])
-    eff = float(np.trapezoid(trace.intensity[mask], trace.times[mask]) / trace.input_energy())
+    eff = float(trace.window_energy(*w) / trace.input_energy())
     scalars = {"g2_retrieved": g2_ret, "generation_probability": pg,
                "retrieval_efficiency": eff,
                "t_release_ns": release_ns}

@@ -150,6 +150,20 @@ def test_generation_probability_empty_window():
     assert generation_probability_from_trace(trace, (100.0, 5.0), 1.0) == 0.0
 
 
+def test_generation_probability_reads_the_windowed_g2_samples():
+    # one window rule (``_window_slice``): a window that starts 1e-10 past a
+    # sample holds it, for the generation probability as for the windowed g2,
+    # and a window of one sample holds no photons
+    trace, _ = _flat_scene(t_max=8.0, n=9)
+    trace.intensity[:] = 1.0 + trace.times ** 2
+    n_in = 0.6
+    e0sq = n_in / trace.input_energy()
+    inside = np.trapezoid(trace.intensity[2:6], trace.times[2:6])
+    assert generation_probability_from_trace(trace, (2.0 + 1e-10, 3.0), n_in) == e0sq * inside
+    assert generation_probability_from_trace(trace, (2.0 + 1e-10, 0.5), n_in) == 0.0
+    assert trace.window_energy(2.0 + 1e-10, 3.0) == inside
+
+
 def test_trace_without_input_pulse_is_refused():
     # with no input pulse there is no photon number to normalize to: the
     # generation probability refuses the trace as the emulation does

@@ -329,6 +329,65 @@ def test_drive_level_identity(doubles, a, b, level):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("power_law", [False, True])
+@pytest.mark.parametrize("level", [0.37, 1e-170])
+def test_tri_apply_at_a_drive_level(power_law, level):
+    # a step of the split unit-drive propagator at drive level e, applied to
+    # the columns of the identity (vector form) and to the identity as a row
+    # stack, is scipy's exponential of the generator at e, block by block
+    # over the levels [ground; singles; doubles], each block on its own
+    # scale; at e = 1e-170, e^2 underflows to 0 < e
+    import rydeit.dynamics as dynamics
+    gen = _power_law_generator(n_atoms=4) if power_law else make_generator(n_atoms=4)
+    assert gen.dtype == (complex if power_law else float)
+    assert (level ** 2 == 0.0) == (level < 1e-100) and level > 0.0
+    om, h = 0.5, 0.7
+    ref = _scipy_expm(augmented(gen, level, om) * h)
+    unit = dynamics._unit_exp({}, gen, om, h, gen.dtype)
+    assert unit.levels == (gen.index.singles.start, gen.index.doubles.start)
+    back = np.argsort(unit.perm)
+    eye = np.eye(len(ref), dtype=gen.dtype)
+    by_cols = np.stack([dynamics._tri_apply(unit, col, level) for col in eye], axis=1)
+    by_rows = dynamics._tri_apply(unit, eye, level)
+    levels = np.split(np.arange(len(ref)), unit.levels)
+    for got in (by_cols, by_rows):
+        got = got[np.ix_(back, back)]
+        for r in levels:
+            for c in levels:
+                block = ref[np.ix_(r, c)]
+                atol = max(1e-13 * np.max(np.abs(block)), 1e-300)
+                np.testing.assert_allclose(got[np.ix_(r, c)], block, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("shape, duration", [(PulseShape.GAUSSIAN, 10.0),
+                                             (PulseShape.SQUARE, 100.0)])
+def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
+    # the unit-drive propagators a run caches are split once and read-only:
+    # the gaussian's Magnus levels and the square's tail (e = 0) step them at
+    # other levels, and they stay bit-equal to what the cache first held (the
+    # gaussian caches the Magnus factor and the tail's step, the square its
+    # step and the step's giant-step power, m = 4 over its 200 samples)
+    import rydeit.dynamics as dynamics
+    seen = {}
+    real = dynamics._unit_exp
+
+    def spy(*args):
+        p = real(*args)
+        seen.setdefault(id(p), (p, [x.copy() for x in (p.tri, *(b for *_, b in p.lift))]))
+        return p
+
+    monkeypatch.setattr(dynamics, "_unit_exp", spy)
+    gen = make_generator(n_atoms=4, shape=shape, duration=duration)
+    evolve(gen, (0.0, duration + 4.0), dt_out=0.5)
+    assert len(seen) == 2
+    for p, first in seen.values():
+        arrays = [p.tri, *(b for *_, b in p.lift)]
+        assert len(arrays) == 4 and not any(x.flags.writeable for x in arrays)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, first))
+        with pytest.raises(ValueError, match="read-only"):
+            p.tri[0, 0] = 1.0
+
+
 def _count_expm(monkeypatch):
     # records each call of the module's own exponential and runs it, so the
     # counts pin what production runs
@@ -373,9 +432,9 @@ def test_each_stretch_takes_its_route(monkeypatch):
     dense = []
     real_dense = dynamics._dense_powers
 
-    def counted_dense(prop, y, n_out, project, giant=None):
+    def counted_dense(prop, y, n_out, project, e=1.0, power=None):
         dense.append(n_out)
-        return real_dense(prop, y, n_out, project, giant)
+        return real_dense(prop, y, n_out, project, e, power)
 
     monkeypatch.setattr(dynamics, "_dense_powers", counted_dense)
     calls = _count_expm(monkeypatch)

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -856,3 +858,35 @@ def test_a_flag_the_runner_ignores_exits_2_and_writes_nothing(tmp_path, monkeypa
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+_SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+#: each script under scripts/ and the scenario kinds its subcommands run
+_SCRIPTS = {"run_replica.py": ["experiment_replica"],
+            "run_storage_comparison.py": ["storage"],
+            "run_turnoff_scaling.py": ["turnoff_scan", "turnoff_scan"],
+            "run_turnon_scaling.py": ["turnon_scan"],
+            "run_window_scan.py": ["window_scan"]}
+
+
+def test_every_script_is_run_below():
+    assert sorted(p.name for p in _SCRIPT_DIR.glob("*.py")) == sorted(_SCRIPTS)
+
+
+@pytest.mark.parametrize("script, kinds", sorted(_SCRIPTS.items()))
+def test_script_runs_with_the_flags_the_cli_accepts(tmp_path, monkeypatch, script, kinds):
+    # each script runs its subcommands with the runners stubbed: a flag the
+    # subcommand does not accept exits 2, and a bad value exits 3
+    import runpy
+    from rydeit import scenarios
+    from rydeit.scenarios import ResultBundle
+    ran = []
+    for kind in scenarios.RUNNERS:
+        monkeypatch.setitem(scenarios.RUNNERS, kind,
+                            lambda cfg, kind=kind: ran.append(kind) or ResultBundle(config=cfg))
+    path = _SCRIPT_DIR / script
+    monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(path), run_name="__main__")
+    assert stop.value.code == 0
+    assert ran == kinds
