@@ -269,24 +269,14 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
         t_single = np.empty(0)
         single_trials = single_trials[:0]
 
-    # route and thin every photon
-    def route(times_gamma: np.ndarray, trial_ids: np.ndarray):
-        r = rng.random(len(times_gamma))
-        det1 = r < budget.p_detect_1
-        det2 = (~det1) & (r < budget.p_detect_1 + budget.p_detect_2)
-        trials_out = np.concatenate([trial_ids[det1], trial_ids[det2]])
-        dets_out = np.concatenate([np.ones(int(det1.sum()), dtype=int),
-                                   np.full(int(det2.sum()), 2, dtype=int)])
-        times_out = np.concatenate([times_gamma[det1], times_gamma[det2]])
-        return trials_out, dets_out, times_out
-
-    ta, da, za = route(acc1, pair_trials)
-    tb, db, zb = route(acc2, pair_trials)
-    tc, dc, zc = route(t_single, single_trials)
-
-    trials = np.concatenate([ta, tb, tc])
-    dets = np.concatenate([da, db, dc])
-    times = np.concatenate([za, zb, zc])
+    # route and thin every photon: one uniform each, in the order pairs' first
+    # photons, their second photons, lone photons
+    trials = np.concatenate([pair_trials, pair_trials, single_trials])
+    times = np.concatenate([acc1, acc2, t_single])
+    r = rng.random(len(times))
+    dets = np.where(r < budget.p_detect_1, 1, 2)
+    kept = r < budget.p_detect_1 + budget.p_detect_2
+    trials, dets, times = trials[kept], dets[kept], times[kept]
     order = np.lexsort((times, dets, trials))
     return DetectionStream(trials=trials[order].astype(int), detectors=dets[order],
                            times_ns=times[order] * ns_from_time(1.0, gamma_mhz),

@@ -99,7 +99,7 @@ def run_spectrum(cfg: ScenarioConfig) -> ResultBundle:
         scalars["fwhm_gamma"] = fw
         scalars["fwhm_mhz"] = fw * g
     except ExtractionError:
-        scalars["fwhm_gamma"] = math.nan
+        scalars["fwhm_gamma"] = scalars["fwhm_mhz"] = math.nan
     return ResultBundle(config=cfg, scalars=scalars, tables=[(
         "spectrum.csv", ["delta_gamma", "delta_mhz", "transmission"], rows,
         f"CW intensity transmission vs probe detuning; Gamma = 2*pi*{g!r} MHz")])
@@ -234,7 +234,8 @@ def run_turnon_scan(cfg: ScenarioConfig) -> ResultBundle:
 def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict:
     """One (D, Omega_c) turn-off point, starting from the exact driven steady
     state of ``_device`` (the long-pulse limit): singles give tau_I and the
-    retrieval peak, and the shutoff jump of G2 is |a2|^2.  With
+    retrieval peak, the shutoff jump of the intensity is |f|^2 (0 where f is
+    rounding) and that of G2 is |a2|^2.  With
     ``cfg.turnoff_doubles`` the doubles decay over 5,000 steps and give tau_II,
     where G2 first falls to half its jump, and the decay rate of its upper
     envelope over [``cfg.tail_fit_start``, ``cfg.tail_fit_end``].
@@ -257,14 +258,18 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     gen, ss, f, a2, out = _device(cfg.params, d_target, omega_c)
     teit = out["tau_eit_gamma"]
     i_ss = out["i_ss"] = abs(1.0 + f) ** 2
-    out["i_jump"] = abs(f) ** 2
+    y = ss[gen.index.singles]
+    out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
+    # a dark steady state (gamma_r = 0) leaves only rounding in f = out_e psi1,
+    # measured at under 0.1 eps ||out_e|| ||psi1||: that jump is 0
+    rounding = 16.0 * np.finfo(float).eps * math.sqrt(out_e2 * np.vdot(y, y).real)
+    out["i_jump"] = abs(f) ** 2 if abs(f) > rounding else 0.0
 
     # singles retrieval over doubled horizons of one propagator, stopped by
     # the contraction bound once no crossing can follow
     h0 = max(0.4 * teit, 40.0)
     steps = decay_steps(gen, omega_c, h0 / 6000)
-    out_e2 = float(np.vdot(gen.out_e, gen.out_e).real)
-    y, intens, tau_i = ss[gen.index.singles], np.array([out["i_jump"]]), math.nan
+    intens, tau_i = np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
         proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e[None])
         intens = np.concatenate([intens, np.abs(proj[:, 0]) ** 2])
@@ -358,38 +363,21 @@ def _map_points(fn, points, threads: int) -> list:
 
 @_timed
 def run_experiment_replica(cfg: ScenarioConfig) -> ResultBundle:
+    """``run_spectrum`` and ``run_propagate`` of the measured device: their
+    scalars, plus g2 at the trace sample nearest 400 ns after the shutoff;
+    the trace is written as ``pulse.csv`` and its g2 column as ``g2.csv``."""
+    spectrum, pulse = run_spectrum(cfg), run_propagate(cfg)
+    (_, cols, rows, note), = pulse.tables
     g = cfg.params.gamma_mhz
-    chain = cfg.chain()
-    deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_points)
-    spec = transmission_spectrum(cfg.params, chain, cfg.params.omega_c_peak, deltas)
-    _, pk_t, _ = eit_peak(spec)
-    fw = spectrum_fwhm(spec)
-
-    gen, traj, trace = _propagate(cfg)
-    eta = float(np.trapezoid(trace.intensity, trace.times) / trace.input_energy())
-    stats = measure_steady_state(trace, *_flat_interval(cfg))
-
     t_bar = time_from_ns(cfg.t_on_ns + cfg.duration_ns, g)
-    i400 = int(np.argmin(np.abs(trace.times - (t_bar + time_from_ns(400.0, g)))))
-    g2_tail = float(trace.g2[i400])
-
-    scalars = {"optical_depth": optical_depth(chain, cfg.params),
-               "eit_peak_transmission": pk_t,
-               "fwhm_gamma": fw, "fwhm_mhz": fw * g,
-               "pulse_transmission": eta,
-               "i_ss": stats.i_ss, "g2_ss": stats.g2_ss,
-               "steady_flat": int(stats.flat),
-               "g2_at_400ns_after_shutoff": g2_tail}
-    tables = [
-        ("spectrum.csv", ["delta_gamma", "delta_mhz", "transmission"],
-         [(d, d * g, t) for d, t in spec],
-         f"CW transmission spectrum; Gamma = 2*pi*{g!r} MHz"),
-        ("pulse.csv", _TRACE_COLS, _trace_rows(trace, g), _csv_time_cols(g)),
-        ("g2.csv", ["t_gamma", "t_ns", "g2"],
-         [(float(t), ns_from_time(float(t), g), float(v))
-          for t, v in zip(trace.times, trace.g2)], _csv_time_cols(g)),
-    ]
-    return ResultBundle(config=cfg, scalars=scalars, tables=tables)
+    times = np.array([r[0] for r in rows])
+    i400 = int(np.argmin(np.abs(times - (t_bar + time_from_ns(400.0, g)))))
+    # rows are (t_gamma, t_ns, ..., g2): _TRACE_COLS
+    scalars = {**spectrum.scalars, **pulse.scalars,
+               "g2_at_400ns_after_shutoff": rows[i400][-1]}
+    return ResultBundle(config=cfg, scalars=scalars, tables=spectrum.tables + [
+        ("pulse.csv", cols, rows, note),
+        ("g2.csv", ["t_gamma", "t_ns", "g2"], [(r[0], r[1], r[-1]) for r in rows], note)])
 
 
 # ---------------------------------------------------------------------------

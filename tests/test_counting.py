@@ -345,6 +345,45 @@ def test_pair_sampler_is_exact(scene):
         assert np.any(np.bincount(x.trials, minlength=x.n_trials) == 2)
 
 
+def test_stream_routes_as_three_passes():
+    # the stream routes every photon by one uniform, in the order pairs' first
+    # photons, their second photons, lone photons: the three-pass construction
+    # below, replayed from the same seed, gives the same record
+    trace, grid = _gaussian_scene()
+    budget = EfficiencyBudget(eta_path=0.9, eta1=0.8, eta2=0.6, split=0.5)
+    n_in, n_trials, seed = 0.4, 20000, 5
+    stream = emulate_trials(trace, grid, n_in, budget, n_trials, seed)
+
+    rng = np.random.default_rng(seed)
+    e0sq = n_in / trace.input_energy()
+    lam = e0sq * trace.intensity
+    pair_density = e0sq ** 2 * grid.g2_matrix
+    lam_single = np.clip(lam - np.trapezoid(pair_density, grid.times, axis=1), 0.0, None)
+    u = rng.random(n_trials)
+    p_pair, p_single = stream.pairs_per_trial, stream.singles_per_trial
+    pair_trials = np.nonzero(u < p_pair)[0]
+    single_trials = np.nonzero((u >= p_pair) & (u < p_pair + p_single))[0]
+    acc1, acc2 = counting._sample_pair_times(rng, grid.times, pair_density,
+                                             len(pair_trials))
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(trace.times) * 0.5
+                                           * (lam_single[1:] + lam_single[:-1]))])
+    t_single = np.interp(rng.random(len(single_trials)) * cdf[-1], cdf, trace.times)
+    passes = []
+    for times, trial_ids in ((acc1, pair_trials), (acc2, pair_trials),
+                             (t_single, single_trials)):
+        r = rng.random(len(times))
+        det1 = r < budget.p_detect_1
+        det2 = ~det1 & (r < budget.p_detect_1 + budget.p_detect_2)
+        for det, mask in ((1, det1), (2, det2)):
+            passes.append((trial_ids[mask], np.full(int(mask.sum()), det), times[mask]))
+    trials, dets, times = (np.concatenate(col) for col in zip(*passes))
+    order = np.lexsort((times, dets, trials))
+    assert len(single_trials) > 0 and 0 < len(order) < 2 * len(pair_trials) + len(t_single)
+    np.testing.assert_array_equal(stream.trials, trials[order])
+    np.testing.assert_array_equal(stream.detectors, dets[order])
+    np.testing.assert_array_equal(stream.times_ns, times[order] * ns_from_time(1.0, 6.0))
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0),
                                   (1e300, 1e-300), (1e-300, 1e300), (3.0, 1e-17),
                                   (1e-17, 3.0), (2.5, 0.7)])

@@ -298,7 +298,7 @@ def test_spectrum_fwhm_on_analytic_window():
 def test_spectrum_fwhm_needs_both_half_crossings(tmp_path):
     # each edge is the first half crossing from the peak outward; a window
     # that never falls to half height on one side is an extraction error,
-    # and the spectrum runner then records fwhm_gamma = nan
+    # and the spectrum runner then records fwhm_gamma = fwhm_mhz = nan
     from dataclasses import replace
     from rydeit.configio import default_config
     from rydeit.scenarios import run_spectrum
@@ -309,9 +309,10 @@ def test_spectrum_fwhm_needs_both_half_crossings(tmp_path):
             spectrum_fwhm([(d, t) for d, t in spec if side(d)])
     cfg = replace(default_config("spectrum", {}), delta_min=-0.01, delta_max=0.01)
     bundle = run_spectrum(cfg)
-    assert math.isnan(bundle.scalars["fwhm_gamma"]) and "fwhm_mhz" not in bundle.scalars
+    assert math.isnan(bundle.scalars["fwhm_gamma"]) and math.isnan(bundle.scalars["fwhm_mhz"])
     bundle.write(tmp_path)
-    assert "fwhm_gamma = nan" in (tmp_path / "manifest.ini").read_text()
+    manifest = (tmp_path / "manifest.ini").read_text()
+    assert "fwhm_gamma = nan" in manifest and "fwhm_mhz = nan" in manifest
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,51 @@ def test_propagate_runner_scalars():
     assert bundle.tables[0][0] == "trace.csv"
 
 
+def test_replica_is_the_spectrum_and_propagate_runners(monkeypatch):
+    # a lowered intensity floor keeps the tail's g2 finite, so the +400 ns
+    # sample is a number the index has to hit
+    import rydeit.observables as observables
+    from rydeit.scenarios import run_experiment_replica
+    monkeypatch.setattr(observables, "DEFAULT_INTENSITY_FLOOR", 1e-30)
+    cfg = default_config("experiment_replica", {"d_target": 1.8, "duration_ns": 600.0,
+                                                 "tail_ns": 500.0, "dt_out_ns": 8.0,
+                                                 "n_points": 41})
+    replica = run_experiment_replica(cfg)
+    spectrum, pulse = run_spectrum(cfg), run_propagate(cfg)
+    parts = {**spectrum.scalars, **pulse.scalars}
+    assert {"eit_peak_delta_gamma", "g2tilde_ss", "g2_ss", "fwhm_mhz"} <= set(parts)
+    assert set(replica.scalars) == set(parts) | {"g2_at_400ns_after_shutoff"}
+    for key, value in parts.items():
+        assert replica.scalars[key] == value, key
+
+    # rows as arrays: the g2 column holds NaN below the intensity floor
+    tables = {name: (cols, np.array(rows)) for name, cols, rows, _ in replica.tables}
+    cols, rows = pulse.tables[0][1:3]
+    picked = [cols.index(c) for c in ("t_gamma", "t_ns", "g2")]
+    expected = {"spectrum.csv": spectrum.tables[0][1:3], "pulse.csv": (cols, rows),
+                "g2.csv": (["t_gamma", "t_ns", "g2"], np.array(rows)[:, picked])}
+    assert tables.keys() == expected.keys()
+    for name, (want_cols, want_rows) in expected.items():
+        assert tables[name][0] == want_cols, name
+        np.testing.assert_array_equal(tables[name][1], np.array(want_rows), err_msg=name)
+    t_ns = np.array([r[1] for r in rows])
+    tail = rows[int(np.argmin(np.abs(t_ns - (cfg.t_on_ns + cfg.duration_ns + 400.0))))]
+    assert np.isfinite(tail[-1])
+    assert replica.scalars["g2_at_400ns_after_shutoff"] == tail[-1]
+
+
+def test_gaussian_replica_writes_no_steady_state_keys(tmp_path):
+    import configparser
+    out = tmp_path / "replica"
+    assert main(["replica", "--shape", "gaussian", "--d", "1.8", "--duration-ns", "600",
+                 "--out", str(out)]) == 0
+    cp = configparser.ConfigParser()
+    cp.read(out / "manifest.ini")
+    results = set(cp["results"])
+    assert "pulse_transmission" in results and "g2_at_400ns_after_shutoff" in results
+    assert not results & {"i_ss", "g2tilde_ss", "g2_ss", "steady_flat"}
+
+
 def test_window_scan_keeps_failed_points(tmp_path):
     cfg = default_config("window_scan", {
         "d_target": 3.6, "duration_ns": 1000.0, "dt_out_ns": 8.0,
@@ -537,6 +582,19 @@ def test_scan_points_keep_the_configured_params(monkeypatch):
     scenarios._turnoff_point(replace(cfg, turnoff_doubles=False), 1.8, 0.25)
     assert seen[0] == replace(params, omega_c_peak=0.5)
     assert seen[-1] == replace(params, omega_c_peak=0.25)
+
+
+def test_turnoff_intensity_jump_drops_only_rounding():
+    # gamma_r = 0: the steady state is dark, out_e psi1 is rounding and the
+    # jump is written as 0; gamma_r > 0: the jump is |out_e psi1|^2 as computed
+    from dataclasses import replace
+    from rydeit.scenarios import _device, _turnoff_point
+    dark = _turnoff_point(_SINGLES_CFG, 3.6, 0.25)
+    assert dark["i_jump"] == 0.0
+    lossy = replace(_SINGLES_CFG, params=replace(_SINGLES_CFG.params, gamma_r=0.8 / 6.0))
+    _, _, f, _, _ = _device(lossy.params, 3.6, 0.25)
+    out = _turnoff_point(lossy, 3.6, 0.25)
+    assert out["i_jump"] == abs(f) ** 2 > 0.1
 
 
 def test_turnoff_doubles_above_expm_cap(monkeypatch):
