@@ -1,9 +1,9 @@
 """rydeit: truncated-excitation spin-model simulator of weak pulses in Rydberg EIT."""
 
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, BLOCKED,
-                    ConfigurationError, ControlSchedule, ControlSegment,
-                    PhysicalParams, PulseEnvelope, PulseShape, atoms_for_depth,
-                    build_chain, interaction, optical_depth, single_atom_bandwidth)
+                    ConfigurationError, ControlSchedule, PhysicalParams, PulseEnvelope,
+                    PulseShape, atoms_for_depth, build_chain, interaction, optical_depth,
+                    single_atom_bandwidth)
 from .statespace import ExcitationIndex, build_index
 from .dynamics import (DynamicsError, Generator, StateTrajectory, assemble_generator,
                        evolve, steady_state)

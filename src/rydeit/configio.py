@@ -15,7 +15,8 @@ is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
 unknown override key, an override of the wrong type and an input out of
-its range (n_in, dt_out_ns, n_points, seed, threads, delta_t_list_ns) are
+its range (n_in, dt_out_ns, n_points, seed, threads, delta_t_list_ns,
+n_trials, rel_tol, tail_fit_start and tail_fit_end, the efficiencies) are
 ConfigurationErrors. Manifests of earlier versions hold ``[integration]
 method = auto`` and ``[chain] length = 1.0`` and ``k_p = 1.0``, which the
 loader accepts and ignores; any other value of these keys and any ``dt``
@@ -155,6 +156,10 @@ class ScenarioConfig:
             return ControlSchedule.storage(om, time_from_ns(self.t_off_ns, g),
                                            time_from_ns(self.t_store_ns, g))
         raise ConfigurationError(f"unknown schedule kind {self.schedule_kind!r}")
+
+    def budget(self) -> EfficiencyBudget:
+        return EfficiencyBudget(eta_path=self.eta_path, eta1=self.eta1, eta2=self.eta2,
+                                split=self.split)
 
     def horizon(self) -> tuple:
         g = self.params.gamma_mhz
@@ -333,10 +338,13 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     for rule, ok in (("n_in > 0", cfg.n_in > 0), ("dt_out_ns > 0", cfg.dt_out_ns > 0),
                      ("n_points >= 1", cfg.delta_points >= 1),
                      ("seed >= 0", cfg.seed >= 0), ("threads >= 1", cfg.threads >= 1),
-                     ("delta_t_list_ns > 0", all(t > 0 for t in cfg.delta_t_list_ns))):
+                     ("delta_t_list_ns > 0", all(t > 0 for t in cfg.delta_t_list_ns)),
+                     ("n_trials >= 1", cfg.n_trials >= 1), ("rel_tol > 0", cfg.rel_tol > 0),
+                     ("0 <= tail_fit_start < tail_fit_end",
+                      0 <= cfg.tail_fit_start < cfg.tail_fit_end)):
         if not ok:
             raise ConfigurationError(f"out of range: need {rule}")
-    for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule):
+    for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule, cfg.budget):
         build()     # fail fast on inconsistent sections
     return cfg
 

@@ -80,6 +80,10 @@ class DetectionStream:
     def __post_init__(self) -> None:
         if not (len(self.trials) == len(self.detectors) == len(self.times_ns)):
             raise ConfigurationError("stream arrays must have equal length")
+        if not np.all((self.trials >= 0) & (self.trials < self.n_trials)):
+            raise ConfigurationError(f"trial indices must lie in [0, {self.n_trials})")
+        if not np.all((self.detectors == 1) | (self.detectors == 2)):
+            raise ConfigurationError("detector ids must be 1 or 2")
 
     @property
     def n_events(self) -> int:

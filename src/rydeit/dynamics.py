@@ -139,7 +139,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.csgraph import connected_components
 
 from .model import (AtomChain, BlockadeConfig, ConfigurationError, ControlSchedule,
-                    PhysicalParams, PulseEnvelope, interaction)
+                    PhysicalParams, PulseEnvelope, interaction, interior)
 from .statespace import ExcitationIndex, build_index
 
 SQRT2 = math.sqrt(2.0)
@@ -678,8 +678,7 @@ def _check_length(gen: Generator, y: np.ndarray) -> None:
 
 def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
     """Per-segment uniform output grids hitting every breakpoint exactly."""
-    eps = 1e-12 * max(1.0, abs(t0), abs(t1))
-    cuts = [t0] + [b for b in sorted(breakpoints) if t0 + eps < b < t1 - eps] + [t1]
+    cuts = [t0] + interior(sorted(breakpoints), t0, t1) + [t1]
     segments = []
     for a, b in zip(cuts, cuts[1:]):
         n_out = max(1, math.ceil((b - a) / dt_out - 1e-9))
@@ -706,8 +705,7 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     gaussian envelope inside its window, takes the Magnus step
     (``_magnus_powers``), all in the dtype of gen, ``y`` and ``project``."""
     _check_length(gen, y)
-    eps = 1e-12 * max(1.0, abs(a), abs(b))
-    if any(a + eps < t < b - eps for t in gen.breakpoints()):
+    if interior(gen.breakpoints(), a, b):
         raise DynamicsError(f"segment [{a:.6g}, {b:.6g}] crosses a breakpoint")
     h_out = (b - a) / n_out
     project = np.empty((0, len(y))) if project is None else project

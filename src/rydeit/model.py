@@ -11,7 +11,9 @@ All objects here are frozen dataclasses and safe to share across workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -55,8 +57,13 @@ class PhysicalParams:
     ``gamma_1d`` is the emission rate into the collected (probe) mode and
     ``gamma_prime`` the loss into all other directions; their sum is the total
     excited-state decay rate and must equal 1 unless a rescaled unit system is
-    wanted on purpose.  ``gamma_r`` is the Rydberg coherence decay (amplitude
-    damping of every r slot).
+    wanted on purpose.  ``gamma_r`` damps every r slot through the jump
+    sqrt(2 gamma_r)|g><r|: Rydberg decay to the ground state, for which the
+    weak-drive model is exact.  Pure dephasing of r, sqrt(2 gamma_r)|r><r|,
+    is a different model that this code does not implement; a cascaded
+    master equation at Gamma_1D/Gamma' = 1, gamma_r = 0.05, Omega_c = 0.5
+    and full blockade gives g2_ss 1.047 under dephasing against 0.995 under
+    decay at N = 1, and 0.607 against 0.583 at N = 2.
     """
 
     gamma_1d: float = 1.0 / 6.0
@@ -271,119 +278,92 @@ class PulseEnvelope:
     def gaussian_fwhm(self) -> float:
         return self.fwhm if self.fwhm is not None else 0.4 * self.duration
 
+    @cached_property
+    def pieces(self) -> tuple:
+        """The window [t_on, t_end) cut where the envelope or its slope is
+        discontinuous: (start, end, c0, c1), the envelope c0 + c1 (t - start)
+        on [start, end), or the gaussian (c0 and c1 None)."""
+        t0, t1, r = self.t_on, self.t_end, self.rise_time
+        if self.shape is PulseShape.SQUARE and r > 0.0:
+            return ((t0, t0 + r, 0.0, 1.0 / r), (t0 + r, t1 - r, 1.0, 0.0),
+                    (t1 - r, t1, 1.0, -1.0 / r))
+        return ((t0, t1) + {PulseShape.SQUARE: (1.0, 0.0),
+                            PulseShape.TRIANGULAR_NEG: (1.0, -1.0 / self.duration),
+                            PulseShape.TRIANGULAR_POS: (0.0, 1.0 / self.duration),
+                            PulseShape.GAUSSIAN: (None, None)}[self.shape],)
+
+    def _piece(self, t: float) -> tuple:
+        """The piece holding t; outside the window the zero line."""
+        if not 0.0 <= t - self.t_on < self.duration:
+            return t, t, 0.0, 0.0
+        for piece in reversed(self.pieces):
+            if t >= piece[0]:
+                return piece
+
     def unit_shape(self, t: float) -> float:
         """Envelope normalized to unit peak (dimensionless, >= 0)."""
-        u = t - self.t_on
-        if u < 0.0 or u >= self.duration:
-            return 0.0
-        if self.shape is PulseShape.SQUARE:
-            r = self.rise_time
-            if r == 0.0:
-                return 1.0
-            if u < r:
-                return u / r
-            if u > self.duration - r:
-                return (self.duration - u) / r
-            return 1.0
-        if self.shape is PulseShape.TRIANGULAR_NEG:
-            return 1.0 - u / self.duration
-        if self.shape is PulseShape.TRIANGULAR_POS:
-            return u / self.duration
-        # gaussian, truncated to the window
-        w = self.gaussian_fwhm
-        x = u - 0.5 * self.duration
+        start, _, c0, c1 = self._piece(t)
+        if c1 is not None:
+            return c0 + c1 * (t - start)
+        w, x = self.gaussian_fwhm, t - self.t_on - 0.5 * self.duration
         return math.exp(-4.0 * math.log(2.0) * x * x / (w * w))
 
     def affine_on(self, a: float, b: float) -> tuple | None:
         """(c0, c1) with unit_shape(a + tau) = c0 + c1 tau for a <= a + tau < b,
-        from the shape's own formulas, when no breakpoint lies inside (a, b)
-        by more than rounding (1e-12 relative): (0, 0) outside the window,
-        and None inside a gaussian's window, where it is nowhere polynomial,
-        or across a breakpoint."""
-        eps = 1e-12 * max(1.0, abs(a), abs(b))
-        if any(a + eps < t < b - eps for t in self.breakpoints()):
+        from the piece holding (a, b) ((0, 0) outside the window): None on a
+        gaussian window or across a breakpoint (``interior``)."""
+        if interior(self.breakpoints(), a, b):
             return None
-        u, mid = a - self.t_on, 0.5 * (a + b) - self.t_on
-        if mid < 0.0 or mid >= self.duration:
-            return 0.0, 0.0
-        if self.shape is PulseShape.GAUSSIAN:
-            return None
-        if self.shape is PulseShape.TRIANGULAR_NEG:
-            return 1.0 - u / self.duration, -1.0 / self.duration
-        if self.shape is PulseShape.TRIANGULAR_POS:
-            return u / self.duration, 1.0 / self.duration
-        r = self.rise_time
-        if r == 0.0 or r <= mid <= self.duration - r:
-            return 1.0, 0.0
-        if mid < r:
-            return u / r, 1.0 / r
-        return (self.duration - u) / r, -1.0 / r
+        start, _, c0, c1 = self._piece(0.5 * (a + b))
+        return None if c1 is None else (c0 + c1 * (a - start), c1)
 
     def breakpoints(self) -> tuple:
-        """Times where the envelope or its slope is discontinuous."""
-        if self.shape is PulseShape.SQUARE and self.rise_time > 0.0:
-            r = self.rise_time
-            return (self.t_on, self.t_on + r, self.t_end - r, self.t_end)
-        return (self.t_on, self.t_end)
+        """Times where the envelope or its slope is discontinuous: the
+        bounds of the pieces."""
+        return tuple(p[0] for p in self.pieces) + (self.pieces[-1][1],)
+
+
+def interior(points, a: float, b: float) -> list:
+    """The points strictly inside (a, b) by more than rounding (1e-12
+    relative to the larger of 1, |a| and |b|)."""
+    eps = 1e-12 * max(1.0, abs(a), abs(b))
+    return [t for t in points if a + eps < t < b - eps]
 
 
 # ---------------------------------------------------------------------------
 # control field schedule
 
 @dataclass(frozen=True)
-class ControlSegment:
-    t_start: float
-    t_end: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        if self.t_end <= self.t_start:
-            raise ConfigurationError("segment must have t_end > t_start")
-        if self.omega < 0:
-            raise ConfigurationError("control amplitude must be >= 0")
-
-
-@dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise-constant control Rabi amplitude Omega_c(t).
+    """Piecewise-constant control Rabi amplitude Omega_c(t): ``levels[k]``
+    holds from ``jumps[k - 1]`` up to ``jumps[k]``, the first and last levels
+    hold outside the jumps, and the value at a jump is the one after it."""
 
-    Segments are contiguous and non-overlapping; evaluation clamps to the
-    first/last segment value outside the covered range and is
-    right-continuous at internal jumps.
-    """
-
-    segments: tuple
+    levels: tuple
+    jumps: tuple = ()
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise ConfigurationError("schedule needs at least one segment")
-        for a, b in zip(self.segments, self.segments[1:]):
-            if not math.isclose(a.t_end, b.t_start, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(a.t_end))):
-                raise ConfigurationError("segments must be contiguous")
+        if len(self.levels) != len(self.jumps) + 1:
+            raise ConfigurationError("schedule needs exactly one more level than jumps")
+        if any(om < 0 for om in self.levels):
+            raise ConfigurationError("control amplitude must be >= 0")
+        if any(b <= a for a, b in zip(self.jumps, self.jumps[1:])):
+            raise ConfigurationError("jumps must be strictly increasing")
 
     @classmethod
     def constant(cls, omega_c: float) -> "ControlSchedule":
-        return cls(segments=(ControlSegment(0.0, 1.0, omega_c),))
+        return cls((omega_c,))
 
     @classmethod
     def storage(cls, omega_c: float, t_off: float, t_store: float) -> "ControlSchedule":
-        """Constant control from t = 0, switched off during [t_off, t_off + t_store]."""
+        """Constant control, switched off during [t_off, t_off + t_store]."""
         if t_off <= 0 or t_store <= 0:
             raise ConfigurationError("need t_off > 0 and t_store > 0")
-        return cls(segments=(
-            ControlSegment(0.0, t_off, omega_c),
-            ControlSegment(t_off, t_off + t_store, 0.0),
-            ControlSegment(t_off + t_store, t_off + t_store + 1.0, omega_c),
-        ))
+        return cls((omega_c, 0.0, omega_c), (t_off, t_off + t_store))
 
     def value(self, t: float) -> float:
-        segs = self.segments
-        for prev, seg in zip(segs, segs[1:]):
-            if t < seg.t_start:
-                return prev.omega
-        return segs[-1].omega
+        return self.levels[bisect_right(self.jumps, t)]
 
     def breakpoints(self) -> tuple:
-        """Times where Omega_c may jump: every inner segment boundary (the
-        schedule is clamped flat outside its segments)."""
-        return tuple(s.t_start for s in self.segments[1:])
+        """Times where Omega_c jumps."""
+        return self.jumps

@@ -269,12 +269,16 @@ class SteadyStateStats:
     flat: bool
 
 
+def _samples_in(times: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Samples in [a, b) up to rounding: [a - eps, b - eps), eps = 1e-9 max(1, |b|)."""
+    eps = 1e-9 * max(1.0, abs(b))
+    return (times >= a - eps) & (times < b - eps)
+
+
 def measure_steady_state(trace: ObservableTrace, t_on: float, t_off: float) -> SteadyStateStats:
     """Average over the final tenth of the on-interval, with a flatness
     check on the intensity (max fractional deviation under 0.005)."""
-    t0 = t_off - 0.1 * (t_off - t_on)
-    eps = 1e-9 * max(1.0, abs(t_off))
-    mask = (trace.times >= t0 - eps) & (trace.times < t_off - eps)
+    mask = _samples_in(trace.times, t_off - 0.1 * (t_off - t_on), t_off)
     if not np.any(mask):
         raise ExtractionError("no samples in the steady-state window")
     i_win = trace.intensity[mask]
@@ -296,8 +300,7 @@ def extract_tau0(trace: ObservableTrace, t_on: float, t_off: float, g2_ss: float
     """First time after turn-on from which |g2 - g2_ss|/g2_ss stays below
     ``rel_tol`` at every later sample up to t_off (no false early crossings
     during ringing).  NaN samples count as violations."""
-    eps = 1e-9 * max(1.0, abs(t_off))
-    mask = (trace.times >= t_on - eps) & (trace.times < t_off - eps)
+    mask = _samples_in(trace.times, t_on, t_off)
     if g2_ss <= 0 or not np.any(mask):
         raise ExtractionError("turn-on window empty or g2_ss invalid")
     t = trace.times[mask]

@@ -25,8 +25,7 @@ from .model import (BlockadeConfig, ConfigurationError, ControlSchedule,
                     PulseEnvelope, PulseShape, atoms_for_depth,
                     build_chain, ns_from_time, optical_depth, time_from_ns)
 from .configio import ScenarioConfig, manifest_text
-from .counting import (EfficiencyBudget, emulate_trials, estimate_g2,
-                       generation_probability_from_stream,
+from .counting import (emulate_trials, estimate_g2, generation_probability_from_stream,
                        generation_probability_from_trace, dlcz_compare, save_stream)
 from .dynamics import DynamicsError, assemble_generator, decay_steps, evolve, steady_state
 from .observables import (ExtractionError, UndefinedResultError, _first_half_crossing,
@@ -130,12 +129,9 @@ _TRACE_COLS = ["t_gamma", "t_ns", "envelope_unit", "omega_c_gamma",
                "intensity_norm", "g2tilde", "g2"]
 
 
-def _flat_interval(cfg: ScenarioConfig) -> tuple:
-    """On-interval of the square pulse excluding the edge ramps (Gamma units)."""
-    g = cfg.params.gamma_mhz
-    t_on = time_from_ns(cfg.t_on_ns + cfg.rise_time_ns, g)
-    t_off = time_from_ns(cfg.t_on_ns + cfg.duration_ns - cfg.rise_time_ns, g)
-    return t_on, t_off
+def _flat_interval(envelope: PulseEnvelope) -> tuple:
+    """(start, end) of the square pulse's plateau, its constant piece."""
+    return next(p[:2] for p in envelope.pieces if p[3] == 0.0)
 
 
 @_timed
@@ -147,7 +143,7 @@ def run_propagate(cfg: ScenarioConfig) -> ResultBundle:
         np.trapezoid(trace.intensity, trace.times) / trace.input_energy())
     if cfg.pulse_shape == "square":
         try:
-            stats = measure_steady_state(trace, *_flat_interval(cfg))
+            stats = measure_steady_state(trace, *_flat_interval(gen.envelope))
             scalars.update(i_ss=stats.i_ss, g2tilde_ss=stats.g2tilde_ss,
                            g2_ss=stats.g2_ss, steady_flat=int(stats.flat))
         except ExtractionError:
@@ -369,7 +365,7 @@ def run_experiment_replica(cfg: ScenarioConfig) -> ResultBundle:
     spectrum, pulse = run_spectrum(cfg), run_propagate(cfg)
     (_, cols, rows, note), = pulse.tables
     g = cfg.params.gamma_mhz
-    t_bar = time_from_ns(cfg.t_on_ns + cfg.duration_ns, g)
+    t_bar = cfg.envelope().t_end
     times = np.array([r[0] for r in rows])
     i400 = int(np.argmin(np.abs(times - (t_bar + time_from_ns(400.0, g)))))
     # rows are (t_gamma, t_ns, ..., g2): _TRACE_COLS
@@ -483,8 +479,7 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
     g = cfg.params.gamma_mhz
     gen, traj, trace = _propagate(cfg, grid=True)
     grid = correlation_grid(traj, gen)
-    budget = EfficiencyBudget(eta_path=cfg.eta_path, eta1=cfg.eta1, eta2=cfg.eta2,
-                              split=cfg.split)
+    budget = cfg.budget()
     stream = emulate_trials(trace, grid, cfg.n_in, budget, cfg.n_trials, cfg.seed,
                             trial_period_ns=cfg.trial_period_ns, gamma_mhz=g)
     # whole-output window comparison estimator vs quadrature

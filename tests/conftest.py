@@ -98,7 +98,7 @@ def rk4_dt(gen):
     shift v_max, and at least 1)."""
     p = gen.params
     rate = max(p.gamma_total, p.gamma_r, abs(p.delta_e), abs(p.delta_2),
-               max(s.omega for s in gen.schedule.segments),
+               max(gen.schedule.levels),
                0.5 * p.gamma_1d * gen.index.n_atoms, gen.v_max, 1.0)
     return 0.05 / rate / 8.0
 

@@ -188,6 +188,23 @@ def test_stream_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.times_ns, stream.times_ns)
 
 
+@pytest.mark.parametrize("event", ["150 1 12.5", "-1 1 12.5", "7 3 12.5", "7 0 12.5"],
+                         ids=["trial_past_header", "negative_trial", "detector_3",
+                              "detector_0"])
+def test_external_stream_out_of_range_is_refused(tmp_path, event):
+    # an external file whose trial index lies outside the header's n_trials
+    # or whose detector is neither 1 nor 2 would index past the estimator's
+    # per-trial counts; it is refused at load time
+    path = tmp_path / "stamps.txt"
+    path.write_text("# rydeit timestamps n_trials=100 trial_period_ns=16000.0 seed=None\n"
+                    "# columns: trial_index detector_id time_ns\n"
+                    f"3 1 10.0\n4 2 11.0\n{event}\n")
+    with pytest.raises(ConfigurationError):
+        load_stream(path)
+    path.write_text(path.read_text().replace(event, "99 2 12.5"))
+    assert load_stream(path).n_events == 3
+
+
 def test_validity_warning_fires_for_bright_input():
     # 1.2 photons in: 0.72 pairs per trial, above the 0.5 of the warning
     trace, grid = _flat_scene()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.linalg import expm as _scipy_expm
 
-from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule, ControlSegment,
+from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule,
                           PhysicalParams, PulseEnvelope, PulseShape, build_chain, optical_depth,
                           time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, _TaylorAction,
@@ -468,8 +468,7 @@ def test_segment_across_a_breakpoint_is_refused(a, b):
     # evolve hands on; a segment across a jump of the control (at 4) or a
     # kink of the envelope (its rise ends at 1, its fall starts at 9) is
     # refused
-    schedule = ControlSchedule(segments=(ControlSegment(0.0, 4.0, 0.5),
-                                         ControlSegment(4.0, 8.0, 0.1)))
+    schedule = ControlSchedule((0.5, 0.1), (4.0,))
     gen = make_generator(n_atoms=3, duration=10.0, rise_time=1.0, schedule=schedule)
     y0 = np.zeros(1 + gen.index.dim, dtype=complex)
     y0[0] = 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydeit.dynamics import _segment_grid
 from rydeit.model import (BLOCKED, AtomChain, BlockadeConfig, BlockadeMode,
                           ConfigurationError, ControlSchedule, PhysicalParams,
                           PulseEnvelope, PulseShape, atoms_for_depth, build_chain,
@@ -231,6 +232,41 @@ def test_envelope_breakpoints():
     assert env.breakpoints() == (0.0, 1.0, 9.0, 10.0)
 
 
+#: every envelope kind: a sharp and a ramped square, one that is all ramp
+#: (2 rise_time = duration), both triangles and a gaussian, off t = 0
+_ENVELOPES = [PulseEnvelope(shape=PulseShape.SQUARE, duration=10.0, t_on=2.0, rise_time=r)
+              for r in (0.0, 1.5, 5.0)] + [
+    PulseEnvelope(shape=s, duration=10.0, t_on=2.0)
+    for s in (PulseShape.TRIANGULAR_NEG, PulseShape.TRIANGULAR_POS, PulseShape.GAUSSIAN)]
+
+
+@pytest.mark.parametrize("env", _ENVELOPES, ids=lambda e: f"{e.shape.value}-{e.rise_time}")
+def test_affine_on_reproduces_unit_shape_on_every_segment(env):
+    # the segments evolve hands on are the stretches between breakpoints;
+    # on each the affine form is the envelope up to a few ulps of the times,
+    # and it is missing exactly where a gaussian is on
+    for a, b, _ in _segment_grid(0.0, 16.0, env.breakpoints(), 0.7):
+        ramp = env.affine_on(a, b)
+        on = env.t_on <= 0.5 * (a + b) < env.t_end
+        assert (ramp is None) == (env.shape is PulseShape.GAUSSIAN and on), (a, b)
+        if ramp is None:
+            continue
+        for frac in (0.0, 0.01, 0.3, 0.5, 0.77, 0.99):
+            t = a + frac * (b - a)
+            assert ramp[0] + ramp[1] * (t - a) == pytest.approx(
+                env.unit_shape(t), rel=0, abs=1e-14), (a, b, t)
+
+
+@pytest.mark.parametrize("env", _ENVELOPES, ids=lambda e: f"{e.shape.value}-{e.rise_time}")
+def test_breakpoints_are_the_piece_bounds(env):
+    # the pieces tile the window and their bounds are the breakpoints
+    pieces = env.pieces
+    assert pieces[0][0] == env.t_on and pieces[-1][1] == env.t_end
+    assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    assert env.breakpoints() == tuple(p[0] for p in pieces) + (pieces[-1][1],)
+    assert all((p[3] is None) == (env.shape is PulseShape.GAUSSIAN) for p in pieces)
+
+
 # ---------------------------------------------------------------------------
 # control schedule
 
@@ -250,11 +286,12 @@ def test_storage_schedule_off_interval():
 
 
 def test_schedule_breakpoints_only_where_control_changes():
-    from rydeit.model import ControlSegment
+    assert ControlSchedule.constant(0.4) == ControlSchedule((0.4,), ())
     assert ControlSchedule.constant(0.4).breakpoints() == ()
-    assert ControlSchedule.storage(0.5, 10.0, 5.0).breakpoints() == (10.0, 15.0)
-    step_off = ControlSchedule(segments=(ControlSegment(0.0, 2.0, 0.5),
-                                         ControlSegment(2.0, 4.0, 0.0)))
+    storage = ControlSchedule.storage(0.5, 10.0, 5.0)
+    assert storage == ControlSchedule((0.5, 0.0, 0.5), (10.0, 15.0))
+    assert storage.breakpoints() == (10.0, 15.0)
+    step_off = ControlSchedule((0.5, 0.0), (2.0,))
     assert step_off.breakpoints() == (2.0,)
     # constant between breakpoints, right-continuous at the jump
     assert step_off.value(0.5) == step_off.value(2.0 - 1e-9) == 0.5
@@ -262,14 +299,17 @@ def test_schedule_breakpoints_only_where_control_changes():
 
 
 def test_schedule_clamps_outside():
-    from rydeit.model import ControlSegment
-    s = ControlSchedule(segments=(ControlSegment(1.0, 2.0, 0.3), ControlSegment(2.0, 3.0, 0.7)))
-    assert s.value(0.0) == 0.3
-    assert s.value(5.0) == 0.7
+    s = ControlSchedule((0.3, 0.7, 0.2), (2.0, 3.0))
+    assert s.value(0.0) == s.value(1.999) == 0.3
+    assert s.value(2.5) == 0.7
+    assert s.value(3.0) == s.value(5.0) == 0.2
 
 
-def test_non_contiguous_segments_rejected():
-    from rydeit.model import ControlSegment
+@pytest.mark.parametrize("levels, jumps", [
+    ((0.5,), (1.0,)), ((0.5, 0.1, 0.3), (1.0,)), ((), ()),
+    ((0.5, -0.1), (1.0,)), ((0.5, 0.1, 0.3), (2.0, 2.0)), ((0.5, 0.1, 0.3), (2.0, 1.0))],
+    ids=["too_few_levels", "too_many_levels", "no_level", "negative_level",
+         "repeated_jump", "falling_jumps"])
+def test_malformed_schedule_rejected(levels, jumps):
     with pytest.raises(ConfigurationError):
-        ControlSchedule(segments=(ControlSegment(0.0, 1.0, 0.5),
-                                  ControlSegment(1.5, 2.0, 0.5)))
+        ControlSchedule(levels, jumps)

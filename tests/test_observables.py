@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydeit.model import (BlockadeConfig, ControlSchedule, ControlSegment, ConfigurationError,
+from rydeit.model import (BlockadeConfig, ControlSchedule, ConfigurationError,
                           PulseShape, build_chain, optical_depth)
 from rydeit.dynamics import evolve
 from rydeit.observables import (CorrelationGrid, ExtractionError, ObservableTrace,
@@ -92,9 +92,7 @@ def _power_law(n_atoms):
 
 
 #: Omega_c stepped down at 6 and 9
-_STEPS = ControlSchedule(segments=(ControlSegment(0.0, 6.0, 0.5),
-                                   ControlSegment(6.0, 9.0, 0.3),
-                                   ControlSegment(9.0, 10.0, 0.1)))
+_STEPS = ControlSchedule((0.5, 0.3, 0.1), (6.0, 9.0))
 
 
 @pytest.mark.parametrize("shape, schedule", [
