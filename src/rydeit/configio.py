@@ -25,8 +25,9 @@ loader accepts and ignores; any other value of these keys and any ``dt``
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
 same format with every input resolved (the decay rates exactly, a d_b
-blockade as its r_b and v0) plus [results] and [run] records, which the
-loader skips, so ``--config manifest.ini`` re-runs the scenario identically.
+blockade as its r_b and v0, and pulse inputs no shape of the run reads at
+their defaults) plus [results] and [run] records, which the loader skips,
+so ``--config manifest.ini`` re-runs the scenario identically.
 """
 
 from __future__ import annotations
@@ -138,12 +139,12 @@ class ScenarioConfig:
         return BlockadeConfig(mode=mode, v_cap=self.v_cap)
 
     def envelope(self) -> PulseEnvelope:
-        g = self.params.gamma_mhz
+        g, cfg = self.params.gamma_mhz, self._read_by((self.pulse_shape,))
         return PulseEnvelope(shape=PulseShape(self.pulse_shape),
                              duration=time_from_ns(self.duration_ns, g),
-                             rise_time=time_from_ns(self.rise_time_ns, g),
+                             rise_time=time_from_ns(cfg.rise_time_ns, g),
                              t_on=time_from_ns(self.t_on_ns, g),
-                             fwhm=None if self.fwhm_ns is None else time_from_ns(self.fwhm_ns, g))
+                             fwhm=None if cfg.fwhm_ns is None else time_from_ns(cfg.fwhm_ns, g))
 
     def schedule(self) -> ControlSchedule:
         om = self.params.omega_c_peak
@@ -167,13 +168,21 @@ class ScenarioConfig:
         t1 = time_from_ns(self.t_on_ns + self.duration_ns + self.tail_ns, g)
         return (t0, t1)
 
+    def _read_by(self, shapes) -> "ScenarioConfig":
+        """This config with the pulse inputs none of ``shapes`` reads at their
+        defaults: only a square reads rise_time_ns, only a gaussian fwhm_ns."""
+        return replace(self, rise_time_ns=self.rise_time_ns if "square" in shapes else 0.0,
+                       fwhm_ns=self.fwhm_ns if "gaussian" in shapes else None)
+
     def resolved(self) -> "ScenarioConfig":
-        """This config with a power-law blockade given by d_b spelled as the
-        r_b and v0 it resolves to, as manifests write it."""
-        if self.blockade_mode != BlockadeMode.POWER_LAW.value or self.d_b is None:
-            return self
-        blk = self.blockade()
-        return replace(self, d_b=None, r_b=blk.r_b, v0=blk.v0)
+        """This config as manifests write it: ``_read_by`` the run's shapes (a
+        window scan's ``window_shapes``), a d_b blockade as its r_b and v0."""
+        cfg = self._read_by(self.window_shapes if self.kind == "window_scan"
+                            else (self.pulse_shape,))
+        if cfg.blockade_mode != BlockadeMode.POWER_LAW.value or cfg.d_b is None:
+            return cfg
+        blk = cfg.blockade()
+        return replace(cfg, d_b=None, r_b=blk.r_b, v0=blk.v0)
 
 
 class _Input(NamedTuple):

@@ -69,15 +69,16 @@ With D = diag(1, e, e^2) over the levels, exp(A(e) h) = D E D^-1: a step
 (``_tri_apply``) is the level-diagonal part of E, then the blocks one level
 apart times e and the block two apart times e^2, nothing divided by e,
 which may underflow to 0.  So a square pulse's plateau (e = 1) and tail
-(e = 0) share one exponential and its giant-step power, which ``evolve``
-keeps for one call.  Above the cap a stretch, and a Magnus factor, takes
-the action of the exponential of the folded CSR S + Omega_c W + e F
-(``_action_powers``, ``_TaylorAction``).  ``evolve`` records the sample
+(e = 0) share one exponential and the giant-step power it keeps, which
+``evolve`` keeps for one call.  Above the cap a stretch, and a Magnus
+factor, takes the action of the exponential of the folded CSR
+S + Omega_c W + e F (``_action_powers``, ``_TaylorAction``).  ``evolve`` records the sample
 where each segment starts (``StateTrajectory.segment_starts``), and a
 correlation grid steps the undriven singles by exp(M1 h) at each
-segment's Omega_c and sample step h (``SinglesPropagator``).
+segment's Omega_c and sample step h; that exponential and the turn-off
+decays' come from ``SinglesPropagator``, the one cache of undriven ones.
 
-That exponential is this module's ``expm``.  The model is cascaded
+Each exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
 it, so the strongly connected components of the generator's nonzero
 pattern, in topological order (``_cascade_order``), make it block lower
@@ -102,33 +103,32 @@ the rows out_e and a2vec, all a time trace reads, and with ``grid`` also the
 singles and the rows of ann, all a correlation grid reads (42 rows on the
 default emulate-hbt device, against 176 dimensions).  The projections of an
 exponential stretch, and the turn-off scans' c P^k y (k = 1..n) of one block
-evolving alone with P = exp(M h) (``decay_steps``), come from
+evolving alone with P = exp(M h) (``decay``), come from
 ``_projected_powers`` by baby and giant steps (after Paterson and
 Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1, the rows
 C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
 (ceil(n/m) x d)(d x m c) product, and the end state is the last column
-advanced by at most m - 1 steps.  A turn-off point builds one singles P
-and goes on from that end state over each longer horizon it needs, and
-stops once the end state's norm bounds every later sample under the half
-level: the undriven singles contract (``scenarios._turnoff_point``).
+advanced by at most m - 1 steps, from which a turn-off point goes on over
+each longer horizon it needs (``scenarios._turnoff_point``).
 
-An ``expm`` propagator P gives P^m by log2 m squarings (``_tri_mul``), and
-a step is one triangular matvec (``_tri_apply``); m is the power of two
-that minimizes the cost in matvecs (``_giant_step``, ``SQUARE_KAPPA``):
-m = 16 for a turn-on point (d ~ 1,001, n = 2,500, c = 2) and m = 2 for the
-replica (d = 1,625, n = 490 and 600).  A turn-off doubles block above
-``DECAY_DENSE_DOUBLES``, and any operator above ``EXPM_MAX_DIM``, never
-becomes dense (``_action_powers``): baby rows and giant columns advance by
-the action of the exponential (``_TaylorAction``, a truncated Taylor series
-after Al-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m chosen
-from the planned matvecs of those actions.
+An ``expm`` propagator P keeps P^m, log2 m squarings (``_tri_mul``) once per
+m (``TriangularExp.power``), and a step is one triangular matvec
+(``_tri_apply``); m is the power of two that minimizes the cost in matvecs
+(``_giant_step``, ``SQUARE_KAPPA``): m = 16 for a turn-on point (d ~ 1,001,
+n = 2,500, c = 2) and m = 2 for the replica (d = 1,625, n = 490 and 600).
+A turn-off doubles block above ``DECAY_DENSE_DOUBLES``, and any operator
+above ``EXPM_MAX_DIM``, never becomes dense (``_action_powers``): baby rows
+and giant columns advance by the action of the exponential
+(``_TaylorAction``, a truncated Taylor series after Al-Mohy and Higham, SIAM
+J. Sci. Comput. 33:488, 2011), with m chosen from the planned matvecs of
+those actions.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -146,7 +146,7 @@ SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 #: Largest stacked dimension for which the exponential is a dense matrix
-#: (memory bound; above it ``propagate_segment`` and ``decay_steps`` take the
+#: (memory bound; above it ``propagate_segment`` and ``decay`` take the
 #: Taylor action).
 EXPM_MAX_DIM = 2600
 
@@ -416,6 +416,7 @@ class TriangularExp:
     bounds: np.ndarray
     levels: tuple = ()
     lift: tuple = ()            # (rows, cols, power of e, block) per level-crossing block
+    powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # m: P^m
 
     @cached_property
     def reach(self) -> int:
@@ -447,12 +448,14 @@ class TriangularExp:
 
     def power(self, m: int) -> TriangularExp:
         """P^m for a power of two m: log2 m squarings (``_tri_squarings``) of
-        the joined P, split like P.  At unit drive one power serves every
-        drive level e, since D P^m D^-1 = (D P D^-1)^m."""
+        the joined P, split like P, once per m (``powers``).  At unit drive
+        one power serves every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
         if m == 1:
             return self
-        x = _tri_squarings(self.joined(), m.bit_length() - 1, self.bounds)
-        return TriangularExp(x, self.perm, self.bounds).split(self.levels)
+        if m not in self.powers:
+            x = _tri_squarings(self.joined(), m.bit_length() - 1, self.bounds)
+            self.powers[m] = TriangularExp(x, self.perm, self.bounds).split(self.levels)
+        return self.powers[m]
 
     def dense(self) -> np.ndarray:
         """exp(a) as a dense matrix: tri joined, transposed and permuted back."""
@@ -721,8 +724,8 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
         y = z[:len(y)]
         proj[-1] = project @ y
     elif len(y) <= EXPM_MAX_DIM:
-        power = partial(_unit_exp, cache, gen, om, h_out, dtype)
-        proj, y = _dense_powers(power(1), y, n_out, project, ramp[0], power)
+        proj, y = _dense_powers(_unit_exp(cache, gen, om, h_out, dtype), y, n_out, project,
+                                ramp[0])
     else:
         s, w, f = gen.stacked
         proj, y = _action_powers(s + om * w + ramp[0] * f, h_out, y, n_out, project)
@@ -731,21 +734,16 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     return y
 
 
-def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float, dtype: np.dtype,
-              m: int = 1) -> TriangularExp:
-    """exp(A(1) tau)^m in ``dtype`` for a power of two m, with exp(A(1) tau)
-    the unit-drive exponential of ``gen.stacked`` (S, W, F) at control
-    ``omega``, each once per (omega, tau, dtype, m) in ``cache``, split at
-    the levels and read-only (``TriangularExp.split``); the power by
-    ``TriangularExp.power``."""
-    key = (round(omega, 15), round(tau, 15), dtype, m)
+def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float,
+              dtype: np.dtype) -> TriangularExp:
+    """exp(A(1) tau) in ``dtype``, the unit-drive exponential of ``gen.stacked``
+    (S, W, F) at control ``omega``, once per (omega, tau, dtype) in ``cache``,
+    split at the levels and read-only (``TriangularExp.split``)."""
+    key = (round(omega, 15), round(tau, 15), dtype)
     if key not in cache:
-        if m == 1:
-            s, w, f = gen.stacked
-            p = expm(_csr((s + omega * w + f) * tau).astype(dtype))
-            cache[key] = p.split((gen.index.singles.start, gen.index.doubles.start))
-        else:
-            cache[key] = _unit_exp(cache, gen, omega, tau, dtype).power(m)
+        s, w, f = gen.stacked
+        p = expm(_csr((s + omega * w + f) * tau).astype(dtype))
+        cache[key] = p.split((gen.index.singles.start, gen.index.doubles.start))
     return cache[key]
 
 
@@ -826,34 +824,51 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
 
 #: Largest doubles block whose free decay takes the dense exponential; a
 #: larger one stays CSR and takes the Taylor action.  Over the turn-off
-#: scan's 5,000 steps (horizon 45, Omega_c = 0.05 and 0.5, one BLAS thread)
-#: dense against action took 0.027-0.038 s against 0.050-0.060 s at d = 222,
-#: 0.046-0.048 s against 0.052-0.065 s at d = 260, about even at d = 301
-#: (0.060-0.069 s against 0.055-0.067 s), 0.077-0.091 s against 0.049-0.059 s
-#: at d = 345 and 0.74-0.81 s against 0.13 s at d = 950.  The singles block
-#: is dense up to ``EXPM_MAX_DIM``: its e block is dense lower triangular, so
-#: one sparse matvec of an action costs about what a dense triangular step
-#: does, and an action step takes several.
+#: scan's 5,000 steps (one BLAS thread) dense against action took
+#: 0.027-0.038 s against 0.050-0.060 s at d = 222, about even at d = 301 and
+#: 0.74-0.81 s against 0.13 s at d = 950.  The singles are dense up to
+#: ``EXPM_MAX_DIM``: their e block is dense lower triangular, so one sparse
+#: matvec costs about a dense triangular step, and an action step takes several.
 DECAY_DENSE_DOUBLES = 300
 
 
-def decay_steps(gen: Generator, omega: float, h: float, doubles: bool = False):
-    """The steps of P = exp(M h) for the singles block M, or with ``doubles``
-    the doubles block, evolving alone: the probe is off, so no block is
-    sourced, and the control stays at ``omega``.  The result maps
-    (y, n_out, project), ``project`` a c x d covector stack, to
-    (``project @ P^k @ y`` for k = 1..n_out, shape (n_out, c), and the end
-    state P^n_out y, from which a later call goes on).  These are projected
-    powers by baby and giant steps
-    (``_projected_powers``).  The singles block under ``EXPM_MAX_DIM``, and a
-    doubles block up to ``DECAY_DENSE_DOUBLES``, take P once from ``expm``
-    (``_dense_powers``); a larger block stays CSR and takes the actions of P
-    and P^m (``_action_powers``)."""
-    m = gen.m2(omega) if doubles else gen.m1(omega)
-    d = m.shape[0]
-    if d <= EXPM_MAX_DIM and (not doubles or d <= DECAY_DENSE_DOUBLES):
-        return partial(_dense_powers, expm(m * h))
-    return partial(_action_powers, _csr(m), h)
+@dataclass
+class SinglesPropagator:
+    """The undriven propagator of the singles block M1(Omega_c), or with
+    ``doubles`` of the doubles block M2(Omega_c), d x/dt = M x at constant
+    Omega_c with the probe off: the cache of every undriven exponential, of
+    the turn-off decays (``decay``) and of a correlation grid's segments."""
+
+    gen: Generator
+    doubles: bool = False
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def block(self, omega: float):
+        """M at control ``omega``: M1 dense, M2 as CSR."""
+        return self.gen.m2(omega) if self.doubles else self.gen.m1(omega)
+
+    def step(self, omega: float, h: float, dtype=None) -> TriangularExp:
+        """exp(M(``omega``) ``h``) in ``dtype`` (the generator's by default), read-only."""
+        dtype = np.dtype(self.gen.dtype if dtype is None else dtype)
+        key = (round(omega, 15), round(h, 15), dtype)
+        if key not in self.cache:
+            self.cache[key] = expm((self.block(omega) * h).astype(dtype, copy=False)).split(())
+        return self.cache[key]
+
+
+def decay(prop: SinglesPropagator, omega: float, h: float, y: np.ndarray, n_out: int,
+          project: np.ndarray):
+    """(``project @ P^k @ y`` for k = 1..n_out, shape (n_out, c) for a c x d
+    stack ``project``, and the end state P^n_out y, from which a later call
+    goes on), P = exp(M h) for ``prop``'s block M at control ``omega``.  The
+    singles under ``EXPM_MAX_DIM``, and doubles up to ``DECAY_DENSE_DOUBLES``,
+    step ``prop.step`` in the dtype of the generator, y and ``project``
+    (``_dense_powers``); a larger block takes Taylor actions (``_action_powers``)."""
+    d = prop.gen.index.dim_doubles if prop.doubles else prop.gen.index.dim_singles
+    if d <= EXPM_MAX_DIM and (not prop.doubles or d <= DECAY_DENSE_DOUBLES):
+        dtype = np.result_type(prop.gen.dtype, y, project)
+        return _dense_powers(prop.step(omega, h, dtype), y, n_out, project)
+    return _action_powers(_csr(prop.block(omega)), h, y, n_out, project)
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
@@ -939,20 +954,16 @@ def _giant_step(d: int, n: int, c: int) -> int:
 
 
 def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
-                  e: float = 1.0, power=None):
-    """``_projected_powers`` of an ``expm`` propagator P at drive level ``e``
-    in its cascade order and the dtype of P, y and ``project``: y and the
-    covectors are permuted once, P^m (m from ``_giant_step``) is ``power(m)``
-    (``prop.power`` by default), and the end state is permuted back; the
-    last row is ``project`` times it, to the bit."""
+                  e: float = 1.0):
+    """``_projected_powers`` of an ``expm`` propagator P, in the dtype of y
+    and ``project`` or wider, at drive level ``e`` in its cascade order: y and
+    the covectors are permuted once, P^m (m from ``_giant_step``) is
+    ``prop.power(m)``, the end state is permuted back and the last row is
+    ``project`` times it, to the bit."""
     dtype = np.result_type(prop.tri, y, project)
-    if dtype != prop.tri.dtype:         # a complex state on a real propagator
-        prop = TriangularExp(prop.joined().astype(dtype, order="F"), prop.perm,
-                             prop.bounds).split(prop.levels)
-        power = None
     m = _giant_step(len(y), n_out, len(project))
     step = partial(_tri_apply, prop, e=e)
-    proj, w = _projected_powers(step, step, partial(_tri_apply, (power or prop.power)(m), e=e),
+    proj, w = _projected_powers(step, step, partial(_tri_apply, prop.power(m), e=e),
                                 m, y.astype(dtype, copy=False)[prop.perm], n_out,
                                 project[:, prop.perm].astype(dtype, copy=False))
     y = w[np.argsort(prop.perm)]
@@ -1078,24 +1089,3 @@ def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
         keep = keep[_cascade_order(m2[keep][:, keep])[0]]
         y[k2][keep] = spla.spsolve(m2[keep][:, keep].tocsc(), rhs2[keep], permc_spec="NATURAL")
     return y
-
-
-# ---------------------------------------------------------------------------
-# the undriven singles propagator
-
-class SinglesPropagator:
-    """The undriven singles propagator of a correlation grid's segments,
-    d x/dt = M1(Omega_c) x at the segment's constant Omega_c, blind to the
-    envelope: one dense exp(M1 h) per (Omega_c, h) for the grid."""
-
-    def __init__(self, generator: Generator):
-        self.gen = generator
-        self._cache: dict = {}
-
-    def step(self, omega: float, h: float) -> np.ndarray:
-        """exp(M1(``omega``) ``h``), one sample step of a segment."""
-        key = (round(omega, 15), round(h, 15))
-        prop = self._cache.get(key)
-        if prop is None:
-            prop = self._cache[key] = expm(self.gen.m1(omega) * h).dense()
-        return prop

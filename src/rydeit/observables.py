@@ -148,7 +148,7 @@ def correlation_grid(traj: StateTrajectory, generator: Generator) -> Correlation
         # columns born at i < stop are filled at t_j, j in [max(i, s), stop)
         last = e == n - 1
         stop = e + 1 if last else e
-        p = phi.step(traj.omega_c[s], (times[e] - times[s]) / (e - s))
+        p = phi.step(traj.omega_c[s], (times[e] - times[s]) / (e - s)).dense()
         rows = np.empty((stop - s, n1), dtype=np.result_type(generator.out_e, p))
         rows[0] = generator.out_e
         for k in range(1, stop - s):

@@ -27,7 +27,8 @@ from .model import (BlockadeConfig, ConfigurationError, ControlSchedule,
 from .configio import ScenarioConfig, manifest_text
 from .counting import (emulate_trials, estimate_g2, generation_probability_from_stream,
                        generation_probability_from_trace, dlcz_compare, save_stream)
-from .dynamics import DynamicsError, assemble_generator, decay_steps, evolve, steady_state
+from .dynamics import (DynamicsError, SinglesPropagator, assemble_generator, decay, evolve,
+                       steady_state)
 from .observables import (ExtractionError, UndefinedResultError, _first_half_crossing,
                           correlation_grid, eit_peak, extract_tau0, fit_exponential_envelope,
                           measure_steady_state, spectrum_fwhm, tau_eit,
@@ -264,10 +265,11 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
     # singles retrieval over doubled horizons of one propagator, stopped by
     # the contraction bound once no crossing can follow
     h0 = max(0.4 * teit, 40.0)
-    steps = decay_steps(gen, omega_c, h0 / 6000)
+    singles = SinglesPropagator(gen)
     intens, tau_i = np.array([out["i_jump"]]), math.nan
     for attempt in range(8):
-        proj, y = steps(y, 6000 << max(attempt - 1, 0), gen.out_e[None])
+        proj, y = decay(singles, omega_c, h0 / 6000, y, 6000 << max(attempt - 1, 0),
+                        gen.out_e[None])
         intens = np.concatenate([intens, np.abs(proj[:, 0]) ** 2])
         ts = np.linspace(0.0, h0 * 2 ** attempt, len(intens))
         try:
@@ -288,8 +290,8 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
         ts = np.linspace(0.0, horizon, 5001)
         mask = (ts >= cfg.tail_fit_start) & (ts <= cfg.tail_fit_end)
         try:
-            proj, _ = decay_steps(gen, omega_c, horizon / 5000, doubles=True)(
-                ss[gen.index.doubles], 5000, gen.a2vec[None])
+            proj, _ = decay(SinglesPropagator(gen, doubles=True), omega_c, horizon / 5000,
+                            ss[gen.index.doubles], 5000, gen.a2vec[None])
             g2t = np.concatenate([[out["g2tilde_jump"]], np.abs(proj[:, 0]) ** 2])
             out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0]),
                        tail_rate_gamma=fit_exponential_envelope(ts[mask], g2t[mask]))
@@ -388,9 +390,7 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
     shape_cfg = dc_replace(cfg, pulse_shape=shape)
     if shape == "gaussian":
         # match the measured comparison: longer pulse, stated default width
-        shape_cfg = dc_replace(shape_cfg, duration_ns=1500.0,
-                               fwhm_ns=cfg.fwhm_ns or 600.0,
-                               rise_time_ns=0.0)
+        shape_cfg = dc_replace(shape_cfg, duration_ns=1500.0, fwhm_ns=cfg.fwhm_ns or 600.0)
     gen, traj, trace = _propagate(shape_cfg, grid=True)
     grid = correlation_grid(traj, gen)
     rows = []

@@ -1,0 +1,170 @@
+"""Few-atom oracle: the cascaded master equation of N <= 3 three-level atoms.
+
+Each atom has the levels g, e and r.  The chain couples to the probe in the
+forward-scattering limit (Gardiner, PRL 70:2269, 1993; Carmichael, PRL
+70:2273, 1993), with gamma_c = Gamma_1D/2 the rate into the collected mode:
+
+- a collective forward jump sqrt(gamma_c) sum_h sigma_h, sigma_h = |g><e|_h,
+  and the cascade Hamiltonian -(i gamma_c/2) sum_{m<h} (sigma_h^+ sigma_m -
+  sigma_m^+ sigma_h), so that atom h sees only the atoms upstream of it;
+- local loss sqrt(Gamma - gamma_c) sigma_h and Rydberg decay
+  sqrt(2 gamma_r) |g><r|_h on each atom;
+- the drive -sqrt(gamma_c) E (sigma_h + sigma_h^+), the control
+  Omega_c (|e><r| + |r><e|)_h and the pair shift V_hj on |r_h r_j>; a pair
+  the blockade forbids loses its rr states (full blockade deletes them all).
+
+The output is b = E + i sqrt(gamma_c) sum_h sigma_h.  The steady state is a
+sparse solve of the Liouvillian, and g2_ss = <b+ b+ b b> / <b+ b>^2 is
+Richardson-extrapolated to E -> 0 from E = 0.02 and 0.01.
+
+The weak-drive model makes each atom two bosonic modes, so its doubles keep
+the same-atom slots ee(h, h) and er(h, h) that three-level atoms cannot
+hold.  Restricted to the distinct-atom slots, (Q M2 Q^T, Q S21, Q a2vec)
+with Q the rows of the doubles whose two modes sit on different atoms, the
+production generator gives the atoms' g2_ss; with the same-atom slots kept
+it does not.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from rydeit.dynamics import assemble_generator, steady_state
+from rydeit.model import (BLOCKED, BlockadeConfig, BlockadeMode, ControlSchedule,
+                          PhysicalParams, PulseEnvelope, build_chain, interaction)
+
+G, E, R = 0, 1, 2
+OMEGA_C = 0.5
+DRIVES = (0.02, 0.01)
+
+
+def _master_equation(params, chain, blockade, omega):
+    """(g2_ss, output intensity per unit drive squared) of the atoms'
+    steady state, each Richardson-extrapolated from ``DRIVES``."""
+    n, z = chain.n_atoms, chain.z()
+    shift = {(h, j): interaction(blockade, abs(z[j] - z[h]))
+             for h in range(n) for j in range(h + 1, n)}
+    keep = [s for s in itertools.product((G, E, R), repeat=n)
+            if not any(s[h] == s[j] == R and v == BLOCKED for (h, j), v in shift.items())]
+    at = {s: i for i, s in enumerate(keep)}
+    d = len(keep)
+
+    def op(h, to, frm):
+        """|to><frm| on atom h, between the kept states."""
+        m = np.zeros((d, d))
+        for i, s in enumerate(keep):
+            t = s[:h] + (to,) + s[h + 1:]
+            if s[h] == frm and t in at:
+                m[at[t], i] = 1.0
+        return m
+
+    sig = [op(h, G, E) for h in range(n)]
+    gc = 0.5 * params.gamma_1d
+    h0 = np.zeros((d, d), dtype=complex)
+    for h in range(n):
+        h0 += -params.delta_e * op(h, E, E) - params.delta_2 * op(h, R, R)
+        h0 += omega * (op(h, E, R) + op(h, R, E))
+        for m in range(h):
+            h0 += -0.5j * gc * (sig[h].T @ sig[m] - sig[m].T @ sig[h])
+    for (h, j), v in shift.items():
+        if v != BLOCKED:
+            h0 += v * op(h, R, R) @ op(j, R, R)
+    jumps = [math.sqrt(gc) * sum(sig)] + [math.sqrt(params.gamma_total - gc) * s for s in sig]
+    jumps += [math.sqrt(2.0 * params.gamma_r) * op(h, G, R) for h in range(n)]
+    drive = -math.sqrt(gc) * sum(s + s.T for s in sig)
+    eye = np.eye(d)
+    trace_row = eye.reshape(-1)
+    g2, inten = [], []
+    for e in DRIVES:
+        # d rho/dt = -i H_eff rho + i rho H_eff^+ + sum L rho L^+ on the
+        # row-major vec(rho); the ground population's row becomes tr rho = 1
+        heff = h0 + e * drive - 0.5j * sum(l.conj().T @ l for l in jumps)
+        lv = -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj())
+        for l in jumps:
+            lv += np.kron(l, l.conj())
+        lv[0] = trace_row
+        rho = spla.spsolve(sp.csc_matrix(lv), np.eye(1, d * d, dtype=complex)[0]).reshape(d, d)
+        b = e * eye + 1j * math.sqrt(gc) * sum(sig)
+        one = np.trace(b @ rho @ b.conj().T).real
+        two = np.trace(b @ b @ rho @ (b @ b).conj().T).real
+        g2.append(two / one ** 2)
+        inten.append(one / e ** 2)
+    return tuple((4.0 * x[1] - x[0]) / 3.0 for x in (g2, inten))
+
+
+def _model(params, chain, blockade, omega):
+    """(g2_ss of the model as built, g2_ss of its distinct-atom restriction,
+    steady output intensity |1 + f|^2), from the steady singles psi1 of
+    ``steady_state``: g2_ss = |1 + 2 f + a2|^2 / |1 + f|^4, f = out_e psi1
+    and a2 = a2vec psi2."""
+    gen = assemble_generator(params, chain, blockade, ControlSchedule.constant(omega),
+                             PulseEnvelope(duration=10.0))
+    idx = gen.index
+    k1, k2 = idx.singles, idx.doubles
+    ss = steady_state(gen, omega)
+    f = gen.out_e @ ss[k1]
+    a, b = idx.mode_pairs()
+    q = np.flatnonzero(a % idx.n_atoms != b % idx.n_atoms)
+    m2 = gen.m2(omega)[q][:, q].toarray()
+    s21 = gen.stacked[2][k2, k1][q].toarray()
+    psi2 = np.linalg.solve(m2, -(s21 @ ss[k1])) if len(q) else np.zeros(0)
+    inten = abs(1.0 + f) ** 2
+    return tuple(abs(1.0 + 2.0 * f + a2) ** 2 / inten ** 2
+                 for a2 in (gen.a2vec @ ss[k2], gen.a2vec[q] @ psi2)) + (inten,)
+
+
+#: devices at Omega_c = 0.5 under full blockade, with g2_ss to 4 decimals:
+#: (Gamma_1D/Gamma', gamma_r, N, current model, atoms)
+FULL_ROWS = [(0.2, 0.0, 1, 0.9724, 1.0000), (0.2, 0.0, 3, 0.8014, 0.8531),
+             (1.0, 0.05, 3, 0.1744, 0.2019)]
+
+
+@pytest.mark.parametrize("ratio, gamma_r, n, current, atoms", FULL_ROWS)
+def test_full_blockade_atoms_are_the_distinct_atom_doubles(ratio, gamma_r, n, current, atoms):
+    params = PhysicalParams.from_ratio(ratio, omega_c_peak=OMEGA_C, gamma_r=gamma_r)
+    chain, blockade = build_chain(n), BlockadeConfig.fully_blockaded()
+    g2, inten = _master_equation(params, chain, blockade, OMEGA_C)
+    model, distinct, model_inten = _model(params, chain, blockade, OMEGA_C)
+    # the singles agree: the atoms' output intensity is the model's
+    assert inten == pytest.approx(model_inten, abs=1e-6)
+    assert g2 == pytest.approx(distinct, abs=1e-6)
+    assert g2 == pytest.approx(atoms, abs=5e-5)
+    # the same-atom slots move g2_ss: by 0.028-0.052 on these rows
+    assert model == pytest.approx(current, abs=5e-5)
+    assert abs(model - g2) > 0.02
+
+
+#: power-law devices on the three atoms at z = 1/6, 1/2, 5/6: every pair
+#: shifted (V = 4.84, 0.076, 4.84) at r_b = 0.45, and the nearest pairs
+#: blockaded (V > v_cap) with the outer one shifted by 0.43 at r_b = 0.6
+POWER_LAW = [BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=r_b, v0=0.8, v_cap=5.0)
+             for r_b in (0.45, 0.6)]
+
+
+@pytest.mark.parametrize("blockade", POWER_LAW, ids=["shifted", "partly_blockaded"])
+@pytest.mark.parametrize("ratio, gamma_r", [(0.2, 0.0), (1.0, 0.05)])
+def test_power_law_atoms_are_the_distinct_atom_doubles(blockade, ratio, gamma_r):
+    params = PhysicalParams.from_ratio(ratio, omega_c_peak=OMEGA_C, gamma_r=gamma_r)
+    chain = build_chain(3)
+    g2, _ = _master_equation(params, chain, blockade, OMEGA_C)
+    model, distinct, _ = _model(params, chain, blockade, OMEGA_C)
+    assert g2 == pytest.approx(distinct, abs=1e-6)
+    assert abs(model - g2) > 0.05
+
+
+@pytest.mark.parametrize("n, atoms", [(2, 0.9907), (3, 0.9853)])
+def test_interaction_free_atoms_are_not_coherent(n, atoms):
+    # without blockade the bosonic model is a linear medium, g2_ss = 1;
+    # three-level atoms with Rydberg decay are not, and their g2_ss is again
+    # the distinct-atom restriction's
+    params = PhysicalParams.from_ratio(1.0, omega_c_peak=OMEGA_C, gamma_r=0.05)
+    chain, blockade = build_chain(n), BlockadeConfig.none()
+    g2, _ = _master_equation(params, chain, blockade, OMEGA_C)
+    model, distinct, _ = _model(params, chain, blockade, OMEGA_C)
+    assert model == pytest.approx(1.0, abs=1e-12)
+    assert g2 == pytest.approx(distinct, abs=1e-6)
+    assert g2 == pytest.approx(atoms, abs=5e-5)

@@ -59,3 +59,28 @@ def test_traced_propagate_times_the_cascade_exponential(tmp_path, monkeypatch):
     assert metrics["dynamics.expm.n3"] == calls * dim ** 3
     import rydeit.dynamics
     assert rydeit.dynamics.expm.__module__ == "rydeit.dynamics"
+
+
+def test_traced_turnoff_times_the_decays_as_a_layer(tmp_path, monkeypatch):
+    # a one-point turn-off scan: the singles and doubles decays run through
+    # the public dynamics.decay and the cached SinglesPropagator.step, so
+    # the tracer charges their stepping to dynamics and the scenario's own
+    # code keeps under half of the runner's time
+    (tmp_path / "point.ini").write_text("[scan]\nd_list = 1.8\nomega_c_list = 0.5\n")
+    timing = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "trace", str(timing), "--",
+         "scan-turnoff", "--config", "point.ini", "--threads", "1",
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(timing.read_text())["spans"]
+    names = {s[0] for s in spans}
+    for layer in ("dynamics.decay", "dynamics.SinglesPropagator.step"):
+        assert layer in names, layer
+    monkeypatch.syspath_prepend(str(BENCH))
+    metrics = importlib.import_module("layers").per_layer(spans)
+    assert metrics["scenarios.points"] == 1
+    assert metrics["scenarios.self_s"] < 0.5 * metrics["scenarios.runner.s"], metrics

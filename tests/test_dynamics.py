@@ -14,7 +14,7 @@ from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule,
                           time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, _TaylorAction,
                              _cascade_order, _csr, _giant_step, _ramp_powers, assemble_generator,
-                             decay_steps, evolve, expm, propagate_segment, singles_blocks,
+                             decay, evolve, expm, propagate_segment, singles_blocks,
                              steady_state, steady_transmission_amplitude)
 from rydeit.observables import trace_from_trajectory
 from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4_segment,
@@ -362,21 +362,22 @@ def test_tri_apply_at_a_drive_level(power_law, level):
 @pytest.mark.parametrize("shape, duration", [(PulseShape.GAUSSIAN, 10.0),
                                              (PulseShape.SQUARE, 100.0)])
 def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
-    # the unit-drive propagators a run caches are split once and read-only:
-    # the gaussian's Magnus levels and the square's tail (e = 0) step them at
-    # other levels, and they stay bit-equal to what the cache first held (the
-    # gaussian caches the Magnus factor and the tail's step, the square its
-    # step and the step's giant-step power, m = 4 over its 200 samples)
+    # the unit-drive propagators a run caches, and the powers they keep, are
+    # split once and read-only: the gaussian's Magnus levels and the
+    # square's tail (e = 0) step them at other levels, and they stay
+    # bit-equal to what the split first made (the gaussian caches the Magnus
+    # factor and the tail's step, the square its step and the step's
+    # giant-step power, m = 4 over its 200 samples)
     import rydeit.dynamics as dynamics
     seen = {}
-    real = dynamics._unit_exp
+    real = dynamics.TriangularExp.split
 
-    def spy(*args):
-        p = real(*args)
+    def spy(self, levels):
+        p = real(self, levels)
         seen.setdefault(id(p), (p, [x.copy() for x in (p.tri, *(b for *_, b in p.lift))]))
         return p
 
-    monkeypatch.setattr(dynamics, "_unit_exp", spy)
+    monkeypatch.setattr(dynamics.TriangularExp, "split", spy)
     gen = make_generator(n_atoms=4, shape=shape, duration=duration)
     evolve(gen, (0.0, duration + 4.0), dt_out=0.5)
     assert len(seen) == 2
@@ -432,9 +433,9 @@ def test_each_stretch_takes_its_route(monkeypatch):
     dense = []
     real_dense = dynamics._dense_powers
 
-    def counted_dense(prop, y, n_out, project, e=1.0, power=None):
+    def counted_dense(prop, y, n_out, project, e=1.0):
         dense.append(n_out)
-        return real_dense(prop, y, n_out, project, e, power)
+        return real_dense(prop, y, n_out, project, e)
 
     monkeypatch.setattr(dynamics, "_dense_powers", counted_dense)
     calls = _count_expm(monkeypatch)
@@ -559,7 +560,7 @@ def test_singles_propagator_one_exponential_per_step(monkeypatch):
     prop = SinglesPropagator(gen)
     pre, plateau, tail = (prop.step(0.5, h) for h in (0.5, 0.5, 0.25))
     assert len(calls) == 2 and plateau is pre
-    np.testing.assert_allclose(tail, _scipy_expm(gen.m1(0.5) * 0.25), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(tail.dense(), _scipy_expm(gen.m1(0.5) * 0.25), rtol=0, atol=1e-13)
 
 
 def test_short_constant_stretch_takes_the_exponential(monkeypatch):
@@ -579,7 +580,7 @@ def test_short_constant_stretch_takes_the_exponential(monkeypatch):
 @pytest.mark.parametrize("doubles, horizon", [(False, 40.0), (True, 10.0)])
 @pytest.mark.parametrize("n_out", [1, 2, 63, 64, 65, 5000, 6001])
 def test_free_decay_matches_step_loop(doubles, horizon, n_out):
-    # the free decay of one block (decay_steps) splits the powers into baby
+    # the free decay of one block (decay) splits the powers into baby
     # and giant steps; the reference is the plain loop y <- P y, projected on
     # one covector and on a 2-row stack of it and a random covector
     _check_free_decay_against_loop(make_generator(n_atoms=10, omega_c=0.5), doubles,
@@ -608,12 +609,12 @@ def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
     for k in range(n_out):
         y = prop @ y
         ref[k] = stack @ y
-    steps = decay_steps(gen, 0.5, horizon / n_out, doubles)
-    got, end = steps(y0, n_out, project[None])
+    prop = SinglesPropagator(gen, doubles)
+    got, end = decay(prop, 0.5, horizon / n_out, y0, n_out, project[None])
     assert got.shape == (n_out, 1)
     assert np.max(np.abs(got[:, 0] - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref[:, 0]))
     assert np.max(np.abs(end - y)) <= 1e-12 * np.max(np.abs(y))
-    got, _ = steps(y0, n_out, stack)
+    got, _ = decay(prop, 0.5, horizon / n_out, y0, n_out, stack)
     assert got.shape == (n_out, 2)
     for r in range(2):
         assert np.max(np.abs(got[:, r] - ref[:, r])) <= 1e-12 * np.max(np.abs(ref[:, r]))
@@ -629,11 +630,11 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
     y0, project = (ss[1 + n1:], gen.a2vec) if doubles else (ss[1:1 + n1], gen.out_e)
     stack = np.stack([project, np.conj(project)])
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
-    steps = decay_steps(gen, 0.5, 0.1, doubles)
-    got, _ = steps(y0, 20, stack)
+    prop = SinglesPropagator(gen, doubles)
+    got, _ = decay(prop, 0.5, 0.1, y0, 20, stack)
     assert got.shape == (20, 2)
     for r in range(2):
-        one, _ = steps(y0, 20, stack[r:r + 1])
+        one, _ = decay(prop, 0.5, 0.1, y0, 20, stack[r:r + 1])
         assert np.max(np.abs(got[:, r:r + 1] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
@@ -646,10 +647,11 @@ def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
     assert gen.index.dim_doubles == 155 <= dynamics.DECAY_DENSE_DOUBLES
     y0 = steady_state(gen, omega_c=0.5)[1 + gen.index.dim_singles:]
     calls = _count_expm(monkeypatch)
-    dense, _ = decay_steps(gen, 0.5, 45.0 / 5000, True)(y0, 5000, gen.a2vec[None])
+    dense, _ = decay(SinglesPropagator(gen, True), 0.5, 45.0 / 5000, y0, 5000, gen.a2vec[None])
     assert calls == [(155, 155)]
     monkeypatch.setattr(dynamics, "DECAY_DENSE_DOUBLES", 154)
-    action, _ = decay_steps(gen, 0.5, 45.0 / 5000, True)(y0, 5000, gen.a2vec[None])
+    action, _ = decay(SinglesPropagator(gen, True), 0.5, 45.0 / 5000, y0, 5000,
+                      gen.a2vec[None])
     assert calls == [(155, 155)]
     assert np.max(np.abs(dense - action)) <= 1e-12 * np.max(np.abs(action))
 
@@ -658,20 +660,56 @@ def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
 def test_decay_steps_continue_from_the_end_state(monkeypatch, doubles, cap):
     # the steps of one propagator, continued from the end state of a first
     # call, give the samples of one call over the whole span, on the dense
-    # route and (above the cap) by the Taylor action
+    # route and (above the cap) by the Taylor action; like a turn-off point,
+    # the three calls share one cached exponential on the dense route
     import rydeit.dynamics as dynamics
     if cap is not None:
         monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", cap)
     gen = make_generator(n_atoms=6, omega_c=0.25)
     ss, n1 = steady_state(gen, omega_c=0.25), gen.index.dim_singles
     y0, project = (ss[1 + n1:], gen.a2vec) if doubles else (ss[1:1 + n1], gen.out_e)
-    steps = decay_steps(gen, 0.25, 0.01, doubles)
-    whole, end = steps(y0, 3000, project[None])
-    first, y = steps(y0, 1000, project[None])
-    rest, y = steps(y, 2000, project[None])
+    calls = _count_expm(monkeypatch)
+    prop = SinglesPropagator(gen, doubles)
+    whole, end = decay(prop, 0.25, 0.01, y0, 3000, project[None])
+    first, y = decay(prop, 0.25, 0.01, y0, 1000, project[None])
+    rest, y = decay(prop, 0.25, 0.01, y, 2000, project[None])
+    assert calls == ([] if cap else [(len(y0),) * 2])
     got = np.concatenate([first, rest])
     assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
     assert np.max(np.abs(y - end)) <= 1e-12 * np.max(np.abs(end))
+
+
+def test_complex_stack_on_a_real_generator_takes_one_complex_exponential(monkeypatch):
+    # a complex covector stack on a real device steps a complex propagator,
+    # built once and cached beside the real one; the real stack's call
+    # still takes the real one
+    gen = make_generator(n_atoms=4, omega_c=0.5)
+    assert gen.dtype == np.float64
+    y0 = steady_state(gen, omega_c=0.5)[1:1 + gen.index.dim_singles]
+    stack = np.stack([gen.out_e, 1j * gen.out_e])
+    calls = _count_expm(monkeypatch)
+    prop = SinglesPropagator(gen)
+    first, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
+    again, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
+    assert len(calls) == 1
+    assert prop.step(0.5, 0.1, complex).tri.dtype == np.complex128
+    assert len(calls) == 1
+    assert np.array_equal(first, again) and first.dtype == np.complex128
+    real, _ = decay(prop, 0.5, 0.1, y0, 300, gen.out_e[None])
+    assert len(calls) == 2 and prop.step(0.5, 0.1).tri.dtype == np.float64
+    assert np.max(np.abs(real[:, 0] - first[:, 0])) <= 1e-14 * np.max(np.abs(real))
+
+
+def test_power_is_kept_by_its_propagator():
+    # P^m is squared once per m and kept read-only by P; a second call
+    # returns the same object, and P^1 is P
+    gen = make_generator(n_atoms=4, omega_c=0.5)
+    p = SinglesPropagator(gen).step(0.5, 0.2)
+    p4 = p.power(4)
+    assert p.power(4) is p4 and p.power(1) is p
+    assert not p4.tri.flags.writeable and not p.tri.flags.writeable
+    np.testing.assert_allclose(p4.dense(), np.linalg.matrix_power(p.dense(), 4),
+                               rtol=0, atol=1e-14)
 
 
 def test_giant_step_cost_rule():
@@ -797,7 +835,7 @@ def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
     ss = steady_state(gen, omega_c=0.5)
     assert ss.dtype == want
     for doubles, y, row in ((False, ss[1:1 + n1], gen.out_e), (True, ss[1 + n1:], gen.a2vec)):
-        proj, end = decay_steps(gen, 0.5, 0.1, doubles)(y, 50, row[None])
+        proj, end = decay(SinglesPropagator(gen, doubles), 0.5, 0.1, y, 50, row[None])
         assert proj.dtype == want and end.dtype == want
 
 
@@ -1115,7 +1153,7 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
 @pytest.mark.parametrize("n_out", [255, 256, 257])
 @pytest.mark.parametrize("c", [1, 2, "singles"])
 def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
-    # the dense singles route of decay_steps, stepped in the triangular
+    # the dense singles route of decay, stepped in the triangular
     # basis, against scipy's dense propagator: one covector, two rows, and
     # the out_e row over the singles rows a correlation grid reads
     gen = _power_law_generator(n_atoms=10, omega_c=0.5)
@@ -1128,7 +1166,7 @@ def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
     m = _giant_step(n1, n_out, len(rows))
     assert m > 1 and 256 % m == 0
     ref, y_ref = _dense_loop(_scipy_expm(gen.m1(0.5) * (40.0 / n_out)), y0, n_out, rows)
-    got, end = decay_steps(gen, 0.5, 40.0 / n_out)(y0, n_out, rows)
+    got, end = decay(SinglesPropagator(gen), 0.5, 40.0 / n_out, y0, n_out, rows)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(end - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))

@@ -864,6 +864,33 @@ def test_cli_manifest_rerun_byte_identical(tmp_path):
     assert _read_csv(a / "trace.csv") == _read_csv(b / "trace.csv")
 
 
+def test_pulse_inputs_a_shape_does_not_read_are_neither_checked_nor_recorded(tmp_path):
+    # the replica preset's 10 ns edges are a square's: a 15 ns gaussian
+    # replica never reads them, so its config builds and its manifest
+    # writes the default edge; a triangle reads neither the edges nor a
+    # fwhm, and a window scan reads both for the shapes it runs
+    cfg = default_config("experiment_replica", {"shape": "gaussian", "duration_ns": 15.0})
+    assert cfg.rise_time_ns == 10.0 and cfg.envelope().rise_time == 0.0
+    text = manifest_text(cfg, {}, {})
+    assert "rise_time_ns = 10.0" not in text and "rise_time_ns = 0.0" in text
+    tri = default_config("propagate", {"shape": "triangular_neg", "rise_time_ns": 100.0,
+                                       "fwhm_ns": 300.0})
+    assert (tri.resolved().rise_time_ns, tri.resolved().fwhm_ns) == (0.0, None)
+    assert tri.envelope().fwhm is None
+    win = default_config("window_scan", {"rise_time_ns": 5.0, "fwhm_ns": 500.0})
+    assert win.resolved() == win
+    square_only = default_config("window_scan", {"fwhm_ns": 500.0, "shapes": ("square",)})
+    assert square_only.resolved().fwhm_ns is None
+    # and a re-run from the gaussian replica's manifest writes the same bytes
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["replica", "--shape", "gaussian", "--duration-ns", "15", "--n-atoms", "4",
+                 "--out", str(a)]) == 0
+    assert "rise_time_ns = 10.0" not in (a / "manifest.ini").read_text()
+    assert main(["replica", "--config", str(a / "manifest.ini"), "--out", str(b)]) == 0
+    for name in ("spectrum.csv", "pulse.csv", "g2.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_cli_emulate_hbt_outputs(tmp_path):
     out = tmp_path / "hbt"
     rc = main(["emulate-hbt", "--d", "1.8", "--duration-ns", "300",
