@@ -16,11 +16,12 @@ flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
 unknown override key, an override of the wrong type and an input out of
 its range (n_in, dt_out_ns, n_points, seed, threads, delta_t_list_ns,
-n_trials, rel_tol, tail_fit_start and tail_fit_end, the efficiencies) are
-ConfigurationErrors. Manifests of earlier versions hold ``[integration]
-method = auto`` and ``[chain] length = 1.0`` and ``k_p = 1.0``, which the
-loader accepts and ignores; any other value of these keys and any ``dt``
-(retired with the fixed-step integrator) are ConfigurationErrors.
+n_trials, rel_tol, d_target, d_list, omega_c_list, tail_fit_start and
+tail_fit_end, the efficiencies) are ConfigurationErrors. Manifests of
+earlier versions hold ``[integration] method = auto`` and ``[chain] length
+= 1.0`` and ``k_p = 1.0``, which the loader accepts and ignores; any other
+value of these keys and any ``dt`` (retired with the fixed-step
+integrator) are ConfigurationErrors.
 
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
@@ -349,6 +350,8 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
                      ("seed >= 0", cfg.seed >= 0), ("threads >= 1", cfg.threads >= 1),
                      ("delta_t_list_ns > 0", all(t > 0 for t in cfg.delta_t_list_ns)),
                      ("n_trials >= 1", cfg.n_trials >= 1), ("rel_tol > 0", cfg.rel_tol > 0),
+                     ("d_list > 0", all(d > 0 for d in cfg.d_list)),
+                     ("omega_c_list > 0", all(om > 0 for om in cfg.omega_c_list)),
                      ("0 <= tail_fit_start < tail_fit_end",
                       0 <= cfg.tail_fit_start < cfg.tail_fit_end)):
         if not ok:

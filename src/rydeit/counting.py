@@ -239,11 +239,10 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
 
     # pair sector on the correlation grid
     pair_density = e0sq ** 2 * grid.g2_matrix
-    mu2 = float(np.trapezoid(np.trapezoid(pair_density, grid.times, axis=1), grid.times))
-    p_pair = 0.5 * mu2
+    rho = np.trapezoid(pair_density, grid.times, axis=1)    # the pair marginal
+    p_pair = 0.5 * float(np.trapezoid(rho, grid.times))
 
     # subtract the pair marginal from the singles density
-    rho = np.trapezoid(pair_density, grid.times, axis=1)
     lam_single = np.clip(lam - rho, 0.0, None)
     p_single = float(np.trapezoid(lam_single, trace.times))
     clip = float(np.trapezoid(np.maximum(rho - lam, 0.0), trace.times))

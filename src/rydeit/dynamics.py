@@ -62,21 +62,23 @@ measured the same at v_max = 68 and 385).  Each factor is an exact
 exponential of the lifted generator, so in a linear medium the doubles stay
 the pair of the singles and g2 = 1 to rounding.
 
-Under ``EXPM_MAX_DIM`` the exponential is E = exp(A(1) h) at unit drive,
-of the CSR S + Omega_c W + F, once per (Omega_c, step h), split once at the
-levels [ground; singles; doubles] and read-only (``TriangularExp.split``).
-With D = diag(1, e, e^2) over the levels, exp(A(e) h) = D E D^-1: a step
-(``_tri_apply``) is the level-diagonal part of E, then the blocks one level
-apart times e and the block two apart times e^2, nothing divided by e,
-which may underflow to 0.  So a square pulse's plateau (e = 1) and tail
-(e = 0) share one exponential and the giant-step power it keeps, which
-``evolve`` keeps for one call.  Above the cap a stretch, and a Magnus
-factor, takes the action of the exponential of the folded CSR
-S + Omega_c W + e F (``_action_powers``, ``_TaylorAction``).  ``evolve`` records the sample
-where each segment starts (``StateTrajectory.segment_starts``), and a
-correlation grid steps the undriven singles by exp(M1 h) at each
-segment's Omega_c and sample step h; that exponential and the turn-off
-decays' come from ``SinglesPropagator``, the one cache of undriven ones.
+``Generator.operator`` alone sums S + Omega_c W + e F, on the stacked
+layout or its singles or doubles block.  ``SinglesPropagator``, the one
+cache of exponentials, holds one such block; on the stacked layout its
+E = exp(A(1) h), at unit drive once per (Omega_c, step h), is split at
+the levels [ground; singles; doubles] and read-only
+(``TriangularExp.split``).  With D = diag(1, e, e^2) over the levels,
+exp(A(e) h) = D E D^-1: a step (``_tri_apply``) is the level-diagonal part
+of E, then the blocks one level apart times e and the block two apart
+times e^2, nothing divided by e, which may underflow to 0.  So a square
+pulse's plateau (e = 1) and tail (e = 0), each one ``decay`` at its level,
+share one exponential and its giant-step power.  The singles and doubles
+decay undriven: after turn-off, and in a correlation grid, which steps the
+singles by exp(M1 h) at each segment's Omega_c and sample step h
+(``StateTrajectory.segment_starts``).  One ``dense`` rule picks the route:
+a block of at most ``EXPM_MAX_DIM`` slots, a doubles block of at most
+``DECAY_DENSE_DOUBLES``, steps its dense exponential, in a stretch or a
+Magnus factor; any other takes Taylor actions (``_action_powers``).
 
 Each exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
@@ -93,19 +95,18 @@ for scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
 permutes y and the covectors into cascade order once (``TriangularExp``)
 and only its end state back; no block mixes the levels, and the order
 keeps each contiguous, so they start where they do in the stacked layout.
-``steady_state``
-solves the doubles system in the same order, where LU in the natural order
-makes next to no fill.
+``steady_state`` solves the doubles system in the same order, where LU in
+the natural order makes next to no fill.
 
 ``evolve`` records only the projections C y of a covector stack C (c rows
 over the stacked layout) per sample.  ``Generator.output_covectors`` gives
 the rows out_e and a2vec, all a time trace reads, and with ``grid`` also the
 singles and the rows of ann, all a correlation grid reads (42 rows on the
-default emulate-hbt device, against 176 dimensions).  The projections of an
-exponential stretch, and the turn-off scans' c P^k y (k = 1..n) of one block
-evolving alone with P = exp(M h) (``decay``), come from
-``_projected_powers`` by baby and giant steps (after Paterson and
-Stockmeyer, SIAM J. Comput. 2:60, 1973): with k = j m + i + 1, the rows
+default emulate-hbt device, against 176 dimensions).  The projections
+C P^k y (k = 1..n) of a constant stretch with P = exp(A h) (``decay``), on
+the stacked layout or one block, come from ``_projected_powers`` by baby
+and giant steps (after Paterson and Stockmeyer, SIAM J. Comput. 2:60,
+1973): with k = j m + i + 1, the rows
 C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
 (ceil(n/m) x d)(d x m c) product, and the end state is the last column
 advanced by at most m - 1 steps, from which a turn-off point goes on over
@@ -116,9 +117,9 @@ m (``TriangularExp.power``), and a step is one triangular matvec
 (``_tri_apply``); m is the power of two that minimizes the cost in matvecs
 (``_giant_step``, ``SQUARE_KAPPA``): m = 16 for a turn-on point (d ~ 1,001,
 n = 2,500, c = 2) and m = 2 for the replica (d = 1,625, n = 490 and 600).
-A turn-off doubles block above ``DECAY_DENSE_DOUBLES``, and any operator
-above ``EXPM_MAX_DIM``, never becomes dense (``_action_powers``): baby rows
-and giant columns advance by the action of the exponential
+A propagator that is not ``dense`` never builds the matrix
+(``_action_powers``): baby rows and giant columns advance by the action of
+the exponential
 (``_TaylorAction``, a truncated Taylor series after Al-Mohy and Higham, SIAM
 J. Sci. Comput. 33:488, 2011), with m chosen from the planned matvecs of
 those actions.
@@ -145,9 +146,9 @@ from .statespace import ExcitationIndex, build_index
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
-#: Largest stacked dimension for which the exponential is a dense matrix
-#: (memory bound; above it ``propagate_segment`` and ``decay`` take the
-#: Taylor action).
+#: Largest block, in slots, whose exponential is a dense matrix (memory
+#: bound; above it ``SinglesPropagator.dense`` is false, and ``decay`` and
+#: the Magnus step take the Taylor action).
 EXPM_MAX_DIM = 2600
 
 #: The 4th-order commutator-free Magnus step (Blanes and Moan, Appl. Numer.
@@ -197,15 +198,12 @@ class Generator:
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.envelope.breakpoints()) | set(self.schedule.breakpoints())))
 
-    def m1(self, omega: float) -> np.ndarray:
-        """The singles block of S + omega W, dense."""
-        k, (s, w, _) = self.index.singles, self.stacked
-        return (s[k, k] + omega * w[k, k]).toarray()
-
-    def m2(self, omega: float) -> sp.csr_matrix:
-        """The doubles block of S + omega W."""
-        k, (s, w, _) = self.index.doubles, self.stacked
-        return s[k, k] + omega * w[k, k]
+    def operator(self, omega: float, e: float = 0.0, slots: slice | None = None) -> sp.csr_matrix:
+        """S + omega W + e F as CSR, at control ``omega`` and drive level ``e``,
+        on the stacked layout or its block ``slots`` (``index.singles`` or
+        ``index.doubles``, where F is 0): the one place the parts are summed."""
+        s, w, f = self.stacked if slots is None else (m[slots, slots] for m in self.stacked)
+        return s + omega * w + e * f
 
     def output_covectors(self, grid: bool = False) -> np.ndarray:
         """The stack [[0, out_e, 0], [0, 0, a2vec]] over the stacked layout:
@@ -689,24 +687,26 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
     return segments
 
 
-def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: int = 1, *,
-                      out: np.ndarray | None = None, cache: dict | None = None,
+def propagate_segment(prop: SinglesPropagator, y: np.ndarray, a: float, b: float,
+                      n_out: int = 1, *, out: np.ndarray | None = None,
                       project: np.ndarray | None = None) -> np.ndarray:
     """Advance the stacked vector ``y`` (length 1 + ``index.dim``) from
-    ``a`` to ``b`` in ``n_out`` equal output steps and return the state at
-    ``b``; row k of ``out``, when given, receives ``project @ y`` (c x d
-    covectors) after step k + 1.  A segment may not cross a breakpoint of
-    the envelope or the control, so Omega_c is constant on it and the
-    envelope one smooth piece.
+    ``a`` to ``b`` in ``n_out`` equal output steps under the generator of
+    the stacked propagator ``prop`` and return the state at ``b``; row k of
+    ``out``, when given, receives ``project @ y`` (c x d covectors) after
+    step k + 1.  A segment may not cross a breakpoint of the envelope or the
+    control, so Omega_c is constant on it and the envelope one smooth piece.
 
     The route follows ``PulseEnvelope.affine_on``.  A stretch of constant
-    coefficients (slope 0) takes the exact exponential at its drive level:
-    the dense unit-drive one under ``EXPM_MAX_DIM``, reused with its
-    giant-step power across calls through a ``cache`` dict kept for one
-    generator, the Taylor action above it.  So does a drive ramp (a nonzero
-    slope), through the clocked generator of ``_ramp_powers``.  The rest, a
-    gaussian envelope inside its window, takes the Magnus step
-    (``_magnus_powers``), all in the dtype of gen, ``y`` and ``project``."""
+    coefficients (slope 0), a plateau or a tail, is a ``decay`` at its drive
+    level, whose exponential ``prop`` keeps across calls.  A drive ramp (a
+    nonzero slope) takes the clocked generator of ``_ramp_powers``.  The
+    rest, a gaussian envelope inside its window, takes the Magnus step
+    (``_magnus_powers``), all in the dtype of the generator, ``y`` and
+    ``project``."""
+    gen = prop.gen
+    if prop.kind != "stacked":
+        raise ConfigurationError("propagate_segment steps the stacked propagator")
     _check_length(gen, y)
     if interior(gen.breakpoints(), a, b):
         raise DynamicsError(f"segment [{a:.6g}, {b:.6g}] crosses a breakpoint")
@@ -714,41 +714,23 @@ def propagate_segment(gen: Generator, y: np.ndarray, a: float, b: float, n_out: 
     project = np.empty((0, len(y))) if project is None else project
     dtype = np.result_type(gen.dtype, y, project)
     y, project = np.asarray(y, dtype=dtype), np.asarray(project, dtype=dtype)
-    cache = {} if cache is None else cache
     om = gen.schedule.value(a)
     ramp = gen.envelope.affine_on(a, b)
     if ramp is None:
-        proj, y = _magnus_powers(gen, om, a, h_out, n_out, y, project, cache)
+        proj, y = _magnus_powers(prop, om, a, h_out, n_out, y, project)
     elif ramp[1] != 0.0:
         proj, z = _ramp_powers(gen, om, ramp, h_out, y, n_out, project)
         y = z[:len(y)]
         proj[-1] = project @ y
-    elif len(y) <= EXPM_MAX_DIM:
-        proj, y = _dense_powers(_unit_exp(cache, gen, om, h_out, dtype), y, n_out, project,
-                                ramp[0])
     else:
-        s, w, f = gen.stacked
-        proj, y = _action_powers(s + om * w + ramp[0] * f, h_out, y, n_out, project)
+        proj, y = decay(prop, om, h_out, y, n_out, project, ramp[0])
     if out is not None:
         out[:] = proj
     return y
 
 
-def _unit_exp(cache: dict, gen: Generator, omega: float, tau: float,
-              dtype: np.dtype) -> TriangularExp:
-    """exp(A(1) tau) in ``dtype``, the unit-drive exponential of ``gen.stacked``
-    (S, W, F) at control ``omega``, once per (omega, tau, dtype) in ``cache``,
-    split at the levels and read-only (``TriangularExp.split``)."""
-    key = (round(omega, 15), round(tau, 15), dtype)
-    if key not in cache:
-        s, w, f = gen.stacked
-        p = expm(_csr((s + omega * w + f) * tau).astype(dtype))
-        cache[key] = p.split((gen.index.singles.start, gen.index.doubles.start))
-    return cache[key]
-
-
-def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: int,
-                   y: np.ndarray, project: np.ndarray, cache: dict):
+def _magnus_powers(prop: SinglesPropagator, omega: float, a: float, h_out: float,
+                   n_out: int, y: np.ndarray, project: np.ndarray):
     """The projections ``project @ y`` after each of ``n_out`` steps of
     ``h_out`` from ``a`` at control ``omega`` under a gaussian envelope, and
     the end state, by the 4th-order commutator-free Magnus step.  On the
@@ -759,11 +741,12 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
 
     with e_1, e_2 the envelope at the Gauss nodes t + c_i h (``MAGNUS_NODES``,
     ``MAGNUS_ALPHA``).  An output step takes k = ceil(h_out
-    ``MAGNUS_PER_FWHM`` / FWHM) substeps.  Under ``EXPM_MAX_DIM`` both
-    factors are the cached unit-drive exponential at h/2, and a factor is
-    one triangular matvec at its level (``_tri_apply``), which holds also
-    where the envelope underflows to 0; above it a factor is the Taylor
-    action of the folded CSR at its level."""
+    ``MAGNUS_PER_FWHM`` / FWHM) substeps.  On a ``dense`` stacked
+    propagator ``prop`` both factors are its unit-drive exponential at h/2,
+    and a factor is one triangular matvec at its level (``_tri_apply``),
+    which holds also where the envelope underflows to 0; otherwise a factor
+    is the Taylor action of the generator at its level."""
+    gen = prop.gen
     k = max(1, math.ceil(h_out * MAGNUS_PER_FWHM / gen.envelope.gaussian_fwhm - 1e-9))
     h = h_out / k
     (c1, c2), (a1, a2) = MAGNUS_NODES, MAGNUS_ALPHA
@@ -780,13 +763,12 @@ def _magnus_powers(gen: Generator, omega: float, a: float, h_out: float, n_out: 
             proj[j] = rows @ v
         return proj, v
 
-    if len(y) <= EXPM_MAX_DIM:
-        unit = _unit_exp(cache, gen, omega, 0.5 * h, y.dtype)
+    if prop.dense:
+        unit = prop.step(omega, 0.5 * h, y.dtype)
         proj, v = run(partial(_tri_apply, unit), y[unit.perm], project[:, unit.perm])
         y = v[np.argsort(unit.perm)]
     else:
-        s, w, f = gen.stacked
-        proj, y = run(lambda v, e: _TaylorAction(_csr(s + omega * w + e * f))(0.5 * h, v),
+        proj, y = run(lambda v, e: _TaylorAction(_csr(gen.operator(omega, e)))(0.5 * h, v),
                       y, project)
     proj[-1] = project @ y
     return proj, y
@@ -812,8 +794,7 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
     with zeros, and the steps are Taylor actions of B (``_action_powers``)."""
     c0, c1 = ramp
     d, k = len(y), gen.index.singles.stop
-    s, w, f = gen.stacked
-    a0 = s + omega * w + c0 * f
+    a0, f = gen.operator(omega, c0), gen.stacked[2]
     b = _csr(sp.bmat([[a0, c1 * f[:, :k], None],
                       [sp.eye(k, d), a0[:k, :k], c1 * f[:k, :1]],
                       [None, 2.0 * sp.eye(1, k), None]]))
@@ -834,41 +815,55 @@ DECAY_DENSE_DOUBLES = 300
 
 @dataclass
 class SinglesPropagator:
-    """The undriven propagator of the singles block M1(Omega_c), or with
-    ``doubles`` of the doubles block M2(Omega_c), d x/dt = M x at constant
-    Omega_c with the probe off: the cache of every undriven exponential, of
-    the turn-off decays (``decay``) and of a correlation grid's segments."""
+    """The one cache of exponentials: exp(A(1) h) of one block (``kind``) of
+    the generator at unit drive, once per (Omega_c, h, dtype), read-only,
+    with its giant-step powers.  The "stacked" layout's is split at the
+    levels to serve every drive level (``propagate_segment``); "singles"
+    (the default) and "doubles" evolve undriven (F is 0 on them)."""
 
     gen: Generator
-    doubles: bool = False
+    kind: str = "singles"
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def block(self, omega: float):
-        """M at control ``omega``: M1 dense, M2 as CSR."""
-        return self.gen.m2(omega) if self.doubles else self.gen.m1(omega)
+    @property
+    def slots(self) -> slice | None:
+        """The block's slots in the stacked layout (None: all of it)."""
+        idx = self.gen.index
+        return {"stacked": None, "singles": idx.singles, "doubles": idx.doubles}[self.kind]
+
+    @property
+    def dense(self) -> bool:
+        """Whether ``decay`` steps ``step``, not Taylor actions: at most
+        ``EXPM_MAX_DIM`` slots, and ``DECAY_DENSE_DOUBLES`` for the doubles."""
+        k = self.slots
+        d = 1 + self.gen.index.dim if k is None else k.stop - k.start
+        return d <= EXPM_MAX_DIM and (self.kind != "doubles" or d <= DECAY_DENSE_DOUBLES)
 
     def step(self, omega: float, h: float, dtype=None) -> TriangularExp:
-        """exp(M(``omega``) ``h``) in ``dtype`` (the generator's by default), read-only."""
+        """exp(A(1) ``h``) of the block at control ``omega``, in ``dtype``
+        (the generator's by default)."""
         dtype = np.dtype(self.gen.dtype if dtype is None else dtype)
         key = (round(omega, 15), round(h, 15), dtype)
         if key not in self.cache:
-            self.cache[key] = expm((self.block(omega) * h).astype(dtype, copy=False)).split(())
+            idx = self.gen.index
+            levels = (idx.singles.start, idx.doubles.start) if self.slots is None else ()
+            p = expm((self.gen.operator(omega, 1.0, self.slots) * h).astype(dtype, copy=False))
+            self.cache[key] = p.split(levels)
         return self.cache[key]
 
 
 def decay(prop: SinglesPropagator, omega: float, h: float, y: np.ndarray, n_out: int,
-          project: np.ndarray):
+          project: np.ndarray, e: float = 0.0):
     """(``project @ P^k @ y`` for k = 1..n_out, shape (n_out, c) for a c x d
     stack ``project``, and the end state P^n_out y, from which a later call
-    goes on), P = exp(M h) for ``prop``'s block M at control ``omega``.  The
-    singles under ``EXPM_MAX_DIM``, and doubles up to ``DECAY_DENSE_DOUBLES``,
-    step ``prop.step`` in the dtype of the generator, y and ``project``
-    (``_dense_powers``); a larger block takes Taylor actions (``_action_powers``)."""
-    d = prop.gen.index.dim_doubles if prop.doubles else prop.gen.index.dim_singles
-    if d <= EXPM_MAX_DIM and (not prop.doubles or d <= DECAY_DENSE_DOUBLES):
+    goes on), P = exp(A h) of ``prop``'s block at control ``omega`` and drive
+    level ``e``: the one stepper of a constant stretch.  A ``dense`` ``prop``
+    steps its ``step`` in the dtype of the generator, y and ``project``
+    (``_dense_powers``), any other Taylor actions (``_action_powers``)."""
+    if prop.dense:
         dtype = np.result_type(prop.gen.dtype, y, project)
-        return _dense_powers(prop.step(omega, h, dtype), y, n_out, project)
-    return _action_powers(_csr(prop.block(omega)), h, y, n_out, project)
+        return _dense_powers(prop.step(omega, h, dtype), y, n_out, project, e)
+    return _action_powers(_csr(prop.gen.operator(omega, e, prop.slots)), h, y, n_out, project)
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
@@ -954,7 +949,7 @@ def _giant_step(d: int, n: int, c: int) -> int:
 
 
 def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
-                  e: float = 1.0):
+                  e: float):
     """``_projected_powers`` of an ``expm`` propagator P, in the dtype of y
     and ``project`` or wider, at drive level ``e`` in its cascade order: y and
     the covectors are permuted once, P^m (m from ``_giant_step``) is
@@ -1045,12 +1040,11 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
     record[0] = project @ y
     times = [t0]
     starts = []
-    cache: dict = {}
+    prop = SinglesPropagator(generator, "stacked")
     for (a, b, n_out) in segments:
         i = len(times)
         starts.append(i - 1)
-        y = propagate_segment(generator, y, a, b, n_out, out=record[i:i + n_out],
-                              cache=cache, project=project)
+        y = propagate_segment(prop, y, a, b, n_out, out=record[i:i + n_out], project=project)
         h_out = (b - a) / n_out
         # the last sample is the breakpoint itself, so the next segment's
         # start reads the post-jump envelope and control
@@ -1081,10 +1075,11 @@ def steady_state(generator: Generator, omega_c: float) -> np.ndarray:
     k1, k2 = idx.singles, idx.doubles
     f = generator.stacked[2]
     y = np.eye(1, 1 + idx.dim, dtype=generator.dtype)[0]
-    y[k1] = _solve_singles_steady(generator.m1(omega_c), f[k1, 0].toarray().ravel())
+    y[k1] = _solve_singles_steady(generator.operator(omega_c, slots=k1).toarray(),
+                                  f[k1, 0].toarray().ravel())
     rhs2 = -(f[k2, k1] @ y[k1])
     if idx.dim_doubles > 0:
-        m2 = generator.m2(omega_c)
+        m2 = generator.operator(omega_c, slots=k2)
         keep = _unpinned(m2)
         keep = keep[_cascade_order(m2[keep][:, keep])[0]]
         y[k2][keep] = spla.spsolve(m2[keep][:, keep].tocsc(), rhs2[keep], permc_spec="NATURAL")

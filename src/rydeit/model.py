@@ -155,7 +155,9 @@ def optical_depth_for(n_atoms: int, params: PhysicalParams) -> float:
 
 
 def atoms_for_depth(d_target: float, params: PhysicalParams) -> int:
-    """Atom count whose optical depth is closest to ``d_target`` (at least 1)."""
+    """Atom count whose optical depth is closest to ``d_target`` > 0 (at least 1)."""
+    if not d_target > 0:
+        raise ConfigurationError(f"out of range: need an optical depth > 0, got {d_target!r}")
     per_atom = optical_depth_for(1, params)
     return max(1, round(d_target / per_atom))
 

@@ -290,7 +290,7 @@ def _turnoff_point(cfg: ScenarioConfig, d_target: float, omega_c: float) -> dict
         ts = np.linspace(0.0, horizon, 5001)
         mask = (ts >= cfg.tail_fit_start) & (ts <= cfg.tail_fit_end)
         try:
-            proj, _ = decay(SinglesPropagator(gen, doubles=True), omega_c, horizon / 5000,
+            proj, _ = decay(SinglesPropagator(gen, "doubles"), omega_c, horizon / 5000,
                             ss[gen.index.doubles], 5000, gen.a2vec[None])
             g2t = np.concatenate([[out["g2tilde_jump"]], np.abs(proj[:, 0]) ** 2])
             out.update(tau_ii_gamma=_first_half_crossing(ts, g2t, 0.5 * g2t[0]),

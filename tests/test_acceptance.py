@@ -228,7 +228,7 @@ def test_criterion_07_shutoff_limits():
                               PulseEnvelope(duration=10.0))
     ss2 = steady_state(gen2, omega_c=0.2)
     from scipy.linalg import expm
-    prop = expm(gen2.m1(0.2) * 0.02)
+    prop = expm(gen2.operator(0.2, slots=gen2.index.singles).toarray() * 0.02)
     y = ss2[1:1 + gen2.index.dim_singles]
     peak = 0.0
     for _ in range(250):

@@ -109,7 +109,7 @@ def _model(params, chain, blockade, omega):
     f = gen.out_e @ ss[k1]
     a, b = idx.mode_pairs()
     q = np.flatnonzero(a % idx.n_atoms != b % idx.n_atoms)
-    m2 = gen.m2(omega)[q][:, q].toarray()
+    m2 = gen.operator(omega, slots=k2)[q][:, q].toarray()
     s21 = gen.stacked[2][k2, k1][q].toarray()
     psi2 = np.linalg.solve(m2, -(s21 @ ss[k1])) if len(q) else np.zeros(0)
     inten = abs(1.0 + f) ** 2

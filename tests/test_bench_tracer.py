@@ -84,3 +84,22 @@ def test_traced_turnoff_times_the_decays_as_a_layer(tmp_path, monkeypatch):
     metrics = importlib.import_module("layers").per_layer(spans)
     assert metrics["scenarios.points"] == 1
     assert metrics["scenarios.self_s"] < 0.5 * metrics["scenarios.runner.s"], metrics
+
+
+def test_traced_propagate_takes_every_exponential_through_the_one_cache(tmp_path):
+    # a gaussian pulse with doubles: the Magnus window and the undriven tail
+    # both step the stacked propagator, so each expm span is the child of a
+    # SinglesPropagator.step span, and nothing else builds an exponential
+    timing = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "trace", str(timing), "--",
+         "propagate", "--shape", "gaussian", "--n-atoms", "4", "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(timing.read_text())["spans"]
+    parents = [spans[s[3]][0] if s[3] is not None else None
+               for s in spans if s[0] == "dynamics.expm"]
+    assert len(parents) == 2, parents       # the Magnus factor and the tail's step
+    assert set(parents) == {"dynamics.SinglesPropagator.step"}, parents

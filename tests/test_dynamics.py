@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.linalg import expm as _scipy_expm
 
-from rydeit.model import (BlockadeConfig, ConfigurationError, ControlSchedule,
+from rydeit.model import (BlockadeConfig, BlockadeMode, ConfigurationError, ControlSchedule,
                           PhysicalParams, PulseEnvelope, PulseShape, build_chain, optical_depth,
                           time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, _TaylorAction,
@@ -19,6 +19,20 @@ from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, 
 from rydeit.observables import trace_from_trajectory
 from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4_segment,
                       state_rows, vacuum)
+
+
+def _stacked(gen):
+    """A fresh stacked propagator of ``gen``, the one ``propagate_segment`` steps."""
+    return SinglesPropagator(gen, "stacked")
+
+
+def _block(doubles):
+    return "doubles" if doubles else "singles"
+
+
+def _m1(gen, omega):
+    """The singles block of S + omega W, dense."""
+    return gen.operator(omega, slots=gen.index.singles).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +123,35 @@ def test_steady_state_matches_long_evolution():
     ss = steady_state(gen, omega_c=0.4)
     traj = evolve(gen, (0.0, 300.0), dt_out=10.0, project=state_rows(gen))
     np.testing.assert_allclose(traj.projections[-1], ss[1:], atol=1e-8)
+
+
+def test_steady_outputs_converge_as_one_over_n_at_a_fixed_device():
+    # the chain discretizes a medium of fixed optical depth D = 10.21 with
+    # Gamma_1D/Gamma' = exp(D/2N) - 1, at a fixed blockade radius r_b =
+    # 0.08815 (chain units) and pair-shift scale v0 = 1.0292, on the
+    # replica's Omega_c = 3.2/6 and gamma_r = 0.8/6.  At N = 14, 28, 56 and
+    # 112 the steady transmission reads 0.18759, 0.16517, 0.15438, 0.14910
+    # and g2_ss 0.33489, 0.35180, 0.33970, 0.33476.  Under 1/N convergence
+    # each difference is half the one before: the transmission differences
+    # fall by 2.08 and 2.05, pinned to [1.8, 2.3], and those of g2_ss from
+    # N = 28 on (N = 14 is too coarse for r_b) by 2.45, pinned to [2, 3]
+    rows = []
+    for n in (14, 28, 56, 112):
+        p = PhysicalParams.from_ratio(math.exp(10.21 / (2 * n)) - 1.0, omega_c_peak=3.2 / 6.0,
+                                      gamma_r=0.8 / 6.0)
+        chain = build_chain(n)
+        assert optical_depth(chain, p) == pytest.approx(10.21, rel=1e-12)
+        blk = BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=0.08815, v0=1.0292)
+        gen = assemble_generator(p, chain, blk, ControlSchedule.constant(p.omega_c_peak),
+                                 PulseEnvelope(duration=10.0))
+        ss = steady_state(gen, p.omega_c_peak)
+        f, a2 = gen.out_e @ ss[gen.index.singles], gen.a2vec @ ss[gen.index.doubles]
+        rows.append((abs(1.0 + f) ** 2, abs(1.0 + 2.0 * f + a2) ** 2 / abs(1.0 + f) ** 4))
+    transmission, g2 = np.array(rows).T
+    dt, dg = -np.diff(transmission), -np.diff(g2[1:])
+    assert np.all(dt > 0) and np.all(dg > 0)
+    assert np.all((1.8 <= dt[:-1] / dt[1:]) & (dt[:-1] / dt[1:] <= 2.3)), dt
+    assert 2.0 <= dg[0] / dg[1] <= 3.0, dg
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +313,7 @@ def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
     rows = state_rows(gen)
     dense = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
     y0 = np.concatenate([[1.0], dense[4]])
-    end = propagate_segment(gen, y0, 5.0, 10.0, 5)
+    end = propagate_segment(_stacked(gen), y0, 5.0, 10.0, 5)
 
     def no_dense(m):
         raise AssertionError("dense exponential above the cap")
@@ -279,7 +322,7 @@ def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
     monkeypatch.setattr(dynamics, "expm", no_dense)
     got = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
-    got = propagate_segment(gen, y0, 5.0, 10.0, 5)
+    got = propagate_segment(_stacked(gen), y0, 5.0, 10.0, 5)
     assert np.max(np.abs(got - end)) <= 1e-12 * np.max(np.abs(end))
 
 
@@ -291,7 +334,16 @@ def test_propagate_segment_needs_the_stacked_length(length):
     d = {"singles": 1 + gen.index.dim_singles, "short": gen.index.dim,
          "long": 2 + gen.index.dim}[length]
     with pytest.raises(ConfigurationError, match="stacked vector"):
-        propagate_segment(gen, np.ones(d, dtype=complex), 2.0, 4.0, 3)
+        propagate_segment(_stacked(gen), np.ones(d, dtype=complex), 2.0, 4.0, 3)
+
+
+@pytest.mark.parametrize("kind", ["singles", "doubles"])
+def test_propagate_segment_needs_the_stacked_propagator(kind):
+    # a singles or doubles propagator would step a block of the stacked
+    # vector as if it were all of it: refused before any work
+    gen = make_generator(n_atoms=3, duration=15.0)
+    with pytest.raises(ConfigurationError, match="stacked propagator"):
+        propagate_segment(SinglesPropagator(gen, kind), vacuum(gen), 2.0, 4.0, 3)
 
 
 def _power_law_generator(n_atoms=6, **kwargs):
@@ -323,7 +375,7 @@ def test_drive_level_identity(doubles, a, b, level):
     for k in range(n_out):
         y = ref[k] = prop @ y
     got = np.empty_like(ref)
-    end = propagate_segment(gen, padded(gen, y0), a, b, n_out, out=got,
+    end = propagate_segment(_stacked(gen), padded(gen, y0), a, b, n_out, out=got,
                             project=np.eye(dim, 1 + gen.index.dim))
     assert np.array_equal(end[:dim], got[-1])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -343,7 +395,7 @@ def test_tri_apply_at_a_drive_level(power_law, level):
     assert (level ** 2 == 0.0) == (level < 1e-100) and level > 0.0
     om, h = 0.5, 0.7
     ref = _scipy_expm(augmented(gen, level, om) * h)
-    unit = dynamics._unit_exp({}, gen, om, h, gen.dtype)
+    unit = _stacked(gen).step(om, h)
     assert unit.levels == (gen.index.singles.start, gen.index.doubles.start)
     back = np.argsort(unit.perm)
     eye = np.eye(len(ref), dtype=gen.dtype)
@@ -425,15 +477,15 @@ def test_each_stretch_takes_its_route(monkeypatch):
     magnus = []
     real = dynamics._magnus_powers
 
-    def counted(gen, omega, a, *args):
+    def counted(prop, omega, a, *args):
         magnus.append(a)
-        return real(gen, omega, a, *args)
+        return real(prop, omega, a, *args)
 
     monkeypatch.setattr(dynamics, "_magnus_powers", counted)
     dense = []
     real_dense = dynamics._dense_powers
 
-    def counted_dense(prop, y, n_out, project, e=1.0):
+    def counted_dense(prop, y, n_out, project, e):
         dense.append(n_out)
         return real_dense(prop, y, n_out, project, e)
 
@@ -474,7 +526,7 @@ def test_segment_across_a_breakpoint_is_refused(a, b):
     y0 = np.zeros(1 + gen.index.dim, dtype=complex)
     y0[0] = 1.0
     with pytest.raises(DynamicsError, match="breakpoint"):
-        propagate_segment(gen, y0, a, b)
+        propagate_segment(_stacked(gen), y0, a, b)
     traj = evolve(gen, (0.0, 12.0), dt_out=0.5)
     assert {1.0, 4.0, 9.0} <= set(traj.times)
 
@@ -537,7 +589,7 @@ def test_drive_ramp_segment(shape, power_law, doubles):
     d = len(y0)
     n_out = 5
     got = np.empty((n_out, len(rows)), dtype=complex)
-    end = propagate_segment(gen, y0, a, b, n_out, out=got, project=rows)
+    end = propagate_segment(_stacked(gen), y0, a, b, n_out, out=got, project=rows)
     ref, _ = rk4_segment(gen, y0, a, b, n_out, rk4_dt(gen), rows)
     _assert_columns_close(got, ref, 1e-10)
     assert np.array_equal(got[-1], rows @ end)
@@ -560,7 +612,7 @@ def test_singles_propagator_one_exponential_per_step(monkeypatch):
     prop = SinglesPropagator(gen)
     pre, plateau, tail = (prop.step(0.5, h) for h in (0.5, 0.5, 0.25))
     assert len(calls) == 2 and plateau is pre
-    np.testing.assert_allclose(tail.dense(), _scipy_expm(gen.m1(0.5) * 0.25), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(tail.dense(), _scipy_expm(_m1(gen, 0.5) * 0.25), rtol=0, atol=1e-13)
 
 
 def test_short_constant_stretch_takes_the_exponential(monkeypatch):
@@ -599,8 +651,8 @@ def test_free_decay_power_law_matches_step_loop(n_out):
 def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
     from scipy.linalg import expm as _expm
     ss, n1 = steady_state(gen, omega_c=0.5), gen.index.dim_singles
-    y0, m, project = ((ss[1 + n1:], gen.m2(0.5).toarray(), gen.a2vec) if doubles
-                      else (ss[1:1 + n1], gen.m1(0.5), gen.out_e))
+    y0, m, project = ((ss[1 + n1:], gen.operator(0.5, slots=gen.index.doubles).toarray(),
+                       gen.a2vec) if doubles else (ss[1:1 + n1], _m1(gen, 0.5), gen.out_e))
     rng = np.random.default_rng(11)
     stack = np.stack([project, rng.normal(size=len(y0)) + 1j * rng.normal(size=len(y0))])
     prop = _expm(m * (horizon / n_out))
@@ -609,7 +661,7 @@ def _check_free_decay_against_loop(gen, doubles, horizon, n_out):
     for k in range(n_out):
         y = prop @ y
         ref[k] = stack @ y
-    prop = SinglesPropagator(gen, doubles)
+    prop = SinglesPropagator(gen, _block(doubles))
     got, end = decay(prop, 0.5, horizon / n_out, y0, n_out, project[None])
     assert got.shape == (n_out, 1)
     assert np.max(np.abs(got[:, 0] - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref[:, 0]))
@@ -630,7 +682,7 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
     y0, project = (ss[1 + n1:], gen.a2vec) if doubles else (ss[1:1 + n1], gen.out_e)
     stack = np.stack([project, np.conj(project)])
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 1)
-    prop = SinglesPropagator(gen, doubles)
+    prop = SinglesPropagator(gen, _block(doubles))
     got, _ = decay(prop, 0.5, 0.1, y0, 20, stack)
     assert got.shape == (20, 2)
     for r in range(2):
@@ -647,10 +699,11 @@ def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
     assert gen.index.dim_doubles == 155 <= dynamics.DECAY_DENSE_DOUBLES
     y0 = steady_state(gen, omega_c=0.5)[1 + gen.index.dim_singles:]
     calls = _count_expm(monkeypatch)
-    dense, _ = decay(SinglesPropagator(gen, True), 0.5, 45.0 / 5000, y0, 5000, gen.a2vec[None])
+    dense, _ = decay(SinglesPropagator(gen, "doubles"), 0.5, 45.0 / 5000, y0, 5000,
+                     gen.a2vec[None])
     assert calls == [(155, 155)]
     monkeypatch.setattr(dynamics, "DECAY_DENSE_DOUBLES", 154)
-    action, _ = decay(SinglesPropagator(gen, True), 0.5, 45.0 / 5000, y0, 5000,
+    action, _ = decay(SinglesPropagator(gen, "doubles"), 0.5, 45.0 / 5000, y0, 5000,
                       gen.a2vec[None])
     assert calls == [(155, 155)]
     assert np.max(np.abs(dense - action)) <= 1e-12 * np.max(np.abs(action))
@@ -669,7 +722,7 @@ def test_decay_steps_continue_from_the_end_state(monkeypatch, doubles, cap):
     ss, n1 = steady_state(gen, omega_c=0.25), gen.index.dim_singles
     y0, project = (ss[1 + n1:], gen.a2vec) if doubles else (ss[1:1 + n1], gen.out_e)
     calls = _count_expm(monkeypatch)
-    prop = SinglesPropagator(gen, doubles)
+    prop = SinglesPropagator(gen, _block(doubles))
     whole, end = decay(prop, 0.25, 0.01, y0, 3000, project[None])
     first, y = decay(prop, 0.25, 0.01, y0, 1000, project[None])
     rest, y = decay(prop, 0.25, 0.01, y, 2000, project[None])
@@ -734,7 +787,7 @@ def test_taylor_action_matches_expm(power_law, omega, tau_norm, cols):
     # tau ||A||_1 from no step at all to many Taylor substeps
     gen = (_power_law_generator(n_atoms=8, omega_c=omega) if power_law
            else make_generator(n_atoms=8, omega_c=omega))
-    a = gen.m2(omega)
+    a = gen.operator(omega, slots=gen.index.doubles)
     tau = tau_norm / np.max(np.abs(a).sum(axis=0))
     rng = np.random.default_rng(12)
     shape = (a.shape[0],) if cols is None else (a.shape[0], cols)
@@ -835,7 +888,7 @@ def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
     ss = steady_state(gen, omega_c=0.5)
     assert ss.dtype == want
     for doubles, y, row in ((False, ss[1:1 + n1], gen.out_e), (True, ss[1 + n1:], gen.a2vec)):
-        proj, end = decay(SinglesPropagator(gen, doubles), 0.5, 0.1, y, 50, row[None])
+        proj, end = decay(SinglesPropagator(gen, _block(doubles)), 0.5, 0.1, y, 50, row[None])
         assert proj.dtype == want and end.dtype == want
 
 
@@ -846,8 +899,7 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
     # same entries in the same layout as a dense one's: the same cascade
     # order and the same triangular exponential, bit for bit
     gen = _random_chain_generator(mode, 0.5)
-    s, w, f = gen.stacked
-    a = _csr((s + 0.5 * w + f) * 0.37)
+    a = gen.operator(0.5, 1.0) * 0.37
     if not doubles:
         # the leading [ground; singles] block
         d = 1 + gen.index.dim_singles
@@ -864,7 +916,7 @@ def test_cascade_order_is_block_lower_triangular(mode):
     # (e_h, r_h) blocks for the singles and at most ee, er, re and rr of one
     # pair for the doubles; the order is a pure function of the pattern
     gen = _random_chain_generator(mode, 0.5, n_atoms=8)
-    for a, largest in ((gen.m1(0.5), 2), (gen.m2(0.5), 4),
+    for a, largest in ((_m1(gen, 0.5), 2), (gen.operator(0.5, slots=gen.index.doubles), 4),
                        (augmented(gen, 1.0, 0.5, True), 4)):
         perm, bounds = _cascade_order(a)
         assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
@@ -894,7 +946,8 @@ def test_steady_state_natural_order_matches_colamd(mode, omega):
     rhs = -(gen.stacked[2][1 + n1:, 1:1 + n1] @ ss[1:1 + n1])
     n_keep = idx.n_ee + idx.n_er if omega == 0.0 else idx.dim_doubles
     ref = np.zeros(idx.dim_doubles, dtype=complex)
-    ref[:n_keep] = spla.spsolve(gen.m2(omega)[:n_keep, :n_keep].tocsc(), rhs[:n_keep],
+    m2 = gen.operator(omega, slots=idx.doubles)
+    ref[:n_keep] = spla.spsolve(m2[:n_keep, :n_keep].tocsc(), rhs[:n_keep],
                                 permc_spec="COLAMD")
     assert np.max(np.abs(ss[1 + n1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -958,9 +1011,9 @@ def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
     assert s.format == w.format == f.format == "csr"
     assert s.shape == (1 + gen.index.dim,) * 2
     for env, om in ((1.0, 0.5), (1.7, 0.05), (0.0, 0.25)):
-        # the folded CSR that propagate_segment hands to expm
+        # the folded CSR that every route reads
         dense = s.toarray() + om * w.toarray() + env * f.toarray()
-        assert np.array_equal(_csr(s + om * w + env * f).toarray(), dense)
+        assert np.array_equal(gen.operator(om, env).toarray(), dense)
     # the blocks land where the [ground; singles; doubles] layout puts them
     m1s, m1o, s1, _, _, s21 = _blocks(gen)
     full = s.toarray() + 0.5 * w.toarray() + 0.3 * f.toarray()
@@ -973,21 +1026,27 @@ def test_augmented_is_the_sum_of_the_stacked_parts(doubles):
     if doubles:
         np.testing.assert_array_equal(a[1 + n1:, 0], 0)
         np.testing.assert_allclose(a[1 + n1:, 1:1 + n1], 0.3 * s21, rtol=1e-15, atol=0)
-        np.testing.assert_array_equal(a[1 + n1:, 1 + n1:], gen.m2(0.5).toarray())
+        np.testing.assert_array_equal(a[1 + n1:, 1 + n1:],
+                                      gen.operator(0.5, slots=gen.index.doubles).toarray())
     else:
         assert a.shape == (1 + n1, 1 + n1)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5, 1.3])
 def test_m1_m2_are_the_blocks_of_the_stacked_parts(omega):
+    # Generator.operator over the singles slots (M1) and the doubles slots
+    # (M2) is the block of S + omega W, at any drive level e: F is 0 there;
+    # over the whole layout it is S + omega W + e F
     gen = _power_law_generator(omega_c=0.5, gamma_r=0.02, delta_e=0.1)
-    s, w, _ = gen.stacked
+    s, w, f = gen.stacked
     a = s.toarray() + omega * w.toarray()
     n1 = gen.index.dim_singles
-    m1, m2 = gen.m1(omega), gen.m2(omega)
-    assert isinstance(m1, np.ndarray) and sp.issparse(m2)
-    np.testing.assert_array_equal(m1, a[1:1 + n1, 1:1 + n1])
-    np.testing.assert_array_equal(m2.toarray(), a[1 + n1:, 1 + n1:])
+    for e in (0.0, 0.37):
+        m1, m2 = (gen.operator(omega, e, k) for k in (gen.index.singles, gen.index.doubles))
+        assert sp.issparse(m1) and sp.issparse(m2)
+        np.testing.assert_array_equal(m1.toarray(), a[1:1 + n1, 1:1 + n1])
+        np.testing.assert_array_equal(m2.toarray(), a[1 + n1:, 1 + n1:])
+        np.testing.assert_array_equal(gen.operator(omega, e).toarray(), a + e * f.toarray())
 
 
 def _block_deriv(blocks, yy, drive, om):
@@ -1096,10 +1155,10 @@ def test_projected_segment_matches_state_loop(n_out, m):
     y0 = _stacked_y(gen, True, rng)
     c = np.vstack([gen.output_covectors(), rng.normal(size=len(y0))])
     states = np.empty((n_out, len(y0)), dtype=complex)
-    end_ref = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=states,
+    end_ref = propagate_segment(_stacked(gen), y0, 2.0, 42.0, n_out, out=states,
                                 project=np.eye(len(y0)))
     got = np.empty((n_out, 3), dtype=complex)
-    end = propagate_segment(gen, y0, 2.0, 42.0, n_out, out=got, project=c)
+    end = propagate_segment(_stacked(gen), y0, 2.0, 42.0, n_out, out=got, project=c)
     ref = states @ c.T
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the undamped r amplitudes carry the rounding of up to 2,500 steps,
@@ -1144,7 +1203,8 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     ref, y_ref = _dense_loop(_scipy_expm(augmented(gen, level, 0.5, doubles) * h), y0,
                              n_out, rows[:, :dim])
     got = np.empty_like(ref)
-    end = propagate_segment(gen, padded(gen, y0), 2.0, 4.0, n_out, out=got, project=rows)
+    end = propagate_segment(_stacked(gen), padded(gen, y0), 2.0, 4.0, n_out, out=got,
+                            project=rows)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(end[:dim] - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     assert np.array_equal(got[-1], rows @ end)
@@ -1165,7 +1225,7 @@ def test_free_decay_triangular_basis_matches_dense_step_loop(c, n_out):
             "singles": np.vstack([gen.out_e, np.eye(n1)])}[c]
     m = _giant_step(n1, n_out, len(rows))
     assert m > 1 and 256 % m == 0
-    ref, y_ref = _dense_loop(_scipy_expm(gen.m1(0.5) * (40.0 / n_out)), y0, n_out, rows)
+    ref, y_ref = _dense_loop(_scipy_expm(_m1(gen, 0.5) * (40.0 / n_out)), y0, n_out, rows)
     got, end = decay(SinglesPropagator(gen), 0.5, 40.0 / n_out, y0, n_out, rows)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1287,7 +1347,7 @@ def test_superradiant_retrieval_after_shutoff():
     gen = make_generator(n_atoms=n, omega_c=0.2, duration=10.0)
     ss = steady_state(gen, omega_c=0.2)
     from scipy.linalg import expm as _expm
-    m1 = gen.m1(0.2)
+    m1 = _m1(gen, 0.2)
     prop = _expm(m1 * 0.02)
     y = ss[1:1 + gen.index.dim_singles]
     peak = 0.0

@@ -102,6 +102,13 @@ def test_atoms_for_depth_one_atom_granularity(params):
         assert abs(d - target) <= 2 * math.log(1.2) * (0.5 + 1e-12)
 
 
+@pytest.mark.parametrize("target", [0.0, -3.0, math.nan])
+def test_atoms_for_depth_refuses_a_depth_not_above_zero(params, target):
+    # no chain has a depth <= 0: it is refused, not rounded up to one atom
+    with pytest.raises(ConfigurationError, match="optical depth"):
+        atoms_for_depth(target, params)
+
+
 # ---------------------------------------------------------------------------
 # blockade and interaction
 

@@ -196,12 +196,16 @@ def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
     ("emulate-hbt", "[counting]\neta1 = 1.5\n", [], False),
     ("scan-turnon", "[integration]\nrel_tol = 0\n", [], False),
     ("scan-turnoff", "[scan]\ntail_fit_start = 30\ntail_fit_end = 20\n", [], False),
-    ("scan-turnoff", "[scan]\ntail_fit_start = -1\n", [], False)],
+    ("scan-turnoff", "[scan]\ntail_fit_start = -1\n", [], False),
+    ("spectrum", "", ["--d", "-3"], False),
+    ("scan-turnoff", "[scan]\nd_list = -5, 0\n", [], False),
+    ("scan-turnon", "[scan]\nomega_c_list = 0, 0.5\n", [], False)],
     ids=["dt_out_zero", "dt_out_negative", "n_points_zero", "seed_negative",
          "delta_t_zero", "threads_zero", "threads_negative", "n_in_zero",
          "storage_release_after_horizon", "storage_release_far_after_horizon",
          "hbt_probabilities_above_one", "n_trials_zero", "eta1_above_one",
-         "rel_tol_zero", "tail_fit_reversed", "tail_fit_negative"])
+         "rel_tol_zero", "tail_fit_reversed", "tail_fit_negative", "depth_negative",
+         "d_list_not_positive", "omega_c_list_zero"])
 def test_out_of_range_input_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
                                                        monkeypatch, command, ini, flags,
                                                        in_runner):
@@ -690,7 +694,8 @@ def test_turnoff_retries_keep_the_output_step():
     gen = make_generator(n_atoms=out["n_atoms"], omega_c=0.5, duration=10.0)
     y = steady_state(gen, omega_c=0.5)[1:1 + gen.index.dim_singles]
     n_steps = 6000 * 128
-    prop = expm(gen.m1(0.5) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
+    m1 = gen.operator(0.5, slots=gen.index.singles).toarray()
+    prop = expm(m1 * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
     amps = np.empty(n_steps + 1, dtype=complex)
     amps[0] = gen.out_e @ y
     for k in range(1, n_steps + 1):
@@ -767,7 +772,8 @@ def test_turnoff_continuation_matches_the_stop(monkeypatch):
     assert out["status"] == "no_half_crossing"
     gen, ss, _, _, _ = _device(_SINGLES_CFG.params, 0.5, 0.05)
     n_steps = 6000 * 128
-    prop = expm(gen.m1(0.05) * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
+    m1 = gen.operator(0.05, slots=gen.index.singles).toarray()
+    prop = expm(m1 * (max(0.4 * out["tau_eit_gamma"], 40.0) * 128 / n_steps))
     y = ss[1:1 + gen.index.dim_singles]
     peak = abs(gen.out_e @ y) ** 2
     for _ in range(n_steps):
