@@ -34,7 +34,7 @@ import sys
 from .configio import default_config, load_config
 from .model import ConfigurationError
 from .dynamics import DynamicsError
-from .observables import ExtractionError, UndefinedResultError
+from .observables import ExtractionError, UndefinedResultError, _fmt
 from .counting import EstimateError
 from .scenarios import RUNNERS
 
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
         return EXIT_OUTPUT
 
     for key, value in sorted(bundle.scalars.items()):
-        print(f"{key} = {value}")
+        print(f"{key} = {_fmt(value)}")
     print(f"wrote {len(paths)} files to {out_dir}")
     return EXIT_OK
 

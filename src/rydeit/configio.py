@@ -15,20 +15,20 @@ is resolved as a unit from the highest source naming any of its keys, so a
 flag in one spelling displaces the file's other one. A source naming both
 spellings or half a pair, an unknown section or key in a file, an
 unknown override key, an override of the wrong type and an input out of
-its range (n_in, dt_out_ns, n_points, seed, threads, delta_t_list_ns,
-n_trials, rel_tol, d_target, d_list, omega_c_list, tail_fit_start and
-tail_fit_end, the efficiencies) are ConfigurationErrors. Manifests of
-earlier versions hold ``[integration] method = auto`` and ``[chain] length
-= 1.0`` and ``k_p = 1.0``, which the loader accepts and ignores; any other
-value of these keys and any ``dt`` (retired with the fixed-step
-integrator) are ConfigurationErrors.
+its range (n_in, dt_out_ns, n_points, delta_min < delta_max, seed,
+threads, delta_t_list_ns, n_trials, rel_tol, d_target, d_list,
+omega_c_list, tail_fit_start and tail_fit_end, the efficiencies) are
+ConfigurationErrors. Manifests of earlier versions hold ``[integration]
+method = auto`` and ``[chain] length = 1.0`` and ``k_p = 1.0``, which the
+loader accepts and ignores; any other value of these keys and any ``dt``
+(retired with the fixed-step integrator) are ConfigurationErrors.
 
 Times are in ns, rates in Gamma units or MHz (the *_mhz spellings); the
 loader converts everything to internal Gamma = 1 units. A manifest is the
 same format with every input resolved (the decay rates exactly, a d_b
-blockade as its r_b and v0, and pulse inputs no shape of the run reads at
-their defaults) plus [results] and [run] records, which the loader skips,
-so ``--config manifest.ini`` re-runs the scenario identically.
+blockade as its r_b and v0, and the inputs the run does not read at their
+defaults, see ``_READ_UNDER``) plus [results] and [run] records, which the
+loader skips, so ``--config manifest.ini`` re-runs the scenario identically.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .counting import DetectionStream, EfficiencyBudget
 from .model import (AtomChain, BlockadeConfig, BlockadeMode, ConfigurationError,
                     ControlSchedule, PhysicalParams, PulseEnvelope, PulseShape,
                     atoms_for_depth, build_chain, rate_from_mhz, time_from_ns)
+from .observables import _fmt
 
 SCENARIO_KINDS = ("spectrum", "propagate", "turnon_scan", "turnoff_scan",
                   "experiment_replica", "window_scan", "storage", "dlcz",
@@ -62,6 +63,14 @@ def _words(text: str) -> tuple:
 
 def _floats(text: str) -> tuple:
     return tuple(float(x) for x in _words(text))
+
+
+#: (input, setting, the inputs a run reads only under that setting)
+_READ_UNDER = (("pulse_shape", "square", ("rise_time_ns",)),
+               ("pulse_shape", "gaussian", ("fwhm_ns",)),
+               ("blockade_mode", "power_law", ("d_b", "r_b", "v0", "v_cap")),
+               ("schedule_kind", "storage", ("t_off_ns", "t_store_ns")),
+               ("placement", "jittered", ("chain_seed",)))
 
 
 def _opt(section: str, default=None, *, key: str | None = None,
@@ -169,11 +178,14 @@ class ScenarioConfig:
         t1 = time_from_ns(self.t_on_ns + self.duration_ns + self.tail_ns, g)
         return (t0, t1)
 
-    def _read_by(self, shapes) -> "ScenarioConfig":
-        """This config with the pulse inputs none of ``shapes`` reads at their
-        defaults: only a square reads rise_time_ns, only a gaussian fwhm_ns."""
-        return replace(self, rise_time_ns=self.rise_time_ns if "square" in shapes else 0.0,
-                       fwhm_ns=self.fwhm_ns if "gaussian" in shapes else None)
+    def _read_by(self, shapes=tuple(PulseShape)) -> "ScenarioConfig":
+        """This config with the inputs of ``_READ_UNDER`` that a run of the pulse
+        ``shapes`` (by default every shape) does not read at their defaults."""
+        def taken(key):
+            return shapes if key == "pulse_shape" else (getattr(self, key),)
+        return replace(self, **{name: getattr(ScenarioConfig, name)
+                                for key, setting, names in _READ_UNDER
+                                if setting not in taken(key) for name in names})
 
     def resolved(self) -> "ScenarioConfig":
         """This config as manifests write it: ``_read_by`` the run's shapes (a
@@ -344,9 +356,11 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     values.update(kind=kind, params=PhysicalParams(**rates))
     if "d_target" in given:
         values["n_atoms"] = atoms_for_depth(given["d_target"], values["params"])
-    cfg = ScenarioConfig(**values)
+    # every shape's pulse inputs stay: a window scan runs two
+    cfg = ScenarioConfig(**values)._read_by()
     for rule, ok in (("n_in > 0", cfg.n_in > 0), ("dt_out_ns > 0", cfg.dt_out_ns > 0),
                      ("n_points >= 1", cfg.delta_points >= 1),
+                     ("delta_min < delta_max", cfg.delta_min < cfg.delta_max),
                      ("seed >= 0", cfg.seed >= 0), ("threads >= 1", cfg.threads >= 1),
                      ("delta_t_list_ns > 0", all(t > 0 for t in cfg.delta_t_list_ns)),
                      ("n_trials >= 1", cfg.n_trials >= 1), ("rel_tol > 0", cfg.rel_tol > 0),
@@ -359,16 +373,6 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
     for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule, cfg.budget):
         build()     # fail fast on inconsistent sections
     return cfg
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (tuple, list)):
-        return ",".join(_fmt(x) for x in v)
-    return str(v)
 
 
 def manifest_text(cfg: ScenarioConfig, results: dict, run_info: dict) -> str:

@@ -105,26 +105,19 @@ class DetectionStream:
 _WRITE_CHUNK = 4096
 
 
-def _write_stream(stream: DetectionStream, fh) -> None:
-    fh.write(f"# rydeit timestamps n_trials={stream.n_trials} "
-             f"trial_period_ns={stream.trial_period_ns!r} seed={stream.seed}\n")
-    fh.write("# columns: trial_index detector_id time_ns\n")
-    for i in range(0, stream.n_events, _WRITE_CHUNK):
-        part = slice(i, i + _WRITE_CHUNK)
-        fh.write("".join(f"{tr} {det} {t!r}\n" for tr, det, t in zip(
-            np.asarray(stream.trials[part], dtype=np.int64).tolist(),
-            np.asarray(stream.detectors[part], dtype=np.int64).tolist(),
-            np.asarray(stream.times_ns[part], dtype=float).tolist())))
-
-
-def save_stream(stream: DetectionStream, path_or_file) -> None:
-    """One line per event: 'trial_index detector_id time_ns'; accepts a path
-    or any writable text handle."""
-    if hasattr(path_or_file, "write"):
-        _write_stream(stream, path_or_file)
-        return
-    with open(path_or_file, "w", encoding="utf-8") as fh:
-        _write_stream(stream, fh)
+def save_stream(stream: DetectionStream, path) -> None:
+    """Write ``stream`` to the file ``path``, one line per event:
+    'trial_index detector_id time_ns'."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# rydeit timestamps n_trials={stream.n_trials} "
+                 f"trial_period_ns={stream.trial_period_ns!r} seed={stream.seed}\n")
+        fh.write("# columns: trial_index detector_id time_ns\n")
+        for i in range(0, stream.n_events, _WRITE_CHUNK):
+            part = slice(i, i + _WRITE_CHUNK)
+            fh.write("".join(f"{tr} {det} {t!r}\n" for tr, det, t in zip(
+                np.asarray(stream.trials[part], dtype=np.int64).tolist(),
+                np.asarray(stream.detectors[part], dtype=np.int64).tolist(),
+                np.asarray(stream.times_ns[part], dtype=float).tolist())))
 
 
 def load_stream(path) -> DetectionStream:

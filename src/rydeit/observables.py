@@ -358,10 +358,16 @@ def fit_exponential_envelope(t: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _fmt(v) -> str:
+    """A value as every output file and printed result writes it: a bool as 0/1,
+    a float (numpy's too) via repr, a tuple or list comma-joined, else str."""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (tuple, list)):
+        return ",".join(_fmt(x) for x in v)
+    return str(v)
 
 
 def write_csv(path, columns: list, rows, units_note: str = "") -> None:

@@ -11,6 +11,7 @@ until ``ResultBundle.write`` so a failed run leaves no partial output.
 from __future__ import annotations
 
 import math
+import os
 import time as _time
 import traceback
 import warnings
@@ -25,8 +26,9 @@ from .model import (BlockadeConfig, ConfigurationError, ControlSchedule,
                     PulseEnvelope, PulseShape, atoms_for_depth,
                     build_chain, ns_from_time, optical_depth, time_from_ns)
 from .configio import ScenarioConfig, manifest_text
-from .counting import (emulate_trials, estimate_g2, generation_probability_from_stream,
-                       generation_probability_from_trace, dlcz_compare, save_stream)
+from .counting import (EstimateError, emulate_trials, estimate_g2,
+                       generation_probability_from_stream, generation_probability_from_trace,
+                       dlcz_compare, save_stream)
 from .dynamics import (DynamicsError, SinglesPropagator, assemble_generator, decay, evolve,
                        steady_state)
 from .observables import (ExtractionError, UndefinedResultError, _first_half_crossing,
@@ -43,28 +45,24 @@ class ResultBundle:
     config: ScenarioConfig
     tables: list = field(default_factory=list)   # (filename, columns, rows, note)
     scalars: dict = field(default_factory=dict)
-    texts: dict = field(default_factory=dict)    # filename -> raw text payload
+    streams: dict = field(default_factory=dict)  # filename -> DetectionStream
     wall_time_s: float = 0.0
 
     def write(self, out_dir) -> list:
-        import os
+        """Write the tables, the streams and the manifest into ``out_dir``;
+        returns their paths."""
         os.makedirs(out_dir, exist_ok=True)
         paths = []
         for fname, cols, rows, note in self.tables:
-            path = os.path.join(out_dir, fname)
-            write_csv(path, cols, rows, note)
-            paths.append(path)
-        for fname, text in self.texts.items():
-            path = os.path.join(out_dir, fname)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            paths.append(path)
-        manifest = manifest_text(self.config, self.scalars, {
-            "version": _version, "wall_time_s": round(self.wall_time_s, 3)})
-        path = os.path.join(out_dir, "manifest.ini")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(manifest)
-        paths.append(path)
+            paths.append(os.path.join(out_dir, fname))
+            write_csv(paths[-1], cols, rows, note)
+        for fname, stream in self.streams.items():
+            paths.append(os.path.join(out_dir, fname))
+            save_stream(stream, paths[-1])
+        paths.append(os.path.join(out_dir, "manifest.ini"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(manifest_text(self.config, self.scalars, {
+                "version": _version, "wall_time_s": round(self.wall_time_s, 3)}))
         return paths
 
 
@@ -493,12 +491,9 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
         quad = windowed_g2(grid, w, w)
         rows.append(("full_output", w_ns[0], w_ns[1], est, se, quad,
                      (est - quad) / se if se > 0 else math.nan, "ok"))
-    except Exception as exc:  # per-window failures are data, not crashes
+    except (EstimateError, UndefinedResultError) as exc:  # undefined on the data
         rows.append(("full_output", w_ns[0], w_ns[1], math.nan, math.nan,
                      math.nan, math.nan, type(exc).__name__))
-    import io
-    buf = io.StringIO()
-    save_stream(stream, buf)
     scalars = {"n_events": stream.n_events,
                "pg_stream_full": generation_probability_from_stream(stream, w_ns, budget),
                "pg_trace_full": generation_probability_from_trace(trace, w, cfg.n_in),
@@ -510,7 +505,7 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
                                  ["window", "t_start_ns", "width_ns", "g2_mc",
                                   "stderr", "g2_quadrature", "z_score", "status"],
                                  rows, "Monte Carlo HBT estimate vs quadrature")],
-                        texts={"timestamps.txt": buf.getvalue()})
+                        streams={"timestamps.txt": stream})
 
 
 RUNNERS = {

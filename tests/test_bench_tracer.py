@@ -32,6 +32,9 @@ def test_traced_run_records_the_benchmark_layers(tmp_path, monkeypatch):
     assert metrics["dynamics.SinglesPropagator.step.calls"] > 0
     # the grid spans the whole trajectory of the run's one evolve
     assert metrics["observables.correlation_grid.cells"] == metrics["dynamics.evolve.samples"] ** 2
+    # ResultBundle.write saves the stream to its file, and the span counts its bytes
+    assert "counting.save_stream" in names
+    assert metrics["counting.save_stream.bytes"] == (tmp_path / "out" / "timestamps.txt").stat().st_size
 
 
 def test_traced_propagate_times_the_cascade_exponential(tmp_path, monkeypatch):

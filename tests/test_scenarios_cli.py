@@ -20,6 +20,12 @@ def _read_csv(path):
         return fh.read()
 
 
+def _outputs(out_dir):
+    """Every file a run wrote, by name, the manifest without its wall time."""
+    return {p.name: re.sub(r"\nwall_time_s = .*\n", "\n", p.read_text())
+            for p in sorted(out_dir.iterdir())}
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -50,6 +56,23 @@ def test_manifest_round_trip(tmp_path):
     assert back.n_atoms == cfg.n_atoms
     assert back.duration_ns == cfg.duration_ns
     assert back.params.omega_c_peak == cfg.params.omega_c_peak
+
+
+def test_numpy_floats_write_a_manifest_that_reloads_and_reruns(tmp_path):
+    # numpy floats in the overrides and the results write as the floats they
+    # hold, not as their repr np.float64(1.5), which the loader cannot read
+    cfg = default_config("propagate", {"n_in": np.float64(1.5), "n_atoms": 4,
+                                       "duration_ns": np.float64(300.0),
+                                       "d_list": (np.float64(1.8), 3.6)})
+    results = {"g2_ss": np.float64(0.25), "n_events": np.int64(3), "flat": True}
+    text = manifest_text(cfg, results, {"wall_time_s": np.float64(0.5)})
+    assert "np." not in text and "n_in = 1.5\n" in text and "flat = 1\n" in text
+    path = tmp_path / "manifest.ini"
+    path.write_text(text)
+    back = load_config(path)
+    assert back == cfg.resolved()
+    assert manifest_text(back, results, {"wall_time_s": np.float64(0.5)}) == text
+    assert main(["propagate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("ratio", [0.405, 1 / 3, 0.1 + 0.2, 0.7, 0.2])
@@ -199,13 +222,14 @@ def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
     ("scan-turnoff", "[scan]\ntail_fit_start = -1\n", [], False),
     ("spectrum", "", ["--d", "-3"], False),
     ("scan-turnoff", "[scan]\nd_list = -5, 0\n", [], False),
-    ("scan-turnon", "[scan]\nomega_c_list = 0, 0.5\n", [], False)],
+    ("scan-turnon", "[scan]\nomega_c_list = 0, 0.5\n", [], False),
+    ("spectrum", "[spectrum]\ndelta_min = 1.5\ndelta_max = -1.5\n", [], False)],
     ids=["dt_out_zero", "dt_out_negative", "n_points_zero", "seed_negative",
          "delta_t_zero", "threads_zero", "threads_negative", "n_in_zero",
          "storage_release_after_horizon", "storage_release_far_after_horizon",
          "hbt_probabilities_above_one", "n_trials_zero", "eta1_above_one",
          "rel_tol_zero", "tail_fit_reversed", "tail_fit_negative", "depth_negative",
-         "d_list_not_positive", "omega_c_list_zero"])
+         "d_list_not_positive", "omega_c_list_zero", "delta_range_reversed"])
 def test_out_of_range_input_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
                                                        monkeypatch, command, ini, flags,
                                                        in_runner):
@@ -870,6 +894,31 @@ def test_cli_manifest_rerun_byte_identical(tmp_path):
     assert _read_csv(a / "trace.csv") == _read_csv(b / "trace.csv")
 
 
+_SHORT = ["--n-atoms", "4", "--duration-ns", "300"]
+#: one short run of each subcommand (``point.ini`` is a one-point scan)
+_RERUNS = [["spectrum", "--n-atoms", "4"], ["propagate", *_SHORT],
+           ["scan-turnon", "--config", "point.ini"], ["scan-turnoff", "--config", "point.ini"],
+           ["replica", *_SHORT], ["window-scan", *_SHORT],
+           ["storage", *_SHORT, "--t-off-ns", "200"], ["dlcz"],
+           ["emulate-hbt", *_SHORT, "--n-trials", "2000"]]
+
+
+def test_every_subcommand_is_rerun_below():
+    from rydeit.cli import _SUBCOMMANDS
+    assert sorted(argv[0] for argv in _RERUNS) == sorted(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", _RERUNS, ids=[argv[0] for argv in _RERUNS])
+def test_every_subcommand_reruns_byte_identically_from_its_manifest(tmp_path, monkeypatch,
+                                                                     argv):
+    # every file the run writes, the manifest up to its wall time
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "point.ini").write_text("[scan]\nd_list = 1.8\nomega_c_list = 0.5\n")
+    assert main(argv + ["--out", "a"]) == 0
+    assert main([argv[0], "--config", "a/manifest.ini", "--out", "b"]) == 0
+    assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+
+
 def test_pulse_inputs_a_shape_does_not_read_are_neither_checked_nor_recorded(tmp_path):
     # the replica preset's 10 ns edges are a square's: a 15 ns gaussian
     # replica never reads them, so its config builds and its manifest
@@ -897,6 +946,37 @@ def test_pulse_inputs_a_shape_does_not_read_are_neither_checked_nor_recorded(tmp
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_blockade_schedule_and_chain_inputs_the_run_does_not_read_are_not_recorded(tmp_path):
+    # only a power_law blockade reads d_b, r_b, v0 and v_cap, only a storage
+    # schedule the schedule times and only jittered placement the chain
+    # seed: elsewhere a config holds them at their defaults, unchecked, and
+    # its manifest writes those defaults
+    none = default_config("experiment_replica", {"mode": "none"})
+    assert (none.d_b, none.r_b, none.v0, none.v_cap) == (None, None, None, 1e3)
+    blocked = default_config("propagate", {"d_b": -3.0, "v_cap": -1.0})
+    assert (blocked.d_b, blocked.v_cap) == (None, 1e3)
+    assert "d_b" not in manifest_text(blocked, {}, {})
+    with pytest.raises(ConfigurationError):
+        default_config("propagate", {"mode": "power_law", "d_b": -3.0})
+    ini = tmp_path / "unread.ini"
+    ini.write_text("[schedule]\nt_off_ns = 900\nt_store_ns = 100\n\n[chain]\nseed = 7\n")
+    cfg = load_config(ini, kind="propagate")
+    assert cfg == default_config("propagate")
+    text = manifest_text(cfg, {}, {})
+    assert "t_off_ns" not in text and "\nt_store_ns = 500.0\n" in text
+    assert "[chain]\nn_atoms = 10\nplacement = uniform\n\n" in text
+    from dataclasses import replace
+    raw = replace(cfg, d_b=0.9, v_cap=5.0, t_off_ns=900.0, t_store_ns=100.0, chain_seed=7)
+    assert raw.resolved() == cfg
+    # the replica preset's d_b comes back on reload, unread: the re-run
+    # from the manifest writes the same bytes
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["replica", "--blockade", "none", "--n-atoms", "4", "--out", str(a)]) == 0
+    assert not re.search(r"\n(d_b|r_b|v0) = ", (a / "manifest.ini").read_text())
+    assert main(["replica", "--config", str(a / "manifest.ini"), "--out", str(b)]) == 0
+    assert _outputs(a) == _outputs(b)
+
+
 def test_cli_emulate_hbt_outputs(tmp_path):
     out = tmp_path / "hbt"
     rc = main(["emulate-hbt", "--d", "1.8", "--duration-ns", "300",
@@ -915,6 +995,29 @@ def test_cli_emulate_hbt_outputs(tmp_path):
     p_pair, p_single = float(res["pairs_per_trial"]), float(res["singles_per_trial"])
     assert 0.0 < p_pair and 0.0 < p_single
     assert float(res["singles_clip_per_trial"]) >= 0.0
+
+
+def test_emulate_hbt_writes_an_undefined_estimate_as_its_status(tmp_path):
+    # ten trials are fewer than the estimator's baseline offsets: the row
+    # keeps the estimator's error as its status
+    out = tmp_path / "hbt"
+    assert main(["emulate-hbt", *_SHORT, "--n-trials", "10", "--out", str(out)]) == 0
+    row = (out / "estimates.csv").read_text().splitlines()[-1]
+    assert row.startswith("full_output,") and row.endswith(",EstimateError")
+
+
+def test_emulate_hbt_raises_a_coding_error_in_its_estimate(tmp_path, monkeypatch):
+    # only what the estimators raise on data becomes a status
+    from rydeit import scenarios
+
+    def broken(*args):
+        raise TypeError("broken estimator")
+
+    monkeypatch.setattr(scenarios, "estimate_g2", broken)
+    out = tmp_path / "hbt"
+    with pytest.raises(TypeError, match="broken estimator"):
+        main(["emulate-hbt", *_SHORT, "--n-trials", "2000", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_storage_requires_schedule(tmp_path, monkeypatch, capsys):
