@@ -215,20 +215,18 @@ def _sample_pair_times(rng: np.random.Generator, times: np.ndarray,
     return times[i] + x * dt[i], times[j] + y * dt[j]
 
 
-def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
-                   budget: EfficiencyBudget, n_trials: int, seed: int,
+def emulate_trials(grid: CorrelationGrid, n_in: float, budget: EfficiencyBudget,
+                   n_trials: int, seed: int,
                    trial_period_ns: float = DetectionStream.trial_period_ns,
                    gamma_mhz: float = 6.0) -> DetectionStream:
-    """Synthesize the detection record of ``n_trials`` identical trials,
-    from a trace and a correlation grid on the same time grid."""
+    """Synthesize the detection record of ``n_trials`` identical trials from
+    a trace with its correlation grid."""
     if n_trials < 1:
         raise ConfigurationError("need at least one trial")
-    if not np.array_equal(grid.times, trace.times):
-        raise ConfigurationError("correlation grid is not on the trace's time grid")
-    e0sq = n_in / trace.input_energy()
+    e0sq = n_in / grid.input_energy()
 
-    lam = e0sq * trace.intensity                       # output photon rate
-    mu1 = float(np.trapezoid(lam, trace.times))
+    lam = e0sq * grid.intensity                        # output photon rate
+    mu1 = float(np.trapezoid(lam, grid.times))
 
     # pair sector on the correlation grid
     pair_density = e0sq ** 2 * grid.g2_matrix
@@ -237,8 +235,8 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
 
     # subtract the pair marginal from the singles density
     lam_single = np.clip(lam - rho, 0.0, None)
-    p_single = float(np.trapezoid(lam_single, trace.times))
-    clip = float(np.trapezoid(np.maximum(rho - lam, 0.0), trace.times))
+    p_single = float(np.trapezoid(lam_single, grid.times))
+    clip = float(np.trapezoid(np.maximum(rho - lam, 0.0), grid.times))
 
     if p_pair + p_single > 1.0:
         raise ConfigurationError(f"pair and single probabilities per trial sum to "
@@ -257,10 +255,10 @@ def emulate_trials(trace: ObservableTrace, grid: CorrelationGrid, n_in: float,
 
     # single times by inverse CDF of the subtracted density
     k1 = len(single_trials)
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(trace.times)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid.times)
                                            * 0.5 * (lam_single[1:] + lam_single[:-1]))])
     if cdf[-1] > 0:
-        t_single = np.interp(rng.random(k1) * cdf[-1], cdf, trace.times)
+        t_single = np.interp(rng.random(k1) * cdf[-1], cdf, grid.times)
     else:
         t_single = np.empty(0)
         single_trials = single_trials[:0]
@@ -318,8 +316,8 @@ def estimate_g2(stream: DetectionStream, w1_ns, w2_ns):
 
 
 def generation_probability_from_trace(trace: ObservableTrace, window, n_in: float) -> float:
-    """Photons per trial at the cloud output inside the window (Gamma
-    units); a window of fewer than two samples holds none."""
+    """Photons per trial at the cloud output inside the window (Gamma units);
+    none in fewer than two samples, and a window outside the trace is refused."""
     e0sq = n_in / trace.input_energy()
     return float(e0sq * trace.window_energy(*window))
 

@@ -643,7 +643,6 @@ class StateTrajectory:
     the final sample) in equal steps at constant Omega_c.
     """
 
-    index: ExcitationIndex
     times: np.ndarray
     covectors: np.ndarray
     projections: np.ndarray
@@ -1029,8 +1028,7 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ConfigurationError("need t_span with t1 > t0")
-    idx = generator.index
-    y = np.eye(1, 1 + idx.dim)[0] if initial is None else initial
+    y = np.eye(1, 1 + generator.index.dim)[0] if initial is None else initial
     _check_length(generator, y)
     project = generator.output_covectors(grid=True) if project is None else project
     y = np.asarray(y, dtype=np.result_type(generator.dtype, y, project))
@@ -1051,7 +1049,7 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
         times.extend([*(a + k * h_out for k in range(1, n_out)), b])
         _check_finite(y, b)
 
-    return StateTrajectory(index=idx, times=np.array(times), covectors=project,
+    return StateTrajectory(times=np.array(times), covectors=project,
                            projections=record,
                            envelope_unit=np.array([generator.envelope.unit_shape(t)
                                                    for t in times]),

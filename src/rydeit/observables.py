@@ -54,11 +54,8 @@ class ObservableTrace:
 
     def window_energy(self, t_start: float, width: float) -> float:
         """The trapezoid of the intensity over the window's samples, those
-        ``windowed_g2`` reads (``_window_slice``); 0.0 on fewer than two."""
-        try:
-            a, b = _window_slice(self.times, t_start, width)
-        except UndefinedResultError:
-            return 0.0
+        ``windowed_g2`` reads (``_window_slice``): 0.0 on fewer than two."""
+        a, b = _window_slice(self.times, t_start, width)
         return float(np.trapezoid(self.intensity[a:b], self.times[a:b]))
 
     def input_energy(self) -> float:
@@ -98,14 +95,13 @@ def trace_from_trajectory(traj: StateTrajectory, generator: Generator) -> Observ
 # two-time correlations
 
 @dataclass
-class CorrelationGrid:
-    """G2(t1, t2) on a square time grid, with the marginal intensity."""
+class CorrelationGrid(ObservableTrace):
+    """A trace with its G2(t1, t2) on the trace's own square time grid."""
 
-    times: np.ndarray
     g2_matrix: np.ndarray
-    intensity: np.ndarray
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         m = len(self.times)
         if self.g2_matrix.shape != (m, m):
             raise ConfigurationError("correlation matrix does not match the grid")
@@ -134,7 +130,7 @@ def correlation_grid(traj: StateTrajectory, generator: Generator) -> Correlation
     Earlier columns are carried to each segment's start by binary powers
     of P.
     """
-    n1 = traj.index.dim_singles
+    n1 = generator.index.dim_singles
     if not np.array_equal(traj.covectors[:2 + 2 * n1], generator.output_covectors(grid=True)):
         raise ConfigurationError("trajectory did not record the correlation-grid covectors")
     rec, times, n = traj.projections, traj.times, traj.n_samples
@@ -157,7 +153,7 @@ def correlation_grid(traj: StateTrajectory, generator: Generator) -> Correlation
         _fill_run(g2, f1, rows, cols, s)
         if not last:
             _carry(p, cols, e - np.maximum(np.arange(e), s))
-    return CorrelationGrid(times=times.copy(), g2_matrix=g2, intensity=np.abs(f1) ** 2)
+    return CorrelationGrid(**vars(trace_from_trajectory(traj, generator)), g2_matrix=g2)
 
 
 def _fill_run(g2: np.ndarray, f1: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -189,21 +185,24 @@ def _carry(p: np.ndarray, cols: np.ndarray, powers: np.ndarray) -> None:
 
 
 def _window_slice(times: np.ndarray, t_start: float, width: float):
-    a = int(np.searchsorted(times, t_start - 1e-9))
-    b = int(np.searchsorted(times, t_start + width + 1e-9))
-    if b - a < 2:
-        raise UndefinedResultError(
-            f"window [{t_start}, {t_start + width}] holds fewer than two grid samples")
-    return a, b
+    """The samples [a, b) of the window [t_start, t_start + width], to 1e-9;
+    a window reaching outside the grid is refused."""
+    if t_start < times[0] - 1e-9 or t_start + width > times[-1] + 1e-9:
+        raise UndefinedResultError(f"window [{t_start}, {t_start + width}] reaches outside "
+                                   f"the simulated [{times[0]}, {times[-1]}]")
+    return (int(np.searchsorted(times, t_start - 1e-9)),
+            int(np.searchsorted(times, t_start + width + 1e-9)))
 
 
 def windowed_g2(grid: CorrelationGrid, w1, w2) -> float:
     """Windowed correlation: coincidence mass over the product of the windowed
     intensities, trapezoidal quadrature on the grid.  Exactly 1 for coherent
-    light.  ``w1``/``w2`` are (start_time, width) pairs; a window whose mean
-    intensity is at or below ``DEFAULT_INTENSITY_FLOOR`` has none."""
-    a1, b1 = _window_slice(grid.times, *w1)
-    a2, b2 = _window_slice(grid.times, *w2)
+    light.  ``w1``/``w2`` are (start_time, width) pairs; a window of fewer
+    than two samples, or whose mean intensity is at or below
+    ``DEFAULT_INTENSITY_FLOOR``, has none."""
+    (a1, b1), (a2, b2) = _window_slice(grid.times, *w1), _window_slice(grid.times, *w2)
+    if min(b1 - a1, b2 - a2) < 2:
+        raise UndefinedResultError("a window holds fewer than two grid samples")
     t1 = grid.times[a1:b1]
     t2 = grid.times[a2:b2]
     num = np.trapezoid(np.trapezoid(grid.g2_matrix[a1:b1, a2:b2], t2, axis=1), t1)

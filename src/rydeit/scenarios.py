@@ -107,14 +107,13 @@ def run_spectrum(cfg: ScenarioConfig) -> ResultBundle:
 # plain propagation
 
 def _propagate(cfg: ScenarioConfig, grid: bool = False):
-    """Generator, trajectory and trace of the configured run; the trajectory
-    records the output projections the trace reads, and with ``grid`` also
-    those a correlation grid reads."""
+    """Generator and output record of the configured run: its trace, or with
+    ``grid`` its correlation grid."""
     gen = assemble_generator(cfg.params, cfg.chain(), cfg.blockade(),
                              cfg.schedule(), cfg.envelope())
     traj = evolve(gen, cfg.horizon(), time_from_ns(cfg.dt_out_ns, cfg.params.gamma_mhz),
                   project=gen.output_covectors(grid))
-    return gen, traj, trace_from_trajectory(traj, gen)
+    return gen, (correlation_grid if grid else trace_from_trajectory)(traj, gen)
 
 
 def _trace_rows(trace, g: float):
@@ -135,7 +134,7 @@ def _flat_interval(envelope: PulseEnvelope) -> tuple:
 
 @_timed
 def run_propagate(cfg: ScenarioConfig) -> ResultBundle:
-    gen, traj, trace = _propagate(cfg)
+    gen, trace = _propagate(cfg)
     g = cfg.params.gamma_mhz
     scalars = {"optical_depth": optical_depth(gen.chain, cfg.params)}
     scalars["pulse_transmission"] = float(
@@ -389,19 +388,18 @@ def _window_scan_rows(cfg: ScenarioConfig, shape: str):
     if shape == "gaussian":
         # match the measured comparison: longer pulse, stated default width
         shape_cfg = dc_replace(shape_cfg, duration_ns=1500.0, fwhm_ns=cfg.fwhm_ns or 600.0)
-    gen, traj, trace = _propagate(shape_cfg, grid=True)
-    grid = correlation_grid(traj, gen)
+    _, grid = _propagate(shape_cfg, grid=True)
     rows = []
     end = time_from_ns(cfg.end_time_ns, g)
     for dt_ns in cfg.delta_t_list_ns:
         width = time_from_ns(dt_ns, g)
         w = (end - width, width)
-        pg = generation_probability_from_trace(trace, w, shape_cfg.n_in)
+        pg = val = math.nan
         try:
+            pg = generation_probability_from_trace(grid, w, shape_cfg.n_in)
             val = windowed_g2(grid, w, w)
             status = "ok"
         except (UndefinedResultError, ExtractionError) as exc:
-            val = math.nan
             status = type(exc).__name__
         rows.append((shape, dt_ns, cfg.end_time_ns - dt_ns, 1e3 / dt_ns,
                      val, pg, status))
@@ -434,22 +432,20 @@ def run_storage(cfg: ScenarioConfig) -> ResultBundle:
         raise ConfigurationError(f"the release at t_off_ns + t_store_ns = {release_ns!r} ns is "
                                  f"not before the simulated horizon's end at {end_ns!r} ns")
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg, grid=True)
-    grid = correlation_grid(traj, gen)
+    _, grid = _propagate(cfg, grid=True)
     t_release = time_from_ns(release_ns, g)
-    t_end = trace.times[-1]
-    w = (t_release, t_end - t_release)
+    w = (t_release, grid.times[-1] - t_release)
     try:
         g2_ret = windowed_g2(grid, w, w)
     except (UndefinedResultError, ExtractionError):
         g2_ret = math.nan
-    pg = generation_probability_from_trace(trace, w, cfg.n_in)
-    eff = float(trace.window_energy(*w) / trace.input_energy())
+    pg = generation_probability_from_trace(grid, w, cfg.n_in)
+    eff = float(grid.window_energy(*w) / grid.input_energy())
     scalars = {"g2_retrieved": g2_ret, "generation_probability": pg,
                "retrieval_efficiency": eff,
                "t_release_ns": release_ns}
     return ResultBundle(config=cfg, scalars=scalars, tables=[(
-        "trace.csv", _TRACE_COLS, _trace_rows(trace, g), _csv_time_cols(g))])
+        "trace.csv", _TRACE_COLS, _trace_rows(grid, g), _csv_time_cols(g))])
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +471,15 @@ def run_dlcz(cfg: ScenarioConfig) -> ResultBundle:
 @_timed
 def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
     g = cfg.params.gamma_mhz
-    gen, traj, trace = _propagate(cfg, grid=True)
-    grid = correlation_grid(traj, gen)
+    _, grid = _propagate(cfg, grid=True)
     budget = cfg.budget()
-    stream = emulate_trials(trace, grid, cfg.n_in, budget, cfg.n_trials, cfg.seed,
+    stream = emulate_trials(grid, cfg.n_in, budget, cfg.n_trials, cfg.seed,
                             trial_period_ns=cfg.trial_period_ns, gamma_mhz=g)
     # whole-output window comparison estimator vs quadrature
-    t0_ns = ns_from_time(float(trace.times[0]), g)
-    t1_ns = ns_from_time(float(trace.times[-1]), g)
+    t0_ns = ns_from_time(float(grid.times[0]), g)
+    t1_ns = ns_from_time(float(grid.times[-1]), g)
     w_ns = (t0_ns, t1_ns - t0_ns)
-    w = (float(trace.times[0]), float(trace.times[-1] - trace.times[0]))
+    w = (float(grid.times[0]), float(grid.times[-1] - grid.times[0]))
     rows = []
     try:
         est, se = estimate_g2(stream, w_ns, w_ns)
@@ -496,7 +491,7 @@ def run_emulate_hbt(cfg: ScenarioConfig) -> ResultBundle:
                      math.nan, math.nan, type(exc).__name__))
     scalars = {"n_events": stream.n_events,
                "pg_stream_full": generation_probability_from_stream(stream, w_ns, budget),
-               "pg_trace_full": generation_probability_from_trace(trace, w, cfg.n_in),
+               "pg_trace_full": generation_probability_from_trace(grid, w, cfg.n_in),
                "pairs_per_trial": stream.pairs_per_trial,
                "singles_per_trial": stream.singles_per_trial,
                "singles_clip_per_trial": stream.singles_clip_per_trial}

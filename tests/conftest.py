@@ -149,7 +149,7 @@ def rk4_evolve(gen, t_span, dt_out, dt=None, initial=None, project=None):
         record.extend(proj)
         h_out = (b - a) / n_out
         times.extend([*(a + k * h_out for k in range(1, n_out)), b])
-    return StateTrajectory(index=gen.index, times=np.array(times), covectors=project,
+    return StateTrajectory(times=np.array(times), covectors=project,
                            projections=np.array(record),
                            envelope_unit=np.array([gen.envelope.unit_shape(t) for t in times]),
                            omega_c=np.array([gen.schedule.value(t) for t in times]),

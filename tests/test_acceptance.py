@@ -24,8 +24,8 @@ from rydeit.counting import (EfficiencyBudget, emulate_trials, estimate_g2,
                              dlcz_compare)
 from rydeit.dynamics import (assemble_generator, evolve, steady_state,
                              steady_transmission_amplitude)
-from rydeit.observables import (CorrelationGrid, ObservableTrace, correlation_grid,
-                                trace_from_trajectory, windowed_g2)
+from rydeit.observables import (CorrelationGrid, correlation_grid, trace_from_trajectory,
+                                windowed_g2)
 from rydeit.scenarios import (run_experiment_replica,
                               run_turnoff_scan, run_turnon_scan, run_window_scan,
                               _turnoff_point)
@@ -44,9 +44,10 @@ def _report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def replica_artifacts():
-    """Replica trace, correlation grid and bundle scalars (criteria 9-11),
-    all from the replica run's one ``evolve``: its propagation records the
-    grid's projections too, and the fixture keeps the trajectory."""
+    """Replica correlation grid, which is its trace too, and bundle scalars
+    (criteria 9-11), all from the replica run's one ``evolve``: its
+    propagation records the grid's projections too, and the fixture keeps
+    the grid."""
     import rydeit.scenarios as scenarios
     cfg = default_config("experiment_replica", {"dt_out_ns": 2.0})
     kept = []
@@ -60,21 +61,17 @@ def replica_artifacts():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "_propagate", propagate)
         bundle = run_experiment_replica(cfg)
-    (gen, traj, trace), = kept
-    grid = correlation_grid(traj, gen)
+    (gen, grid), = kept
     wall = _time.perf_counter() - t0
-    return {"cfg": cfg, "bundle": bundle, "gen": gen, "trace": trace,
-            "grid": grid, "wall": wall}
+    return {"cfg": cfg, "bundle": bundle, "gen": gen, "grid": grid, "wall": wall}
 
 
 def _flat_scene(t_max=8.0, n=161, g2=1.0):
     ts = np.linspace(0.0, t_max, n)
     ones = np.ones(n)
-    trace = ObservableTrace(times=ts, envelope_unit=ones.copy(), omega_c=ones * 0.5,
-                            intensity=ones.copy(), g2tilde=np.full(n, g2),
-                            g2=np.full(n, g2))
-    grid = CorrelationGrid(times=ts, g2_matrix=np.full((n, n), g2), intensity=ones.copy())
-    return trace, grid
+    return CorrelationGrid(times=ts, envelope_unit=ones.copy(), omega_c=ones * 0.5,
+                           intensity=ones.copy(), g2tilde=np.full(n, g2),
+                           g2=np.full(n, g2), g2_matrix=np.full((n, n), g2))
 
 
 def _g2ss_closed_form(d, om):
@@ -328,7 +325,6 @@ def test_criterion_10_window_scan_morphology(window_scan_bundle):
 
 
 def test_criterion_11_estimator_equivalence(replica_artifacts):
-    trace = replica_artifacts["trace"]
     grid = replica_artifacts["grid"]
     cfg = replica_artifacts["cfg"]
     budget = EfficiencyBudget()
@@ -340,36 +336,34 @@ def test_criterion_11_estimator_equivalence(replica_artifacts):
                               ControlSchedule.constant(0.5),
                               PulseEnvelope(duration=30.0))
     trajb = evolve(genb, (0.0, 40.0), dt_out=0.25)
-    traceb = trace_from_trajectory(trajb, genb)
     gridb = correlation_grid(trajb, genb)
 
     flat_coh = _flat_scene(g2=1.0)
     flat_anti = _flat_scene(g2=0.3)
 
     scenarios = [
-        ("coherent-flat", *flat_coh, (0.0, ns_from_time(8.0)), 0.45, ideal),
-        ("antibunched-flat", *flat_anti, (0.0, ns_from_time(8.0)), 0.45, ideal),
-        ("blockaded-D3.6", traceb, gridb, (0.0, ns_from_time(40.0)), 1.0, ideal),
-        ("replica-full", trace, grid, (0.0, 2200.0), cfg.n_in, budget),
-        ("replica-midpulse", trace, grid, (400.0, 600.0), cfg.n_in, budget),
+        ("coherent-flat", flat_coh, (0.0, ns_from_time(8.0)), 0.45, ideal),
+        ("antibunched-flat", flat_anti, (0.0, ns_from_time(8.0)), 0.45, ideal),
+        ("blockaded-D3.6", gridb, (0.0, ns_from_time(40.0)), 1.0, ideal),
+        ("replica-full", grid, (0.0, 2200.0), cfg.n_in, budget),
+        ("replica-midpulse", grid, (400.0, 600.0), cfg.n_in, budget),
     ]
     all_ok = True
     details = []
-    for name, tr, gr, w_ns, n_in, bud in scenarios:
+    for name, gr, w_ns, n_in, bud in scenarios:
         g = 6.0
         w = (time_from_ns(w_ns[0], g), time_from_ns(w_ns[1], g))
         quad = windowed_g2(gr, w, w)
         for seed in (101, 202, 303):
-            stream = emulate_trials(tr, gr, n_in, bud, 100000, seed)
+            stream = emulate_trials(gr, n_in, bud, 100000, seed)
             val, se = estimate_g2(stream, w_ns, w_ns)
             z = abs(val - quad) / se
             if z >= 3.0:
                 all_ok = False
             details.append(f"{name}/s{seed}: z={z:.2f}")
     # unbiasedness: 20 seeds on the exactly coherent scene
-    tr, gr = flat_coh
     w_ns = (0.0, ns_from_time(8.0))
-    vals = [estimate_g2(emulate_trials(tr, gr, 0.45, ideal, 100000, 1000 + k),
+    vals = [estimate_g2(emulate_trials(flat_coh, 0.45, ideal, 100000, 1000 + k),
                         w_ns, w_ns)[0] for k in range(20)]
     mean = float(np.mean(vals))
     mean_ok = abs(mean - 1.0) < 0.01

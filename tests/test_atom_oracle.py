@@ -15,14 +15,16 @@ forward-scattering limit (Gardiner, PRL 70:2269, 1993; Carmichael, PRL
 
 The output is b = E + i sqrt(gamma_c) sum_h sigma_h.  The steady state is a
 sparse solve of the Liouvillian, and g2_ss = <b+ b+ b b> / <b+ b>^2 is
-Richardson-extrapolated to E -> 0 from E = 0.02 and 0.01.
+Richardson-extrapolated to E -> 0 from E = 0.02 and 0.01.  On a square
+pulse the Liouvillian is propagated by its dense exponential, on and then
+off, and g2(t) is extrapolated the same way.
 
 The weak-drive model makes each atom two bosonic modes, so its doubles keep
 the same-atom slots ee(h, h) and er(h, h) that three-level atoms cannot
 hold.  Restricted to the distinct-atom slots, (Q M2 Q^T, Q S21, Q a2vec)
 with Q the rows of the doubles whose two modes sit on different atoms, the
-production generator gives the atoms' g2_ss; with the same-atom slots kept
-it does not.
+production generator gives the atoms' g2_ss and g2(t); with the same-atom
+slots kept it does not, on the falling edge too.
 """
 
 import itertools
@@ -32,19 +34,23 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 
-from rydeit.dynamics import assemble_generator, steady_state
+from rydeit.dynamics import assemble_generator, evolve, steady_state
 from rydeit.model import (BLOCKED, BlockadeConfig, BlockadeMode, ControlSchedule,
                           PhysicalParams, PulseEnvelope, build_chain, interaction)
+from rydeit.observables import trace_from_trajectory
 
 G, E, R = 0, 1, 2
 OMEGA_C = 0.5
 DRIVES = (0.02, 0.01)
 
 
-def _master_equation(params, chain, blockade, omega):
-    """(g2_ss, output intensity per unit drive squared) of the atoms'
-    steady state, each Richardson-extrapolated from ``DRIVES``."""
+def _atoms(params, chain, blockade, omega):
+    """The atoms' Liouvillian at drive level e, ``liouvillian(e)``, on the
+    row-major vec(rho), the output moments (<b+ b>, <b+ b+ b b>) of a state
+    at drive level e, ``moments(rho, e)``, vec(rho) of the ground state (the
+    first kept state) and the row tr rho of vec(rho)."""
     n, z = chain.n_atoms, chain.z()
     shift = {(h, j): interaction(blockade, abs(z[j] - z[h]))
              for h in range(n) for j in range(h + 1, n)}
@@ -77,23 +83,47 @@ def _master_equation(params, chain, blockade, omega):
     jumps += [math.sqrt(2.0 * params.gamma_r) * op(h, G, R) for h in range(n)]
     drive = -math.sqrt(gc) * sum(s + s.T for s in sig)
     eye = np.eye(d)
-    trace_row = eye.reshape(-1)
-    g2, inten = [], []
-    for e in DRIVES:
-        # d rho/dt = -i H_eff rho + i rho H_eff^+ + sum L rho L^+ on the
-        # row-major vec(rho); the ground population's row becomes tr rho = 1
+
+    def liouvillian(e):
+        # d rho/dt = -i H_eff rho + i rho H_eff^+ + sum L rho L^+
         heff = h0 + e * drive - 0.5j * sum(l.conj().T @ l for l in jumps)
         lv = -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj())
         for l in jumps:
             lv += np.kron(l, l.conj())
-        lv[0] = trace_row
-        rho = spla.spsolve(sp.csc_matrix(lv), np.eye(1, d * d, dtype=complex)[0]).reshape(d, d)
+        return lv
+
+    def moments(rho, e):
         b = e * eye + 1j * math.sqrt(gc) * sum(sig)
-        one = np.trace(b @ rho @ b.conj().T).real
-        two = np.trace(b @ b @ rho @ (b @ b).conj().T).real
+        rho, bb = rho.reshape(d, d), b @ b
+        return np.trace(b @ rho @ b.conj().T).real, np.trace(bb @ rho @ bb.conj().T).real
+
+    return liouvillian, moments, np.eye(1, d * d, dtype=complex)[0], eye.reshape(-1)
+
+
+def _richardson(x):
+    """The E -> 0 value of x(E) = x0 + c E^2 from x at ``DRIVES``."""
+    return (4.0 * x[1] - x[0]) / 3.0
+
+
+def _master_equation(params, chain, blockade, omega):
+    """(g2_ss, output intensity per unit drive squared) of the atoms'
+    steady state, each Richardson-extrapolated from ``DRIVES``."""
+    liouvillian, moments, ground, trace_row = _atoms(params, chain, blockade, omega)
+    g2, inten = [], []
+    for e in DRIVES:
+        # the ground population's row becomes tr rho = 1
+        lv = liouvillian(e)
+        lv[0] = trace_row
+        one, two = moments(spla.spsolve(sp.csc_matrix(lv), ground), e)
         g2.append(two / one ** 2)
         inten.append(one / e ** 2)
-    return tuple((4.0 * x[1] - x[0]) / 3.0 for x in (g2, inten))
+    return _richardson(g2), _richardson(inten)
+
+
+def _distinct(gen):
+    """The rows q of the doubles whose two modes sit on different atoms."""
+    a, b = gen.index.mode_pairs()
+    return np.flatnonzero(a % gen.index.n_atoms != b % gen.index.n_atoms)
 
 
 def _model(params, chain, blockade, omega):
@@ -103,12 +133,10 @@ def _model(params, chain, blockade, omega):
     and a2 = a2vec psi2."""
     gen = assemble_generator(params, chain, blockade, ControlSchedule.constant(omega),
                              PulseEnvelope(duration=10.0))
-    idx = gen.index
-    k1, k2 = idx.singles, idx.doubles
+    k1, k2 = gen.index.singles, gen.index.doubles
     ss = steady_state(gen, omega)
     f = gen.out_e @ ss[k1]
-    a, b = idx.mode_pairs()
-    q = np.flatnonzero(a % idx.n_atoms != b % idx.n_atoms)
+    q = _distinct(gen)
     m2 = gen.operator(omega, slots=k2)[q][:, q].toarray()
     s21 = gen.stacked[2][k2, k1][q].toarray()
     psi2 = np.linalg.solve(m2, -(s21 @ ss[k1])) if len(q) else np.zeros(0)
@@ -168,3 +196,79 @@ def test_interaction_free_atoms_are_not_coherent(n, atoms):
     assert model == pytest.approx(1.0, abs=1e-12)
     assert g2 == pytest.approx(distinct, abs=1e-6)
     assert g2 == pytest.approx(atoms, abs=5e-5)
+
+
+# ---------------------------------------------------------------------------
+# square-pulse transient
+
+#: the square pulse's end, the samples compared (on the plateau, and 2 and 4
+#: after the shutoff) and the step of the dense exponentials between them
+T_OFF, SAMPLES, STEP = 40.0, (38.0, 42.0, 44.0), 2.0
+
+
+def _at_samples(step_on, step_off, y):
+    """The state ``y`` at t = 0 carried to each of ``SAMPLES`` by the
+    one-step maps under the pulse (before ``T_OFF``) and after it."""
+    t, out = 0.0, []
+    for s in SAMPLES:
+        while t < s:
+            y = (step_on if t < T_OFF else step_off) @ y
+            t += STEP
+        out.append(y)
+    return out
+
+
+def _master_equation_pulse(params, chain, blockade, omega):
+    """g2(t) = <b+ b+ b b> / <b+ b>^2 of the atoms at ``SAMPLES`` on a square
+    pulse over [0, ``T_OFF``], Richardson-extrapolated from ``DRIVES``."""
+    liouvillian, moments, ground, _ = _atoms(params, chain, blockade, omega)
+    step_off = expm(STEP * liouvillian(0.0))
+    g2 = []
+    for e in DRIVES:
+        rhos = _at_samples(expm(STEP * liouvillian(e)), step_off, ground)
+        g2.append(np.array([two / one ** 2 for one, two in
+                            (moments(rho, e if s < T_OFF else 0.0)
+                             for rho, s in zip(rhos, SAMPLES))]))
+    return _richardson(g2)
+
+
+def _model_pulse(gen, omega):
+    """g2(t) = |A2|^2 / |f1|^4 at ``SAMPLES`` of the stacked amplitudes
+    restricted to the ground, the singles and the distinct-atom doubles
+    (``trace_from_trajectory``'s f1 and A2), by dense exponentials."""
+    n1, q = gen.index.dim_singles, _distinct(gen)
+    keep = np.r_[0, 1:1 + n1, gen.index.doubles.start + q]
+    step_on, step_off = (expm(STEP * gen.operator(omega, e)[keep][:, keep].toarray())
+                         for e in (1.0, 0.0))
+    g2 = []
+    for y, s in zip(_at_samples(step_on, step_off, np.eye(1, len(keep))[0]), SAMPLES):
+        ep = 1.0 if s < T_OFF else 0.0
+        f = gen.out_e @ y[1:1 + n1]
+        a2 = ep ** 2 + 2.0 * ep * f + gen.a2vec[q] @ y[1 + n1:]
+        g2.append(abs(a2) ** 2 / abs(ep + f) ** 4)
+    return np.array(g2)
+
+
+#: square-pulse devices at Omega_c = 0.5 under full blockade, with g2 at
+#: ``SAMPLES`` to 6 decimals: (Gamma_1D/Gamma', gamma_r, N, atoms, model)
+PULSE_ROWS = [(1.0, 0.05, 3, (0.201968, 0.200839, 0.000663), (0.174463, 0.112914, 0.001179)),
+              (0.2, 0.0, 3, (0.853069, 0.125287, 0.000312), (0.801414, 0.210464, 0.000122)),
+              (1.0, 0.05, 2, (0.583278, 0.194470, 0.000516), (0.437921, 0.278696, 0.000003))]
+
+
+@pytest.mark.parametrize("ratio, gamma_r, n, atoms, current", PULSE_ROWS)
+def test_square_pulse_atoms_are_the_distinct_atom_doubles(ratio, gamma_r, n, atoms, current):
+    # the falling edge itself differs: at 2 after the shutoff the same-atom
+    # slots move g2 by 0.084-0.088 on these rows
+    params = PhysicalParams.from_ratio(ratio, omega_c_peak=OMEGA_C, gamma_r=gamma_r)
+    chain, blockade = build_chain(n), BlockadeConfig.fully_blockaded()
+    gen = assemble_generator(params, chain, blockade, ControlSchedule.constant(OMEGA_C),
+                             PulseEnvelope(duration=T_OFF))
+    g2 = _master_equation_pulse(params, chain, blockade, OMEGA_C)
+    np.testing.assert_allclose(g2, _model_pulse(gen, OMEGA_C), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(g2, atoms, rtol=0, atol=5e-5)
+    trace = trace_from_trajectory(evolve(gen, (0.0, 46.0), dt_out=0.5), gen)
+    at = np.searchsorted(trace.times, SAMPLES)
+    np.testing.assert_array_equal(trace.times[at], SAMPLES)
+    np.testing.assert_allclose(trace.g2[at], current, rtol=0, atol=5e-5)
+    assert abs(trace.g2[at][1] - g2[1]) > 0.05

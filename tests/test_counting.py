@@ -14,8 +14,7 @@ from rydeit.counting import (DetectionStream, EfficiencyBudget, EstimateError,
                              save_stream)
 from rydeit.dynamics import evolve
 from rydeit.model import ConfigurationError, PulseShape, ns_from_time
-from rydeit.observables import (CorrelationGrid, ObservableTrace, correlation_grid,
-                                trace_from_trajectory)
+from rydeit.observables import CorrelationGrid, UndefinedResultError, correlation_grid
 
 from conftest import make_generator
 
@@ -23,14 +22,10 @@ from conftest import make_generator
 def _flat_scene(t_max=8.0, n=161, intensity=1.0, g2=1.0):
     """Synthetic CW scene: constant intensity and constant two-time g2."""
     ts = np.linspace(0.0, t_max, n)
-    inten = np.full(n, intensity)
-    trace = ObservableTrace(times=ts, envelope_unit=np.ones(n),
-                            omega_c=np.full(n, 0.5), intensity=inten,
-                            g2tilde=np.full(n, g2 * intensity ** 2),
-                            g2=np.full(n, g2))
-    grid = CorrelationGrid(times=ts, g2_matrix=np.full((n, n), g2 * intensity ** 2),
-                           intensity=inten)
-    return trace, grid
+    return CorrelationGrid(times=ts, envelope_unit=np.ones(n), omega_c=np.full(n, 0.5),
+                           intensity=np.full(n, intensity),
+                           g2tilde=np.full(n, g2 * intensity ** 2), g2=np.full(n, g2),
+                           g2_matrix=np.full((n, n), g2 * intensity ** 2))
 
 
 IDEAL = EfficiencyBudget(eta_path=1.0, eta1=1.0, eta2=1.0, split=0.5)
@@ -46,10 +41,10 @@ def test_budget_validation():
 
 
 def test_seed_determinism():
-    trace, grid = _flat_scene()
-    a = emulate_trials(trace, grid, 0.4, IDEAL, 5000, seed=11)
-    b = emulate_trials(trace, grid, 0.4, IDEAL, 5000, seed=11)
-    c = emulate_trials(trace, grid, 0.4, IDEAL, 5000, seed=12)
+    grid = _flat_scene()
+    a = emulate_trials(grid, 0.4, IDEAL, 5000, seed=11)
+    b = emulate_trials(grid, 0.4, IDEAL, 5000, seed=11)
+    c = emulate_trials(grid, 0.4, IDEAL, 5000, seed=12)
     assert np.array_equal(a.times_ns, b.times_ns)
     assert np.array_equal(a.trials, b.trials)
     assert np.array_equal(a.detectors, b.detectors)
@@ -57,8 +52,8 @@ def test_seed_determinism():
 
 
 def test_coherent_estimator_within_errors():
-    trace, grid = _flat_scene()
-    stream = emulate_trials(trace, grid, 0.45, IDEAL, 200000, seed=4)
+    grid = _flat_scene()
+    stream = emulate_trials(grid, 0.45, IDEAL, 200000, seed=4)
     w = (0.0, ns_from_time(8.0))
     val, se = estimate_g2(stream, w, w)
     assert abs(val - 1.0) < 3 * se
@@ -66,10 +61,10 @@ def test_coherent_estimator_within_errors():
 
 
 def test_zero_g2_gives_zero_coincidences():
-    trace, grid = _flat_scene(g2=0.0)
+    grid = _flat_scene(g2=0.0)
     grid.g2_matrix[:] = 0.0
-    trace.g2tilde[:] = 0.0
-    stream = emulate_trials(trace, grid, 0.4, IDEAL, 50000, seed=7)
+    grid.g2tilde[:] = 0.0
+    stream = emulate_trials(grid, 0.4, IDEAL, 50000, seed=7)
     w = (0.0, ns_from_time(8.0))
     val, se = estimate_g2(stream, w, w)
     assert val == 0.0
@@ -79,8 +74,8 @@ def test_zero_g2_gives_zero_coincidences():
 
 
 def test_antibunched_scene_estimates_below_one():
-    trace, grid = _flat_scene(g2=0.3)
-    stream = emulate_trials(trace, grid, 0.4, IDEAL, 200000, seed=3)
+    grid = _flat_scene(g2=0.3)
+    stream = emulate_trials(grid, 0.4, IDEAL, 200000, seed=3)
     w = (0.0, ns_from_time(8.0))
     val, se = estimate_g2(stream, w, w)
     assert abs(val - 0.3) < 3 * se
@@ -134,27 +129,29 @@ def test_zero_baseline_raises():
 
 
 def test_generation_probability_trace_and_stream_agree():
-    trace, grid = _flat_scene(intensity=0.5)
+    grid = _flat_scene(intensity=0.5)
     n_in = 0.6
-    stream = emulate_trials(trace, grid, n_in, IDEAL, 100000, seed=21)
+    stream = emulate_trials(grid, n_in, IDEAL, 100000, seed=21)
     w_gamma = (0.0, 8.0)
     w_ns = (0.0, ns_from_time(8.0))
-    p_trace = generation_probability_from_trace(trace, w_gamma, n_in)
+    p_trace = generation_probability_from_trace(grid, w_gamma, n_in)
     p_stream = generation_probability_from_stream(stream, w_ns, IDEAL)
     se = math.sqrt(p_trace / 100000) / IDEAL.p_detect_1
     assert abs(p_stream - p_trace) < 3 * se
 
 
 def test_generation_probability_empty_window():
-    trace, _ = _flat_scene()
-    assert generation_probability_from_trace(trace, (100.0, 5.0), 1.0) == 0.0
+    # the trace ends at 8: a window there holds no photons it could count
+    trace = _flat_scene()
+    with pytest.raises(UndefinedResultError, match="outside"):
+        generation_probability_from_trace(trace, (100.0, 5.0), 1.0)
 
 
 def test_generation_probability_reads_the_windowed_g2_samples():
     # one window rule (``_window_slice``): a window that starts 1e-10 past a
     # sample holds it, for the generation probability as for the windowed g2,
     # and a window of one sample holds no photons
-    trace, _ = _flat_scene(t_max=8.0, n=9)
+    trace = _flat_scene(t_max=8.0, n=9)
     trace.intensity[:] = 1.0 + trace.times ** 2
     n_in = 0.6
     e0sq = n_in / trace.input_energy()
@@ -167,17 +164,17 @@ def test_generation_probability_reads_the_windowed_g2_samples():
 def test_trace_without_input_pulse_is_refused():
     # with no input pulse there is no photon number to normalize to: the
     # generation probability refuses the trace as the emulation does
-    trace, grid = _flat_scene()
-    trace.envelope_unit[:] = 0.0
+    grid = _flat_scene()
+    grid.envelope_unit[:] = 0.0
     with pytest.raises(ConfigurationError, match="no input pulse"):
-        generation_probability_from_trace(trace, (0.0, 8.0), 1.0)
+        generation_probability_from_trace(grid, (0.0, 8.0), 1.0)
     with pytest.raises(ConfigurationError, match="no input pulse"):
-        emulate_trials(trace, grid, 0.4, IDEAL, 100, seed=1)
+        emulate_trials(grid, 0.4, IDEAL, 100, seed=1)
 
 
 def test_stream_file_round_trip(tmp_path):
-    trace, grid = _flat_scene()
-    stream = emulate_trials(trace, grid, 0.4, IDEAL, 2000, seed=5)
+    grid = _flat_scene()
+    stream = emulate_trials(grid, 0.4, IDEAL, 2000, seed=5)
     path = tmp_path / "stamps.txt"
     save_stream(stream, path)
     back = load_stream(path)
@@ -207,9 +204,9 @@ def test_external_stream_out_of_range_is_refused(tmp_path, event):
 
 def test_validity_warning_fires_for_bright_input():
     # 1.2 photons in: 0.72 pairs per trial, above the 0.5 of the warning
-    trace, grid = _flat_scene()
+    grid = _flat_scene()
     with pytest.warns(RuntimeWarning):
-        emulate_trials(trace, grid, 1.2, IDEAL, 100, seed=1)
+        emulate_trials(grid, 1.2, IDEAL, 100, seed=1)
 
 
 @pytest.mark.parametrize("n_in, total", [(math.sqrt(1.8), 0.9), (math.sqrt(2.2), 1.1),
@@ -219,15 +216,15 @@ def test_per_trial_probabilities_above_one_are_refused(n_in, total):
     # exceeds the photon rate, the singles clip to 0 and the pairs per trial
     # are n_in^2 / 2: a sum of 0.9 still runs, one above 1 has no
     # at-most-one-event distribution
-    trace, grid = _flat_scene()
+    grid = _flat_scene()
     if total <= 1.0:
         with pytest.warns(RuntimeWarning):
-            stream = emulate_trials(trace, grid, n_in, IDEAL, 1000, seed=1)
+            stream = emulate_trials(grid, n_in, IDEAL, 1000, seed=1)
         assert stream.singles_per_trial == 0.0
         assert stream.pairs_per_trial == pytest.approx(total, rel=1e-12)
     else:
         with pytest.raises(ConfigurationError, match=f"sum to {total}"):
-            emulate_trials(trace, grid, n_in, IDEAL, 1000, seed=1)
+            emulate_trials(grid, n_in, IDEAL, 1000, seed=1)
 
 
 def _trapezoid(y, t):
@@ -239,14 +236,13 @@ def test_stream_reports_pairs_singles_and_clip():
     # lam on part of the pulse, where the singles density is clipped at 0;
     # the stream hands back the probabilities it drew from and the clipped
     # mass, against trapezoid sums written out here
-    trace, grid = _gaussian_scene()
+    grid = _gaussian_scene()
     n_in = 2.0
     with pytest.warns(RuntimeWarning):
-        stream = emulate_trials(trace, grid, n_in, IDEAL, 100, seed=1)
-    t = trace.times
-    np.testing.assert_array_equal(grid.times, t)
-    e0sq = n_in / _trapezoid(trace.envelope_unit ** 2, t)
-    lam = e0sq * trace.intensity
+        stream = emulate_trials(grid, n_in, IDEAL, 100, seed=1)
+    t = grid.times
+    e0sq = n_in / _trapezoid(grid.envelope_unit ** 2, t)
+    lam = e0sq * grid.intensity
     rho = e0sq ** 2 * _trapezoid(grid.g2_matrix, t)
     clip = _trapezoid(np.maximum(rho - lam, 0.0), t)
     assert clip > 0.01
@@ -258,8 +254,8 @@ def test_stream_reports_pairs_singles_and_clip():
 
 def test_stream_clip_is_zero_without_clipping():
     # a flat coherent scene at 0.4 photons: rho = 0.4 lam everywhere
-    trace, grid = _flat_scene()
-    stream = emulate_trials(trace, grid, 0.4, IDEAL, 100, seed=1)
+    grid = _flat_scene()
+    stream = emulate_trials(grid, 0.4, IDEAL, 100, seed=1)
     assert stream.singles_clip_per_trial == 0.0
     assert stream.pairs_per_trial == pytest.approx(0.08, rel=1e-12)
     assert stream.singles_per_trial == pytest.approx(0.4 - 0.16, rel=1e-12)
@@ -271,7 +267,7 @@ def test_stream_clip_is_zero_without_clipping():
 def _simulated_scene(**kw):
     gen = make_generator(n_atoms=4, **kw)
     traj = evolve(gen, (0.0, 12.0), dt_out=0.3)
-    return trace_from_trajectory(traj, gen), correlation_grid(traj, gen)
+    return correlation_grid(traj, gen)
 
 
 def _gaussian_scene():
@@ -285,20 +281,20 @@ def _square_edges_scene():
 
 def _blockwise_zero_scene():
     # pairs only inside a small off-diagonal patch; most cells have zero mass
-    trace, grid = _flat_scene(n=301)
+    grid = _flat_scene(n=301)
     patch = np.zeros_like(grid.g2_matrix)
     patch[40:70, 200:260] = 1.0
     grid.g2_matrix[:] = patch
-    return trace, grid
+    return grid
 
 
 def _checkerboard_scene():
     # corners alternate between 0 and 1: no cell's density is a product of a
     # t1 and a t2 factor, so the t2 draw must follow the conditional at t1
-    trace, grid = _flat_scene(n=41)
+    grid = _flat_scene(n=41)
     i = np.arange(41)
     grid.g2_matrix[:] = (i[:, None] + i[None, :]) % 2
-    return trace, grid
+    return grid
 
 
 #: bilinear weights (1 - x, x) integrated over the lower and upper half of a cell
@@ -344,7 +340,7 @@ def _chi2_pvalue(times, density, t1, t2, block):
 @pytest.mark.parametrize("scene", [_gaussian_scene, _square_edges_scene,
                                    _blockwise_zero_scene, _checkerboard_scene])
 def test_pair_sampler_is_exact(scene):
-    trace, grid = scene()
+    grid = scene()
     if scene is _square_edges_scene:
         assert np.ptp(np.diff(grid.times)) > 1e-3
     density = grid.g2_matrix
@@ -358,7 +354,7 @@ def test_pair_sampler_is_exact(scene):
         assert _chi2_pvalue(grid.times, density, t1, t2, block) > 1e-4
 
     for s in (3, 99):
-        x = emulate_trials(trace, grid, 0.4, IDEAL, 20000, seed=s)
+        x = emulate_trials(grid, 0.4, IDEAL, 20000, seed=s)
         assert np.any(np.bincount(x.trials, minlength=x.n_trials) == 2)
 
 
@@ -366,14 +362,14 @@ def test_stream_routes_as_three_passes():
     # the stream routes every photon by one uniform, in the order pairs' first
     # photons, their second photons, lone photons: the three-pass construction
     # below, replayed from the same seed, gives the same record
-    trace, grid = _gaussian_scene()
+    grid = _gaussian_scene()
     budget = EfficiencyBudget(eta_path=0.9, eta1=0.8, eta2=0.6, split=0.5)
     n_in, n_trials, seed = 0.4, 20000, 5
-    stream = emulate_trials(trace, grid, n_in, budget, n_trials, seed)
+    stream = emulate_trials(grid, n_in, budget, n_trials, seed)
 
     rng = np.random.default_rng(seed)
-    e0sq = n_in / trace.input_energy()
-    lam = e0sq * trace.intensity
+    e0sq = n_in / grid.input_energy()
+    lam = e0sq * grid.intensity
     pair_density = e0sq ** 2 * grid.g2_matrix
     lam_single = np.clip(lam - np.trapezoid(pair_density, grid.times, axis=1), 0.0, None)
     u = rng.random(n_trials)
@@ -382,9 +378,9 @@ def test_stream_routes_as_three_passes():
     single_trials = np.nonzero((u >= p_pair) & (u < p_pair + p_single))[0]
     acc1, acc2 = counting._sample_pair_times(rng, grid.times, pair_density,
                                              len(pair_trials))
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(trace.times) * 0.5
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid.times) * 0.5
                                            * (lam_single[1:] + lam_single[:-1]))])
-    t_single = np.interp(rng.random(len(single_trials)) * cdf[-1], cdf, trace.times)
+    t_single = np.interp(rng.random(len(single_trials)) * cdf[-1], cdf, grid.times)
     passes = []
     for times, trial_ids in ((acc1, pair_trials), (acc2, pair_trials),
                              (t_single, single_trials)):
@@ -445,30 +441,17 @@ def test_pair_sampler_conditional_zero_at_cell_edge():
 
 
 def test_photons_per_trial_match_the_output_rate():
-    # the singles density subtracts the pair marginal at every trace sample,
+    # the singles density subtracts the pair marginal at every grid sample,
     # so the photons emitted per trial match the integrated output rate
-    trace, grid = _gaussian_scene()
+    grid = _gaussian_scene()
     n_in, n_trials = 0.5, 200000
-    stream = emulate_trials(trace, grid, n_in, IDEAL, n_trials, seed=5)
+    stream = emulate_trials(grid, n_in, IDEAL, n_trials, seed=5)
     per_trial = np.bincount(stream.trials, minlength=n_trials) / (
         IDEAL.p_detect_1 + IDEAL.p_detect_2)
     expected = generation_probability_from_trace(
-        trace, (trace.times[0], trace.times[-1] - trace.times[0]), n_in)
+        grid, (grid.times[0], grid.times[-1] - grid.times[0]), n_in)
     se = per_trial.std() / math.sqrt(n_trials)
     assert abs(per_trial.mean() - expected) < 5 * se
-
-
-@pytest.mark.parametrize("times", [lambda t: t[::2], lambda t: t + 1e-9],
-                         ids=["coarser", "shifted"])
-def test_emulation_refuses_a_grid_off_the_trace(times):
-    # the pair marginal is subtracted sample by sample, so the correlation
-    # grid must be on the trace's own grid: a coarser or shifted one is refused
-    trace, grid = _flat_scene()
-    t = times(grid.times)
-    off = CorrelationGrid(times=t, g2_matrix=np.ones((len(t), len(t))),
-                          intensity=np.ones(len(t)))
-    with pytest.raises(ConfigurationError):
-        emulate_trials(trace, off, 0.4, IDEAL, 100, seed=1)
 
 
 # ---------------------------------------------------------------------------

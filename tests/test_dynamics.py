@@ -197,7 +197,7 @@ def test_trajectory_refuses_malformed_segment_starts(starts):
     gen = make_generator(n_atoms=2, duration=10.0)
     n = 8
     with pytest.raises(ConfigurationError, match="segment starts"):
-        StateTrajectory(index=gen.index, times=np.arange(float(n)),
+        StateTrajectory(times=np.arange(float(n)),
                         covectors=gen.output_covectors(),
                         projections=np.zeros((n, 2), dtype=complex),
                         envelope_unit=np.zeros(n), omega_c=np.zeros(n),

@@ -38,7 +38,7 @@ def test_no_atoms_equivalent_input_passthrough():
     # of "atoms never excited": output equals the bare input
     from rydeit.dynamics import StateTrajectory
     gen = make_generator(n_atoms=1, omega_c=0.5)
-    traj = StateTrajectory(index=gen.index, times=np.array([0.0, 1.0]),
+    traj = StateTrajectory(times=np.array([0.0, 1.0]),
                            covectors=gen.output_covectors(),
                            projections=np.zeros((2, 2), dtype=complex),
                            envelope_unit=np.array([0.73, 0.0]), omega_c=np.full(2, 0.5),
@@ -194,6 +194,21 @@ def test_correlation_grid_needs_the_grid_rows():
         correlation_grid(traj, gen)
 
 
+def test_correlation_grid_is_its_trajectory_trace():
+    # a grid run's one output record: the trace bit for bit, with its G2
+    gen = make_generator(n_atoms=4, blockade=_power_law(4), shape=PulseShape.GAUSSIAN,
+                         duration=12.0)
+    traj = evolve(gen, (0.0, 40.0), dt_out=0.25)
+    grid, trace = correlation_grid(traj, gen), trace_from_trajectory(traj, gen)
+    for name in ("times", "envelope_unit", "omega_c", "intensity", "g2tilde"):
+        np.testing.assert_array_equal(getattr(grid, name), getattr(trace, name))
+    assert np.isnan(trace.g2).any()
+    np.testing.assert_array_equal(grid.g2, trace.g2)     # NaN where trace's is
+    w = (2.0, 8.0)
+    assert grid.window_energy(*w) == trace.window_energy(*w) > 0.0
+    assert grid.input_energy() == trace.input_energy()
+
+
 @pytest.mark.parametrize("read", [trace_from_trajectory, correlation_grid])
 def test_a_record_of_other_rows_is_refused(read):
     # a record of the whole state has as many columns as the readers need,
@@ -208,9 +223,10 @@ def test_a_record_of_other_rows_is_refused(read):
 # ---------------------------------------------------------------------------
 # windowed estimator
 
-def _coherent_grid(t_max=10.0, n=101):
+def _coherent_grid(t_max=10.0, n=101, intensity=1.0):
     ts = np.linspace(0.0, t_max, n)
-    return CorrelationGrid(times=ts, g2_matrix=np.ones((n, n)), intensity=np.ones(n))
+    trace = _synthetic_trace(ts, np.full(n, intensity), np.full(n, intensity ** 2))
+    return CorrelationGrid(**vars(trace), g2_matrix=np.full((n, n), intensity ** 2))
 
 
 def test_windowed_g2_coherent_is_one():
@@ -226,9 +242,7 @@ def test_windowed_g2_coherent_any_window(a, w):
 
 
 def test_windowed_g2_floor_error():
-    ts = np.linspace(0.0, 10.0, 101)
-    grid = CorrelationGrid(times=ts, g2_matrix=np.zeros((101, 101)),
-                           intensity=np.full(101, 1e-7))
+    grid = _coherent_grid(intensity=1e-7)
     with pytest.raises(UndefinedResultError):
         windowed_g2(grid, (0.0, 5.0), (0.0, 5.0))
 

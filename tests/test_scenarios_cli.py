@@ -502,6 +502,21 @@ def test_window_scan_keeps_failed_points(tmp_path):
     assert "ok" in statuses
 
 
+def test_window_scan_refuses_windows_outside_the_horizon():
+    # windows end at 2600 ns; the square trace ends at 2200 ns and the
+    # gaussian one later: a window reaching outside its run's trace writes
+    # NaN for both values, and a below-floor window inside it keeps its
+    # generation probability
+    cfg = default_config("window_scan", {"n_atoms": 4, "end_time_ns": 2600.0,
+                                         "delta_t_list_ns": (1000.0, 3000.0)})
+    rows = {(r[0], r[1]): r[4:] for r in run_window_scan(cfg).tables[0][2]}
+    for key in (("square", 1000.0), ("square", 3000.0), ("gaussian", 3000.0)):
+        g2, pg, status = rows[key]
+        assert math.isnan(g2) and math.isnan(pg) and status == "UndefinedResultError"
+    g2, pg, status = rows[("gaussian", 1000.0)]
+    assert math.isnan(g2) and pg > 0.0 and status == "UndefinedResultError"
+
+
 def test_storage_preserves_coherence_in_linear_medium():
     # no interaction, no dephasing: store and retrieve a coherent pulse and
     # the retrieved light stays exactly coherent
