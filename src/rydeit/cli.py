@@ -98,8 +98,6 @@ def main(argv=None) -> int:
     kind = _SUBCOMMANDS[ns.command][0]
     ov = {k: v for k, v in vars(ns).items()
           if v is not None and k not in ("command", "config", "out")}
-    if "t_off_ns" in ov:
-        ov["schedule_kind"] = "storage"
     try:
         if ns.config is not None:
             cfg = load_config(ns.config, kind=kind, overrides=ov)

@@ -50,10 +50,12 @@ SCENARIO_KINDS = ("spectrum", "propagate", "turnon_scan", "turnoff_scan",
 
 #: per-kind values above the field defaults and below the file, by override
 #: key: the measured device has D ~ 10, 2 Omega_c = 2pi x 6.4 MHz, gamma_r =
-#: 2pi x 0.8 MHz, a finite blockade with d_b ~ 0.9 and 10 ns pulse edges
+#: 2pi x 0.8 MHz, a finite blockade with d_b ~ 0.9 and 10 ns pulse edges; the
+#: storage scenario runs the storage schedule
 PRESETS = {
     "experiment_replica": {"omega_c_mhz": 3.2, "gamma_r_mhz": 0.8, "n_atoms": 28,
                            "mode": "power_law", "d_b": 0.9, "rise_time_ns": 10.0},
+    "storage": {"schedule_kind": "storage"},
 }
 
 
@@ -162,7 +164,7 @@ class ScenarioConfig:
             return ControlSchedule.constant(om)
         if self.schedule_kind == "storage":
             if self.t_off_ns is None:
-                raise ConfigurationError("storage schedule needs t_off_ns")
+                raise ConfigurationError("storage schedule needs t_off_ns (--t-off-ns)")
             g = self.params.gamma_mhz
             return ControlSchedule.storage(om, time_from_ns(self.t_off_ns, g),
                                            time_from_ns(self.t_store_ns, g))
@@ -367,11 +369,16 @@ def _build(file: dict, kind: str | None, ov: dict) -> ScenarioConfig:
                      ("d_list > 0", all(d > 0 for d in cfg.d_list)),
                      ("omega_c_list > 0", all(om > 0 for om in cfg.omega_c_list)),
                      ("0 <= tail_fit_start < tail_fit_end",
-                      0 <= cfg.tail_fit_start < cfg.tail_fit_end)):
+                      0 <= cfg.tail_fit_start < cfg.tail_fit_end),
+                     ("window shapes in PulseShape",
+                      set(cfg.window_shapes) <= {s.value for s in PulseShape})):
         if not ok:
             raise ConfigurationError(f"out of range: need {rule}")
     for build in (cfg.chain, cfg.blockade, cfg.envelope, cfg.schedule, cfg.budget):
-        build()     # fail fast on inconsistent sections
+        try:        # fail fast on inconsistent sections, or a name no enum member holds
+            build()
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
     return cfg
 
 

@@ -38,9 +38,9 @@ and f1 = ep - sqrt(Gamma_1D/2) sum_h e_h: the generator is assembled so,
 and is real when d_e = d_2 = 0 and no allowed rr pair carries a shift
 (full blockade, or none); then it and every run's buffers are float64.
 
-Every evolution of the full state goes through ``propagate_segment``, which
-advances a stacked [ground; singles; doubles] vector across one segment in
-equal output steps.  ``Generator.stacked`` holds the generator on that
+Every evolution of the full state goes through ``evolve``, which advances
+a stacked [ground; singles; doubles] vector across each segment in equal
+output steps.  ``Generator.stacked`` holds the generator on that
 layout as three CSR parts, A(t) = S + Omega_c(t) W + e(t) F at drive level
 e = ep(t).  The control is piecewise constant and segments end at its
 breakpoints, so Omega_c is constant on each.  A stretch where e is constant
@@ -670,12 +670,6 @@ def _check_finite(y: np.ndarray, t: float) -> None:
         raise DynamicsError(f"non-finite state at t={t:.6g}")
 
 
-def _check_length(gen: Generator, y: np.ndarray) -> None:
-    if len(y) != 1 + gen.index.dim:
-        raise ConfigurationError(f"stacked vector of length {len(y)}, "
-                                 f"expected {1 + gen.index.dim}")
-
-
 def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
     """Per-segment uniform output grids hitting every breakpoint exactly."""
     cuts = [t0] + interior(sorted(breakpoints), t0, t1) + [t1]
@@ -684,48 +678,6 @@ def _segment_grid(t0: float, t1: float, breakpoints, dt_out: float):
         n_out = max(1, math.ceil((b - a) / dt_out - 1e-9))
         segments.append((a, b, n_out))
     return segments
-
-
-def propagate_segment(prop: SinglesPropagator, y: np.ndarray, a: float, b: float,
-                      n_out: int = 1, *, out: np.ndarray | None = None,
-                      project: np.ndarray | None = None) -> np.ndarray:
-    """Advance the stacked vector ``y`` (length 1 + ``index.dim``) from
-    ``a`` to ``b`` in ``n_out`` equal output steps under the generator of
-    the stacked propagator ``prop`` and return the state at ``b``; row k of
-    ``out``, when given, receives ``project @ y`` (c x d covectors) after
-    step k + 1.  A segment may not cross a breakpoint of the envelope or the
-    control, so Omega_c is constant on it and the envelope one smooth piece.
-
-    The route follows ``PulseEnvelope.affine_on``.  A stretch of constant
-    coefficients (slope 0), a plateau or a tail, is a ``decay`` at its drive
-    level, whose exponential ``prop`` keeps across calls.  A drive ramp (a
-    nonzero slope) takes the clocked generator of ``_ramp_powers``.  The
-    rest, a gaussian envelope inside its window, takes the Magnus step
-    (``_magnus_powers``), all in the dtype of the generator, ``y`` and
-    ``project``."""
-    gen = prop.gen
-    if prop.kind != "stacked":
-        raise ConfigurationError("propagate_segment steps the stacked propagator")
-    _check_length(gen, y)
-    if interior(gen.breakpoints(), a, b):
-        raise DynamicsError(f"segment [{a:.6g}, {b:.6g}] crosses a breakpoint")
-    h_out = (b - a) / n_out
-    project = np.empty((0, len(y))) if project is None else project
-    dtype = np.result_type(gen.dtype, y, project)
-    y, project = np.asarray(y, dtype=dtype), np.asarray(project, dtype=dtype)
-    om = gen.schedule.value(a)
-    ramp = gen.envelope.affine_on(a, b)
-    if ramp is None:
-        proj, y = _magnus_powers(prop, om, a, h_out, n_out, y, project)
-    elif ramp[1] != 0.0:
-        proj, z = _ramp_powers(gen, om, ramp, h_out, y, n_out, project)
-        y = z[:len(y)]
-        proj[-1] = project @ y
-    else:
-        proj, y = decay(prop, om, h_out, y, n_out, project, ramp[0])
-    if out is not None:
-        out[:] = proj
-    return y
 
 
 def _magnus_powers(prop: SinglesPropagator, omega: float, a: float, h_out: float,
@@ -777,7 +729,7 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
                  n_out: int, project: np.ndarray):
     """The projections ``project @ y`` after each of ``n_out`` steps of
     ``h_out`` over a drive ramp e(a + tau) = c0 + c1 tau at control
-    ``omega``, and the end state of the clocked layout [y; tau y_K; tau^2 g]:
+    ``omega``, and the end state, its clocks dropped from [y; tau y_K; tau^2 g]:
     g is the ground amplitude of the stacked state y and K its first
     k = 1 + n1 slots, every slot F reads: the ground and the singles.  With
     A0 = S + Omega W, y' = (A0 + c0 F) y + c1 F tau y_K
@@ -799,7 +751,10 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
                       [None, 2.0 * sp.eye(1, k), None]]))
     z = np.concatenate([y, np.zeros(k + 1, dtype=y.dtype)])
     rows = np.hstack([project, np.zeros((len(project), k + 1), dtype=project.dtype)])
-    return _action_powers(b, h_out, z, n_out, rows)
+    proj, z = _action_powers(b, h_out, z, n_out, rows)
+    y = z[:d]
+    proj[-1] = project @ y
+    return proj, y
 
 
 #: Largest doubles block whose free decay takes the dense exponential; a
@@ -817,7 +772,7 @@ class SinglesPropagator:
     """The one cache of exponentials: exp(A(1) h) of one block (``kind``) of
     the generator at unit drive, once per (Omega_c, h, dtype), read-only,
     with its giant-step powers.  The "stacked" layout's is split at the
-    levels to serve every drive level (``propagate_segment``); "singles"
+    levels to serve every drive level (``evolve``); "singles"
     (the default) and "doubles" evolve undriven (F is 0 on them)."""
 
     gen: Generator
@@ -1015,9 +970,16 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
     """Integrate the stacked state y = [g; psi1; psi2] from ``initial`` (by
     default the vacuum e_0, g = 1) over ``t_span`` and sample it at output
     steps of at most ``dt_out``, every envelope and control breakpoint
-    landing on a sample; each segment between breakpoints goes through
-    ``propagate_segment``, and the trajectory records where it starts.  An
-    ``initial`` vector of another length than 1 + ``index.dim`` is refused.
+    landing on a sample; the trajectory records where each segment between
+    breakpoints starts.  An ``initial`` vector of another length than
+    1 + ``index.dim`` is refused.
+
+    On a segment Omega_c is constant, and its route follows
+    ``PulseEnvelope.affine_on``: a stretch of constant coefficients (slope
+    0), a plateau or a tail, is a ``decay`` at its drive level on the run's
+    one stacked ``SinglesPropagator``; a drive ramp takes the clocked
+    generator of ``_ramp_powers``; a gaussian window the Magnus step
+    (``_magnus_powers``).  Each returns the projections and the end state.
 
     The trajectory holds the projections ``project @ y`` of a covector
     stack (c x (1 + dim) over [ground; singles; doubles]), by default
@@ -1029,12 +991,15 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
     if t1 <= t0:
         raise ConfigurationError("need t_span with t1 > t0")
     y = np.eye(1, 1 + generator.index.dim)[0] if initial is None else initial
-    _check_length(generator, y)
+    if len(y) != 1 + generator.index.dim:
+        raise ConfigurationError(f"stacked vector of length {len(y)}, "
+                                 f"expected {1 + generator.index.dim}")
     project = generator.output_covectors(grid=True) if project is None else project
-    y = np.asarray(y, dtype=np.result_type(generator.dtype, y, project))
+    dtype = np.result_type(generator.dtype, y, project)
+    y, project = np.asarray(y, dtype=dtype), np.asarray(project, dtype=dtype)
     segments = _segment_grid(t0, t1, generator.breakpoints(), dt_out)
     n_samples = 1 + sum(n for _, _, n in segments)
-    record = np.empty((n_samples, len(project)), dtype=y.dtype)
+    record = np.empty((n_samples, len(project)), dtype=dtype)
     record[0] = project @ y
     times = [t0]
     starts = []
@@ -1042,8 +1007,14 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
     for (a, b, n_out) in segments:
         i = len(times)
         starts.append(i - 1)
-        y = propagate_segment(prop, y, a, b, n_out, out=record[i:i + n_out], project=project)
         h_out = (b - a) / n_out
+        om, ramp = generator.schedule.value(a), generator.envelope.affine_on(a, b)
+        if ramp is None:
+            record[i:i + n_out], y = _magnus_powers(prop, om, a, h_out, n_out, y, project)
+        elif ramp[1] != 0.0:
+            record[i:i + n_out], y = _ramp_powers(generator, om, ramp, h_out, y, n_out, project)
+        else:
+            record[i:i + n_out], y = decay(prop, om, h_out, y, n_out, project, ramp[0])
         # the last sample is the breakpoint itself, so the next segment's
         # start reads the post-jump envelope and control
         times.extend([*(a + k * h_out for k in range(1, n_out)), b])

@@ -5,7 +5,7 @@ import pytest
 
 from rydeit import (BlockadeConfig, ControlSchedule, PhysicalParams, PulseEnvelope,
                     PulseShape, assemble_generator, build_chain)
-from rydeit.dynamics import SinglesPropagator, StateTrajectory, _segment_grid, propagate_segment
+from rydeit.dynamics import StateTrajectory, _segment_grid, evolve
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +83,8 @@ def two_time_g2(traj, gen, t1, t2):
     y = padded(gen, np.concatenate([[env + gen.out_e @ state[:n1]],
                                     env * state[:n1] + gen.ann @ state[n1:]]))
     if t2 > t1:
-        prop = SinglesPropagator(gen, "stacked")
-        for a, b, _ in _segment_grid(t1, t2, gen.breakpoints(), t2 - t1):
-            y = propagate_segment(prop, y, a, b)
+        y = evolve(gen, (t1, t2), t2 - t1, initial=y,
+                   project=np.eye(len(y), dtype=complex)).projections[-1]
     return float(abs(gen.envelope.unit_shape(t2) * y[0] + gen.out_e @ y[1:1 + n1]) ** 2)
 
 

@@ -1,4 +1,4 @@
-"""Few-atom oracle: the cascaded master equation of N <= 3 three-level atoms.
+"""Few-atom oracle: the cascaded master equation of N <= 4 three-level atoms.
 
 Each atom has the levels g, e and r.  The chain couples to the probe in the
 forward-scattering limit (Gardiner, PRL 70:2269, 1993; Carmichael, PRL
@@ -8,13 +8,14 @@ forward-scattering limit (Gardiner, PRL 70:2269, 1993; Carmichael, PRL
   and the cascade Hamiltonian -(i gamma_c/2) sum_{m<h} (sigma_h^+ sigma_m -
   sigma_m^+ sigma_h), so that atom h sees only the atoms upstream of it;
 - local loss sqrt(Gamma - gamma_c) sigma_h and Rydberg decay
-  sqrt(2 gamma_r) |g><r|_h on each atom;
+  sqrt(2 gamma_r) |g><r|_h on each atom (or, in the dephasing variant, pure
+  dephasing sqrt(2 gamma_r) |r><r|_h, a channel the model does not hold);
 - the drive -sqrt(gamma_c) E (sigma_h + sigma_h^+), the control
   Omega_c (|e><r| + |r><e|)_h and the pair shift V_hj on |r_h r_j>; a pair
   the blockade forbids loses its rr states (full blockade deletes them all).
 
-The output is b = E + i sqrt(gamma_c) sum_h sigma_h.  The steady state is a
-sparse solve of the Liouvillian, and g2_ss = <b+ b+ b b> / <b+ b>^2 is
+The output is b = E + i sqrt(gamma_c) sum_h sigma_h.  The Liouvillian is
+built sparse, the steady state is its sparse solve, and g2_ss = <b+ b+ b b> / <b+ b>^2 is
 Richardson-extrapolated to E -> 0 from E = 0.02 and 0.01.  On a square
 pulse the Liouvillian is propagated by its dense exponential, on and then
 off, and g2(t) is extrapolated the same way.
@@ -46,9 +47,10 @@ OMEGA_C = 0.5
 DRIVES = (0.02, 0.01)
 
 
-def _atoms(params, chain, blockade, omega):
-    """The atoms' Liouvillian at drive level e, ``liouvillian(e)``, on the
-    row-major vec(rho), the output moments (<b+ b>, <b+ b+ b b>) of a state
+def _atoms(params, chain, blockade, omega, dephasing=False):
+    """The atoms' Liouvillian at drive level e, ``liouvillian(e)`` (CSR), on
+    the row-major vec(rho), with Rydberg decay or, with ``dephasing``, pure
+    dephasing of r as the gamma_r channel, the output moments (<b+ b>, <b+ b+ b b>) of a state
     at drive level e, ``moments(rho, e)``, vec(rho) of the ground state (the
     first kept state) and the row tr rho of vec(rho)."""
     n, z = chain.n_atoms, chain.z()
@@ -80,17 +82,18 @@ def _atoms(params, chain, blockade, omega):
         if v != BLOCKED:
             h0 += v * op(h, R, R) @ op(j, R, R)
     jumps = [math.sqrt(gc) * sum(sig)] + [math.sqrt(params.gamma_total - gc) * s for s in sig]
-    jumps += [math.sqrt(2.0 * params.gamma_r) * op(h, G, R) for h in range(n)]
+    jumps += [math.sqrt(2.0 * params.gamma_r) * op(h, R if dephasing else G, R)
+              for h in range(n)]
     drive = -math.sqrt(gc) * sum(s + s.T for s in sig)
-    eye = np.eye(d)
+    eye, one = np.eye(d), sp.identity(d, format="csr")
 
     def liouvillian(e):
         # d rho/dt = -i H_eff rho + i rho H_eff^+ + sum L rho L^+
         heff = h0 + e * drive - 0.5j * sum(l.conj().T @ l for l in jumps)
-        lv = -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj())
+        lv = -1j * sp.kron(heff, one) + 1j * sp.kron(one, heff.conj())
         for l in jumps:
-            lv += np.kron(l, l.conj())
-        return lv
+            lv += sp.kron(l, l.conj())
+        return lv.tocsr()
 
     def moments(rho, e):
         b = e * eye + 1j * math.sqrt(gc) * sum(sig)
@@ -105,16 +108,15 @@ def _richardson(x):
     return (4.0 * x[1] - x[0]) / 3.0
 
 
-def _master_equation(params, chain, blockade, omega):
+def _master_equation(params, chain, blockade, omega, dephasing=False):
     """(g2_ss, output intensity per unit drive squared) of the atoms'
     steady state, each Richardson-extrapolated from ``DRIVES``."""
-    liouvillian, moments, ground, trace_row = _atoms(params, chain, blockade, omega)
+    liouvillian, moments, ground, trace_row = _atoms(params, chain, blockade, omega, dephasing)
     g2, inten = [], []
     for e in DRIVES:
         # the ground population's row becomes tr rho = 1
-        lv = liouvillian(e)
-        lv[0] = trace_row
-        one, two = moments(spla.spsolve(sp.csc_matrix(lv), ground), e)
+        lv = sp.vstack([sp.csr_matrix(trace_row), liouvillian(e)[1:]])
+        one, two = moments(spla.spsolve(lv.tocsc(), ground), e)
         g2.append(two / one ** 2)
         inten.append(one / e ** 2)
     return _richardson(g2), _richardson(inten)
@@ -148,7 +150,8 @@ def _model(params, chain, blockade, omega):
 #: devices at Omega_c = 0.5 under full blockade, with g2_ss to 4 decimals:
 #: (Gamma_1D/Gamma', gamma_r, N, current model, atoms)
 FULL_ROWS = [(0.2, 0.0, 1, 0.9724, 1.0000), (0.2, 0.0, 3, 0.8014, 0.8531),
-             (1.0, 0.05, 3, 0.1744, 0.2019)]
+             (1.0, 0.05, 3, 0.1744, 0.2019), (0.2, 0.0, 4, 0.6888, 0.7401),
+             (1.0, 0.05, 4, 0.0482, 0.0267)]
 
 
 @pytest.mark.parametrize("ratio, gamma_r, n, current, atoms", FULL_ROWS)
@@ -161,7 +164,7 @@ def test_full_blockade_atoms_are_the_distinct_atom_doubles(ratio, gamma_r, n, cu
     assert inten == pytest.approx(model_inten, abs=1e-6)
     assert g2 == pytest.approx(distinct, abs=1e-6)
     assert g2 == pytest.approx(atoms, abs=5e-5)
-    # the same-atom slots move g2_ss: by 0.028-0.052 on these rows
+    # the same-atom slots move g2_ss: by 0.021-0.052 on these rows
     assert model == pytest.approx(current, abs=5e-5)
     assert abs(model - g2) > 0.02
 
@@ -171,6 +174,26 @@ def test_full_blockade_atoms_are_the_distinct_atom_doubles(ratio, gamma_r, n, cu
 #: blockaded (V > v_cap) with the outer one shifted by 0.43 at r_b = 0.6
 POWER_LAW = [BlockadeConfig(mode=BlockadeMode.POWER_LAW, r_b=r_b, v0=0.8, v_cap=5.0)
              for r_b in (0.45, 0.6)]
+
+
+#: g2_ss of the atoms at Gamma_1D/Gamma' = 1, gamma_r = 0.05, Omega_c = 0.5
+#: under full blockade, to 6 decimals: (N, Rydberg decay, pure dephasing)
+GAMMA_R_ROWS = [(1, 0.995470, 1.046996), (2, 0.583279, 0.606496), (3, 0.201938, 0.213529)]
+
+
+@pytest.mark.parametrize("n, decay, dephasing", GAMMA_R_ROWS)
+def test_gamma_r_is_rydberg_decay_not_dephasing(n, decay, dephasing):
+    # the model's gamma_r channel is the jump sqrt(2 gamma_r)|g><r|: the
+    # atoms under it give the distinct-atom restriction's g2_ss, and under
+    # pure dephasing sqrt(2 gamma_r)|r><r| of the same rate they do not
+    params = PhysicalParams.from_ratio(1.0, omega_c_peak=OMEGA_C, gamma_r=0.05)
+    chain, blockade = build_chain(n), BlockadeConfig.fully_blockaded()
+    _, distinct, _ = _model(params, chain, blockade, OMEGA_C)
+    g2 = [_master_equation(params, chain, blockade, OMEGA_C, dephasing)[0]
+          for dephasing in (False, True)]
+    assert g2 == pytest.approx([decay, dephasing], abs=1e-6)
+    assert g2[0] == pytest.approx(distinct, abs=1e-6)
+    assert abs(g2[1] - distinct) > 0.01
 
 
 @pytest.mark.parametrize("blockade", POWER_LAW, ids=["shifted", "partly_blockaded"])
@@ -222,10 +245,10 @@ def _master_equation_pulse(params, chain, blockade, omega):
     """g2(t) = <b+ b+ b b> / <b+ b>^2 of the atoms at ``SAMPLES`` on a square
     pulse over [0, ``T_OFF``], Richardson-extrapolated from ``DRIVES``."""
     liouvillian, moments, ground, _ = _atoms(params, chain, blockade, omega)
-    step_off = expm(STEP * liouvillian(0.0))
+    step_off = expm(STEP * liouvillian(0.0).toarray())
     g2 = []
     for e in DRIVES:
-        rhos = _at_samples(expm(STEP * liouvillian(e)), step_off, ground)
+        rhos = _at_samples(expm(STEP * liouvillian(e).toarray()), step_off, ground)
         g2.append(np.array([two / one ** 2 for one, two in
                             (moments(rho, e if s < T_OFF else 0.0)
                              for rho, s in zip(rhos, SAMPLES))]))

@@ -13,8 +13,8 @@ from rydeit.model import (BlockadeConfig, BlockadeMode, ConfigurationError, Cont
                           PhysicalParams, PulseEnvelope, PulseShape, build_chain, optical_depth,
                           time_from_ns)
 from rydeit.dynamics import (DynamicsError, SinglesPropagator, StateTrajectory, _TaylorAction,
-                             _cascade_order, _csr, _giant_step, _ramp_powers, assemble_generator,
-                             decay, evolve, expm, propagate_segment, singles_blocks,
+                             _cascade_order, _csr, _giant_step, assemble_generator,
+                             decay, evolve, expm, singles_blocks,
                              steady_state, steady_transmission_amplitude)
 from rydeit.observables import trace_from_trajectory
 from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4_segment,
@@ -22,8 +22,23 @@ from conftest import (augmented, make_generator, padded, rk4_dt, rk4_evolve, rk4
 
 
 def _stacked(gen):
-    """A fresh stacked propagator of ``gen``, the one ``propagate_segment`` steps."""
+    """A fresh stacked propagator of ``gen``, the one ``evolve`` steps."""
     return SinglesPropagator(gen, "stacked")
+
+
+def _spy_ends(monkeypatch, stepper):
+    """The end states the ``dynamics`` stepper named ``stepper`` returns, one
+    per call, appended as ``evolve`` runs."""
+    import rydeit.dynamics as dynamics
+    ends, inner = [], getattr(dynamics, stepper)
+
+    def spy(*args):
+        proj, y = inner(*args)
+        ends.append(y)
+        return proj, y
+
+    monkeypatch.setattr(dynamics, stepper, spy)
+    return ends
 
 
 def _block(doubles):
@@ -307,13 +322,18 @@ def test_expm_matches_rk4_on_square_pulse():
 def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
     # above the dense cap a constant stretch takes the Taylor action of the
     # folded generator, never a dense exponential, and agrees with the dense
-    # run; so does the end state of a segment that records nothing
+    # run; so does the end state of one segment, read from identity rows
     import rydeit.dynamics as dynamics
     gen = make_generator(n_atoms=4, duration=15.0)
     rows = state_rows(gen)
     dense = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
     y0 = np.concatenate([[1.0], dense[4]])
-    end = propagate_segment(_stacked(gen), y0, 5.0, 10.0, 5)
+
+    def segment():
+        return evolve(gen, (5.0, 10.0), 1.0, initial=y0,
+                      project=np.eye(len(y0))).projections[-1]
+
+    end = segment()
 
     def no_dense(m):
         raise AssertionError("dense exponential above the cap")
@@ -322,28 +342,20 @@ def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
     monkeypatch.setattr(dynamics, "expm", no_dense)
     got = evolve(gen, (0.0, 20.0), dt_out=1.0, project=rows).projections
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
-    got = propagate_segment(_stacked(gen), y0, 5.0, 10.0, 5)
+    got = segment()
     assert np.max(np.abs(got - end)) <= 1e-12 * np.max(np.abs(end))
 
 
 @pytest.mark.parametrize("length", ["singles", "short", "long"])
 def test_propagate_segment_needs_the_stacked_length(length):
-    # only [ground; singles; doubles] vectors step; a [ground; singles]
-    # column or any other length is refused before any work
+    # only [ground; singles; doubles] vectors step a segment; a [ground;
+    # singles] column or any other length is refused by evolve, which steps
+    # every segment, before any work
     gen = make_generator(n_atoms=3, duration=15.0)
     d = {"singles": 1 + gen.index.dim_singles, "short": gen.index.dim,
          "long": 2 + gen.index.dim}[length]
     with pytest.raises(ConfigurationError, match="stacked vector"):
-        propagate_segment(_stacked(gen), np.ones(d, dtype=complex), 2.0, 4.0, 3)
-
-
-@pytest.mark.parametrize("kind", ["singles", "doubles"])
-def test_propagate_segment_needs_the_stacked_propagator(kind):
-    # a singles or doubles propagator would step a block of the stacked
-    # vector as if it were all of it: refused before any work
-    gen = make_generator(n_atoms=3, duration=15.0)
-    with pytest.raises(ConfigurationError, match="stacked propagator"):
-        propagate_segment(SinglesPropagator(gen, kind), vacuum(gen), 2.0, 4.0, 3)
+        evolve(gen, (2.0, 4.0), dt_out=1.0, initial=np.ones(d, dtype=complex))
 
 
 def _power_law_generator(n_atoms=6, **kwargs):
@@ -356,7 +368,7 @@ def _power_law_generator(n_atoms=6, **kwargs):
 @pytest.mark.parametrize("a, b, level", [
     (2.0, 6.0, 1.0),                         # the plateau: drive level 1
     (12.0, 16.0, 0.0)])                      # after the pulse: drive level 0
-def test_drive_level_identity(doubles, a, b, level):
+def test_drive_level_identity(monkeypatch, doubles, a, b, level):
     # the propagator derived from the unit-drive exponential equals the
     # exponential of the generator at the envelope's drive level; without
     # ``doubles`` the state starts with none and is read on its ground and
@@ -374,9 +386,10 @@ def test_drive_level_identity(doubles, a, b, level):
     y = y0
     for k in range(n_out):
         y = ref[k] = prop @ y
-    got = np.empty_like(ref)
-    end = propagate_segment(_stacked(gen), padded(gen, y0), a, b, n_out, out=got,
-                            project=np.eye(dim, 1 + gen.index.dim))
+    ends = _spy_ends(monkeypatch, "_dense_powers")
+    got = evolve(gen, (a, b), (b - a) / n_out, initial=padded(gen, y0),
+                 project=np.eye(dim, 1 + gen.index.dim)).projections[1:]
+    end, = ends
     assert np.array_equal(end[:dim], got[-1])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -518,15 +531,14 @@ def test_each_stretch_takes_its_route(monkeypatch):
 @pytest.mark.parametrize("a, b", [(2.0, 6.0), (0.5, 1.5), (8.0, 12.0)])
 def test_segment_across_a_breakpoint_is_refused(a, b):
     # Omega_c is constant and the envelope one smooth piece on every segment
-    # evolve hands on; a segment across a jump of the control (at 4) or a
-    # kink of the envelope (its rise ends at 1, its fall starts at 9) is
-    # refused
+    # of evolve: a span across a jump of the control (at 4) or a kink of the
+    # envelope (its rise ends at 1, its fall starts at 9) is never one
+    # segment, as evolve starts a segment there
     schedule = ControlSchedule((0.5, 0.1), (4.0,))
     gen = make_generator(n_atoms=3, duration=10.0, rise_time=1.0, schedule=schedule)
-    y0 = np.zeros(1 + gen.index.dim, dtype=complex)
-    y0[0] = 1.0
-    with pytest.raises(DynamicsError, match="breakpoint"):
-        propagate_segment(_stacked(gen), y0, a, b)
+    traj = evolve(gen, (a, b), dt_out=0.5)
+    cuts = [t for t in gen.breakpoints() if a < t < b]
+    assert cuts and np.array_equal(traj.times[traj.segment_starts], [a, *cuts])
     traj = evolve(gen, (0.0, 12.0), dt_out=0.5)
     assert {1.0, 4.0, 9.0} <= set(traj.times)
 
@@ -570,15 +582,16 @@ def test_drive_ramps_match_rk4(shape, power_law):
 
 @pytest.mark.parametrize("doubles", [False, True])
 @pytest.mark.parametrize("shape, power_law", RAMP_CASES)
-def test_drive_ramp_segment(shape, power_law, doubles):
+def test_drive_ramp_segment(monkeypatch, shape, power_law, doubles):
     # one ramp from a random state (ground != 1, as in a conditioned
     # singles column), with doubles, or without them and read on the ground
     # and singles only: the projections against the RK4 oracle, the last
-    # row against the end state to the bit, and the clocks at the end:
-    # g (b - a), g (b - a)^2 and (b - a) psi1
+    # row against the end state (read from identity rows) to the bit, and
+    # the clocks of the clocked layout at the end: g (b - a), g (b - a)^2
+    # and (b - a) psi1
     gen = _ramp_case(shape, power_law)
     a, b = gen.envelope.breakpoints()[:2]
-    om, ramp = gen.schedule.value(a), gen.envelope.affine_on(a, b)
+    ramp = gen.envelope.affine_on(a, b)
     assert ramp is not None and ramp[1] != 0.0
     n1 = gen.index.dim_singles
     dim = 1 + (gen.index.dim if doubles else n1)
@@ -588,12 +601,14 @@ def test_drive_ramp_segment(shape, power_law, doubles):
     rows[:, dim:] = 0.0
     d = len(y0)
     n_out = 5
-    got = np.empty((n_out, len(rows)), dtype=complex)
-    end = propagate_segment(_stacked(gen), y0, a, b, n_out, out=got, project=rows)
+    clocked = _spy_ends(monkeypatch, "_action_powers")
+    project = np.vstack([rows, np.eye(d)])
+    rec = evolve(gen, (a, b), (b - a) / n_out, initial=y0, project=project).projections
+    got, end = rec[1:, :len(rows)], rec[-1, len(rows):]
     ref, _ = rk4_segment(gen, y0, a, b, n_out, rk4_dt(gen), rows)
     _assert_columns_close(got, ref, 1e-10)
-    assert np.array_equal(got[-1], rows @ end)
-    _, z = _ramp_powers(gen, om, ramp, (b - a) / n_out, y0, n_out, rows)
+    assert np.array_equal(rec[-1], project @ end)
+    z, = clocked
     assert np.array_equal(z[:d], end)
     g, length = y0[0], b - a
     assert len(z) == d + 2 + n1
@@ -1144,7 +1159,7 @@ def test_projections_only_evolve_matches_states(method):
 @pytest.mark.parametrize("n_out, m", [(1, 1), (2, 1), (33, 1), (64, 2), (65, 2),
                                       (255, 8), (256, 8), (511, 8), (512, 8),
                                       (513, 8), (2500, 32)])
-def test_projected_segment_matches_state_loop(n_out, m):
+def test_projected_segment_matches_state_loop(monkeypatch, n_out, m):
     # one exponential stretch: the projections and the end state from baby
     # and giant steps against the step loop; n_out on both sides of
     # multiples of the chosen giant step m, so the end state takes 0 to
@@ -1154,11 +1169,16 @@ def test_projected_segment_matches_state_loop(n_out, m):
     rng = np.random.default_rng(6)
     y0 = _stacked_y(gen, True, rng)
     c = np.vstack([gen.output_covectors(), rng.normal(size=len(y0))])
-    states = np.empty((n_out, len(y0)), dtype=complex)
-    end_ref = propagate_segment(_stacked(gen), y0, 2.0, 42.0, n_out, out=states,
-                                project=np.eye(len(y0)))
-    got = np.empty((n_out, 3), dtype=complex)
-    end = propagate_segment(_stacked(gen), y0, 2.0, 42.0, n_out, out=got, project=c)
+
+    def segment(project):
+        return evolve(gen, (2.0, 42.0), 40.0 / n_out, initial=y0,
+                      project=project).projections[1:]
+
+    states = segment(np.eye(len(y0)))
+    end_ref = states[-1]
+    ends = _spy_ends(monkeypatch, "_dense_powers")
+    got = segment(c)
+    end, = ends
     ref = states @ c.T
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the undamped r amplitudes carry the rounding of up to 2,500 steps,
@@ -1202,9 +1222,9 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     h = 2.0 / n_out
     ref, y_ref = _dense_loop(_scipy_expm(augmented(gen, level, 0.5, doubles) * h), y0,
                              n_out, rows[:, :dim])
-    got = np.empty_like(ref)
-    end = propagate_segment(_stacked(gen), padded(gen, y0), 2.0, 4.0, n_out, out=got,
-                            project=rows)
+    ends = _spy_ends(monkeypatch, "_dense_powers")
+    got = evolve(gen, (2.0, 4.0), h, initial=padded(gen, y0), project=rows).projections[1:]
+    end, = ends
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(end[:dim] - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
     assert np.array_equal(got[-1], rows @ end)

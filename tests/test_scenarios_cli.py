@@ -223,13 +223,15 @@ def test_cli_unknown_key_exits_3_and_writes_nothing(tmp_path):
     ("spectrum", "", ["--d", "-3"], False),
     ("scan-turnoff", "[scan]\nd_list = -5, 0\n", [], False),
     ("scan-turnon", "[scan]\nomega_c_list = 0, 0.5\n", [], False),
-    ("spectrum", "[spectrum]\ndelta_min = 1.5\ndelta_max = -1.5\n", [], False)],
+    ("spectrum", "[spectrum]\ndelta_min = 1.5\ndelta_max = -1.5\n", [], False),
+    ("window-scan", "[windows]\nshapes = square, sqaure\n", ["--n-atoms", "3"], False)],
     ids=["dt_out_zero", "dt_out_negative", "n_points_zero", "seed_negative",
          "delta_t_zero", "threads_zero", "threads_negative", "n_in_zero",
          "storage_release_after_horizon", "storage_release_far_after_horizon",
          "hbt_probabilities_above_one", "n_trials_zero", "eta1_above_one",
          "rel_tol_zero", "tail_fit_reversed", "tail_fit_negative", "depth_negative",
-         "d_list_not_positive", "omega_c_list_zero", "delta_range_reversed"])
+         "d_list_not_positive", "omega_c_list_zero", "delta_range_reversed",
+         "window_shape_misspelled"])
 def test_out_of_range_input_exits_3_and_writes_nothing(tmp_path, tmp_path_factory,
                                                        monkeypatch, command, ini, flags,
                                                        in_runner):
@@ -258,6 +260,17 @@ def test_out_of_range_input_exits_3_and_writes_nothing(tmp_path, tmp_path_factor
 def test_wrong_typed_override_raises(overrides):
     with pytest.raises(ConfigurationError, match="wrong type"):
         default_config("storage", overrides)
+
+
+@pytest.mark.parametrize("kind, overrides, names", [
+    ("window_scan", {"shapes": ("square", "sqaure")}, "window shapes"),
+    ("propagate", {"shape": "sqaure"}, "sqaure"), ("propagate", {"mode": "powerlaw"}, "powerlaw")],
+    ids=["window_shapes", "shape", "mode"])
+def test_misspelled_name_raises_a_configuration_error(kind, overrides, names):
+    # a name no PulseShape or BlockadeMode holds is refused as a
+    # configuration, as a file holding it is, not as a bare ValueError
+    with pytest.raises(ConfigurationError, match=names):
+        default_config(kind, overrides)
 
 
 def test_jittered_placement_needs_a_seed(tmp_path):
@@ -390,6 +403,11 @@ def _overrides(draw):
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(SCENARIO_KINDS), overrides=_overrides())
 def test_manifest_round_trips_any_valid_config(tmp_path_factory, kind, overrides):
+    if kind == "storage" and "t_off_ns" not in overrides:
+        # the storage scenario presets the storage schedule, which needs t_off_ns
+        with pytest.raises(ConfigurationError, match="t_off_ns"):
+            default_config(kind, overrides)
+        return
     cfg = default_config(kind, overrides)
     text = manifest_text(cfg, {}, {})
     path = tmp_path_factory.mktemp("manifest") / "manifest.ini"
@@ -1047,6 +1065,18 @@ def test_cli_storage_requires_schedule(tmp_path, monkeypatch, capsys):
     assert main(["storage", "--t-off-ns", "2000", "--out", str(tmp_path / "s")]) == 3
     err = capsys.readouterr().err
     assert "2500.0 ns" in err and "2200.0 ns" in err
+
+
+def test_storage_schedule_comes_from_its_preset(tmp_path, monkeypatch):
+    # the storage scenario presets the storage schedule, so a file that
+    # gives only t_off_ns runs as the flag does, and both manifests write
+    # kind = storage
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t_off.ini").write_text("[schedule]\nt_off_ns = 200\n")
+    assert main(["storage", *_SHORT, "--config", "t_off.ini", "--out", "file"]) == 0
+    assert main(["storage", *_SHORT, "--t-off-ns", "200", "--out", "flag"]) == 0
+    assert _outputs(tmp_path / "file") == _outputs(tmp_path / "flag")
+    assert "[schedule]\nkind = storage\n" in _outputs(tmp_path / "file")["manifest.ini"]
 
 
 _DEVICE_FLAGS = {"--d", "--n-atoms", "--omega-c", "--omega-c-mhz", "--gamma-r-mhz"}
