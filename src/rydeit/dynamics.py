@@ -66,15 +66,16 @@ the pair of the singles and g2 = 1 to rounding.
 layout or its singles or doubles block.  ``SinglesPropagator``, the one
 cache of exponentials, holds one such block; on the stacked layout its
 E = exp(A(1) h), at unit drive once per (Omega_c, step h), is split at
-the levels [ground; singles; doubles] and read-only
-(``TriangularExp.split``).  With D = diag(1, e, e^2) over the levels,
-exp(A(e) h) = D E D^-1: a step (``_tri_apply``) is the level-diagonal part
-of E, then the blocks one level apart times e and the block two apart
-times e^2, nothing divided by e, which may underflow to 0.  So a square
-pulse's plateau (e = 1) and tail (e = 0), each one ``decay`` at its level,
-share one exponential and its giant-step power.  The singles and doubles
-decay undriven: after turn-off, and in a correlation grid, which steps the
-singles by exp(M1 h) at each segment's Omega_c and sample step h
+the levels [ground; singles; doubles] into its level-diagonal and
+level-crossing blocks, read-only (``TriangularExp.split``).  With
+D = diag(1, e, e^2) over the levels, exp(A(e) h) = D E D^-1: a step
+(``_tri_apply``) is the level-diagonal blocks of E, then the blocks one
+level apart times e and the block two apart times e^2, nothing divided by
+e, which may underflow to 0.  So a square pulse's plateau (e = 1) and
+tail (e = 0), each one ``decay`` at its level, share one exponential and
+its giant-step power.  The singles and doubles decay undriven: after
+turn-off, and in a correlation grid, which steps the singles by
+exp(M1 h) at each segment's Omega_c and sample step h
 (``StateTrajectory.segment_starts``).  One ``dense`` rule picks the route:
 a block of at most ``EXPM_MAX_DIM`` slots, a doubles block of at most
 ``DECAY_DENSE_DOUBLES``, steps its dense exponential, in a stretch or a
@@ -85,13 +86,17 @@ Each exponential is this module's ``expm``.  The model is cascaded
 it, so the strongly connected components of the generator's nonzero
 pattern, in topological order (``_cascade_order``), make it block lower
 triangular, with blocks of at most 2 slots in the singles, (e_h, r_h), and
-4 in the doubles, the ee, er, re and rr amplitudes of one pair.  Degree-13
-Padé scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179,
-2005) keeps that structure, in tiles split at block boundaries: about n^3/6
-multiplications per product against n^3 for a dense GEMM (at one BLAS
-thread 1.5-1.8 s for the replica's complex 1,625-dim propagator and
-0.18-0.25 s for a real 1,001-dim turn-on one, against 5.3 s and 0.3-0.45 s
-for scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
+4 in the doubles, the ee, er, re and rr amplitudes of one pair.  Padé
+scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005)
+keeps that structure.  Its degree comes from the norm: 3, 5, 7 or 9 below
+their theta_m, else 13 with squarings.  Products by the generator stay
+sparse; the higher powers and the squarings are block triangular products
+in tiles split at block boundaries, about n^3/6 multiplications each
+against n^3 for a dense GEMM.  Degree 13 takes four such products and at
+most four d x d arrays at once (at one BLAS thread 1.6-1.7 s for the
+replica's complex 1,625-dim propagator and 0.11-0.30 s for a real
+1,001-dim turn-on one, degree 7 to 13, against 5.3-7.1 s and 0.3-0.5 s for
+scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
 permutes y and the covectors into cascade order once (``TriangularExp``)
 and only its end state back; no block mixes the levels, and the order
 keeps each contiguous, so they start where they do in the stacked layout.
@@ -135,7 +140,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import expm as scipy_expm, norm as dense_norm, solve as dense_solve
+from scipy.linalg import expm as scipy_expm, solve as dense_solve
 from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.csgraph import connected_components
 
@@ -387,13 +392,19 @@ def _cascade_order(a) -> tuple:
     return perm, bounds
 
 
-#: Coefficients b_0..b_13 of the degree-13 Padé approximant of exp, and the
-#: 1-norm theta_13 up to which its backward error stays below 2^-53 (Higham,
-#: SIAM J. Matrix Anal. Appl. 26:1179, 2005, table 2.3)
-PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-THETA13 = 5.371920351148152
+#: Coefficients b_0..b_m of the degree-m Padé approximant of exp, and the
+#: 1-norm theta_m up to which its backward error stays below 2^-53 (Higham,
+#: SIAM J. Matrix Anal. Appl. 26:1179, 2005, tables 2.2 and 2.3)
+PADE = {3: (120.0, 60.0, 12.0, 1.0),
+        5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+        7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+        9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+        13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+             1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+             33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)}
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+              9: 2.097847961257068, 13: 5.371920351148152}
 
 #: Edge of the tiles ``_tri_mul`` and ``_tri_solve`` hand whole to BLAS (with
 #: triangular ztrmm tiles 256 and 384 took 0.18-0.19 s per 1,625-dim product)
@@ -402,14 +413,16 @@ TRI_LEAF = 256
 
 @dataclass
 class TriangularExp:
-    """exp(a) = Pi^T tri^T Pi, Pi y = y[perm], with ``tri`` (Fortran order)
-    block upper triangular over the cascade blocks that start at ``bounds``
-    (then the dimension), at most ``reach`` rows below its diagonal.  A
-    stacked propagator split at the starts ``levels`` of its singles and
-    doubles (``split``) holds the blocks of tri that cross them in ``lift``
-    and zeros in tri: tri is the propagator at drive level 0."""
+    """exp(a) = Pi^T T^T Pi, Pi y = y[perm], with T block upper triangular
+    over the cascade blocks that start at ``bounds`` (then the dimension),
+    at most ``reach`` rows below its diagonal, held by levels: ``tri`` has
+    T's diagonal block on each level (Fortran order), the levels starting
+    at 0 and ``levels``, and ``lift`` the blocks of T that cross them.  A
+    whole propagator has one level, tri = (T,); a stacked one split at the
+    starts of its singles and doubles (``split``) has three, and its tri is
+    the propagator at drive level 0."""
 
-    tri: np.ndarray
+    tri: tuple                  # T's diagonal block on each level
     perm: np.ndarray
     bounds: np.ndarray
     levels: tuple = ()
@@ -420,26 +433,45 @@ class TriangularExp:
     def reach(self) -> int:
         return int(np.max(np.diff(self.bounds))) - 1
 
+    @cached_property
+    def below(self) -> tuple:
+        """T's subdiagonals j = 1..``reach``, T[i + j, i] at i, over all
+        levels (0 where i + j lies on the next level)."""
+        return tuple(np.concatenate([np.r_[np.diagonal(t, -j), np.zeros(min(j, len(t)), t.dtype)]
+                                     for t in self.tri])[:-j]
+                     for j in range(1, self.reach + 1))
+
+    @cached_property
+    def spans(self) -> tuple:
+        """The slots of each level."""
+        edges = (0, *self.levels, len(self.perm))
+        return tuple(slice(i, j) for i, j in zip(edges, edges[1:]))
+
     def split(self, levels: tuple) -> TriangularExp:
-        """This propagator on the same tri, read-only, split at the starts
-        ``levels`` = (i1, i2) of the stacked layout's singles and doubles
-        (whole at ()), which its cascade order must keep contiguous."""
+        """This whole propagator split at the starts ``levels`` = (i1, i2) of
+        the stacked layout's singles and doubles, which its cascade order
+        must keep contiguous: T's diagonal blocks on the levels and the
+        blocks that cross them, copied out of T (T itself at ()), read-only."""
         if np.any(np.diff(np.searchsorted(levels, self.perm, side="right")) < 0):
             raise DynamicsError("the cascade order mixes the ground, singles and doubles")
-        lift = []
+        (t,) = self.tri
+        tri, lift = (t,), ()
         if levels:
             i1, i2 = levels
-            for r, c, k in ((np.s_[:i1], np.s_[i1:i2], 1), (np.s_[:i1], np.s_[i2:], 2),
-                            (np.s_[i1:i2], np.s_[i2:], 1)):
-                lift.append((r, c, k, self.tri[r, c].copy()))
-                self.tri[r, c] = 0.0
-        for x in (self.tri, *(block for *_, block in lift)):
+            k = (np.s_[:i1], np.s_[i1:i2], np.s_[i2:])
+            tri = tuple(t[r, r].copy(order="F") for r in k)
+            lift = tuple((k[i], k[j], j - i, t[k[i], k[j]].copy())
+                         for i, j in ((0, 1), (0, 2), (1, 2)))
+        for x in (*tri, *(block for *_, block in lift)):
             x.flags.writeable = False
-        return TriangularExp(self.tri, self.perm, self.bounds, levels, tuple(lift))
+        return TriangularExp(tri, self.perm, self.bounds, levels, lift)
 
     def joined(self) -> np.ndarray:
-        """A Fortran-ordered copy of tri with the lift put back: P at unit drive."""
-        x = self.tri.copy(order="F")
+        """T as a new Fortran-ordered array, its level blocks and lift put
+        together: P at unit drive."""
+        x = np.zeros((len(self.perm),) * 2, dtype=self.tri[0].dtype, order="F")
+        for k, t in zip(self.spans, self.tri):
+            x[k, k] = t
         for r, c, _, block in self.lift:
             x[r, c] = block
         return x
@@ -452,48 +484,58 @@ class TriangularExp:
             return self
         if m not in self.powers:
             x = _tri_squarings(self.joined(), m.bit_length() - 1, self.bounds)
-            self.powers[m] = TriangularExp(x, self.perm, self.bounds).split(self.levels)
+            self.powers[m] = TriangularExp((x,), self.perm, self.bounds).split(self.levels)
         return self.powers[m]
 
     def dense(self) -> np.ndarray:
-        """exp(a) as a dense matrix: tri joined, transposed and permuted back."""
+        """exp(a) as a dense matrix: T joined, transposed and permuted back."""
         back = np.argsort(self.perm)
         return self.joined().T[np.ix_(back, back)]
 
 
 def expm(a) -> TriangularExp:
     """exp(a) of a dense or sparse square matrix, float64 for a real a and
-    complex otherwise, in cascade order (``TriangularExp``); a sparse a
-    becomes dense only as its permuted transpose u, block upper triangular.
-    exp(u) is the degree-13 Padé approximant of u / 2^s squared s times,
-    with s from the exact 1-norm of u and ``THETA13`` (Higham 2005), by
-    block triangular products (``_tri_mul``); the Padé denominator, each
-    block row scaled by the inverse of its diagonal block, is unit
-    triangular (``_tri_solve``).  The approximant's diagonal blocks of up
-    to 4 slots are set to scipy's exponential of u's (exp(u_ii) on one
-    slot), and the one-slot diagonal again after each squaring (Al-Mohy and
-    Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment 2.1).  At
-    most five d x d arrays are alive at once, plus tiles of a quarter."""
+    complex otherwise, in cascade order (``TriangularExp``); its permuted
+    transpose u, block upper triangular, stays sparse.  exp(u) is the
+    degree-m Padé approximant of u / 2^s squared s times (Higham 2005): m is
+    the least of 3, 5, 7 and 9 whose theta_m (``PADE_THETA``) bounds the
+    exact 1-norm of u, with s = 0, or else 13, with the least s that brings
+    the norm of u / 2^s to theta_13.  u^2 is a sparse product made dense
+    once, the higher even powers are block triangular products
+    (``_tri_mul``), and U = (U / u) u, as the two commute, comes by sparse
+    products in column chunks of about ``TRI_LEAF``.  The Padé denominator,
+    each block row scaled by the inverse of its diagonal block, is unit
+    triangular (``_tri_solve``).  The approximant's diagonal blocks of up to
+    4 slots are set to scipy's exponential of u's (exp(u_ii) on one slot),
+    and the one-slot diagonal again after each squaring (Al-Mohy and Higham,
+    SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment 2.1).  At most
+    four d x d arrays are alive at once, plus tiles of a quarter."""
     perm, bounds = _cascade_order(a)
-    u = a[perm][:, perm]
-    u = np.asarray(u.toarray() if sp.issparse(u) else u)
-    u = np.asfortranarray(u.T, dtype=np.result_type(u.dtype, float))
-    norm = dense_norm(u, 1, check_finite=False)
-    s = math.ceil(math.log2(norm / THETA13)) if THETA13 < norm < math.inf else 0
-    u *= 0.5 ** s
-    blocks = [bounds[:-1][np.diff(bounds) == k][:, None] + np.arange(k) for k in (1, 2, 3, 4)]
-    small = [u[r[:, :, None], r[:, None, :]] for r in blocks]
-    a2 = u.copy(order="F")
-    _tri_mul(u, a2, bounds)
-    a4 = a2.copy(order="F")
-    _tri_mul(a2, a4, bounds)
-    a6 = a4.copy(order="F")
-    _tri_mul(a2, a6, bounds)
-    x = _pade_part(PADE13[1::2], a2, a4, a6, bounds)
-    _tri_mul(u, x, bounds)
-    del u
-    v = _pade_part(PADE13[0::2], a2, a4, a6, bounds)
-    del a2, a4, a6
+    d, back = len(perm), np.argsort(perm)
+    a = sp.coo_matrix(a, dtype=np.result_type(a.dtype, float))
+    u = sp.csc_matrix((a.data, (back[a.col], back[a.row])), shape=(d, d))    # a[perm][:, perm].T
+    u.eliminate_zeros()
+    norm = float(np.max(np.bincount(back[a.row], np.abs(a.data), d)))
+    m = next((k for k in (3, 5, 7, 9) if norm <= PADE_THETA[k]), 13)
+    s = math.ceil(math.log2(norm / PADE_THETA[13])) if PADE_THETA[13] < norm < math.inf else 0
+    u.data *= 0.5 ** s
+    # u's diagonal blocks of up to 4 slots, scattered from its entries
+    size, c = np.diff(bounds), u.tocoo()
+    k = np.repeat(np.arange(len(size)), size)[c.row]
+    i, j, inside = c.row - bounds[k], c.col - bounds[k], size[k] <= 4
+    inside &= (j >= 0) & (j < size[k])
+    diag = np.zeros((len(size), 4, 4), dtype=u.dtype)
+    diag[k[inside], i[inside], j[inside]] = c.data[inside]
+    small = [diag[size == n, :n, :n] for n in (1, 2, 3, 4)]
+    blocks = [bounds[:-1][size == n][:, None] + np.arange(n) for n in (1, 2, 3, 4)]
+    a2 = (u @ u).toarray(order="F")
+    x, v = (_pade13 if m == 13 else _pade_low)(PADE[m], a2, bounds)
+    del a2
+    # U = x u in column chunks that start at block starts, from the last:
+    # chunk c of x u reads the columns of x up to the end of c only
+    cuts = np.unique(np.r_[bounds[np.searchsorted(bounds, np.arange(0, d, TRI_LEAF))], d])
+    for c0, c1 in zip(cuts[-2::-1], cuts[:0:-1]):
+        x[:, c0:c1] = x @ u[:, c0:c1]
     # x = (V - U)^-1 (V + U) with U in x and V in v
     v -= x
     x *= 2.0
@@ -508,7 +550,65 @@ def expm(a) -> TriangularExp:
     for r, b in zip(blocks, small):
         x[r[:, :, None], r[:, None, :]] = scipy_expm(b)
     exact = blocks[0][:, 0], small[0][:, 0, 0]
-    return TriangularExp(_tri_squarings(x, s, bounds, exact), perm, bounds)
+    return TriangularExp((_tri_squarings(x, s, bounds, exact),), perm, bounds)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """The memory of a Fortran-ordered array as a flat view."""
+    return x.reshape(-1, order="F")
+
+
+def _pade_low(b: tuple, a2: np.ndarray, bounds: np.ndarray) -> tuple:
+    """(U / u, V) of the Padé approximant of degree m = len(b) - 1 < 13, as
+    new Fortran-ordered arrays, from a2 = u^2: b_1 I + b_3 A2 + .. and
+    b_0 I + b_2 A2 + .., each power A^2k (k >= 2) in one buffer, advanced
+    by a2 (``_tri_mul``) and added to both."""
+    d = len(a2)
+    x, v = np.multiply(a2, b[3], order="F"), np.multiply(a2, b[2], order="F")
+    _flat(x)[::d + 1] += b[1]
+    _flat(v)[::d + 1] += b[0]
+    axpy = get_blas_funcs("axpy", (a2,))
+    p = a2.copy(order="F")
+    for k in range(4, len(b), 2):
+        _tri_mul(a2, p, bounds)
+        axpy(_flat(p), _flat(x), a=b[k + 1])
+        axpy(_flat(p), _flat(v), a=b[k])
+    return x, v
+
+
+def _pade13(b: tuple, a2: np.ndarray, bounds: np.ndarray) -> tuple:
+    """(U / u, V) of the degree-13 Padé approximant from a2 = u^2, in a2's
+    memory and three more d x d arrays:
+
+        U / u = A6 (b13 A6 + b11 A4 + b9 A2 + b7 I) + b5 A4 + b3 A2 + b1 I
+        V     = A6 (b12 A6 + b10 A4 + b8 A2 + b6 I) + b4 A4 + b2 A2 + b0 I
+
+    A2 and A4 turn into V's outer and inner parts in place, by BLAS axpy
+    and rotm on the real view of the (A2, A4) pairs (the b are real): no
+    d x d temporary."""
+    d = len(a2)
+    axpy = get_blas_funcs("axpy", (a2,))
+    a4 = a2.copy(order="F")
+    _tri_mul(a2, a4, bounds)
+    a6 = a4.copy(order="F")
+    _tri_mul(a2, a6, bounds)
+    x = np.multiply(a6, b[13], order="F")
+    axpy(_flat(a4), _flat(x), a=b[11])
+    axpy(_flat(a2), _flat(x), a=b[9])
+    _flat(x)[::d + 1] += b[7]
+    _tri_mul(a6, x, bounds)
+    axpy(_flat(a4), _flat(x), a=b[5])
+    axpy(_flat(a2), _flat(x), a=b[3])
+    get_blas_funcs("rotm", dtype=np.float64)(
+        _flat(a2).view(float), _flat(a4).view(float), np.array([-1.0, b[2], b[8], b[4], b[10]]),
+        overwrite_x=1, overwrite_y=1)
+    axpy(_flat(a6), _flat(a4), a=b[12])
+    for p, c in ((x, b[1]), (a2, b[0]), (a4, b[6])):
+        _flat(p)[::d + 1] += c
+    _tri_mul(a6, a4, bounds)
+    del a6
+    axpy(_flat(a4), _flat(a2), a=1.0)
+    return x, a2
 
 
 def _tri_squarings(x: np.ndarray, k: int, bounds: np.ndarray,
@@ -525,23 +625,6 @@ def _tri_squarings(x: np.ndarray, k: int, bounds: np.ndarray,
         x, v = v, x
         if exact is not None:
             x.reshape(-1, order="F")[exact[0] * (len(x) + 1)] = np.exp(exact[1] * 2.0 ** j)
-    return x
-
-
-def _pade_part(c, a2: np.ndarray, a4: np.ndarray, a6: np.ndarray,
-               bounds: np.ndarray) -> np.ndarray:
-    """c_0 I + c_1 A2 + c_2 A4 + c_3 A6 + A6 (c_4 A2 + c_5 A4 + c_6 A6) in
-    one new Fortran-ordered array: the even part V of the degree-13 Padé
-    numerator for c = b_0, b_2, .., b_12, and U / A for c = b_1, .., b_13."""
-    x = np.multiply(a6, c[6], order="F")
-    flat = x.reshape(-1, order="F")
-    axpy = get_blas_funcs("axpy", (x,))
-    for ci, p in zip(c[4:6], (a2, a4)):
-        axpy(p.reshape(-1, order="F"), flat, a=ci)
-    _tri_mul(a6, x, bounds)
-    for ci, p in zip(c[1:4], (a2, a4, a6)):
-        axpy(p.reshape(-1, order="F"), flat, a=ci)
-    flat[::len(x) + 1] += c[0]
     return x
 
 
@@ -608,20 +691,23 @@ def _tri_solve(l: np.ndarray, m: np.ndarray, bounds: np.ndarray) -> None:
 
 
 def _tri_apply(prop: TriangularExp, v: np.ndarray, e: float) -> np.ndarray:
-    """P v for a vector v, or v P for a row stack v, with P = tri^T at drive
-    level ``e``: trmv or trmm read the upper triangle of tri, the loop adds
-    the ``reach`` subdiagonals inside the blocks, and a split propagator
-    adds its lift times e, or e^2 two levels apart (e^2 may underflow to 0)."""
-    tri = prop.tri
-    w = (get_blas_funcs("trmv", (tri,))(tri, v, trans=1) if v.ndim == 1
-         else get_blas_funcs("trmm", (tri,))(1.0, tri, v.T).T)
-    for k in range(1, prop.reach + 1):
-        if v.ndim == 1:
-            w[:-k] += v[k:] * np.diagonal(tri, -k)
+    """P v for a vector v, or v P for a row stack v, with P = T^T at drive
+    level ``e``: trmv or trmm read the upper triangle of T's diagonal block
+    on each level, the loop adds the ``reach`` subdiagonals inside the
+    cascade blocks (``below``), and a split propagator adds its lift times
+    e, or e^2 two levels apart (e^2 may underflow to 0)."""
+    vector = v.ndim == 1
+    mul = get_blas_funcs("trmv" if vector else "trmm", (prop.tri[0],))
+    w = [mul(t, v[k], trans=1) if vector else mul(1.0, t, v[:, k].T).T
+         for k, t in zip(prop.spans, prop.tri)]
+    w = w[0] if len(w) == 1 else np.concatenate(w, axis=-1)
+    for j, sub in enumerate(prop.below, 1):
+        if vector:
+            w[:-j] += v[j:] * sub
         else:
-            w[:, k:] += v[:, :-k] * np.diagonal(tri, -k)
+            w[:, j:] += v[:, :-j] * sub
     for r, c, k, block in prop.lift if e != 0.0 else ():
-        if v.ndim == 1:
+        if vector:
             w[c] += e ** k * (v[r] @ block)
         else:
             w[:, r] += e ** k * (v[:, c] @ block.T)
@@ -813,11 +899,14 @@ def decay(prop: SinglesPropagator, omega: float, h: float, y: np.ndarray, n_out:
     goes on), P = exp(A h) of ``prop``'s block at control ``omega`` and drive
     level ``e``: the one stepper of a constant stretch.  A ``dense`` ``prop``
     steps its ``step`` in the dtype of the generator, y and ``project``
-    (``_dense_powers``), any other Taylor actions (``_action_powers``)."""
+    (``_dense_powers``), any other Taylor actions (``_action_powers``); on
+    either route the last row is ``project`` times the end state, to the bit."""
     if prop.dense:
         dtype = np.result_type(prop.gen.dtype, y, project)
         return _dense_powers(prop.step(omega, h, dtype), y, n_out, project, e)
-    return _action_powers(_csr(prop.gen.operator(omega, e, prop.slots)), h, y, n_out, project)
+    proj, y = _action_powers(_csr(prop.gen.operator(omega, e, prop.slots)), h, y, n_out, project)
+    proj[-1] = project @ y
+    return proj, y
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
@@ -909,7 +998,7 @@ def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.nd
     the covectors are permuted once, P^m (m from ``_giant_step``) is
     ``prop.power(m)``, the end state is permuted back and the last row is
     ``project`` times it, to the bit."""
-    dtype = np.result_type(prop.tri, y, project)
+    dtype = np.result_type(prop.tri[0], y, project)
     m = _giant_step(len(y), n_out, len(project))
     step = partial(_tri_apply, prop, e=e)
     proj, w = _projected_powers(step, step, partial(_tri_apply, prop.power(m), e=e),

@@ -284,9 +284,12 @@ class PulseEnvelope:
     def pieces(self) -> tuple:
         """The window [t_on, t_end) cut where the envelope or its slope is
         discontinuous: (start, end, c0, c1), the envelope c0 + c1 (t - start)
-        on [start, end), or the gaussian (c0 and c1 None)."""
+        on [start, end), or the gaussian (c0 and c1 None).  A square pulse's
+        ramps need their ends inside the window by more than rounding
+        (``interior``); a shorter rise time is a hard edge, as for
+        ``evolve``, not a slope 1/r that may overflow."""
         t0, t1, r = self.t_on, self.t_end, self.rise_time
-        if self.shape is PulseShape.SQUARE and r > 0.0:
+        if self.shape is PulseShape.SQUARE and interior([t0 + r], t0, t1):
             return ((t0, t0 + r, 0.0, 1.0 / r), (t0 + r, t1 - r, 1.0, 0.0),
                     (t1 - r, t1, 1.0, -1.0 / r))
         return ((t0, t1) + {PulseShape.SQUARE: (1.0, 0.0),

@@ -432,14 +432,15 @@ def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
     # square's tail (e = 0) step them at other levels, and they stay
     # bit-equal to what the split first made (the gaussian caches the Magnus
     # factor and the tail's step, the square its step and the step's
-    # giant-step power, m = 4 over its 200 samples)
+    # giant-step power, m = 4 over its 200 samples), each as its three
+    # level-diagonal blocks and three level-crossing ones
     import rydeit.dynamics as dynamics
     seen = {}
     real = dynamics.TriangularExp.split
 
     def spy(self, levels):
         p = real(self, levels)
-        seen.setdefault(id(p), (p, [x.copy() for x in (p.tri, *(b for *_, b in p.lift))]))
+        seen.setdefault(id(p), (p, [x.copy() for x in (*p.tri, *(b for *_, b in p.lift))]))
         return p
 
     monkeypatch.setattr(dynamics.TriangularExp, "split", spy)
@@ -447,11 +448,11 @@ def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
     evolve(gen, (0.0, duration + 4.0), dt_out=0.5)
     assert len(seen) == 2
     for p, first in seen.values():
-        arrays = [p.tri, *(b for *_, b in p.lift)]
-        assert len(arrays) == 4 and not any(x.flags.writeable for x in arrays)
+        arrays = [*p.tri, *(b for *_, b in p.lift)]
+        assert len(arrays) == 6 and not any(x.flags.writeable for x in arrays)
         assert all(np.array_equal(x, y) for x, y in zip(arrays, first))
         with pytest.raises(ValueError, match="read-only"):
-            p.tri[0, 0] = 1.0
+            p.tri[-1][0, 0] = 1.0
 
 
 def _count_expm(monkeypatch):
@@ -705,6 +706,27 @@ def test_free_decay_stack_above_expm_cap(monkeypatch, doubles):
         assert np.max(np.abs(got[:, r:r + 1] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
+@pytest.mark.parametrize("kind", ["stacked", "doubles"])
+@pytest.mark.parametrize("dense", [True, False])
+def test_decay_last_row_is_the_end_state_projected(monkeypatch, dense, kind):
+    # on either route, the dense exponential or the Taylor action (above
+    # the cap), decay's last row is the covector stack times its end state,
+    # to the bit: a run's last sample and the state it goes on from agree
+    import rydeit.dynamics as dynamics
+    if not dense:
+        monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 0)
+    gen = make_generator(n_atoms=4, omega_c=0.5)
+    prop = SinglesPropagator(gen, kind)
+    assert prop.dense == dense
+    y, rows, e = steady_state(gen, omega_c=0.5), gen.output_covectors(grid=True), 1.0
+    if kind == "doubles":
+        k = gen.index.doubles
+        y, rows, e = y[k], rows[:, k], 0.0
+    proj, end = decay(prop, 0.5, 0.3, y, 37, rows, e)
+    assert proj.shape == (37, len(rows))
+    assert np.array_equal(proj[-1], rows @ end)
+
+
 def test_small_doubles_decay_takes_the_dense_route(monkeypatch):
     # a doubles block up to DECAY_DENSE_DOUBLES decays by one dense
     # exponential (d = 155, the D ~ 3.6 turn-off device), and matches the
@@ -760,11 +782,11 @@ def test_complex_stack_on_a_real_generator_takes_one_complex_exponential(monkeyp
     first, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
     again, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
     assert len(calls) == 1
-    assert prop.step(0.5, 0.1, complex).tri.dtype == np.complex128
+    assert prop.step(0.5, 0.1, complex).tri[0].dtype == np.complex128
     assert len(calls) == 1
     assert np.array_equal(first, again) and first.dtype == np.complex128
     real, _ = decay(prop, 0.5, 0.1, y0, 300, gen.out_e[None])
-    assert len(calls) == 2 and prop.step(0.5, 0.1).tri.dtype == np.float64
+    assert len(calls) == 2 and prop.step(0.5, 0.1).tri[0].dtype == np.float64
     assert np.max(np.abs(real[:, 0] - first[:, 0])) <= 1e-14 * np.max(np.abs(real))
 
 
@@ -775,7 +797,7 @@ def test_power_is_kept_by_its_propagator():
     p = SinglesPropagator(gen).step(0.5, 0.2)
     p4 = p.power(4)
     assert p.power(4) is p4 and p.power(1) is p
-    assert not p4.tri.flags.writeable and not p.tri.flags.writeable
+    assert not p4.tri[0].flags.writeable and not p.tri[0].flags.writeable
     np.testing.assert_allclose(p4.dense(), np.linalg.matrix_power(p.dense(), 4),
                                rtol=0, atol=1e-14)
 
@@ -830,8 +852,36 @@ def _random_chain_generator(mode, omega, n_atoms=6, seed=3):
 BLOCKADE_MODES = ["power_law", "full", "none"]
 
 
+#: (Padé degree m, squarings s) by the 1-norm of the argument (Higham, SIAM
+#: J. Matrix Anal. Appl. 26:1179, 2005, table 2.3: theta_3 = 0.015,
+#: theta_5 = 0.254, theta_7 = 0.950, theta_9 = 2.098, theta_13 = 5.372), and
+#: the block triangular products each degree takes before its squarings
+PADE_PLAN = {0.0: (3, 0), 1e-3: (3, 0), 0.01: (3, 0), 0.2: (5, 0), 0.9: (7, 0), 1.0: (9, 0),
+             2.0: (9, 0), 2.5: (13, 0), 5.0: (13, 0), 20.0: (13, 2), 50.0: (13, 4)}
+PADE_PRODUCTS = {3: 0, 5: 1, 7: 2, 9: 3, 13: 4}
+
+
+def _count_tri_mul(monkeypatch):
+    """The calls of ``dynamics._tri_mul`` not made by ``_tri_mul`` itself,
+    appended as they come (one per block triangular product)."""
+    import rydeit.dynamics as dynamics
+    calls, depth, real = [], [0], dynamics._tri_mul
+
+    def counted(l, m, bounds):
+        if depth[0] == 0:
+            calls.append(len(l))
+        depth[0] += 1
+        try:
+            real(l, m, bounds)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dynamics, "_tri_mul", counted)
+    return calls
+
+
 @pytest.mark.parametrize("leaf", [None, 7])
-@pytest.mark.parametrize("tau_norm", [0.0, 1e-3, 1.0, 20.0, 50.0])
+@pytest.mark.parametrize("tau_norm", list(PADE_PLAN))
 @pytest.mark.parametrize("mode, doubles, omega", [
     (mode, doubles, omega) for mode in BLOCKADE_MODES for doubles in (False, True)
     for omega in (0.0, 0.25, 0.5)] + [("dense", None, None)])
@@ -840,9 +890,12 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     # stacked generators (omega = 0.25 makes each singles 2 x 2 block
     # defective, and at omega = 0.5 its eigenvalues are complex) and on a
     # dense random matrix, one strongly connected block; leaf = 7 takes
-    # these small matrices through the recursive tiles.  The fully
-    # blockaded and interaction-free generators are real and so is their
-    # exponential; the power-law one is complex
+    # these small matrices through the recursive tiles and the column
+    # chunks.  The fully blockaded and interaction-free generators are real
+    # and so is their exponential; the power-law one is complex.  The norm
+    # is that of the permuted transpose expm works on, the largest row sum
+    # of |a|, one in each band of the Padé degree; the count of block
+    # triangular products gives the degree and squarings it took
     import rydeit.dynamics as dynamics
     if leaf is not None:
         monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
@@ -852,14 +905,17 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         assert len(_cascade_order(a)[1]) == 2
     else:
         a = augmented(_random_chain_generator(mode, omega), 1.0, omega, doubles)
-    a = a * (tau_norm / np.max(np.abs(a).sum(axis=0)))
+    a = a * (tau_norm / np.max(np.abs(a).sum(axis=1)))
     ref = _scipy_expm(a)
+    products = _count_tri_mul(monkeypatch)
     prop = expm(a)
+    m, s = PADE_PLAN[tau_norm]
+    assert len(products) == PADE_PRODUCTS[m] + s
     # below its diagonal, tri is nonzero only inside the cascade blocks
     perm, bounds = _cascade_order(a)
     assert np.array_equal(prop.perm, perm) and np.array_equal(prop.bounds, bounds)
     block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    rows, cols = np.nonzero(np.tril(prop.tri, -1))
+    rows, cols = np.nonzero(np.tril(prop.tri[0], -1))
     assert np.all(block[rows] == block[cols])
     assert (mode in ("full", "none")) == np.isrealobj(a)
     got = prop.dense()
@@ -890,7 +946,7 @@ def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
     real_expm, props = dynamics.expm, []
     monkeypatch.setattr(dynamics, "expm", lambda a: props.append(real_expm(a)) or props[-1])
     traj = evolve(gen, (0.0, 10.0), dt_out=0.1)
-    assert props and all(p.tri.dtype == want for p in props)
+    assert props and all(p.tri[0].dtype == want for p in props)
     assert traj.projections.dtype == want
     # the grid's Toeplitz factors, rows out_e P^k and carried columns
     real_fill, factors = observables._fill_run, []
@@ -921,8 +977,28 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
         a = _csr(a[:d, :d])
     dense, sparse = expm(a.toarray()), expm(a)
     assert np.array_equal(sparse.perm, dense.perm)
-    assert np.array_equal(sparse.tri, dense.tri)
-    assert sparse.tri.flags.f_contiguous
+    assert np.array_equal(sparse.tri[0], dense.tri[0])
+    assert sparse.tri[0].flags.f_contiguous
+
+
+@pytest.mark.parametrize("tau_norm", [0.5, 17.0])
+def test_expm_peak_memory(tau_norm):
+    # one exponential of a 530-slot power-law generator, at Padé degree 7
+    # and at degree 13 with squarings, holds at most four d x d arrays at
+    # once plus smaller tiles: its traced peak stays under 4.5 of them
+    import tracemalloc
+    gen = _power_law_generator(n_atoms=16)
+    a = gen.operator(0.5, 1.0)
+    a = a * (tau_norm / abs(a).sum(axis=1).max())
+    d = a.shape[0]
+    assert d == 530 and a.dtype == np.complex128
+    tracemalloc.start()
+    try:
+        expm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * d * d * a.dtype.itemsize
 
 
 @pytest.mark.parametrize("mode", BLOCKADE_MODES)
