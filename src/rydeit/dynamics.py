@@ -84,9 +84,10 @@ Magnus factor; any other takes Taylor actions (``_action_powers``).
 Each exponential is this module's ``expm``.  The model is cascaded
 (Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
 it, so the strongly connected components of the generator's nonzero
-pattern, in topological order (``_cascade_order``), make it block lower
-triangular, with blocks of at most 2 slots in the singles, (e_h, r_h), and
-4 in the doubles, the ee, er, re and rr amplitudes of one pair.  Padé
+pattern, in the order scipy labels them, each after those it reads
+(``_cascade_order``), make it block lower triangular, with blocks of at
+most 2 slots in the singles, (e_h, r_h), and 4 in the doubles, the ee,
+er, re and rr amplitudes of one pair.  Padé
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005)
 keeps that structure.  Its degree comes from the norm: 3, 5, 7 or 9 below
 their theta_m, else 13 with squarings.  Products by the generator stay
@@ -132,7 +133,6 @@ those actions.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -354,42 +354,22 @@ def _kron_eye(k: np.ndarray, n: int, both: bool = True) -> sp.csr_matrix:
 
 def _cascade_order(a) -> tuple:
     """(perm, bounds) that make ``a[perm][:, perm]`` block lower triangular,
-    for a dense or sparse square ``a``.  The blocks are the strongly
-    connected components of the nonzero pattern, in topological order of
-    the dependence a[i, j] != 0 (slot i reads slot j, so the block of j comes
-    first), ties going to the block of the smallest slot; each holds its
-    slots in ascending order.  On the stacked layout, where the doubles
-    never feed the singles nor the singles the ground, that keeps the
-    ground, the singles and the doubles contiguous and in that order.
-    ``bounds`` are the block starts followed by the dimension."""
+    for a dense or sparse square ``a``: the strongly connected components
+    of the nonzero pattern (slot i reads slot j where a[i, j] != 0) in the
+    order scipy labels them, each with its slots ascending, and ``bounds``
+    the block starts followed by the dimension.  scipy's search (Tarjan,
+    SIAM J. Comput. 1:146, 1972) labels a component only after every
+    component it reads; an entry that reads a later block raises
+    ``DynamicsError``.  The search starts at slot 0, then at the lowest
+    unlabelled slot, and on the stacked layout one from a ground or singles
+    slot never reaches a doubles slot: the ground, the singles and the
+    doubles stay contiguous and in that order."""
     pattern = sp.csr_matrix(a != 0)
-    n_blocks, label = connected_components(pattern, directed=True, connection="strong")
-    label = label.astype(np.int64)
-    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    src, dst = label[pattern.indices], label[rows]
-    cross = src != dst
-    edge = np.sort(src[cross] * n_blocks + dst[cross])
-    distinct = np.ones(len(edge), dtype=bool)
-    distinct[1:] = edge[1:] != edge[:-1]
-    src, dst = np.divmod(edge[distinct], n_blocks)
-    first = np.searchsorted(src, np.arange(n_blocks + 1))
-    pending = np.bincount(dst, minlength=n_blocks)
-    rank = np.empty(n_blocks, dtype=np.int64)
-    low = np.full(n_blocks, len(label))
-    np.minimum.at(low, label, np.arange(len(label)))
-    ready = [(low[c], c) for c in np.flatnonzero(pending == 0)]
-    heapq.heapify(ready)
-    for k in range(n_blocks):
-        c = heapq.heappop(ready)[1]
-        rank[c] = k
-        succ = dst[first[c]:first[c + 1]]
-        pending[succ] -= 1
-        for c in succ[pending[succ] == 0]:
-            heapq.heappush(ready, (low[c], c))
-    slot_rank = rank[label]
-    perm = np.argsort(slot_rank, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(slot_rank, minlength=n_blocks))])
-    return perm, bounds
+    label = connected_components(pattern, directed=True, connection="strong")[1]
+    reader = np.repeat(label, np.diff(pattern.indptr))
+    if np.any(label[pattern.indices] > reader):
+        raise DynamicsError("the strongly connected components are not in cascade order")
+    return np.argsort(label, kind="stable"), np.concatenate([[0], np.cumsum(np.bincount(label))])
 
 
 #: Coefficients b_0..b_m of the degree-m Padé approximant of exp, and the
@@ -845,11 +825,12 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
 
 #: Largest doubles block whose free decay takes the dense exponential; a
 #: larger one stays CSR and takes the Taylor action.  Over the turn-off
-#: scan's 5,000 steps (one BLAS thread) dense against action took
-#: 0.027-0.038 s against 0.050-0.060 s at d = 222, about even at d = 301 and
-#: 0.74-0.81 s against 0.13 s at d = 950.  The singles are dense up to
-#: ``EXPM_MAX_DIM``: their e block is dense lower triangular, so one sparse
-#: matvec costs about a dense triangular step, and an action step takes several.
+#: scan's 5,000 steps (one BLAS thread, full blockade) dense against action
+#: took 0.008 s against 0.024 s at d = 155, 0.019 s against 0.028 s at
+#: d = 301, about even at d = 392 and 0.18-0.20 s against 0.045 s at d = 950.
+#: The singles are dense up to ``EXPM_MAX_DIM``: their e block is dense lower
+#: triangular, so one sparse matvec costs about a dense triangular step, and
+#: an action step takes several.
 DECAY_DENSE_DOUBLES = 300
 
 

@@ -229,9 +229,9 @@ def transmission_spectrum(params: PhysicalParams, chain: AtomChain, omega_c: flo
 
 
 def eit_peak(spectrum):
-    """(delta, T) of the transparency peak: the local transmission maximum
-    nearest zero detuning (the wings recover toward 1 far outside the
-    absorption dips, so the global maximum is not the EIT window)."""
+    """(delta, T, index) of the transparency peak: the local transmission
+    maximum nearest zero detuning (the wings recover toward 1 far outside
+    the absorption dips, so the global maximum is not the EIT window)."""
     d = np.array([p[0] for p in spectrum])
     t = np.array([p[1] for p in spectrum])
     i = int(np.argmin(np.abs(d)))

@@ -9,9 +9,11 @@ loosening the bound (see notes in the repository ledger).
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import json
 import math
 import time as _time
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,24 @@ def _report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {num:2d} [{name}]: {status} - {detail}")
     return ok
+
+
+#: Every value criteria 4, 5, 6, 8, 9 and 10 print, at full precision: those
+#: six already fail their literature bands, so only their fingerprint tests
+#: see a move of their physics
+FINGERPRINTS = json.loads((Path(__file__).parent / "fingerprints.json").read_text())
+
+
+def _check_fingerprint(num, values):
+    """Check the values criterion ``num`` prints against ``FINGERPRINTS``,
+    within 1e-6 relative.  A failure shows them all at full precision: the
+    entry to record, with the cause, when a change moves them on purpose."""
+    values = {k: np.asarray(v, dtype=float).tolist() for k, v in values.items()}
+    want = FINGERPRINTS[f"criterion_{num:02d}"]
+    assert values.keys() == want.keys()
+    for key, got in values.items():
+        np.testing.assert_allclose(got, want[key], rtol=1e-6, atol=0.0,
+                                   err_msg=f"{key}; now {json.dumps(values)}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +177,26 @@ def test_criterion_03_turn_on_coherence():
                    f"g2(t_on+) = {g2_on:.6f} (required 1 +- 1e-3)")
 
 
-def test_criterion_04_turnon_time_scaling():
+@pytest.fixture(scope="module")
+def turnon_scaling():
+    """Criterion 4's turn-on scan: tau0/tau_eit of its ok points, their
+    median, and the scan's wall time."""
     cfg = default_config("turnon_scan", {
         "d_list": (1.8, 3.6, 9.1), "omega_c_list": (0.05, 0.25, 0.5),
         "threads": 2})
     t0 = _time.perf_counter()
-    bundle = run_turnon_scan(cfg)
+    rows = run_turnon_scan(cfg).tables[0][2]
     wall = _time.perf_counter() - t0
-    rows = bundle.tables[0][2]
     ratios = [r[7] for r in rows if r[-1] == "ok"]
+    median = float(np.median(ratios)) if ratios else math.nan
+    return {"tau0_over_tau_eit": ratios, "median": median}, wall
+
+
+def test_criterion_04_turnon_time_scaling(turnon_scaling):
+    values, wall = turnon_scaling
+    ratios, median = values["tau0_over_tau_eit"], values["median"]
     n_ok = len(ratios)
     in_band = [0.5 <= x <= 2.0 for x in ratios]
-    median = float(np.median(ratios)) if ratios else math.nan
     ok = (n_ok == 9 and all(in_band) and 0.8 <= median <= 1.3 and wall < 600.0)
     detail = (f"tau0/tau_eit per point: "
               + ", ".join(f"{x:.3f}" for x in ratios)
@@ -177,13 +205,22 @@ def test_criterion_04_turnon_time_scaling():
     assert _report(4, "turn-on time scaling", ok, detail)
 
 
-def test_criterion_05_retrieval_time_scaling():
+def test_criterion_04_fingerprint(turnon_scaling):
+    _check_fingerprint(4, turnon_scaling[0])
+
+
+@pytest.fixture(scope="module")
+def retrieval_scaling():
+    """Criterion 5's turn-off scan: tau_I/tau_eit of its ok points."""
     cfg = default_config("turnoff_scan", {
         "d_list": (9.1, 18.2, 27.3), "omega_c_list": (0.05, 0.2, 0.5),
         "turnoff_doubles": False, "threads": 2})
-    bundle = run_turnoff_scan(cfg)
-    rows = bundle.tables[0][2]
-    ratios = [r[10] for r in rows if r[-1] == "ok"]
+    rows = run_turnoff_scan(cfg).tables[0][2]
+    return {"tau_i_over_tau_eit": [r[10] for r in rows if r[-1] == "ok"]}
+
+
+def test_criterion_05_retrieval_time_scaling(retrieval_scaling):
+    ratios = retrieval_scaling["tau_i_over_tau_eit"]
     ok = len(ratios) == 9 and all(0.5 <= x <= 1.5 for x in ratios)
     assert _report(5, "retrieval time scaling", ok,
                    "tau_I/tau_eit per point: "
@@ -191,21 +228,35 @@ def test_criterion_05_retrieval_time_scaling():
                    + " (required each in [0.5,1.5])")
 
 
-def test_criterion_06_two_photon_decay_scaling():
+def test_criterion_05_fingerprint(retrieval_scaling):
+    _check_fingerprint(5, retrieval_scaling)
+
+
+@pytest.fixture(scope="module")
+def two_photon_decay():
+    """Criterion 6's tau_II exponent over its turn-off scan, and the late G2
+    decay rate at its deep-medium reference point."""
     cfg = default_config("turnoff_scan", {
         "d_list": (2.9, 5.5, 9.1), "omega_c_list": (0.05, 0.25, 0.5),
         "threads": 2})
-    bundle = run_turnoff_scan(cfg)
-    exponent = bundle.scalars.get("tau_ii_vs_d_exponent", math.nan)
+    exponent = run_turnoff_scan(cfg).scalars.get("tau_ii_vs_d_exponent", math.nan)
     # canonical deep-medium reference point for the late-time decay rate
     point = _turnoff_point(default_config("turnoff_scan", {"turnoff_doubles": True}), 7.3, 0.5)
-    rate = point["tail_rate_gamma"]
+    return {"tau_ii_exponent": exponent, "late_decay_rate": point["tail_rate_gamma"]}
+
+
+def test_criterion_06_two_photon_decay_scaling(two_photon_decay):
+    exponent, rate = two_photon_decay["tau_ii_exponent"], two_photon_decay["late_decay_rate"]
     ok_exp = -1.25 <= exponent <= -0.75
     ok_rate = abs(rate - 1.0) <= 0.30
     ok = ok_exp and ok_rate
     assert _report(6, "two-photon decay scaling", ok,
                    f"tau_II ~ D^{exponent:.3f} (required -1 +- 0.25); late G2 decay "
                    f"rate {rate:.3f} Gamma at D~7.3, Omega=Gamma/2 (required 1 +- 0.3)")
+
+
+def test_criterion_06_fingerprint(two_photon_decay):
+    _check_fingerprint(6, two_photon_decay)
 
 
 def test_criterion_07_shutoff_limits():
@@ -238,32 +289,45 @@ def test_criterion_07_shutoff_limits():
                    f"Omega = Gamma/5")
 
 
-def test_criterion_08_steady_state_antibunching_structure():
-    oms = (0.05, 0.25, 0.5)
-    n_list = (5, 10, 25)  # D ~ 1.8, 3.6, 9.1
-    table = {}
-    for n in n_list:
-        for om in oms:
-            table[(n, om)], _ = _g2ss_simulated(n, om)
-    dec_d = all(table[(a, om)] > table[(b, om)]
-                for om in oms for a, b in zip(n_list, n_list[1:]))
-    inc_om = all(table[(n, a)] < table[(n, b)]
-                 for n in n_list for a, b in zip(oms, oms[1:]))
-    # high-D closed form at the canonical control value
+ANTIBUNCHING_OMEGAS = (0.05, 0.25, 0.5)
+
+
+@pytest.fixture(scope="module")
+def antibunching():
+    """Criterion 8's steady g2 at N = 5, 10 and 25 (D ~ 1.8, 3.6, 9.1), one
+    row per N over ``ANTIBUNCHING_OMEGAS``, and its ratio to the closed form
+    at Omega = Gamma/2 and N = 25, 35 and 45 (D ~ 9.1, 12.8, 16.4)."""
+    n_list = (5, 10, 25)
     ratios = []
-    for n in (25, 35, 45):  # D ~ 9.1, 12.8, 16.4
+    for n in (25, 35, 45):
         g2, d = _g2ss_simulated(n, 0.5)
         ratios.append(g2 / _g2ss_closed_form(d, 0.5))
+    return {"optical_depth": [optical_depth(build_chain(n), PhysicalParams.from_ratio(0.2))
+                              for n in n_list],
+            "g2_ss": [[_g2ss_simulated(n, om)[0] for om in ANTIBUNCHING_OMEGAS]
+                      for n in n_list],
+            "closed_form_ratio": ratios}
+
+
+def test_criterion_08_steady_state_antibunching_structure(antibunching):
+    oms, rows = ANTIBUNCHING_OMEGAS, antibunching["g2_ss"]
+    dec_d = all(a > b for col in zip(*rows) for a, b in zip(col, col[1:]))
+    inc_om = all(a < b for row in rows for a, b in zip(row, row[1:]))
+    # high-D closed form at the canonical control value
+    ratios = antibunching["closed_form_ratio"]
     formula_ok = all(0.5 <= r <= 2.0 for r in ratios)
     ok = dec_d and inc_om and formula_ok
-    grid_txt = "; ".join(
-        f"D~{optical_depth(build_chain(n), PhysicalParams.from_ratio(0.2)):.1f}: "
-        + ",".join(f"{table[(n, om)]:.3e}" for om in oms) for n in n_list)
+    grid_txt = "; ".join(f"D~{d:.1f}: " + ",".join(f"{g:.3e}" for g in row)
+                         for d, row in zip(antibunching["optical_depth"], rows))
     assert _report(8, "steady-state antibunching structure", ok,
                    f"decreasing in D: {dec_d}; increasing in Omega_c: {inc_om} "
                    f"(g2_ss rows over Omega={oms}: {grid_txt}); closed-form ratios "
                    f"at D>=9, Omega=Gamma/2: "
                    + ", ".join(f"{r:.2f}" for r in ratios) + " (required in [0.5,2])")
+
+
+def test_criterion_08_fingerprint(antibunching):
+    _check_fingerprint(8, antibunching)
 
 
 def test_criterion_09_experiment_replica(replica_artifacts):
@@ -287,6 +351,13 @@ def test_criterion_09_experiment_replica(replica_artifacts):
     assert _report(9, "experiment replica", ok, detail)
 
 
+def test_criterion_09_fingerprint(replica_artifacts):
+    s = replica_artifacts["bundle"].scalars
+    _check_fingerprint(9, {k: s[k] for k in ("pulse_transmission", "eit_peak_transmission",
+                                             "fwhm_mhz", "g2_ss",
+                                             "g2_at_400ns_after_shutoff")})
+
+
 @pytest.fixture(scope="module")
 def window_scan_bundle():
     cfg = default_config("window_scan", {
@@ -299,11 +370,16 @@ def window_scan_bundle():
     return run_window_scan(cfg)
 
 
+def _window_rows(bundle, shape):
+    """(width, g2, generation probability) of each ok window of ``shape``,
+    by ascending width."""
+    return sorted((r[1], r[4], r[5]) for r in bundle.tables[0][2]
+                  if r[0] == shape and r[-1] == "ok")
+
+
 def test_criterion_10_window_scan_morphology(window_scan_bundle):
-    rows = window_scan_bundle.tables[0][2]
-    sq = [(r[1], r[4], r[5]) for r in rows if r[0] == "square" and r[-1] == "ok"]
-    ga = [(r[1], r[4], r[5]) for r in rows if r[0] == "gaussian" and r[-1] == "ok"]
-    sq.sort()  # ascending window width
+    sq = _window_rows(window_scan_bundle, "square")
+    ga = _window_rows(window_scan_bundle, "gaussian")
     widths = [x[0] for x in sq]
     g2s = [x[1] for x in sq]
     monotone = all(a <= b + 1e-12 for a, b in zip(g2s, g2s[1:]))
@@ -322,6 +398,11 @@ def test_criterion_10_window_scan_morphology(window_scan_bundle):
                    f"monotone nonincreasing toward small windows: {monotone}; gaussian "
                    f">= square at {sum(above)}/{len(above)} matched generation "
                    f"probabilities")
+
+
+def test_criterion_10_fingerprint(window_scan_bundle):
+    _check_fingerprint(10, {shape: _window_rows(window_scan_bundle, shape)
+                            for shape in ("square", "gaussian")})
 
 
 def test_criterion_11_estimator_equivalence(replica_artifacts):

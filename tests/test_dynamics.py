@@ -1001,27 +1001,75 @@ def test_expm_peak_memory(tau_norm):
     assert peak < 4.5 * d * d * a.dtype.itemsize
 
 
+def _checked_cascade_order(a, largest):
+    """``_cascade_order(a)``, checked to make ``a`` block lower triangular
+    with blocks of at most ``largest`` slots."""
+    perm, bounds = _cascade_order(a)
+    assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
+    assert bounds[0] == 0 and bounds[-1] == a.shape[0]
+    assert np.max(np.diff(bounds)) <= largest
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    rows, cols = a[perm][:, perm].nonzero()
+    assert np.all(block[cols] <= block[rows])
+    return perm, bounds
+
+
+def _cascade_layouts(gen, omega):
+    """(generator block, its largest cascade block): the singles, the
+    doubles and the stacked layout."""
+    return ((_m1(gen, omega), 2), (gen.operator(omega, slots=gen.index.doubles), 4),
+            (augmented(gen, 1.0, omega, True), 4))
+
+
 @pytest.mark.parametrize("mode", BLOCKADE_MODES)
 def test_cascade_order_is_block_lower_triangular(mode):
     # in cascade order every generator block is block lower triangular, with
     # (e_h, r_h) blocks for the singles and at most ee, er, re and rr of one
     # pair for the doubles; the order is a pure function of the pattern
     gen = _random_chain_generator(mode, 0.5, n_atoms=8)
-    for a, largest in ((_m1(gen, 0.5), 2), (gen.operator(0.5, slots=gen.index.doubles), 4),
-                       (augmented(gen, 1.0, 0.5, True), 4)):
-        perm, bounds = _cascade_order(a)
-        assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
-        assert bounds[0] == 0 and bounds[-1] == a.shape[0]
-        assert np.max(np.diff(bounds)) <= largest
-        block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        rows, cols = a[perm][:, perm].nonzero()
-        assert np.all(block[cols] <= block[rows])
+    for a, largest in _cascade_layouts(gen, 0.5):
+        perm, bounds = _checked_cascade_order(a, largest)
         again = _cascade_order(a)
         assert np.array_equal(again[0], perm) and np.array_equal(again[1], bounds)
     # on the stacked layout the ground, singles and doubles stay contiguous
     n1 = gen.index.dim_singles
     perm, _ = _cascade_order(augmented(gen, 1.0, 0.5, True))
     assert np.all(np.diff(np.searchsorted([1, 1 + n1], perm, side="right")) >= 0)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("mode", BLOCKADE_MODES)
+def test_cascade_order_of_a_relabelled_layout(mode, omega):
+    # the order is scipy's component labels, whatever the slot numbering: on
+    # random symmetric permutations of each layout, where the slot order no
+    # longer follows the cascade, it is still block lower triangular, with
+    # the blocks of the natural layout
+    gen = _random_chain_generator(mode, omega)
+    rng = np.random.default_rng(5)
+    for a, largest in _cascade_layouts(gen, omega):
+        perm, bounds = _checked_cascade_order(a, largest)
+        blocks = sorted(sorted(perm[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        for _ in range(10):
+            q = rng.permutation(a.shape[0])
+            perm, bounds = _checked_cascade_order(a[q][:, q], largest)
+            assert sorted(sorted(q[perm[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])) == blocks
+
+
+def test_cascade_order_refuses_labels_out_of_cascade_order(monkeypatch):
+    # a labelling that puts a block before one it reads (here scipy's
+    # reversed) fails the run instead of giving a wrong exponential
+    import rydeit.dynamics as dynamics
+    real = dynamics.connected_components
+
+    def reversed_labels(*args, **kwargs):
+        n, label = real(*args, **kwargs)
+        return n, n - 1 - label
+
+    monkeypatch.setattr(dynamics, "connected_components", reversed_labels)
+    a = augmented(_random_chain_generator("full", 0.5), 1.0, 0.5, True)
+    for call in (_cascade_order, expm):
+        with pytest.raises(DynamicsError, match="cascade order"):
+            call(a)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5])
