@@ -17,6 +17,18 @@ grid cell in proportion to its mass, one the t1 fraction from the cell's
 linear marginal, one the t2 fraction from the linear conditional at that t1.
 The pair marginal is subtracted from the singles density at every trace
 sample: the G2 grid is the trace's own grid.
+
+The record is a function of the seed through the order of the draws, which
+is the reproducibility contract: the trial uniforms, the pair sampler's cell,
+t1 and t2 uniforms, the lone-photon times, then one routing uniform per
+photon (pairs' first photons, their second photons, lone photons).  Every
+stage takes its draws in blocks of ``_BLOCK`` (consecutive slices of a draw
+are the draw) and each photon group is thinned as it is routed, so no
+temporary spans every photon: the working set is a few numbers per pair or
+lone-photon trial and the kept events, 16 bytes per trial on a scene of 0.32
+pairs and 0.16 lone photons per trial, where whole-size arrays took 53.  A
+thin-first emulation, which draws detected clicks directly, can reuse this
+structure.
 """
 
 from __future__ import annotations
@@ -120,40 +132,65 @@ def save_stream(stream: DetectionStream, path) -> None:
                 np.asarray(stream.times_ns[part], dtype=float).tolist())))
 
 
+#: one parsed event line: trial index, detector id, time in ns
+_EVENT_DTYPE = np.dtype([("trial", int), ("detector", int), ("time_ns", float)])
+
+
 def load_stream(path) -> DetectionStream:
-    trials, dets, times = [], [], []
+    """Read a stream that ``save_stream`` wrote, or an external file of the
+    same format.  The ``#`` lines before the first event give n_trials (else
+    the largest trial index plus one), the trial period and the seed; the
+    event lines are parsed in one numpy pass."""
     n_trials = None
     period = DetectionStream.trial_period_ns
     seed = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("n_trials="):
-                        n_trials = int(tok.split("=", 1)[1])
-                    elif tok.startswith("trial_period_ns="):
-                        period = float(tok.split("=", 1)[1])
-                    elif tok.startswith("seed="):
-                        s = tok.split("=", 1)[1]
-                        seed = None if s == "None" else int(s)
-                continue
-            if not line:
-                continue
-            tr, det, t = line.split()
-            trials.append(int(tr))
-            dets.append(int(det))
-            times.append(float(t))
+            if line and not line.startswith("#"):
+                break
+            for tok in line[1:].split():
+                if tok.startswith("n_trials="):
+                    n_trials = int(tok.split("=", 1)[1])
+                elif tok.startswith("trial_period_ns="):
+                    period = float(tok.split("=", 1)[1])
+                elif tok.startswith("seed="):
+                    s = tok.split("=", 1)[1]
+                    seed = None if s == "None" else int(s)
+    with warnings.catch_warnings():
+        # a file of headers only holds no events, which is a valid stream
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        events = np.loadtxt(path, dtype=_EVENT_DTYPE, comments="#", ndmin=1,
+                            encoding="utf-8")
     if n_trials is None:
-        n_trials = (max(trials) + 1) if trials else 0
-    return DetectionStream(trials=np.array(trials, dtype=int),
-                           detectors=np.array(dets, dtype=int),
-                           times_ns=np.array(times, dtype=float),
-                           n_trials=n_trials, trial_period_ns=period, seed=seed)
+        n_trials = int(events["trial"].max()) + 1 if len(events) else 0
+    return DetectionStream(trials=events["trial"], detectors=events["detector"],
+                           times_ns=events["time_ns"], n_trials=n_trials,
+                           trial_period_ns=period, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # trial emulation
+
+#: draws per block (trials, pairs, lone photons or routed photons), and about
+#: the entries per row block of the pair density: no temporary outgrows a
+#: block.  On the benchmark's gaussian scene (10^6 trials, 1101 samples)
+#: 2^15 ran fastest, 0.17 s against 0.19 s at 2^13 and 2^16 and 0.24 s at
+#: 2^20, and traced 23.5 MB against 28 MB at 2^16 and 22 MB at 2^13
+_BLOCK = 1 << 15
+
+
+def _blocks(k: int):
+    """Consecutive slices of at most ``_BLOCK`` items that cover ``range(k)``."""
+    return (slice(a, min(a + _BLOCK, k)) for a in range(0, k, _BLOCK))
+
+
+def _row_blocks(n: int):
+    """Consecutive slices of the ``n`` rows of an ``n``-column matrix, about
+    ``_BLOCK`` entries each."""
+    step = max(1, _BLOCK // max(n, 1))
+    return (slice(a, min(a + step, n)) for a in range(0, n, step))
+
 
 def _linear_fraction(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse CDF on [0, 1] of the linear density a(1 - x) + b x, a, b >= 0,
@@ -172,47 +209,95 @@ def _linear_fraction(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(x, 1.0)
 
 
+def _cell_mass_cumsum(dt: np.ndarray, density: np.ndarray, scale: float) -> np.ndarray:
+    """Cumulative masses of the cells of the bilinear density ``scale *
+    density`` (corner mean times cell area) in row-major order, a row block at
+    a time: the running total enters each block's first cell, so the sums are
+    those of one cumsum over every cell."""
+    n = len(dt)
+    cum = np.empty(n * n)
+    total = 0.0
+    for s in _row_blocks(n):
+        d = scale * density[s.start:s.stop + 1]
+        part = cum[s.start * n:s.stop * n].reshape(-1, n)
+        np.add(d[:-1, :-1], d[:-1, 1:], out=part)
+        part += d[1:, :-1]
+        part += d[1:, 1:]
+        part *= 0.25 * dt[s, None]
+        part *= dt
+        part = part.reshape(-1)
+        part[0] += total
+        np.cumsum(part, out=part)
+        total = part[-1]
+    return cum
+
+
 def _sample_pair_times(rng: np.random.Generator, times: np.ndarray,
-                       density: np.ndarray, k: int):
+                       density: np.ndarray, k: int, scale: float = 1.0):
     """``k`` time pairs drawn exactly from the bilinear interpolant of the
-    gridded pair density, by composition with three uniforms per pair.
+    gridded pair density ``scale * density``, by composition with three
+    uniforms per pair.
 
     A cell is picked with probability proportional to its mass (corner mean
     times cell area); the t1 fraction follows the cell's linear marginal and
     the t2 fraction the linear conditional at that t1.  The density must be
-    nonnegative, as G2 is.
+    nonnegative, as G2 is.  The draws come as ``k`` cell uniforms, then ``k``
+    t1 and ``k`` t2 uniforms, each taken in blocks; besides the cumulative
+    cell masses, which are freed before the fractions are drawn, the working
+    set is three numbers per pair.
     """
-    if np.any(density < 0):
+    if np.fmin.reduce(density, axis=None) < 0:     # NaNs aside, no temporary
         raise ConfigurationError("pair density must be nonnegative")
     if k == 0:
         return np.empty(0), np.empty(0)
     n = len(times) - 1
     dt = np.diff(times)
-    cum = density[:-1, :-1] + density[:-1, 1:]
-    cum += density[1:, :-1]
-    cum += density[1:, 1:]
-    cum *= 0.25 * dt[:, None]
-    cum *= dt
-    cum = np.cumsum(cum, axis=None)
+    cum = _cell_mass_cumsum(dt, density, scale)
     total = cum[-1]
     if not total > 0:
         return np.empty(0), np.empty(0)
     # searching the keys in ascending order keeps the binary search in cache;
     # u * total can round up to total, and the clip keeps such a draw in the
     # last cell of nonzero mass, where cum first reaches total
-    r = rng.random(k) * total
-    order = np.argsort(r)
+    last = np.searchsorted(cum, total)
     c = np.empty(k, dtype=np.intp)
-    c[order] = np.minimum(np.searchsorted(cum, r[order], side="right"),
-                          np.searchsorted(cum, total))
-    del cum, r, order
-    i, j = np.divmod(c, n)
-    w00, w01 = density[i, j], density[i, j + 1]
-    w10, w11 = density[i + 1, j], density[i + 1, j + 1]
-    x = _linear_fraction(w00 + w01, w10 + w11, rng.random(k))
-    y = _linear_fraction((1.0 - x) * w00 + x * w10, (1.0 - x) * w01 + x * w11,
-                         rng.random(k))
-    return times[i] + x * dt[i], times[j] + y * dt[j]
+    for s in _blocks(k):
+        r = rng.random(s.stop - s.start) * total
+        order = np.argsort(r)
+        c[s][order] = np.minimum(np.searchsorted(cum, r[order], side="right"), last)
+    del cum
+
+    def corners(s):
+        i, j = np.divmod(c[s], n)
+        return i, j, (scale * density[i, j], scale * density[i, j + 1],
+                      scale * density[i + 1, j], scale * density[i + 1, j + 1])
+
+    x = np.empty(k)
+    for s in _blocks(k):
+        _, _, (w00, w01, w10, w11) = corners(s)
+        x[s] = _linear_fraction(w00 + w01, w10 + w11, rng.random(s.stop - s.start))
+    t2 = np.empty(k)
+    for s in _blocks(k):
+        i, j, (w00, w01, w10, w11) = corners(s)
+        xs = x[s]
+        y = _linear_fraction((1.0 - xs) * w00 + xs * w10, (1.0 - xs) * w01 + xs * w11,
+                             rng.random(s.stop - s.start))
+        t2[s] = times[j] + y * dt[j]
+        x[s] = times[i] + xs * dt[i]                # x becomes t1
+    return x, t2
+
+
+def _route(rng: np.random.Generator, trials: np.ndarray, times: np.ndarray,
+           p1: float, p12: float):
+    """Route and thin one photon group, one uniform per photon in blocks:
+    detector 1 below ``p1``, detector 2 below ``p12``, lost above.  Returns
+    the kept (trials, detectors, times), in the group's order."""
+    kept = [(trials[:0], np.empty(0, dtype=int), times[:0])]
+    for s in _blocks(len(times)):
+        r = rng.random(s.stop - s.start)
+        keep = np.nonzero(r < p12)[0]
+        kept.append((trials[s][keep], np.where(r[keep] < p1, 1, 2), times[s][keep]))
+    return tuple(np.concatenate(col) for col in zip(*kept))
 
 
 def emulate_trials(grid: CorrelationGrid, n_in: float, budget: EfficiencyBudget,
@@ -220,17 +305,31 @@ def emulate_trials(grid: CorrelationGrid, n_in: float, budget: EfficiencyBudget,
                    trial_period_ns: float = DetectionStream.trial_period_ns,
                    gamma_mhz: float = 6.0) -> DetectionStream:
     """Synthesize the detection record of ``n_trials`` identical trials from
-    a trace with its correlation grid."""
+    a trace with its correlation grid.
+
+    Draws, in this order (the reproducibility contract; see the module
+    notes): ``n_trials`` trial uniforms, then for ``k`` pairs ``k`` cell,
+    ``k`` t1 and ``k`` t2 uniforms, one uniform per lone photon, and one
+    routing uniform per photon, for the pairs' first photons, then their
+    second photons, then the lone photons.  The working set is 8 bytes per
+    pair or lone-photon trial, 24 per pair while the pairs are drawn, 8 per
+    photon until it is routed, the kept events and a block of draws, plus
+    the sampler's cumulative cell masses, 8 bytes per cell of the grid, while
+    the cells are drawn: 23.6 MB at 10^6 trials on the 1101-sample gaussian
+    scene of ``emulate-hbt`` (whole-size arrays took 90.5 MB there).
+    """
     if n_trials < 1:
         raise ConfigurationError("need at least one trial")
     e0sq = n_in / grid.input_energy()
+    scale = e0sq ** 2                                  # pair density: scale * G2
 
     lam = e0sq * grid.intensity                        # output photon rate
     mu1 = float(np.trapezoid(lam, grid.times))
 
-    # pair sector on the correlation grid
-    pair_density = e0sq ** 2 * grid.g2_matrix
-    rho = np.trapezoid(pair_density, grid.times, axis=1)    # the pair marginal
+    # the pair marginal, a row block of the pair density at a time
+    n = len(grid.times)
+    rho = np.concatenate([np.trapezoid(scale * grid.g2_matrix[s], grid.times, axis=1)
+                          for s in _row_blocks(n)])
     p_pair = 0.5 * float(np.trapezoid(rho, grid.times))
 
     # subtract the pair marginal from the singles density
@@ -247,33 +346,52 @@ def emulate_trials(grid: CorrelationGrid, n_in: float, budget: EfficiencyBudget,
                       "emulation is outside its validity range", RuntimeWarning)
 
     rng = np.random.default_rng(seed)
-    u = rng.random(n_trials)
-    pair_trials = np.nonzero(u < p_pair)[0]
-    single_trials = np.nonzero((u >= p_pair) & (u < p_pair + p_single))[0]
+    parts = []
+    for s in _blocks(n_trials):
+        u = rng.random(s.stop - s.start)
+        parts.append((s.start + np.nonzero(u < p_pair)[0],
+                      s.start + np.nonzero((u >= p_pair) & (u < p_pair + p_single))[0]))
+    pair_trials, single_trials = (np.concatenate(col) for col in zip(*parts))
+    del parts
 
-    acc1, acc2 = _sample_pair_times(rng, grid.times, pair_density, len(pair_trials))
+    acc1, acc2 = _sample_pair_times(rng, grid.times, grid.g2_matrix, len(pair_trials),
+                                    scale=scale)
 
     # single times by inverse CDF of the subtracted density
-    k1 = len(single_trials)
     cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid.times)
                                            * 0.5 * (lam_single[1:] + lam_single[:-1]))])
     if cdf[-1] > 0:
-        t_single = np.interp(rng.random(k1) * cdf[-1], cdf, grid.times)
+        t_single = np.empty(len(single_trials))
+        for s in _blocks(len(single_trials)):
+            t_single[s] = np.interp(rng.random(s.stop - s.start) * cdf[-1], cdf, grid.times)
     else:
         t_single = np.empty(0)
         single_trials = single_trials[:0]
 
-    # route and thin every photon: one uniform each, in the order pairs' first
-    # photons, their second photons, lone photons
-    trials = np.concatenate([pair_trials, pair_trials, single_trials])
-    times = np.concatenate([acc1, acc2, t_single])
-    r = rng.random(len(times))
-    dets = np.where(r < budget.p_detect_1, 1, 2)
-    kept = r < budget.p_detect_1 + budget.p_detect_2
-    trials, dets, times = trials[kept], dets[kept], times[kept]
-    order = np.lexsort((times, dets, trials))
-    return DetectionStream(trials=trials[order].astype(int), detectors=dets[order],
-                           times_ns=times[order] * ns_from_time(1.0, gamma_mhz),
+    # route and thin every photon group as it is drawn, in the order pairs'
+    # first photons, their second photons, lone photons
+    p1 = budget.p_detect_1
+    p12 = budget.p_detect_1 + budget.p_detect_2
+    first = _route(rng, pair_trials, acc1, p1, p12)
+    del acc1                                        # each group freed once routed
+    second = _route(rng, pair_trials, acc2, p1, p12)
+    del acc2, pair_trials
+    lone = _route(rng, single_trials, t_single, p1, p12)
+    del t_single, single_trials
+
+    # each group is in trial order and a trial holds a pair or a lone photon,
+    # so a stable sort on the trial leaves only a pair's two kept photons to
+    # put in (detector, time) order
+    cols = [np.concatenate(col) for col in zip(first, second, lone)]
+    del first, second, lone
+    order = np.argsort(cols[0], kind="stable")
+    trials, dets, times = (col[order] for col in cols)
+    p = np.nonzero(trials[1:] == trials[:-1])[0]
+    p = p[(dets[p] > dets[p + 1]) | ((dets[p] == dets[p + 1]) & (times[p] > times[p + 1]))]
+    dets[p], dets[p + 1] = dets[p + 1], dets[p]
+    times[p], times[p + 1] = times[p + 1], times[p]
+    times *= ns_from_time(1.0, gamma_mhz)
+    return DetectionStream(trials=trials, detectors=dets, times_ns=times,
                            n_trials=n_trials, trial_period_ns=trial_period_ns, seed=seed,
                            pairs_per_trial=p_pair, singles_per_trial=p_single,
                            singles_clip_per_trial=clip)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +185,47 @@ def test_stream_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.trials, stream.trials)
     np.testing.assert_array_equal(back.detectors, stream.detectors)
     np.testing.assert_array_equal(back.times_ns, stream.times_ns)
+
+
+def test_empty_stream_round_trip(tmp_path):
+    # no photon reaches the beamsplitter: a stream of no events keeps its
+    # header through the file
+    grid = _flat_scene()
+    stream = emulate_trials(grid, 0.4, replace(IDEAL, eta_path=0.0), 500, seed=5)
+    assert stream.n_events == 0
+    path = tmp_path / "stamps.txt"
+    save_stream(stream, path)
+    back = load_stream(path)
+    assert (back.n_trials, back.seed, back.n_events) == (500, 5, 0)
+    for name in ("trials", "detectors", "times_ns"):
+        assert getattr(back, name).shape == (0,)
+    assert back.trials.dtype == back.detectors.dtype == np.dtype(int)
+    assert back.times_ns.dtype == np.dtype(float)
+
+
+@pytest.mark.parametrize("header, n_trials", [
+    ("# rydeit timestamps n_trials=40 trial_period_ns=8000.0 seed=3\n", 40),
+    ("", 0)], ids=["header_only", "no_header"])
+def test_stream_without_events_loads_empty(tmp_path, header, n_trials):
+    path = tmp_path / "stamps.txt"
+    path.write_text(header + "# columns: trial_index detector_id time_ns\n")
+    back = load_stream(path)
+    assert back.n_events == 0 and back.n_trials == n_trials
+    if header:
+        assert (back.trial_period_ns, back.seed) == (8000.0, 3)
+
+
+@pytest.mark.parametrize("events, n_events", [("9 2 11.5\n", 1),
+                                              ("3 1 10.0\n\n9 2 11.5\n", 2)],
+                         ids=["one_event", "two_events"])
+def test_stream_without_trial_count_takes_the_largest_trial(tmp_path, events, n_events):
+    # a single event line still loads as arrays of one event
+    path = tmp_path / "stamps.txt"
+    path.write_text(events)
+    back = load_stream(path)
+    assert back.n_trials == 10 and back.seed is None
+    assert back.trials.shape == back.detectors.shape == back.times_ns.shape == (n_events,)
+    assert back.trials[-1] == 9 and back.detectors[-1] == 2 and back.times_ns[-1] == 11.5
 
 
 @pytest.mark.parametrize("event", ["150 1 12.5", "-1 1 12.5", "7 3 12.5", "7 0 12.5"],
@@ -395,6 +438,132 @@ def test_stream_routes_as_three_passes():
     np.testing.assert_array_equal(stream.trials, trials[order])
     np.testing.assert_array_equal(stream.detectors, dets[order])
     np.testing.assert_array_equal(stream.times_ns, times[order] * ns_from_time(1.0, 6.0))
+
+
+def _three_pass_record(grid, n_in, budget, n_trials, seed):
+    """The record of ``emulate_trials`` built from one whole-size draw per
+    stage, in the draw order of its contract: trial uniforms, the pair
+    sampler, lone-photon times (none where their density is clipped away),
+    then one routing uniform per photon in three passes."""
+    rng = np.random.default_rng(seed)
+    e0sq = n_in / grid.input_energy()
+    lam = e0sq * grid.intensity
+    pair_density = e0sq ** 2 * grid.g2_matrix
+    rho = np.trapezoid(pair_density, grid.times, axis=1)
+    p_pair = 0.5 * float(np.trapezoid(rho, grid.times))
+    lam_single = np.clip(lam - rho, 0.0, None)
+    p_single = float(np.trapezoid(lam_single, grid.times))
+    u = rng.random(n_trials)
+    pair_trials = np.nonzero(u < p_pair)[0]
+    single_trials = np.nonzero((u >= p_pair) & (u < p_pair + p_single))[0]
+    acc1, acc2 = counting._sample_pair_times(rng, grid.times, pair_density,
+                                             len(pair_trials))
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid.times) * 0.5
+                                           * (lam_single[1:] + lam_single[:-1]))])
+    if cdf[-1] > 0:
+        t_single = np.interp(rng.random(len(single_trials)) * cdf[-1], cdf, grid.times)
+    else:
+        t_single, single_trials = np.empty(0), single_trials[:0]
+    passes = []
+    for times, trial_ids in ((acc1, pair_trials), (acc2, pair_trials),
+                             (t_single, single_trials)):
+        r = rng.random(len(times))
+        det1 = r < budget.p_detect_1
+        det2 = ~det1 & (r < budget.p_detect_1 + budget.p_detect_2)
+        for det, mask in ((1, det1), (2, det2)):
+            passes.append((trial_ids[mask], np.full(int(mask.sum()), det), times[mask]))
+    trials, dets, times = (np.concatenate(col) for col in zip(*passes))
+    order = np.lexsort((times, dets, trials))
+    return trials[order], dets[order], times[order] * ns_from_time(1.0, 6.0)
+
+
+_ROUTED = EfficiencyBudget(eta_path=0.9, eta1=0.8, eta2=0.6, split=0.5)
+
+
+@pytest.mark.parametrize("scene, n_in, budget, n_trials, block", [
+    (_gaussian_scene, 1.0, _ROUTED, 1, None),
+    (_gaussian_scene, 0.4, _ROUTED, counting._BLOCK - 1, None),
+    (_gaussian_scene, 0.4, _ROUTED, counting._BLOCK + 1, None),
+    (_gaussian_scene, 0.4, replace(_ROUTED, split=0.0), 20000, None),
+    (_gaussian_scene, 0.4, replace(_ROUTED, split=1.0), 20000, None),
+    (_gaussian_scene, 0.4, replace(_ROUTED, eta_path=0.0), 20000, None),
+    (_flat_scene, math.sqrt(1.8), _ROUTED, 20000, None),
+    (_gaussian_scene, 0.4, _ROUTED, 20000, 7),
+], ids=["one_trial", "block_minus_one", "block_plus_one", "split_0", "split_1",
+        "eta_path_0", "lone_photons_clipped", "block_of_7"])
+@pytest.mark.filterwarnings("ignore:mean photons per trial above 0.5")
+def test_stream_routes_as_three_passes_at_the_edges(monkeypatch, scene, n_in, budget,
+                                                    n_trials, block):
+    # the draw order is the emulation's contract: whatever the block edges,
+    # the record is the one drawn stage by stage in whole-size draws; the
+    # block of 7 puts many block edges in every stage, the pair sampler's
+    # row blocks included
+    grid = scene()
+    events = set()
+    for seed in range(30) if n_trials == 1 else (5,):
+        expected = _three_pass_record(grid, n_in, budget, n_trials, seed)
+        if block is not None:
+            monkeypatch.setattr(counting, "_BLOCK", block)
+        stream = emulate_trials(grid, n_in, budget, n_trials, seed)
+        monkeypatch.undo()
+        for got, want in zip((stream.trials, stream.detectors, stream.times_ns), expected):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        if budget.eta_path == 0.0:
+            assert stream.n_events == 0
+        if scene is _flat_scene:
+            assert stream.singles_per_trial == 0.0 and stream.pairs_per_trial > 0.5
+        if budget.split in (0.0, 1.0):
+            assert set(np.unique(stream.detectors)) == {2 if budget.split == 0.0 else 1}
+        events.add(stream.n_events)
+    if n_trials == 1:
+        assert events == {0, 1, 2}      # no event, one photon and a kept pair
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_pair_sampler_draws_do_not_depend_on_the_block(monkeypatch, block):
+    # consecutive slices of a draw are the draw: cell masses summed a row
+    # block at a time are those of one cumsum, bit for bit, and the pairs
+    # drawn in blocks are those drawn at once
+    grid = _square_edges_scene()
+    times, density, scale = grid.times, grid.g2_matrix, 0.37
+    d = scale * density
+    cells = d[:-1, :-1] + d[:-1, 1:]
+    cells += d[1:, :-1]
+    cells += d[1:, 1:]
+    cells *= 0.25 * np.diff(times)[:, None]
+    cells *= np.diff(times)
+    expected = counting._sample_pair_times(np.random.default_rng(3), times, d, 5000)
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    np.testing.assert_array_equal(
+        counting._cell_mass_cumsum(np.diff(times), density, scale), np.cumsum(cells))
+    got = counting._sample_pair_times(np.random.default_rng(3), times, density, 5000,
+                                      scale=scale)
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
+#: bytes per trial that one emulation may trace on the pair-heavy scene of
+#: the test below: 16.2 measured with 2^15-draw blocks, plus 25 % (the
+#: emulation that held every photon in whole-size arrays traced 53)
+_WORKING_SET_PER_TRIAL = 20.25
+
+
+def test_emulation_working_set_per_trial():
+    # 0.32 pairs and 0.16 lone photons per trial, under the default budget:
+    # the emulation holds a few numbers per pair or photon trial and the
+    # kept events, not five arrays over every photon
+    grid = _flat_scene()
+    n_trials = 1_000_000
+    tracemalloc.start()
+    try:
+        stream = emulate_trials(grid, 0.8, EfficiencyBudget(), n_trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.pairs_per_trial >= 0.3
+    assert stream.pairs_per_trial + stream.singles_per_trial <= 1.0
+    assert peak / n_trials < _WORKING_SET_PER_TRIAL
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0),
