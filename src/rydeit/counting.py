@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, ns_from_time
-from .observables import CorrelationGrid, ObservableTrace
+from .observables import CorrelationGrid, ObservableTrace, _row_blocks
 
 
 class EstimateError(RuntimeError):
@@ -101,12 +101,16 @@ class DetectionStream:
     def n_events(self) -> int:
         return len(self.trials)
 
+    def in_window(self, detector: int, window_ns) -> np.ndarray:
+        """Mask of the events of the given detector inside [t, t + dt] (ns)."""
+        t0, width = window_ns
+        return (self.detectors == detector) & (self.times_ns >= t0 - 1e-9) \
+            & (self.times_ns <= t0 + width + 1e-9)
+
     def counts_in_window(self, detector: int, window_ns) -> np.ndarray:
         """Per-trial counts of the given detector inside [t, t + dt] (ns)."""
-        t0, width = window_ns
-        mask = (self.detectors == detector) & (self.times_ns >= t0 - 1e-9) \
-            & (self.times_ns <= t0 + width + 1e-9)
-        return np.bincount(self.trials[mask], minlength=self.n_trials)
+        return np.bincount(self.trials[self.in_window(detector, window_ns)],
+                           minlength=self.n_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +189,6 @@ def _blocks(k: int):
     return (slice(a, min(a + _BLOCK, k)) for a in range(0, k, _BLOCK))
 
 
-def _row_blocks(n: int):
-    """Consecutive slices of the ``n`` rows of an ``n``-column matrix, about
-    ``_BLOCK`` entries each."""
-    step = max(1, _BLOCK // max(n, 1))
-    return (slice(a, min(a + step, n)) for a in range(0, n, step))
-
-
 def _linear_fraction(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse CDF on [0, 1] of the linear density a(1 - x) + b x, a, b >= 0,
     at the uniforms ``u``.
@@ -217,7 +214,7 @@ def _cell_mass_cumsum(dt: np.ndarray, density: np.ndarray, scale: float) -> np.n
     n = len(dt)
     cum = np.empty(n * n)
     total = 0.0
-    for s in _row_blocks(n):
+    for s in _row_blocks((n, n), _BLOCK):
         d = scale * density[s.start:s.stop + 1]
         part = cum[s.start * n:s.stop * n].reshape(-1, n)
         np.add(d[:-1, :-1], d[:-1, 1:], out=part)
@@ -329,7 +326,7 @@ def emulate_trials(grid: CorrelationGrid, n_in: float, budget: EfficiencyBudget,
     # the pair marginal, a row block of the pair density at a time
     n = len(grid.times)
     rho = np.concatenate([np.trapezoid(scale * grid.g2_matrix[s], grid.times, axis=1)
-                          for s in _row_blocks(n)])
+                          for s in _row_blocks((n, n), _BLOCK)])
     p_pair = 0.5 * float(np.trapezoid(rho, grid.times))
 
     # subtract the pair marginal from the singles density
@@ -400,6 +397,32 @@ def emulate_trials(grid: CorrelationGrid, n_in: float, budget: EfficiencyBudget,
 # ---------------------------------------------------------------------------
 # coincidence estimator
 
+def _lagged_coincidences(x1: np.ndarray, x2: np.ndarray, n_trials: int, lags) -> list:
+    """sum_i n1[i] n2[i + k] over i + k < ``n_trials`` for each lag k, where
+    n1, n2 count the trial indices ``x1``, ``x2``.
+
+    The counts are taken ``_BLOCK`` trials at a time, so no temporary spans
+    every trial: per-trial count arrays of 10^6 trials took 16 MB, and
+    whether the allocator handed them pages it already held moved the
+    process peak by 7 MB from one run to the next.  The sums are of
+    integers, so they equal the whole-array dot products.
+    """
+    x1, x2 = np.sort(x1, kind="stable"), np.sort(x2, kind="stable")
+    k_max = max(lags)
+    dots = [0] * len(lags)
+    for a in range(0, n_trials, _BLOCK):
+        b = min(a + _BLOCK, n_trials)
+        c = min(b + k_max, n_trials)
+        n1 = np.bincount(x1[np.searchsorted(x1, a):np.searchsorted(x1, b)] - a,
+                         minlength=b - a)
+        n2 = np.bincount(x2[np.searchsorted(x2, a):np.searchsorted(x2, c)] - a,
+                         minlength=c - a)
+        for j, k in enumerate(lags):
+            m = max(0, min(b, c - k) - a)
+            dots[j] += int(np.dot(n1[:m], n2[k:k + m]))
+    return [float(d) for d in dots]
+
+
 def estimate_g2(stream: DetectionStream, w1_ns, w2_ns):
     """Windowed g2 from same-trial cross-detector coincidences, normalized by
     the mean coincidences against the trials 5 to 20 later.
@@ -410,15 +433,15 @@ def estimate_g2(stream: DetectionStream, w1_ns, w2_ns):
     k_lo, k_hi = 5, 20
     if stream.n_trials <= k_hi:
         raise EstimateError("need more trials than the largest baseline offset")
-    n1 = stream.counts_in_window(1, w1_ns)
-    n2 = stream.counts_in_window(2, w2_ns)
     t = stream.n_trials
-    same = float(np.dot(n1, n2))
+    lags = [0, *range(k_lo, k_hi + 1)]
+    dots = _lagged_coincidences(stream.trials[stream.in_window(1, w1_ns)],
+                                stream.trials[stream.in_window(2, w2_ns)], t, lags)
+    same = dots[0]
 
     b_rates = []
     b_total = 0.0
-    for k in range(k_lo, k_hi + 1):
-        bk = float(np.dot(n1[: t - k], n2[k:]))
+    for k, bk in zip(lags[1:], dots[1:]):
         b_total += bk
         b_rates.append(bk / (t - k))
     baseline = float(np.mean(b_rates))
@@ -443,11 +466,13 @@ def generation_probability_from_trace(trace: ObservableTrace, window, n_in: floa
 def generation_probability_from_stream(stream: DetectionStream, window_ns,
                                        budget: EfficiencyBudget) -> float:
     """Counts per trial at detector 1 divided by the detection budget."""
-    n1 = stream.counts_in_window(1, window_ns)
     eta = budget.p_detect_1
     if eta <= 0:
         raise ConfigurationError("detector-1 budget is zero; cannot infer generation")
-    return float(np.mean(n1) / eta)
+    if stream.n_trials == 0:
+        return math.nan
+    # the mean of the per-trial counts, without an array of them
+    return float(np.count_nonzero(stream.in_window(1, window_ns)) / stream.n_trials / eta)
 
 
 def dlcz_compare(p: float, eta_d: float = 1.0, eta_r: float = 1.0):

@@ -92,11 +92,12 @@ scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005)
 keeps that structure.  Its degree comes from the norm: 3, 5, 7 or 9 below
 their theta_m, else 13 with squarings.  Products by the generator stay
 sparse; the higher powers and the squarings are block triangular products
-in tiles split at block boundaries, about n^3/6 multiplications each
-against n^3 for a dense GEMM.  Degree 13 takes four such products and at
-most four d x d arrays at once (at one BLAS thread 1.6-1.7 s for the
-replica's complex 1,625-dim propagator and 0.11-0.30 s for a real
-1,001-dim turn-on one, degree 7 to 13, against 5.3-7.1 s and 0.3-0.5 s for
+on tile trees split at block starts (``_Tiles``), which store no lower-left
+rectangle, about n^3/6 multiplications each against n^3 for a dense GEMM.
+Degree 13 takes four such products and at most four tile trees at once,
+0.56 d^2 entries each at the replica's d = 1,625 (at one BLAS thread
+1.4-1.6 s for its complex propagator and 0.11-0.22 s for a real 1,001-dim
+turn-on one, degree 7 to 13, against 5.3-7.1 s and 0.3-0.5 s for
 scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
 permutes y and the covectors into cascade order once (``TriangularExp``)
 and only its end state back; no block mixes the levels, and the order
@@ -134,6 +135,7 @@ those actions.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -153,7 +155,9 @@ SQRT3 = math.sqrt(3.0)
 
 #: Largest block, in slots, whose exponential is a dense matrix (memory
 #: bound; above it ``SinglesPropagator.dense`` is false, and ``decay`` and
-#: the Magnus step take the Taylor action).
+#: the Magnus step take the Taylor action).  At 2,600 complex slots an
+#: ``expm`` holds four tile trees of 0.53 d^2 entries, about 230 MB (433 MB
+#: as four d x d arrays)
 EXPM_MAX_DIM = 2600
 
 #: The 4th-order commutator-free Magnus step (Blanes and Moan, Appl. Numer.
@@ -386,9 +390,157 @@ PADE = {3: (120.0, 60.0, 12.0, 1.0),
 PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
               9: 2.097847961257068, 13: 5.371920351148152}
 
-#: Edge of the tiles ``_tri_mul`` and ``_tri_solve`` hand whole to BLAS (with
-#: triangular ztrmm tiles 256 and 384 took 0.18-0.19 s per 1,625-dim product)
+#: Edge of the leaves of the tile tree (``_Tiles``): a node of at most
+#: ``TRI_LEAF`` slots, or of one block, is one full square that ``_tri_mul``
+#: and ``_tri_solve`` hand whole to BLAS, and a product's temporary holds at
+#: most TRI_LEAF^2 entries (``_mul_into``).  With triangular ztrmm tiles 256
+#: and 384 took 0.18-0.19 s per 1,625-dim product
 TRI_LEAF = 256
+
+
+def _halves(bounds: np.ndarray) -> tuple:
+    """(h, bounds of the tile above h, of the tile below) at the middlemost block start h."""
+    inner = bounds[1:-1]
+    h = int(inner[np.argmin(np.abs(2 * inner - bounds[-1]))])
+    return h, bounds[bounds <= h], bounds[bounds >= h] - h
+
+
+def _is_leaf(bounds: np.ndarray) -> bool:
+    """Whether a tile tree node over ``bounds`` is one full square."""
+    return len(bounds) == 2 or bounds[-1] <= TRI_LEAF
+
+
+def _overlap(at: int, size: int, lo: int, hi: int) -> tuple:
+    """The part of [at, at + size) inside [lo, hi), as a slice from at and one from lo."""
+    a, b = max(at, lo), min(at + size, hi)
+    return slice(a - at, b - at), slice(a - lo, b - lo)
+
+
+class _Tiles:
+    """A block upper triangular matrix, blocks at ``bounds`` (from 0), kept
+    as its ``_halves`` tree (after the recursive blocked layouts of Elmroth,
+    Gustavson, Jonsson and Kågström, SIAM Review 46:3, 2004): a leaf
+    (``_is_leaf``) is one full square ``full``, any other node the halves
+    [[tl, tr], [0, br]], ``tr`` one Fortran-ordered rectangle.  Every array is
+    a view into one flat buffer ``buf``, which whole-matrix sums and scalings
+    run over, and the lower-left rectangles are not stored: 0.56-0.63 of the
+    d^2 entries at d = 530-1,625.  ``start`` is the node's first slot."""
+
+    def __init__(self, bounds: np.ndarray, buf: np.ndarray, start: int = 0, at: int = 0):
+        self.bounds, self.buf, self.start = bounds, buf, start
+        n = self.n = int(bounds[-1])
+        self.full = self.tl = self.tr = self.br = None
+        if _is_leaf(bounds):
+            self.at, self.end = at, at + n * n      # the place of the node's own array in buf
+            self.full = buf[at:self.end].reshape((n, n), order="F")
+        else:
+            h, lo, hi = _halves(bounds)
+            self.tl = _Tiles(lo, buf, start, at)
+            self.at = self.tl.end
+            self.tr = buf[self.at:self.at + h * (n - h)].reshape((h, n - h), order="F")
+            self.br = _Tiles(hi, buf, start + h, self.at + h * (n - h))
+            self.end = self.br.end
+
+    @staticmethod
+    def size(bounds: np.ndarray) -> int:
+        """The stored entries."""
+        n = int(bounds[-1])
+        if _is_leaf(bounds):
+            return n * n
+        h, lo, hi = _halves(bounds)
+        return _Tiles.size(lo) + h * (n - h) + _Tiles.size(hi)
+
+    @classmethod
+    def zeros(cls, bounds: np.ndarray, dtype) -> _Tiles:
+        """New tiles of zeros, in an anonymous memory map: its pages go back
+        to the system when it is freed, where glibc keeps a freed heap
+        buffer under its 32 MB mmap ceiling (a replica tree is 24 MB)."""
+        n, dtype = cls.size(bounds), np.dtype(dtype)
+        return cls(bounds, np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype, n))
+
+    @classmethod
+    def of_sparse(cls, bounds: np.ndarray, m: sp.spmatrix) -> _Tiles:
+        """The tiles of a sparse block upper triangular m."""
+        x = cls.zeros(bounds, m.dtype)
+        m = m.tocoo()
+        x.buf[x.positions(m.row, m.col)] = m.data
+        return x
+
+    def scaled(self, c: float) -> _Tiles:
+        """c times this matrix, as new tiles."""
+        x = _Tiles.zeros(self.bounds, self.buf.dtype)
+        np.multiply(self.buf, c, out=x.buf)
+        return x
+
+    def copy(self) -> _Tiles:
+        x = _Tiles.zeros(self.bounds, self.buf.dtype)
+        x.buf[...] = self.buf
+        return x
+
+    def __len__(self) -> int:
+        return self.n
+
+    def leaves(self):
+        if self.full is not None:
+            yield self
+        else:
+            yield from self.tl.leaves()
+            yield from self.br.leaves()
+
+    def _meeting(self, r0: int, r1: int, c0: int, c1: int):
+        """(first row, first column, array) of each stored array that meets
+        rows r0:r1 and columns c0:c1."""
+        s, e = self.start, self.start + self.n
+        if r0 >= e or r1 <= s or c0 >= e or c1 <= s:
+            return
+        if self.full is not None:
+            yield s, s, self.full
+            return
+        yield from self.tl._meeting(r0, r1, c0, c1)
+        if r0 < self.br.start < c1:
+            yield s, self.br.start, self.tr
+        yield from self.br._meeting(r0, r1, c0, c1)
+
+    def pieces(self, rows: slice, cols: slice):
+        """(view, index into the block ``rows`` x ``cols``) of the stored
+        part of that block, one per stored array it meets, left to right
+        along a row."""
+        for r, c, t in self._meeting(rows.start, rows.stop, cols.start, cols.stop):
+            (tr, qr), (tc, qc) = (_overlap(r, t.shape[0], rows.start, rows.stop),
+                                  _overlap(c, t.shape[1], cols.start, cols.stop))
+            yield t[tr, tc], (qr, qc)
+
+    def get(self, rows: slice, cols: slice, order: str = "F") -> np.ndarray:
+        """The block ``rows`` x ``cols`` as a new array, 0 where nothing is stored."""
+        out = np.zeros((rows.stop - rows.start, cols.stop - cols.start), self.buf.dtype,
+                       order=order)
+        for t, q in self.pieces(rows, cols):
+            out[q] = t
+        return out
+
+    def put(self, rows: slice, cols: slice, block: np.ndarray) -> None:
+        """Write the stored part of the block ``rows`` x ``cols``."""
+        for t, q in self.pieces(rows, cols):
+            t[...] = block[q]
+
+    def positions(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The places in ``buf`` of the stored entries (r, c)."""
+        if self.full is not None:
+            return self.at + (r - self.start) + (c - self.start) * self.n
+        out = np.empty(len(r), dtype=np.intp)
+        h = self.br.start
+        tl, br = c < h, r >= h
+        rect = ~(tl | br)
+        out[tl] = self.tl.positions(r[tl], c[tl])
+        out[br] = self.br.positions(r[br], c[br])
+        out[rect] = self.at + (r[rect] - self.start) + (c[rect] - h) * (h - self.start)
+        return out
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """The places in ``buf`` of the diagonal."""
+        i = np.arange(self.start, self.start + self.n)
+        return self.positions(i, i)
 
 
 @dataclass
@@ -396,11 +548,12 @@ class TriangularExp:
     """exp(a) = Pi^T T^T Pi, Pi y = y[perm], with T block upper triangular
     over the cascade blocks that start at ``bounds`` (then the dimension),
     at most ``reach`` rows below its diagonal, held by levels: ``tri`` has
-    T's diagonal block on each level (Fortran order), the levels starting
-    at 0 and ``levels``, and ``lift`` the blocks of T that cross them.  A
-    whole propagator has one level, tri = (T,); a stacked one split at the
-    starts of its singles and doubles (``split``) has three, and its tri is
-    the propagator at drive level 0."""
+    T's diagonal block on each level (full squares, Fortran order), the
+    levels starting at 0 and ``levels``, and ``lift`` the blocks of T that
+    cross them.  A whole propagator has one level, tri = (T,); a stacked one
+    split at the starts of its singles and doubles has three, and its tri is
+    the propagator at drive level 0.  ``split`` copies the level blocks out
+    of T's tiles (``_Tiles``) and ``joined`` back into new ones."""
 
     tri: tuple                  # T's diagonal block on each level
     perm: np.ndarray
@@ -424,36 +577,33 @@ class TriangularExp:
     @cached_property
     def spans(self) -> tuple:
         """The slots of each level."""
-        edges = (0, *self.levels, len(self.perm))
-        return tuple(slice(i, j) for i, j in zip(edges, edges[1:]))
+        return _spans(self.levels, len(self.perm))
 
-    def split(self, levels: tuple) -> TriangularExp:
-        """This whole propagator split at the starts ``levels`` = (i1, i2) of
-        the stacked layout's singles and doubles, which its cascade order
-        must keep contiguous: T's diagonal blocks on the levels and the
-        blocks that cross them, copied out of T (T itself at ()), read-only."""
-        if np.any(np.diff(np.searchsorted(levels, self.perm, side="right")) < 0):
+    @classmethod
+    def split(cls, x: _Tiles, perm: np.ndarray, bounds: np.ndarray,
+              levels: tuple = ()) -> TriangularExp:
+        """The propagator with T's tiles ``x`` split at the starts
+        ``levels`` = (i1, i2) of the stacked layout's singles and doubles,
+        which its cascade order must keep contiguous: T's diagonal blocks on
+        the levels and the blocks that cross them, copied out of x (T whole
+        at ()), read-only."""
+        if np.any(np.diff(np.searchsorted(levels, perm, side="right")) < 0):
             raise DynamicsError("the cascade order mixes the ground, singles and doubles")
-        (t,) = self.tri
-        tri, lift = (t,), ()
-        if levels:
-            i1, i2 = levels
-            k = (np.s_[:i1], np.s_[i1:i2], np.s_[i2:])
-            tri = tuple(t[r, r].copy(order="F") for r in k)
-            lift = tuple((k[i], k[j], j - i, t[k[i], k[j]].copy())
-                         for i, j in ((0, 1), (0, 2), (1, 2)))
-        for x in (*tri, *(block for *_, block in lift)):
-            x.flags.writeable = False
-        return TriangularExp(tri, self.perm, self.bounds, levels, lift)
+        k = _spans(levels, len(perm))
+        tri = tuple(x.get(r, r) for r in k)
+        lift = tuple((k[i], k[j], j - i, x.get(k[i], k[j], order="C"))
+                     for i, j in ((0, 1), (0, 2), (1, 2))) if levels else ()
+        for t in (*tri, *(block for *_, block in lift)):
+            t.flags.writeable = False
+        return cls(tri, perm, bounds, levels, lift)
 
-    def joined(self) -> np.ndarray:
-        """T as a new Fortran-ordered array, its level blocks and lift put
-        together: P at unit drive."""
-        x = np.zeros((len(self.perm),) * 2, dtype=self.tri[0].dtype, order="F")
+    def joined(self) -> _Tiles:
+        """T as new tiles, its level blocks and lift put together: P at unit drive."""
+        x = _Tiles.zeros(self.bounds, self.tri[0].dtype)
         for k, t in zip(self.spans, self.tri):
-            x[k, k] = t
+            x.put(k, k, t)
         for r, c, _, block in self.lift:
-            x[r, c] = block
+            x.put(r, c, block)
         return x
 
     def power(self, m: int) -> TriangularExp:
@@ -463,33 +613,43 @@ class TriangularExp:
         if m == 1:
             return self
         if m not in self.powers:
-            x = _tri_squarings(self.joined(), m.bit_length() - 1, self.bounds)
-            self.powers[m] = TriangularExp((x,), self.perm, self.bounds).split(self.levels)
+            x = self.joined()
+            x = _tri_squarings(x, _Tiles.zeros(self.bounds, x.buf.dtype), m.bit_length() - 1)
+            self.powers[m] = TriangularExp.split(x, self.perm, self.bounds, self.levels)
         return self.powers[m]
 
     def dense(self) -> np.ndarray:
         """exp(a) as a dense matrix: T joined, transposed and permuted back."""
-        back = np.argsort(self.perm)
-        return self.joined().T[np.ix_(back, back)]
+        back, d = np.argsort(self.perm), slice(0, len(self.perm))
+        return self.joined().get(d, d).T[np.ix_(back, back)]
 
 
-def expm(a) -> TriangularExp:
+def _spans(levels: tuple, d: int) -> tuple:
+    """The slots of each level of a d-slot propagator split at ``levels``."""
+    edges = (0, *levels, d)
+    return tuple(slice(i, j) for i, j in zip(edges, edges[1:]))
+
+
+def expm(a, levels: tuple = ()) -> TriangularExp:
     """exp(a) of a dense or sparse square matrix, float64 for a real a and
-    complex otherwise, in cascade order (``TriangularExp``); its permuted
-    transpose u, block upper triangular, stays sparse.  exp(u) is the
-    degree-m Padé approximant of u / 2^s squared s times (Higham 2005): m is
-    the least of 3, 5, 7 and 9 whose theta_m (``PADE_THETA``) bounds the
-    exact 1-norm of u, with s = 0, or else 13, with the least s that brings
-    the norm of u / 2^s to theta_13.  u^2 is a sparse product made dense
-    once, the higher even powers are block triangular products
-    (``_tri_mul``), and U = (U / u) u, as the two commute, comes by sparse
-    products in column chunks of about ``TRI_LEAF``.  The Padé denominator,
-    each block row scaled by the inverse of its diagonal block, is unit
-    triangular (``_tri_solve``).  The approximant's diagonal blocks of up to
-    4 slots are set to scipy's exponential of u's (exp(u_ii) on one slot),
-    and the one-slot diagonal again after each squaring (Al-Mohy and Higham,
-    SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment 2.1).  At most
-    four d x d arrays are alive at once, plus tiles of a quarter."""
+    complex otherwise, in cascade order, split at ``levels``
+    (``TriangularExp.split``); its permuted transpose u, block upper
+    triangular, stays sparse.  exp(u) is the degree-m Padé approximant of
+    u / 2^s squared s times (Higham 2005): m is the least of 3, 5, 7 and 9
+    whose theta_m (``PADE_THETA``) bounds the exact 1-norm of u, with s = 0,
+    or else 13, with the least s that brings the norm of u / 2^s to
+    theta_13.  Every work matrix is a tile tree (``_Tiles``): the sparse
+    product u^2 is scattered into one, the higher even powers are block
+    triangular products (``_tri_mul``), and U = (U / u) u, as the two
+    commute, comes by sparse products a leaf's column at a time, from the
+    last.  The Padé denominator, each block row scaled by the inverse of its
+    diagonal block, is unit triangular (``_tri_solve``).  The approximant's
+    diagonal blocks of up to 4 slots are set to scipy's exponential of u's
+    (exp(u_ii) on one slot), and the one-slot diagonal again after each
+    squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009,
+    code fragment 2.1).  At most four tile trees are alive at once, plus
+    temporaries of at most TRI_LEAF^2 entries (``_mul_into``) and the row of
+    leaves a sparse product reads."""
     perm, bounds = _cascade_order(a)
     d, back = len(perm), np.argsort(perm)
     a = sp.coo_matrix(a, dtype=np.result_type(a.dtype, float))
@@ -508,166 +668,182 @@ def expm(a) -> TriangularExp:
     diag[k[inside], i[inside], j[inside]] = c.data[inside]
     small = [diag[size == n, :n, :n] for n in (1, 2, 3, 4)]
     blocks = [bounds[:-1][size == n][:, None] + np.arange(n) for n in (1, 2, 3, 4)]
-    a2 = (u @ u).toarray(order="F")
-    x, v = (_pade13 if m == 13 else _pade_low)(PADE[m], a2, bounds)
-    del a2
-    # U = x u in column chunks that start at block starts, from the last:
-    # chunk c of x u reads the columns of x up to the end of c only
-    cuts = np.unique(np.r_[bounds[np.searchsorted(bounds, np.arange(0, d, TRI_LEAF))], d])
-    for c0, c1 in zip(cuts[-2::-1], cuts[:0:-1]):
-        x[:, c0:c1] = x @ u[:, c0:c1]
+    x, v = (_pade13 if m == 13 else _pade_low)(PADE[m], _Tiles.of_sparse(bounds, u @ u))
+    # U = x u a leaf's column at a time, from the last: that column of x u
+    # reads the columns of x up to its end only, a row of leaves at a time
+    leaves = [(t.start, t.start + t.n) for t in x.leaves()]
+    for k, (c0, c1) in reversed(list(enumerate(leaves))):
+        uc = u[:, c0:c1]
+        for r0, r1 in leaves[:k + 1]:
+            x.put(slice(r0, r1), slice(c0, c1), x.get(slice(r0, r1), slice(r0, c1)) @ uc[r0:c1])
     # x = (V - U)^-1 (V + U) with U in x and V in v
-    v -= x
-    x *= 2.0
-    x += v
-    for i0, i1 in zip(bounds[:-1], bounds[1:]):
-        q = np.linalg.inv(v[i0:i1, i0:i1])
-        x[i0:i1, i0:] = q @ x[i0:i1, i0:]
-        v[i0:i1, i1:] = q @ v[i0:i1, i1:]
-        v[i0:i1, i0:i1] = np.eye(i1 - i0)
-    _tri_solve(v, x, bounds)
-    del v
+    v.buf -= x.buf
+    x.buf *= 2.0
+    x.buf += v.buf
+    # each block row scaled by the inverse of V's diagonal block, over the
+    # stored tiles of its row of leaves: the leaf itself, then rectangles
+    for leaf in x.leaves():
+        rows = slice(leaf.start, leaf.start + leaf.n)
+        (xl, *xr), (vl, *vr) = ([t for t, _ in y.pieces(rows, slice(leaf.start, d))]
+                                for y in (x, v))
+        for i0, i1 in zip(leaf.bounds[:-1], leaf.bounds[1:]):
+            q = np.linalg.inv(vl[i0:i1, i0:i1])
+            xl[i0:i1, i0:] = q @ xl[i0:i1, i0:]
+            vl[i0:i1, i1:] = q @ vl[i0:i1, i1:]
+            vl[i0:i1, i0:i1] = np.eye(i1 - i0)
+            for t in (*xr, *vr):
+                t[i0:i1] = q @ t[i0:i1]
+    _tri_solve(v, x)
     for r, b in zip(blocks, small):
-        x[r[:, :, None], r[:, None, :]] = scipy_expm(b)
-    exact = blocks[0][:, 0], small[0][:, 0, 0]
-    return TriangularExp((_tri_squarings(x, s, bounds, exact),), perm, bounds)
+        rows, cols = np.broadcast_arrays(r[:, :, None], r[:, None, :])
+        x.buf[x.positions(rows.ravel(), cols.ravel())] = scipy_expm(b).ravel()
+    x = _tri_squarings(x, v, s, (x.diag[blocks[0][:, 0]], small[0][:, 0, 0]))
+    del v
+    return TriangularExp.split(x, perm, bounds, levels)
 
 
-def _flat(x: np.ndarray) -> np.ndarray:
-    """The memory of a Fortran-ordered array as a flat view."""
-    return x.reshape(-1, order="F")
-
-
-def _pade_low(b: tuple, a2: np.ndarray, bounds: np.ndarray) -> tuple:
+def _pade_low(b: tuple, a2: _Tiles) -> tuple:
     """(U / u, V) of the Padé approximant of degree m = len(b) - 1 < 13, as
-    new Fortran-ordered arrays, from a2 = u^2: b_1 I + b_3 A2 + .. and
-    b_0 I + b_2 A2 + .., each power A^2k (k >= 2) in one buffer, advanced
-    by a2 (``_tri_mul``) and added to both."""
-    d = len(a2)
-    x, v = np.multiply(a2, b[3], order="F"), np.multiply(a2, b[2], order="F")
-    _flat(x)[::d + 1] += b[1]
-    _flat(v)[::d + 1] += b[0]
-    axpy = get_blas_funcs("axpy", (a2,))
-    p = a2.copy(order="F")
+    new tiles, from a2 = u^2: b_1 I + b_3 A2 + .. and b_0 I + b_2 A2 + ..,
+    each power A^2k (k >= 2) in one buffer, advanced by a2 (``_tri_mul``)
+    and added to both."""
+    x, v = a2.scaled(b[3]), a2.scaled(b[2])
+    x.buf[x.diag] += b[1]
+    v.buf[v.diag] += b[0]
+    axpy = get_blas_funcs("axpy", (a2.buf,))
+    p = a2.copy()
     for k in range(4, len(b), 2):
-        _tri_mul(a2, p, bounds)
-        axpy(_flat(p), _flat(x), a=b[k + 1])
-        axpy(_flat(p), _flat(v), a=b[k])
+        _tri_mul(a2, p)
+        axpy(p.buf, x.buf, a=b[k + 1])
+        axpy(p.buf, v.buf, a=b[k])
     return x, v
 
 
-def _pade13(b: tuple, a2: np.ndarray, bounds: np.ndarray) -> tuple:
+def _pade13(b: tuple, a2: _Tiles) -> tuple:
     """(U / u, V) of the degree-13 Padé approximant from a2 = u^2, in a2's
-    memory and three more d x d arrays:
+    memory and three more tile trees:
 
         U / u = A6 (b13 A6 + b11 A4 + b9 A2 + b7 I) + b5 A4 + b3 A2 + b1 I
         V     = A6 (b12 A6 + b10 A4 + b8 A2 + b6 I) + b4 A4 + b2 A2 + b0 I
 
     A2 and A4 turn into V's outer and inner parts in place, by BLAS axpy
     and rotm on the real view of the (A2, A4) pairs (the b are real): no
-    d x d temporary."""
-    d = len(a2)
-    axpy = get_blas_funcs("axpy", (a2,))
-    a4 = a2.copy(order="F")
-    _tri_mul(a2, a4, bounds)
-    a6 = a4.copy(order="F")
-    _tri_mul(a2, a6, bounds)
-    x = np.multiply(a6, b[13], order="F")
-    axpy(_flat(a4), _flat(x), a=b[11])
-    axpy(_flat(a2), _flat(x), a=b[9])
-    _flat(x)[::d + 1] += b[7]
-    _tri_mul(a6, x, bounds)
-    axpy(_flat(a4), _flat(x), a=b[5])
-    axpy(_flat(a2), _flat(x), a=b[3])
+    whole-matrix temporary."""
+    axpy = get_blas_funcs("axpy", (a2.buf,))
+    a4 = a2.copy()
+    _tri_mul(a2, a4)
+    a6 = a4.copy()
+    _tri_mul(a2, a6)
+    x = a6.scaled(b[13])
+    axpy(a4.buf, x.buf, a=b[11])
+    axpy(a2.buf, x.buf, a=b[9])
+    x.buf[x.diag] += b[7]
+    _tri_mul(a6, x)
+    axpy(a4.buf, x.buf, a=b[5])
+    axpy(a2.buf, x.buf, a=b[3])
     get_blas_funcs("rotm", dtype=np.float64)(
-        _flat(a2).view(float), _flat(a4).view(float), np.array([-1.0, b[2], b[8], b[4], b[10]]),
+        a2.buf.view(float), a4.buf.view(float), np.array([-1.0, b[2], b[8], b[4], b[10]]),
         overwrite_x=1, overwrite_y=1)
-    axpy(_flat(a6), _flat(a4), a=b[12])
+    axpy(a6.buf, a4.buf, a=b[12])
     for p, c in ((x, b[1]), (a2, b[0]), (a4, b[6])):
-        _flat(p)[::d + 1] += c
-    _tri_mul(a6, a4, bounds)
+        p.buf[p.diag] += c
+    _tri_mul(a6, a4)
     del a6
-    axpy(_flat(a4), _flat(a2), a=1.0)
+    axpy(a4.buf, a2.buf, a=1.0)
     return x, a2
 
 
-def _tri_squarings(x: np.ndarray, k: int, bounds: np.ndarray,
-                   exact: tuple | None = None) -> np.ndarray:
-    """x^(2^k) for a block upper triangular, Fortran-ordered x by k
-    squarings (``_tri_mul``), in x's memory and one more array; ``exact`` =
-    (i, rates) sets the entries x_ii to exp(2^j rates) after squaring j."""
-    if k == 0:
-        return x
-    v = np.empty_like(x, order="F")
+def _tri_squarings(x: _Tiles, v: _Tiles, k: int, exact: tuple | None = None) -> _Tiles:
+    """x^(2^k) by k squarings (``_tri_mul``), in the memory of x and of
+    the spare tiles v; ``exact`` = (places in ``buf``, rates) sets those
+    diagonal entries to exp(2^j rates) after squaring j."""
     for j in range(1, k + 1):
-        v[...] = x
-        _tri_mul(x, v, bounds)
+        v.buf[...] = x.buf
+        _tri_mul(x, v)
         x, v = v, x
         if exact is not None:
-            x.reshape(-1, order="F")[exact[0] * (len(x) + 1)] = np.exp(exact[1] * 2.0 ** j)
+            x.buf[exact[0]] = np.exp(exact[1] * 2.0 ** j)
     return x
 
 
-def _halves(bounds: np.ndarray) -> tuple:
-    """(h, bounds of the tile above h, of the tile below) at the middlemost block start h."""
-    inner = bounds[1:-1]
-    h = int(inner[np.argmin(np.abs(2 * inner - bounds[-1]))])
-    return h, bounds[bounds <= h], bounds[bounds >= h] - h
+def _mul_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, op=None) -> None:
+    """out <- a b, or op(out, a b) in place (``op`` np.add or np.subtract),
+    by chunks of out of at most TRI_LEAF^2 entries: its columns where b may
+    be out or out is no taller than wide (the chunks share a), else its rows
+    (they share b, which BLAS packs again for each)."""
+    rows, cols = out.shape
+    by_cols = rows <= cols or np.may_share_memory(out, b)
+    w = max(1, TRI_LEAF ** 2 // max(rows if by_cols else cols, 1))
+    for i in range(0, cols if by_cols else rows, w):
+        k = (slice(None), slice(i, i + w)) if by_cols else slice(i, i + w)
+        p = a @ b[k] if by_cols else a[k] @ b
+        if op is None:
+            out[k] = p
+        else:
+            op(out[k], p, out=out[k])
 
 
-def _tri_mul(l: np.ndarray, m: np.ndarray, bounds: np.ndarray) -> None:
-    """m <- l m in place for block upper triangular l and m (Fortran-ordered,
-    or tiles of such arrays), blocks at ``bounds``, by 2 x 2 tiles split at
-    a block start: m12 <- l11 m12 + l12 m22, then the diagonal tiles recurse;
-    a tile of at most ``TRI_LEAF``, or of one block, is one dense product."""
-    if len(bounds) == 2 or len(l) <= TRI_LEAF:
-        m[...] = l @ m
+def _tri_mul(l: _Tiles, m: _Tiles) -> None:
+    """m <- l m in place for tiles l and m of one tree: m12 <- l11 m12 +
+    l12 m22, then the diagonal halves recurse; a leaf is one dense product."""
+    if m.full is not None:
+        _mul_into(m.full, l.full, m.full)
         return
-    h, lo, hi = _halves(bounds)
-    _left_mul(l[:h, :h], m[:h, h:], lo)
-    _add_right_mul(m[:h, h:], l[:h, h:], m[h:, h:], hi)
-    _tri_mul(l[:h, :h], m[:h, :h], lo)
-    _tri_mul(l[h:, h:], m[h:, h:], hi)
+    _left_mul(l.tl, m.tr)
+    _add_right_mul(m.tr, l.tr, m.br)
+    _tri_mul(l.tl, m.tl)
+    _tri_mul(l.br, m.br)
 
 
-def _left_mul(t: np.ndarray, x: np.ndarray, bounds: np.ndarray) -> None:
-    """x <- t x in place, t block upper triangular, tiled like ``_tri_mul``."""
-    if len(bounds) == 2 or len(t) <= TRI_LEAF:
-        x[...] = t @ x
+def _left_mul(t: _Tiles, x: np.ndarray) -> None:
+    """x <- t x in place for tiles t and an array x."""
+    if t.full is not None:
+        _mul_into(x, t.full, x)
         return
-    h, lo, hi = _halves(bounds)
-    _left_mul(t[:h, :h], x[:h], lo)
-    x[:h] += t[:h, h:] @ x[h:]
-    _left_mul(t[h:, h:], x[h:], hi)
+    h = len(t.tl)
+    _left_mul(t.tl, x[:h])
+    _mul_into(x[:h], t.tr, x[h:], np.add)
+    _left_mul(t.br, x[h:])
 
 
-def _add_right_mul(out: np.ndarray, x: np.ndarray, t: np.ndarray, bounds: np.ndarray,
-                   op=np.add) -> None:
-    """out <- op(out, x t) in place (``op`` np.add or np.subtract), t block
-    upper triangular, tiled like ``_tri_mul``."""
-    if len(bounds) == 2 or len(t) <= TRI_LEAF:
-        op(out, x @ t, out=out)
+def _add_right_mul(out: np.ndarray, x: np.ndarray, t: _Tiles, op=np.add) -> None:
+    """out <- op(out, x t) in place (``op`` np.add or np.subtract) for
+    tiles t and arrays x and out."""
+    if t.full is not None:
+        _mul_into(out, x, t.full, op)
         return
-    h, lo, hi = _halves(bounds)
-    _add_right_mul(out[:, :h], x[:, :h], t[:h, :h], lo, op)
-    op(out[:, h:], x[:, :h] @ t[:h, h:], out=out[:, h:])
-    _add_right_mul(out[:, h:], x[:, h:], t[h:, h:], hi, op)
+    h = len(t.tl)
+    _add_right_mul(out[:, :h], x[:, :h], t.tl, op)
+    _mul_into(out[:, h:], x[:, :h], t.tr, op)
+    _add_right_mul(out[:, h:], x[:, h:], t.br, op)
 
 
-def _tri_solve(l: np.ndarray, m: np.ndarray, bounds: np.ndarray) -> None:
-    """m <- l^-1 m in place for l unit upper triangular (identity on its
-    diagonal blocks) and m block upper triangular, tiled like ``_tri_mul``."""
-    if len(bounds) == 2:
+def _left_solve(t: _Tiles, x: np.ndarray) -> None:
+    """x <- t^-1 x in place for tiles t, unit upper triangular (identity on
+    its diagonal blocks), and an array x."""
+    if len(t.bounds) == 2:
         return
-    trsm = get_blas_funcs("trsm", (l, m))
-    if len(l) <= TRI_LEAF:
-        m[...] = trsm(1.0, l, m, diag=1, overwrite_b=1)
+    if t.full is not None:
+        trsm = get_blas_funcs("trsm", (t.full, x))
+        w = max(1, TRI_LEAF ** 2 // max(len(x), 1))
+        for i in range(0, x.shape[1], w):
+            x[:, i:i + w] = trsm(1.0, t.full, x[:, i:i + w], diag=1, overwrite_b=1)
         return
-    h, lo, hi = _halves(bounds)
-    _tri_solve(l[h:, h:], m[h:, h:], hi)
-    _add_right_mul(m[:h, h:], l[:h, h:], m[h:, h:], hi, np.subtract)
-    m[:h, h:] = trsm(1.0, l[:h, :h], m[:h, h:], diag=1, overwrite_b=1)
-    _tri_solve(l[:h, :h], m[:h, :h], lo)
+    h = len(t.tl)
+    _left_solve(t.br, x[h:])
+    _mul_into(x[:h], t.tr, x[h:], np.subtract)
+    _left_solve(t.tl, x[:h])
+
+
+def _tri_solve(l: _Tiles, m: _Tiles) -> None:
+    """m <- l^-1 m in place for tiles l, unit upper triangular, and m of one tree."""
+    if m.full is not None:
+        _left_solve(l, m.full)
+        return
+    _tri_solve(l.br, m.br)
+    _add_right_mul(m.tr, l.tr, m.br, np.subtract)
+    _left_solve(l.tl, m.tr)
+    _tri_solve(l.tl, m.tl)
 
 
 def _tri_apply(prop: TriangularExp, v: np.ndarray, e: float) -> np.ndarray:
@@ -868,8 +1044,8 @@ class SinglesPropagator:
         if key not in self.cache:
             idx = self.gen.index
             levels = (idx.singles.start, idx.doubles.start) if self.slots is None else ()
-            p = expm((self.gen.operator(omega, 1.0, self.slots) * h).astype(dtype, copy=False))
-            self.cache[key] = p.split(levels)
+            self.cache[key] = expm((self.gen.operator(omega, 1.0, self.slots) * h)
+                                   .astype(dtype, copy=False), levels)
         return self.cache[key]
 
 

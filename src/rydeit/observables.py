@@ -111,6 +111,14 @@ class CorrelationGrid(ObservableTrace):
 GRID_BLOCK = 128
 
 
+def _row_blocks(shape: tuple, entries: int):
+    """Consecutive slices of the rows of a matrix of ``shape``, about
+    ``entries`` entries each (one row at least)."""
+    n, m = shape
+    step = max(1, entries // max(m, 1))
+    return (slice(a, min(a + step, n)) for a in range(0, n, step))
+
+
 def correlation_grid(traj: StateTrajectory, generator: Generator) -> CorrelationGrid:
     """G2(t_i, t_j) over the trajectory's grid, in closed form from its
     record, whose covectors must begin with
@@ -205,7 +213,12 @@ def windowed_g2(grid: CorrelationGrid, w1, w2) -> float:
         raise UndefinedResultError("a window holds fewer than two grid samples")
     t1 = grid.times[a1:b1]
     t2 = grid.times[a2:b2]
-    num = np.trapezoid(np.trapezoid(grid.g2_matrix[a1:b1, a2:b2], t2, axis=1), t1)
+    g2 = grid.g2_matrix[a1:b1, a2:b2]
+    # the inner trapezoid by row blocks of about GRID_BLOCK grid rows, the
+    # working set of correlation_grid: each row's is the whole matrix's
+    inner = np.concatenate([np.trapezoid(g2[s], t2, axis=1)
+                            for s in _row_blocks(g2.shape, GRID_BLOCK * len(grid.times))])
+    num = np.trapezoid(inner, t1)
     p1 = np.trapezoid(grid.intensity[a1:b1], t1)
     p2 = np.trapezoid(grid.intensity[a2:b2], t2)
     floor = DEFAULT_INTENSITY_FLOOR

@@ -113,6 +113,52 @@ def test_perfectly_anticorrelated_stream_is_zero():
     assert val == 0.0
 
 
+def _whole_array_g2(stream, w1, w2):
+    """estimate_g2's value and counts from whole per-trial count arrays."""
+    n1 = stream.counts_in_window(1, w1)
+    n2 = stream.counts_in_window(2, w2)
+    t = stream.n_trials
+    same = float(np.dot(n1, n2))
+    b = [float(np.dot(n1[:t - k], n2[k:])) for k in range(5, 21)]
+    value = (same / t) / float(np.mean([bk / (t - k) for k, bk in zip(range(5, 21), b)]))
+    return value, value * math.sqrt(1.0 / same + 1.0 / sum(b))
+
+
+@pytest.mark.parametrize("block", [7, 64, counting._BLOCK])
+def test_blocked_estimate_matches_whole_arrays(monkeypatch, block):
+    # unsorted events, several per trial, trial counts that leave a last
+    # block shorter than the largest lag
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n_trials in (21, 150, 1003):
+        k = 6 * n_trials
+        stream = DetectionStream(trials=rng.integers(0, n_trials, k),
+                                 detectors=rng.integers(1, 3, k),
+                                 times_ns=rng.uniform(0.0, 100.0, k), n_trials=n_trials)
+        w1, w2 = (0.0, 80.0), (10.0, 90.0)
+        assert estimate_g2(stream, w1, w2) == _whole_array_g2(stream, w1, w2)
+        n1 = stream.counts_in_window(1, w1)
+        assert generation_probability_from_stream(stream, w1, IDEAL) == \
+            float(np.mean(n1) / IDEAL.p_detect_1)
+
+
+def test_estimate_holds_no_per_trial_array():
+    # 10^6 trials: one int64 count per trial would be 8 MB
+    rng = np.random.default_rng(1)
+    n_trials, k = 10 ** 6, 20000
+    stream = DetectionStream(trials=np.sort(rng.integers(0, n_trials, k)),
+                             detectors=rng.integers(1, 3, k),
+                             times_ns=rng.uniform(0.0, 100.0, k), n_trials=n_trials)
+    tracemalloc.start()
+    try:
+        estimate_g2(stream, (0.0, 100.0), (0.0, 100.0))
+        generation_probability_from_stream(stream, (0.0, 100.0), IDEAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 def test_estimator_needs_enough_trials():
     stream = DetectionStream(trials=np.array([0]), detectors=np.array([1]),
                              times_ns=np.array([1.0]), n_trials=10)

@@ -302,7 +302,7 @@ def test_magnus_above_expm_cap_takes_the_action(monkeypatch):
     window = (0.0, gen.envelope.t_end + 0.5)
     dense = evolve(gen, window, dt_out=0.125).projections
 
-    def no_dense(m):
+    def no_dense(m, *levels):
         raise AssertionError("dense exponential above the cap")
 
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", gen.index.dim)
@@ -335,7 +335,7 @@ def test_evolve_above_expm_cap_takes_the_action(monkeypatch):
 
     end = segment()
 
-    def no_dense(m):
+    def no_dense(m, *levels):
         raise AssertionError("dense exponential above the cap")
 
     monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", gen.index.dim)
@@ -438,12 +438,12 @@ def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
     seen = {}
     real = dynamics.TriangularExp.split
 
-    def spy(self, levels):
-        p = real(self, levels)
+    def spy(cls, *args):
+        p = real(*args)
         seen.setdefault(id(p), (p, [x.copy() for x in (*p.tri, *(b for *_, b in p.lift))]))
         return p
 
-    monkeypatch.setattr(dynamics.TriangularExp, "split", spy)
+    monkeypatch.setattr(dynamics.TriangularExp, "split", classmethod(spy))
     gen = make_generator(n_atoms=4, shape=shape, duration=duration)
     evolve(gen, (0.0, duration + 4.0), dt_out=0.5)
     assert len(seen) == 2
@@ -462,9 +462,9 @@ def _count_expm(monkeypatch):
     calls = []
     real = dynamics.expm
 
-    def counted(m):
+    def counted(m, *levels):
         calls.append(m.shape)
-        return real(m)
+        return real(m, *levels)
 
     monkeypatch.setattr(dynamics, "expm", counted)
     return calls
@@ -867,12 +867,12 @@ def _count_tri_mul(monkeypatch):
     import rydeit.dynamics as dynamics
     calls, depth, real = [], [0], dynamics._tri_mul
 
-    def counted(l, m, bounds):
+    def counted(l, m):
         if depth[0] == 0:
             calls.append(len(l))
         depth[0] += 1
         try:
-            real(l, m, bounds)
+            real(l, m)
         finally:
             depth[0] -= 1
 
@@ -880,7 +880,7 @@ def _count_tri_mul(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("leaf", [None, 7])
+@pytest.mark.parametrize("leaf", [None, 7, 20])
 @pytest.mark.parametrize("tau_norm", list(PADE_PLAN))
 @pytest.mark.parametrize("mode, doubles, omega", [
     (mode, doubles, omega) for mode in BLOCKADE_MODES for doubles in (False, True)
@@ -889,13 +889,15 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     # the cascade-triangular exponential against scipy's dense one on the
     # stacked generators (omega = 0.25 makes each singles 2 x 2 block
     # defective, and at omega = 0.5 its eigenvalues are complex) and on a
-    # dense random matrix, one strongly connected block; leaf = 7 takes
-    # these small matrices through the recursive tiles and the column
-    # chunks.  The fully blockaded and interaction-free generators are real
-    # and so is their exponential; the power-law one is complex.  The norm
-    # is that of the permuted transpose expm works on, the largest row sum
-    # of |a|, one in each band of the Padé degree; the count of block
-    # triangular products gives the degree and squarings it took
+    # dense random matrix, one strongly connected block; leaf = 7 (one,
+    # four and five levels) and 20 (two and three) take these small
+    # matrices through the tile trees and the sparse products a leaf's
+    # column at a time.  The fully blockaded and interaction-free
+    # generators are real and so is their exponential; the power-law one
+    # is complex.  The norm is that of the permuted transpose expm works
+    # on, the largest row sum of |a|, one in each band of the Padé degree;
+    # the count of block triangular products gives the degree and
+    # squarings it took
     import rydeit.dynamics as dynamics
     if leaf is not None:
         monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
@@ -944,7 +946,8 @@ def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
     want = np.complex128 if power_law else np.float64
     assert gen.dtype == want
     real_expm, props = dynamics.expm, []
-    monkeypatch.setattr(dynamics, "expm", lambda a: props.append(real_expm(a)) or props[-1])
+    monkeypatch.setattr(dynamics, "expm",
+                        lambda a, *levels: props.append(real_expm(a, *levels)) or props[-1])
     traj = evolve(gen, (0.0, 10.0), dt_out=0.1)
     assert props and all(p.tri[0].dtype == want for p in props)
     assert traj.projections.dtype == want
@@ -981,24 +984,147 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
     assert sparse.tri[0].flags.f_contiguous
 
 
-@pytest.mark.parametrize("tau_norm", [0.5, 17.0])
-def test_expm_peak_memory(tau_norm):
-    # one exponential of a 530-slot power-law generator, at Padé degree 7
-    # and at degree 13 with squarings, holds at most four d x d arrays at
-    # once plus smaller tiles: its traced peak stays under 4.5 of them
+def _peak_bytes(monkeypatch, call):
+    """The memory peak of ``call()``: the traced bytes (tracemalloc) plus
+    those of the anonymous maps that hold the tile buffers
+    (``_Tiles.zeros``), which tracemalloc does not see.  The traced peak is
+    read and reset whenever a map comes or goes."""
+    import mmap
     import tracemalloc
+    import types
+    import weakref
+    import rydeit.dynamics as dynamics
+    live = [0, 0]                       # bytes mapped now, the peak so far
+
+    def mark(change):
+        live[1] = max(live[1], live[0] + tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        live[0] += change
+
+    def mapped(fileno, length):
+        m = mmap.mmap(fileno, length)
+        mark(length)
+        weakref.finalize(m, mark, -length)
+        return m
+
+    monkeypatch.setattr(dynamics, "mmap", types.SimpleNamespace(mmap=mapped), raising=False)
+    tracemalloc.start()
+    try:
+        call()
+        mark(0)
+    finally:
+        tracemalloc.stop()
+    return live[1]
+
+
+@pytest.mark.parametrize("tau_norm", [0.5, 17.0])
+def test_expm_peak_memory(monkeypatch, tau_norm):
+    # one exponential of a 530-slot power-law generator, at Padé degree 7
+    # and at degree 13 with squarings, holds at most four tile trees of
+    # 0.625 d^2 entries each at once, plus temporaries of at most
+    # TRI_LEAF^2 entries (0.23 d^2 here): 2.81 d x d arrays measured
     gen = _power_law_generator(n_atoms=16)
     a = gen.operator(0.5, 1.0)
     a = a * (tau_norm / abs(a).sum(axis=1).max())
     d = a.shape[0]
     assert d == 530 and a.dtype == np.complex128
-    tracemalloc.start()
-    try:
-        expm(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * d * d * a.dtype.itemsize
+    assert _peak_bytes(monkeypatch, lambda: expm(a)) < 3.0 * d * d * a.dtype.itemsize
+
+
+def test_power_peak_memory(monkeypatch):
+    # P^4 of a split stacked propagator, P held: the joined P and the
+    # squarings' second buffer are tile trees of 0.625 d^2 entries, and the
+    # split P^4 about one d x d array (its level blocks and lift); the
+    # joined one is freed first (1.57 d^2 measured)
+    gen = _power_law_generator(n_atoms=16)
+    p = _stacked(gen).step(0.5, 0.2)
+    d, itemsize = len(p.perm), p.tri[0].itemsize
+    assert d == 530 and p.levels
+    assert _peak_bytes(monkeypatch, lambda: p.power(4)) < 2.0 * d * d * itemsize
+    assert 4 in p.powers
+
+
+@pytest.mark.parametrize("leaf", [3, 7, 20, 256])
+@pytest.mark.parametrize("sizes", [[1] * 30, [2, 1, 4, 3, 1, 2, 4, 4, 1, 3, 2, 2], [40],
+                                   [9, 1, 30]])
+def test_tiles_round_trip(monkeypatch, leaf, sizes):
+    # a block upper triangular matrix put into its tile tree and read back
+    # whole, in pieces and by entry places: the stored entries round-trip,
+    # the lower-left rectangles are not stored (and read back as 0), and
+    # the tree stores fewer entries than the square once it splits
+    import rydeit.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    d = int(bounds[-1])
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    rng = np.random.default_rng(leaf)
+    full = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    full[block[:, None] > block[None, :]] = 0.0
+    x = dynamics._Tiles.zeros(bounds, complex)
+    assert len(x.buf) == dynamics._Tiles.size(bounds) <= d * d
+    assert (len(x.buf) < d * d) == (x.full is None)
+    edges = [t.start for t in x.leaves()] + [d]
+    assert set(edges) <= set(bounds) and edges[0] == 0
+    all_ = slice(0, d)
+    x.put(all_, all_, full)
+    stored = np.zeros((d, d), bool)
+    for t, q in x.pieces(all_, all_):
+        stored[q] = True
+        assert np.shares_memory(t, x.buf)
+    assert stored.sum() == len(x.buf)
+    assert np.all(stored[block[:, None] <= block[None, :]])
+    back = x.get(all_, all_)
+    assert back.flags.f_contiguous and np.array_equal(back, full)
+    r, c = np.nonzero(stored)
+    assert np.array_equal(x.buf[x.positions(r, c)], full[r, c])
+    assert np.array_equal(np.sort(x.positions(r, c)), np.arange(len(x.buf)))
+    assert np.array_equal(x.buf[x.diag], np.diag(full))
+    # a block straddling leaves, and the scatter of a sparse matrix
+    rows, cols = slice(d // 3, d // 2 + 1), slice(d // 4, d)
+    assert np.array_equal(x.get(rows, cols, order="C"), full[rows, cols])
+    y = dynamics._Tiles.of_sparse(bounds, sp.csr_matrix(full))
+    assert np.array_equal(y.buf, x.buf)
+
+
+@pytest.mark.parametrize("leaf", [5, 7, 256])
+def test_power_with_levels_inside_tiles(monkeypatch, leaf):
+    # a split stacked propagator whose level starts (the singles and the
+    # doubles) fall inside tiles, not at their edges: its joined tiles and
+    # P^4 are the split blocks put together, P^4 is the matrix power
+    import rydeit.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+    gen = _power_law_generator(n_atoms=4)
+    p = _stacked(gen).step(0.5, 0.3)
+    edges = {t.start for t in p.joined().leaves()}
+    assert (leaf == 256) == (len(edges) == 1)
+    if leaf < 256:
+        assert not set(p.levels) <= edges
+    full = p.joined().get(slice(0, len(p.perm)), slice(0, len(p.perm)))
+    for k, t in zip(p.spans, p.tri):
+        assert np.array_equal(full[k, k], t)
+    for r, c, _, block in p.lift:
+        assert np.array_equal(full[r, c], block)
+    ref = np.linalg.matrix_power(p.dense(), 4)
+    assert np.max(np.abs(p.power(4).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("leaf", [3, 7, 256])
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("mode", BLOCKADE_MODES)
+def test_expm_one_slot_diagonal_is_exact(monkeypatch, mode, omega, leaf):
+    # after 4 squarings every one-slot block's diagonal entry is exp(a_ii)
+    # to the bit, written through the tiles' entry places, beside the
+    # larger blocks (at omega = 0.5) wherever the leaves cut
+    import rydeit.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+    a = augmented(_random_chain_generator(mode, omega), 1.0, omega, True)
+    a = a * (50.0 / np.max(np.abs(a).sum(axis=1)))
+    prop = expm(a)
+    one = np.flatnonzero(np.diff(prop.bounds) == 1)
+    slots = prop.bounds[one]
+    assert len(slots) > 0 and (omega == 0.0) == (len(one) == len(prop.bounds) - 1)
+    rates = a[prop.perm[slots], prop.perm[slots]]
+    assert np.array_equal(prop.tri[0][slots, slots], np.exp(rates))
 
 
 def _checked_cascade_order(a, largest):

@@ -165,7 +165,8 @@ def test_correlation_grid_one_exponential_per_segment_step(monkeypatch):
     assert steps == {(0.5, 0.25), (0.0, 0.25)}
     calls = []
     real = dynamics.expm
-    monkeypatch.setattr(dynamics, "expm", lambda m: calls.append(m.shape) or real(m))
+    monkeypatch.setattr(dynamics, "expm",
+                        lambda m, *levels: calls.append(m.shape) or real(m, *levels))
     correlation_grid(traj, gen)
     n1 = gen.index.dim_singles
     assert calls == [(n1, n1)] * len(steps)
@@ -245,6 +246,29 @@ def test_windowed_g2_floor_error():
     grid = _coherent_grid(intensity=1e-7)
     with pytest.raises(UndefinedResultError):
         windowed_g2(grid, (0.0, 5.0), (0.0, 5.0))
+
+
+@pytest.mark.parametrize("grid_block", [1, 3, 128])
+def test_windowed_g2_row_blocks_match_the_whole_trapezoid(monkeypatch, grid_block):
+    # the inner trapezoid taken a row block at a time gives each row's
+    # value of the whole-matrix trapezoid, so the estimate is bit-identical
+    # on random windows of an uneven grid and a random G2 matrix; at
+    # GRID_BLOCK = 1 a block is at most one row long
+    import rydeit.observables as observables
+    monkeypatch.setattr(observables, "GRID_BLOCK", grid_block)
+    rng = np.random.default_rng(grid_block)
+    n = 161
+    ts = np.cumsum(rng.uniform(0.02, 0.1, n))
+    inten = rng.uniform(0.5, 1.5, n)
+    trace = _synthetic_trace(ts, inten, inten ** 2)
+    grid = CorrelationGrid(**vars(trace), g2_matrix=rng.uniform(0.0, 2.0, (n, n)))
+    for _ in range(20):
+        w1, w2 = ((rng.uniform(ts[0], ts[-1] - 2.0), rng.uniform(0.5, 2.0)) for _ in range(2))
+        (a1, b1), (a2, b2) = (observables._window_slice(ts, *w) for w in (w1, w2))
+        t1, t2 = ts[a1:b1], ts[a2:b2]
+        whole = np.trapezoid(np.trapezoid(grid.g2_matrix[a1:b1, a2:b2], t2, axis=1), t1)
+        ref = whole / (np.trapezoid(inten[a1:b1], t1) * np.trapezoid(inten[a2:b2], t2))
+        assert windowed_g2(grid, w1, w2) == float(ref)
 
 
 def test_windowed_g2_converges_to_instantaneous():
