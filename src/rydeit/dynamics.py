@@ -65,13 +65,12 @@ the pair of the singles and g2 = 1 to rounding.
 ``Generator.operator`` alone sums S + Omega_c W + e F, on the stacked
 layout or its singles or doubles block.  ``SinglesPropagator``, the one
 cache of exponentials, holds one such block; on the stacked layout its
-E = exp(A(1) h), at unit drive once per (Omega_c, step h), is split at
-the levels [ground; singles; doubles] into its level-diagonal and
-level-crossing blocks, read-only (``TriangularExp.split``).  With
-D = diag(1, e, e^2) over the levels, exp(A(e) h) = D E D^-1: a step
-(``_tri_apply``) is the level-diagonal blocks of E, then the blocks one
-level apart times e and the block two apart times e^2, nothing divided by
-e, which may underflow to 0.  So a square pulse's plateau (e = 1) and
+E = exp(A(1) h), at unit drive once per (Omega_c, step h), is held
+read-only with the level starts of [ground; singles; doubles]
+(``TriangularExp``).  With D = diag(1, e, e^2) over the levels,
+exp(A(e) h) = D E D^-1: a step (``_tri_apply``) is the level-diagonal
+views of E, then the views one level apart times e and those two apart
+times e^2, nothing divided by e, which may underflow to 0.  So a square pulse's plateau (e = 1) and
 tail (e = 0), each one ``decay`` at its level, share one exponential and
 its giant-step power.  The singles and doubles decay undriven: after
 turn-off, and in a correlation grid, which steps the singles by
@@ -90,15 +89,15 @@ most 2 slots in the singles, (e_h, r_h), and 4 in the doubles, the ee,
 er, re and rr amplitudes of one pair.  Padé
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005)
 keeps that structure.  Its degree comes from the norm: 3, 5, 7 or 9 below
-their theta_m, else 13 with squarings.  Products by the generator stay
-sparse; the higher powers and the squarings are block triangular products
-on tile trees split at block starts (``_Tiles``), which store no lower-left
-rectangle, about n^3/6 multiplications each against n^3 for a dense GEMM.
-Degree 13 takes four such products and at most four tile trees at once,
-0.56 d^2 entries each at the replica's d = 1,625 (at one BLAS thread
-1.4-1.6 s for its complex propagator and 0.11-0.22 s for a real 1,001-dim
-turn-on one, degree 7 to 13, against 5.3-7.1 s and 0.3-0.5 s for
-scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
+their theta_m, else 13 with squarings.  The Padé sums come from sparse
+powers of the generator a strip of columns at a time (``_pade_strips``),
+into two tile trees split at block starts (``_Tiles``), which store no
+lower-left rectangle, 0.56 d^2 entries each at the replica's d = 1,625;
+the squarings are block triangular products on them, about n^3/6
+multiplications each against n^3 for a dense GEMM (at one BLAS thread
+1.0-1.1 s for the replica's complex propagator and 0.08-0.16 s for a real
+1,001-dim turn-on one, degree 7 to 13, against 5.3-7.1 s and 0.3-0.5 s
+for scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
 permutes y and the covectors into cascade order once (``TriangularExp``)
 and only its end state back; no block mixes the levels, and the order
 keeps each contiguous, so they start where they do in the stacked layout.
@@ -120,8 +119,8 @@ advanced by at most m - 1 steps, from which a turn-off point goes on over
 each longer horizon it needs (``scenarios._turnoff_point``).
 
 An ``expm`` propagator P keeps P^m, log2 m squarings (``_tri_mul``) once per
-m (``TriangularExp.power``), and a step is one triangular matvec
-(``_tri_apply``); m is the power of two that minimizes the cost in matvecs
+m (``TriangularExp.power``), and a step is one matvec per stored array of
+its tile tree (``_tri_apply``); m is the power of two that minimizes the cost in matvecs
 (``_giant_step``, ``SQUARE_KAPPA``): m = 16 for a turn-on point (d ~ 1,001,
 n = 2,500, c = 2) and m = 2 for the replica (d = 1,625, n = 490 and 600).
 A propagator that is not ``dense`` never builds the matrix
@@ -156,8 +155,8 @@ SQRT3 = math.sqrt(3.0)
 #: Largest block, in slots, whose exponential is a dense matrix (memory
 #: bound; above it ``SinglesPropagator.dense`` is false, and ``decay`` and
 #: the Magnus step take the Taylor action).  At 2,600 complex slots an
-#: ``expm`` holds four tile trees of 0.53 d^2 entries, about 230 MB (433 MB
-#: as four d x d arrays)
+#: ``expm`` holds two tile trees of 0.53 d^2 entries, about 115 MB, plus
+#: Padé strips of at most TRI_LEAF^2 entries (433 MB as four d x d arrays)
 EXPM_MAX_DIM = 2600
 
 #: The 4th-order commutator-free Magnus step (Blanes and Moan, Appl. Numer.
@@ -392,8 +391,9 @@ PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.50417899616
 
 #: Edge of the leaves of the tile tree (``_Tiles``): a node of at most
 #: ``TRI_LEAF`` slots, or of one block, is one full square that ``_tri_mul``
-#: and ``_tri_solve`` hand whole to BLAS, and a product's temporary holds at
-#: most TRI_LEAF^2 entries (``_mul_into``).  With triangular ztrmm tiles 256
+#: and ``_tri_solve`` hand whole to BLAS, and a product's temporary, or a
+#: Padé strip's work arrays, hold at most TRI_LEAF^2 entries (``_mul_into``,
+#: ``_pade_strips``).  With triangular ztrmm tiles 256
 #: and 384 took 0.18-0.19 s per 1,625-dim product
 TRI_LEAF = 256
 
@@ -458,24 +458,16 @@ class _Tiles:
         n, dtype = cls.size(bounds), np.dtype(dtype)
         return cls(bounds, np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype, n))
 
-    @classmethod
-    def of_sparse(cls, bounds: np.ndarray, m: sp.spmatrix) -> _Tiles:
-        """The tiles of a sparse block upper triangular m."""
-        x = cls.zeros(bounds, m.dtype)
-        m = m.tocoo()
-        x.buf[x.positions(m.row, m.col)] = m.data
-        return x
-
-    def scaled(self, c: float) -> _Tiles:
-        """c times this matrix, as new tiles."""
-        x = _Tiles.zeros(self.bounds, self.buf.dtype)
-        np.multiply(self.buf, c, out=x.buf)
-        return x
-
     def copy(self) -> _Tiles:
         x = _Tiles.zeros(self.bounds, self.buf.dtype)
         x.buf[...] = self.buf
         return x
+
+    def freeze(self) -> None:
+        """Make ``buf`` and every stored array read-only."""
+        for *_, t in self.arrays():
+            t.flags.writeable = False
+        self.buf.flags.writeable = False
 
     def __len__(self) -> int:
         return self.n
@@ -501,6 +493,10 @@ class _Tiles:
             yield s, self.br.start, self.tr
         yield from self.br._meeting(r0, r1, c0, c1)
 
+    def arrays(self):
+        """(first row, first column, array) of every stored array."""
+        return self._meeting(self.start, self.start + self.n, self.start, self.start + self.n)
+
     def pieces(self, rows: slice, cols: slice):
         """(view, index into the block ``rows`` x ``cols``) of the stored
         part of that block, one per stored array it meets, left to right
@@ -510,10 +506,10 @@ class _Tiles:
                                   _overlap(c, t.shape[1], cols.start, cols.stop))
             yield t[tr, tc], (qr, qc)
 
-    def get(self, rows: slice, cols: slice, order: str = "F") -> np.ndarray:
+    def get(self, rows: slice, cols: slice) -> np.ndarray:
         """The block ``rows`` x ``cols`` as a new array, 0 where nothing is stored."""
         out = np.zeros((rows.stop - rows.start, cols.stop - cols.start), self.buf.dtype,
-                       order=order)
+                       order="F")
         for t, q in self.pieces(rows, cols):
             out[q] = t
         return out
@@ -547,139 +543,103 @@ class _Tiles:
 class TriangularExp:
     """exp(a) = Pi^T T^T Pi, Pi y = y[perm], with T block upper triangular
     over the cascade blocks that start at ``bounds`` (then the dimension),
-    at most ``reach`` rows below its diagonal, held by levels: ``tri`` has
-    T's diagonal block on each level (full squares, Fortran order), the
-    levels starting at 0 and ``levels``, and ``lift`` the blocks of T that
-    cross them.  A whole propagator has one level, tri = (T,); a stacked one
-    split at the starts of its singles and doubles has three, and its tri is
-    the propagator at drive level 0.  ``split`` copies the level blocks out
-    of T's tiles (``_Tiles``) and ``joined`` back into new ones."""
+    held as its tile tree ``tiles`` (``_Tiles``), read-only.  The slots
+    fall in levels that start at 0 and ``levels``: one for a whole
+    propagator, and three for a stacked one, [ground; singles; doubles],
+    which its cascade order must keep contiguous, and whose T is then the
+    propagator at drive level 1.  ``views`` cuts the stored arrays at the
+    level starts for ``_tri_apply``."""
 
-    tri: tuple                  # T's diagonal block on each level
+    tiles: _Tiles
     perm: np.ndarray
     bounds: np.ndarray
     levels: tuple = ()
-    lift: tuple = ()            # (rows, cols, power of e, block) per level-crossing block
     powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # m: P^m
 
-    @cached_property
-    def reach(self) -> int:
-        return int(np.max(np.diff(self.bounds))) - 1
-
-    @cached_property
-    def below(self) -> tuple:
-        """T's subdiagonals j = 1..``reach``, T[i + j, i] at i, over all
-        levels (0 where i + j lies on the next level)."""
-        return tuple(np.concatenate([np.r_[np.diagonal(t, -j), np.zeros(min(j, len(t)), t.dtype)]
-                                     for t in self.tri])[:-j]
-                     for j in range(1, self.reach + 1))
-
-    @cached_property
-    def spans(self) -> tuple:
-        """The slots of each level."""
-        return _spans(self.levels, len(self.perm))
-
-    @classmethod
-    def split(cls, x: _Tiles, perm: np.ndarray, bounds: np.ndarray,
-              levels: tuple = ()) -> TriangularExp:
-        """The propagator with T's tiles ``x`` split at the starts
-        ``levels`` = (i1, i2) of the stacked layout's singles and doubles,
-        which its cascade order must keep contiguous: T's diagonal blocks on
-        the levels and the blocks that cross them, copied out of x (T whole
-        at ()), read-only."""
-        if np.any(np.diff(np.searchsorted(levels, perm, side="right")) < 0):
+    def __post_init__(self) -> None:
+        if np.any(np.diff(np.searchsorted(self.levels, self.perm, side="right")) < 0):
             raise DynamicsError("the cascade order mixes the ground, singles and doubles")
-        k = _spans(levels, len(perm))
-        tri = tuple(x.get(r, r) for r in k)
-        lift = tuple((k[i], k[j], j - i, x.get(k[i], k[j], order="C"))
-                     for i, j in ((0, 1), (0, 2), (1, 2))) if levels else ()
-        for t in (*tri, *(block for *_, block in lift)):
-            t.flags.writeable = False
-        return cls(tri, perm, bounds, levels, lift)
+        self.tiles.freeze()
 
-    def joined(self) -> _Tiles:
-        """T as new tiles, its level blocks and lift put together: P at unit drive."""
-        x = _Tiles.zeros(self.bounds, self.tri[0].dtype)
-        for k, t in zip(self.spans, self.tri):
-            x.put(k, k, t)
-        for r, c, _, block in self.lift:
-            x.put(r, c, block)
-        return x
+    @property
+    def dtype(self) -> np.dtype:
+        return self.tiles.buf.dtype
+
+    @cached_property
+    def views(self) -> tuple:
+        """(rows, cols, k, view) for each stored array of T, cut where it
+        meets a level start into views by (row level, column level): k is
+        the column level less the row level.  Views below the level
+        diagonal, k < 0, hold only zeros and are left out."""
+        edges = np.array([0, *self.levels, len(self.perm)])
+
+        def cuts(at, size):
+            e = np.clip(edges, at, at + size)
+            return [(i, int(lo), int(hi)) for i, (lo, hi) in enumerate(zip(e, e[1:])) if lo < hi]
+
+        return tuple((slice(r0, r1), slice(c0, c1), j - i, t[r0 - r:r1 - r, c0 - c:c1 - c])
+                     for r, c, t in self.tiles.arrays()
+                     for i, r0, r1 in cuts(r, t.shape[0])
+                     for j, c0, c1 in cuts(c, t.shape[1]) if j >= i)
 
     def power(self, m: int) -> TriangularExp:
-        """P^m for a power of two m: log2 m squarings (``_tri_squarings``) of
-        the joined P, split like P, once per m (``powers``).  At unit drive
-        one power serves every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
+        """P^m for a power of two m, once per m (``powers``): P^2 is P times
+        a copy of P (``_tri_mul``), a new tree, and each further squaring
+        (``_tri_squarings``) takes one more.  At drive level 1 one power
+        serves every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
         if m == 1:
             return self
         if m not in self.powers:
-            x = self.joined()
-            x = _tri_squarings(x, _Tiles.zeros(self.bounds, x.buf.dtype), m.bit_length() - 1)
-            self.powers[m] = TriangularExp.split(x, self.perm, self.bounds, self.levels)
+            x = self.tiles.copy()
+            _tri_mul(self.tiles, x)
+            x = _tri_squarings(x, _Tiles.zeros(self.bounds, x.buf.dtype), m.bit_length() - 2)
+            self.powers[m] = TriangularExp(x, self.perm, self.bounds, self.levels)
         return self.powers[m]
 
     def dense(self) -> np.ndarray:
-        """exp(a) as a dense matrix: T joined, transposed and permuted back."""
+        """exp(a) as a dense matrix: T read from its tiles, transposed and permuted back."""
         back, d = np.argsort(self.perm), slice(0, len(self.perm))
-        return self.joined().get(d, d).T[np.ix_(back, back)]
-
-
-def _spans(levels: tuple, d: int) -> tuple:
-    """The slots of each level of a d-slot propagator split at ``levels``."""
-    edges = (0, *levels, d)
-    return tuple(slice(i, j) for i, j in zip(edges, edges[1:]))
+        return self.tiles.get(d, d).T[np.ix_(back, back)]
 
 
 def expm(a, levels: tuple = ()) -> TriangularExp:
     """exp(a) of a dense or sparse square matrix, float64 for a real a and
-    complex otherwise, in cascade order, split at ``levels``
-    (``TriangularExp.split``); its permuted transpose u, block upper
-    triangular, stays sparse.  exp(u) is the degree-m Padé approximant of
-    u / 2^s squared s times (Higham 2005): m is the least of 3, 5, 7 and 9
-    whose theta_m (``PADE_THETA``) bounds the exact 1-norm of u, with s = 0,
-    or else 13, with the least s that brings the norm of u / 2^s to
-    theta_13.  Every work matrix is a tile tree (``_Tiles``): the sparse
-    product u^2 is scattered into one, the higher even powers are block
-    triangular products (``_tri_mul``), and U = (U / u) u, as the two
-    commute, comes by sparse products a leaf's column at a time, from the
-    last.  The Padé denominator, each block row scaled by the inverse of its
-    diagonal block, is unit triangular (``_tri_solve``).  The approximant's
-    diagonal blocks of up to 4 slots are set to scipy's exponential of u's
-    (exp(u_ii) on one slot), and the one-slot diagonal again after each
-    squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009,
-    code fragment 2.1).  At most four tile trees are alive at once, plus
-    temporaries of at most TRI_LEAF^2 entries (``_mul_into``) and the row of
-    leaves a sparse product reads."""
+    complex otherwise, in cascade order, with the level starts ``levels``
+    (``TriangularExp``); its permuted transpose u, block upper triangular,
+    stays sparse.  exp(u) is the degree-m Padé approximant of u / 2^s
+    squared s times (Higham 2005): m is the least of 3, 5, 7 and 9 whose
+    theta_m (``PADE_THETA``) bounds the exact 1-norm of u, with s = 0, or
+    else 13, with the least s that brings the norm of u / 2^s to theta_13.
+    The Padé numerator and denominator come a strip of columns at a time from
+    sparse powers of u (``_pade_strips``) into two tile trees (``_Tiles``),
+    the only ones alive.  The denominator, each block row scaled by the
+    inverse of its diagonal block, is unit triangular (``_tri_solve``).  The
+    approximant's diagonal blocks of up to 4 slots are set to scipy's
+    exponential of u's (exp(u_ii) on one slot), and the one-slot diagonal
+    again after each block triangular squaring (``_tri_squarings``; Al-Mohy
+    and Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment
+    2.1), whose second buffer is the denominator's tree."""
     perm, bounds = _cascade_order(a)
     d, back = len(perm), np.argsort(perm)
     a = sp.coo_matrix(a, dtype=np.result_type(a.dtype, float))
-    u = sp.csc_matrix((a.data, (back[a.col], back[a.row])), shape=(d, d))    # a[perm][:, perm].T
-    u.eliminate_zeros()
-    norm = float(np.max(np.bincount(back[a.row], np.abs(a.data), d)))
+    row, col = back[a.col], back[a.row]                 # of u = a[perm][:, perm].T
+    norm = float(np.max(np.bincount(col, np.abs(a.data), d)))
     m = next((k for k in (3, 5, 7, 9) if norm <= PADE_THETA[k]), 13)
     s = math.ceil(math.log2(norm / PADE_THETA[13])) if PADE_THETA[13] < norm < math.inf else 0
-    u.data *= 0.5 ** s
+    data = a.data * 0.5 ** s
+    u = sp.csr_matrix((data, (row, col)), shape=(d, d))
+    u.eliminate_zeros()
     # u's diagonal blocks of up to 4 slots, scattered from its entries
-    size, c = np.diff(bounds), u.tocoo()
-    k = np.repeat(np.arange(len(size)), size)[c.row]
-    i, j, inside = c.row - bounds[k], c.col - bounds[k], size[k] <= 4
+    size = np.diff(bounds)
+    k = np.repeat(np.arange(len(size)), size)[row]
+    i, j, inside = row - bounds[k], col - bounds[k], size[k] <= 4
     inside &= (j >= 0) & (j < size[k])
     diag = np.zeros((len(size), 4, 4), dtype=u.dtype)
-    diag[k[inside], i[inside], j[inside]] = c.data[inside]
+    diag[k[inside], i[inside], j[inside]] = data[inside]
     small = [diag[size == n, :n, :n] for n in (1, 2, 3, 4)]
     blocks = [bounds[:-1][size == n][:, None] + np.arange(n) for n in (1, 2, 3, 4)]
-    x, v = (_pade13 if m == 13 else _pade_low)(PADE[m], _Tiles.of_sparse(bounds, u @ u))
-    # U = x u a leaf's column at a time, from the last: that column of x u
-    # reads the columns of x up to its end only, a row of leaves at a time
-    leaves = [(t.start, t.start + t.n) for t in x.leaves()]
-    for k, (c0, c1) in reversed(list(enumerate(leaves))):
-        uc = u[:, c0:c1]
-        for r0, r1 in leaves[:k + 1]:
-            x.put(slice(r0, r1), slice(c0, c1), x.get(slice(r0, r1), slice(r0, c1)) @ uc[r0:c1])
-    # x = (V - U)^-1 (V + U) with U in x and V in v
-    v.buf -= x.buf
-    x.buf *= 2.0
-    x.buf += v.buf
+    # x = (V - U)^-1 (V + U) with V + U in x and V - U in v
+    x, v = _pade_strips(PADE[m], u, bounds)
     # each block row scaled by the inverse of V's diagonal block, over the
     # stored tiles of its row of leaves: the leaf itself, then rectangles
     for leaf in x.leaves():
@@ -699,58 +659,39 @@ def expm(a, levels: tuple = ()) -> TriangularExp:
         x.buf[x.positions(rows.ravel(), cols.ravel())] = scipy_expm(b).ravel()
     x = _tri_squarings(x, v, s, (x.diag[blocks[0][:, 0]], small[0][:, 0, 0]))
     del v
-    return TriangularExp.split(x, perm, bounds, levels)
+    return TriangularExp(x, perm, bounds, levels)
 
 
-def _pade_low(b: tuple, a2: _Tiles) -> tuple:
-    """(U / u, V) of the Padé approximant of degree m = len(b) - 1 < 13, as
-    new tiles, from a2 = u^2: b_1 I + b_3 A2 + .. and b_0 I + b_2 A2 + ..,
-    each power A^2k (k >= 2) in one buffer, advanced by a2 (``_tri_mul``)
-    and added to both."""
-    x, v = a2.scaled(b[3]), a2.scaled(b[2])
-    x.buf[x.diag] += b[1]
-    v.buf[v.diag] += b[0]
-    axpy = get_blas_funcs("axpy", (a2.buf,))
-    p = a2.copy()
-    for k in range(4, len(b), 2):
-        _tri_mul(a2, p)
-        axpy(p.buf, x.buf, a=b[k + 1])
-        axpy(p.buf, v.buf, a=b[k])
+def _pade_strips(b: tuple, u: sp.csr_matrix, bounds: np.ndarray) -> tuple:
+    """(V + U, V - U) of the Padé approximant of degree m = len(b) - 1 as
+    new tiles, for a block upper triangular u with blocks at ``bounds``:
+    V = b0 I + b2 u^2 + b4 u^4 + .. and U = b1 u + b3 u^3 + .., a strip of
+    columns c0:c1 at a time, from the identity's columns p, each sparse
+    product p <- u p adding the next term.  A strip keeps the rows up to
+    the end of the cascade block of its last column only, where every power
+    of u is 0 below, and it is at most TRI_LEAF^2 / (4 d) columns wide, so
+    its four work arrays (V, U, p and the next p) hold at most TRI_LEAF^2
+    entries together."""
+    d = u.shape[0]
+    x, v = _Tiles.zeros(bounds, u.dtype), _Tiles.zeros(bounds, u.dtype)
+    axpy = get_blas_funcs("axpy", dtype=u.dtype)
+    w = max(1, TRI_LEAF ** 2 // (4 * d))
+    for c0 in range(0, d, w):
+        c1 = min(c0 + w, d)
+        r1 = int(bounds[np.searchsorted(bounds, c1 - 1, side="right")])
+        ur = u[:r1, :r1] if r1 < d else u
+        p = np.zeros((r1, c1 - c0), u.dtype)
+        p[np.arange(c0, c1), np.arange(c1 - c0)] = 1.0
+        vs, us = b[0] * p, np.zeros_like(p)
+        for k in range(1, len(b)):
+            p = ur @ p
+            axpy(p.ravel(), (us if k % 2 else vs).ravel(), a=b[k])
+        del p
+        rows, cols = slice(0, r1), slice(c0, c1)
+        x.put(rows, cols, vs + us)
+        vs -= us
+        v.put(rows, cols, vs)
     return x, v
-
-
-def _pade13(b: tuple, a2: _Tiles) -> tuple:
-    """(U / u, V) of the degree-13 Padé approximant from a2 = u^2, in a2's
-    memory and three more tile trees:
-
-        U / u = A6 (b13 A6 + b11 A4 + b9 A2 + b7 I) + b5 A4 + b3 A2 + b1 I
-        V     = A6 (b12 A6 + b10 A4 + b8 A2 + b6 I) + b4 A4 + b2 A2 + b0 I
-
-    A2 and A4 turn into V's outer and inner parts in place, by BLAS axpy
-    and rotm on the real view of the (A2, A4) pairs (the b are real): no
-    whole-matrix temporary."""
-    axpy = get_blas_funcs("axpy", (a2.buf,))
-    a4 = a2.copy()
-    _tri_mul(a2, a4)
-    a6 = a4.copy()
-    _tri_mul(a2, a6)
-    x = a6.scaled(b[13])
-    axpy(a4.buf, x.buf, a=b[11])
-    axpy(a2.buf, x.buf, a=b[9])
-    x.buf[x.diag] += b[7]
-    _tri_mul(a6, x)
-    axpy(a4.buf, x.buf, a=b[5])
-    axpy(a2.buf, x.buf, a=b[3])
-    get_blas_funcs("rotm", dtype=np.float64)(
-        a2.buf.view(float), a4.buf.view(float), np.array([-1.0, b[2], b[8], b[4], b[10]]),
-        overwrite_x=1, overwrite_y=1)
-    axpy(a6.buf, a4.buf, a=b[12])
-    for p, c in ((x, b[1]), (a2, b[0]), (a4, b[6])):
-        p.buf[p.diag] += c
-    _tri_mul(a6, a4)
-    del a6
-    axpy(a4.buf, a2.buf, a=1.0)
-    return x, a2
 
 
 def _tri_squarings(x: _Tiles, v: _Tiles, k: int, exact: tuple | None = None) -> _Tiles:
@@ -848,25 +789,21 @@ def _tri_solve(l: _Tiles, m: _Tiles) -> None:
 
 def _tri_apply(prop: TriangularExp, v: np.ndarray, e: float) -> np.ndarray:
     """P v for a vector v, or v P for a row stack v, with P = T^T at drive
-    level ``e``: trmv or trmm read the upper triangle of T's diagonal block
-    on each level, the loop adds the ``reach`` subdiagonals inside the
-    cascade blocks (``below``), and a split propagator adds its lift times
-    e, or e^2 two levels apart (e^2 may underflow to 0)."""
+    level ``e``: each stored array of T, cut at the levels (``views``),
+    adds its product, times e^k k levels apart (none at e = 0, and e^2 may
+    underflow to 0): nothing is divided by e."""
     vector = v.ndim == 1
-    mul = get_blas_funcs("trmv" if vector else "trmm", (prop.tri[0],))
-    w = [mul(t, v[k], trans=1) if vector else mul(1.0, t, v[:, k].T).T
-         for k, t in zip(prop.spans, prop.tri)]
-    w = w[0] if len(w) == 1 else np.concatenate(w, axis=-1)
-    for j, sub in enumerate(prop.below, 1):
+    w = np.zeros(v.shape, np.result_type(prop.dtype, v))
+    for r, c, k, t in prop.views:
+        if k and e == 0.0:
+            continue
+        p = v[r] @ t if vector else v[:, c] @ t.T
+        if k:
+            p *= e ** k
         if vector:
-            w[:-j] += v[j:] * sub
+            w[c] += p
         else:
-            w[:, j:] += v[:, :-j] * sub
-    for r, c, k, block in prop.lift if e != 0.0 else ():
-        if vector:
-            w[c] += e ** k * (v[r] @ block)
-        else:
-            w[:, r] += e ** k * (v[:, c] @ block.T)
+            w[:, r] += p
     return w
 
 
@@ -1014,8 +951,8 @@ DECAY_DENSE_DOUBLES = 300
 class SinglesPropagator:
     """The one cache of exponentials: exp(A(1) h) of one block (``kind``) of
     the generator at unit drive, once per (Omega_c, h, dtype), read-only,
-    with its giant-step powers.  The "stacked" layout's is split at the
-    levels to serve every drive level (``evolve``); "singles"
+    with its giant-step powers.  The "stacked" layout's keeps the level
+    starts to serve every drive level (``evolve``); "singles"
     (the default) and "doubles" evolve undriven (F is 0 on them)."""
 
     gen: Generator
@@ -1155,7 +1092,7 @@ def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.nd
     the covectors are permuted once, P^m (m from ``_giant_step``) is
     ``prop.power(m)``, the end state is permuted back and the last row is
     ``project`` times it, to the bit."""
-    dtype = np.result_type(prop.tri[0], y, project)
+    dtype = np.result_type(prop.dtype, y, project)
     m = _giant_step(len(y), n_out, len(project))
     step = partial(_tri_apply, prop, e=e)
     proj, w = _projected_powers(step, step, partial(_tri_apply, prop.power(m), e=e),

@@ -397,11 +397,12 @@ def test_drive_level_identity(monkeypatch, doubles, a, b, level):
 @pytest.mark.parametrize("power_law", [False, True])
 @pytest.mark.parametrize("level", [0.37, 1e-170])
 def test_tri_apply_at_a_drive_level(power_law, level):
-    # a step of the split unit-drive propagator at drive level e, applied to
-    # the columns of the identity (vector form) and to the identity as a row
-    # stack, is scipy's exponential of the generator at e, block by block
-    # over the levels [ground; singles; doubles], each block on its own
-    # scale; at e = 1e-170, e^2 underflows to 0 < e
+    # a step of the stacked unit-drive propagator at drive level e, applied
+    # to the columns of the identity (vector form) and to the identity as a
+    # row stack, is scipy's exponential of the generator at e, block by
+    # block over the levels [ground; singles; doubles], each block on its
+    # own scale; at e = 1e-170, e^2 underflows to 0 < e.  Steps at e, and
+    # at e = 0, leave the held tile tree as it was, to the bit
     import rydeit.dynamics as dynamics
     gen = _power_law_generator(n_atoms=4) if power_law else make_generator(n_atoms=4)
     assert gen.dtype == (complex if power_law else float)
@@ -412,8 +413,11 @@ def test_tri_apply_at_a_drive_level(power_law, level):
     assert unit.levels == (gen.index.singles.start, gen.index.doubles.start)
     back = np.argsort(unit.perm)
     eye = np.eye(len(ref), dtype=gen.dtype)
+    held = unit.tiles.buf.copy()
     by_cols = np.stack([dynamics._tri_apply(unit, col, level) for col in eye], axis=1)
     by_rows = dynamics._tri_apply(unit, eye, level)
+    dynamics._tri_apply(unit, eye, 0.0)
+    assert np.array_equal(unit.tiles.buf, held)
     levels = np.split(np.arange(len(ref)), unit.levels)
     for got in (by_cols, by_rows):
         got = got[np.ix_(back, back)]
@@ -427,32 +431,31 @@ def test_tri_apply_at_a_drive_level(power_law, level):
 @pytest.mark.parametrize("shape, duration", [(PulseShape.GAUSSIAN, 10.0),
                                              (PulseShape.SQUARE, 100.0)])
 def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
-    # the unit-drive propagators a run caches, and the powers they keep, are
-    # split once and read-only: the gaussian's Magnus levels and the
+    # the unit-drive propagators a run caches, and the powers they keep,
+    # hold their tile trees read-only: the gaussian's Magnus levels and the
     # square's tail (e = 0) step them at other levels, and they stay
-    # bit-equal to what the split first made (the gaussian caches the Magnus
+    # bit-equal to what they held when made (the gaussian caches the Magnus
     # factor and the tail's step, the square its step and the step's
-    # giant-step power, m = 4 over its 200 samples), each as its three
-    # level-diagonal blocks and three level-crossing ones
+    # giant-step power, m = 4 over its 200 samples), the flat buffer and
+    # every stored array and level view read-only
     import rydeit.dynamics as dynamics
     seen = {}
-    real = dynamics.TriangularExp.split
+    real = dynamics.TriangularExp.__post_init__
 
-    def spy(cls, *args):
-        p = real(*args)
-        seen.setdefault(id(p), (p, [x.copy() for x in (*p.tri, *(b for *_, b in p.lift))]))
-        return p
+    def spy(p):
+        real(p)
+        seen.setdefault(id(p), (p, p.tiles.buf.copy()))
 
-    monkeypatch.setattr(dynamics.TriangularExp, "split", classmethod(spy))
+    monkeypatch.setattr(dynamics.TriangularExp, "__post_init__", spy)
     gen = make_generator(n_atoms=4, shape=shape, duration=duration)
     evolve(gen, (0.0, duration + 4.0), dt_out=0.5)
     assert len(seen) == 2
     for p, first in seen.values():
-        arrays = [*p.tri, *(b for *_, b in p.lift)]
-        assert len(arrays) == 6 and not any(x.flags.writeable for x in arrays)
-        assert all(np.array_equal(x, y) for x, y in zip(arrays, first))
+        arrays = [p.tiles.buf, *(t for *_, t in p.tiles.arrays()), *(t for *_, t in p.views)]
+        assert len(p.views) >= 6 and not any(x.flags.writeable for x in arrays)
+        assert np.array_equal(p.tiles.buf, first)
         with pytest.raises(ValueError, match="read-only"):
-            p.tri[-1][0, 0] = 1.0
+            p.views[-1][-1][0, 0] = 1.0
 
 
 def _count_expm(monkeypatch):
@@ -782,11 +785,11 @@ def test_complex_stack_on_a_real_generator_takes_one_complex_exponential(monkeyp
     first, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
     again, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
     assert len(calls) == 1
-    assert prop.step(0.5, 0.1, complex).tri[0].dtype == np.complex128
+    assert prop.step(0.5, 0.1, complex).dtype == np.complex128
     assert len(calls) == 1
     assert np.array_equal(first, again) and first.dtype == np.complex128
     real, _ = decay(prop, 0.5, 0.1, y0, 300, gen.out_e[None])
-    assert len(calls) == 2 and prop.step(0.5, 0.1).tri[0].dtype == np.float64
+    assert len(calls) == 2 and prop.step(0.5, 0.1).dtype == np.float64
     assert np.max(np.abs(real[:, 0] - first[:, 0])) <= 1e-14 * np.max(np.abs(real))
 
 
@@ -797,7 +800,7 @@ def test_power_is_kept_by_its_propagator():
     p = SinglesPropagator(gen).step(0.5, 0.2)
     p4 = p.power(4)
     assert p.power(4) is p4 and p.power(1) is p
-    assert not p4.tri[0].flags.writeable and not p.tri[0].flags.writeable
+    assert not p4.tiles.buf.flags.writeable and not p.tiles.buf.flags.writeable
     np.testing.assert_allclose(p4.dense(), np.linalg.matrix_power(p.dense(), 4),
                                rtol=0, atol=1e-14)
 
@@ -854,11 +857,23 @@ BLOCKADE_MODES = ["power_law", "full", "none"]
 
 #: (Padé degree m, squarings s) by the 1-norm of the argument (Higham, SIAM
 #: J. Matrix Anal. Appl. 26:1179, 2005, table 2.3: theta_3 = 0.015,
-#: theta_5 = 0.254, theta_7 = 0.950, theta_9 = 2.098, theta_13 = 5.372), and
-#: the block triangular products each degree takes before its squarings
+#: theta_5 = 0.254, theta_7 = 0.950, theta_9 = 2.098, theta_13 = 5.372)
 PADE_PLAN = {0.0: (3, 0), 1e-3: (3, 0), 0.01: (3, 0), 0.2: (5, 0), 0.9: (7, 0), 1.0: (9, 0),
              2.0: (9, 0), 2.5: (13, 0), 5.0: (13, 0), 20.0: (13, 2), 50.0: (13, 4)}
-PADE_PRODUCTS = {3: 0, 5: 1, 7: 2, 9: 3, 13: 4}
+
+
+def _count_pade(monkeypatch):
+    """The degree of each Padé approximant ``dynamics._pade_strips`` sums,
+    appended as they come."""
+    import rydeit.dynamics as dynamics
+    degrees, real = [], dynamics._pade_strips
+
+    def counted(b, u, bounds):
+        degrees.append(len(b) - 1)
+        return real(b, u, bounds)
+
+    monkeypatch.setattr(dynamics, "_pade_strips", counted)
+    return degrees
 
 
 def _count_tri_mul(monkeypatch):
@@ -891,13 +906,13 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     # defective, and at omega = 0.5 its eigenvalues are complex) and on a
     # dense random matrix, one strongly connected block; leaf = 7 (one,
     # four and five levels) and 20 (two and three) take these small
-    # matrices through the tile trees and the sparse products a leaf's
-    # column at a time.  The fully blockaded and interaction-free
+    # matrices through the tile trees and Padé strips of one or two
+    # columns.  The fully blockaded and interaction-free
     # generators are real and so is their exponential; the power-law one
     # is complex.  The norm is that of the permuted transpose expm works
     # on, the largest row sum of |a|, one in each band of the Padé degree;
-    # the count of block triangular products gives the degree and
-    # squarings it took
+    # the Padé sums give the degree, and the count of block triangular
+    # products the squarings it took
     import rydeit.dynamics as dynamics
     if leaf is not None:
         monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
@@ -909,15 +924,16 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         a = augmented(_random_chain_generator(mode, omega), 1.0, omega, doubles)
     a = a * (tau_norm / np.max(np.abs(a).sum(axis=1)))
     ref = _scipy_expm(a)
-    products = _count_tri_mul(monkeypatch)
+    degrees, products = _count_pade(monkeypatch), _count_tri_mul(monkeypatch)
     prop = expm(a)
     m, s = PADE_PLAN[tau_norm]
-    assert len(products) == PADE_PRODUCTS[m] + s
-    # below its diagonal, tri is nonzero only inside the cascade blocks
+    assert degrees == [m] and len(products) == s
+    # below its diagonal, T is nonzero only inside the cascade blocks
     perm, bounds = _cascade_order(a)
     assert np.array_equal(prop.perm, perm) and np.array_equal(prop.bounds, bounds)
     block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    rows, cols = np.nonzero(np.tril(prop.tri[0], -1))
+    d = slice(0, a.shape[0])
+    rows, cols = np.nonzero(np.tril(prop.tiles.get(d, d), -1))
     assert np.all(block[rows] == block[cols])
     assert (mode in ("full", "none")) == np.isrealobj(a)
     got = prop.dense()
@@ -927,6 +943,48 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
         # every block is one slot, so the diagonal is exp(a_ii) to the bit
         assert len(_cascade_order(a)[1]) == a.shape[0] + 1
         assert np.array_equal(np.diag(got), np.exp(np.diag(a)))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("device", ["power_law", "detuned", "real"])
+def test_pade_strips_match_dense_sums(monkeypatch, device, m):
+    # the Padé numerator and denominator, V + U and V - U, summed a strip of
+    # columns at a time from sparse powers of u, against the same sums of
+    # dense powers, and the exponential at that degree against scipy's.  At
+    # TRI_LEAF = 28 the 46-57 slot stacked generators of 5 atoms (power-law
+    # pair shifts, complex; detuned, complex; resonant and fully
+    # blockaded, real) span several leaves and take strips of 3-4 columns,
+    # several of which end inside a cascade block and keep rows down to
+    # that block's end
+    import rydeit.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "TRI_LEAF", 28)
+    gen = {"power_law": lambda: _power_law_generator(n_atoms=5),
+           "detuned": lambda: make_generator(n_atoms=5, delta_e=0.3, delta_2=-0.2),
+           "real": lambda: make_generator(n_atoms=5)}[device]()
+    a = augmented(gen, 1.0, 0.5)
+    a = a * (0.9 * dynamics.PADE_THETA[m] / np.max(np.abs(a).sum(axis=1)))
+    d = len(a)
+    assert 40 <= d <= 60 and np.iscomplexobj(a) == (device != "real")
+    perm, bounds = _cascade_order(a)
+    w = 28 ** 2 // (4 * d)
+    assert w in (3, 4)
+    assert any(c1 not in bounds for c1 in range(w, d, w))
+    u = a[np.ix_(perm, perm)].T
+    b = dynamics.PADE[m]
+    powers = [np.eye(d)]
+    for _ in range(1, len(b) // 2):
+        powers.append(powers[-1] @ u @ u)
+    odd = u @ sum(c * q for c, q in zip(b[1::2], powers))
+    even = sum(c * q for c, q in zip(b[0::2], powers))
+    x, v = dynamics._pade_strips(b, sp.csr_matrix(u), bounds)
+    assert len(list(x.leaves())) > 1
+    full = slice(0, d)
+    for got, ref in ((x, even + odd), (v, even - odd)):
+        assert np.max(np.abs(got.get(full, full) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    degrees = _count_pade(monkeypatch)
+    ref = _scipy_expm(a)
+    assert np.max(np.abs(expm(a).dense() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert degrees == [m]
 
 
 @pytest.mark.parametrize("shape", [PulseShape.SQUARE, PulseShape.TRIANGULAR_POS,
@@ -949,7 +1007,7 @@ def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
     monkeypatch.setattr(dynamics, "expm",
                         lambda a, *levels: props.append(real_expm(a, *levels)) or props[-1])
     traj = evolve(gen, (0.0, 10.0), dt_out=0.1)
-    assert props and all(p.tri[0].dtype == want for p in props)
+    assert props and all(p.dtype == want for p in props)
     assert traj.projections.dtype == want
     # the grid's Toeplitz factors, rows out_e P^k and carried columns
     real_fill, factors = observables._fill_run, []
@@ -971,7 +1029,8 @@ def test_one_dtype_end_to_end(monkeypatch, power_law, shape):
 def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
     # a CSR argument becomes dense only as the permuted transpose, with the
     # same entries in the same layout as a dense one's: the same cascade
-    # order and the same triangular exponential, bit for bit
+    # order and the same triangular exponential, bit for bit, each stored
+    # array in Fortran order
     gen = _random_chain_generator(mode, 0.5)
     a = gen.operator(0.5, 1.0) * 0.37
     if not doubles:
@@ -980,8 +1039,8 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
         a = _csr(a[:d, :d])
     dense, sparse = expm(a.toarray()), expm(a)
     assert np.array_equal(sparse.perm, dense.perm)
-    assert np.array_equal(sparse.tri[0], dense.tri[0])
-    assert sparse.tri[0].flags.f_contiguous
+    assert np.array_equal(sparse.tiles.buf, dense.tiles.buf)
+    assert all(t.flags.f_contiguous for *_, t in sparse.tiles.arrays())
 
 
 def _peak_bytes(monkeypatch, call):
@@ -1020,27 +1079,28 @@ def _peak_bytes(monkeypatch, call):
 @pytest.mark.parametrize("tau_norm", [0.5, 17.0])
 def test_expm_peak_memory(monkeypatch, tau_norm):
     # one exponential of a 530-slot power-law generator, at Padé degree 7
-    # and at degree 13 with squarings, holds at most four tile trees of
-    # 0.625 d^2 entries each at once, plus temporaries of at most
-    # TRI_LEAF^2 entries (0.23 d^2 here): 2.81 d x d arrays measured
+    # and at degree 13 with squarings, holds two tile trees of 0.625 d^2
+    # entries each at once, plus Padé strips and product temporaries of at
+    # most TRI_LEAF^2 entries (0.23 d^2 here): 1.68 d x d arrays measured,
+    # bound with 0.22 to spare
     gen = _power_law_generator(n_atoms=16)
     a = gen.operator(0.5, 1.0)
     a = a * (tau_norm / abs(a).sum(axis=1).max())
     d = a.shape[0]
     assert d == 530 and a.dtype == np.complex128
-    assert _peak_bytes(monkeypatch, lambda: expm(a)) < 3.0 * d * d * a.dtype.itemsize
+    assert _peak_bytes(monkeypatch, lambda: expm(a)) < 1.9 * d * d * a.dtype.itemsize
 
 
 def test_power_peak_memory(monkeypatch):
-    # P^4 of a split stacked propagator, P held: the joined P and the
-    # squarings' second buffer are tile trees of 0.625 d^2 entries, and the
-    # split P^4 about one d x d array (its level blocks and lift); the
-    # joined one is freed first (1.57 d^2 measured)
+    # P^4 of a stacked propagator, P held read-only: P^2, P times a copy of
+    # P, and the squaring's second buffer are tile trees of 0.625 d^2
+    # entries, plus product temporaries of at most TRI_LEAF^2 entries
+    # (0.23 d^2 here): 1.44 d^2 measured, bound with 0.16 to spare
     gen = _power_law_generator(n_atoms=16)
     p = _stacked(gen).step(0.5, 0.2)
-    d, itemsize = len(p.perm), p.tri[0].itemsize
+    d, itemsize = len(p.perm), p.dtype.itemsize
     assert d == 530 and p.levels
-    assert _peak_bytes(monkeypatch, lambda: p.power(4)) < 2.0 * d * d * itemsize
+    assert _peak_bytes(monkeypatch, lambda: p.power(4)) < 1.6 * d * d * itemsize
     assert 4 in p.powers
 
 
@@ -1049,9 +1109,10 @@ def test_power_peak_memory(monkeypatch):
                                    [9, 1, 30]])
 def test_tiles_round_trip(monkeypatch, leaf, sizes):
     # a block upper triangular matrix put into its tile tree and read back
-    # whole, in pieces and by entry places: the stored entries round-trip,
-    # the lower-left rectangles are not stored (and read back as 0), and
-    # the tree stores fewer entries than the square once it splits
+    # whole, in pieces, by its stored arrays and by entry places: the stored
+    # entries round-trip, the lower-left rectangles are not stored (and read
+    # back as 0), and the tree stores fewer entries than the square once it
+    # splits
     import rydeit.dynamics as dynamics
     monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
@@ -1079,31 +1140,44 @@ def test_tiles_round_trip(monkeypatch, leaf, sizes):
     assert np.array_equal(x.buf[x.positions(r, c)], full[r, c])
     assert np.array_equal(np.sort(x.positions(r, c)), np.arange(len(x.buf)))
     assert np.array_equal(x.buf[x.diag], np.diag(full))
-    # a block straddling leaves, and the scatter of a sparse matrix
+    # a block straddling leaves, and the stored arrays, which tile buf
     rows, cols = slice(d // 3, d // 2 + 1), slice(d // 4, d)
-    assert np.array_equal(x.get(rows, cols, order="C"), full[rows, cols])
-    y = dynamics._Tiles.of_sparse(bounds, sp.csr_matrix(full))
-    assert np.array_equal(y.buf, x.buf)
+    assert np.array_equal(x.get(rows, cols), full[rows, cols])
+    arrays = list(x.arrays())
+    assert sum(t.size for *_, t in arrays) == len(x.buf)
+    for r, c, t in arrays:
+        assert np.shares_memory(t, x.buf)
+        assert np.array_equal(t, full[r:r + t.shape[0], c:c + t.shape[1]])
 
 
 @pytest.mark.parametrize("leaf", [5, 7, 256])
 def test_power_with_levels_inside_tiles(monkeypatch, leaf):
-    # a split stacked propagator whose level starts (the singles and the
-    # doubles) fall inside tiles, not at their edges: its joined tiles and
-    # P^4 are the split blocks put together, P^4 is the matrix power
+    # a stacked propagator whose level starts (the singles and the doubles)
+    # fall inside tiles, not at their edges: the views its stored arrays are
+    # cut into at the levels hold each stored entry of T on or above the
+    # level diagonal once, with k the levels between row and column, and
+    # below it T is 0; P^4 is the matrix power
     import rydeit.dynamics as dynamics
     monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
     gen = _power_law_generator(n_atoms=4)
     p = _stacked(gen).step(0.5, 0.3)
-    edges = {t.start for t in p.joined().leaves()}
+    edges = {t.start for t in p.tiles.leaves()}
     assert (leaf == 256) == (len(edges) == 1)
     if leaf < 256:
         assert not set(p.levels) <= edges
-    full = p.joined().get(slice(0, len(p.perm)), slice(0, len(p.perm)))
-    for k, t in zip(p.spans, p.tri):
-        assert np.array_equal(full[k, k], t)
-    for r, c, _, block in p.lift:
-        assert np.array_equal(full[r, c], block)
+    d = len(p.perm)
+    full = p.tiles.get(slice(0, d), slice(0, d))
+    level = np.searchsorted(p.levels, np.arange(d), side="right")
+    seen = np.zeros((d, d), int)
+    for r, c, k, t in p.views:
+        assert np.array_equal(full[r, c], t) and np.shares_memory(t, p.tiles.buf)
+        assert np.all(level[c] - level[r][:, None] == k)
+        seen[r, c] += 1
+    stored = np.zeros((d, d), bool)
+    for r, c, t in p.tiles.arrays():
+        stored[r:r + t.shape[0], c:c + t.shape[1]] = True
+    above = level[None, :] >= level[:, None]
+    assert np.array_equal(seen, stored & above) and np.all(full[~above] == 0.0)
     ref = np.linalg.matrix_power(p.dense(), 4)
     assert np.max(np.abs(p.power(4).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -1124,7 +1198,7 @@ def test_expm_one_slot_diagonal_is_exact(monkeypatch, mode, omega, leaf):
     slots = prop.bounds[one]
     assert len(slots) > 0 and (omega == 0.0) == (len(one) == len(prop.bounds) - 1)
     rates = a[prop.perm[slots], prop.perm[slots]]
-    assert np.array_equal(prop.tri[0][slots, slots], np.exp(rates))
+    assert np.array_equal(prop.tiles.buf[prop.tiles.diag[slots]], np.exp(rates))
 
 
 def _checked_cascade_order(a, largest):
