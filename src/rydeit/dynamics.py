@@ -65,42 +65,26 @@ the pair of the singles and g2 = 1 to rounding.
 ``Generator.operator`` alone sums S + Omega_c W + e F, on the stacked
 layout or its singles or doubles block.  ``SinglesPropagator``, the one
 cache of exponentials, holds one such block; on the stacked layout its
-E = exp(A(1) h), at unit drive once per (Omega_c, step h), is held
-read-only with the level starts of [ground; singles; doubles]
-(``TriangularExp``).  With D = diag(1, e, e^2) over the levels,
-exp(A(e) h) = D E D^-1: a step (``_tri_apply``) is the level-diagonal
-views of E, then the views one level apart times e and those two apart
-times e^2, nothing divided by e, which may underflow to 0.  So a square pulse's plateau (e = 1) and
-tail (e = 0), each one ``decay`` at its level, share one exponential and
-its giant-step power.  The singles and doubles decay undriven: after
-turn-off, and in a correlation grid, which steps the singles by
-exp(M1 h) at each segment's Omega_c and sample step h
-(``StateTrajectory.segment_starts``).  One ``dense`` rule picks the route:
-a block of at most ``EXPM_MAX_DIM`` slots, a doubles block of at most
-``DECAY_DENSE_DOUBLES``, steps its dense exponential, in a stretch or a
-Magnus factor; any other takes Taylor actions (``_action_powers``).
+E = exp(A(1) h), at unit drive once per (Omega_c, step h), serves every
+drive level e: with D = diag(1, e, e^2) over [ground; singles; doubles],
+exp(A(e) h) = D E D^-1 (``_tri_apply``), nothing divided by e, which may
+underflow to 0.  So a square pulse's plateau (e = 1) and tail (e = 0),
+each one ``decay`` at its level, share one exponential and its giant-step
+power.  The singles and doubles decay undriven: after turn-off, and in a
+correlation grid, which steps the singles by exp(M1 h) at each segment's
+Omega_c and sample step h (``StateTrajectory.segment_starts``).  One
+``dense`` rule picks the route: a block of at most ``EXPM_MAX_DIM`` slots,
+a doubles block of at most ``DECAY_DENSE_DOUBLES``, steps its dense
+exponential, in a stretch or a Magnus factor; any other takes Taylor
+actions (``_action_powers``).
 
-Each exponential is this module's ``expm``.  The model is cascaded
-(Gardiner, PRL 70:2269, 1993): a slot is driven only by slots upstream of
-it, so the strongly connected components of the generator's nonzero
-pattern, in the order scipy labels them, each after those it reads
-(``_cascade_order``), make it block lower triangular, with blocks of at
-most 2 slots in the singles, (e_h, r_h), and 4 in the doubles, the ee,
-er, re and rr amplitudes of one pair.  Padé
-scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005)
-keeps that structure.  Its degree comes from the norm: 3, 5, 7 or 9 below
-their theta_m, else 13 with squarings.  The Padé sums come from sparse
-powers of the generator a strip of columns at a time (``_pade_strips``),
-into two tile trees split at block starts (``_Tiles``), which store no
-lower-left rectangle, 0.56 d^2 entries each at the replica's d = 1,625;
-the squarings are block triangular products on them, about n^3/6
-multiplications each against n^3 for a dense GEMM (at one BLAS thread
-1.0-1.1 s for the replica's complex propagator and 0.08-0.16 s for a real
-1,001-dim turn-on one, degree 7 to 13, against 5.3-7.1 s and 0.3-0.5 s
-for scipy.linalg.expm, agreeing to 5e-15 of the largest entry).  A stretch
-permutes y and the covectors into cascade order once (``TriangularExp``)
-and only its end state back; no block mixes the levels, and the order
-keeps each contiguous, so they start where they do in the stacked layout.
+Each exponential is this module's ``expm``, Padé scaling and squaring in
+the cascade order (Gardiner, PRL 70:2269, 1993; ``_cascade_order``), which
+makes the generator block lower triangular, on row strips (``_Tiles``):
+the README's bullets on the exponential describe it.  A stretch permutes y
+and the covectors into that order once (``TriangularExp``) and only its
+end state back; no block mixes the levels, and the order keeps each
+contiguous, so they start where they do in the stacked layout.
 ``steady_state`` solves the doubles system in the same order, where LU in
 the natural order makes next to no fill.
 
@@ -112,23 +96,19 @@ default emulate-hbt device, against 176 dimensions).  The projections
 C P^k y (k = 1..n) of a constant stretch with P = exp(A h) (``decay``), on
 the stacked layout or one block, come from ``_projected_powers`` by baby
 and giant steps (after Paterson and Stockmeyer, SIAM J. Comput. 2:60,
-1973): with k = j m + i + 1, the rows
-C P^i (i < m) and the columns P^(j m + 1) y (j < ceil(n/m)) meet in one
-(ceil(n/m) x d)(d x m c) product, and the end state is the last column
-advanced by at most m - 1 steps, from which a turn-off point goes on over
-each longer horizon it needs (``scenarios._turnoff_point``).
+1973), and so does the end state, from which a turn-off point goes on
+over each longer horizon it needs (``scenarios._turnoff_point``).
 
-An ``expm`` propagator P keeps P^m, log2 m squarings (``_tri_mul``) once per
-m (``TriangularExp.power``), and a step is one matvec per stored array of
-its tile tree (``_tri_apply``); m is the power of two that minimizes the cost in matvecs
-(``_giant_step``, ``SQUARE_KAPPA``): m = 16 for a turn-on point (d ~ 1,001,
-n = 2,500, c = 2) and m = 2 for the replica (d = 1,625, n = 490 and 600).
-A propagator that is not ``dense`` never builds the matrix
-(``_action_powers``): baby rows and giant columns advance by the action of
-the exponential
-(``_TaylorAction``, a truncated Taylor series after Al-Mohy and Higham, SIAM
-J. Sci. Comput. 33:488, 2011), with m chosen from the planned matvecs of
-those actions.
+An ``expm`` propagator P keeps P^m, log2 m squarings (``_tri_mul``) once
+per m (``TriangularExp.power``), and a step is one matvec per level view
+of its strips (``_tri_apply``); m is the power of two that minimizes the
+cost in matvecs (``_giant_step``, ``SQUARE_KAPPA``): m = 16 for a turn-on
+point (d ~ 1,001, n = 2,500, c = 2) and m = 2 for the replica (d = 1,625,
+n = 490 and 600).  A propagator that is not ``dense`` never builds the
+matrix (``_action_powers``): baby rows and giant columns advance by the
+action of the exponential (``_TaylorAction``, a truncated Taylor series
+after Al-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m
+chosen from the planned matvecs of those actions.
 """
 
 from __future__ import annotations
@@ -154,9 +134,9 @@ SQRT3 = math.sqrt(3.0)
 
 #: Largest block, in slots, whose exponential is a dense matrix (memory
 #: bound; above it ``SinglesPropagator.dense`` is false, and ``decay`` and
-#: the Magnus step take the Taylor action).  At 2,600 complex slots an
-#: ``expm`` holds two tile trees of 0.53 d^2 entries, about 115 MB, plus
-#: Padé strips of at most TRI_LEAF^2 entries (433 MB as four d x d arrays)
+#: the Magnus step take the Taylor action): at 2,600 complex slots ``expm``
+#: holds two sets of row strips, 0.53 d^2 entries each, about 115 MB in all
+#: (four d x d arrays would take 433 MB)
 EXPM_MAX_DIM = 2600
 
 #: The 4th-order commutator-free Magnus step (Blanes and Moan, Appl. Numer.
@@ -389,166 +369,86 @@ PADE = {3: (120.0, 60.0, 12.0, 1.0),
 PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
               9: 2.097847961257068, 13: 5.371920351148152}
 
-#: Edge of the leaves of the tile tree (``_Tiles``): a node of at most
-#: ``TRI_LEAF`` slots, or of one block, is one full square that ``_tri_mul``
-#: and ``_tri_solve`` hand whole to BLAS, and a product's temporary, or a
-#: Padé strip's work arrays, hold at most TRI_LEAF^2 entries (``_mul_into``,
-#: ``_pade_strips``).  With triangular ztrmm tiles 256
-#: and 384 took 0.18-0.19 s per 1,625-dim product
+#: Edge of the leaves of the row strips (``_Tiles``): a leaf block is at
+#: most ``TRI_LEAF`` slots on a side, unless one cascade block is wider, and
+#: ``_tri_mul`` and ``_tri_solve`` hand leaf blocks whole to BLAS, so a
+#: product's temporary, a solve's trsm chunk and a Padé strip's work arrays
+#: hold at most TRI_LEAF^2 entries (``_pade_strips``)
 TRI_LEAF = 256
-
-
-def _halves(bounds: np.ndarray) -> tuple:
-    """(h, bounds of the tile above h, of the tile below) at the middlemost block start h."""
-    inner = bounds[1:-1]
-    h = int(inner[np.argmin(np.abs(2 * inner - bounds[-1]))])
-    return h, bounds[bounds <= h], bounds[bounds >= h] - h
-
-
-def _is_leaf(bounds: np.ndarray) -> bool:
-    """Whether a tile tree node over ``bounds`` is one full square."""
-    return len(bounds) == 2 or bounds[-1] <= TRI_LEAF
-
-
-def _overlap(at: int, size: int, lo: int, hi: int) -> tuple:
-    """The part of [at, at + size) inside [lo, hi), as a slice from at and one from lo."""
-    a, b = max(at, lo), min(at + size, hi)
-    return slice(a - at, b - at), slice(a - lo, b - lo)
 
 
 class _Tiles:
     """A block upper triangular matrix, blocks at ``bounds`` (from 0), kept
-    as its ``_halves`` tree (after the recursive blocked layouts of Elmroth,
-    Gustavson, Jonsson and Kågström, SIAM Review 46:3, 2004): a leaf
-    (``_is_leaf``) is one full square ``full``, any other node the halves
-    [[tl, tr], [0, br]], ``tr`` one Fortran-ordered rectangle.  Every array is
-    a view into one flat buffer ``buf``, which whole-matrix sums and scalings
-    run over, and the lower-left rectangles are not stored: 0.56-0.63 of the
-    d^2 entries at d = 530-1,625.  ``start`` is the node's first slot."""
+    as row strips: its leaves start at block starts, ``starts`` (then the
+    dimension d), the least power of two n of them with d / n <=
+    ``TRI_LEAF``, as even as the block starts allow, each at most
+    ``TRI_LEAF`` wide unless one block is wider.  Strip i holds the rows of
+    leaf i and every column from its first one on, a Fortran-ordered view
+    into the flat buffer ``buf``, an anonymous memory map: its pages go back
+    to the system when it is freed, where glibc keeps a freed heap buffer
+    under its 32 MB mmap ceiling (a replica's strips take 24 MB)."""
 
-    def __init__(self, bounds: np.ndarray, buf: np.ndarray, start: int = 0, at: int = 0):
-        self.bounds, self.buf, self.start = bounds, buf, start
-        n = self.n = int(bounds[-1])
-        self.full = self.tl = self.tr = self.br = None
-        if _is_leaf(bounds):
-            self.at, self.end = at, at + n * n      # the place of the node's own array in buf
-            self.full = buf[at:self.end].reshape((n, n), order="F")
-        else:
-            h, lo, hi = _halves(bounds)
-            self.tl = _Tiles(lo, buf, start, at)
-            self.at = self.tl.end
-            self.tr = buf[self.at:self.at + h * (n - h)].reshape((h, n - h), order="F")
-            self.br = _Tiles(hi, buf, start + h, self.at + h * (n - h))
-            self.end = self.br.end
+    def __init__(self, bounds: np.ndarray, dtype):
+        self.bounds, d, s = bounds, int(bounds[-1]), [0]
+        n = 1 << max(0, math.ceil(math.log2(max(d, 1) / TRI_LEAF)))
+        while s[-1] < d:
+            rest = d - s[-1]
+            width = -(-rest // max(n + 1 - len(s), -(-rest // TRI_LEAF)))
+            # the last block start within the width, or else the next one
+            i = np.searchsorted(bounds, [s[-1], s[-1] + width], side="right")
+            s.append(int(bounds[max(i[0], i[1] - 1)]))
+        self.starts = s = np.array(s)
+        sizes = np.diff(s) * (d - s[:-1])
+        self.at = np.concatenate([[0], np.cumsum(sizes)])
+        total, dtype = int(self.at[-1]), np.dtype(dtype)
+        self.buf = np.frombuffer(mmap.mmap(-1, max(total * dtype.itemsize, 1)), dtype, total)
+        self.strips = [self.buf[a:a + k].reshape((e - b, d - b), order="F")
+                       for a, k, b, e in zip(self.at, sizes, s, s[1:])]
 
-    @staticmethod
-    def size(bounds: np.ndarray) -> int:
-        """The stored entries."""
-        n = int(bounds[-1])
-        if _is_leaf(bounds):
-            return n * n
-        h, lo, hi = _halves(bounds)
-        return _Tiles.size(lo) + h * (n - h) + _Tiles.size(hi)
-
-    @classmethod
-    def zeros(cls, bounds: np.ndarray, dtype) -> _Tiles:
-        """New tiles of zeros, in an anonymous memory map: its pages go back
-        to the system when it is freed, where glibc keeps a freed heap
-        buffer under its 32 MB mmap ceiling (a replica tree is 24 MB)."""
-        n, dtype = cls.size(bounds), np.dtype(dtype)
-        return cls(bounds, np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype, n))
+    def block(self, i: int, j: int) -> np.ndarray:
+        """The leaf block (i, j), i <= j, a view into strip i."""
+        s = self.starts
+        return self.strips[i][:, s[j] - s[i]:s[j + 1] - s[i]]
 
     def copy(self) -> _Tiles:
-        x = _Tiles.zeros(self.bounds, self.buf.dtype)
+        x = _Tiles(self.bounds, self.buf.dtype)
         x.buf[...] = self.buf
         return x
 
     def freeze(self) -> None:
-        """Make ``buf`` and every stored array read-only."""
-        for *_, t in self.arrays():
+        """Make ``buf`` and every strip read-only."""
+        for t in (*self.strips, self.buf):
             t.flags.writeable = False
-        self.buf.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.n
-
-    def leaves(self):
-        if self.full is not None:
-            yield self
-        else:
-            yield from self.tl.leaves()
-            yield from self.br.leaves()
-
-    def _meeting(self, r0: int, r1: int, c0: int, c1: int):
-        """(first row, first column, array) of each stored array that meets
-        rows r0:r1 and columns c0:c1."""
-        s, e = self.start, self.start + self.n
-        if r0 >= e or r1 <= s or c0 >= e or c1 <= s:
-            return
-        if self.full is not None:
-            yield s, s, self.full
-            return
-        yield from self.tl._meeting(r0, r1, c0, c1)
-        if r0 < self.br.start < c1:
-            yield s, self.br.start, self.tr
-        yield from self.br._meeting(r0, r1, c0, c1)
 
     def arrays(self):
-        """(first row, first column, array) of every stored array."""
-        return self._meeting(self.start, self.start + self.n, self.start, self.start + self.n)
-
-    def pieces(self, rows: slice, cols: slice):
-        """(view, index into the block ``rows`` x ``cols``) of the stored
-        part of that block, one per stored array it meets, left to right
-        along a row."""
-        for r, c, t in self._meeting(rows.start, rows.stop, cols.start, cols.stop):
-            (tr, qr), (tc, qc) = (_overlap(r, t.shape[0], rows.start, rows.stop),
-                                  _overlap(c, t.shape[1], cols.start, cols.stop))
-            yield t[tr, tc], (qr, qc)
-
-    def get(self, rows: slice, cols: slice) -> np.ndarray:
-        """The block ``rows`` x ``cols`` as a new array, 0 where nothing is stored."""
-        out = np.zeros((rows.stop - rows.start, cols.stop - cols.start), self.buf.dtype,
-                       order="F")
-        for t, q in self.pieces(rows, cols):
-            out[q] = t
-        return out
+        """(first row, first column, strip) of every strip."""
+        return zip(self.starts, self.starts, self.strips)
 
     def put(self, rows: slice, cols: slice, block: np.ndarray) -> None:
         """Write the stored part of the block ``rows`` x ``cols``."""
-        for t, q in self.pieces(rows, cols):
-            t[...] = block[q]
+        for r, _, t in self.arrays():
+            r0, r1 = max(rows.start, r), min(rows.stop, r + len(t))
+            c0 = max(cols.start, r)
+            if r0 < r1 and c0 < cols.stop:
+                t[r0 - r:r1 - r, c0 - r:cols.stop - r] = block[r0 - rows.start:r1 - rows.start,
+                                                                c0 - cols.start:]
 
     def positions(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """The places in ``buf`` of the stored entries (r, c)."""
-        if self.full is not None:
-            return self.at + (r - self.start) + (c - self.start) * self.n
-        out = np.empty(len(r), dtype=np.intp)
-        h = self.br.start
-        tl, br = c < h, r >= h
-        rect = ~(tl | br)
-        out[tl] = self.tl.positions(r[tl], c[tl])
-        out[br] = self.br.positions(r[br], c[br])
-        out[rect] = self.at + (r[rect] - self.start) + (c[rect] - h) * (h - self.start)
-        return out
-
-    @cached_property
-    def diag(self) -> np.ndarray:
-        """The places in ``buf`` of the diagonal."""
-        i = np.arange(self.start, self.start + self.n)
-        return self.positions(i, i)
+        i = np.searchsorted(self.starts, r, side="right") - 1
+        s = self.starts[i]
+        return self.at[i] + (r - s) + (c - s) * (self.starts[i + 1] - s)
 
 
 @dataclass
 class TriangularExp:
     """exp(a) = Pi^T T^T Pi, Pi y = y[perm], with T block upper triangular
     over the cascade blocks that start at ``bounds`` (then the dimension),
-    held as its tile tree ``tiles`` (``_Tiles``), read-only.  The slots
+    held as its row strips ``tiles`` (``_Tiles``), read-only.  The slots
     fall in levels that start at 0 and ``levels``: one for a whole
     propagator, and three for a stacked one, [ground; singles; doubles],
     which its cascade order must keep contiguous, and whose T is then the
-    propagator at drive level 1.  ``views`` cuts the stored arrays at the
-    level starts for ``_tri_apply``."""
+    propagator at drive level 1."""
 
     tiles: _Tiles
     perm: np.ndarray
@@ -567,8 +467,8 @@ class TriangularExp:
 
     @cached_property
     def views(self) -> tuple:
-        """(rows, cols, k, view) for each stored array of T, cut where it
-        meets a level start into views by (row level, column level): k is
+        """(rows, cols, k, view) for each strip of T, cut where it meets a
+        level start into views by (row level, column level): k is
         the column level less the row level.  Views below the level
         diagonal, k < 0, hold only zeros and are left out."""
         edges = np.array([0, *self.levels, len(self.perm)])
@@ -584,7 +484,7 @@ class TriangularExp:
 
     def power(self, m: int) -> TriangularExp:
         """P^m for a power of two m, once per m (``powers``): P^2 is P times
-        a copy of P (``_tri_mul``), a new tree, and each further squaring
+        a copy of P (``_tri_mul``), new strips, and each further squaring
         (``_tri_squarings``) takes one more.  At drive level 1 one power
         serves every drive level e, since D P^m D^-1 = (D P D^-1)^m."""
         if m == 1:
@@ -592,33 +492,34 @@ class TriangularExp:
         if m not in self.powers:
             x = self.tiles.copy()
             _tri_mul(self.tiles, x)
-            x = _tri_squarings(x, _Tiles.zeros(self.bounds, x.buf.dtype), m.bit_length() - 2)
+            x = _tri_squarings(x, _Tiles(self.bounds, x.buf.dtype), m.bit_length() - 2)
             self.powers[m] = TriangularExp(x, self.perm, self.bounds, self.levels)
         return self.powers[m]
 
     def dense(self) -> np.ndarray:
-        """exp(a) as a dense matrix: T read from its tiles, transposed and permuted back."""
-        back, d = np.argsort(self.perm), slice(0, len(self.perm))
-        return self.tiles.get(d, d).T[np.ix_(back, back)]
+        """exp(a) as a dense matrix: T read from its strips, transposed and permuted back."""
+        back = np.argsort(self.perm)
+        t = np.zeros((len(back), len(back)), self.dtype)
+        for r, c, a in self.tiles.arrays():
+            t[r:r + len(a), c:] = a
+        return t.T[np.ix_(back, back)]
 
 
 def expm(a, levels: tuple = ()) -> TriangularExp:
     """exp(a) of a dense or sparse square matrix, float64 for a real a and
     complex otherwise, in cascade order, with the level starts ``levels``
-    (``TriangularExp``); its permuted transpose u, block upper triangular,
-    stays sparse.  exp(u) is the degree-m Padé approximant of u / 2^s
-    squared s times (Higham 2005): m is the least of 3, 5, 7 and 9 whose
-    theta_m (``PADE_THETA``) bounds the exact 1-norm of u, with s = 0, or
-    else 13, with the least s that brings the norm of u / 2^s to theta_13.
-    The Padé numerator and denominator come a strip of columns at a time from
-    sparse powers of u (``_pade_strips``) into two tile trees (``_Tiles``),
-    the only ones alive.  The denominator, each block row scaled by the
-    inverse of its diagonal block, is unit triangular (``_tri_solve``).  The
-    approximant's diagonal blocks of up to 4 slots are set to scipy's
-    exponential of u's (exp(u_ii) on one slot), and the one-slot diagonal
-    again after each block triangular squaring (``_tri_squarings``; Al-Mohy
-    and Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment
-    2.1), whose second buffer is the denominator's tree."""
+    (``TriangularExp``): the degree-m Padé approximant of u / 2^s squared s
+    times (Higham 2005), u the permuted transpose, block upper triangular
+    and kept sparse.  m is the least of 3, 5, 7 and 9 whose theta_m
+    (``PADE_THETA``) bounds the exact 1-norm of u, with s = 0, or else 13,
+    with the least s that brings the norm of u / 2^s to theta_13.  The Padé
+    numerator and denominator (``_pade_strips``) are the only row strips
+    alive; the denominator, each block row scaled by the inverse of its
+    diagonal block, is unit triangular (``_tri_solve``), and then the
+    squarings' second buffer.  The diagonal blocks of up to 4 slots are set
+    to scipy's exponential of u's (exp(u_ii) on one slot), and the one-slot
+    diagonal again after each squaring (``_tri_squarings``; Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009, code fragment 2.1)."""
     perm, bounds = _cascade_order(a)
     d, back = len(perm), np.argsort(perm)
     a = sp.coo_matrix(a, dtype=np.result_type(a.dtype, float))
@@ -640,24 +541,20 @@ def expm(a, levels: tuple = ()) -> TriangularExp:
     blocks = [bounds[:-1][size == n][:, None] + np.arange(n) for n in (1, 2, 3, 4)]
     # x = (V - U)^-1 (V + U) with V + U in x and V - U in v
     x, v = _pade_strips(PADE[m], u, bounds)
-    # each block row scaled by the inverse of V's diagonal block, over the
-    # stored tiles of its row of leaves: the leaf itself, then rectangles
-    for leaf in x.leaves():
-        rows = slice(leaf.start, leaf.start + leaf.n)
-        (xl, *xr), (vl, *vr) = ([t for t, _ in y.pieces(rows, slice(leaf.start, d))]
-                                for y in (x, v))
-        for i0, i1 in zip(leaf.bounds[:-1], leaf.bounds[1:]):
-            q = np.linalg.inv(vl[i0:i1, i0:i1])
-            xl[i0:i1, i0:] = q @ xl[i0:i1, i0:]
-            vl[i0:i1, i1:] = q @ vl[i0:i1, i1:]
-            vl[i0:i1, i0:i1] = np.eye(i1 - i0)
-            for t in (*xr, *vr):
-                t[i0:i1] = q @ t[i0:i1]
+    # each block row scaled by the inverse of V's diagonal block, along its strip
+    for (r, _, xs), (_, _, vs) in zip(x.arrays(), v.arrays()):
+        edges = bounds[(bounds >= r) & (bounds <= r + len(xs))] - r
+        for i0, i1 in zip(edges[:-1], edges[1:]):
+            q = np.linalg.inv(vs[i0:i1, i0:i1])
+            xs[i0:i1, i0:] = q @ xs[i0:i1, i0:]
+            vs[i0:i1, i1:] = q @ vs[i0:i1, i1:]
+            vs[i0:i1, i0:i1] = np.eye(i1 - i0)
     _tri_solve(v, x)
     for r, b in zip(blocks, small):
         rows, cols = np.broadcast_arrays(r[:, :, None], r[:, None, :])
         x.buf[x.positions(rows.ravel(), cols.ravel())] = scipy_expm(b).ravel()
-    x = _tri_squarings(x, v, s, (x.diag[blocks[0][:, 0]], small[0][:, 0, 0]))
+    one = blocks[0][:, 0]
+    x = _tri_squarings(x, v, s, (x.positions(one, one), small[0][:, 0, 0]))
     del v
     return TriangularExp(x, perm, bounds, levels)
 
@@ -673,7 +570,7 @@ def _pade_strips(b: tuple, u: sp.csr_matrix, bounds: np.ndarray) -> tuple:
     its four work arrays (V, U, p and the next p) hold at most TRI_LEAF^2
     entries together."""
     d = u.shape[0]
-    x, v = _Tiles.zeros(bounds, u.dtype), _Tiles.zeros(bounds, u.dtype)
+    x, v = _Tiles(bounds, u.dtype), _Tiles(bounds, u.dtype)
     axpy = get_blas_funcs("axpy", dtype=u.dtype)
     w = max(1, TRI_LEAF ** 2 // (4 * d))
     for c0 in range(0, d, w):
@@ -707,89 +604,41 @@ def _tri_squarings(x: _Tiles, v: _Tiles, k: int, exact: tuple | None = None) -> 
     return x
 
 
-def _mul_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, op=None) -> None:
-    """out <- a b, or op(out, a b) in place (``op`` np.add or np.subtract),
-    by chunks of out of at most TRI_LEAF^2 entries: its columns where b may
-    be out or out is no taller than wide (the chunks share a), else its rows
-    (they share b, which BLAS packs again for each)."""
-    rows, cols = out.shape
-    by_cols = rows <= cols or np.may_share_memory(out, b)
-    w = max(1, TRI_LEAF ** 2 // max(rows if by_cols else cols, 1))
-    for i in range(0, cols if by_cols else rows, w):
-        k = (slice(None), slice(i, i + w)) if by_cols else slice(i, i + w)
-        p = a @ b[k] if by_cols else a[k] @ b
-        if op is None:
-            out[k] = p
-        else:
-            op(out[k], p, out=out[k])
-
-
 def _tri_mul(l: _Tiles, m: _Tiles) -> None:
-    """m <- l m in place for tiles l and m of one tree: m12 <- l11 m12 +
-    l12 m22, then the diagonal halves recurse; a leaf is one dense product."""
-    if m.full is not None:
-        _mul_into(m.full, l.full, m.full)
-        return
-    _left_mul(l.tl, m.tr)
-    _add_right_mul(m.tr, l.tr, m.br)
-    _tri_mul(l.tl, m.tl)
-    _tri_mul(l.br, m.br)
-
-
-def _left_mul(t: _Tiles, x: np.ndarray) -> None:
-    """x <- t x in place for tiles t and an array x."""
-    if t.full is not None:
-        _mul_into(x, t.full, x)
-        return
-    h = len(t.tl)
-    _left_mul(t.tl, x[:h])
-    _mul_into(x[:h], t.tr, x[h:], np.add)
-    _left_mul(t.br, x[h:])
-
-
-def _add_right_mul(out: np.ndarray, x: np.ndarray, t: _Tiles, op=np.add) -> None:
-    """out <- op(out, x t) in place (``op`` np.add or np.subtract) for
-    tiles t and arrays x and out."""
-    if t.full is not None:
-        _mul_into(out, x, t.full, op)
-        return
-    h = len(t.tl)
-    _add_right_mul(out[:, :h], x[:, :h], t.tl, op)
-    _mul_into(out[:, h:], x[:, :h], t.tr, op)
-    _add_right_mul(out[:, h:], x[:, h:], t.br, op)
-
-
-def _left_solve(t: _Tiles, x: np.ndarray) -> None:
-    """x <- t^-1 x in place for tiles t, unit upper triangular (identity on
-    its diagonal blocks), and an array x."""
-    if len(t.bounds) == 2:
-        return
-    if t.full is not None:
-        trsm = get_blas_funcs("trsm", (t.full, x))
-        w = max(1, TRI_LEAF ** 2 // max(len(x), 1))
-        for i in range(0, x.shape[1], w):
-            x[:, i:i + w] = trsm(1.0, t.full, x[:, i:i + w], diag=1, overwrite_b=1)
-        return
-    h = len(t.tl)
-    _left_solve(t.br, x[h:])
-    _mul_into(x[:h], t.tr, x[h:], np.subtract)
-    _left_solve(t.tl, x[:h])
+    """m <- l m in place for tiles l and m of one layout, top-down over the
+    leaf blocks: block (i, j) <- sum_{k=i..j} l_ik m_kj reads rows k >= i of
+    m, which are not yet overwritten."""
+    gemm = get_blas_funcs("gemm", dtype=m.buf.dtype)
+    n = len(m.strips)
+    for i in range(n):
+        for j in range(i, n):
+            out = gemm(1.0, l.block(i, i), m.block(i, j))
+            for k in range(i + 1, j + 1):
+                out = gemm(1.0, l.block(i, k), m.block(k, j), 1.0, out, overwrite_c=1)
+            m.block(i, j)[...] = out
 
 
 def _tri_solve(l: _Tiles, m: _Tiles) -> None:
-    """m <- l^-1 m in place for tiles l, unit upper triangular, and m of one tree."""
-    if m.full is not None:
-        _left_solve(l, m.full)
-        return
-    _tri_solve(l.br, m.br)
-    _add_right_mul(m.tr, l.tr, m.br, np.subtract)
-    _left_solve(l.tl, m.tr)
-    _tri_solve(l.tl, m.tl)
+    """m <- l^-1 m in place for tiles l, unit upper triangular (identity on
+    its cascade blocks), and m of one layout, bottom-up over the strips:
+    strip i less l_ik m_kj for each leaf block k > i, then one trsm on l's
+    leaf i, in column chunks of at most TRI_LEAF^2 entries."""
+    gemm, trsm = get_blas_funcs(("gemm", "trsm"), dtype=m.buf.dtype)
+    n = len(m.strips)
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            b = m.block(i, j)
+            for k in range(i + 1, j + 1):
+                b[...] = gemm(-1.0, l.block(i, k), m.block(k, j), 1.0, b, overwrite_c=1)
+        a, x = l.block(i, i), m.strips[i]
+        w = max(1, TRI_LEAF ** 2 // len(a))
+        for c in range(0, x.shape[1], w):
+            x[:, c:c + w] = trsm(1.0, a, x[:, c:c + w], diag=1, overwrite_b=1)
 
 
 def _tri_apply(prop: TriangularExp, v: np.ndarray, e: float) -> np.ndarray:
     """P v for a vector v, or v P for a row stack v, with P = T^T at drive
-    level ``e``: each stored array of T, cut at the levels (``views``),
+    level ``e``: each strip of T, cut at the levels (``views``),
     adds its product, times e^k k levels apart (none at e = 0, and e^2 may
     underflow to 0): nothing is divided by e."""
     vector = v.ndim == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
-from scipy.linalg import expm as _scipy_expm
+from scipy.linalg import expm as _scipy_expm, solve_triangular
 
 from rydeit.model import (BlockadeConfig, BlockadeMode, ConfigurationError, ControlSchedule,
                           PhysicalParams, PulseEnvelope, PulseShape, build_chain, optical_depth,
@@ -402,7 +402,7 @@ def test_tri_apply_at_a_drive_level(power_law, level):
     # row stack, is scipy's exponential of the generator at e, block by
     # block over the levels [ground; singles; doubles], each block on its
     # own scale; at e = 1e-170, e^2 underflows to 0 < e.  Steps at e, and
-    # at e = 0, leave the held tile tree as it was, to the bit
+    # at e = 0, leave the held row strips as they were, to the bit
     import rydeit.dynamics as dynamics
     gen = _power_law_generator(n_atoms=4) if power_law else make_generator(n_atoms=4)
     assert gen.dtype == (complex if power_law else float)
@@ -432,12 +432,12 @@ def test_tri_apply_at_a_drive_level(power_law, level):
                                              (PulseShape.SQUARE, 100.0)])
 def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
     # the unit-drive propagators a run caches, and the powers they keep,
-    # hold their tile trees read-only: the gaussian's Magnus levels and the
+    # hold their row strips read-only: the gaussian's Magnus levels and the
     # square's tail (e = 0) step them at other levels, and they stay
     # bit-equal to what they held when made (the gaussian caches the Magnus
     # factor and the tail's step, the square its step and the step's
     # giant-step power, m = 4 over its 200 samples), the flat buffer and
-    # every stored array and level view read-only
+    # every strip and level view read-only
     import rydeit.dynamics as dynamics
     seen = {}
     real = dynamics.TriangularExp.__post_init__
@@ -877,22 +877,23 @@ def _count_pade(monkeypatch):
 
 
 def _count_tri_mul(monkeypatch):
-    """The calls of ``dynamics._tri_mul`` not made by ``_tri_mul`` itself,
-    appended as they come (one per block triangular product)."""
+    """The calls of ``dynamics._tri_mul``, appended as they come (one per
+    block triangular product)."""
     import rydeit.dynamics as dynamics
-    calls, depth, real = [], [0], dynamics._tri_mul
-
-    def counted(l, m):
-        if depth[0] == 0:
-            calls.append(len(l))
-        depth[0] += 1
-        try:
-            real(l, m)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(dynamics, "_tri_mul", counted)
+    calls, real = [], dynamics._tri_mul
+    monkeypatch.setattr(dynamics, "_tri_mul", lambda l, m: calls.append(l) or real(l, m))
     return calls
+
+
+def _stored(tiles):
+    """(matrix, mask): what ``dynamics._Tiles`` holds, 0 where nothing is
+    stored, and where it stores an entry."""
+    d = int(tiles.bounds[-1])
+    full, mask = np.zeros((d, d), tiles.buf.dtype), np.zeros((d, d), bool)
+    for r, c, t in tiles.arrays():
+        full[r:r + t.shape[0], c:c + t.shape[1]] = t
+        mask[r:r + t.shape[0], c:c + t.shape[1]] = True
+    return full, mask
 
 
 @pytest.mark.parametrize("leaf", [None, 7, 20])
@@ -904,15 +905,14 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     # the cascade-triangular exponential against scipy's dense one on the
     # stacked generators (omega = 0.25 makes each singles 2 x 2 block
     # defective, and at omega = 0.5 its eigenvalues are complex) and on a
-    # dense random matrix, one strongly connected block; leaf = 7 (one,
-    # four and five levels) and 20 (two and three) take these small
-    # matrices through the tile trees and Padé strips of one or two
-    # columns.  The fully blockaded and interaction-free
-    # generators are real and so is their exponential; the power-law one
-    # is complex.  The norm is that of the permuted transpose expm works
-    # on, the largest row sum of |a|, one in each band of the Padé degree;
-    # the Padé sums give the degree, and the count of block triangular
-    # products the squarings it took
+    # dense random matrix, one strongly connected block; leaf = 7 and 20
+    # take these small matrices through several row strips and Padé
+    # strips of one or two columns.  The fully blockaded and
+    # interaction-free generators are real and so is their exponential;
+    # the power-law one is complex.  The norm is that of the permuted
+    # transpose expm works on, the largest row sum of |a|, one in each band
+    # of the Padé degree; the Padé sums give the degree, and the count of
+    # block triangular products the squarings it took
     import rydeit.dynamics as dynamics
     if leaf is not None:
         monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
@@ -932,8 +932,7 @@ def test_expm_matches_scipy(monkeypatch, mode, doubles, omega, tau_norm, leaf):
     perm, bounds = _cascade_order(a)
     assert np.array_equal(prop.perm, perm) and np.array_equal(prop.bounds, bounds)
     block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    d = slice(0, a.shape[0])
-    rows, cols = np.nonzero(np.tril(prop.tiles.get(d, d), -1))
+    rows, cols = np.nonzero(np.tril(_stored(prop.tiles)[0], -1))
     assert np.all(block[rows] == block[cols])
     assert (mode in ("full", "none")) == np.isrealobj(a)
     got = prop.dense()
@@ -953,9 +952,9 @@ def test_pade_strips_match_dense_sums(monkeypatch, device, m):
     # dense powers, and the exponential at that degree against scipy's.  At
     # TRI_LEAF = 28 the 46-57 slot stacked generators of 5 atoms (power-law
     # pair shifts, complex; detuned, complex; resonant and fully
-    # blockaded, real) span several leaves and take strips of 3-4 columns,
-    # several of which end inside a cascade block and keep rows down to
-    # that block's end
+    # blockaded, real) span several row strips and take Padé strips of 3-4
+    # columns, several of which end inside a cascade block and keep rows
+    # down to that block's end
     import rydeit.dynamics as dynamics
     monkeypatch.setattr(dynamics, "TRI_LEAF", 28)
     gen = {"power_law": lambda: _power_law_generator(n_atoms=5),
@@ -977,10 +976,9 @@ def test_pade_strips_match_dense_sums(monkeypatch, device, m):
     odd = u @ sum(c * q for c, q in zip(b[1::2], powers))
     even = sum(c * q for c, q in zip(b[0::2], powers))
     x, v = dynamics._pade_strips(b, sp.csr_matrix(u), bounds)
-    assert len(list(x.leaves())) > 1
-    full = slice(0, d)
+    assert len(x.strips) > 1
     for got, ref in ((x, even + odd), (v, even - odd)):
-        assert np.max(np.abs(got.get(full, full) - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.max(np.abs(_stored(got)[0] - ref)) <= 1e-15 * np.max(np.abs(ref))
     degrees = _count_pade(monkeypatch)
     ref = _scipy_expm(a)
     assert np.max(np.abs(expm(a).dense() - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1046,7 +1044,7 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
 def _peak_bytes(monkeypatch, call):
     """The memory peak of ``call()``: the traced bytes (tracemalloc) plus
     those of the anonymous maps that hold the tile buffers
-    (``_Tiles.zeros``), which tracemalloc does not see.  The traced peak is
+    (``_Tiles``), which tracemalloc does not see.  The traced peak is
     read and reset whenever a map comes or goes."""
     import mmap
     import tracemalloc
@@ -1079,10 +1077,10 @@ def _peak_bytes(monkeypatch, call):
 @pytest.mark.parametrize("tau_norm", [0.5, 17.0])
 def test_expm_peak_memory(monkeypatch, tau_norm):
     # one exponential of a 530-slot power-law generator, at Padé degree 7
-    # and at degree 13 with squarings, holds two tile trees of 0.625 d^2
+    # and at degree 13 with squarings, holds two sets of row strips of 0.625 d^2
     # entries each at once, plus Padé strips and product temporaries of at
-    # most TRI_LEAF^2 entries (0.23 d^2 here): 1.68 d x d arrays measured,
-    # bound with 0.22 to spare
+    # most TRI_LEAF^2 entries (0.23 d^2 here): 1.67 d x d arrays measured,
+    # bound with 0.23 to spare
     gen = _power_law_generator(n_atoms=16)
     a = gen.operator(0.5, 1.0)
     a = a * (tau_norm / abs(a).sum(axis=1).max())
@@ -1093,9 +1091,9 @@ def test_expm_peak_memory(monkeypatch, tau_norm):
 
 def test_power_peak_memory(monkeypatch):
     # P^4 of a stacked propagator, P held read-only: P^2, P times a copy of
-    # P, and the squaring's second buffer are tile trees of 0.625 d^2
+    # P, and the squaring's second buffer are row strips of 0.625 d^2
     # entries, plus product temporaries of at most TRI_LEAF^2 entries
-    # (0.23 d^2 here): 1.44 d^2 measured, bound with 0.16 to spare
+    # (0.23 d^2 here): 1.38 d^2 measured, bound with 0.22 to spare
     gen = _power_law_generator(n_atoms=16)
     p = _stacked(gen).step(0.5, 0.2)
     d, itemsize = len(p.perm), p.dtype.itemsize
@@ -1104,56 +1102,103 @@ def test_power_peak_memory(monkeypatch):
     assert 4 in p.powers
 
 
-@pytest.mark.parametrize("leaf", [3, 7, 20, 256])
-@pytest.mark.parametrize("sizes", [[1] * 30, [2, 1, 4, 3, 1, 2, 4, 4, 1, 3, 2, 2], [40],
-                                   [9, 1, 30]])
-def test_tiles_round_trip(monkeypatch, leaf, sizes):
-    # a block upper triangular matrix put into its tile tree and read back
-    # whole, in pieces, by its stored arrays and by entry places: the stored
-    # entries round-trip, the lower-left rectangles are not stored (and read
-    # back as 0), and the tree stores fewer entries than the square once it
-    # splits
-    import rydeit.dynamics as dynamics
-    monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+#: cascade block sizes of the strip tests: one-slot blocks, mixed blocks of
+#: up to 4 slots, one block, and a block wider than the smaller leaves
+TILE_SIZES = [[1] * 30, [2, 1, 4, 3, 1, 2, 4, 4, 1, 3, 2, 2], [40], [9, 1, 30]]
+
+
+def _block_upper(sizes, seed, unit=False):
+    """(bounds, matrix): a random complex block upper triangular matrix
+    over blocks of ``sizes``; with ``unit`` its off-diagonal entries are
+    of size about 1/d, so that it is well conditioned, and it is the
+    identity on its diagonal blocks."""
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     d = int(bounds[-1])
     block = np.repeat(np.arange(len(sizes)), sizes)
-    rng = np.random.default_rng(leaf)
+    rng = np.random.default_rng(seed)
     full = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     full[block[:, None] > block[None, :]] = 0.0
-    x = dynamics._Tiles.zeros(bounds, complex)
-    assert len(x.buf) == dynamics._Tiles.size(bounds) <= d * d
-    assert (len(x.buf) < d * d) == (x.full is None)
-    edges = [t.start for t in x.leaves()] + [d]
-    assert set(edges) <= set(bounds) and edges[0] == 0
-    all_ = slice(0, d)
-    x.put(all_, all_, full)
-    stored = np.zeros((d, d), bool)
-    for t, q in x.pieces(all_, all_):
-        stored[q] = True
-        assert np.shares_memory(t, x.buf)
-    assert stored.sum() == len(x.buf)
-    assert np.all(stored[block[:, None] <= block[None, :]])
-    back = x.get(all_, all_)
-    assert back.flags.f_contiguous and np.array_equal(back, full)
+    if unit:
+        inside = block[:, None] == block[None, :]
+        full /= d
+        full[inside] = np.eye(d)[inside]
+    return bounds, full
+
+
+def _tiles_of(bounds, full):
+    """``full`` put whole into new row strips over ``bounds``."""
+    import rydeit.dynamics as dynamics
+    x = dynamics._Tiles(bounds, full.dtype)
+    x.put(slice(0, len(full)), slice(0, len(full)), full)
+    return x
+
+
+@pytest.mark.parametrize("leaf", [3, 7, 20, 256])
+@pytest.mark.parametrize("sizes", TILE_SIZES)
+def test_tiles_round_trip(monkeypatch, leaf, sizes):
+    # a block upper triangular matrix put into its row strips, whole and
+    # 5 columns at a time, and read back by its strips and by entry
+    # places: the leaves start at block starts and are at most TRI_LEAF
+    # wide unless one block is wider; every strip, and every leaf block,
+    # is one Fortran-ordered view into buf; the entries round-trip, their
+    # places are a permutation of buf, and nothing below the leaf diagonal
+    # is stored, so two or more strips store fewer entries than the square
+    import rydeit.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+    bounds, full = _block_upper(sizes, leaf)
+    d = len(full)
+    x = _tiles_of(bounds, full)
+    s = x.starts
+    assert s[0] == 0 and s[-1] == d and set(s) <= set(bounds)
+    for a, b in zip(s, s[1:]):
+        assert b - a <= leaf or b == bounds[np.searchsorted(bounds, a, side="right")]
+    for r, c, t in x.arrays():
+        assert t.flags.f_contiguous and np.shares_memory(t, x.buf) and t.shape[1] == d - c
+    back, stored = _stored(x)
+    leaf_of = np.searchsorted(s, np.arange(d), side="right") - 1
+    assert np.array_equal(back, full)
+    assert np.array_equal(stored, leaf_of[:, None] <= leaf_of[None, :])
+    assert stored.sum() == len(x.buf) and (len(x.buf) < d * d) == (len(s) > 2)
     r, c = np.nonzero(stored)
     assert np.array_equal(x.buf[x.positions(r, c)], full[r, c])
     assert np.array_equal(np.sort(x.positions(r, c)), np.arange(len(x.buf)))
-    assert np.array_equal(x.buf[x.diag], np.diag(full))
-    # a block straddling leaves, and the stored arrays, which tile buf
-    rows, cols = slice(d // 3, d // 2 + 1), slice(d // 4, d)
-    assert np.array_equal(x.get(rows, cols), full[rows, cols])
-    arrays = list(x.arrays())
-    assert sum(t.size for *_, t in arrays) == len(x.buf)
-    for r, c, t in arrays:
-        assert np.shares_memory(t, x.buf)
-        assert np.array_equal(t, full[r:r + t.shape[0], c:c + t.shape[1]])
+    for i in range(len(s) - 1):
+        for j in range(i, len(s) - 1):
+            t = x.block(i, j)
+            assert t.flags.f_contiguous and np.shares_memory(t, x.buf)
+            assert np.array_equal(t, full[s[i]:s[i + 1], s[j]:s[j + 1]])
+    y = dynamics._Tiles(bounds, complex)
+    for c0 in range(0, d, 5):
+        y.put(slice(0, d), slice(c0, c0 + 5), full[:, c0:c0 + 5])
+    assert np.array_equal(y.buf, x.buf)
+
+
+@pytest.mark.parametrize("leaf", [3, 7, 20, 256])
+@pytest.mark.parametrize("sizes", TILE_SIZES)
+def test_tri_mul_and_solve_match_dense(monkeypatch, leaf, sizes):
+    # the strip kernels against dense algebra on random block upper
+    # triangular matrices: the product l m, l read-only as a cached
+    # propagator is, and the solve l^-1 m for l unit on its diagonal blocks
+    import rydeit.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
+    bounds, l = _block_upper(sizes, 1)
+    m = _block_upper(sizes, 2)[1]
+    lt, mt = _tiles_of(bounds, l), _tiles_of(bounds, m)
+    lt.freeze()
+    dynamics._tri_mul(lt, mt)
+    ref = l @ m
+    assert np.max(np.abs(_stored(mt)[0] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    l = _block_upper(sizes, 3, unit=True)[1]
+    mt = _tiles_of(bounds, m)
+    dynamics._tri_solve(_tiles_of(bounds, l), mt)
+    ref = solve_triangular(l, m)
+    assert np.max(np.abs(_stored(mt)[0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("leaf", [5, 7, 256])
 def test_power_with_levels_inside_tiles(monkeypatch, leaf):
     # a stacked propagator whose level starts (the singles and the doubles)
-    # fall inside tiles, not at their edges: the views its stored arrays are
+    # fall inside leaves, not at their starts: the views its strips are
     # cut into at the levels hold each stored entry of T on or above the
     # level diagonal once, with k the levels between row and column, and
     # below it T is 0; P^4 is the matrix power
@@ -1161,21 +1206,18 @@ def test_power_with_levels_inside_tiles(monkeypatch, leaf):
     monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
     gen = _power_law_generator(n_atoms=4)
     p = _stacked(gen).step(0.5, 0.3)
-    edges = {t.start for t in p.tiles.leaves()}
+    edges = set(p.tiles.starts[:-1])
     assert (leaf == 256) == (len(edges) == 1)
     if leaf < 256:
         assert not set(p.levels) <= edges
     d = len(p.perm)
-    full = p.tiles.get(slice(0, d), slice(0, d))
+    full, stored = _stored(p.tiles)
     level = np.searchsorted(p.levels, np.arange(d), side="right")
     seen = np.zeros((d, d), int)
     for r, c, k, t in p.views:
         assert np.array_equal(full[r, c], t) and np.shares_memory(t, p.tiles.buf)
         assert np.all(level[c] - level[r][:, None] == k)
         seen[r, c] += 1
-    stored = np.zeros((d, d), bool)
-    for r, c, t in p.tiles.arrays():
-        stored[r:r + t.shape[0], c:c + t.shape[1]] = True
     above = level[None, :] >= level[:, None]
     assert np.array_equal(seen, stored & above) and np.all(full[~above] == 0.0)
     ref = np.linalg.matrix_power(p.dense(), 4)
@@ -1187,7 +1229,7 @@ def test_power_with_levels_inside_tiles(monkeypatch, leaf):
 @pytest.mark.parametrize("mode", BLOCKADE_MODES)
 def test_expm_one_slot_diagonal_is_exact(monkeypatch, mode, omega, leaf):
     # after 4 squarings every one-slot block's diagonal entry is exp(a_ii)
-    # to the bit, written through the tiles' entry places, beside the
+    # to the bit, written through the strips' entry places, beside the
     # larger blocks (at omega = 0.5) wherever the leaves cut
     import rydeit.dynamics as dynamics
     monkeypatch.setattr(dynamics, "TRI_LEAF", leaf)
@@ -1198,7 +1240,7 @@ def test_expm_one_slot_diagonal_is_exact(monkeypatch, mode, omega, leaf):
     slots = prop.bounds[one]
     assert len(slots) > 0 and (omega == 0.0) == (len(one) == len(prop.bounds) - 1)
     rates = a[prop.perm[slots], prop.perm[slots]]
-    assert np.array_equal(prop.tiles.buf[prop.tiles.diag[slots]], np.exp(rates))
+    assert np.array_equal(prop.tiles.buf[prop.tiles.positions(slots, slots)], np.exp(rates))
 
 
 def _checked_cascade_order(a, largest):

@@ -1123,7 +1123,25 @@ _SCRIPTS = {"run_replica.py": ["experiment_replica"],
 
 
 def test_every_script_is_run_below():
-    assert sorted(p.name for p in _SCRIPT_DIR.glob("*.py")) == sorted(_SCRIPTS)
+    # the scenario scripts, and the line counter (test_code_lines_counts_each_kind)
+    assert sorted(p.name for p in _SCRIPT_DIR.glob("*.py")) == sorted([*_SCRIPTS, "code_lines.py"])
+
+
+def test_code_lines_counts_each_kind(tmp_path, monkeypatch, capsys):
+    # module and function docstrings, a comment-only line, blank lines, and
+    # code with a trailing comment, which counts as code; the total row sums
+    # the modules
+    import runpy
+    source = ("'''Doc\ntwo lines.'''\nimport os  # trailing\n\n# a comment\n\n\n"
+              "def f():\n    \"\"\"One line.\"\"\"\n    return 1\n")
+    for name in ("a.py", "b.py"):
+        (tmp_path / name).write_text(source)
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
+    runpy.run_path(str(_SCRIPT_DIR / "code_lines.py"), run_name="__main__")
+    head, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert head == ["module", "code", "docstring", "comment", "blank", "raw"]
+    assert rows == [["a.py", "3", "3", "1", "3", "10"], ["b.py", "3", "3", "1", "3", "10"],
+                    ["total", "6", "6", "2", "6", "20"]]
 
 
 @pytest.mark.parametrize("script, kinds", sorted(_SCRIPTS.items()))
