@@ -1,7 +1,7 @@
 """Count the lines of each module of ``src/rydeit``: code, docstring,
 comment and blank lines, and the raw total.
 
-    python scripts/code_lines.py [DIR]
+    python scripts/code_lines.py
 
 A docstring line is one inside the docstring of a module, class or
 function (found with ``ast``); a comment line holds only a comment; a code
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 import pathlib
-import sys
 
 
 def count(source: str) -> dict:
@@ -35,8 +34,8 @@ def count(source: str) -> dict:
     return kinds
 
 
-def main(argv: list) -> None:
-    root = pathlib.Path(argv[0] if argv else pathlib.Path(__file__).parents[1] / "src" / "rydeit")
+def main() -> None:
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "rydeit"
     rows = [(path.name, count(path.read_text())) for path in sorted(root.glob("*.py"))]
     rows.append(("total", {k: sum(r[k] for _, r in rows) for k in rows[0][1]}))
     keys = list(rows[0][1])
@@ -46,4 +45,4 @@ def main(argv: list) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -421,12 +421,12 @@ class _Tiles:
             t.flags.writeable = False
 
     def arrays(self):
-        """(first row, first column, strip) of every strip."""
-        return zip(self.starts, self.starts, self.strips)
+        """(first row, strip) of every strip; its first column is its first row."""
+        return zip(self.starts, self.strips)
 
     def put(self, rows: slice, cols: slice, block: np.ndarray) -> None:
         """Write the stored part of the block ``rows`` x ``cols``."""
-        for r, _, t in self.arrays():
+        for r, t in self.arrays():
             r0, r1 = max(rows.start, r), min(rows.stop, r + len(t))
             c0 = max(cols.start, r)
             if r0 < r1 and c0 < cols.stop:
@@ -477,10 +477,10 @@ class TriangularExp:
             e = np.clip(edges, at, at + size)
             return [(i, int(lo), int(hi)) for i, (lo, hi) in enumerate(zip(e, e[1:])) if lo < hi]
 
-        return tuple((slice(r0, r1), slice(c0, c1), j - i, t[r0 - r:r1 - r, c0 - c:c1 - c])
-                     for r, c, t in self.tiles.arrays()
+        return tuple((slice(r0, r1), slice(c0, c1), j - i, t[r0 - r:r1 - r, c0 - r:c1 - r])
+                     for r, t in self.tiles.arrays()
                      for i, r0, r1 in cuts(r, t.shape[0])
-                     for j, c0, c1 in cuts(c, t.shape[1]) if j >= i)
+                     for j, c0, c1 in cuts(r, t.shape[1]) if j >= i)
 
     def power(self, m: int) -> TriangularExp:
         """P^m for a power of two m, once per m (``powers``): P^2 is P times
@@ -500,8 +500,8 @@ class TriangularExp:
         """exp(a) as a dense matrix: T read from its strips, transposed and permuted back."""
         back = np.argsort(self.perm)
         t = np.zeros((len(back), len(back)), self.dtype)
-        for r, c, a in self.tiles.arrays():
-            t[r:r + len(a), c:] = a
+        for r, a in self.tiles.arrays():
+            t[r:r + len(a), r:] = a
         return t.T[np.ix_(back, back)]
 
 
@@ -542,7 +542,7 @@ def expm(a, levels: tuple = ()) -> TriangularExp:
     # x = (V - U)^-1 (V + U) with V + U in x and V - U in v
     x, v = _pade_strips(PADE[m], u, bounds)
     # each block row scaled by the inverse of V's diagonal block, along its strip
-    for (r, _, xs), (_, _, vs) in zip(x.arrays(), v.arrays()):
+    for (r, xs), (_, vs) in zip(x.arrays(), v.arrays()):
         edges = bounds[(bounds >= r) & (bounds <= r + len(xs))] - r
         for i0, i1 in zip(edges[:-1], edges[1:]):
             q = np.linalg.inv(vs[i0:i1, i0:i1])

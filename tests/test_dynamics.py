@@ -451,7 +451,7 @@ def test_cached_propagators_are_read_only(monkeypatch, shape, duration):
     evolve(gen, (0.0, duration + 4.0), dt_out=0.5)
     assert len(seen) == 2
     for p, first in seen.values():
-        arrays = [p.tiles.buf, *(t for *_, t in p.tiles.arrays()), *(t for *_, t in p.views)]
+        arrays = [p.tiles.buf, *(t for _, t in p.tiles.arrays()), *(t for *_, t in p.views)]
         assert len(p.views) >= 6 and not any(x.flags.writeable for x in arrays)
         assert np.array_equal(p.tiles.buf, first)
         with pytest.raises(ValueError, match="read-only"):
@@ -890,9 +890,9 @@ def _stored(tiles):
     stored, and where it stores an entry."""
     d = int(tiles.bounds[-1])
     full, mask = np.zeros((d, d), tiles.buf.dtype), np.zeros((d, d), bool)
-    for r, c, t in tiles.arrays():
-        full[r:r + t.shape[0], c:c + t.shape[1]] = t
-        mask[r:r + t.shape[0], c:c + t.shape[1]] = True
+    for r, t in tiles.arrays():
+        full[r:r + t.shape[0], r:] = t
+        mask[r:r + t.shape[0], r:] = True
     return full, mask
 
 
@@ -1038,7 +1038,7 @@ def test_expm_of_csr_matches_dense_to_the_bit(mode, doubles):
     dense, sparse = expm(a.toarray()), expm(a)
     assert np.array_equal(sparse.perm, dense.perm)
     assert np.array_equal(sparse.tiles.buf, dense.tiles.buf)
-    assert all(t.flags.f_contiguous for *_, t in sparse.tiles.arrays())
+    assert all(t.flags.f_contiguous for _, t in sparse.tiles.arrays())
 
 
 def _peak_bytes(monkeypatch, call):
@@ -1152,8 +1152,8 @@ def test_tiles_round_trip(monkeypatch, leaf, sizes):
     assert s[0] == 0 and s[-1] == d and set(s) <= set(bounds)
     for a, b in zip(s, s[1:]):
         assert b - a <= leaf or b == bounds[np.searchsorted(bounds, a, side="right")]
-    for r, c, t in x.arrays():
-        assert t.flags.f_contiguous and np.shares_memory(t, x.buf) and t.shape[1] == d - c
+    for r, t in x.arrays():
+        assert t.flags.f_contiguous and np.shares_memory(t, x.buf) and t.shape[1] == d - r
     back, stored = _stored(x)
     leaf_of = np.searchsorted(s, np.arange(d), side="right") - 1
     assert np.array_equal(back, full)

@@ -1127,21 +1127,22 @@ def test_every_script_is_run_below():
     assert sorted(p.name for p in _SCRIPT_DIR.glob("*.py")) == sorted([*_SCRIPTS, "code_lines.py"])
 
 
-def test_code_lines_counts_each_kind(tmp_path, monkeypatch, capsys):
+def test_code_lines_counts_each_kind(capsys):
     # module and function docstrings, a comment-only line, blank lines, and
-    # code with a trailing comment, which counts as code; the total row sums
-    # the modules
+    # code with a trailing comment, which counts as code; on the package, one
+    # row per module and a total row that sums them
     import runpy
+    script = runpy.run_path(str(_SCRIPT_DIR / "code_lines.py"))
     source = ("'''Doc\ntwo lines.'''\nimport os  # trailing\n\n# a comment\n\n\n"
               "def f():\n    \"\"\"One line.\"\"\"\n    return 1\n")
-    for name in ("a.py", "b.py"):
-        (tmp_path / name).write_text(source)
-    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
-    runpy.run_path(str(_SCRIPT_DIR / "code_lines.py"), run_name="__main__")
+    assert script["count"](source) == {"code": 3, "docstring": 3, "comment": 1, "blank": 3,
+                                       "raw": 10}
+    script["main"]()
     head, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert head == ["module", "code", "docstring", "comment", "blank", "raw"]
-    assert rows == [["a.py", "3", "3", "1", "3", "10"], ["b.py", "3", "3", "1", "3", "10"],
-                    ["total", "6", "6", "2", "6", "20"]]
+    modules = sorted(p.name for p in (_SCRIPT_DIR.parent / "src" / "rydeit").glob("*.py"))
+    assert [r[0] for r in rows] == [*modules, "total"]
+    assert rows[-1][1:] == [str(sum(int(r[k]) for r in rows[:-1])) for k in range(1, 6)]
 
 
 @pytest.mark.parametrize("script, kinds", sorted(_SCRIPTS.items()))
