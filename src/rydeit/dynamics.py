@@ -40,75 +40,15 @@ and is real when d_e = d_2 = 0 and no allowed rr pair carries a shift
 
 Every evolution of the full state goes through ``evolve``, which advances
 a stacked [ground; singles; doubles] vector across each segment in equal
-output steps.  ``Generator.stacked`` holds the generator on that
-layout as three CSR parts, A(t) = S + Omega_c(t) W + e(t) F at drive level
-e = ep(t).  The control is piecewise constant and segments end at its
-breakpoints, so Omega_c is constant on each.  A stretch where e is constant
-too takes the exact exponential, whatever its length.  So does a drive
-ramp, where the envelope is affine, e(a + tau) = c0 + c1 tau (a square
-pulse's rise and fall, a triangular pulse): F is nilpotent and the ground
-amplitude g is frozen, so the clocks tau g, tau^2 g and tau psi1 make the
-ramp a constant linear system, stepped by its Taylor action
-(``_ramp_powers``).
-
-A gaussian envelope takes the 4th-order commutator-free Magnus step of
-Blanes and Moan (Appl. Numer. Math. 56:1519, 2006; see also Alvermann and
-Fehske, J. Comput. Phys. 230:5930, 2011): two exponentials per substep, at
-drive levels weighted from the envelope at the substep's Gauss nodes, both
-from one cached unit-drive exponential (``_magnus_powers``).  The substep
-is at most FWHM / ``MAGNUS_PER_FWHM``, a fixed rule on the envelope: the
-error goes as (h / FWHM)^4, and the stiff pair shifts commute with F (it
-measured the same at v_max = 68 and 385).  Each factor is an exact
-exponential of the lifted generator, so in a linear medium the doubles stay
-the pair of the singles and g2 = 1 to rounding.
-
-``Generator.operator`` alone sums S + Omega_c W + e F, on the stacked
-layout or its singles or doubles block.  ``SinglesPropagator``, the one
-cache of exponentials, holds one such block; on the stacked layout its
-E = exp(A(1) h), at unit drive once per (Omega_c, step h), serves every
-drive level e: with D = diag(1, e, e^2) over [ground; singles; doubles],
-exp(A(e) h) = D E D^-1 (``_tri_apply``), nothing divided by e, which may
-underflow to 0.  So a square pulse's plateau (e = 1) and tail (e = 0),
-each one ``decay`` at its level, share one exponential and its giant-step
-power.  The singles and doubles decay undriven: after turn-off, and in a
-correlation grid, which steps the singles by exp(M1 h) at each segment's
-Omega_c and sample step h (``StateTrajectory.segment_starts``).  One
-``dense`` rule picks the route: a block of at most ``EXPM_MAX_DIM`` slots,
-a doubles block of at most ``DECAY_DENSE_DOUBLES``, steps its dense
-exponential, in a stretch or a Magnus factor; any other takes Taylor
-actions (``_action_powers``).
-
-Each exponential is this module's ``expm``, Padé scaling and squaring in
-the cascade order (Gardiner, PRL 70:2269, 1993; ``_cascade_order``), which
-makes the generator block lower triangular, on row strips (``_Tiles``):
-the README's bullets on the exponential describe it.  A stretch permutes y
-and the covectors into that order once (``TriangularExp``) and only its
-end state back; no block mixes the levels, and the order keeps each
-contiguous, so they start where they do in the stacked layout.
-``steady_state`` solves the doubles system in the same order, where LU in
-the natural order makes next to no fill.
-
-``evolve`` records only the projections C y of a covector stack C (c rows
-over the stacked layout) per sample.  ``Generator.output_covectors`` gives
-the rows out_e and a2vec, all a time trace reads, and with ``grid`` also the
-singles and the rows of ann, all a correlation grid reads (42 rows on the
-default emulate-hbt device, against 176 dimensions).  The projections
-C P^k y (k = 1..n) of a constant stretch with P = exp(A h) (``decay``), on
-the stacked layout or one block, come from ``_projected_powers`` by baby
-and giant steps (after Paterson and Stockmeyer, SIAM J. Comput. 2:60,
-1973), and so does the end state, from which a turn-off point goes on
-over each longer horizon it needs (``scenarios._turnoff_point``).
-
-An ``expm`` propagator P keeps P^m, log2 m squarings (``_tri_mul``) once
-per m (``TriangularExp.power``), and a step is one matvec per level view
-of its strips (``_tri_apply``); m is the power of two that minimizes the
-cost in matvecs (``_giant_step``, ``SQUARE_KAPPA``): m = 16 for a turn-on
-point (d ~ 1,001, n = 2,500, c = 2) and m = 2 for the replica (d = 1,625,
-n = 490 and 600).  A propagator that is not ``dense`` never builds the
-matrix (``_action_powers``): baby rows and giant columns advance by the
-action of the exponential (``_TaylorAction``, a truncated Taylor series
-after Al-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011), with m
-chosen from the planned matvecs of those actions.
+output steps, at a constant control.  ``Generator.stacked`` holds the
+generator on that layout as three CSR parts, A(t) = S + Omega_c(t) W +
+e(t) F at drive level e = ep(t), and ``Generator.operator`` alone sums
+them.  ``SinglesPropagator`` alone knows how a block of it is stepped: the
+route, the cascade order and the dtype.  The README's bullets on the one
+propagator describe it, with the drive-level trick, the Magnus step and
+the projected powers, and its bullets on the exponential describe
+``expm``.  ``steady_state`` solves the doubles system in the cascade order
+(``_cascade_order``), where LU in the natural order makes next to no fill.
 """
 
 from __future__ import annotations
@@ -386,7 +326,11 @@ class _Tiles:
     leaf i and every column from its first one on, a Fortran-ordered view
     into the flat buffer ``buf``, an anonymous memory map: its pages go back
     to the system when it is freed, where glibc keeps a freed heap buffer
-    under its 32 MB mmap ceiling (a replica's strips take 24 MB)."""
+    under its 32 MB mmap ceiling (a replica's strips take 24 MB).  The map
+    starts zero-filled, and ``_pade_strips`` relies on that: it writes each
+    column strip only down to the end of the cascade block of its last
+    column, so the stored entries below it are never written and must be
+    0.  A reused buffer must be zeroed first."""
 
     def __init__(self, bounds: np.ndarray, dtype):
         self.bounds, d, s = bounds, int(bounds[-1]), [0]
@@ -496,13 +440,39 @@ class TriangularExp:
             self.powers[m] = TriangularExp(x, self.perm, self.bounds, self.levels)
         return self.powers[m]
 
+    @cached_property
+    def back(self) -> np.ndarray:
+        """The inverse of ``perm``: Pi^T y = y[back]."""
+        return np.argsort(self.perm)
+
     def dense(self) -> np.ndarray:
         """exp(a) as a dense matrix: T read from its strips, transposed and permuted back."""
-        back = np.argsort(self.perm)
-        t = np.zeros((len(back), len(back)), self.dtype)
+        t = np.zeros((len(self.back), len(self.back)), self.dtype)
         for r, a in self.tiles.arrays():
             t[r:r + len(a), r:] = a
-        return t.T[np.ix_(back, back)]
+        return t.T[np.ix_(self.back, self.back)]
+
+    def apply(self, v: np.ndarray, e: float) -> np.ndarray:
+        """P v for a state vector v, or v P for a row stack v, both in the
+        natural order, with P = Pi^T T^T Pi at drive level ``e``: v is
+        permuted into the cascade order, each strip of T, cut at the levels
+        (``views``), adds its product, times e^k k levels apart (none at
+        e = 0, and e^2 may underflow to 0: nothing is divided by e), and
+        the result is permuted back."""
+        vector = v.ndim == 1
+        v = v[..., self.perm]
+        w = np.zeros(v.shape, np.result_type(self.dtype, v))
+        for r, c, k, t in self.views:
+            if k and e == 0.0:
+                continue
+            p = v[r] @ t if vector else v[:, c] @ t.T
+            if k:
+                p *= e ** k
+            if vector:
+                w[c] += p
+            else:
+                w[:, r] += p
+        return w[..., self.back]
 
 
 def expm(a, levels: tuple = ()) -> TriangularExp:
@@ -636,26 +606,6 @@ def _tri_solve(l: _Tiles, m: _Tiles) -> None:
             x[:, c:c + w] = trsm(1.0, a, x[:, c:c + w], diag=1, overwrite_b=1)
 
 
-def _tri_apply(prop: TriangularExp, v: np.ndarray, e: float) -> np.ndarray:
-    """P v for a vector v, or v P for a row stack v, with P = T^T at drive
-    level ``e``: each strip of T, cut at the levels (``views``),
-    adds its product, times e^k k levels apart (none at e = 0, and e^2 may
-    underflow to 0): nothing is divided by e."""
-    vector = v.ndim == 1
-    w = np.zeros(v.shape, np.result_type(prop.dtype, v))
-    for r, c, k, t in prop.views:
-        if k and e == 0.0:
-            continue
-        p = v[r] @ t if vector else v[:, c] @ t.T
-        if k:
-            p *= e ** k
-        if vector:
-            w[c] += p
-        else:
-            w[:, r] += p
-    return w
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -720,36 +670,22 @@ def _magnus_powers(prop: SinglesPropagator, omega: float, a: float, h_out: float
 
     with e_1, e_2 the envelope at the Gauss nodes t + c_i h (``MAGNUS_NODES``,
     ``MAGNUS_ALPHA``).  An output step takes k = ceil(h_out
-    ``MAGNUS_PER_FWHM`` / FWHM) substeps.  On a ``dense`` stacked
-    propagator ``prop`` both factors are its unit-drive exponential at h/2,
-    and a factor is one triangular matvec at its level (``_tri_apply``),
-    which holds also where the envelope underflows to 0; otherwise a factor
-    is the Taylor action of the generator at its level."""
+    ``MAGNUS_PER_FWHM`` / FWHM) substeps, and both factors are
+    ``prop.factor`` at h/2, each at its own level."""
     gen = prop.gen
     k = max(1, math.ceil(h_out * MAGNUS_PER_FWHM / gen.envelope.gaussian_fwhm - 1e-9))
     h = h_out / k
     (c1, c2), (a1, a2) = MAGNUS_NODES, MAGNUS_ALPHA
     shape = gen.envelope.unit_shape
-
-    def run(factor, v, rows):
-        proj = np.empty((n_out, len(rows)), dtype=y.dtype)
-        for j in range(n_out):
-            for i in range(k):
-                t = a + j * h_out + i * h
-                e1, e2 = shape(t + c1 * h), shape(t + c2 * h)
-                v = factor(v, 2.0 * (a2 * e1 + a1 * e2))
-                v = factor(v, 2.0 * (a1 * e1 + a2 * e2))
-            proj[j] = rows @ v
-        return proj, v
-
-    if prop.dense:
-        unit = prop.step(omega, 0.5 * h, y.dtype)
-        proj, v = run(partial(_tri_apply, unit), y[unit.perm], project[:, unit.perm])
-        y = v[np.argsort(unit.perm)]
-    else:
-        proj, y = run(lambda v, e: _TaylorAction(_csr(gen.operator(omega, e)))(0.5 * h, v),
-                      y, project)
-    proj[-1] = project @ y
+    factor = prop.factor(omega, 0.5 * h)
+    proj = np.empty((n_out, len(project)), dtype=y.dtype)
+    for j in range(n_out):
+        for i in range(k):
+            t = a + j * h_out + i * h
+            e1, e2 = shape(t + c1 * h), shape(t + c2 * h)
+            y = factor(y, 2.0 * (a2 * e1 + a1 * e2))
+            y = factor(y, 2.0 * (a1 * e1 + a2 * e2))
+        proj[j] = project @ y
     return proj, y
 
 
@@ -787,22 +723,29 @@ def _ramp_powers(gen: Generator, omega: float, ramp: tuple, h_out: float, y: np.
 
 #: Largest doubles block whose free decay takes the dense exponential; a
 #: larger one stays CSR and takes the Taylor action.  Over the turn-off
-#: scan's 5,000 steps (one BLAS thread, full blockade) dense against action
-#: took 0.008 s against 0.024 s at d = 155, 0.019 s against 0.028 s at
-#: d = 301, about even at d = 392 and 0.18-0.20 s against 0.045 s at d = 950.
+#: scan's 5,000 steps (one BLAS thread, full blockade, best of 5 at each
+#: default Omega_c) dense against action took 0.018-0.028 s against
+#: 0.032-0.052 s at d = 301, 0.024-0.038 s against 0.035-0.046 s at d = 345,
+#: 0.028-0.039 s against 0.036-0.047 s at d = 392 (dense won 5 of 6), and
+#: 0.039-0.046 s against 0.033-0.051 s at d = 442 (action won 5 of 6).
 #: The singles are dense up to ``EXPM_MAX_DIM``: their e block is dense lower
 #: triangular, so one sparse matvec costs about a dense triangular step, and
 #: an action step takes several.
-DECAY_DENSE_DOUBLES = 300
+DECAY_DENSE_DOUBLES = 392
 
 
 @dataclass
 class SinglesPropagator:
-    """The one cache of exponentials: exp(A(1) h) of one block (``kind``) of
-    the generator at unit drive, once per (Omega_c, h, dtype), read-only,
-    with its giant-step powers.  The "stacked" layout's keeps the level
-    starts to serve every drive level (``evolve``); "singles"
-    (the default) and "doubles" evolve undriven (F is 0 on them)."""
+    """The only code that knows how a block (``kind``) of the generator is
+    stepped: its ``dense`` rule picks the route, and on the dense route it
+    is the one cache of exponentials, exp(A(1) h) at unit drive in the
+    generator's dtype, once per (Omega_c, h), read-only, with its
+    giant-step powers (``step``); each takes and returns the natural order
+    and permutes into its cascade order itself (``TriangularExp.apply``).
+    ``factor`` is the one-step map on either route.  The "stacked"
+    layout's keeps the level starts to serve every drive level
+    (``evolve``); "singles" (the default) and "doubles" evolve undriven
+    (F is 0 on them)."""
 
     gen: Generator
     kind: str = "singles"
@@ -816,23 +759,30 @@ class SinglesPropagator:
 
     @property
     def dense(self) -> bool:
-        """Whether ``decay`` steps ``step``, not Taylor actions: at most
-        ``EXPM_MAX_DIM`` slots, and ``DECAY_DENSE_DOUBLES`` for the doubles."""
+        """Whether ``decay`` and ``factor`` step ``step``, not Taylor
+        actions: at most ``EXPM_MAX_DIM`` slots, and
+        ``DECAY_DENSE_DOUBLES`` for the doubles."""
         k = self.slots
         d = 1 + self.gen.index.dim if k is None else k.stop - k.start
         return d <= EXPM_MAX_DIM and (self.kind != "doubles" or d <= DECAY_DENSE_DOUBLES)
 
-    def step(self, omega: float, h: float, dtype=None) -> TriangularExp:
-        """exp(A(1) ``h``) of the block at control ``omega``, in ``dtype``
-        (the generator's by default)."""
-        dtype = np.dtype(self.gen.dtype if dtype is None else dtype)
-        key = (round(omega, 15), round(h, 15), dtype)
+    def step(self, omega: float, h: float) -> TriangularExp:
+        """exp(A(1) ``h``) of the block at control ``omega``, in the
+        generator's dtype, once per (``omega``, ``h``)."""
+        key = (round(omega, 15), round(h, 15))
         if key not in self.cache:
             idx = self.gen.index
             levels = (idx.singles.start, idx.doubles.start) if self.slots is None else ()
-            self.cache[key] = expm((self.gen.operator(omega, 1.0, self.slots) * h)
-                                   .astype(dtype, copy=False), levels)
+            self.cache[key] = expm(self.gen.operator(omega, 1.0, self.slots) * h, levels)
         return self.cache[key]
+
+    def factor(self, omega: float, h: float):
+        """The one-step map (v, e) -> exp(A(e) ``h``) v of the block at
+        control ``omega``: ``step``'s ``apply`` if ``dense``, else the
+        Taylor action of the block at drive level e."""
+        if self.dense:
+            return self.step(omega, h).apply
+        return lambda v, e: _TaylorAction(_csr(self.gen.operator(omega, e, self.slots)))(h, v)
 
 
 def decay(prop: SinglesPropagator, omega: float, h: float, y: np.ndarray, n_out: int,
@@ -840,16 +790,17 @@ def decay(prop: SinglesPropagator, omega: float, h: float, y: np.ndarray, n_out:
     """(``project @ P^k @ y`` for k = 1..n_out, shape (n_out, c) for a c x d
     stack ``project``, and the end state P^n_out y, from which a later call
     goes on), P = exp(A h) of ``prop``'s block at control ``omega`` and drive
-    level ``e``: the one stepper of a constant stretch.  A ``dense`` ``prop``
-    steps its ``step`` in the dtype of the generator, y and ``project``
-    (``_dense_powers``), any other Taylor actions (``_action_powers``); on
-    either route the last row is ``project`` times the end state, to the bit."""
-    if prop.dense:
-        dtype = np.result_type(prop.gen.dtype, y, project)
-        return _dense_powers(prop.step(omega, h, dtype), y, n_out, project, e)
-    proj, y = _action_powers(_csr(prop.gen.operator(omega, e, prop.slots)), h, y, n_out, project)
-    proj[-1] = project @ y
-    return proj, y
+    level ``e``: the one stepper of a constant stretch, by baby and giant
+    steps (``_projected_powers``).  A ``dense`` ``prop`` steps its ``step``
+    and the power of it that ``_giant_step`` picks, any other Taylor actions
+    (``_action_powers``)."""
+    if not prop.dense:
+        return _action_powers(_csr(prop.gen.operator(omega, e, prop.slots)), h, y, n_out,
+                              project)
+    p = prop.step(omega, h)
+    m = _giant_step(len(y), n_out, len(project))
+    step = partial(p.apply, e=e)
+    return _projected_powers(step, step, partial(p.power(m).apply, e=e), m, y, n_out, project)
 
 
 #: theta_m for the degree-m Taylor polynomial of exp(X): over ||X||_1 <= theta_m
@@ -934,24 +885,6 @@ def _giant_step(d: int, n: int, c: int) -> int:
     return _cheapest_power(n, lambda k: k * d / SQUARE_KAPPA + c * (1 << k) + -(-n // (1 << k)))
 
 
-def _dense_powers(prop: TriangularExp, y: np.ndarray, n_out: int, project: np.ndarray,
-                  e: float):
-    """``_projected_powers`` of an ``expm`` propagator P, in the dtype of y
-    and ``project`` or wider, at drive level ``e`` in its cascade order: y and
-    the covectors are permuted once, P^m (m from ``_giant_step``) is
-    ``prop.power(m)``, the end state is permuted back and the last row is
-    ``project`` times it, to the bit."""
-    dtype = np.result_type(prop.dtype, y, project)
-    m = _giant_step(len(y), n_out, len(project))
-    step = partial(_tri_apply, prop, e=e)
-    proj, w = _projected_powers(step, step, partial(_tri_apply, prop.power(m), e=e),
-                                m, y.astype(dtype, copy=False)[prop.perm], n_out,
-                                project[:, prop.perm].astype(dtype, copy=False))
-    y = w[np.argsort(prop.perm)]
-    proj[-1] = project @ y
-    return proj, y
-
-
 def _action_powers(a: sp.csr_matrix, h: float, y: np.ndarray, n_out: int,
                    project: np.ndarray):
     """``_projected_powers`` of P = exp(a h) for a CSR ``a`` that never
@@ -960,8 +893,6 @@ def _action_powers(a: sp.csr_matrix, h: float, y: np.ndarray, n_out: int,
     a over m h, with m the power of two that minimizes the planned matvecs
     ceil(n/m) mv(m h) + c m mv(h)."""
     right, left = _TaylorAction(a), _TaylorAction(a.T.tocsr())
-    dtype = np.result_type(a.dtype, y, project)
-    y, project = y.astype(dtype, copy=False), project.astype(dtype, copy=False)
     c = len(project)
     m = _cheapest_power(n_out, lambda k: (-(-n_out // (1 << k)) * right.matvecs((1 << k) * h)
                                           + c * (1 << k) * left.matvecs(h)))
@@ -978,22 +909,24 @@ def _projected_powers(step, step_rows, giant, m: int, y: np.ndarray, n_out: int,
     m)) meet in one (J x d)(d x m c) product (at m = 1, the step loop
     y <- P y projected).  Returns that, shape (n_out, c) for the c x d stack
     ``project`` (c may be 0), and the end state P^n_out y, the last column
-    advanced by at most m - 1 steps, in the dtype of y and ``project``."""
+    advanced by at most m - 1 steps, in the dtype of P, y and ``project``;
+    the last row is ``project`` times the end state, to the bit."""
     c, d = project.shape
     n_giant = -(-n_out // m)
-    dtype = np.result_type(y, project)
-    baby = np.empty((m, c, d), dtype=dtype)
+    y = step(y)
+    baby = np.empty((m, c, d), dtype=np.result_type(y, project))
     baby[0] = project
     for i in range(1, m if c else 1):
         baby[i] = step_rows(baby[i - 1])
-    cols = np.empty((n_giant, d), dtype=dtype)
-    cols[0] = step(y)
+    cols = np.empty((n_giant, d), dtype=baby.dtype)
+    cols[0] = y
     for j in range(1, n_giant):
         cols[j] = giant(cols[j - 1])
     proj = (cols @ baby.reshape(m * c, d).T).reshape(n_giant * m, c)[:n_out]
     y = cols[-1]
     for _ in range(n_out - (n_giant - 1) * m - 1):
         y = step(y)
+    proj[-1] = project @ y
     return proj, y
 
 
@@ -1008,10 +941,11 @@ def evolve(generator: Generator, t_span, dt_out: float, initial: np.ndarray | No
 
     On a segment Omega_c is constant, and its route follows
     ``PulseEnvelope.affine_on``: a stretch of constant coefficients (slope
-    0), a plateau or a tail, is a ``decay`` at its drive level on the run's
-    one stacked ``SinglesPropagator``; a drive ramp takes the clocked
-    generator of ``_ramp_powers``; a gaussian window the Magnus step
-    (``_magnus_powers``).  Each returns the projections and the end state.
+    0), a plateau or a tail, is a ``decay`` at its drive level, and a
+    gaussian window takes the Magnus step (``_magnus_powers``), both on the
+    run's one stacked ``SinglesPropagator``, which picks their route; a
+    drive ramp takes the clocked generator of ``_ramp_powers``.  Each
+    returns the projections and the end state.
 
     The trajectory holds the projections ``project @ y`` of a covector
     stack (c x (1 + dim) over [ground; singles; doubles]), by default

@@ -386,7 +386,7 @@ def test_drive_level_identity(monkeypatch, doubles, a, b, level):
     y = y0
     for k in range(n_out):
         y = ref[k] = prop @ y
-    ends = _spy_ends(monkeypatch, "_dense_powers")
+    ends = _spy_ends(monkeypatch, "decay")
     got = evolve(gen, (a, b), (b - a) / n_out, initial=padded(gen, y0),
                  project=np.eye(dim, 1 + gen.index.dim)).projections[1:]
     end, = ends
@@ -403,7 +403,6 @@ def test_tri_apply_at_a_drive_level(power_law, level):
     # block over the levels [ground; singles; doubles], each block on its
     # own scale; at e = 1e-170, e^2 underflows to 0 < e.  Steps at e, and
     # at e = 0, leave the held row strips as they were, to the bit
-    import rydeit.dynamics as dynamics
     gen = _power_law_generator(n_atoms=4) if power_law else make_generator(n_atoms=4)
     assert gen.dtype == (complex if power_law else float)
     assert (level ** 2 == 0.0) == (level < 1e-100) and level > 0.0
@@ -411,21 +410,60 @@ def test_tri_apply_at_a_drive_level(power_law, level):
     ref = _scipy_expm(augmented(gen, level, om) * h)
     unit = _stacked(gen).step(om, h)
     assert unit.levels == (gen.index.singles.start, gen.index.doubles.start)
-    back = np.argsort(unit.perm)
     eye = np.eye(len(ref), dtype=gen.dtype)
     held = unit.tiles.buf.copy()
-    by_cols = np.stack([dynamics._tri_apply(unit, col, level) for col in eye], axis=1)
-    by_rows = dynamics._tri_apply(unit, eye, level)
-    dynamics._tri_apply(unit, eye, 0.0)
+    by_cols = np.stack([unit.apply(col, level) for col in eye], axis=1)
+    by_rows = unit.apply(eye, level)
+    unit.apply(eye, 0.0)
     assert np.array_equal(unit.tiles.buf, held)
     levels = np.split(np.arange(len(ref)), unit.levels)
     for got in (by_cols, by_rows):
-        got = got[np.ix_(back, back)]
         for r in levels:
             for c in levels:
                 block = ref[np.ix_(r, c)]
                 atol = max(1e-13 * np.max(np.abs(block)), 1e-300)
                 np.testing.assert_allclose(got[np.ix_(r, c)], block, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.37, 1e-170])
+def test_apply_is_the_dense_propagator_at_its_level(level):
+    # ``apply`` takes and returns the natural order: P v for a vector and
+    # v P for a row stack are those of dense() scaled to drive level e,
+    # P_ij e^(l_i - l_j) over the levels l = 0, 1, 2 of [ground; singles;
+    # doubles] (0^0 = 1: at e = 0 only the level-diagonal blocks remain),
+    # on a power-law propagator whose cascade order is not the identity
+    gen = _power_law_generator(n_atoms=4)
+    unit = _stacked(gen).step(0.5, 0.7)
+    d = len(unit.perm)
+    assert not np.array_equal(unit.perm, np.arange(d))
+    lvl = np.searchsorted(unit.levels, np.arange(d), side="right")
+    k = lvl[:, None] - lvl[None, :]
+    p = unit.dense()
+    assert not np.any(p[k < 0])
+    p = p * level ** np.maximum(k, 0)
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    for got, ref in ((unit.apply(v, level), p @ v), (unit.apply(rows, level), rows @ p)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("level", [0.0, 0.5, 1.0])
+def test_dense_factor_matches_the_taylor_action(monkeypatch, level):
+    # ``factor`` on the dense route (the unit-drive exponential at level e)
+    # and on the Taylor action route (the cap at 0) give one map, to 1e-12
+    # of the largest entry
+    import rydeit.dynamics as dynamics
+    gen = _power_law_generator(n_atoms=4)
+    prop = _stacked(gen)
+    rng = np.random.default_rng(13)
+    y = rng.normal(size=1 + gen.index.dim) + 1j * rng.normal(size=1 + gen.index.dim)
+    assert prop.dense
+    dense = prop.factor(0.5, 0.3)(y, level)
+    monkeypatch.setattr(dynamics, "EXPM_MAX_DIM", 0)
+    assert not prop.dense
+    action = prop.factor(0.5, 0.3)(y, level)
+    assert np.max(np.abs(dense - action)) <= 1e-12 * np.max(np.abs(action))
 
 
 @pytest.mark.parametrize("shape, duration", [(PulseShape.GAUSSIAN, 10.0),
@@ -500,13 +538,13 @@ def test_each_stretch_takes_its_route(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_magnus_powers", counted)
     dense = []
-    real_dense = dynamics._dense_powers
+    real_decay = dynamics.decay
 
-    def counted_dense(prop, y, n_out, project, e):
+    def counted_dense(prop, omega, h, y, n_out, project, e=0.0):
         dense.append(n_out)
-        return real_dense(prop, y, n_out, project, e)
+        return real_decay(prop, omega, h, y, n_out, project, e)
 
-    monkeypatch.setattr(dynamics, "_dense_powers", counted_dense)
+    monkeypatch.setattr(dynamics, "decay", counted_dense)
     calls = _count_expm(monkeypatch)
     square = make_generator(n_atoms=3, duration=10.0, rise_time=1.0)
     evolve(square, (0.0, 12.0), dt_out=0.5)
@@ -772,10 +810,10 @@ def test_decay_steps_continue_from_the_end_state(monkeypatch, doubles, cap):
     assert np.max(np.abs(y - end)) <= 1e-12 * np.max(np.abs(end))
 
 
-def test_complex_stack_on_a_real_generator_takes_one_complex_exponential(monkeypatch):
-    # a complex covector stack on a real device steps a complex propagator,
-    # built once and cached beside the real one; the real stack's call
-    # still takes the real one
+def test_complex_stack_on_a_real_generator_takes_the_real_exponential(monkeypatch):
+    # the propagator is built in the generator's dtype: a complex covector
+    # stack on a real device steps the one real exponential, which the real
+    # stack's call shares, so both stacks take one exponential between them
     gen = make_generator(n_atoms=4, omega_c=0.5)
     assert gen.dtype == np.float64
     y0 = steady_state(gen, omega_c=0.5)[1:1 + gen.index.dim_singles]
@@ -785,11 +823,10 @@ def test_complex_stack_on_a_real_generator_takes_one_complex_exponential(monkeyp
     first, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
     again, _ = decay(prop, 0.5, 0.1, y0, 300, stack)
     assert len(calls) == 1
-    assert prop.step(0.5, 0.1, complex).dtype == np.complex128
-    assert len(calls) == 1
     assert np.array_equal(first, again) and first.dtype == np.complex128
     real, _ = decay(prop, 0.5, 0.1, y0, 300, gen.out_e[None])
-    assert len(calls) == 2 and prop.step(0.5, 0.1).dtype == np.float64
+    assert len(calls) == 1 and prop.step(0.5, 0.1).dtype == np.float64
+    assert real.dtype == np.float64
     assert np.max(np.abs(real[:, 0] - first[:, 0])) <= 1e-14 * np.max(np.abs(real))
 
 
@@ -1542,7 +1579,7 @@ def test_projected_segment_matches_state_loop(monkeypatch, n_out, m):
 
     states = segment(np.eye(len(y0)))
     end_ref = states[-1]
-    ends = _spy_ends(monkeypatch, "_dense_powers")
+    ends = _spy_ends(monkeypatch, "decay")
     got = segment(c)
     end, = ends
     ref = states @ c.T
@@ -1588,7 +1625,7 @@ def test_triangular_basis_matches_dense_step_loop(monkeypatch, level, doubles, g
     h = 2.0 / n_out
     ref, y_ref = _dense_loop(_scipy_expm(augmented(gen, level, 0.5, doubles) * h), y0,
                              n_out, rows[:, :dim])
-    ends = _spy_ends(monkeypatch, "_dense_powers")
+    ends = _spy_ends(monkeypatch, "decay")
     got = evolve(gen, (2.0, 4.0), h, initial=padded(gen, y0), project=rows).projections[1:]
     end, = ends
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -802,10 +802,11 @@ def test_turnoff_points_take_one_singles_exponential(monkeypatch):
     # each default point builds one singles propagator; the four points
     # without a half crossing stop after the first horizon's 6,000 steps
     import rydeit.dynamics as dynamics
+    import rydeit.scenarios as scenarios
     from dataclasses import replace
     from rydeit.scenarios import run_turnoff_scan
     dims = _record_calls(monkeypatch, dynamics, "expm", 0)
-    steps = _record_calls(monkeypatch, dynamics, "_dense_powers", 2)
+    steps = _record_calls(monkeypatch, scenarios, "decay", 4)
     cfg = replace(default_config("turnoff_scan", {}), turnoff_doubles=False, threads=1)
     rows = run_turnoff_scan(cfg).tables[0][2]
     assert [r[-1] for r in rows].count("no_half_crossing") == 4
@@ -820,9 +821,10 @@ def test_turnoff_continuation_matches_the_stop(monkeypatch):
     # first, against the step loop y <- P y over all 768,000 steps
     from scipy.linalg import expm
     import rydeit.dynamics as dynamics
+    import rydeit.scenarios as scenarios
     from rydeit.scenarios import _device, _turnoff_point
     dims = _record_calls(monkeypatch, dynamics, "expm", 0)
-    steps = _record_calls(monkeypatch, dynamics, "_dense_powers", 2)
+    steps = _record_calls(monkeypatch, scenarios, "decay", 4)
     out = _turnoff_point(_SINGLES_CFG, 0.5, 0.05)
     assert dims == [2] and out["n_atoms"] == 1
     assert steps == [6000, 6000, 12000]
